@@ -10,6 +10,9 @@ rho -> (1-g) rho + g I/D leaves every Pauli-Z expectation contracted by
 exactly (1-g) because Z is traceless, so noisy features come from the
 pure-state expectations analytically (infinite-shot limit).  A binomial
 shot-sampling mode exists for experiments but is off by default.
+
+Gradients over the trainable angles come from one adjoint pass
+(:func:`vjp`); the parameter-shift rule is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -98,12 +101,14 @@ class CircuitConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CircuitConfig":
+        if "trainable_gate" not in d:
+            raise ValueError("circuit config has no 'trainable_gate' (\"rot\" or \"ry\")")
         return cls(
             n_q=int(d["n_q"]),
             L=int(d["L"]),
             encoding_pattern=tuple(int(i) for i in d["encoding_pattern"]),
             encoding_scale=float(d["encoding_scale"]),
-            trainable_gate=str(d.get("trainable_gate", "ry")),
+            trainable_gate=str(d["trainable_gate"]),
         )
 
 
@@ -234,12 +239,6 @@ def _ladder_inplace(states: np.ndarray, n_q: int) -> np.ndarray:
     return states
 
 
-def _ladder_batch(states: np.ndarray, n_q: int) -> np.ndarray:
-    for i in range(n_q - 1):
-        states = _cnot_batch(states, i, i + 1, n_q)
-    return states
-
-
 def run_circuit_batch(
     config: CircuitConfig, params: VqcParams, thetas: np.ndarray
 ) -> np.ndarray:
@@ -302,7 +301,7 @@ def apply_cnot_ladder(state: StateVector) -> StateVector:
     if n_q < 2:
         warnings.warn("cnot ladder on a single qubit is a no-op", stacklevel=2)
         return StateVector(state.amplitudes.copy())
-    return StateVector(_ladder_batch(state.amplitudes[None, :], n_q)[0])
+    return StateVector(_ladder_inplace(state.amplitudes[None, :].copy(), n_q)[0])
 
 
 def run_circuit(
@@ -348,8 +347,8 @@ def param_shift_grad(
 
     Exact whenever the loss is a fixed linear functional of the features
     (each feature is a single-frequency trigonometric function of any one
-    angle); nonlinear heads chain their own analytic feature gradient
-    with :func:`feature_jacobian` instead.
+    angle).  Two circuits per angle make it the test oracle for
+    :func:`vjp`, which training uses instead.
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.zeros_like(params.phi)
@@ -363,57 +362,87 @@ def param_shift_grad(
     return grad
 
 
+# -- adjoint gradient ----------------------------------------------------------
+
+
+def _z_signs(n_q: int) -> np.ndarray:
+    """S[j, x] = +-1, the Z_j eigenvalue of basis state x: (n_q, 2**n_q)."""
+    bits = np.arange(2**n_q)[None, :] >> np.arange(n_q - 1, -1, -1)[:, None]
+    return 1.0 - 2.0 * (bits & 1)
+
+
+def _im_z(pair: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Im <lam|Z_q|psi> for pair = (psi, lam) stacked on axis 0."""
+    return np.imag(np.conj(pair[1]) * pair[0]) @ signs
+
+
+def _im_y(pair: np.ndarray, qubit: int, n_q: int) -> np.ndarray:
+    """Im <lam|Y_q|psi> = Re sum(conj(lam_1) psi_0 - conj(lam_0) psi_1)."""
+    shaped = pair.reshape(*pair.shape[:-1], 2**qubit, 2, 2 ** (n_q - qubit - 1))
+    psi, lam = shaped[0], shaped[1]
+    z = np.conj(lam[..., 1, :]) * psi[..., 0, :] - np.conj(lam[..., 0, :]) * psi[..., 1, :]
+    return z.real.sum(axis=(-1, -2))
+
+
+def vjp(
+    config: CircuitConfig,
+    params: VqcParams,
+    thetas: np.ndarray,
+    dh: np.ndarray,
+    gamma: float = 0.0,
+) -> np.ndarray:
+    """Per-sample gradient of sum_j dh[..., b, j] h[b, j] over phi.
+
+    ``h = (1 - gamma) <Z_j>`` are the features of the N inputs ``thetas``;
+    ``dh`` is (..., N, n_q) and the result (..., N, *param_shape).  Adjoint
+    method (Jones & Gacon, arXiv:2009.02823): one forward pass, then the
+    state psi and the costate lam = O psi, O = sum_j dh_j Z_j, walk the
+    layers backwards together.  A gate exp(-i a G / 2) contributes
+    d/da <psi|O|psi> = Im <lam|G|psi>, read where the gate has acted.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    n_q = config.n_q
+    psi = run_circuit_batch(config, params, thetas)
+    dh = np.asarray(dh, dtype=float)
+    if dh.shape[-2:] != (thetas.shape[0], n_q):
+        raise ValueError(f"dh must be (..., {thetas.shape[0]}, {n_q}), got {dh.shape}")
+    signs = _z_signs(n_q)
+    pair = np.stack(np.broadcast_arrays(psi, (dh @ signs) * psi))
+    enc = config.encoding_scale * thetas[:, list(config.encoding_pattern)]
+    grad = np.empty((*dh.shape[:-1], *config.param_shape))
+    for layer in reversed(range(config.L)):
+        for i in reversed(range(n_q - 1)):
+            pair = _cnot_batch(pair, i, i + 1, n_q, inplace=True)
+        for qubit in reversed(range(n_q)):
+            if config.trainable_gate == "rot":
+                a, b, c = params.phi[layer, qubit]
+                grad[..., layer, qubit, 2] = _im_z(pair, signs[qubit])
+                pair = _rz_batch(pair, qubit, -c, n_q)
+                grad[..., layer, qubit, 1] = _im_y(pair, qubit, n_q)
+                pair = _ry_batch(pair, qubit, -b, n_q)
+                grad[..., layer, qubit, 0] = _im_z(pair, signs[qubit])
+                pair = _rz_batch(pair, qubit, -a, n_q)
+            else:
+                grad[..., layer, qubit] = _im_y(pair, qubit, n_q)
+                pair = _ry_batch(pair, qubit, -params.phi[layer, qubit], n_q)
+        if layer:  # the first layer's encoding precedes every trainable gate
+            for qubit in reversed(range(n_q)):
+                pair = _ry_batch(pair, qubit, -enc[:, qubit], n_q)
+    return (1.0 - gamma) * grad
+
+
 def feature_jacobian(
     config: CircuitConfig, params: VqcParams, thetas: np.ndarray, gamma: float = 0.0
 ) -> np.ndarray:
-    """d h / d phi for a batch: (N, n_q, *param_shape) via the shift rule.
+    """d h / d phi for a batch: (N, n_q, *param_shape).
 
-    Each feature is an expectation value, so the +-pi/2 rule is exact per
-    parameter.  All 2 * n_params shifted circuits run as one stacked
-    batch: every gate kernel broadcasts its per-variant angle over the
-    (variant, sample) leading axes.
+    One :func:`vjp` with the n_q one-hot cotangents stacked on a leading
+    axis.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if params.phi.shape != config.param_shape:
-        raise ValueError(
-            f"params shape {params.phi.shape} does not match {config.param_shape}"
-        )
-    n = thetas.shape[0]
-    slots = list(np.ndindex(params.phi.shape))
-    n_par = len(slots)
-    n_var = 2 * n_par
-
-    angles = np.broadcast_to(params.phi, (n_var, *params.phi.shape)).copy()
-    for p, idx in enumerate(slots):
-        angles[(2 * p, *idx)] += np.pi / 2.0
-        angles[(2 * p + 1, *idx)] -= np.pi / 2.0
-
-    states = np.zeros((n_var, n, config.dim), dtype=complex)
-    states[:, :, 0] = 1.0
-    enc = config.encoding_scale * thetas[:, list(config.encoding_pattern)]
-    for layer in range(config.L):
-        for qubit in range(config.n_q):
-            states = _ry_batch(states, qubit, enc[None, :, qubit], config.n_q)
-        for qubit in range(config.n_q):
-            if config.trainable_gate == "rot":
-                a = angles[:, layer, qubit, 0][:, None]
-                b = angles[:, layer, qubit, 1][:, None]
-                c = angles[:, layer, qubit, 2][:, None]
-                states = _rot_batch(states, qubit, a, b, c, config.n_q)
-            else:
-                states = _ry_batch(
-                    states, qubit, angles[:, layer, qubit][:, None], config.n_q
-                )
-        if config.n_q > 1:
-            states = _ladder_inplace(states, config.n_q)
-    h_all = z_expectations(states, config.n_q)  # (n_var, N, n_q)
-
-    jac = np.empty((n, config.n_q, *params.phi.shape))
-    for p, idx in enumerate(slots):
-        jac[(slice(None), slice(None), *idx)] = 0.5 * (
-            h_all[2 * p] - h_all[2 * p + 1]
-        )
-    return (1.0 - gamma) * jac
+    n, n_q = thetas.shape[0], config.n_q
+    onehot = np.broadcast_to(np.eye(n_q)[:, None, :], (n_q, n, n_q))
+    return np.moveaxis(vjp(config, params, thetas, onehot, gamma), 0, 1)
 
 
 def trace_distance_pure(psi: np.ndarray, phi: np.ndarray) -> float:

@@ -7,8 +7,9 @@ enters as an exact (1-gamma) contraction of the bias-free logits; the
 MLP's privacy knob is Gaussian noise added to its logits.
 
 Training is joint cross-entropy descent with Adam: the head gets
-analytic gradients, the circuit angles get parameter-shift feature
-Jacobians chained with the analytic head gradient.
+analytic gradients, the circuit angles get adjoint statevector gradients
+seeded by the head's feature gradient (one backward pass per batch; the
+parameter-shift rule is kept as the test oracle).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from qpopf.circuit import (
     CircuitConfig,
     VqcParams,
-    feature_jacobian,
     run_circuit_batch,
+    vjp,
     z_expectations,
 )
 from qpopf.regions import RegionAtlas, locate_region
@@ -368,9 +369,7 @@ def train_vqc(
                     f"{train_cfg.learning_rate}, history so far {history})"
                 )
             batch_losses.append(loss)
-            jac = feature_jacobian(config, params, xb)
-            flat = jac.reshape(*jac.shape[:2], -1)
-            gphi = np.einsum("bj,bjp->p", dh, flat).reshape(params.phi.shape)
+            gphi = vjp(config, params, xb, dh).sum(axis=0)
             grads = [gphi, gW] + ([] if bias_free else [gb])
             adam.step(opt_targets, grads)
         model = VqcModel(config, params, LinearHead(W=W, b=b, beta=train_cfg.beta))

@@ -50,23 +50,37 @@ class AdjacencySpec:
 
 
 def draw_adjacent_pairs(
-    spec: AdjacencySpec, m: int, box: np.ndarray | None = None
+    spec: AdjacencySpec, m: int, box: np.ndarray | None = None, max_tries: int = 100_000
 ) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_count`` pairs at distance delta_theta inside the box.
+
+    A pair whose mate leaves the box is redrawn, at most ``max_tries``
+    times per pair.
+    """
     if box is None:
         box = np.tile(np.array([-1.0, 1.0]), (m, 1))
+    diameter = float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    if spec.delta_theta >= diameter:
+        raise ValueError(
+            f"delta_theta {spec.delta_theta} must be below the box diameter {diameter:.4g}"
+        )
     rng = np.random.default_rng(spec.seed)
     thetas = np.empty((spec.pair_count, m))
     mates = np.empty((spec.pair_count, m))
-    count = 0
-    while count < spec.pair_count:
-        t = rng.uniform(box[:, 0], box[:, 1])
-        u = rng.standard_normal(m)
-        u /= np.linalg.norm(u)
-        t2 = t + spec.delta_theta * u
-        if np.any(t2 < box[:, 0]) or np.any(t2 > box[:, 1]):
-            continue
-        thetas[count], mates[count] = t, t2
-        count += 1
+    for i in range(spec.pair_count):
+        for _ in range(max_tries):
+            t = rng.uniform(box[:, 0], box[:, 1])
+            u = rng.standard_normal(m)
+            u /= np.linalg.norm(u)
+            t2 = t + spec.delta_theta * u
+            if np.all(t2 >= box[:, 0]) and np.all(t2 <= box[:, 1]):
+                thetas[i], mates[i] = t, t2
+                break
+        else:
+            raise ValueError(
+                f"could not draw a pair at distance {spec.delta_theta} inside the box "
+                f"in {max_tries} tries"
+            )
     return thetas, mates
 
 

@@ -15,8 +15,10 @@ from qpopf.circuit import (
     run_circuit,
     run_circuit_batch,
     trace_distance_pure,
+    vjp,
     z_expectations,
 )
+from qpopf.classifier import TrainConfig, train_vqc
 from qpopf.privacy import encoding_lipschitz
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -196,6 +198,62 @@ def test_feature_jacobian_matches_param_shift():
                 config, params, thetas[b], lambda h, e=e: float(e @ h)
             )
             np.testing.assert_allclose(jac[b, j], grad, atol=1e-12)
+
+
+ADJOINT_CASES = [(n_q, n_q) for n_q in range(1, 6)] + [(5, 3)]  # (n_q, m); (5, 3) is cyclic
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("gate", ["rot", "ry"])
+@pytest.mark.parametrize("n_q,m", ADJOINT_CASES)
+def test_vjp_matches_param_shift(n_q, m, gate, gamma):
+    rng = np.random.default_rng(100 * n_q + m)
+    config = CircuitConfig.default(n_q=n_q, L=2, m=m, trainable_gate=gate)
+    params = random_params(config, rng)
+    thetas = rng.uniform(-1, 1, (3, m))
+    dh = rng.normal(size=(3, n_q))
+    grad = vjp(config, params, thetas, dh, gamma)
+    assert grad.shape == (3, *config.param_shape)
+    for b in range(3):
+        oracle = param_shift_grad(
+            config, params, thetas[b], lambda h, w=dh[b]: float(w @ h), gamma
+        )
+        np.testing.assert_allclose(grad[b], oracle, rtol=0, atol=1e-10)
+
+
+def test_vjp_rejects_mismatched_cotangent():
+    config = CircuitConfig.default(n_q=2, L=1, m=2)
+    params = VqcParams(np.zeros(config.param_shape))
+    with pytest.raises(ValueError, match="dh"):
+        vjp(config, params, np.zeros((4, 2)), np.zeros((4, 3)))
+
+
+# Loss per epoch of the toy run below under the parameter-shift gradient.
+SHIFT_RULE_LOSSES = {
+    "rot": [1.0490727044756463, 0.9260462845335009, 0.8081349618445769, 0.7020986420909922],
+    "ry": [1.118604873902199, 1.0591575197655716, 1.0274636036386358, 1.0019442039900028],
+}
+
+
+@pytest.mark.parametrize("gate", ["rot", "ry"])
+def test_train_vqc_reproduces_shift_rule_history(gate):
+    rng = np.random.default_rng(29)
+    thetas = rng.uniform(-1, 1, (40, 2))
+    labels = 1 + (thetas[:, 0] + 0.5 * thetas[:, 1] > 0) + (thetas[:, 1] > 0.5)
+    config = CircuitConfig.default(n_q=2, L=2, m=2, trainable_gate=gate)
+    _, _, history = train_vqc(
+        (thetas, labels), config, TrainConfig(epochs=4, batch_size=8, seed=5), K=3
+    )
+    losses = [rec["loss"] for rec in history]
+    np.testing.assert_allclose(losses, SHIFT_RULE_LOSSES[gate], rtol=0, atol=1e-9)
+
+
+def test_config_from_dict_requires_gate():
+    d = CircuitConfig.default(n_q=2, L=1, m=2).to_dict()
+    assert CircuitConfig.from_dict(d).trainable_gate == "rot"
+    del d["trainable_gate"]
+    with pytest.raises(ValueError, match="trainable_gate"):
+        CircuitConfig.from_dict(d)
 
 
 def test_trace_distance_lipschitz_no_repeat():

@@ -75,6 +75,21 @@ def test_adjacent_pairs_exact_distance():
     np.testing.assert_array_equal(mates, m2)
 
 
+def test_adjacent_pairs_reject_delta_beyond_box():
+    # delta 4 exceeds the diameter 2 sqrt(3) of [-1, 1]^3: no pair exists,
+    # so the draw must fail before any redraw
+    with pytest.raises(ValueError, match="diameter"):
+        draw_adjacent_pairs(AdjacencySpec(delta_theta=4.0, pair_count=10), 3)
+    with pytest.raises(ValueError, match="diameter"):
+        draw_adjacent_pairs(AdjacencySpec(delta_theta=2.0), 1)
+
+
+def test_adjacent_pairs_bounded_redraws():
+    # delta 3.4 fits the box, but almost no draw keeps its mate inside
+    with pytest.raises(ValueError, match="in 50 tries"):
+        draw_adjacent_pairs(AdjacencySpec(delta_theta=3.4, pair_count=1), 3, max_tries=50)
+
+
 def test_encoding_lipschitz_instantiations():
     one = CircuitConfig.default(n_q=1, L=1, m=1)
     assert encoding_lipschitz(one) == pytest.approx(np.pi / 2)
