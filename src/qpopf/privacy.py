@@ -49,13 +49,16 @@ class AdjacencySpec:
             raise ValueError("pair_count must be >= 1")
 
 
+_MAX_PAIR_TRIES = 100_000
+
+
 def draw_adjacent_pairs(
-    spec: AdjacencySpec, m: int, box: np.ndarray | None = None, max_tries: int = 100_000
+    spec: AdjacencySpec, m: int, box: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``pair_count`` pairs at distance delta_theta inside the box.
 
-    A pair whose mate leaves the box is redrawn, at most ``max_tries``
-    times per pair.
+    A pair whose mate leaves the box is redrawn, at most
+    ``_MAX_PAIR_TRIES`` times per pair.
     """
     if box is None:
         box = np.tile(np.array([-1.0, 1.0]), (m, 1))
@@ -68,7 +71,7 @@ def draw_adjacent_pairs(
     thetas = np.empty((spec.pair_count, m))
     mates = np.empty((spec.pair_count, m))
     for i in range(spec.pair_count):
-        for _ in range(max_tries):
+        for _ in range(_MAX_PAIR_TRIES):
             t = rng.uniform(box[:, 0], box[:, 1])
             u = rng.standard_normal(m)
             u /= np.linalg.norm(u)
@@ -79,7 +82,7 @@ def draw_adjacent_pairs(
         else:
             raise ValueError(
                 f"could not draw a pair at distance {spec.delta_theta} inside the box "
-                f"in {max_tries} tries"
+                f"in {_MAX_PAIR_TRIES} tries"
             )
     return thetas, mates
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qpopf import privacy
 from qpopf.circuit import CircuitConfig, VqcParams
 from qpopf.classifier import LinearHead, TrainConfig, VqcModel, train_vqc
 from qpopf.privacy import (
@@ -84,10 +85,11 @@ def test_adjacent_pairs_reject_delta_beyond_box():
         draw_adjacent_pairs(AdjacencySpec(delta_theta=2.0), 1)
 
 
-def test_adjacent_pairs_bounded_redraws():
+def test_adjacent_pairs_bounded_redraws(monkeypatch):
     # delta 3.4 fits the box, but almost no draw keeps its mate inside
+    monkeypatch.setattr(privacy, "_MAX_PAIR_TRIES", 50)
     with pytest.raises(ValueError, match="in 50 tries"):
-        draw_adjacent_pairs(AdjacencySpec(delta_theta=3.4, pair_count=1), 3, max_tries=50)
+        draw_adjacent_pairs(AdjacencySpec(delta_theta=3.4, pair_count=1), 3)
 
 
 def test_encoding_lipschitz_instantiations():
