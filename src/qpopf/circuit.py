@@ -390,6 +390,7 @@ def vjp(
     thetas: np.ndarray,
     dh: np.ndarray,
     gamma: float = 0.0,
+    states: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-sample gradient of sum_j dh[..., b, j] h[b, j] over phi.
 
@@ -399,10 +400,12 @@ def vjp(
     state psi and the costate lam = O psi, O = sum_j dh_j Z_j, walk the
     layers backwards together.  A gate exp(-i a G / 2) contributes
     d/da <psi|O|psi> = Im <lam|G|psi>, read where the gate has acted.
+    ``states`` are the final states ``run_circuit_batch`` returns for
+    ``thetas``, when the caller has them; otherwise the forward pass runs here.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n_q = config.n_q
-    psi = run_circuit_batch(config, params, thetas)
+    psi = run_circuit_batch(config, params, thetas) if states is None else states
     dh = np.asarray(dh, dtype=float)
     if dh.shape[-2:] != (thetas.shape[0], n_q):
         raise ValueError(f"dh must be (..., {thetas.shape[0]}, {n_q}), got {dh.shape}")

@@ -361,7 +361,8 @@ def train_vqc(
         batch_losses = []
         for idx in _epoch_batches(n, train_cfg.batch_size, rng):
             xb, yb = thetas[idx], y[idx]
-            h = z_expectations(run_circuit_batch(config, params, xb), config.n_q)
+            states = run_circuit_batch(config, params, xb)
+            h = z_expectations(states, config.n_q)
             loss, gW, gb, dh, _ = ce_head_gradients(h, W, b, yb, train_cfg.beta)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -369,7 +370,7 @@ def train_vqc(
                     f"{train_cfg.learning_rate}, history so far {history})"
                 )
             batch_losses.append(loss)
-            gphi = vjp(config, params, xb, dh).sum(axis=0)
+            gphi = vjp(config, params, xb, dh, states=states).sum(axis=0)
             grads = [gphi, gW] + ([] if bias_free else [gb])
             adam.step(opt_targets, grads)
         model = VqcModel(config, params, LinearHead(W=W, b=b, beta=train_cfg.beta))

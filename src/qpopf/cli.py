@@ -171,12 +171,7 @@ def _resolve_model(parser, spec: str, atlas):
         parser.error(f"model checkpoint not found: {path}")
     model, meta = load_model(path)
     if meta.get("atlas_hash") and atlas is not None:
-        import hashlib as _h
-
-        atlas_hash = _h.sha256(
-            json.dumps(atlas.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
-        if atlas_hash != meta["atlas_hash"]:
+        if _atlas_hash(atlas) != meta["atlas_hash"]:
             raise RuntimeError("checkpoint was trained against a different atlas")
     return model, meta
 
@@ -211,9 +206,10 @@ def cmd_regions(parser, args) -> int:
     payload["provenance"].update(prov)
     out.write_text(json.dumps(payload, sort_keys=True))
     degenerate = sum(1 for r in atlas.regions if r.degenerate)
+    dropped = " ".join(f"{k}={v}" for k, v in atlas.dropped.items())
     print(
         f"regions: K={atlas.K} coverage={atlas.coverage:.4f} "
-        f"degenerate={degenerate} -> {out} ({elapsed:.1f}s)"
+        f"degenerate={degenerate} dropped: {dropped} -> {out} ({elapsed:.1f}s)"
     )
     return 0
 
@@ -524,8 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", help=f"output directory (or ${DEFAULT_OUT_DIR_ENV})")
         p.add_argument("--out", help="output file name")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (this build runs serially)")
         if case:
             p.add_argument("--case", required=True, help="case JSON file")
         if atlas:

@@ -5,11 +5,13 @@ answer: a residual scan identifies the active rows, a deterministic rank
 selection picks an n-row basis (treating each opposing equality pair as
 one hyperplane), and the solution is re-solved from that basis so the
 returned vertex is accurate to linear-solve precision rather than solver
-tolerance.  Results are deterministic for identical inputs.
+tolerance.  ``perturbed_basis`` recovers a basis where the vertex is
+degenerate.  Results are deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,17 +110,30 @@ def _effective_count(active: list[int], mirror: dict[int, int]) -> int:
     return count
 
 
-def _greedy_basis(A: np.ndarray, rows: list[int], n: int) -> list[int] | None:
-    """First n linearly independent rows of ``rows`` (ascending order)."""
+def _greedy_basis(
+    A: np.ndarray, rows: list[int], n: int, mirror: dict[int, int]
+) -> list[int] | None:
+    """First n linearly independent rows of ``rows`` (ascending order).
+
+    The higher member of an active opposing pair is exactly minus the
+    lower one, which the scan has already picked or rejected, so it is
+    skipped without a projection.
+    """
+    active = set(rows)
     picked: list[int] = []
-    basis_vecs = np.zeros((0, A.shape[1]))
+    basis_vecs = np.empty((n, A.shape[1]))
     for i in rows:
-        v = A[i].astype(float)
-        r = v - basis_vecs.T @ (basis_vecs @ v) if len(picked) else v
-        nrm = np.linalg.norm(r)
-        if nrm > 1e-9 * max(1.0, np.linalg.norm(v)):
+        j = mirror.get(i)
+        if j is not None and j < i and j in active:
+            continue
+        v = A[i]
+        k = len(picked)
+        r = v - basis_vecs[:k].T @ (basis_vecs[:k] @ v) if k else v
+        # sqrt(x @ x) is how np.linalg.norm computes a real 2-norm
+        nrm = math.sqrt(r @ r)
+        if nrm > 1e-9 * max(1.0, math.sqrt(v @ v)):
             picked.append(i)
-            basis_vecs = np.vstack([basis_vecs, r / nrm])
+            basis_vecs[k] = r / nrm
             if len(picked) == n:
                 return picked
     return None
@@ -162,7 +177,7 @@ def solve_lp(
 
     mirror = plp.mirror_row()
     active = _scan_active(plp.W, b, x, tol_active)
-    basis = _greedy_basis(plp.W, active, plp.n)
+    basis = _greedy_basis(plp.W, active, plp.n, mirror)
     if basis is not None:
         basis, _ = _fix_basis_signs(plp, basis, mirror)
         x_polished = _polish(plp, b, basis)
@@ -190,6 +205,34 @@ def _polish(plp: ParametricLP, b: np.ndarray, basis: list[int]) -> np.ndarray | 
         return np.linalg.solve(plp.W[basis], b[basis])
     except np.linalg.LinAlgError:
         return None
+
+
+def perturbed_basis(
+    plp: ParametricLP, theta: np.ndarray, eps: float = 1e-9
+) -> list[int] | None:
+    """Basis recovery for degenerate solves.
+
+    A lexicographic right-hand-side perturbation (eps * row index) breaks
+    ties so a unique vertex basis exists; the basis is returned for use
+    with the *unperturbed* data.  Escalates eps once if the perturbation
+    is too small to separate ties at solver precision.
+    """
+    theta = np.asarray(theta, dtype=float)
+    mirror = plp.mirror_row()
+    for scale in (eps, eps * 100.0):
+        b = plp.rhs(theta) + scale * np.arange(1, plp.q + 1)
+        status, x = _linprog_dense(plp.c, plp.W, b)
+        if x is None:
+            return None
+        tol = max(scale / 3.0, 1e-10)
+        active = _scan_active(plp.W, b, x, tol)
+        basis = _greedy_basis(plp.W, active, plp.n, mirror)
+        if basis is None:
+            continue
+        basis, _ = _fix_basis_signs(plp, basis, mirror)
+        if _effective_count(active, mirror) == plp.n:
+            return basis
+    return basis
 
 
 def active_set(
@@ -258,9 +301,10 @@ def project_feasible(
     status, z = _linprog_dense(c_aux, A_aux, b_aux)
     if status != "optimal":
         raise ProjectionError(f"projection LP is {status} at theta={theta}")
-    # Polish from the aux basis for a precise vertex.
+    # Polish from the aux basis for a precise vertex.  The leading q rows
+    # of A_aux are W, so W's opposing pairs carry over.
     active = _scan_active(A_aux, b_aux, z, TOL_ACTIVE)
-    basis = _greedy_basis(A_aux, active, 2 * n)
+    basis = _greedy_basis(A_aux, active, 2 * n, plp.mirror_row())
     if basis is not None:
         try:
             z_p = np.linalg.solve(A_aux[basis], b_aux[basis])

@@ -5,13 +5,16 @@ so the optimizer is an affine map x*(theta) = F theta + f.  Enumeration
 samples theta with a low-discrepancy sequence, solves each LP, and
 collects distinct bases; each basis yields an affine map plus a region
 polyhedron (the inactive constraints rewritten over theta, intersected
-with the box, with redundant rows pruned).  The atlas answers
+with the box, with redundant rows pruned: rows that hold over the whole
+box are dropped outright, the rest by one LP each).  The atlas answers
 point-location queries, which is both the exact ground-truth labeler and
-the classical constraint-check baseline.
+the classical constraint-check baseline; ``locate_batch`` labels many
+points with one product against the stacked halfspaces of every region.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -20,9 +23,8 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import qmc
 
-from qpopf import lp as lp_mod
 from qpopf.grid import ParametricLP
-from qpopf.lp import solve_lp, solve_raw
+from qpopf.lp import perturbed_basis, solve_lp, solve_raw
 
 TOL_CONTAIN = 1e-9
 
@@ -72,6 +74,9 @@ class RegionAtlas:
     coverage: float
     provenance: dict = field(default_factory=dict)
     plp_hash: str = ""
+    # Bases enumeration discarded, not saved: "singular" active-set matrix,
+    # "empty" region, and samples whose degenerate basis was "unrecovered".
+    dropped: dict = field(default_factory=dict)
 
     @property
     def K(self) -> int:
@@ -82,6 +87,18 @@ class RegionAtlas:
             if r.id == k:
                 return r
         raise UnknownRegionError(k)
+
+    @functools.cached_property
+    def _halfspaces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every region's rows stacked: A, b, each region's first row, ids.
+
+        Built on the first point location; an atlas's regions do not
+        change once it is built.
+        """
+        A = np.concatenate([r.poly_A for r in self.regions])
+        b = np.concatenate([r.poly_b for r in self.regions])
+        starts = np.cumsum([0] + [r.poly_b.size for r in self.regions[:-1]])
+        return A, b, starts, np.array([r.id for r in self.regions])
 
     def to_dict(self) -> dict:
         return {
@@ -190,7 +207,13 @@ def region_polyhedron(
     A, b = A / scale[:, None], b / scale
 
     if remove_redundant:
-        A, b = _remove_redundant_rows(A, b)
+        # A row that holds over the whole box is implied by the box rows.
+        # They are tested last, so the pruning LP of such a row always
+        # sees them and drops it; dropping it up front keeps the same rows.
+        lo, hi = plp.theta_box[:, 0], plp.theta_box[:, 1]
+        implied = np.maximum(A * lo, A * hi).sum(axis=1) <= b
+        implied[-2 * m :] = False
+        A, b = _remove_redundant_rows(A[~implied], b[~implied])
     if A.shape[0] == 0:
         raise EmptyRegionError("no rows left after pruning")
     return A, b
@@ -239,33 +262,6 @@ def _sobol_samples(box: np.ndarray, count: int, seed: int) -> np.ndarray:
     return box[:, 0] + unit * (box[:, 1] - box[:, 0])
 
 
-def perturbed_basis(
-    plp: ParametricLP, theta: np.ndarray, eps: float = 1e-9
-) -> list[int] | None:
-    """Basis recovery for degenerate solves.
-
-    A lexicographic right-hand-side perturbation (eps * row index) breaks
-    ties so a unique vertex basis exists; the basis is returned for use
-    with the *unperturbed* data.  Escalates eps once if the perturbation
-    is too small to separate ties at solver precision.
-    """
-    theta = np.asarray(theta, dtype=float)
-    for scale in (eps, eps * 100.0):
-        b = plp.rhs(theta) + scale * np.arange(1, plp.q + 1)
-        status, x = lp_mod._linprog_dense(plp.c, plp.W, b)
-        if x is None:
-            return None
-        tol = max(scale / 3.0, 1e-10)
-        active = lp_mod._scan_active(plp.W, b, x, tol)
-        basis = lp_mod._greedy_basis(plp.W, active, plp.n)
-        if basis is None:
-            continue
-        basis, _ = lp_mod._fix_basis_signs(plp, basis, plp.mirror_row())
-        if lp_mod._effective_count(active, plp.mirror_row()) == plp.n:
-            return basis
-    return basis
-
-
 def enumerate_regions(
     plp: ParametricLP,
     sampling_budget: int,
@@ -282,6 +278,7 @@ def enumerate_regions(
     thetas = _sobol_samples(plp.theta_box, sampling_budget, seed)
 
     found: dict[tuple[int, ...], bool] = {}  # basis -> built via fallback
+    dropped = {"singular": 0, "empty": 0, "unrecovered": 0}
     for theta in thetas:
         sol = solve_lp(plp, theta)
         if not sol.is_optimal:
@@ -293,6 +290,7 @@ def enumerate_regions(
         else:
             basis = perturbed_basis(plp, theta)
             if basis is None:
+                dropped["unrecovered"] += 1
                 continue
             key = tuple(basis)
             if key not in found:
@@ -303,7 +301,11 @@ def enumerate_regions(
         try:
             F, f = compute_affine_map(plp, list(key))
             poly_A, poly_b = region_polyhedron(plp, list(key), F, f)
-        except (SingularActiveSetError, EmptyRegionError):
+        except SingularActiveSetError:
+            dropped["singular"] += 1
+            continue
+        except EmptyRegionError:
+            dropped["empty"] += 1
             continue
         regions.append(
             CriticalRegion(
@@ -321,35 +323,50 @@ def enumerate_regions(
     for i, r in enumerate(regions):
         r.id = i + 1
 
-    rng = np.random.default_rng([seed, 0xC0FFEE])
-    probes = rng.uniform(
-        plp.theta_box[:, 0], plp.theta_box[:, 1], size=(coverage_samples, plp.m)
-    )
-    hit = sum(1 for p in probes if any(r.contains(p) for r in regions))
-    coverage = hit / coverage_samples
-
-    return RegionAtlas(
+    atlas = RegionAtlas(
         regions=regions,
         theta_box=plp.theta_box.copy(),
-        coverage=coverage,
+        coverage=0.0,  # estimated below
         provenance={
             "sampling_budget": sampling_budget,
             "seed": seed,
             "coverage_samples": coverage_samples,
         },
         plp_hash=plp.hash_hex(),
+        dropped=dropped,
     )
+    rng = np.random.default_rng([seed, 0xC0FFEE])
+    probes = rng.uniform(
+        plp.theta_box[:, 0], plp.theta_box[:, 1], size=(coverage_samples, plp.m)
+    )
+    atlas.coverage = np.count_nonzero(locate_batch(atlas, probes)) / coverage_samples
+    return atlas
+
+
+def locate_batch(
+    atlas: RegionAtlas, thetas: np.ndarray, tol: float = TOL_CONTAIN
+) -> np.ndarray:
+    """Smallest id of a region containing each row of ``thetas``; 0 if none.
+
+    Every region's halfspaces are stacked into one matrix, so the N points
+    are tested with one product, and ``logical_and.reduceat`` folds the
+    row tests of each region.
+    """
+    if atlas.K == 0:
+        raise EnumerationError("atlas has no regions")
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    A, b, starts, ids = atlas._halfspaces
+    inside = np.logical_and.reduceat(thetas @ A.T <= b + tol, starts, axis=1)
+    return np.where(inside.any(axis=1), ids[inside.argmax(axis=1)], 0)
 
 
 def locate_region(atlas: RegionAtlas, theta: np.ndarray, tol: float = TOL_CONTAIN) -> int:
     """Smallest region id containing theta (the exact labeler / baseline)."""
-    if atlas.K == 0:
-        raise EnumerationError("atlas has no regions")
     theta = np.asarray(theta, dtype=float)
-    for r in atlas.regions:  # ids are 1..K in order
-        if r.contains(theta, tol):
-            return r.id
-    raise UncoveredThetaError(f"theta {theta} not covered by the atlas")
+    k = int(locate_batch(atlas, theta, tol)[0])
+    if k == 0:
+        raise UncoveredThetaError(f"theta {theta} not covered by the atlas")
+    return k
 
 
 def reconstruct_solution(atlas: RegionAtlas, k: int, theta: np.ndarray) -> np.ndarray:
@@ -360,22 +377,28 @@ def reconstruct_solution(atlas: RegionAtlas, k: int, theta: np.ndarray) -> np.nd
 def sample_labeled_dataset(
     atlas: RegionAtlas, count: int, seed: int, max_tries: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform thetas with locate_region labels; uncovered draws are retried."""
+    """Uniform thetas with locate_region labels; uncovered draws are retried.
+
+    Sample i is the i-th covered draw of the generator; a run of
+    ``max_tries`` uncovered draws raises.  Draws are made and located in
+    blocks, which consumes the generator exactly as one draw at a time.
+    """
     rng = np.random.default_rng(seed)
-    box = atlas.theta_box
-    thetas = np.empty((count, box.shape[0]))
+    lo, hi = atlas.theta_box[:, 0], atlas.theta_box[:, 1]
+    thetas = np.empty((count, lo.size))
     labels = np.empty(count, dtype=int)
-    for i in range(count):
-        for _ in range(max_tries):
-            t = rng.uniform(box[:, 0], box[:, 1])
-            try:
-                labels[i] = locate_region(atlas, t)
-                thetas[i] = t
-                break
-            except UncoveredThetaError:
-                continue
-        else:
+    done, misses = 0, 0  # misses: uncovered draws since the last covered one
+    while done < count:
+        draws = rng.uniform(lo, hi, size=(count - done, lo.size))
+        ids = locate_batch(atlas, draws)
+        hits = np.flatnonzero(ids)[: count - done]
+        gaps = np.diff(hits, prepend=-1 - misses) - 1
+        misses = len(draws) - 1 - hits[-1] if hits.size else misses + len(draws)
+        if np.any(gaps >= max_tries) or (done + hits.size < count and misses >= max_tries):
             raise UncoveredThetaError(
                 f"could not draw a covered theta in {max_tries} tries"
             )
+        thetas[done : done + hits.size] = draws[hits]
+        labels[done : done + hits.size] = ids[hits]
+        done += hits.size
     return thetas, labels

@@ -48,6 +48,13 @@ def test_regions_produces_two_region_atlas(workdir):
     assert "config_hash" in atlas["provenance"]
 
 
+def test_regions_reports_dropped_bases(tmp_path, capsys):
+    assert run(["regions", "--case", TOY, "--budget", 16, "--seed", 5,
+                "--out-dir", tmp_path]) == 0
+    assert "dropped: singular=0 empty=0 unrecovered=0" in capsys.readouterr().out
+    assert "dropped" not in read_json(tmp_path / "atlas.json")
+
+
 def test_missing_case_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["regions", "--case", tmp_path / "nope.json", "--out-dir", tmp_path])

@@ -3,11 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from qpopf.grid import ParametricLP
+from qpopf import lp as lp_mod
+from qpopf.data import case_path
+from qpopf.grid import ParametricLP, linearize, load_case
 from qpopf.lp import (
     active_set,
     dual_certificate,
     l1_distance,
+    perturbed_basis,
     project_feasible,
     solve_lp,
 )
@@ -161,3 +164,53 @@ def test_projection_l1_optimality_small():
     out = project_feasible(np.array([3.0, -0.2]), plp, np.zeros(1))
     np.testing.assert_allclose(out, [1.0, -0.2], atol=1e-8)
     assert l1_distance(out, [3.0, -0.2]) == pytest.approx(2.0, abs=1e-8)
+
+
+def greedy_basis_vstack(A, rows, n):
+    """The basis scan before mirror skipping: Gram-Schmidt over every
+    active row, growing the orthonormal set with vstack."""
+    picked = []
+    basis_vecs = np.zeros((0, A.shape[1]))
+    for i in rows:
+        v = A[i].astype(float)
+        r = v - basis_vecs.T @ (basis_vecs @ v) if len(picked) else v
+        nrm = np.linalg.norm(r)
+        if nrm > 1e-9 * max(1.0, np.linalg.norm(v)):
+            picked.append(i)
+            basis_vecs = np.vstack([basis_vecs, r / nrm])
+            if len(picked) == n:
+                return picked
+    return None
+
+
+@pytest.fixture()
+def basis_calls(monkeypatch):
+    """Record (A, rows, n, result) of every basis scan the lp module runs."""
+    calls = []
+    scan = lp_mod._greedy_basis
+
+    def recording(A, rows, n, mirror):
+        out = scan(A, rows, n, mirror)
+        calls.append((A, list(rows), n, out))
+        return out
+
+    monkeypatch.setattr(lp_mod, "_greedy_basis", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_basis_scan_matches_vstack_oracle(case, basis_calls):
+    plp = linearize(load_case(case_path(case)))
+    rng = np.random.default_rng(61)
+    thetas = rng.uniform(-1.0, 1.0, size=(12, plp.m))
+    thetas[0] = 0.0
+    for k, theta in enumerate(thetas):
+        sol = solve_lp(plp, theta)
+        assert sol.is_optimal
+        # a dispatch solved at another theta is usually infeasible here
+        project_feasible(sol.x, plp, thetas[k - 1])
+        perturbed_basis(plp, theta)
+    projections = [c for c in basis_calls if c[2] == 2 * plp.n]
+    assert len(projections) >= 3
+    for A, rows, n, picked in basis_calls:
+        assert picked == greedy_basis_vstack(A, rows, n)

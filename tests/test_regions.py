@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
-from qpopf.lp import solve_lp
+from qpopf import regions as regions_mod
+from qpopf.data import case_path
+from qpopf.grid import linearize, load_case
+from qpopf.lp import solve_lp, solve_raw
 from qpopf.regions import (
+    EmptyRegionError,
     RegionAtlas,
+    SingularActiveSetError,
     UncoveredThetaError,
     UnknownRegionError,
     chebyshev_center,
     compute_affine_map,
     enumerate_regions,
+    locate_batch,
     locate_region,
     reconstruct_solution,
     region_polyhedron,
+    sample_labeled_dataset,
 )
 
 
@@ -45,6 +52,15 @@ def test_region_polyhedron_toy(toy_plp):
             lo = max(lo, rhs / row)
     assert lo == pytest.approx(0.0, abs=1e-12)
     assert hi == pytest.approx(1.0, abs=1e-12)
+
+
+def test_region_polyhedron_keeps_a_row_that_barely_cuts_the_box(toy_plp):
+    # x <= 1 - 1e-6 becomes theta <= 1 - 1e-6 in the region x = theta: it
+    # excludes a sliver of the box, so it must survive pruning
+    toy_plp.S[2] = 1.0 - 1e-6
+    F, f = compute_affine_map(toy_plp, [0])
+    A, b = region_polyhedron(toy_plp, [0], F, f)
+    assert np.max(b[A[:, 0] > 0] / A[A[:, 0] > 0, 0]) == pytest.approx(1.0 - 1e-6, abs=1e-12)
 
 
 def test_enumerate_toy(toy_atlas):
@@ -165,3 +181,158 @@ def test_atlas_roundtrip(tmp_path, toy_atlas):
     toy_atlas.save(path)
     loaded = RegionAtlas.load(path)
     assert loaded.to_dict() == toy_atlas.to_dict()
+
+
+def prune_every_row(A, b):
+    """Pruning without the box filter: one LP max test per row, in order."""
+    keep = list(range(A.shape[0]))
+    i = 0
+    while i < len(keep):
+        row = keep[i]
+        others = [r for r in keep if r != row]
+        if not others:
+            break
+        status, x = solve_raw(-A[row], A[others], b[others])
+        if status == "infeasible":
+            raise EmptyRegionError("region polyhedron is empty")
+        if status == "optimal" and float(A[row] @ x) <= b[row] + 1e-9:
+            keep.pop(i)
+            continue
+        i += 1
+    return A[keep], b[keep]
+
+
+@pytest.fixture(scope="module")
+def toy2_plp():
+    return linearize(load_case(case_path("toy2")))
+
+
+@pytest.fixture(scope="module")
+def toy2_atlas(toy2_plp):
+    return enumerate_regions(toy2_plp, sampling_budget=64, seed=9)
+
+
+@pytest.mark.parametrize("name", ["atlas69", "toy2_atlas", "toy_atlas"])
+def test_box_filter_keeps_the_pruned_rows(name, request, plp69, toy2_plp, toy_plp):
+    atlas = request.getfixturevalue(name)
+    plp = {"atlas69": plp69, "toy2_atlas": toy2_plp, "toy_atlas": toy_plp}[name]
+    for region in atlas.regions:
+        A, b = region_polyhedron(plp, region.active_set, region.F, region.f,
+                                 remove_redundant=False)
+        A, b = prune_every_row(A, b)
+        assert A.tobytes() == region.poly_A.tobytes()
+        assert b.tobytes() == region.poly_b.tobytes()
+
+
+def scan_regions(atlas, theta, tol=regions_mod.TOL_CONTAIN):
+    """Per-region containment scan: smallest containing id, 0 if none."""
+    return next((r.id for r in atlas.regions if r.contains(theta, tol)), 0)
+
+
+def facet_points(atlas, rng, per_row=4):
+    """Points on every region facet and at offsets around the tolerance."""
+    box = atlas.theta_box
+    out = []
+    for region in atlas.regions:
+        for a, rhs in zip(region.poly_A, region.poly_b):
+            t = rng.uniform(box[:, 0], box[:, 1], size=(per_row, box.shape[0]))
+            t -= np.outer(t @ a - rhs, a) / (a @ a)  # onto the facet
+            for off in (0.0, 1e-12, -1e-12, 0.5e-9, 2e-9, -1e-6, 1e-6):
+                out.append(t + off * a / np.linalg.norm(a))
+    return np.clip(np.concatenate(out), box[:, 0], box[:, 1])
+
+
+@pytest.mark.parametrize("name", ["atlas69", "toy2_atlas", "toy_atlas"])
+def test_locate_batch_matches_region_scan(name, request):
+    atlas = request.getfixturevalue(name)
+    rng = np.random.default_rng(53)
+    box = atlas.theta_box
+    for thetas in (rng.uniform(box[:, 0], box[:, 1], size=(2000, box.shape[0])),
+                   facet_points(atlas, rng)):
+        expected = [scan_regions(atlas, t) for t in thetas]
+        np.testing.assert_array_equal(locate_batch(atlas, thetas), expected)
+        for t, k in zip(thetas[:200], expected[:200]):
+            if k:
+                assert locate_region(atlas, t) == k
+            else:
+                with pytest.raises(UncoveredThetaError):
+                    locate_region(atlas, t)
+
+
+def sample_one_at_a_time(atlas, count, seed, max_tries):
+    """The scalar labeling loop: one draw, one location, until covered."""
+    rng = np.random.default_rng(seed)
+    box = atlas.theta_box
+    thetas = np.empty((count, box.shape[0]))
+    labels = np.empty(count, dtype=int)
+    for i in range(count):
+        for _ in range(max_tries):
+            t = rng.uniform(box[:, 0], box[:, 1])
+            k = scan_regions(atlas, t)
+            if k:
+                thetas[i], labels[i] = t, k
+                break
+        else:
+            raise UncoveredThetaError(f"could not draw a covered theta in {max_tries} tries")
+    return thetas, labels
+
+
+@pytest.fixture(scope="module")
+def one_region_atlas69(plp69):
+    atlas = enumerate_regions(plp69, sampling_budget=1, seed=11, coverage_samples=256)
+    assert 0.0 < atlas.coverage < 1.0
+    return atlas
+
+
+@pytest.mark.parametrize("max_tries", [1, 2, 3, 5, 100])
+@pytest.mark.parametrize("count", [0, 1, 7, 300])
+def test_sample_labeled_dataset_keeps_the_scalar_stream(one_region_atlas69, count, max_tries):
+    atlas = one_region_atlas69
+    for seed in range(4):
+        try:
+            expected = sample_one_at_a_time(atlas, count, seed, max_tries)
+        except UncoveredThetaError:
+            with pytest.raises(UncoveredThetaError, match=f"{max_tries} tries"):
+                sample_labeled_dataset(atlas, count, seed, max_tries)
+            continue
+        thetas, labels = sample_labeled_dataset(atlas, count, seed, max_tries)
+        assert thetas.tobytes() == expected[0].tobytes()
+        np.testing.assert_array_equal(labels, expected[1])
+
+
+def test_dropped_bases_are_counted(toy_plp, monkeypatch):
+    clean = enumerate_regions(toy_plp, sampling_budget=16, seed=7)
+    assert clean.dropped == {"singular": 0, "empty": 0, "unrecovered": 0}
+    assert "dropped" not in clean.to_dict()
+    first, second = (r.active_set for r in clean.regions)
+
+    def fail_for(key, exc, fn):
+        def patched(plp, active_set, *args):
+            if tuple(active_set) == key:
+                raise exc("forced")
+            return fn(plp, active_set, *args)
+        return patched
+
+    monkeypatch.setattr(regions_mod, "compute_affine_map",
+                        fail_for(first, SingularActiveSetError, compute_affine_map))
+    atlas = enumerate_regions(toy_plp, sampling_budget=16, seed=7)
+    assert atlas.K == 1
+    assert atlas.dropped == {"singular": 1, "empty": 0, "unrecovered": 0}
+    monkeypatch.undo()
+
+    # the first five solves report degeneracy that perturbation cannot resolve
+    solves = []
+
+    def degenerate_solve(plp, theta):
+        sol = solve_lp(plp, theta)
+        solves.append(theta)
+        if len(solves) <= 5:
+            sol.status = "degenerate"
+        return sol
+
+    monkeypatch.setattr(regions_mod, "solve_lp", degenerate_solve)
+    monkeypatch.setattr(regions_mod, "perturbed_basis", lambda plp, theta: None)
+    monkeypatch.setattr(regions_mod, "region_polyhedron",
+                        fail_for(second, EmptyRegionError, region_polyhedron))
+    atlas = enumerate_regions(toy_plp, sampling_budget=16, seed=7)
+    assert atlas.dropped == {"singular": 0, "empty": 1, "unrecovered": 5}
