@@ -25,7 +25,7 @@ from qpopf.circuit import (
     vjp,
     z_expectations,
 )
-from qpopf.regions import RegionAtlas, locate_region
+from qpopf.regions import RegionAtlas, locate_covered, locate_region
 
 
 class TrainingDivergedError(RuntimeError):
@@ -221,18 +221,14 @@ class OracleClassifier:
         return self.atlas.K
 
     def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        out = np.zeros((thetas.shape[0], self.K))
-        for i, t in enumerate(thetas):
-            out[i, locate_region(self.atlas, t) - 1] = 1.0
+        """One-hot rows of each point's region; uncovered points raise."""
+        ids = locate_covered(self.atlas, thetas)
+        out = np.zeros((ids.size, self.K))
+        out[np.arange(ids.size), ids - 1] = 1.0
         return out
 
     def selection_probabilities(self, thetas, gamma, beta, rng=None) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        out = np.zeros((thetas.shape[0], self.K))
-        for i, t in enumerate(thetas):
-            out[i, locate_region(self.atlas, t) - 1] = 1.0
-        return out
+        return self.logit_matrix(thetas)
 
 
 def mlp_forward_noisy(

@@ -3,7 +3,9 @@
 For each scenario the mechanism samples a region, the affine map
 reconstructs the dispatch, violations beyond 1e-4 trigger an L1
 projection onto the feasible set, and errors accumulate against the
-exact solution from point location.  Also holds the qubit-budget and
+exact solution from point location.  The whole batch is located before
+any draw, so a scenario outside the atlas raises ``UncoveredThetaError``
+up front.  Also holds the qubit-budget and
 circuit-runtime formulas plus wall-clock measurements of the classical
 paths.
 """
@@ -18,7 +20,7 @@ import numpy as np
 from qpopf.classifier import sample_region
 from qpopf.grid import ParametricLP
 from qpopf.lp import project_feasible, solve_lp
-from qpopf.regions import RegionAtlas, locate_region
+from qpopf.regions import RegionAtlas, locate_covered, locate_region
 
 FEASIBILITY_THRESHOLD = 1e-4
 
@@ -118,6 +120,8 @@ def evaluate(
         if plp.var_names
         else [f"x{i}" for i in tracked]
     )
+    # before any draw: an uncovered scenario has no exact solution to score
+    k_stars = locate_covered(atlas, batch.thetas).tolist()
     probs = model.selection_probabilities(batch.thetas, gamma, beta, rng)
 
     abs_err = np.zeros(len(tracked))
@@ -126,7 +130,7 @@ def evaluate(
     correct = 0
     for i in range(batch.count):
         theta = batch.thetas[i]
-        k_star = locate_region(atlas, theta)
+        k_star = k_stars[i]
         k_pick = sample_region(probs[i], rng)
         correct += k_pick == k_star
         x_star = atlas.region(k_star).solution(theta)
@@ -178,8 +182,7 @@ def sweep(
 def expected_cost(atlas: RegionAtlas, plp: ParametricLP, batch: ScenarioBatch) -> float:
     """Monte-Carlo estimate of the expected optimal cost over scenarios."""
     total = 0.0
-    for theta in batch.thetas:
-        k = locate_region(atlas, theta)
+    for theta, k in zip(batch.thetas, locate_covered(atlas, batch.thetas).tolist()):
         total += float(plp.c @ atlas.region(k).solution(theta))
     return total / batch.count
 

@@ -17,6 +17,7 @@ become linear rows over the active flows.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -351,6 +352,11 @@ class ParametricLP:
             h.update(a.tobytes())
         return h.hexdigest()
 
+    @functools.cached_property
+    def W_csc(self) -> tuple[list[int], list[int], list[float]]:
+        """``column_compressed(W)``, built on the first LP solve."""
+        return column_compressed(self.W)
+
     def mirror_row(self) -> dict[int, int]:
         """Map each member of an equality pair to its opposing row."""
         out: dict[int, int] = {}
@@ -358,6 +364,21 @@ class ParametricLP:
             out[i] = j
             out[j] = i
         return out
+
+
+def column_compressed(A: np.ndarray) -> tuple[list[int], list[int], list[float]]:
+    """``A`` as column-compressed (start, index, value), laid out as
+    ``scipy.sparse.csc_array(A)``: zeros dropped, rows ascending within
+    each column.  Python lists, because HiGHS's binding copies a list
+    several times faster than a numpy array.
+    """
+    if not np.isfinite(A).all():
+        raise ValueError("constraint matrix must be finite")
+    At = A.T
+    cols, rows = np.nonzero(At)
+    start = np.zeros(A.shape[1] + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(At, axis=1), out=start[1:])
+    return start.tolist(), rows.tolist(), At[cols, rows].tolist()
 
 
 def linearize(case: GridCase) -> ParametricLP:

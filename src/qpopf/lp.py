@@ -1,9 +1,14 @@
 """Dense LP solving with active-set extraction and L1 feasibility projection.
 
-``solve_lp`` wraps the HiGHS simplex (via scipy) and post-processes its
-answer: a residual scan identifies the active rows, a deterministic rank
-selection picks an n-row basis (treating each opposing equality pair as
-one hyperplane), and the solution is re-solved from that basis so the
+``linprog`` drives the HiGHS dual simplex (Huangfu & Hall 2018) through
+the binding scipy bundles: the same model, options and checks as
+``scipy.optimize.linprog(method="highs")``, so the same answer bit for
+bit, without that function's per-call option validation and input
+conversion.  The constraint matrix of a parametric LP is converted once
+(``ParametricLP.W_csc``).  ``solve_lp`` post-processes the answer: a
+residual scan identifies the active rows, a deterministic rank selection
+picks an n-row basis (treating each opposing equality pair as one
+hyperplane), and the solution is re-solved from that basis so the
 returned vertex is accurate to linear-solve precision rather than solver
 tolerance.  ``perturbed_basis`` recovers a basis where the vertex is
 degenerate.  Results are deterministic for identical inputs.
@@ -15,22 +20,55 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
-from qpopf.grid import ParametricLP
+from qpopf.grid import ParametricLP, column_compressed
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:
+    import scipy
+
+    raise ImportError(
+        "qpopf.lp needs scipy.optimize._highspy._core, the HiGHS binding "
+        f"bundled with scipy >= 1.15; the installed scipy is {scipy.__version__}"
+    ) from exc
 
 TOL_FEAS = 1e-8
 TOL_ACTIVE = 1e-7
 
+# In scipy's linprog naming; the tests solve with them through scipy as an oracle.
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
     "maxiter": 200_000,
 }
 
+# What linprog(method="highs", options=_HIGHS_OPTIONS) sets, built once.
+_OPTIONS = _highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_OPTIONS.primal_feasibility_tolerance = _HIGHS_OPTIONS["primal_feasibility_tolerance"]
+_OPTIONS.dual_feasibility_tolerance = _HIGHS_OPTIONS["dual_feasibility_tolerance"]
+_OPTIONS.simplex_iteration_limit = _HIGHS_OPTIONS["maxiter"]
+_OPTIONS.ipm_iteration_limit = _HIGHS_OPTIONS["maxiter"]
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+_OPTIONS.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
+
+_STATUS = _highs.HighsModelStatus
+# scipy reports a model HiGHS refuses to load as infeasible
+_NO_SOLUTION = {
+    _STATUS.kInfeasible: "infeasible",
+    _STATUS.kModelError: "infeasible",
+    _STATUS.kUnbounded: "unbounded",
+}
+# scipy's _check_result: an "optimal" slack below this is a numerical failure
+_SLACK_TOL = math.sqrt(1e-9) * 10
+
 
 class LpNumericError(RuntimeError):
-    """Solver failed to converge within its pivot budget."""
+    """Solver gave no optimal, infeasible or unbounded verdict (e.g. it ran
+    out of pivots), or its optimum failed the result check."""
 
 
 class ProjectionError(RuntimeError):
@@ -75,22 +113,55 @@ class LPSolution:
         }
 
 
-def _linprog_dense(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[str, np.ndarray | None]:
-    res = linprog(
-        c,
-        A_ub=A,
-        b_ub=b,
-        bounds=[(None, None)] * A.shape[1],
-        method="highs",
-        options=_HIGHS_OPTIONS,
-    )
-    if res.status == 0:
-        return "optimal", np.asarray(res.x, dtype=float)
-    if res.status == 2:
-        return "infeasible", None
-    if res.status == 3:
-        return "unbounded", None
-    raise LpNumericError(f"LP solver failed: status={res.status} ({res.message})")
+def linprog(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    csc: tuple[list[int], list[int], list[float]] | None = None,
+) -> tuple[str, np.ndarray | None]:
+    """min c.x s.t. A x <= b over free x: (status, x), x None unless optimal.
+
+    ``csc`` is ``column_compressed(A)`` when the caller keeps it.  Any
+    status other than optimal, infeasible or unbounded, and an optimum
+    with a NaN or a slack below -``_SLACK_TOL``, raise ``LpNumericError``.
+    """
+    n, q = c.size, b.size
+    if A.shape != (q, n):
+        raise ValueError(f"constraint matrix {A.shape} does not match c ({n}) and b ({q})")
+    if not (np.isfinite(c).all() and np.isfinite(b).all()):
+        raise ValueError("LP cost and right-hand side must be finite")
+    start, index, value = column_compressed(A) if csc is None else csc
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, q
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = [-_highs.kHighsInf] * n
+    lp.col_upper_ = [_highs.kHighsInf] * n
+    lp.row_lower_ = [-_highs.kHighsInf] * q
+    lp.row_upper_ = b.tolist()
+    mat = lp.a_matrix_
+    mat.format_ = _highs.MatrixFormat.kColwise
+    mat.num_col_, mat.num_row_ = n, q
+    mat.start_, mat.index_, mat.value_ = start, index, value
+
+    highs = _highs._Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        status, solved = _STATUS.kModelError, False
+    else:
+        solved = highs.run() != _highs.HighsStatus.kError
+        status = highs.getModelStatus()
+    if status == _STATUS.kOptimal and solved:
+        sol = highs.getSolution()
+        x = np.array(sol.col_value)
+        slack = b - np.array(sol.row_value)
+        if np.isnan(x).any() or np.isnan(slack).any() or math.isnan(highs.getObjectiveValue()):
+            raise LpNumericError("LP solver returned NaN at an optimum")
+        if (slack < -_SLACK_TOL).any():
+            raise LpNumericError(f"LP optimum violates a row by {-slack.min():.3e}")
+        return "optimal", x
+    if status in _NO_SOLUTION:
+        return _NO_SOLUTION[status], None
+    raise LpNumericError(f"LP solver failed: {highs.modelStatusToString(status)}")
 
 
 def _scan_active(A: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float) -> list[int]:
@@ -171,7 +242,7 @@ def solve_lp(
     """Minimize c.x over {W x <= S + T theta} and extract the active set."""
     theta = np.asarray(theta, dtype=float)
     b = plp.rhs(theta)
-    status, x = _linprog_dense(plp.c, plp.W, b)
+    status, x = linprog(plp.c, plp.W, b, csc=plp.W_csc)
     if x is None:
         return LPSolution(x=np.full(plp.n, np.nan), objective=float("nan"), status=status)
 
@@ -221,7 +292,7 @@ def perturbed_basis(
     mirror = plp.mirror_row()
     for scale in (eps, eps * 100.0):
         b = plp.rhs(theta) + scale * np.arange(1, plp.q + 1)
-        status, x = _linprog_dense(plp.c, plp.W, b)
+        status, x = linprog(plp.c, plp.W, b, csc=plp.W_csc)
         if x is None:
             return None
         tol = max(scale / 3.0, 1e-10)
@@ -265,7 +336,7 @@ def solve_raw(
     c: np.ndarray, A: np.ndarray, b: np.ndarray
 ) -> tuple[str, np.ndarray | None]:
     """One-shot dense LP (no parametric structure), same backend."""
-    return _linprog_dense(
+    return linprog(
         np.asarray(c, dtype=float), np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     )
 
@@ -298,7 +369,7 @@ def project_feasible(
     )
     b_aux = np.concatenate([b, x_tilde, -x_tilde])
     c_aux = np.concatenate([np.zeros(n), np.ones(n)])
-    status, z = _linprog_dense(c_aux, A_aux, b_aux)
+    status, z = linprog(c_aux, A_aux, b_aux)
     if status != "optimal":
         raise ProjectionError(f"projection LP is {status} at theta={theta}")
     # Polish from the aux basis for a precise vertex.  The leading q rows

@@ -9,7 +9,8 @@ with the box, with redundant rows pruned: rows that hold over the whole
 box are dropped outright, the rest by one LP each).  The atlas answers
 point-location queries, which is both the exact ground-truth labeler and
 the classical constraint-check baseline; ``locate_batch`` labels many
-points with one product against the stacked halfspaces of every region.
+points with one product against the stacked halfspaces of every region,
+and ``locate_covered`` does the same for points that must all be covered.
 """
 
 from __future__ import annotations
@@ -358,6 +359,24 @@ def locate_batch(
     A, b, starts, ids = atlas._halfspaces
     inside = np.logical_and.reduceat(thetas @ A.T <= b + tol, starts, axis=1)
     return np.where(inside.any(axis=1), ids[inside.argmax(axis=1)], 0)
+
+
+def locate_covered(atlas: RegionAtlas, thetas: np.ndarray) -> np.ndarray:
+    """``locate_batch`` for points that must all be covered.
+
+    Raises ``UncoveredThetaError`` naming how many points are uncovered
+    and the first of them.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    ids = locate_batch(atlas, thetas)
+    missed = np.flatnonzero(ids == 0)
+    if missed.size:
+        first = missed[0]
+        raise UncoveredThetaError(
+            f"{missed.size} of {len(ids)} points are not covered by the atlas; "
+            f"the first is point {first}, theta {thetas[first]}"
+        )
+    return ids
 
 
 def locate_region(atlas: RegionAtlas, theta: np.ndarray, tol: float = TOL_CONTAIN) -> int:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qpopf.classifier import (
     OracleClassifier,
     TrainConfig,
     VqcModel,
+    sample_region,
     train_vqc,
 )
 from qpopf.evaluate import (
@@ -19,9 +22,17 @@ from qpopf.evaluate import (
     sweep,
 )
 from qpopf.lp import project_feasible, solve_lp
-from qpopf.regions import enumerate_regions, sample_labeled_dataset
+from qpopf.regions import (
+    UncoveredThetaError,
+    enumerate_regions,
+    locate_batch,
+    locate_region,
+    sample_labeled_dataset,
+)
 
 BOX1 = np.array([[-1.0, 1.0]])
+# the package namespace binds the name to the function
+evaluate_mod = importlib.import_module("qpopf.evaluate")
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +181,68 @@ def test_measure_runtimes_rows(toy_plp, toy_atlas):
     assert lp_row["speedup"] == 1.0
     for r in rows[1:]:
         assert r["speedup"] == pytest.approx(lp_row["runtime_us"] / r["runtime_us"])
+
+
+def evaluate_point_by_point(model, atlas, plp, batch, gamma, beta, rng):
+    """The scalar evaluation loop: each scenario located on its own."""
+    probs = model.selection_probabilities(batch.thetas, gamma, beta, rng)
+    tracked = list(range(plp.n))
+    abs_err, gap_sum, infeasible, correct = np.zeros(plp.n), 0.0, 0, 0
+    for theta, p in zip(batch.thetas, probs):
+        k_star = locate_region(atlas, theta)
+        k_pick = sample_region(p, rng)
+        correct += k_pick == k_star
+        x_star = atlas.region(k_star).solution(theta)
+        x = atlas.region(k_pick).solution(theta)
+        if float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > 1e-4:
+            infeasible += 1
+            x = project_feasible(x, plp, theta)
+        abs_err += np.abs(x[tracked] - x_star[tracked])
+        j_star = float(plp.c @ x_star)
+        gap_sum += (float(plp.c @ x) - j_star) / (abs(j_star) if abs(j_star) > 1e-9 else 1.0)
+    n = batch.count
+    return abs_err / n, gap_sum / n, infeasible / n, correct / n
+
+
+@pytest.mark.parametrize("gamma,beta", [(0.0, 1e6), (0.2, 1.0), (0.5, 1e-9)])
+def test_batched_location_keeps_every_output(toy_model, toy_atlas, toy_plp, gamma, beta):
+    batch = ScenarioBatch.sample(BOX1, 300, seed=29)
+    report = evaluate(toy_model, toy_atlas, toy_plp, batch, gamma, beta,
+                      rng=np.random.default_rng(4))
+    per_var, gap, infeasible, accuracy = evaluate_point_by_point(
+        toy_model, toy_atlas, toy_plp, batch, gamma, beta, np.random.default_rng(4))
+    assert list(report.per_variable_mae.values()) == per_var.tolist()
+    assert (report.cost_gap, report.infeasibility_rate, report.stochastic_accuracy) == (
+        gap, infeasible, accuracy)
+    assert report.infeasibility_rate > 0 or gamma == 0.0
+
+
+@pytest.fixture(scope="module")
+def one_region_atlas69(plp69):
+    atlas = enumerate_regions(plp69, sampling_budget=1, seed=11)
+    assert 0.0 < atlas.coverage < 1.0
+    return atlas
+
+
+def test_uncovered_scenarios_raise_before_any_sampling(one_region_atlas69, plp69, monkeypatch):
+    atlas = one_region_atlas69
+    batch = ScenarioBatch.sample(plp69.theta_box, 200, seed=4)
+    missed = np.flatnonzero(locate_batch(atlas, batch.thetas) == 0)
+    assert 0 < missed.size < batch.count
+    message = f"{missed.size} of 200 points are not covered .* the first is point {missed[0]},"
+
+    class Untouchable(OracleClassifier):
+        def selection_probabilities(self, *args, **kwargs):
+            raise AssertionError("sampled before the coverage check")
+
+    def no_projection(*args):
+        raise AssertionError("projected before the coverage check")
+
+    monkeypatch.setattr(evaluate_mod, "project_feasible", no_projection)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(UncoveredThetaError, match=message):
+        evaluate(Untouchable(atlas), atlas, plp69, batch, 0.0, 1.0, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(UncoveredThetaError, match=message):
+        expected_cost(atlas, plp69, batch)

@@ -1,7 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse
+from scipy.optimize._highspy import _core as highs_core
 
 from qpopf import lp as lp_mod
 from qpopf.data import case_path
@@ -14,6 +21,7 @@ from qpopf.lp import (
     project_feasible,
     solve_lp,
 )
+from qpopf.regions import chebyshev_center, enumerate_regions
 
 
 def brute_force_lp(c, A, b):
@@ -214,3 +222,170 @@ def test_basis_scan_matches_vstack_oracle(case, basis_calls):
     assert len(projections) >= 3
     for A, rows, n, picked in basis_calls:
         assert picked == greedy_basis_vstack(A, rows, n)
+
+
+SCIPY_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def scipy_linprog(c, A, b):
+    """The solve ``lp.linprog`` replaces, through scipy's public API."""
+    return scipy.optimize.linprog(
+        c, A_ub=A, b_ub=b, bounds=[(None, None)] * A.shape[1],
+        method="highs", options=lp_mod._HIGHS_OPTIONS,
+    )
+
+
+@pytest.fixture()
+def lp_calls(monkeypatch):
+    """Record (c, A, b, csc) of every LP the package solves."""
+    calls = []
+    solve = lp_mod.linprog
+
+    def recording(c, A, b, csc=None):
+        calls.append((c, A, b, csc))
+        return solve(c, A, b, csc=csc)
+
+    monkeypatch.setattr(lp_mod, "linprog", recording)
+    return calls
+
+
+def assert_matches_scipy(calls):
+    for c, A, b, csc in calls:
+        status, x = lp_mod.linprog(c, A, b, csc=csc)
+        ref = scipy_linprog(c, A, b)
+        assert status == SCIPY_STATUS[ref.status]
+        if status == "optimal":
+            assert x.tobytes() == ref.x.tobytes()
+        else:
+            assert x is None
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_linprog_matches_scipy_oracle(case, lp_calls):
+    plp = linearize(load_case(case_path(case)))
+    rng = np.random.default_rng(67)
+    thetas = rng.uniform(-1.0, 1.0, size=(30, plp.m))
+    thetas[0] = 0.0
+
+    def calls_of(run):
+        start = len(lp_calls)
+        run()
+        return lp_calls[start:]
+
+    atlas = []
+    families = {
+        "solve_lp": calls_of(lambda: [solve_lp(plp, t) for t in thetas]),
+        "perturbed_basis": calls_of(lambda: [perturbed_basis(plp, t) for t in thetas[:10]]),
+        # a dispatch solved at another theta is usually infeasible here
+        "projection": calls_of(lambda: [project_feasible(solve_lp(plp, t).x, plp, thetas[k - 1])
+                                        for k, t in enumerate(thetas[:10])]),
+        "pruning": calls_of(lambda: atlas.append(enumerate_regions(plp, 16, seed=5))),
+    }
+    families["chebyshev_center"] = calls_of(
+        lambda: [chebyshev_center(r.poly_A, r.poly_b) for r in atlas[0].regions])
+    families["projection"] = [c for c in families["projection"] if c[1].shape[1] == 2 * plp.n]
+    families["pruning"] = [c for c in families["pruning"] if c[1].shape[1] == plp.m]
+    for name, calls in families.items():
+        assert calls, name
+        assert_matches_scipy(calls)
+
+
+def test_linprog_matches_scipy_on_infeasible_and_unbounded():
+    infeasible = (np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
+    unbounded = (np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert lp_mod.linprog(*infeasible) == ("infeasible", None)
+    assert lp_mod.linprog(*unbounded) == ("unbounded", None)
+    assert_matches_scipy([(*infeasible, None), (*unbounded, None)])
+
+
+def test_linprog_passes_scipys_options(monkeypatch):
+    """Every HiGHS option equals the one linprog(method="highs") sets."""
+    passed = []
+
+    class Recording(highs_core._Highs):
+        def passOptions(self, options):
+            passed.append(options)
+            return super().passOptions(options)
+
+    monkeypatch.setattr(highs_core, "_Highs", Recording)
+    c, A, b = random_bounded_lp(np.random.default_rng(3))
+    scipy_linprog(c, A, b)
+    lp_mod.linprog(c, A, b)
+    theirs, ours = passed
+    names = [k for k in dir(ours) if not k.startswith("_")]
+    assert len(names) > 50
+    for name in names:
+        assert getattr(ours, name) == getattr(theirs, name), name
+
+
+def test_linprog_raises_past_the_iteration_limit(monkeypatch, plp69):
+    options = highs_core.HighsOptions()
+    for name in ("presolve", "simplex_strategy", "primal_feasibility_tolerance",
+                 "dual_feasibility_tolerance", "output_flag", "log_to_console",
+                 "highs_debug_level"):
+        setattr(options, name, getattr(lp_mod._OPTIONS, name))
+    options.simplex_iteration_limit = options.ipm_iteration_limit = 3
+    monkeypatch.setattr(lp_mod, "_OPTIONS", options)
+    b = plp69.rhs(np.zeros(plp69.m))
+    ref = scipy.optimize.linprog(
+        plp69.c, A_ub=plp69.W, b_ub=b, bounds=(None, None), method="highs",
+        options={**lp_mod._HIGHS_OPTIONS, "maxiter": 3},
+    )
+    assert ref.status == 1
+    with pytest.raises(lp_mod.LpNumericError, match="limit"):
+        lp_mod.linprog(plp69.c, plp69.W, b, csc=plp69.W_csc)
+
+
+@pytest.mark.parametrize("tamper,match", [
+    (lambda x, row: (x, row + 1e-3), "violates a row"),
+    (lambda x, row: (x * np.nan, row), "NaN"),
+])
+def test_linprog_checks_an_optimal_answer(monkeypatch, tamper, match):
+    """An optimum scipy's result check would flag as status 4 raises."""
+    class Tampered(highs_core._Highs):
+        def getSolution(self):
+            sol = super().getSolution()
+            x, row = tamper(np.array(sol.col_value), np.array(sol.row_value))
+            return types.SimpleNamespace(col_value=x.tolist(), row_value=row.tolist())
+
+    c, A, b = random_bounded_lp(np.random.default_rng(7))
+    assert lp_mod.linprog(c, A, b)[0] == "optimal"
+    monkeypatch.setattr(highs_core, "_Highs", Tampered)
+    with pytest.raises(lp_mod.LpNumericError, match=match):
+        lp_mod.linprog(c, A, b)
+
+
+def test_linprog_rejects_non_finite_data():
+    c, A, b = np.ones(2), np.eye(2), np.ones(2)
+    for bad in ((c * np.nan, A, b), (c, A + np.inf, b), (c, A, b * np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            lp_mod.linprog(*bad)
+    with pytest.raises(ValueError, match="does not match"):
+        lp_mod.linprog(c, A[:1], b)
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_cached_csc_matches_scipy_sparse(case):
+    plp = linearize(load_case(case_path(case)))
+    ref = scipy.sparse.csc_array(plp.W)
+    start, index, value = plp.W_csc
+    assert plp.W_csc is plp.W_csc
+    np.testing.assert_array_equal(start, ref.indptr)
+    np.testing.assert_array_equal(index, ref.indices)
+    assert np.array(value).tobytes() == ref.data.tobytes()
+
+
+def test_import_names_the_missing_binding():
+    script = (
+        "import sys, scipy.optimize._highspy as pkg\n"
+        "del pkg._core\n"
+        "sys.modules['scipy.optimize._highspy._core'] = None\n"
+        "import qpopf.lp\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode != 0
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError")
+    assert "scipy.optimize._highspy._core" in last
+    assert f"installed scipy is {scipy.__version__}" in last

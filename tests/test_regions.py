@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qpopf import regions as regions_mod
+from qpopf.classifier import OracleClassifier
 from qpopf.data import case_path
 from qpopf.grid import linearize, load_case
 from qpopf.lp import solve_lp, solve_raw
@@ -336,3 +337,25 @@ def test_dropped_bases_are_counted(toy_plp, monkeypatch):
                         fail_for(second, EmptyRegionError, region_polyhedron))
     atlas = enumerate_regions(toy_plp, sampling_budget=16, seed=7)
     assert atlas.dropped == {"singular": 0, "empty": 1, "unrecovered": 5}
+
+
+@pytest.mark.parametrize("name", ["atlas69", "toy2_atlas", "toy_atlas", "one_region_atlas69"])
+def test_oracle_classifier_matches_point_loop(name, request):
+    atlas = request.getfixturevalue(name)
+    oracle = OracleClassifier(atlas)
+    rng = np.random.default_rng(59)
+    box = atlas.theta_box
+    for thetas in (rng.uniform(box[:, 0], box[:, 1], size=(500, box.shape[0])),
+                   facet_points(atlas, rng, per_row=1)):
+        covered = np.array([scan_regions(atlas, t) > 0 for t in thetas])
+        expected = np.zeros((covered.sum(), atlas.K))
+        for i, t in enumerate(thetas[covered]):
+            expected[i, locate_region(atlas, t) - 1] = 1.0
+        np.testing.assert_array_equal(oracle.logit_matrix(thetas[covered]), expected)
+        np.testing.assert_array_equal(
+            oracle.selection_probabilities(thetas[covered], 0.3, 2.0), expected)
+        if not covered.all():
+            first = int(np.argmin(covered))
+            with pytest.raises(UncoveredThetaError,
+                               match=f"{(~covered).sum()} of {len(thetas)} points .* point {first},"):
+                oracle.logit_matrix(thetas)
