@@ -14,6 +14,7 @@ parameter-shift rule is kept as the test oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +45,16 @@ def log_softmax(s: np.ndarray, beta: float) -> np.ndarray:
     z = beta * np.asarray(s, dtype=float)
     z = z - np.max(z, axis=-1, keepdims=True)
     return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+
+
+def check_noise_and_temperature(gammas, betas) -> None:
+    """Reject a gamma outside [0, 1] or a beta <= 0; NaN and inf are invalid too."""
+    for gamma in gammas:
+        if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
+            raise ValueError(f"gamma must be finite and in [0, 1], got {gamma}")
+    for beta in betas:
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise ValueError(f"beta must be finite and > 0, got {beta}")
 
 
 def sample_region(p: np.ndarray, rng: np.random.Generator) -> int:

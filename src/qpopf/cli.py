@@ -27,6 +27,7 @@ from qpopf.classifier import (
     TrainConfig,
     VqcModel,
     argmax_accuracy,
+    check_noise_and_temperature,
     load_model,
     save_model,
     train_mlp,
@@ -186,6 +187,13 @@ def _grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
+def _check_noise_and_temperature(parser, gammas, betas) -> None:
+    try:
+        check_noise_and_temperature(gammas, betas)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -279,6 +287,10 @@ def cmd_train(parser, args) -> int:
 
 def cmd_audit(parser, args) -> int:
     cfg = _resolve(args, "audit")
+    gamma, beta = float(cfg["gamma"]), float(cfg["beta"])
+    gammas = _grid(args.gamma_grid) if args.gamma_grid else [gamma]
+    betas = _grid(args.beta_grid) if args.beta_grid else [beta]
+    _check_noise_and_temperature(parser, gammas, betas)
     case, plp, atlas = _load_pipeline(parser, args.case, args.atlas)
     model, meta = _resolve_model(parser, args.model, atlas)
     prov = _provenance(
@@ -294,14 +306,11 @@ def cmd_audit(parser, args) -> int:
         pair_count=int(cfg["pairs"]),
         seed=int(cfg["seed"]),
     )
-    gamma, beta = float(cfg["gamma"]), float(cfg["beta"])
     t0 = time.perf_counter()
 
     if args.gamma_grid or args.beta_grid:
         if not isinstance(model, VqcModel):
             parser.error("grid audits need a vqc checkpoint (exact fast path)")
-        gammas = _grid(args.gamma_grid) if args.gamma_grid else [gamma]
-        betas = _grid(args.beta_grid) if args.beta_grid else [beta]
         rows = audit_vqc_grid(model, gammas, betas, adjacency, atlas=atlas)
         out = _out_dir(args) / (args.out or "audit_sweep.csv")
         _write_csv(
@@ -359,6 +368,8 @@ def cmd_audit(parser, args) -> int:
 
 def cmd_eval(parser, args) -> int:
     cfg = _resolve(args, "eval")
+    gamma, beta = float(cfg["gamma"]), float(cfg["beta"])
+    _check_noise_and_temperature(parser, [gamma], [beta])
     case, plp, atlas = _load_pipeline(parser, args.case, args.atlas)
     model, _ = _resolve_model(parser, args.model, atlas)
     prov = _provenance(
@@ -376,8 +387,8 @@ def cmd_eval(parser, args) -> int:
         atlas,
         plp,
         batch,
-        gamma=float(cfg["gamma"]),
-        beta=float(cfg["beta"]),
+        gamma=gamma,
+        beta=beta,
         rng=np.random.default_rng(int(cfg["seed"])),
     )
     out = _out_dir(args) / (args.out or "metrics.json")
@@ -386,13 +397,19 @@ def cmd_eval(parser, args) -> int:
         f"eval[{report.model_id}]: mae={report.mae:.4f} "
         f"cost_gap={report.cost_gap * 100:.3f}% "
         f"infeasibility={report.infeasibility_rate * 100:.2f}% "
-        f"accuracy={report.stochastic_accuracy:.4f} -> {out}"
+        f"accuracy={report.stochastic_accuracy:.4f}, "
+        f"{report.counters['infeasible_picks']} infeasible picks, "
+        f"{report.counters['projection_lps']} projection LPs -> {out}"
     )
     return 0
 
 
 def cmd_sweep(parser, args) -> int:
     cfg = _resolve(args, "sweep")
+    if not args.gamma_grid or not args.beta_grid:
+        parser.error("sweep requires --gamma-grid and --beta-grid")
+    gammas, betas = _grid(args.gamma_grid), _grid(args.beta_grid)
+    _check_noise_and_temperature(parser, gammas, betas)
     case, plp, atlas = _load_pipeline(parser, args.case, args.atlas)
     model, _ = _resolve_model(parser, args.model, atlas)
     prov = _provenance(
@@ -403,9 +420,6 @@ def cmd_sweep(parser, args) -> int:
             **({"model": Path(args.model)} if args.model != "oracle" else {}),
         },
     )
-    if not args.gamma_grid or not args.beta_grid:
-        parser.error("sweep requires --gamma-grid and --beta-grid")
-    gammas, betas = _grid(args.gamma_grid), _grid(args.beta_grid)
     batch = ScenarioBatch.sample(plp.theta_box, int(cfg["scenarios"]), int(cfg["seed"]))
     t0 = time.perf_counter()
     reports = sweep(model, atlas, plp, gammas, betas, batch)
@@ -425,8 +439,11 @@ def cmd_sweep(parser, args) -> int:
             for r in reports
         ],
     )
+    picks = sum(r.counters["infeasible_picks"] for r in reports)
+    lps = sum(r.counters["projection_lps"] for r in reports)
     print(
-        f"sweep: {len(reports)} cells -> {out} ({time.perf_counter() - t0:.1f}s)"
+        f"sweep: {len(reports)} cells, {picks} infeasible picks, {lps} projection LPs "
+        f"-> {out} ({time.perf_counter() - t0:.1f}s)"
     )
     return 0
 

@@ -3,9 +3,11 @@
 For each scenario the mechanism samples a region, the affine map
 reconstructs the dispatch, violations beyond 1e-4 trigger an L1
 projection onto the feasible set, and errors accumulate against the
-exact solution from point location.  The whole batch is located before
-any draw, so a scenario outside the atlas raises ``UncoveredThetaError``
-up front.  Also holds the qubit-budget and
+exact solution from point location.  A batch is prepared once: it is
+located before any draw, so a scenario outside the atlas raises
+``UncoveredThetaError`` up front, and the scored dispatch of each
+(scenario, region) pair is kept, so a sweep over (gamma, beta) projects
+each pair at most once.  Also holds the qubit-budget and
 circuit-runtime formulas plus wall-clock measurements of the classical
 paths.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qpopf.classifier import sample_region
+from qpopf.classifier import check_noise_and_temperature, sample_region
 from qpopf.grid import ParametricLP
 from qpopf.lp import project_feasible, solve_lp
 from qpopf.regions import RegionAtlas, locate_covered, locate_region
@@ -64,6 +66,8 @@ class MetricsReport:
     beta: float
     model_id: str
     extras: dict = field(default_factory=dict)
+    # work done, not written out: "infeasible_picks" and "projection_lps"
+    counters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -98,6 +102,92 @@ def _tracked_indices(plp: ParametricLP, track: list[str] | None) -> list[int]:
     return list(range(plp.n))
 
 
+class _DispatchTable:
+    """One scenario batch, prepared for any number of (gamma, beta) cells.
+
+    Building it is independent of gamma, beta and the rng: it checks the
+    LP and the box, locates the batch (an uncovered scenario raises here,
+    before any draw) and keeps each scenario's exact solution and exact
+    cost.  The scored dispatch of a (scenario, region) pair is filled the
+    first time a cell picks it, so the reconstruction, the feasibility
+    check and the projection LP run at most once per pair.
+    """
+
+    def __init__(
+        self,
+        atlas: RegionAtlas,
+        plp: ParametricLP,
+        batch: ScenarioBatch,
+        track: list[str] | None = None,
+        feas_tol: float = FEASIBILITY_THRESHOLD,
+    ):
+        if atlas.plp_hash and atlas.plp_hash != plp.hash_hex():
+            raise ValueError("atlas/plp hash mismatch: atlas was built for a different LP")
+        batch.validate_in(plp.theta_box)
+        self.atlas, self.plp, self.batch, self.feas_tol = atlas, plp, batch, feas_tol
+        self.tracked = _tracked_indices(plp, track)
+        self.names = (
+            [plp.var_names[i] for i in self.tracked]
+            if plp.var_names
+            else [f"x{i}" for i in self.tracked]
+        )
+        self.k_stars = locate_covered(atlas, batch.thetas).tolist()
+        self.x_star = [
+            atlas.region(k).solution(theta) for theta, k in zip(batch.thetas, self.k_stars)
+        ]
+        self.j_star = [float(plp.c @ x) for x in self.x_star]
+        self.projections = 0
+        self._picks: dict[tuple[int, int], tuple[np.ndarray, float, bool]] = {}
+
+    def pick(self, i: int, k: int) -> tuple[np.ndarray, float, bool]:
+        """(|x - x*| on the tracked variables, cost gap, infeasible) of region k at scenario i."""
+        entry = self._picks.get((i, k))
+        if entry is None:
+            theta = self.batch.thetas[i]
+            x = self.atlas.region(k).solution(theta)
+            violation = float(np.max(self.plp.W @ x - self.plp.rhs(theta), initial=0.0))
+            infeasible = violation > self.feas_tol
+            if infeasible:
+                self.projections += 1
+                x = project_feasible(x, self.plp, theta)
+            x_star, j_star = self.x_star[i], self.j_star[i]
+            # relative gap; absolute when the optimal cost is essentially zero
+            gap = (float(self.plp.c @ x) - j_star) / (abs(j_star) if abs(j_star) > 1e-9 else 1.0)
+            entry = (np.abs(x[self.tracked] - x_star[self.tracked]), gap, infeasible)
+            self._picks[(i, k)] = entry
+        return entry
+
+    def replay(self, model, gamma: float, beta: float, rng: np.random.Generator) -> MetricsReport:
+        """One (gamma, beta) cell: the model's probabilities, then one draw per scenario."""
+        probs = model.selection_probabilities(self.batch.thetas, gamma, beta, rng)
+        solved = self.projections
+        abs_err = np.zeros(len(self.tracked))
+        gap_sum = 0.0
+        infeasible = 0
+        correct = 0
+        for i, k_star in enumerate(self.k_stars):
+            k_pick = sample_region(probs[i], rng)
+            correct += k_pick == k_star
+            err, gap, projected = self.pick(i, k_pick)
+            infeasible += projected
+            abs_err += err
+            gap_sum += gap
+        n = self.batch.count
+        per_var = {name: float(e / n) for name, e in zip(self.names, abs_err)}
+        return MetricsReport(
+            per_variable_mae=per_var,
+            mae=float(np.mean(abs_err / n)),
+            cost_gap=gap_sum / n,
+            infeasibility_rate=infeasible / n,
+            stochastic_accuracy=correct / n,
+            sample_count=n,
+            gamma=float(gamma),
+            beta=float(beta),
+            model_id=getattr(model, "model_id", "unknown"),
+            counters={"infeasible_picks": infeasible, "projection_lps": self.projections - solved},
+        )
+
+
 def evaluate(
     model,
     atlas: RegionAtlas,
@@ -110,52 +200,8 @@ def evaluate(
     feas_tol: float = FEASIBILITY_THRESHOLD,
 ) -> MetricsReport:
     """Sample-reconstruct-project evaluation of a mechanism on a batch."""
-    if atlas.plp_hash and atlas.plp_hash != plp.hash_hex():
-        raise ValueError("atlas/plp hash mismatch: atlas was built for a different LP")
-    batch.validate_in(plp.theta_box)
-
-    tracked = _tracked_indices(plp, track)
-    names = (
-        [plp.var_names[i] for i in tracked]
-        if plp.var_names
-        else [f"x{i}" for i in tracked]
-    )
-    # before any draw: an uncovered scenario has no exact solution to score
-    k_stars = locate_covered(atlas, batch.thetas).tolist()
-    probs = model.selection_probabilities(batch.thetas, gamma, beta, rng)
-
-    abs_err = np.zeros(len(tracked))
-    gap_sum = 0.0
-    infeasible = 0
-    correct = 0
-    for i in range(batch.count):
-        theta = batch.thetas[i]
-        k_star = k_stars[i]
-        k_pick = sample_region(probs[i], rng)
-        correct += k_pick == k_star
-        x_star = atlas.region(k_star).solution(theta)
-        x = atlas.region(k_pick).solution(theta)
-        rhs = plp.rhs(theta)
-        if float(np.max(plp.W @ x - rhs, initial=0.0)) > feas_tol:
-            infeasible += 1
-            x = project_feasible(x, plp, theta)
-        abs_err += np.abs(x[tracked] - x_star[tracked])
-        j_star = float(plp.c @ x_star)
-        # relative gap; absolute when the optimal cost is essentially zero
-        gap_sum += (float(plp.c @ x) - j_star) / (abs(j_star) if abs(j_star) > 1e-9 else 1.0)
-    n = batch.count
-    per_var = {name: float(e / n) for name, e in zip(names, abs_err)}
-    return MetricsReport(
-        per_variable_mae=per_var,
-        mae=float(np.mean(abs_err / n)),
-        cost_gap=gap_sum / n,
-        infeasibility_rate=infeasible / n,
-        stochastic_accuracy=correct / n,
-        sample_count=n,
-        gamma=float(gamma),
-        beta=float(beta),
-        model_id=getattr(model, "model_id", "unknown"),
-    )
+    check_noise_and_temperature([gamma], [beta])
+    return _DispatchTable(atlas, plp, batch, track, feas_tol).replay(model, gamma, beta, rng)
 
 
 def sweep(
@@ -168,22 +214,24 @@ def sweep(
     track: list[str] | None = None,
 ) -> list[MetricsReport]:
     """Full-factorial evaluation; every cell replays the same seed so
-    high-beta rows expose the argmax gamma-invariance directly."""
-    reports = []
-    for gamma in gamma_grid:
-        for beta in beta_grid:
-            rng = np.random.default_rng(batch.seed)
-            reports.append(
-                evaluate(model, atlas, plp, batch, gamma, beta, rng, track=track)
-            )
-    return reports
+    high-beta rows expose the argmax gamma-invariance directly.  The cells
+    share one dispatch table, so each (scenario, region) pair is
+    projected at most once per sweep."""
+    gamma_grid, beta_grid = list(gamma_grid), list(beta_grid)
+    check_noise_and_temperature(gamma_grid, beta_grid)
+    table = _DispatchTable(atlas, plp, batch, track)
+    return [
+        table.replay(model, gamma, beta, np.random.default_rng(batch.seed))
+        for gamma in gamma_grid
+        for beta in beta_grid
+    ]
 
 
 def expected_cost(atlas: RegionAtlas, plp: ParametricLP, batch: ScenarioBatch) -> float:
     """Monte-Carlo estimate of the expected optimal cost over scenarios."""
     total = 0.0
-    for theta, k in zip(batch.thetas, locate_covered(atlas, batch.thetas).tolist()):
-        total += float(plp.c @ atlas.region(k).solution(theta))
+    for j_star in _DispatchTable(atlas, plp, batch).j_star:
+        total += j_star
     return total / batch.count
 
 

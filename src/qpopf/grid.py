@@ -357,6 +357,21 @@ class ParametricLP:
         """``column_compressed(W)``, built on the first LP solve."""
         return column_compressed(self.W)
 
+    @functools.cached_property
+    def projection_matrix(self) -> np.ndarray:
+        """Rows [[W, 0], [I, -I], [-I, -I]] of the L1 projection LP over (x, u);
+        read-only, since every projection shares it."""
+        n, q = self.n, self.q
+        eye = np.eye(n)
+        A = np.block([[self.W, np.zeros((q, n))], [eye, -eye], [-eye, -eye]])
+        A.setflags(write=False)
+        return A
+
+    @functools.cached_property
+    def projection_csc(self) -> tuple[list[int], list[int], list[float]]:
+        """``column_compressed(projection_matrix)``, built on the first projection."""
+        return column_compressed(self.projection_matrix)
+
     def mirror_row(self) -> dict[int, int]:
         """Map each member of an equality pair to its opposing row."""
         out: dict[int, int] = {}

@@ -4,8 +4,9 @@
 the binding scipy bundles: the same model, options and checks as
 ``scipy.optimize.linprog(method="highs")``, so the same answer bit for
 bit, without that function's per-call option validation and input
-conversion.  The constraint matrix of a parametric LP is converted once
-(``ParametricLP.W_csc``).  ``solve_lp`` post-processes the answer: a
+conversion.  The constraint matrix of a parametric LP, and that of its
+L1 projection LP, are converted once (``ParametricLP.W_csc``,
+``ParametricLP.projection_csc``).  ``solve_lp`` post-processes the answer: a
 residual scan identifies the active rows, a deterministic rank selection
 picks an n-row basis (treating each opposing equality pair as one
 hyperplane), and the solution is re-solved from that basis so the
@@ -358,18 +359,11 @@ def project_feasible(
     if float(np.max(plp.W @ x_tilde - b, initial=0.0)) <= tol_feas:
         return x_tilde.copy()
 
-    n, q = plp.n, plp.q
-    eye = np.eye(n)
-    A_aux = np.block(
-        [
-            [plp.W, np.zeros((q, n))],
-            [eye, -eye],
-            [-eye, -eye],
-        ]
-    )
+    n = plp.n
+    A_aux = plp.projection_matrix
     b_aux = np.concatenate([b, x_tilde, -x_tilde])
     c_aux = np.concatenate([np.zeros(n), np.ones(n)])
-    status, z = linprog(c_aux, A_aux, b_aux)
+    status, z = linprog(c_aux, A_aux, b_aux, csc=plp.projection_csc)
     if status != "optimal":
         raise ProjectionError(f"projection LP is {status} at theta={theta}")
     # Polish from the aux basis for a precise vertex.  The leading q rows

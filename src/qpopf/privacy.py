@@ -18,6 +18,7 @@ from qpopf.circuit import CircuitConfig, run_circuit_batch, trace_distance_pure
 from qpopf.classifier import (
     MlpBaseline,
     VqcModel,
+    check_noise_and_temperature,
     log_softmax,
     margin_from_logits,
     softmax_probs,
@@ -281,6 +282,8 @@ def audit_vqc_grid(
     scores since the bias-free logits just contract by (1-gamma).
     Accuracy columns need an atlas for ground-truth labels.
     """
+    gammas, betas = list(gammas), list(betas)
+    check_noise_and_temperature(gammas, betas)
     m = max(model.config.encoding_pattern) + 1
     thetas, mates = draw_adjacent_pairs(adjacency, m)
     scores = model.base_scores(np.vstack([thetas, mates]))

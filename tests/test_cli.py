@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,9 @@ from qpopf.cli import main
 from qpopf.data import case_path
 
 TOY = str(case_path("toy2"))
+ROOT = Path(__file__).resolve().parents[1]
+# committed benchmark inputs and the artifacts they produce
+FIXTURES = ROOT / "perfbench" / "fixtures"
 
 
 def run(args):
@@ -215,3 +219,62 @@ def test_all_commands_deterministic(workdir, tmp_path):
             continue
         else:
             assert pa.read_bytes() == pb.read_bytes(), name
+
+
+def csv_body(path):
+    """A CLI table without its provenance line."""
+    return Path(path).read_text().splitlines()[1:]
+
+
+def test_eval_and_sweep_report_their_projection_work(workdir, tmp_path, capsys):
+    assert run(["eval", "--case", TOY, "--atlas", workdir / "atlas.json",
+                "--model", workdir / "vqc.json", "--gamma", 0.5, "--beta", 0.5,
+                "--scenarios", 200, "--seed", 7, "--out-dir", tmp_path, "--out", "m.json"]) == 0
+    rep = read_json(tmp_path / "m.json")["result"]
+    picks = round(rep["infeasibility_rate"] * 200)
+    assert picks > 0
+    assert f", {picks} infeasible picks, {picks} projection LPs -> " in capsys.readouterr().out
+    assert "counters" not in rep and "infeasible_picks" not in json.dumps(rep)
+
+    assert run(["sweep", "--case", TOY, "--atlas", workdir / "atlas.json",
+                "--model", workdir / "vqc.json", "--scenarios", 60, "--seed", 3,
+                "--gamma-grid", "0,0.5", "--beta-grid", "0.5,1,1000",
+                "--out-dir", tmp_path, "--out", "h.csv"]) == 0
+    line = capsys.readouterr().out
+    rows = list(csv.DictReader(csv_body(tmp_path / "h.csv")))
+    picks = sum(round(float(r["infeasibility_pct"]) * 60 / 100) for r in rows)
+    assert line.startswith(f"sweep: 6 cells, {picks} infeasible picks, ")
+    lps = int(line.split(" infeasible picks, ")[1].split(" projection LPs")[0])
+    assert 0 < lps < picks
+    assert list(rows[0]) == ["gamma", "beta", "infeasibility_pct", "cost_gap_pct", "accuracy"]
+
+
+def test_full_sweep_reproduces_the_reference_heatmap(tmp_path, capsys):
+    assert run(["sweep", "--case", case_path("ieee69"), "--atlas", FIXTURES / "atlas.json",
+                "--model", FIXTURES / "vqc.json", "--gamma-grid", "0,0.1,0.2,0.3,0.4,0.5",
+                "--beta-grid", "0.5,1,2,4,1000", "--scenarios", 40, "--seed", 0,
+                "--out-dir", tmp_path]) == 0
+    assert "sweep: 30 cells, 99 infeasible picks, 29 projection LPs -> " in capsys.readouterr().out
+    reference = FIXTURES / "reference" / "sweep" / "full" / "heatmap.csv"
+    assert csv_body(tmp_path / "heatmap.csv") == csv_body(reference)
+
+
+@pytest.mark.parametrize("command,flags,bad", [
+    ("sweep", ["--gamma-grid", "1.5,nan", "--beta-grid", "1,-2"], "gamma .* 1.5"),
+    ("sweep", ["--gamma-grid", "0,0.5", "--beta-grid", "1,-2"], "beta .* -2.0"),
+    ("sweep", ["--gamma-grid", "0,nan", "--beta-grid", "1"], "gamma .* nan"),
+    ("eval", ["--gamma", "nan"], "gamma .* nan"),
+    ("eval", ["--gamma", "1.01"], "gamma .* 1.01"),
+    ("eval", ["--beta", "0"], "beta .* 0.0"),
+    ("audit", ["--gamma-grid", "0,inf"], "gamma .* inf"),
+    ("audit", ["--gamma-grid", "0,0.5", "--beta-grid", "0.5,-1"], "beta .* -1.0"),
+    ("audit", ["--beta", "inf"], "beta .* inf"),
+])
+def test_bad_noise_or_temperature_is_a_usage_error(workdir, tmp_path, capsys, command, flags, bad):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--case", TOY, "--atlas", workdir / "atlas.json",
+             "--model", workdir / "vqc.json", *flags, "--out-dir", out])
+    assert exc.value.code == 2
+    assert re.search(bad, capsys.readouterr().err)
+    assert not out.exists()

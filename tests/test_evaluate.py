@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from qpopf.classifier import (
     OracleClassifier,
     TrainConfig,
     VqcModel,
+    load_model,
     sample_region,
+    train_mlp,
     train_vqc,
 )
 from qpopf.evaluate import (
@@ -23,6 +27,7 @@ from qpopf.evaluate import (
 )
 from qpopf.lp import project_feasible, solve_lp
 from qpopf.regions import (
+    RegionAtlas,
     UncoveredThetaError,
     enumerate_regions,
     locate_batch,
@@ -31,6 +36,11 @@ from qpopf.regions import (
 )
 
 BOX1 = np.array([[-1.0, 1.0]])
+# committed benchmark inputs: the ieee69 atlas (budget 3000, seed 11) and checkpoints
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+# the benchmark's full sweep: 6 gamma x 5 beta cells over 40 scenarios at seed 0
+FULL_GAMMAS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+FULL_BETAS = [0.5, 1.0, 2.0, 4.0, 1000.0]
 # the package namespace binds the name to the function
 evaluate_mod = importlib.import_module("qpopf.evaluate")
 
@@ -183,25 +193,38 @@ def test_measure_runtimes_rows(toy_plp, toy_atlas):
         assert r["speedup"] == pytest.approx(lp_row["runtime_us"] / r["runtime_us"])
 
 
-def evaluate_point_by_point(model, atlas, plp, batch, gamma, beta, rng):
-    """The scalar evaluation loop: each scenario located on its own."""
+def evaluate_point_by_point(model, atlas, plp, batch, gamma, beta, rng, feas_tol=1e-4):
+    """The scalar evaluation loop: each scenario located on its own, and
+    every pick reconstructed, checked and projected anew."""
+    tracked = evaluate_mod._tracked_indices(plp, None)
+    names = [plp.var_names[i] for i in tracked] if plp.var_names else [f"x{i}" for i in tracked]
     probs = model.selection_probabilities(batch.thetas, gamma, beta, rng)
-    tracked = list(range(plp.n))
-    abs_err, gap_sum, infeasible, correct = np.zeros(plp.n), 0.0, 0, 0
+    abs_err, gap_sum, infeasible, correct = np.zeros(len(tracked)), 0.0, 0, 0
     for theta, p in zip(batch.thetas, probs):
         k_star = locate_region(atlas, theta)
         k_pick = sample_region(p, rng)
         correct += k_pick == k_star
         x_star = atlas.region(k_star).solution(theta)
         x = atlas.region(k_pick).solution(theta)
-        if float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > 1e-4:
+        if float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > feas_tol:
             infeasible += 1
             x = project_feasible(x, plp, theta)
         abs_err += np.abs(x[tracked] - x_star[tracked])
         j_star = float(plp.c @ x_star)
         gap_sum += (float(plp.c @ x) - j_star) / (abs(j_star) if abs(j_star) > 1e-9 else 1.0)
     n = batch.count
-    return abs_err / n, gap_sum / n, infeasible / n, correct / n
+    return {
+        "per_variable_mae": {name: float(e / n) for name, e in zip(names, abs_err)},
+        "mae": float(np.mean(abs_err / n)),
+        "cost_gap": gap_sum / n,
+        "infeasibility_rate": infeasible / n,
+        "stochastic_accuracy": correct / n,
+    }
+
+
+def outputs(report):
+    return {key: getattr(report, key) for key in
+            ("per_variable_mae", "mae", "cost_gap", "infeasibility_rate", "stochastic_accuracy")}
 
 
 @pytest.mark.parametrize("gamma,beta", [(0.0, 1e6), (0.2, 1.0), (0.5, 1e-9)])
@@ -209,11 +232,8 @@ def test_batched_location_keeps_every_output(toy_model, toy_atlas, toy_plp, gamm
     batch = ScenarioBatch.sample(BOX1, 300, seed=29)
     report = evaluate(toy_model, toy_atlas, toy_plp, batch, gamma, beta,
                       rng=np.random.default_rng(4))
-    per_var, gap, infeasible, accuracy = evaluate_point_by_point(
+    assert outputs(report) == evaluate_point_by_point(
         toy_model, toy_atlas, toy_plp, batch, gamma, beta, np.random.default_rng(4))
-    assert list(report.per_variable_mae.values()) == per_var.tolist()
-    assert (report.cost_gap, report.infeasibility_rate, report.stochastic_accuracy) == (
-        gap, infeasible, accuracy)
     assert report.infeasibility_rate > 0 or gamma == 0.0
 
 
@@ -245,4 +265,140 @@ def test_uncovered_scenarios_raise_before_any_sampling(one_region_atlas69, plp69
         evaluate(Untouchable(atlas), atlas, plp69, batch, 0.0, 1.0, rng)
     assert rng.bit_generator.state == state
     with pytest.raises(UncoveredThetaError, match=message):
+        sweep(Untouchable(atlas), atlas, plp69, [0.0, 0.5], [1.0, 4.0], batch)
+    with pytest.raises(UncoveredThetaError, match=message):
         expected_cost(atlas, plp69, batch)
+
+
+def sweep_per_cell(model, atlas, plp, gammas, betas, batch):
+    """The sweep as a loop of independent evaluations, each from a fresh rng."""
+    return [
+        evaluate_point_by_point(model, atlas, plp, batch, g, b, np.random.default_rng(batch.seed))
+        for g in gammas
+        for b in betas
+    ]
+
+
+@pytest.fixture(scope="module")
+def committed69(plp69):
+    atlas = RegionAtlas.load(FIXTURES / "atlas.json")
+    assert atlas.plp_hash == plp69.hash_hex()
+    vqc, _ = load_model(FIXTURES / "vqc.json")
+    mlp, _ = load_model(FIXTURES / "mlp.json")
+    return atlas, {"vqc": vqc, "mlp": dataclasses.replace(mlp, sigma=0.5),
+                   "oracle": OracleClassifier(atlas)}
+
+
+@pytest.fixture(scope="module")
+def toy_models(toy_model, toy_atlas):
+    thetas, labels = sample_labeled_dataset(toy_atlas, 200, seed=21)
+    mlp, _ = train_mlp((thetas, labels), TrainConfig(epochs=10, seed=3), K=toy_atlas.K)
+    return {"vqc": toy_model, "mlp": dataclasses.replace(mlp, sigma=0.5),
+            "oracle": OracleClassifier(toy_atlas)}
+
+
+@pytest.mark.parametrize("kind", ["vqc", "mlp", "oracle"])
+def test_sweep_matches_per_cell_evaluation_toy(kind, toy_models, toy_atlas, toy_plp):
+    batch = ScenarioBatch.sample(BOX1, 200, seed=31)
+    gammas, betas = [0.0, 0.3, 0.7], [1e-9, 0.5, 4.0, 1e3]
+    model = toy_models[kind]
+    reports = sweep(model, toy_atlas, toy_plp, gammas, betas, batch)
+    expected = sweep_per_cell(model, toy_atlas, toy_plp, gammas, betas, batch)
+    assert [outputs(r) for r in reports] == expected
+    picks = sum(r.counters["infeasible_picks"] for r in reports)
+    assert picks == sum(round(e["infeasibility_rate"] * batch.count) for e in expected)
+    assert sum(r.counters["projection_lps"] for r in reports) <= picks
+    assert picks > 0 or kind == "oracle"
+
+
+@pytest.mark.parametrize("kind", ["vqc", "mlp", "oracle"])
+def test_sweep_matches_per_cell_evaluation_ieee69(kind, committed69, plp69):
+    atlas, models = committed69
+    batch = ScenarioBatch.sample(plp69.theta_box, 30, seed=0)
+    gammas, betas = [0.0, 0.4], [0.5, 4.0]
+    reports = sweep(models[kind], atlas, plp69, gammas, betas, batch)
+    expected = sweep_per_cell(models[kind], atlas, plp69, gammas, betas, batch)
+    assert [outputs(r) for r in reports] == expected
+    assert any(e["infeasibility_rate"] > 0 for e in expected) or kind == "oracle"
+
+
+def test_evaluate_matches_the_scalar_loop_ieee69(committed69, plp69):
+    atlas, models = committed69
+    batch = ScenarioBatch.sample(plp69.theta_box, 200, seed=0)
+    report = evaluate(models["mlp"], atlas, plp69, batch, 0.1, 4.0, np.random.default_rng(0))
+    expected = evaluate_point_by_point(models["mlp"], atlas, plp69, batch, 0.1, 4.0,
+                                       np.random.default_rng(0))
+    assert outputs(report) == expected
+    infeasible = round(expected["infeasibility_rate"] * batch.count)
+    # within one evaluation no (scenario, region) pair is drawn twice
+    assert report.counters == {"infeasible_picks": infeasible, "projection_lps": infeasible}
+    assert "counters" not in report.to_dict()
+
+
+def test_full_sweep_projects_each_infeasible_pick_once(committed69, plp69, monkeypatch):
+    atlas, models = committed69
+    vqc = models["vqc"]
+    batch = ScenarioBatch.sample(plp69.theta_box, 40, seed=0)
+    calls = []
+
+    def counted(x, plp, theta):
+        calls.append((x.tobytes(), np.asarray(theta).tobytes()))
+        return project_feasible(x, plp, theta)
+
+    monkeypatch.setattr(evaluate_mod, "project_feasible", counted)
+    reports = sweep(vqc, atlas, plp69, FULL_GAMMAS, FULL_BETAS, batch)
+
+    # the infeasible picks, drawn as the sweep draws them
+    infeasible_picks, distinct = 0, set()
+    for gamma in FULL_GAMMAS:
+        for beta in FULL_BETAS:
+            rng = np.random.default_rng(batch.seed)
+            probs = vqc.selection_probabilities(batch.thetas, gamma, beta, rng)
+            for i, (theta, p) in enumerate(zip(batch.thetas, probs)):
+                k = sample_region(p, rng)
+                x = atlas.region(k).solution(theta)
+                if np.max(plp69.W @ x - plp69.rhs(theta)) > evaluate_mod.FEASIBILITY_THRESHOLD:
+                    infeasible_picks += 1
+                    distinct.add((i, k))
+    assert (infeasible_picks, len(distinct)) == (99, 29)
+    assert len(calls) == len(set(calls)) == len(distinct)
+    assert sum(r.counters["infeasible_picks"] for r in reports) == infeasible_picks
+    assert sum(r.counters["projection_lps"] for r in reports) == len(distinct)
+
+
+@pytest.mark.parametrize("kind", ["toy", "ieee69"])
+def test_expected_cost_keeps_the_per_scenario_sum(kind, toy_atlas, toy_plp, committed69, plp69):
+    atlas, plp = (toy_atlas, toy_plp) if kind == "toy" else (committed69[0], plp69)
+    batch = ScenarioBatch.sample(plp.theta_box, 500, seed=37)
+    total = 0.0
+    for theta in batch.thetas:
+        total += float(plp.c @ atlas.region(locate_region(atlas, theta)).solution(theta))
+    assert expected_cost(atlas, plp, batch) == total / batch.count
+
+
+BAD_NOISE = [(1.5, 1.0, "gamma .* 1.5"), (-0.1, 1.0, "gamma .* -0.1"), (np.nan, 1.0, "gamma .* nan"),
+             (0.0, -2.0, "beta .* -2.0"), (0.0, 0.0, "beta .* 0.0"), (0.0, np.inf, "beta .* inf"),
+             (0.0, np.nan, "beta .* nan")]
+
+
+@pytest.mark.parametrize("gamma,beta,match", BAD_NOISE)
+def test_bad_noise_or_temperature_is_rejected_before_any_work(
+        gamma, beta, match, toy_atlas, toy_plp, monkeypatch):
+    class Untouchable(OracleClassifier):
+        def selection_probabilities(self, *args, **kwargs):
+            raise AssertionError("sampled before the parameter check")
+
+    def no_location(*args):
+        raise AssertionError("located before the parameter check")
+
+    monkeypatch.setattr(evaluate_mod, "locate_covered", no_location)
+    model = Untouchable(toy_atlas)
+    batch = ScenarioBatch.sample(BOX1, 10, seed=5)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        evaluate(model, toy_atlas, toy_plp, batch, gamma, beta, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match=match):
+        sweep(model, toy_atlas, toy_plp, [0.0, gamma], [1.0, beta], batch)
+

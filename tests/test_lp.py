@@ -12,7 +12,7 @@ from scipy.optimize._highspy import _core as highs_core
 
 from qpopf import lp as lp_mod
 from qpopf.data import case_path
-from qpopf.grid import ParametricLP, linearize, load_case
+from qpopf.grid import ParametricLP, column_compressed, linearize, load_case
 from qpopf.lp import (
     active_set,
     dual_certificate,
@@ -389,3 +389,65 @@ def test_import_names_the_missing_binding():
     assert last.startswith("ImportError")
     assert "scipy.optimize._highspy._core" in last
     assert f"installed scipy is {scipy.__version__}" in last
+
+
+def project_feasible_assembled(x_tilde, plp, theta, tol_feas=lp_mod.TOL_FEAS):
+    """The projection with its auxiliary matrix assembled and converted per call."""
+    b = plp.rhs(theta)
+    if float(np.max(plp.W @ x_tilde - b, initial=0.0)) <= tol_feas:
+        return x_tilde.copy()
+    n, q = plp.n, plp.q
+    eye = np.eye(n)
+    A_aux = np.block([[plp.W, np.zeros((q, n))], [eye, -eye], [-eye, -eye]])
+    b_aux = np.concatenate([b, x_tilde, -x_tilde])
+    c_aux = np.concatenate([np.zeros(n), np.ones(n)])
+    status, z = lp_mod.linprog(c_aux, A_aux, b_aux)
+    assert status == "optimal"
+    active = lp_mod._scan_active(A_aux, b_aux, z, lp_mod.TOL_ACTIVE)
+    basis = lp_mod._greedy_basis(A_aux, active, 2 * n, plp.mirror_row())
+    if basis is not None:
+        try:
+            z_p = np.linalg.solve(A_aux[basis], b_aux[basis])
+            if float(np.max(A_aux @ z_p - b_aux, initial=0.0)) <= max(
+                1e-9, float(np.max(A_aux @ z - b_aux, initial=0.0))
+            ):
+                z = z_p
+        except np.linalg.LinAlgError:
+            pass
+    x = z[:n]
+    assert float(np.max(plp.W @ x - b, initial=0.0)) <= tol_feas
+    return x
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_cached_projection_matrix_matches_assembly(case):
+    plp = linearize(load_case(case_path(case)))
+    n, q = plp.n, plp.q
+    eye = np.eye(n)
+    A_aux = np.block([[plp.W, np.zeros((q, n))], [eye, -eye], [-eye, -eye]])
+    assert plp.projection_matrix is plp.projection_matrix
+    assert plp.projection_csc is plp.projection_csc
+    assert plp.projection_matrix.shape == A_aux.shape
+    assert plp.projection_matrix.tobytes() == A_aux.tobytes()
+    assert plp.projection_csc == column_compressed(A_aux)
+
+
+@pytest.mark.parametrize("case,rows", [("ieee69", 40), ("toy2", 12)])
+def test_projection_matches_per_call_assembly(case, rows, lp_calls):
+    plp = linearize(load_case(case_path(case)))
+    rng = np.random.default_rng(71)
+    thetas = rng.uniform(-1.0, 1.0, size=(rows, plp.m))
+    dispatches = [solve_lp(plp, t).x for t in thetas]
+    start = len(lp_calls)
+    for k, x in enumerate(dispatches):
+        # a dispatch solved at another theta is usually infeasible here
+        theta = thetas[k - 1]
+        assert project_feasible(x, plp, theta).tobytes() == (
+            project_feasible_assembled(x, plp, theta).tobytes())
+    cached = [c for c in lp_calls[start:] if c[3] is not None]
+    assembled = [c for c in lp_calls[start:] if c[3] is None]
+    assert len(cached) == len(assembled) == rows
+    for (c, A, b, csc), (c0, A0, b0, _) in zip(cached, assembled):
+        # HiGHS receives the same model either way
+        assert csc == column_compressed(A0)
+        assert (c.tobytes(), A.tobytes(), b.tobytes()) == (c0.tobytes(), A0.tobytes(), b0.tobytes())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,17 @@ def test_expected_cost_gap_below_bound_toy(toy_model, toy_atlas, toy_plp):
         samples = deltas[draws]
         se = samples.std(ddof=1) / np.sqrt(len(samples))
         assert samples.mean() <= bound + 3 * se + 1e-12
+
+
+@pytest.mark.parametrize("gamma,beta,match", [
+    (1.5, 1.0, "gamma .* 1.5"), (np.nan, 1.0, "gamma .* nan"), (0.0, -2.0, "beta .* -2.0"),
+    (0.0, 0.0, "beta .* 0.0"), (0.0, np.inf, "beta .* inf"),
+])
+def test_bad_noise_or_temperature_is_rejected_by_the_grid_audit(gamma, beta, match, toy_model):
+    def no_scores(*args):
+        raise AssertionError("ran the circuit before the parameter check")
+
+    model = dataclasses.replace(toy_model)
+    model.base_scores = no_scores
+    with pytest.raises(ValueError, match=match):
+        audit_vqc_grid(model, [0.2, gamma], [beta, 1.0], AdjacencySpec(pair_count=5))
