@@ -41,6 +41,51 @@ def softmax_probs(s: np.ndarray, beta: float) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+# entries of the noise-convolved buffer averaged at once (1 MiB)
+_AVERAGE_CHUNK = 1 << 17
+
+
+def averaged_softmax(
+    s: np.ndarray, sigma: float, normals: np.ndarray, beta: float
+) -> np.ndarray:
+    """Law of the index released from logits s (N, K) under N(0, sigma^2) logit noise.
+
+    Row i is the mean over the noise rows ``sigma * normals`` of
+    softmax(beta (s_i + noise)), bitwise
+    ``softmax_probs(s[i] + sigma * normals, beta).mean(axis=0)``; sigma = 0
+    is the plain softmax.  The (rows, draws, K) buffer is filled in chunks
+    of about 1 MiB and normalized in place.
+    """
+    if sigma == 0.0:
+        return softmax_probs(s, beta)
+    noise = sigma * normals
+    out = np.empty(s.shape)
+    step = max(1, _AVERAGE_CHUNK // noise.size)
+    for start in range(0, s.shape[0], step):
+        z = s[start : start + step, None, :] + noise
+        z *= beta
+        z -= np.max(z, axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= np.sum(z, axis=-1, keepdims=True)
+        out[start : start + step] = z.mean(axis=1)
+    return out
+
+
+def _products(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    return x @ W.T
+
+
+def row_products(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x @ W.T one row at a time: row i is bitwise ``x[i:i+1] @ W.T``.
+
+    A product of N > 1 rows goes through gemm, whose rounding differs
+    from the one-row product (gemv) by a few ulps.  The privacy audit
+    takes its log-ratios from a batch of pairs but must release the same
+    law a single query would, so it applies its dense layers this way.
+    """
+    return np.matmul(x[:, None, :], W.T)[:, 0]
+
+
 def log_softmax(s: np.ndarray, beta: float) -> np.ndarray:
     z = beta * np.asarray(s, dtype=float)
     z = z - np.max(z, axis=-1, keepdims=True)
@@ -95,8 +140,31 @@ class LinearHead:
         return float(np.max(np.sum(np.abs(self.W), axis=1)))
 
 
+class ReleaseModel:
+    """What the three region models share: a released law built in two steps.
+
+    ``base_scores(thetas)`` is the part that depends on neither gamma,
+    beta nor the rng (noise-free VQC scores, MLP logits, oracle one-hot
+    rows); ``logits_from_base`` and ``probabilities_from_base`` apply one
+    (gamma, beta, rng) setting to it, so a sweep computes the base once.
+    """
+
+    def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
+        return self.logits_from_base(self.base_scores(thetas), gamma)
+
+    def selection_probabilities(
+        self,
+        thetas: np.ndarray,
+        gamma: float,
+        beta: float,
+        rng: np.random.Generator | None = None,
+    ) -> np.ndarray:
+        """The released law of each row; the MLP draws its logit noise from ``rng``."""
+        return self.probabilities_from_base(self.base_scores(thetas), gamma, beta, rng)
+
+
 @dataclass
-class VqcModel:
+class VqcModel(ReleaseModel):
     """Bundle of circuit config, trained angles, and head."""
 
     config: CircuitConfig
@@ -124,8 +192,8 @@ class VqcModel:
         """W h0 without bias: the part of the logits that noise contracts."""
         return self.features0(thetas) @ self.head.W.T
 
-    def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
-        return (1.0 - gamma) * self.base_scores(thetas) + self.head.b
+    def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
+        return (1.0 - gamma) * base + self.head.b
 
     def probability_matrix(
         self, thetas: np.ndarray, gamma: float = 0.0, beta: float | None = None
@@ -133,14 +201,8 @@ class VqcModel:
         beta = self.head.beta if beta is None else beta
         return softmax_probs(self.logit_matrix(thetas, gamma), beta)
 
-    def selection_probabilities(
-        self,
-        thetas: np.ndarray,
-        gamma: float,
-        beta: float,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        return self.probability_matrix(thetas, gamma, beta)
+    def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
+        return softmax_probs(self.logits_from_base(base, gamma), beta)
 
 
 def vqc_forward(
@@ -162,7 +224,7 @@ def vqc_forward(
 
 
 @dataclass
-class MlpBaseline:
+class MlpBaseline(ReleaseModel):
     """tanh MLP (two hidden layers) with a bias-free linear head.
 
     ``sigma`` is the standard deviation of the Gaussian logit noise used
@@ -189,15 +251,20 @@ class MlpBaseline:
             self.W1.size + self.b1.size + self.W2.size + self.b2.size + self.W_head.size
         )
 
-    def logits(self, thetas: np.ndarray) -> np.ndarray:
+    def logits(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
+        """Noise-free logits (N, K); ``rowwise`` applies each layer with :func:`row_products`."""
+        product = row_products if rowwise else _products
         x = np.atleast_2d(np.asarray(thetas, dtype=float))
-        h1 = np.tanh(x @ self.W1.T + self.b1)
-        h2 = np.tanh(h1 @ self.W2.T + self.b2)
-        return h2 @ self.W_head.T
+        h1 = np.tanh(product(x, self.W1) + self.b1)
+        h2 = np.tanh(product(h1, self.W2) + self.b2)
+        return product(h2, self.W_head)
 
-    def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
-        # gamma is a no-op for the classical model; kept for a shared API
+    def base_scores(self, thetas: np.ndarray) -> np.ndarray:
         return self.logits(thetas)
+
+    def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
+        # gamma is a no-op for the classical model; kept for a shared API
+        return base
 
     def probability_matrix(
         self, thetas: np.ndarray, gamma: float = 0.0, beta: float | None = None
@@ -205,23 +272,16 @@ class MlpBaseline:
         beta = self.beta if beta is None else beta
         return softmax_probs(self.logits(thetas), beta)
 
-    def selection_probabilities(
-        self,
-        thetas: np.ndarray,
-        gamma: float,
-        beta: float,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        s = self.logits(thetas)
+    def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
         if self.sigma > 0.0:
             if rng is None:
                 raise ValueError("sigma > 0 requires an rng")
-            s = s + self.sigma * rng.standard_normal(s.shape)
-        return softmax_probs(s, beta)
+            base = base + self.sigma * rng.standard_normal(base.shape)
+        return softmax_probs(base, beta)
 
 
 @dataclass
-class OracleClassifier:
+class OracleClassifier(ReleaseModel):
     """Exact point-location stand-in for a trained model."""
 
     atlas: RegionAtlas
@@ -231,15 +291,18 @@ class OracleClassifier:
     def K(self) -> int:
         return self.atlas.K
 
-    def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
+    def base_scores(self, thetas: np.ndarray) -> np.ndarray:
         """One-hot rows of each point's region; uncovered points raise."""
         ids = locate_covered(self.atlas, thetas)
         out = np.zeros((ids.size, self.K))
         out[np.arange(ids.size), ids - 1] = 1.0
         return out
 
-    def selection_probabilities(self, thetas, gamma, beta, rng=None) -> np.ndarray:
-        return self.logit_matrix(thetas)
+    def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
+        return base
+
+    def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
+        return base
 
 
 def mlp_forward_noisy(
@@ -564,20 +627,23 @@ def calibrate_sigma(
 
     The epsilon of the stochastic mechanism is measured on Monte-Carlo
     averaged output distributions with common random numbers, so the
-    search is deterministic.  Returns 0 when even the noise-free model
-    already meets the target.
+    search is deterministic: the pairs' logits and the standard normals
+    are computed once, and each step only redoes the averaged softmax at
+    its sigma (the law ``MlpAveragedMechanism`` releases).  Returns 0 when
+    even the noise-free model already meets the target.
     """
-    from qpopf.privacy import MlpAveragedMechanism, audit_mechanism, draw_adjacent_pairs
+    from qpopf.privacy import draw_adjacent_pairs, epsilon_percentile, pair_epsilons
 
     beta = mlp.beta if beta is None else beta
-    m = mlp.W1.shape[1]
-    pairs = draw_adjacent_pairs(adjacency, m)
+    thetas, mates = draw_adjacent_pairs(adjacency, mlp.W1.shape[1])
+    s = mlp.logits(np.vstack([thetas, mates]), rowwise=True)
+    rng = np.random.default_rng(adjacency.seed + 7919)
+    normals = rng.standard_normal((n_draws, mlp.K))
+    n = len(thetas)
 
     def eps95_at(sigma: float) -> float:
-        mech = MlpAveragedMechanism(
-            mlp, sigma=sigma, beta=beta, n_draws=n_draws, seed=adjacency.seed + 7919
-        )
-        return audit_mechanism(mech, pairs).eps95
+        p = averaged_softmax(s, sigma, normals, beta)
+        return epsilon_percentile(pair_epsilons(p[:n], p[n:])[0])
 
     base = eps95_at(0.0)
     if base <= target_eps95:

@@ -157,9 +157,11 @@ class _DispatchTable:
             self._picks[(i, k)] = entry
         return entry
 
-    def replay(self, model, gamma: float, beta: float, rng: np.random.Generator) -> MetricsReport:
-        """One (gamma, beta) cell: the model's probabilities, then one draw per scenario."""
-        probs = model.selection_probabilities(self.batch.thetas, gamma, beta, rng)
+    def replay(
+        self, model, base: np.ndarray, gamma: float, beta: float, rng: np.random.Generator
+    ) -> MetricsReport:
+        """One (gamma, beta) cell: the model's law from its base scores, then one draw per scenario."""
+        probs = model.probabilities_from_base(base, gamma, beta, rng)
         solved = self.projections
         abs_err = np.zeros(len(self.tracked))
         gap_sum = 0.0
@@ -201,7 +203,8 @@ def evaluate(
 ) -> MetricsReport:
     """Sample-reconstruct-project evaluation of a mechanism on a batch."""
     check_noise_and_temperature([gamma], [beta])
-    return _DispatchTable(atlas, plp, batch, track, feas_tol).replay(model, gamma, beta, rng)
+    table = _DispatchTable(atlas, plp, batch, track, feas_tol)
+    return table.replay(model, model.base_scores(batch.thetas), gamma, beta, rng)
 
 
 def sweep(
@@ -216,12 +219,14 @@ def sweep(
     """Full-factorial evaluation; every cell replays the same seed so
     high-beta rows expose the argmax gamma-invariance directly.  The cells
     share one dispatch table, so each (scenario, region) pair is
-    projected at most once per sweep."""
+    projected at most once per sweep, and the model's base scores, so the
+    circuit runs once per sweep."""
     gamma_grid, beta_grid = list(gamma_grid), list(beta_grid)
     check_noise_and_temperature(gamma_grid, beta_grid)
     table = _DispatchTable(atlas, plp, batch, track)
+    base = model.base_scores(batch.thetas)
     return [
-        table.replay(model, gamma, beta, np.random.default_rng(batch.seed))
+        table.replay(model, base, gamma, beta, np.random.default_rng(batch.seed))
         for gamma in gamma_grid
         for beta in beta_grid
     ]

@@ -6,21 +6,32 @@ chain encoded state -> contracted features -> logits -> softmax, which
 gives eps_reg = 4 beta (1-gamma) L_enc dtheta ||W||_inf,1.  The
 privacy-cost tradeoff bounds the expected dispatch-cost increase by the
 worst per-region cost gap times a softmax-margin mis-selection bound.
+
+Every release mechanism has one batched method, ``probabilities(thetas
+(N, m)) -> (N, K)``, so an audit is a single call on the stacked pairs
+followed by a vectorized per-pair epsilon and worst-class step.  The
+VQC and MLP mechanisms apply their dense layers with
+``classifier.row_products``: the batched (gemm) product rounds
+differently from the one-query (gemv) product, and the audit has to
+measure the law a single query is released from, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from qpopf.circuit import CircuitConfig, run_circuit_batch, trace_distance_pure
+from qpopf.circuit import CircuitConfig, run_circuit_batch
 from qpopf.classifier import (
     MlpBaseline,
+    OracleClassifier,
     VqcModel,
+    averaged_softmax,
     check_noise_and_temperature,
     log_softmax,
     margin_from_logits,
+    row_products,
     softmax_probs,
 )
 from qpopf.grid import ParametricLP
@@ -139,10 +150,10 @@ class VqcMechanism:
     def model_id(self) -> str:
         return self.model.model_id
 
-    def probabilities(self, theta: np.ndarray) -> np.ndarray:
-        return self.model.probability_matrix(
-            np.asarray(theta, float)[None, :], self.gamma, self.beta
-        )[0]
+    def probabilities(self, thetas: np.ndarray) -> np.ndarray:
+        h = self.model.features0(np.atleast_2d(np.asarray(thetas, float)))
+        base = row_products(h, self.model.head.W)
+        return self.model.probabilities_from_base(base, self.gamma, self.beta)
 
     def epsilon_bound(self, delta_theta: float) -> float:
         return theoretical_epsilon(
@@ -160,8 +171,9 @@ class MlpAveragedMechanism:
 
     The released index follows the noise-convolved softmax, which has no
     closed form; the distribution is estimated by averaging the softmax
-    over ``n_draws`` noise realizations (common random numbers per
-    instance keep calibration searches smooth and deterministic).
+    over ``n_draws`` noise realizations (common random numbers: every
+    point sees the same draws, so calibration searches stay smooth and
+    deterministic).
     """
 
     mlp: MlpBaseline
@@ -175,13 +187,11 @@ class MlpAveragedMechanism:
     def model_id(self) -> str:
         return self.mlp.model_id
 
-    def probabilities(self, theta: np.ndarray) -> np.ndarray:
-        s = self.mlp.logits(np.asarray(theta, float)[None, :])[0]
-        if self.sigma == 0.0:
-            return softmax_probs(s, self.beta)
+    def probabilities(self, thetas: np.ndarray) -> np.ndarray:
+        s = self.mlp.logits(thetas, rowwise=True)
         rng = np.random.default_rng(self.seed)
-        noise = self.sigma * rng.standard_normal((self.n_draws, s.shape[0]))
-        return softmax_probs(s + noise, self.beta).mean(axis=0)
+        normals = rng.standard_normal((self.n_draws, s.shape[1]))
+        return averaged_softmax(s, self.sigma, normals, self.beta)
 
 
 @dataclass
@@ -191,41 +201,39 @@ class OracleMechanism:
     gamma: float | None = None
     beta: float | None = None
 
-    def probabilities(self, theta: np.ndarray) -> np.ndarray:
-        p = np.zeros(self.atlas.K)
-        p[locate_region(self.atlas, theta) - 1] = 1.0
-        return p
+    def probabilities(self, thetas: np.ndarray) -> np.ndarray:
+        """One-hot rows of each point's region; an uncovered point raises."""
+        return OracleClassifier(self.atlas).base_scores(np.atleast_2d(thetas))
 
 
 # -- empirical accounting -----------------------------------------------------
 
 
-def empirical_epsilon(model, theta: np.ndarray, theta_prime: np.ndarray) -> float:
-    """max_k |log(P_k(theta) / P_k(theta'))| for a mechanism's output law.
+def pair_epsilons(p: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair, max_k |log(P_k / P'_k)| and the 1-based class attaining it.
 
-    Probabilities are floored at 1e-300 before the log; a class whose
+    Probabilities are floored at 1e-300 before the log.  A class whose
     probability is exactly zero on one side only yields the +inf
-    sentinel (both-zero classes carry no information and are skipped).
+    sentinel, reported at the first such class; classes that are zero on
+    both sides carry no information and are skipped (0 at class 1 when
+    every class is).  Ties go to the lowest class.
     """
-    eps, _ = _epsilon_with_class(model, theta, theta_prime)
-    return eps
-
-
-def _epsilon_with_class(model, theta, theta_prime) -> tuple[float, int]:
-    p = np.asarray(model.probabilities(np.asarray(theta, float)), dtype=float)
-    p2 = np.asarray(model.probabilities(np.asarray(theta_prime, float)), dtype=float)
     zero, zero2 = p == 0.0, p2 == 0.0
-    if np.any(zero ^ zero2):
-        return float("inf"), int(np.flatnonzero(zero ^ zero2)[0]) + 1
-    keep = ~(zero & zero2)
-    if not np.any(keep):
-        return 0.0, 1
-    ratios = np.abs(
-        np.log(np.maximum(p[keep], PROB_FLOOR))
-        - np.log(np.maximum(p2[keep], PROB_FLOOR))
-    )
-    j = int(np.argmax(ratios))
-    return float(ratios[j]), int(np.flatnonzero(keep)[j]) + 1
+    ratios = np.abs(np.log(np.maximum(p, PROB_FLOOR)) - np.log(np.maximum(p2, PROB_FLOOR)))
+    ratios[zero & zero2] = -np.inf
+    classes = np.argmax(ratios, axis=1)
+    eps = np.maximum(ratios[np.arange(len(ratios)), classes], 0.0)
+    one_sided = zero ^ zero2
+    saturated = one_sided.any(axis=1)
+    eps[saturated] = np.inf
+    classes[saturated] = np.argmax(one_sided[saturated], axis=1)
+    return eps, classes + 1
+
+
+def empirical_epsilon(model, theta: np.ndarray, theta_prime: np.ndarray) -> float:
+    """max_k |log(P_k(theta) / P_k(theta'))| for a mechanism's output law."""
+    p = model.probabilities(np.vstack([theta, theta_prime]))
+    return float(pair_epsilons(p[:1], p[1:])[0][0])
 
 
 def epsilon_percentile(samples, q: float = 0.95) -> float:
@@ -243,11 +251,11 @@ def audit_mechanism(
     eps_reg: float | None = None,
     delta_theta: float | None = None,
 ) -> PrivacyReport:
+    """Empirical budget of a mechanism over adjacent pairs: one batched call on both sides."""
     thetas, mates = pairs
-    eps = np.empty(len(thetas))
-    classes = np.empty(len(thetas), dtype=int)
-    for i, (t, t2) in enumerate(zip(thetas, mates)):
-        eps[i], classes[i] = _epsilon_with_class(mech, t, t2)
+    n = len(thetas)
+    p = np.asarray(mech.probabilities(np.vstack([thetas, mates])), dtype=float)
+    eps, classes = pair_epsilons(p[:n], p[n:])
     finite = np.isfinite(eps)
     saturated = int(np.sum(~finite))
     if saturated:
@@ -287,7 +295,6 @@ def audit_vqc_grid(
     m = max(model.config.encoding_pattern) + 1
     thetas, mates = draw_adjacent_pairs(adjacency, m)
     scores = model.base_scores(np.vstack([thetas, mates]))
-    bias = model.head.b
     n_pairs = len(thetas)
     L_enc = encoding_lipschitz(model.config)
 
@@ -303,7 +310,7 @@ def audit_vqc_grid(
     rows = []
     for gamma in gammas:
         for beta in betas:
-            logits = (1.0 - gamma) * scores + bias
+            logits = model.logits_from_base(scores, gamma)
             logp = log_softmax(logits, beta)
             diffs = np.abs(logp[:n_pairs] - logp[n_pairs:])
             eps = diffs.max(axis=1)
@@ -317,7 +324,7 @@ def audit_vqc_grid(
                 ),
             }
             if atlas is not None:
-                acc_logits = (1.0 - gamma) * acc_scores + bias
+                acc_logits = model.logits_from_base(acc_scores, gamma)
                 pred = np.argmax(acc_logits, axis=1) + 1
                 probs = softmax_probs(acc_logits, beta)
                 row["accuracy_det"] = float(np.mean(pred == labels))
@@ -470,7 +477,8 @@ def tradeoff_bound(
 
     Components include the bias-free simplification (margin contracts by
     (1-gamma)) and, when ``delta_theta`` is given, the same bound written
-    as a function of the theoretical privacy budget.
+    as a function of the theoretical privacy budget.  The logits at gamma
+    and at 0 come from one circuit forward.
     """
     theta = np.asarray(theta, dtype=float)
     k_star = locate_region(atlas, theta)
@@ -478,8 +486,8 @@ def tradeoff_bound(
     others = np.delete(deltas, k_star - 1)
     dj_max = float(np.max(others)) if others.size else 0.0
 
-    s = model.logit_matrix(theta[None, :], gamma)[0]
-    s0 = model.logit_matrix(theta[None, :], 0.0)[0]
+    base = model.base_scores(theta[None, :])
+    s, s0 = (model.logits_from_base(base, g)[0] for g in (gamma, 0.0))
     K = s.shape[0]
     m_gamma = margin_from_logits(s, k_star)
     m0 = margin_from_logits(s0, k_star)

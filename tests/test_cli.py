@@ -259,6 +259,42 @@ def test_full_sweep_reproduces_the_reference_heatmap(tmp_path, capsys):
     assert csv_body(tmp_path / "heatmap.csv") == csv_body(reference)
 
 
+# the audit sizes of perfbench/workloads.py, at the online workload's seed 0
+AUDIT_SIZES = {
+    "mini": {"pairs": 10, "grid_pairs": 50, "gammas": "0,0.5", "betas": "1,4",
+             "mlp_pairs": 10, "mlp_draws": 200},
+    "full": {"pairs": 100, "grid_pairs": 1000, "gammas": "0,0.1,0.2,0.3,0.4,0.5",
+             "betas": "0.1,0.2,0.5,1,2,4,7,10", "mlp_pairs": 100, "mlp_draws": 2000},
+}
+
+
+def canonical(path):
+    """A CLI artifact's bytes as the benchmark references keep them: JSON without ``timing``."""
+    if path.suffix != ".json":
+        return path.read_bytes()
+    doc = read_json(path)
+    del doc["timing"]
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("size", ["mini", "full"])
+def test_audit_reproduces_the_reference_artifacts(tmp_path, size):
+    sz = AUDIT_SIZES[size]
+    common = ["audit", "--case", case_path("ieee69"), "--atlas", FIXTURES / "atlas.json",
+              "--seed", 0, "--out-dir", tmp_path]
+    vqc = ["--model", FIXTURES / "vqc.json"]
+    assert run([*common, *vqc, "--gamma", 0.0, "--beta", 1.0, "--pairs", sz["pairs"],
+                "--out", "privacy.json"]) == 0
+    assert run([*common, *vqc, "--gamma-grid", sz["gammas"], "--beta-grid", sz["betas"],
+                "--pairs", sz["grid_pairs"], "--out", "audit_sweep.csv"]) == 0
+    assert run([*common, "--model", FIXTURES / "mlp.json", "--beta", 1.0, "--mlp-sigma", 0.5,
+                "--mlp-draws", sz["mlp_draws"], "--pairs", sz["mlp_pairs"],
+                "--out", "privacy_mlp.json"]) == 0
+    reference = FIXTURES / "reference" / "audit" / size
+    for name in ("privacy.json", "audit_sweep.csv", "privacy_mlp.json"):
+        assert canonical(tmp_path / name) == (reference / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("command,flags,bad", [
     ("sweep", ["--gamma-grid", "1.5,nan", "--beta-grid", "1,-2"], "gamma .* 1.5"),
     ("sweep", ["--gamma-grid", "0,0.5", "--beta-grid", "1,-2"], "beta .* -2.0"),

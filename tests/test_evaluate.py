@@ -7,11 +7,13 @@ import pytest
 
 from qpopf.circuit import CircuitConfig
 from qpopf.classifier import (
+    MlpBaseline,
     OracleClassifier,
     TrainConfig,
     VqcModel,
     load_model,
     sample_region,
+    softmax_probs,
     train_mlp,
     train_vqc,
 )
@@ -43,6 +45,7 @@ FULL_GAMMAS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
 FULL_BETAS = [0.5, 1.0, 2.0, 4.0, 1000.0]
 # the package namespace binds the name to the function
 evaluate_mod = importlib.import_module("qpopf.evaluate")
+classifier_mod = importlib.import_module("qpopf.classifier")
 
 
 @pytest.fixture(scope="module")
@@ -193,12 +196,25 @@ def test_measure_runtimes_rows(toy_plp, toy_atlas):
         assert r["speedup"] == pytest.approx(lp_row["runtime_us"] / r["runtime_us"])
 
 
+def released_law(model, thetas, gamma, beta, rng):
+    """Each model's released law computed from its inputs in one go, as a
+    single evaluation did before base scores were shared across cells."""
+    if isinstance(model, VqcModel):
+        return model.probability_matrix(thetas, gamma, beta)
+    if isinstance(model, MlpBaseline):
+        s = model.logits(thetas)
+        if model.sigma > 0.0:
+            s = s + model.sigma * rng.standard_normal(s.shape)
+        return softmax_probs(s, beta)
+    return np.eye(model.K)[[locate_region(model.atlas, t) - 1 for t in thetas]]
+
+
 def evaluate_point_by_point(model, atlas, plp, batch, gamma, beta, rng, feas_tol=1e-4):
     """The scalar evaluation loop: each scenario located on its own, and
     every pick reconstructed, checked and projected anew."""
     tracked = evaluate_mod._tracked_indices(plp, None)
     names = [plp.var_names[i] for i in tracked] if plp.var_names else [f"x{i}" for i in tracked]
-    probs = model.selection_probabilities(batch.thetas, gamma, beta, rng)
+    probs = released_law(model, batch.thetas, gamma, beta, rng)
     abs_err, gap_sum, infeasible, correct = np.zeros(len(tracked)), 0.0, 0, 0
     for theta, p in zip(batch.thetas, probs):
         k_star = locate_region(atlas, theta)
@@ -252,7 +268,7 @@ def test_uncovered_scenarios_raise_before_any_sampling(one_region_atlas69, plp69
     message = f"{missed.size} of 200 points are not covered .* the first is point {missed[0]},"
 
     class Untouchable(OracleClassifier):
-        def selection_probabilities(self, *args, **kwargs):
+        def base_scores(self, *args, **kwargs):
             raise AssertionError("sampled before the coverage check")
 
     def no_projection(*args):
@@ -322,6 +338,46 @@ def test_sweep_matches_per_cell_evaluation_ieee69(kind, committed69, plp69):
     assert any(e["infeasibility_rate"] > 0 for e in expected) or kind == "oracle"
 
 
+def test_full_sweep_law_is_bitwise_the_per_cell_law(committed69, plp69):
+    atlas, models = committed69
+    batch = ScenarioBatch.sample(plp69.theta_box, 40, seed=0)
+    for kind, model in models.items():
+        base = model.base_scores(batch.thetas)
+        for gamma in FULL_GAMMAS:
+            for beta in FULL_BETAS:
+                rng, rng2 = np.random.default_rng(3), np.random.default_rng(3)
+                np.testing.assert_array_equal(
+                    model.probabilities_from_base(base, gamma, beta, rng),
+                    released_law(model, batch.thetas, gamma, beta, rng2), err_msg=kind)
+                assert rng.bit_generator.state == rng2.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["vqc", "mlp", "oracle"])
+def test_sweep_computes_the_base_scores_once(kind, committed69, plp69, monkeypatch):
+    atlas, models = committed69
+    model = models[kind]
+    calls = []
+
+    def counted(thetas):
+        calls.append(len(thetas))
+        return type(model).base_scores(model, thetas)
+
+    monkeypatch.setattr(model, "base_scores", counted)
+    forwards = []
+    run_circuit_batch = classifier_mod.run_circuit_batch
+
+    def counted_forward(config, params, thetas):
+        forwards.append(len(thetas))
+        return run_circuit_batch(config, params, thetas)
+
+    monkeypatch.setattr(classifier_mod, "run_circuit_batch", counted_forward)
+    batch = ScenarioBatch.sample(plp69.theta_box, 40, seed=0)
+    reports = sweep(model, atlas, plp69, FULL_GAMMAS, FULL_BETAS, batch)
+    assert len(reports) == 30
+    assert calls == [40]
+    assert forwards == ([40] if kind == "vqc" else [])
+
+
 def test_evaluate_matches_the_scalar_loop_ieee69(committed69, plp69):
     atlas, models = committed69
     batch = ScenarioBatch.sample(plp69.theta_box, 200, seed=0)
@@ -353,7 +409,7 @@ def test_full_sweep_projects_each_infeasible_pick_once(committed69, plp69, monke
     for gamma in FULL_GAMMAS:
         for beta in FULL_BETAS:
             rng = np.random.default_rng(batch.seed)
-            probs = vqc.selection_probabilities(batch.thetas, gamma, beta, rng)
+            probs = released_law(vqc, batch.thetas, gamma, beta, rng)
             for i, (theta, p) in enumerate(zip(batch.thetas, probs)):
                 k = sample_region(p, rng)
                 x = atlas.region(k).solution(theta)
@@ -385,7 +441,7 @@ BAD_NOISE = [(1.5, 1.0, "gamma .* 1.5"), (-0.1, 1.0, "gamma .* -0.1"), (np.nan, 
 def test_bad_noise_or_temperature_is_rejected_before_any_work(
         gamma, beta, match, toy_atlas, toy_plp, monkeypatch):
     class Untouchable(OracleClassifier):
-        def selection_probabilities(self, *args, **kwargs):
+        def base_scores(self, *args, **kwargs):
             raise AssertionError("sampled before the parameter check")
 
     def no_location(*args):

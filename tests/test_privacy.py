@@ -1,11 +1,23 @@
 import dataclasses
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpopf import privacy
 from qpopf.circuit import CircuitConfig, VqcParams
-from qpopf.classifier import LinearHead, TrainConfig, VqcModel, train_vqc
+from qpopf.classifier import (
+    LinearHead,
+    TrainConfig,
+    VqcModel,
+    calibrate_sigma,
+    load_model,
+    margin_from_logits,
+    softmax_probs,
+    train_mlp,
+    train_vqc,
+)
 from qpopf.privacy import (
     AdjacencySpec,
     MlpAveragedMechanism,
@@ -27,7 +39,7 @@ from qpopf.privacy import (
     tradeoff_bound,
     wasted_budget,
 )
-from qpopf.regions import sample_labeled_dataset
+from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
 
 
 class StubMechanism:
@@ -38,8 +50,8 @@ class StubMechanism:
     def __init__(self, table):
         self.table = table  # maps theta tuple -> probability vector
 
-    def probabilities(self, theta):
-        return np.asarray(self.table[tuple(np.atleast_1d(theta))], dtype=float)
+    def probabilities(self, thetas):
+        return np.array([self.table[tuple(t)] for t in np.atleast_2d(thetas)], dtype=float)
 
 
 def test_empirical_epsilon_identical_inputs():
@@ -218,16 +230,17 @@ def test_mlp_averaged_mechanism_deterministic(toy_atlas):
 
     mlp, _ = train_mlp((thetas, labels), TrainConfig(epochs=10, seed=3))
     mech = MlpAveragedMechanism(mlp, sigma=0.7, beta=1.0, n_draws=500, seed=5)
-    p1 = mech.probabilities(np.array([0.2]))
-    p2 = mech.probabilities(np.array([0.2]))
+    p1 = mech.probabilities(np.array([[0.2], [-0.4]]))
+    p2 = mech.probabilities(np.array([[0.2], [-0.4]]))
     np.testing.assert_array_equal(p1, p2)
-    assert p1.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(p1.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_oracle_mechanism_is_one_hot(toy_atlas):
     mech = OracleMechanism(toy_atlas)
-    p = mech.probabilities(np.array([0.5]))
-    assert sorted(p) == [0.0, 1.0]
+    p = mech.probabilities(np.array([[0.5]]))
+    assert p.shape == (1, toy_atlas.K)
+    assert sorted(p[0]) == [0.0, 1.0]
 
 
 def test_mis_selection_bounds(toy_model, toy_atlas):
@@ -290,3 +303,274 @@ def test_bad_noise_or_temperature_is_rejected_by_the_grid_audit(gamma, beta, mat
     model.base_scores = no_scores
     with pytest.raises(ValueError, match=match):
         audit_vqc_grid(model, [0.2, gamma], [beta, 1.0], AdjacencySpec(pair_count=5))
+
+
+# -- the batched protocol against the per-row loop it replaced -----------------
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+classifier_mod = importlib.import_module("qpopf.classifier")
+
+
+def row_law(mech, theta):
+    """The law one mechanism released for one point before batching."""
+    theta = np.asarray(theta, float)
+    if isinstance(mech, VqcMechanism):
+        return mech.model.probability_matrix(theta[None, :], mech.gamma, mech.beta)[0]
+    if isinstance(mech, MlpAveragedMechanism):
+        s = mech.mlp.logits(theta[None, :])[0]
+        if mech.sigma == 0.0:
+            return softmax_probs(s, mech.beta)
+        rng = np.random.default_rng(mech.seed)
+        noise = mech.sigma * rng.standard_normal((mech.n_draws, s.shape[0]))
+        return softmax_probs(s + noise, mech.beta).mean(axis=0)
+    if isinstance(mech, OracleMechanism):
+        p = np.zeros(mech.atlas.K)
+        p[locate_region(mech.atlas, theta) - 1] = 1.0
+        return p
+    return mech.probabilities(theta[None, :])[0]
+
+
+def epsilon_with_class(p, p2):
+    zero, zero2 = p == 0.0, p2 == 0.0
+    if np.any(zero ^ zero2):
+        return float("inf"), int(np.flatnonzero(zero ^ zero2)[0]) + 1
+    keep = ~(zero & zero2)
+    if not np.any(keep):
+        return 0.0, 1
+    ratios = np.abs(
+        np.log(np.maximum(p[keep], privacy.PROB_FLOOR))
+        - np.log(np.maximum(p2[keep], privacy.PROB_FLOOR))
+    )
+    j = int(np.argmax(ratios))
+    return float(ratios[j]), int(np.flatnonzero(keep)[j]) + 1
+
+
+def audit_per_pair(mech, pairs, eps_reg=None, delta_theta=None):
+    """The audit as a loop over pairs, two one-point laws each."""
+    thetas, mates = pairs
+    eps = np.empty(len(thetas))
+    classes = np.empty(len(thetas), dtype=int)
+    for i, (t, t2) in enumerate(zip(thetas, mates)):
+        eps[i], classes[i] = epsilon_with_class(row_law(mech, t), row_law(mech, t2))
+    finite = np.isfinite(eps)
+    saturated = int(np.sum(~finite))
+    worst = int(np.flatnonzero(~finite)[0]) if saturated else int(np.argmax(eps))
+    return privacy.PrivacyReport(
+        eps_emp=eps, eps95=epsilon_percentile(eps), eps_reg=eps_reg, worst_pair=worst,
+        worst_class=int(classes[worst]), model_id=getattr(mech, "model_id", "unknown"),
+        gamma=getattr(mech, "gamma", None), beta=getattr(mech, "beta", None),
+        delta_theta=delta_theta, saturated_count=saturated,
+    ).to_dict()
+
+
+def row_loop(mech, thetas):
+    return np.array([row_law(mech, t) for t in thetas])
+
+
+@pytest.fixture(scope="module")
+def committed():
+    atlas = RegionAtlas.load(FIXTURES / "atlas.json")
+    vqc, _ = load_model(FIXTURES / "vqc.json")
+    mlp, _ = load_model(FIXTURES / "mlp.json")
+    return atlas, vqc, mlp
+
+
+@pytest.fixture(scope="module")
+def toy_mlp(toy_atlas):
+    thetas, labels = sample_labeled_dataset(toy_atlas, 200, seed=21)
+    mlp, _ = train_mlp((thetas, labels), TrainConfig(epochs=10, seed=3), K=toy_atlas.K)
+    return mlp
+
+
+def stacked_pairs(m, seed, count=100):
+    thetas, mates = draw_adjacent_pairs(AdjacencySpec(pair_count=count, seed=seed), m)
+    return np.vstack([thetas, mates])
+
+
+NOISE_AND_TEMPERATURE = [(0.0, 1.0), (0.3, 4.0), (0.5, 0.1), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("kind", ["toy", "committed"])
+def test_vqc_probabilities_match_the_row_loop(kind, toy_model, committed):
+    model = toy_model if kind == "toy" else committed[1]
+    m = max(model.config.encoding_pattern) + 1
+    for seed in (0, 7, 41):
+        thetas = stacked_pairs(m, seed, count=100 if kind == "toy" else 40)
+        for gamma, beta in NOISE_AND_TEMPERATURE:
+            mech = VqcMechanism(model, gamma=gamma, beta=beta)
+            np.testing.assert_array_equal(mech.probabilities(thetas), row_loop(mech, thetas))
+
+
+@pytest.mark.parametrize("sigma,n_draws", [(0.0, 2000), (0.5, 200), (0.5, 2000), (2.5, 2000)])
+@pytest.mark.parametrize("kind", ["toy", "committed"])
+def test_mlp_probabilities_match_the_row_loop(kind, sigma, n_draws, toy_mlp, committed):
+    mlp = toy_mlp if kind == "toy" else committed[2]
+    thetas = stacked_pairs(mlp.W1.shape[1], 7)
+    mech = MlpAveragedMechanism(mlp, sigma=sigma, beta=1.0, n_draws=n_draws, seed=7926)
+    if n_draws == 2000:  # the rows span several chunks of the averaged softmax
+        assert len(thetas) > 2 * classifier_mod._AVERAGE_CHUNK // (n_draws * mlp.K)
+    np.testing.assert_array_equal(mech.probabilities(thetas), row_loop(mech, thetas))
+
+
+def test_oracle_probabilities_match_the_row_loop(committed, toy_atlas):
+    for atlas in (toy_atlas, committed[0]):
+        mech = OracleMechanism(atlas)
+        thetas = stacked_pairs(atlas.theta_box.shape[0], 0)
+        np.testing.assert_array_equal(mech.probabilities(thetas), row_loop(mech, thetas))
+
+
+def test_oracle_mechanism_raises_on_an_uncovered_point(plp69):
+    from qpopf.regions import UncoveredThetaError, enumerate_regions, locate_batch
+
+    atlas = enumerate_regions(plp69, sampling_budget=1, seed=11)
+    thetas = stacked_pairs(3, 0, count=50)
+    assert np.any(locate_batch(atlas, thetas) == 0)
+    with pytest.raises(UncoveredThetaError):
+        OracleMechanism(atlas).probabilities(thetas)
+
+
+@pytest.mark.parametrize("kind", ["vqc", "mlp", "mlp0", "oracle"])
+def test_audit_matches_the_per_pair_loop(kind, committed):
+    atlas, vqc, mlp = committed
+    mech = {
+        "vqc": VqcMechanism(vqc, gamma=0.2, beta=4.0),
+        "mlp": MlpAveragedMechanism(mlp, sigma=0.5, beta=1.0, n_draws=2000, seed=7919),
+        "mlp0": MlpAveragedMechanism(mlp, sigma=0.0, beta=1.0),
+        "oracle": OracleMechanism(atlas),
+    }[kind]
+    for seed in (0, 41):
+        pairs = draw_adjacent_pairs(AdjacencySpec(delta_theta=0.05, pair_count=100, seed=seed), 3)
+        eps_reg = mech.epsilon_bound(0.05) if kind == "vqc" else None
+        got = audit_mechanism(mech, pairs, eps_reg=eps_reg, delta_theta=0.05).to_dict()
+        assert got == audit_per_pair(mech, pairs, eps_reg=eps_reg, delta_theta=0.05)
+    if kind == "oracle":
+        assert got["saturated_count"] > 0
+
+
+def test_audit_matches_the_per_pair_loop_on_zero_probabilities():
+    mech = StubMechanism({
+        (0.0,): [0.5, 0.5, 0.0, 0.0], (1.0,): [0.5, 0.25, 0.25, 0.0],  # one-sided zero at 3
+        (2.0,): [0.0, 0.0, 0.0, 0.0], (3.0,): [0.0, 0.0, 0.0, 0.0],    # every class both zero
+        (4.0,): [0.0, 0.9, 0.1, 0.0], (5.0,): [0.0, 0.8, 0.2, 0.0],    # both-zero classes skipped
+        (6.0,): [0.25, 0.5, 0.25, 0.0], (7.0,): [0.5, 0.25, 0.25, 0.0],  # tie: first class wins
+        (8.0,): [0.0, 1.0, 0.0, 0.0], (9.0,): [1.0, 0.0, 0.0, 0.0],    # two one-sided zeros
+        (10.0,): [0.0, 0.5, 0.5, 0.0], (11.0,): [0.0, 0.5, 0.5, 0.0],  # 0 at the first informative class
+    })
+    thetas = np.array([[0.0], [2.0], [4.0], [6.0], [8.0], [10.0]])
+    pairs = (thetas, thetas + 1.0)
+    got = audit_mechanism(mech, pairs).to_dict()
+    assert got == audit_per_pair(mech, pairs)
+    eps = np.array(got["eps_emp"])
+    assert eps[0] == np.inf and eps[1] == 0.0 and eps[4] == np.inf
+    assert (got["worst_pair"], got["worst_class"], got["saturated_count"]) == (0, 3, 2)
+    classes = [privacy.pair_epsilons(mech.probabilities(t), mech.probabilities(t + 1.0))[1][0]
+               for t in thetas]
+    assert classes == [3, 1, 3, 1, 1, 2]
+    # empirical_epsilon is the one-pair case
+    for t, t2 in zip(*pairs):
+        assert empirical_epsilon(mech, t, t2) == epsilon_with_class(
+            row_law(mech, t), row_law(mech, t2))[0]
+
+
+def test_audit_calls_each_mechanism_once(committed):
+    atlas, vqc, mlp = committed
+    pairs = draw_adjacent_pairs(AdjacencySpec(pair_count=30, seed=3), 3)
+    for mech in (VqcMechanism(vqc, gamma=0.0, beta=1.0),
+                 MlpAveragedMechanism(mlp, sigma=0.5, beta=1.0, n_draws=200),
+                 OracleMechanism(atlas)):
+        calls = []
+        probabilities = mech.probabilities
+
+        def counted(thetas, probabilities=probabilities):
+            calls.append(len(thetas))
+            return probabilities(thetas)
+
+        mech.probabilities = counted
+        audit_mechanism(mech, pairs)
+        assert calls == [60]
+
+
+def calibrate_sigma_per_step(mlp, target_eps95, adjacency, beta, n_draws, rel_tol=0.05, max_iter=40):
+    """Bisection with a fresh mechanism and a per-pair audit at every step."""
+    pairs = draw_adjacent_pairs(adjacency, mlp.W1.shape[1])
+
+    def eps95_at(sigma):
+        mech = MlpAveragedMechanism(mlp, sigma=sigma, beta=beta, n_draws=n_draws,
+                                    seed=adjacency.seed + 7919)
+        return audit_per_pair(mech, pairs)["eps95"]
+
+    if eps95_at(0.0) <= target_eps95:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(30):
+        if eps95_at(hi) <= target_eps95:
+            break
+        lo, hi = hi, hi * 3.0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        val = eps95_at(mid)
+        if abs(val - target_eps95) <= rel_tol * target_eps95:
+            return mid
+        lo, hi = (mid, hi) if val > target_eps95 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_calibrate_sigma_matches_the_per_step_oracle(toy_mlp):
+    adjacency = AdjacencySpec(delta_theta=0.05, pair_count=40, seed=5)
+    base = audit_per_pair(MlpAveragedMechanism(toy_mlp, sigma=0.0, beta=1.0),
+                          draw_adjacent_pairs(adjacency, 1))["eps95"]
+    sigmas = []
+    for target in (2.0 * base, 0.5 * base, 0.2 * base):
+        sigma = calibrate_sigma(toy_mlp, target, adjacency, beta=1.0, n_draws=500)
+        assert sigma == calibrate_sigma_per_step(toy_mlp, target, adjacency, 1.0, 500)
+        sigmas.append(sigma)
+    assert sigmas[0] == 0.0 and 0.0 < sigmas[1] < sigmas[2]
+
+
+def tradeoff_two_forwards(model, atlas, theta, gamma, beta, delta_theta, dj_max):
+    """The logit-dependent components, each logit vector from its own forward."""
+    k_star = locate_region(atlas, theta)
+    s, s0 = ((1.0 - g) * (model.features0(theta[None, :]) @ model.head.W.T) + model.head.b
+             for g in (gamma, 0.0))
+    s, s0 = s[0], s0[0]
+    K = s.shape[0]
+    m_gamma, m0 = margin_from_logits(s, k_star), margin_from_logits(s0, k_star)
+    L_enc = encoding_lipschitz(model.config)
+    eps_reg = theoretical_epsilon(beta, gamma, L_enc, delta_theta, model.head.W)
+    return cost_tradeoff_formula(dj_max, K, beta, m_gamma), {
+        "margin": m_gamma,
+        "margin0": m0,
+        "mis_selection_bound": float((K - 1) * np.exp(-beta * m_gamma)),
+        "remark1_bound": cost_tradeoff_formula(dj_max, K, beta * (1.0 - gamma), m0),
+        "remark2_bound": float(dj_max * (K - 1) * np.exp(
+            -m0 * eps_reg / (4.0 * L_enc * delta_theta * model.head.weight_inf1_norm()))),
+        "probabilities": softmax_probs(s, beta),
+    }
+
+
+@pytest.mark.parametrize("kind", ["toy", "ieee69"])
+def test_tradeoff_bound_matches_two_forwards(kind, toy_model, toy_atlas, toy_plp, committed, plp69,
+                                             monkeypatch):
+    model, atlas, plp = (toy_model, toy_atlas, toy_plp) if kind == "toy" else (
+        committed[1], committed[0], plp69)
+    forwards = []
+    run_circuit_batch = classifier_mod.run_circuit_batch
+
+    def counted(config, params, thetas):
+        forwards.append(len(thetas))
+        return run_circuit_batch(config, params, thetas)
+
+    points = np.random.default_rng(0x7AD0).uniform(-1.0, 1.0, size=(3, plp.m))
+    for theta in points:
+        for gamma, beta in ((0.0, 1.0), (0.2, 1.5), (0.5, 4.0)):
+            monkeypatch.setattr(classifier_mod, "run_circuit_batch", counted)
+            bound, comp = tradeoff_bound(model, atlas, plp, theta, gamma, beta, 0.05)
+            monkeypatch.setattr(classifier_mod, "run_circuit_batch", run_circuit_batch)
+            assert forwards == [1]
+            forwards.clear()
+            # the cost gaps do not depend on the logits
+            expected_bound, expected = tradeoff_two_forwards(
+                model, atlas, theta, gamma, beta, 0.05, comp["delta_j_max"])
+            assert bound == expected_bound
+            for key, value in expected.items():
+                np.testing.assert_array_equal(comp[key], value, err_msg=key)
