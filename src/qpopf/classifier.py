@@ -71,19 +71,17 @@ def averaged_softmax(
     return out
 
 
-def _products(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return x @ W.T
-
-
-def row_products(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """x @ W.T one row at a time: row i is bitwise ``x[i:i+1] @ W.T``.
+def dense(x: np.ndarray, W: np.ndarray, rowwise: bool = False) -> np.ndarray:
+    """x @ W.T; with ``rowwise`` each row is bitwise its one-row product ``x[i:i+1] @ W.T``.
 
     A product of N > 1 rows goes through gemm, whose rounding differs
     from the one-row product (gemv) by a few ulps.  The privacy audit
-    takes its log-ratios from a batch of pairs but must release the same
-    law a single query would, so it applies its dense layers this way.
+    takes its log-ratios from a batch of pairs but must measure the law a
+    single query is released from, so it asks for row-exact base scores.
     """
-    return np.matmul(x[:, None, :], W.T)[:, 0]
+    if rowwise:
+        return np.matmul(x[:, None, :], W.T)[:, 0]
+    return x @ W.T
 
 
 def log_softmax(s: np.ndarray, beta: float) -> np.ndarray:
@@ -147,20 +145,12 @@ class ReleaseModel:
     beta nor the rng (noise-free VQC scores, MLP logits, oracle one-hot
     rows); ``logits_from_base`` and ``probabilities_from_base`` apply one
     (gamma, beta, rng) setting to it, so a sweep computes the base once.
+    The VQC and the MLP take ``rowwise=True`` for base scores whose rows
+    are bitwise those of one-point queries, which the privacy audit uses.
     """
 
     def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
         return self.logits_from_base(self.base_scores(thetas), gamma)
-
-    def selection_probabilities(
-        self,
-        thetas: np.ndarray,
-        gamma: float,
-        beta: float,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """The released law of each row; the MLP draws its logit noise from ``rng``."""
-        return self.probabilities_from_base(self.base_scores(thetas), gamma, beta, rng)
 
 
 @dataclass
@@ -188,9 +178,12 @@ class VqcModel(ReleaseModel):
         states = run_circuit_batch(self.config, self.params, thetas)
         return z_expectations(states, self.config.n_q)
 
-    def base_scores(self, thetas: np.ndarray) -> np.ndarray:
-        """W h0 without bias: the part of the logits that noise contracts."""
-        return self.features0(thetas) @ self.head.W.T
+    def base_scores(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
+        """W h0 without bias: the part of the logits that noise contracts.
+
+        ``rowwise`` applies the head row by row (see :func:`dense`).
+        """
+        return dense(self.features0(thetas), self.head.W, rowwise)
 
     def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
         return (1.0 - gamma) * base + self.head.b
@@ -199,7 +192,7 @@ class VqcModel(ReleaseModel):
         self, thetas: np.ndarray, gamma: float = 0.0, beta: float | None = None
     ) -> np.ndarray:
         beta = self.head.beta if beta is None else beta
-        return softmax_probs(self.logit_matrix(thetas, gamma), beta)
+        return self.probabilities_from_base(self.base_scores(thetas), gamma, beta)
 
     def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
         return softmax_probs(self.logits_from_base(base, gamma), beta)
@@ -252,15 +245,14 @@ class MlpBaseline(ReleaseModel):
         )
 
     def logits(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
-        """Noise-free logits (N, K); ``rowwise`` applies each layer with :func:`row_products`."""
-        product = row_products if rowwise else _products
+        """Noise-free logits (N, K); ``rowwise`` applies each layer row by row (see :func:`dense`)."""
         x = np.atleast_2d(np.asarray(thetas, dtype=float))
-        h1 = np.tanh(product(x, self.W1) + self.b1)
-        h2 = np.tanh(product(h1, self.W2) + self.b2)
-        return product(h2, self.W_head)
+        h1 = np.tanh(dense(x, self.W1, rowwise) + self.b1)
+        h2 = np.tanh(dense(h1, self.W2, rowwise) + self.b2)
+        return dense(h2, self.W_head, rowwise)
 
-    def base_scores(self, thetas: np.ndarray) -> np.ndarray:
-        return self.logits(thetas)
+    def base_scores(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
+        return self.logits(thetas, rowwise)
 
     def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
         # gamma is a no-op for the classical model; kept for a shared API
@@ -627,23 +619,20 @@ def calibrate_sigma(
 
     The epsilon of the stochastic mechanism is measured on Monte-Carlo
     averaged output distributions with common random numbers, so the
-    search is deterministic: the pairs' logits and the standard normals
-    are computed once, and each step only redoes the averaged softmax at
-    its sigma (the law ``MlpAveragedMechanism`` releases).  Returns 0 when
-    even the noise-free model already meets the target.
+    search is deterministic.  Returns 0 when even the noise-free model
+    already meets the target.
     """
-    from qpopf.privacy import draw_adjacent_pairs, epsilon_percentile, pair_epsilons
+    from qpopf.privacy import MlpAveragedMechanism, audit_mechanism, draw_adjacent_pairs
 
     beta = mlp.beta if beta is None else beta
-    thetas, mates = draw_adjacent_pairs(adjacency, mlp.W1.shape[1])
-    s = mlp.logits(np.vstack([thetas, mates]), rowwise=True)
-    rng = np.random.default_rng(adjacency.seed + 7919)
-    normals = rng.standard_normal((n_draws, mlp.K))
-    n = len(thetas)
+    m = mlp.W1.shape[1]
+    pairs = draw_adjacent_pairs(adjacency, m)
 
     def eps95_at(sigma: float) -> float:
-        p = averaged_softmax(s, sigma, normals, beta)
-        return epsilon_percentile(pair_epsilons(p[:n], p[n:])[0])
+        mech = MlpAveragedMechanism(
+            mlp, sigma=sigma, beta=beta, n_draws=n_draws, seed=adjacency.seed + 7919
+        )
+        return audit_mechanism(mech, pairs).eps95
 
     base = eps95_at(0.0)
     if base <= target_eps95:

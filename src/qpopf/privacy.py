@@ -10,10 +10,11 @@ worst per-region cost gap times a softmax-margin mis-selection bound.
 Every release mechanism has one batched method, ``probabilities(thetas
 (N, m)) -> (N, K)``, so an audit is a single call on the stacked pairs
 followed by a vectorized per-pair epsilon and worst-class step.  The
-VQC and MLP mechanisms apply their dense layers with
-``classifier.row_products``: the batched (gemm) product rounds
-differently from the one-query (gemv) product, and the audit has to
-measure the law a single query is released from, bit for bit.
+VQC and MLP mechanisms ask their model for row-exact base scores
+(``base_scores(thetas, rowwise=True)``, which applies the dense layers
+row by row): the batched (gemm) product rounds differently from the
+one-query (gemv) product, and the audit has to measure the law a single
+query is released from, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from qpopf.classifier import (
     check_noise_and_temperature,
     log_softmax,
     margin_from_logits,
-    row_products,
     softmax_probs,
 )
 from qpopf.grid import ParametricLP
@@ -151,8 +151,7 @@ class VqcMechanism:
         return self.model.model_id
 
     def probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        h = self.model.features0(np.atleast_2d(np.asarray(thetas, float)))
-        base = row_products(h, self.model.head.W)
+        base = self.model.base_scores(np.atleast_2d(np.asarray(thetas, float)), rowwise=True)
         return self.model.probabilities_from_base(base, self.gamma, self.beta)
 
     def epsilon_bound(self, delta_theta: float) -> float:
@@ -188,7 +187,7 @@ class MlpAveragedMechanism:
         return self.mlp.model_id
 
     def probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        s = self.mlp.logits(thetas, rowwise=True)
+        s = self.mlp.base_scores(thetas, rowwise=True)
         rng = np.random.default_rng(self.seed)
         normals = rng.standard_normal((self.n_draws, s.shape[1]))
         return averaged_softmax(s, self.sigma, normals, self.beta)

@@ -353,7 +353,8 @@ def test_oracle_classifier_matches_point_loop(name, request):
             expected[i, locate_region(atlas, t) - 1] = 1.0
         np.testing.assert_array_equal(oracle.logit_matrix(thetas[covered]), expected)
         np.testing.assert_array_equal(
-            oracle.selection_probabilities(thetas[covered], 0.3, 2.0), expected)
+            oracle.probabilities_from_base(oracle.base_scores(thetas[covered]), 0.3, 2.0),
+            expected)
         if not covered.all():
             first = int(np.argmin(covered))
             with pytest.raises(UncoveredThetaError,
