@@ -6,70 +6,16 @@ enumerate the critical regions of that LP, train a (simulated, noisy)
 variational quantum classifier to pick the active region, and audit the
 differential privacy that depolarizing noise plus softmax sampling grant
 to the released region index.
+
+The package exports the names of the README's library example; every
+other name is imported from its module (``qpopf.regions``,
+``qpopf.privacy``, ...).
 """
 
-from qpopf.grid import (
-    GridCase,
-    ParametricLP,
-    load_case,
-    linearize,
-    normalize_theta,
-    denormalize_theta,
-)
-from qpopf.lp import LPSolution, solve_lp, active_set, project_feasible
-from qpopf.regions import (
-    CriticalRegion,
-    RegionAtlas,
-    compute_affine_map,
-    region_polyhedron,
-    enumerate_regions,
-    locate_region,
-    reconstruct_solution,
-)
-from qpopf.circuit import (
-    CircuitConfig,
-    StateVector,
-    VqcParams,
-    apply_ry,
-    apply_cnot_ladder,
-    run_circuit,
-    features,
-    param_shift_grad,
-)
-from qpopf.classifier import (
-    LinearHead,
-    MlpBaseline,
-    TrainConfig,
-    VqcModel,
-    softmax_probs,
-    sample_region,
-    vqc_forward,
-    train_vqc,
-    train_mlp,
-    mlp_forward_noisy,
-    calibrate_sigma,
-    margin,
-)
-from qpopf.privacy import (
-    AdjacencySpec,
-    PrivacyReport,
-    empirical_epsilon,
-    epsilon_percentile,
-    encoding_lipschitz,
-    theoretical_epsilon,
-    tradeoff_bound,
-    mis_selection_bound,
-    required_beta,
-    wasted_budget,
-)
-from qpopf.evaluate import (
-    ScenarioBatch,
-    MetricsReport,
-    evaluate,
-    sweep,
-    expected_cost,
-    qubit_budget,
-    runtime_model,
-)
+from qpopf.grid import load_case, linearize
+from qpopf.regions import enumerate_regions, locate_region
+from qpopf.circuit import CircuitConfig
+from qpopf.classifier import TrainConfig, VqcModel, train_vqc
+from qpopf.privacy import AdjacencySpec, theoretical_epsilon
 
 __version__ = "0.1.0"

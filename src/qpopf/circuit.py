@@ -3,13 +3,12 @@
 Qubit j corresponds to bit (n_q - 1 - j) of the basis index, i.e. qubit 0
 is the leftmost label in ket notation.  Gate kernels operate on arrays of
 shape (..., 2**n_q) so a whole batch of inputs moves through the circuit
-in one call; the public single-state API wraps the same kernels.
+in one call.
 
 Depolarizing noise never needs a density matrix here: the global channel
 rho -> (1-g) rho + g I/D leaves every Pauli-Z expectation contracted by
 exactly (1-g) because Z is traceless, so noisy features come from the
-pure-state expectations analytically (infinite-shot limit).  A binomial
-shot-sampling mode exists for experiments but is off by default.
+pure-state expectations analytically (infinite-shot limit).
 
 Gradients over the trainable angles come from one adjoint pass
 (:func:`vjp`); the parameter-shift rule is kept as the test oracle.
@@ -17,8 +16,7 @@ Gradients over the trainable angles come from one adjoint pass
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,30 +108,6 @@ class CircuitConfig:
             encoding_scale=float(d["encoding_scale"]),
             trainable_gate=str(d["trainable_gate"]),
         )
-
-
-@dataclass
-class StateVector:
-    """2**n_q complex amplitudes; unit norm within 1e-12."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def n_qubits(self) -> int:
-        return int(np.log2(self.amplitudes.shape[-1]))
-
-    def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
-
-    def validate(self) -> None:
-        if self.norm_error() > 1e-12:
-            raise ValueError(f"state norm off by {self.norm_error():.3e}")
-
-    @classmethod
-    def ground(cls, n_q: int) -> "StateVector":
-        amps = np.zeros(2**n_q, dtype=complex)
-        amps[0] = 1.0
-        return cls(amps)
 
 
 @dataclass
@@ -284,58 +258,6 @@ def z_expectations(states: np.ndarray, n_q: int) -> np.ndarray:
     return out
 
 
-# -- public single-state API --------------------------------------------------
-
-
-def apply_ry(state: StateVector, qubit: int, angle: float) -> StateVector:
-    """Single-qubit Y rotation: [[cos a/2, -sin a/2], [sin a/2, cos a/2]]."""
-    n_q = state.n_qubits
-    if not 0 <= qubit < n_q:
-        raise ValueError(f"qubit {qubit} out of range for {n_q} qubits")
-    return StateVector(_ry_batch(state.amplitudes[None, :], qubit, float(angle), n_q)[0])
-
-
-def apply_cnot_ladder(state: StateVector) -> StateVector:
-    """CNOT(i, i+1) for i = 0..n_q-2 in order; no-op with warning on 1 qubit."""
-    n_q = state.n_qubits
-    if n_q < 2:
-        warnings.warn("cnot ladder on a single qubit is a no-op", stacklevel=2)
-        return StateVector(state.amplitudes.copy())
-    return StateVector(_ladder_inplace(state.amplitudes[None, :].copy(), n_q)[0])
-
-
-def run_circuit(
-    config: CircuitConfig, params: VqcParams, theta_normalized: np.ndarray
-) -> StateVector:
-    """L layers of [encode -> trainable -> entangle] on the ground state."""
-    states = run_circuit_batch(config, params, np.asarray(theta_normalized, float)[None, :])
-    return StateVector(states[0])
-
-
-def features(state: StateVector, gamma: float) -> np.ndarray:
-    """Noisy feature vector h_j = (1-gamma) <Z_j>, each in [-1, 1].
-
-    Exact under the global depolarizing channel: mixing in I/D adds zero
-    to every Z expectation, leaving only the (1-gamma) contraction.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    z = z_expectations(state.amplitudes[None, :], state.n_qubits)[0]
-    return (1.0 - gamma) * z
-
-
-def features_sampled(
-    state: StateVector, gamma: float, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Finite-shot estimate: binomial draws around each qubit's p(0)."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    exact = features(state, gamma)
-    p0 = (1.0 + exact) / 2.0
-    counts = rng.binomial(shots, p0)
-    return 2.0 * counts / shots - 1.0
-
-
 def param_shift_grad(
     config: CircuitConfig,
     params: VqcParams,
@@ -350,15 +272,19 @@ def param_shift_grad(
     angle).  Two circuits per angle make it the test oracle for
     :func:`vjp`, which training uses instead.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(theta, dtype=float)[None, :]
+
+    def loss_at(shifted: VqcParams) -> float:
+        z = z_expectations(run_circuit_batch(config, shifted, theta), config.n_q)[0]
+        return loss((1.0 - gamma) * z)
+
     grad = np.zeros_like(params.phi)
     for idx in np.ndindex(params.phi.shape):
         shifted = params.copy()
         shifted.phi[idx] += np.pi / 2.0
-        plus = loss(features(run_circuit(config, shifted, theta), gamma))
+        plus = loss_at(shifted)
         shifted.phi[idx] -= np.pi
-        minus = loss(features(run_circuit(config, shifted, theta), gamma))
-        grad[idx] = 0.5 * (plus - minus)
+        grad[idx] = 0.5 * (plus - loss_at(shifted))
     return grad
 
 
@@ -432,23 +358,3 @@ def vjp(
             for qubit in reversed(range(n_q)):
                 pair = _ry_batch(pair, qubit, -enc[:, qubit], n_q)
     return (1.0 - gamma) * grad
-
-
-def feature_jacobian(
-    config: CircuitConfig, params: VqcParams, thetas: np.ndarray, gamma: float = 0.0
-) -> np.ndarray:
-    """d h / d phi for a batch: (N, n_q, *param_shape).
-
-    One :func:`vjp` with the n_q one-hot cotangents stacked on a leading
-    axis.
-    """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n, n_q = thetas.shape[0], config.n_q
-    onehot = np.broadcast_to(np.eye(n_q)[:, None, :], (n_q, n, n_q))
-    return np.moveaxis(vjp(config, params, thetas, onehot, gamma), 0, 1)
-
-
-def trace_distance_pure(psi: np.ndarray, phi: np.ndarray) -> float:
-    """Trace distance between pure states: sqrt(1 - |<psi|phi>|^2)."""
-    overlap = abs(np.vdot(psi, phi)) ** 2
-    return float(np.sqrt(max(0.0, 1.0 - overlap)))

@@ -14,8 +14,10 @@ parameter-shift rule is kept as the test oracle).
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -145,12 +147,17 @@ class ReleaseModel:
     beta nor the rng (noise-free VQC scores, MLP logits, oracle one-hot
     rows); ``logits_from_base`` and ``probabilities_from_base`` apply one
     (gamma, beta, rng) setting to it, so a sweep computes the base once.
-    The VQC and the MLP take ``rowwise=True`` for base scores whose rows
-    are bitwise those of one-point queries, which the privacy audit uses.
+
+    ``released_law(thetas, gamma, beta)`` is the law (N, K) the privacy
+    audit measures.  It takes row-exact base scores (``rowwise=True``, see
+    :func:`dense`), so each row is bitwise the law of a one-point query.
     """
 
     def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
         return self.logits_from_base(self.base_scores(thetas), gamma)
+
+    def released_law(self, thetas: np.ndarray, gamma, beta) -> np.ndarray:
+        return self.probabilities_from_base(self.base_scores(thetas, rowwise=True), gamma, beta)
 
 
 @dataclass
@@ -196,24 +203,6 @@ class VqcModel(ReleaseModel):
 
     def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
         return softmax_probs(self.logits_from_base(base, gamma), beta)
-
-
-def vqc_forward(
-    config: CircuitConfig,
-    params: VqcParams,
-    head: LinearHead,
-    theta: np.ndarray,
-    gamma: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pipeline circuit -> noisy features -> logits -> softmax(beta)."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    theta = np.asarray(theta, dtype=float)
-    states = run_circuit_batch(config, params, theta[None, :])
-    h = (1.0 - gamma) * z_expectations(states, config.n_q)[0]
-    s = head.W @ h + head.b
-    p = softmax_probs(s, head.beta)
-    return h, s, p
 
 
 @dataclass
@@ -271,6 +260,20 @@ class MlpBaseline(ReleaseModel):
             base = base + self.sigma * rng.standard_normal(base.shape)
         return softmax_probs(base, beta)
 
+    def released_law(
+        self, thetas: np.ndarray, gamma, beta: float, n_draws: int = 2000, seed: int = 0
+    ) -> np.ndarray:
+        """Law of the index released under N(0, sigma^2) logit noise.
+
+        The noise-convolved softmax has no closed form, so it is averaged
+        over ``n_draws`` normals drawn from ``seed`` and shared by every
+        point (common random numbers keep a calibration search smooth and
+        deterministic).
+        """
+        s = self.base_scores(thetas, rowwise=True)
+        normals = np.random.default_rng(seed).standard_normal((n_draws, s.shape[1]))
+        return averaged_softmax(s, self.sigma, normals, beta)
+
 
 @dataclass
 class OracleClassifier(ReleaseModel):
@@ -283,8 +286,8 @@ class OracleClassifier(ReleaseModel):
     def K(self) -> int:
         return self.atlas.K
 
-    def base_scores(self, thetas: np.ndarray) -> np.ndarray:
-        """One-hot rows of each point's region; uncovered points raise."""
+    def base_scores(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
+        """One-hot rows of each point's region (exact either way); uncovered points raise."""
         ids = locate_covered(self.atlas, thetas)
         out = np.zeros((ids.size, self.K))
         out[np.arange(ids.size), ids - 1] = 1.0
@@ -295,16 +298,6 @@ class OracleClassifier(ReleaseModel):
 
     def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
         return base
-
-
-def mlp_forward_noisy(
-    mlp: MlpBaseline, theta: np.ndarray, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One noisy forward: logits + N(0, sigma^2) draws, then softmax."""
-    s = mlp.logits(np.asarray(theta, dtype=float)[None, :])[0]
-    if sigma > 0.0:
-        s = s + sigma * rng.standard_normal(s.shape)
-    return softmax_probs(s, mlp.beta)
 
 
 @dataclass
@@ -319,8 +312,11 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs >= 0, batch_size >= 1, learning_rate > 0 required")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("epochs >= 0 and batch_size >= 1 required")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        check_noise_and_temperature([], [self.beta])
 
 
 class _Adam:
@@ -518,9 +514,6 @@ def train_mlp(
 
 def save_model(model, path, seed: int | None = None, atlas_hash: str = "", extra: dict | None = None) -> None:
     """Serialize a VqcModel or MlpBaseline checkpoint to JSON."""
-    import json
-    from pathlib import Path
-
     if isinstance(model, VqcModel):
         payload = {
             "kind": "vqc",
@@ -555,9 +548,6 @@ def save_model(model, path, seed: int | None = None, atlas_hash: str = "", extra
 
 def load_model(path):
     """Load a checkpoint written by :func:`save_model`."""
-    import json
-    from pathlib import Path
-
     d = json.loads(Path(path).read_text())
     if d["kind"] == "vqc":
         model = VqcModel(
@@ -604,55 +594,3 @@ def margin(model, atlas: RegionAtlas, theta: np.ndarray, gamma: float = 0.0) -> 
     k_star = locate_region(atlas, theta)
     s = model.logit_matrix(theta[None, :], gamma)[0]
     return margin_from_logits(s, k_star)
-
-
-def calibrate_sigma(
-    mlp: MlpBaseline,
-    target_eps95: float,
-    adjacency,
-    beta: float | None = None,
-    n_draws: int = 2000,
-    rel_tol: float = 0.05,
-    max_iter: int = 40,
-) -> float:
-    """Bisect the Gaussian logit-noise scale until eps95 matches the target.
-
-    The epsilon of the stochastic mechanism is measured on Monte-Carlo
-    averaged output distributions with common random numbers, so the
-    search is deterministic.  Returns 0 when even the noise-free model
-    already meets the target.
-    """
-    from qpopf.privacy import MlpAveragedMechanism, audit_mechanism, draw_adjacent_pairs
-
-    beta = mlp.beta if beta is None else beta
-    m = mlp.W1.shape[1]
-    pairs = draw_adjacent_pairs(adjacency, m)
-
-    def eps95_at(sigma: float) -> float:
-        mech = MlpAveragedMechanism(
-            mlp, sigma=sigma, beta=beta, n_draws=n_draws, seed=adjacency.seed + 7919
-        )
-        return audit_mechanism(mech, pairs).eps95
-
-    base = eps95_at(0.0)
-    if base <= target_eps95:
-        return 0.0
-
-    lo, hi = 0.0, 1.0
-    for _ in range(30):
-        if eps95_at(hi) <= target_eps95:
-            break
-        lo, hi = hi, hi * 3.0
-    else:
-        raise RuntimeError("could not bracket the target eps95")
-
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        val = eps95_at(mid)
-        if abs(val - target_eps95) <= rel_tol * target_eps95:
-            return mid
-        if val > target_eps95:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

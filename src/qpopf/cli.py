@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +46,10 @@ from qpopf.evaluate import (
 from qpopf.grid import linearize, load_case
 from qpopf.privacy import (
     AdjacencySpec,
-    MlpAveragedMechanism,
-    OracleMechanism,
-    VqcMechanism,
     audit_mechanism,
     audit_vqc_grid,
     draw_adjacent_pairs,
+    epsilon_bound,
 )
 from qpopf.regions import RegionAtlas, enumerate_regions, sample_labeled_dataset
 
@@ -144,29 +143,38 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load_pipeline(parser, case_path: str, atlas_path: str | None):
-    case_file = Path(case_path)
-    if not case_file.exists():
-        parser.error(f"case file not found: {case_file}")
-    case = load_case(case_file)
-    plp = linearize(case)
-    atlas = None
-    if atlas_path is not None:
-        atlas_file = Path(atlas_path)
-        if not atlas_file.exists():
-            parser.error(f"atlas file not found: {atlas_file}")
-        atlas = RegionAtlas.load(atlas_file)
-        if atlas.plp_hash != plp.hash_hex():
+def _load_pipeline(parser, args, cfg: dict, atlas: bool = True, model: bool = False):
+    """LP, atlas, model and provenance of a command.
+
+    The atlas and the model are loaded only when asked for (None
+    otherwise); a missing input file is a usage error.  The provenance
+    hashes the resolved config and every input file the command read.
+    """
+    inputs = {"case": Path(args.case)}
+    if not inputs["case"].exists():
+        parser.error(f"case file not found: {inputs['case']}")
+    plp = linearize(load_case(inputs["case"]))
+    region_atlas = classifier = None
+    if atlas:
+        inputs["atlas"] = Path(args.atlas)
+        if not inputs["atlas"].exists():
+            parser.error(f"atlas file not found: {inputs['atlas']}")
+        region_atlas = RegionAtlas.load(inputs["atlas"])
+        if region_atlas.plp_hash != plp.hash_hex():
             raise RuntimeError(
                 "atlas/case mismatch: atlas was built for a different LP"
             )
-    return case, plp, atlas
+    if model:
+        classifier = _resolve_model(parser, args.model, region_atlas)
+        if args.model != "oracle":
+            inputs["model"] = Path(args.model)
+    return plp, region_atlas, classifier, _provenance(cfg, inputs)
 
 
 def _resolve_model(parser, spec: str, atlas):
     """'oracle' or a checkpoint path."""
     if spec == "oracle":
-        return OracleClassifier(atlas), {"kind": "oracle"}
+        return OracleClassifier(atlas)
     path = Path(spec)
     if not path.exists():
         parser.error(f"model checkpoint not found: {path}")
@@ -174,7 +182,7 @@ def _resolve_model(parser, spec: str, atlas):
     if meta.get("atlas_hash") and atlas is not None:
         if _atlas_hash(atlas) != meta["atlas_hash"]:
             raise RuntimeError("checkpoint was trained against a different atlas")
-    return model, meta
+    return model
 
 
 def _atlas_hash(atlas: RegionAtlas) -> str:
@@ -199,8 +207,7 @@ def _check_noise_and_temperature(parser, gammas, betas) -> None:
 
 def cmd_regions(parser, args) -> int:
     cfg = _resolve(args, "regions")
-    case, plp, _ = _load_pipeline(parser, args.case, None)
-    prov = _provenance(cfg, {"case": Path(args.case)})
+    plp, _, _, prov = _load_pipeline(parser, args, cfg, atlas=False)
     t0 = time.perf_counter()
     atlas = enumerate_regions(
         plp,
@@ -224,20 +231,26 @@ def cmd_regions(parser, args) -> int:
 
 def cmd_train(parser, args) -> int:
     cfg = _resolve(args, "train")
-    case, plp, atlas = _load_pipeline(parser, args.case, args.atlas)
-    prov = _provenance(cfg, {"case": Path(args.case), "atlas": Path(args.atlas)})
-    seed = int(cfg["seed"])
-    thetas, labels = sample_labeled_dataset(atlas, int(cfg["samples"]), seed=seed)
-    n_test = int(round(float(cfg["split"]) * len(thetas)))
-    train_set = (thetas[: len(thetas) - n_test], labels[: len(labels) - n_test])
-    test_set = (thetas[len(thetas) - n_test :], labels[len(labels) - n_test :])
-    train_cfg = TrainConfig(
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["lr"]),
-        seed=seed,
-        beta=float(cfg["train_beta"]),
-    )
+    seed, samples, split = int(cfg["seed"]), int(cfg["samples"]), float(cfg["split"])
+    if not 0.0 <= split < 1.0:
+        parser.error(f"split must be in [0, 1), got {split}")
+    n_test = int(round(split * samples))
+    if samples - n_test < 1:
+        parser.error(f"split {split} of {samples} samples leaves no training sample")
+    try:
+        train_cfg = TrainConfig(
+            epochs=int(cfg["epochs"]),
+            batch_size=int(cfg["batch_size"]),
+            learning_rate=float(cfg["lr"]),
+            seed=seed,
+            beta=float(cfg["train_beta"]),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    plp, atlas, _, prov = _load_pipeline(parser, args, cfg)
+    thetas, labels = sample_labeled_dataset(atlas, samples, seed=seed)
+    train_set = (thetas[: samples - n_test], labels[: samples - n_test])
+    test_set = (thetas[samples - n_test :], labels[samples - n_test :])
     t0 = time.perf_counter()
     if cfg["model"] == "vqc":
         config = CircuitConfig.default(
@@ -291,16 +304,7 @@ def cmd_audit(parser, args) -> int:
     gammas = _grid(args.gamma_grid) if args.gamma_grid else [gamma]
     betas = _grid(args.beta_grid) if args.beta_grid else [beta]
     _check_noise_and_temperature(parser, gammas, betas)
-    case, plp, atlas = _load_pipeline(parser, args.case, args.atlas)
-    model, meta = _resolve_model(parser, args.model, atlas)
-    prov = _provenance(
-        cfg,
-        {
-            "case": Path(args.case),
-            "atlas": Path(args.atlas),
-            **({"model": Path(args.model)} if args.model != "oracle" else {}),
-        },
-    )
+    plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
     adjacency = AdjacencySpec(
         delta_theta=float(cfg["delta_theta"]),
         pair_count=int(cfg["pairs"]),
@@ -337,21 +341,19 @@ def cmd_audit(parser, args) -> int:
         return 0
 
     pairs = draw_adjacent_pairs(adjacency, plp.m)
+    # the report's gamma and beta are None where the model has no such knob
+    eps_reg, draws = None, {}
     if isinstance(model, VqcModel):
-        mech = VqcMechanism(model, gamma=gamma, beta=beta)
-        eps_reg = mech.epsilon_bound(adjacency.delta_theta)
+        eps_reg = epsilon_bound(model, gamma, beta, adjacency.delta_theta)
     elif isinstance(model, MlpBaseline):
-        sigma = float(args.mlp_sigma) if args.mlp_sigma is not None else model.sigma
-        mech = MlpAveragedMechanism(
-            model, sigma=sigma, beta=beta, n_draws=int(cfg["mlp_draws"]),
-            seed=int(cfg["seed"]) + 7919,
-        )
-        eps_reg = None
+        gamma = None
+        if args.mlp_sigma is not None:
+            model = replace(model, sigma=float(args.mlp_sigma))
+        draws = {"n_draws": int(cfg["mlp_draws"]), "seed": int(cfg["seed"]) + 7919}
     else:
-        mech = OracleMechanism(atlas)
-        eps_reg = None
+        gamma = beta = None
     report = audit_mechanism(
-        mech, pairs, eps_reg=eps_reg, delta_theta=adjacency.delta_theta
+        model, gamma, beta, pairs, eps_reg=eps_reg, delta_theta=adjacency.delta_theta, **draws
     )
     out = _out_dir(args) / (args.out or "privacy.json")
     _write_json(
@@ -370,16 +372,7 @@ def cmd_eval(parser, args) -> int:
     cfg = _resolve(args, "eval")
     gamma, beta = float(cfg["gamma"]), float(cfg["beta"])
     _check_noise_and_temperature(parser, [gamma], [beta])
-    case, plp, atlas = _load_pipeline(parser, args.case, args.atlas)
-    model, _ = _resolve_model(parser, args.model, atlas)
-    prov = _provenance(
-        cfg,
-        {
-            "case": Path(args.case),
-            "atlas": Path(args.atlas),
-            **({"model": Path(args.model)} if args.model != "oracle" else {}),
-        },
-    )
+    plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
     batch = ScenarioBatch.sample(plp.theta_box, int(cfg["scenarios"]), int(cfg["seed"]))
     t0 = time.perf_counter()
     report = evaluate(
@@ -410,16 +403,7 @@ def cmd_sweep(parser, args) -> int:
         parser.error("sweep requires --gamma-grid and --beta-grid")
     gammas, betas = _grid(args.gamma_grid), _grid(args.beta_grid)
     _check_noise_and_temperature(parser, gammas, betas)
-    case, plp, atlas = _load_pipeline(parser, args.case, args.atlas)
-    model, _ = _resolve_model(parser, args.model, atlas)
-    prov = _provenance(
-        cfg,
-        {
-            "case": Path(args.case),
-            "atlas": Path(args.atlas),
-            **({"model": Path(args.model)} if args.model != "oracle" else {}),
-        },
-    )
+    plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
     batch = ScenarioBatch.sample(plp.theta_box, int(cfg["scenarios"]), int(cfg["seed"]))
     t0 = time.perf_counter()
     reports = sweep(model, atlas, plp, gammas, betas, batch)
@@ -476,14 +460,10 @@ def cmd_budget(parser, args) -> int:
     print(f"modeled circuit time: {runtime_model(5, 6):.2f} us (depth 37)")
 
     if args.case and args.atlas:
-        case, plp, atlas = _load_pipeline(parser, args.case, args.atlas)
-        model = None
-        if args.model and args.model != "oracle":
-            loaded, _ = _resolve_model(parser, args.model, atlas)
-            if isinstance(loaded, MlpBaseline):
-                model = loaded
+        plp, atlas, model, _ = _load_pipeline(parser, args, cfg, model=bool(args.model))
+        mlp = model if isinstance(model, MlpBaseline) else None
         timing_rows = measure_runtimes(
-            plp, atlas, mlp=model, vqc_config=CircuitConfig.default(5, 6, plp.m)
+            plp, atlas, mlp=mlp, vqc_config=CircuitConfig.default(5, 6, plp.m)
         )
         tpath = _out_dir(args) / "speedup_timing.csv"
         _write_csv(

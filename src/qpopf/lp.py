@@ -384,7 +384,3 @@ def project_feasible(
     if viol > tol_feas:
         raise LpNumericError(f"projection violates constraints by {viol:.3e}")
     return x
-
-
-def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.asarray(a) - np.asarray(b))))

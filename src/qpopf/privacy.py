@@ -7,28 +7,27 @@ gives eps_reg = 4 beta (1-gamma) L_enc dtheta ||W||_inf,1.  The
 privacy-cost tradeoff bounds the expected dispatch-cost increase by the
 worst per-region cost gap times a softmax-margin mis-selection bound.
 
-Every release mechanism has one batched method, ``probabilities(thetas
-(N, m)) -> (N, K)``, so an audit is a single call on the stacked pairs
-followed by a vectorized per-pair epsilon and worst-class step.  The
-VQC and MLP mechanisms ask their model for row-exact base scores
-(``base_scores(thetas, rowwise=True)``, which applies the dense layers
-row by row): the batched (gemm) product rounds differently from the
-one-query (gemv) product, and the audit has to measure the law a single
-query is released from, bit for bit.
+Every region model releases its index from one batched law,
+``released_law(thetas (N, m), gamma, beta) -> (N, K)``, so an audit is a
+single call on the stacked pairs followed by a vectorized per-pair
+epsilon and worst-class step.  That law is built from row-exact base
+scores (``base_scores(thetas, rowwise=True)``, which applies the dense
+layers row by row): the batched (gemm) product rounds differently from
+the one-query (gemv) product, and the audit has to measure the law a
+single query is released from, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from qpopf.circuit import CircuitConfig, run_circuit_batch
 from qpopf.classifier import (
     MlpBaseline,
-    OracleClassifier,
     VqcModel,
-    averaged_softmax,
     check_noise_and_temperature,
     log_softmax,
     margin_from_logits,
@@ -36,7 +35,7 @@ from qpopf.classifier import (
 )
 from qpopf.grid import ParametricLP
 from qpopf.lp import project_feasible
-from qpopf.regions import RegionAtlas, locate_region
+from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
 
 PROB_FLOOR = 1e-300
 
@@ -55,8 +54,8 @@ class AdjacencySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta_theta <= 0:
-            raise ValueError("delta_theta must be > 0")
+        if not (math.isfinite(self.delta_theta) and self.delta_theta > 0):
+            raise ValueError(f"delta_theta must be finite and > 0, got {self.delta_theta}")
         if self.pair_count < 1:
             raise ValueError("pair_count must be >= 1")
 
@@ -135,76 +134,6 @@ class PrivacyReport:
         }
 
 
-# -- mechanisms ---------------------------------------------------------------
-
-
-@dataclass
-class VqcMechanism:
-    """Exact-probability release mechanism of the quantum classifier."""
-
-    model: VqcModel
-    gamma: float
-    beta: float
-
-    @property
-    def model_id(self) -> str:
-        return self.model.model_id
-
-    def probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        base = self.model.base_scores(np.atleast_2d(np.asarray(thetas, float)), rowwise=True)
-        return self.model.probabilities_from_base(base, self.gamma, self.beta)
-
-    def epsilon_bound(self, delta_theta: float) -> float:
-        return theoretical_epsilon(
-            self.beta,
-            self.gamma,
-            encoding_lipschitz(self.model.config),
-            delta_theta,
-            self.model.head.W,
-        )
-
-
-@dataclass
-class MlpAveragedMechanism:
-    """Gaussian-logit-noise MLP with Monte-Carlo averaged output law.
-
-    The released index follows the noise-convolved softmax, which has no
-    closed form; the distribution is estimated by averaging the softmax
-    over ``n_draws`` noise realizations (common random numbers: every
-    point sees the same draws, so calibration searches stay smooth and
-    deterministic).
-    """
-
-    mlp: MlpBaseline
-    sigma: float
-    beta: float
-    n_draws: int = 2000
-    seed: int = 0
-    gamma: float | None = None
-
-    @property
-    def model_id(self) -> str:
-        return self.mlp.model_id
-
-    def probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        s = self.mlp.base_scores(thetas, rowwise=True)
-        rng = np.random.default_rng(self.seed)
-        normals = rng.standard_normal((self.n_draws, s.shape[1]))
-        return averaged_softmax(s, self.sigma, normals, self.beta)
-
-
-@dataclass
-class OracleMechanism:
-    atlas: RegionAtlas
-    model_id: str = "oracle"
-    gamma: float | None = None
-    beta: float | None = None
-
-    def probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        """One-hot rows of each point's region; an uncovered point raises."""
-        return OracleClassifier(self.atlas).base_scores(np.atleast_2d(thetas))
-
-
 # -- empirical accounting -----------------------------------------------------
 
 
@@ -229,12 +158,6 @@ def pair_epsilons(p: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return eps, classes + 1
 
 
-def empirical_epsilon(model, theta: np.ndarray, theta_prime: np.ndarray) -> float:
-    """max_k |log(P_k(theta) / P_k(theta'))| for a mechanism's output law."""
-    p = model.probabilities(np.vstack([theta, theta_prime]))
-    return float(pair_epsilons(p[:1], p[1:])[0][0])
-
-
 def epsilon_percentile(samples, q: float = 0.95) -> float:
     """Linear-interpolation quantile over the finite samples."""
     vals = np.asarray(list(samples), dtype=float)
@@ -245,15 +168,24 @@ def epsilon_percentile(samples, q: float = 0.95) -> float:
 
 
 def audit_mechanism(
-    mech,
+    model,
+    gamma: float | None,
+    beta: float | None,
     pairs: tuple[np.ndarray, np.ndarray],
     eps_reg: float | None = None,
     delta_theta: float | None = None,
+    **draws,
 ) -> PrivacyReport:
-    """Empirical budget of a mechanism over adjacent pairs: one batched call on both sides."""
+    """Empirical budget of a model's released law over adjacent pairs.
+
+    One ``model.released_law`` call covers both sides of every pair;
+    ``draws`` (the MLP's ``n_draws`` and noise ``seed``) go to that call.
+    The report records gamma and beta as given, None for a knob the model
+    does not have.
+    """
     thetas, mates = pairs
     n = len(thetas)
-    p = np.asarray(mech.probabilities(np.vstack([thetas, mates])), dtype=float)
+    p = np.asarray(model.released_law(np.vstack([thetas, mates]), gamma, beta, **draws), float)
     eps, classes = pair_epsilons(p[:n], p[n:])
     finite = np.isfinite(eps)
     saturated = int(np.sum(~finite))
@@ -267,12 +199,60 @@ def audit_mechanism(
         eps_reg=eps_reg,
         worst_pair=worst,
         worst_class=int(classes[worst]),
-        model_id=getattr(mech, "model_id", "unknown"),
-        gamma=getattr(mech, "gamma", None),
-        beta=getattr(mech, "beta", None),
+        model_id=getattr(model, "model_id", "unknown"),
+        gamma=gamma,
+        beta=beta,
         delta_theta=delta_theta,
         saturated_count=saturated,
     )
+
+
+def calibrate_sigma(
+    mlp: MlpBaseline,
+    target_eps95: float,
+    adjacency: AdjacencySpec,
+    beta: float | None = None,
+    n_draws: int = 2000,
+    rel_tol: float = 0.05,
+    max_iter: int = 40,
+) -> float:
+    """Bisect the Gaussian logit-noise scale until eps95 matches the target.
+
+    Each step audits the MLP's averaged law at one sigma on the same pairs
+    and the same common noise draws, so the search is deterministic.
+    Returns 0 when even the noise-free model already meets the target.
+    """
+    beta = mlp.beta if beta is None else beta
+    pairs = draw_adjacent_pairs(adjacency, mlp.W1.shape[1])
+
+    def eps95_at(sigma: float) -> float:
+        noisy = replace(mlp, sigma=sigma)
+        return audit_mechanism(
+            noisy, None, beta, pairs, n_draws=n_draws, seed=adjacency.seed + 7919
+        ).eps95
+
+    base = eps95_at(0.0)
+    if base <= target_eps95:
+        return 0.0
+
+    lo, hi = 0.0, 1.0
+    for _ in range(30):
+        if eps95_at(hi) <= target_eps95:
+            break
+        lo, hi = hi, hi * 3.0
+    else:
+        raise RuntimeError("could not bracket the target eps95")
+
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        val = eps95_at(mid)
+        if abs(val - target_eps95) <= rel_tol * target_eps95:
+            return mid
+        if val > target_eps95:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def audit_vqc_grid(
@@ -295,12 +275,9 @@ def audit_vqc_grid(
     thetas, mates = draw_adjacent_pairs(adjacency, m)
     scores = model.base_scores(np.vstack([thetas, mates]))
     n_pairs = len(thetas)
-    L_enc = encoding_lipschitz(model.config)
 
     acc_thetas = labels = acc_scores = None
     if atlas is not None:
-        from qpopf.regions import sample_labeled_dataset
-
         acc_thetas, labels = sample_labeled_dataset(
             atlas, accuracy_points, adjacency.seed + 1
         )
@@ -318,9 +295,7 @@ def audit_vqc_grid(
                 "beta": float(beta),
                 "eps95": epsilon_percentile(eps),
                 "eps_max": float(eps.max()),
-                "eps_reg": theoretical_epsilon(
-                    beta, gamma, L_enc, adjacency.delta_theta, model.head.W
-                ),
+                "eps_reg": epsilon_bound(model, gamma, beta, adjacency.delta_theta),
             }
             if atlas is not None:
                 acc_logits = model.logits_from_base(acc_scores, gamma)
@@ -371,6 +346,13 @@ def encoding_lipschitz_empirical(
     overlap = np.abs(np.einsum("ij,ij->i", psi.conj(), psi2)) ** 2
     tr = np.sqrt(np.maximum(0.0, 1.0 - overlap))
     return float(np.max(tr / dists[keep]))
+
+
+def epsilon_bound(model: VqcModel, gamma: float, beta: float, delta_theta: float) -> float:
+    """eps_reg of a VQC's released law at (gamma, beta) for pairs delta_theta apart."""
+    return theoretical_epsilon(
+        beta, gamma, encoding_lipschitz(model.config), delta_theta, model.head.W
+    )
 
 
 def theoretical_epsilon(

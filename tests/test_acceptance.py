@@ -10,16 +10,14 @@ import pytest
 
 from qpopf.circuit import (
     CircuitConfig,
-    StateVector,
     VqcParams,
-    features,
     param_shift_grad,
-    run_circuit,
+    run_circuit_batch,
+    z_expectations,
 )
 from qpopf.classifier import (
     TrainConfig,
     argmax_accuracy,
-    calibrate_sigma,
     train_mlp,
     train_vqc,
 )
@@ -27,10 +25,9 @@ from qpopf.evaluate import ScenarioBatch, evaluate, qubit_budget, runtime_model,
 from qpopf.lp import solve_lp
 from qpopf.privacy import (
     AdjacencySpec,
-    MlpAveragedMechanism,
-    VqcMechanism,
     audit_mechanism,
     audit_vqc_grid,
+    calibrate_sigma,
     cost_tradeoff_formula,
     delta_j_all,
     draw_adjacent_pairs,
@@ -65,18 +62,14 @@ def test_comparative_ordering(atlas69, plp69, dataset69, vqc69, mlp69):
     # (c) noise-free privacy comparison at gamma=0, beta=1
     adjacency = AdjacencySpec(delta_theta=0.05, pair_count=100, seed=41)
     pairs = draw_adjacent_pairs(adjacency, plp69.m)
-    vqc_mech = VqcMechanism(vqc69, gamma=0.0, beta=1.0)
-    eps_vqc0 = audit_mechanism(vqc_mech, pairs).eps95
-    mlp_mech = MlpAveragedMechanism(mlp69, sigma=0.0, beta=1.0)
-    eps_mlp0 = audit_mechanism(mlp_mech, pairs).eps95
+    eps_vqc0 = audit_mechanism(vqc69, 0.0, 1.0, pairs).eps95
+    eps_mlp0 = audit_mechanism(mlp69, None, 1.0, pairs).eps95
     assert eps_vqc0 < eps_mlp0, f"vqc {eps_vqc0:.3f} !< mlp {eps_mlp0:.3f}"
 
     # (b) three matched targets: vqc at (gamma, beta=1), mlp sigma-calibrated
     batch = ScenarioBatch.sample(plp69.theta_box, 1000, seed=97)
     for gamma in (0.0, 0.2, 0.4):
-        target = audit_mechanism(
-            VqcMechanism(vqc69, gamma=gamma, beta=1.0), pairs
-        ).eps95
+        target = audit_mechanism(vqc69, gamma, 1.0, pairs).eps95
         sigma = calibrate_sigma(mlp69, target, adjacency, beta=1.0)
         mlp_noisy = type(mlp69)(
             W1=mlp69.W1, b1=mlp69.b1, W2=mlp69.W2, b2=mlp69.b2,
@@ -110,10 +103,12 @@ def test_depolarizing_contraction():
     for _ in range(1000):
         amps = rng.normal(size=32) + 1j * rng.normal(size=32)
         amps /= np.linalg.norm(amps)
-        state = StateVector(amps)
-        h0 = features(state, 0.0)
+        probs = np.abs(amps) ** 2
+        h0 = z_expectations(amps, 5)
         for g in gammas:
-            worst = max(worst, float(np.max(np.abs(features(state, g) - (1 - g) * h0))))
+            # Z expectations of (1-g) |psi><psi| + g I/32 from its diagonal
+            mixed = z_expectations(np.sqrt((1 - g) * probs + g / 32), 5)
+            worst = max(worst, float(np.max(np.abs(mixed - (1 - g) * h0))))
     assert worst <= 1e-12, f"max contraction error {worst:.2e}"
     report("depolarizing-contraction", time.perf_counter() - t0, 5)
 
@@ -135,8 +130,8 @@ def test_parameter_shift_correctness():
             up.phi[idx] += step
             dn.phi[idx] -= step
             fd[idx] = (
-                loss(features(run_circuit(config, up, theta), 0.0))
-                - loss(features(run_circuit(config, dn, theta), 0.0))
+                loss(z_expectations(run_circuit_batch(config, up, theta), 3)[0])
+                - loss(z_expectations(run_circuit_batch(config, dn, theta), 3)[0])
             ) / (2 * step)
         np.testing.assert_allclose(grad, fd, atol=1e-6)
     report("parameter-shift", time.perf_counter() - t0, 10)

@@ -6,7 +6,7 @@ import numpy as np
 import networkx as nx
 import pytest
 
-from qpopf.lp import dual_certificate, l1_distance, project_feasible, solve_lp, solve_raw
+from qpopf.lp import dual_certificate, project_feasible, solve_lp, solve_raw
 from qpopf.regions import locate_region
 from tests.conftest import region_interior_points
 
@@ -126,7 +126,7 @@ def test_projection_distance_matches_permuted_resolve(plp69):
     x_tilde[k] += rng.normal(scale=0.5, size=10)
     proj = project_feasible(x_tilde, plp69, theta)
     assert np.max(plp69.W @ proj - plp69.rhs(theta)) <= 1e-8
-    dist = l1_distance(proj, x_tilde)
+    dist = float(np.sum(np.abs(proj - x_tilde)))
 
     # independent re-solve of the auxiliary LP with permuted rows
     n, q = plp69.n, plp69.q

@@ -3,18 +3,12 @@ import pytest
 
 from qpopf.circuit import (
     CircuitConfig,
-    StateVector,
     VqcParams,
-    apply_cnot_ladder,
-    apply_ry,
+    _ladder_inplace,
+    _ry_batch,
     cyclic_pattern,
-    feature_jacobian,
-    features,
-    features_sampled,
     param_shift_grad,
-    run_circuit,
     run_circuit_batch,
-    trace_distance_pure,
     vjp,
     z_expectations,
 )
@@ -24,8 +18,20 @@ from qpopf.privacy import encoding_lipschitz
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def state_of(*amps) -> StateVector:
-    return StateVector(np.array(amps, dtype=complex))
+def states_of(*amps) -> np.ndarray:
+    """One state as a batch of one, the shape the kernels take."""
+    return np.array([amps], dtype=complex)
+
+
+def ground(n_q: int) -> np.ndarray:
+    return states_of(1, *[0] * (2**n_q - 1))
+
+
+def random_states(rng, count: int, dim: int) -> np.ndarray:
+    """Normalized complex Gaussian states; each row draws its real then its imaginary part."""
+    parts = rng.normal(size=(count, 2, dim))
+    amps = parts[:, 0] + 1j * parts[:, 1]
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
 def random_params(config, rng) -> VqcParams:
@@ -33,56 +39,45 @@ def random_params(config, rng) -> VqcParams:
 
 
 def test_ry_pi_flips_ground():
-    out = apply_ry(StateVector.ground(1), 0, np.pi)
-    np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=1e-15)
+    out = _ry_batch(ground(1), 0, np.pi, 1)
+    np.testing.assert_allclose(out[0], [0.0, 1.0], atol=1e-15)
 
 
 def test_ry_zero_is_identity():
-    rng = np.random.default_rng(1)
-    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    amps /= np.linalg.norm(amps)
-    out = apply_ry(StateVector(amps.copy()), 1, 0.0)
-    np.testing.assert_allclose(out.amplitudes, amps, atol=1e-15)
+    amps = random_states(np.random.default_rng(1), 1, 4)
+    out = _ry_batch(amps.copy(), 1, 0.0, 2)
+    np.testing.assert_allclose(out, amps, atol=1e-15)
 
 
 def test_ry_half_pi_rotation():
-    out = apply_ry(StateVector.ground(1), 0, np.pi / 2)
-    np.testing.assert_allclose(out.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+    out = _ry_batch(ground(1), 0, np.pi / 2, 1)
+    np.testing.assert_allclose(out[0], [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
 
 def test_cnot_ladder_truth_table():
-    out = apply_cnot_ladder(state_of(0, 0, 1, 0))  # |10> -> |11>
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
-    ground = StateVector.ground(3)
-    out = apply_cnot_ladder(ground)
-    np.testing.assert_allclose(out.amplitudes, ground.amplitudes, atol=1e-15)
+    out = _ladder_inplace(states_of(0, 0, 1, 0), 2)  # |10> -> |11>
+    np.testing.assert_allclose(out[0], [0, 0, 0, 1], atol=1e-15)
+    out = _ladder_inplace(ground(3), 3)
+    np.testing.assert_allclose(out, ground(3), atol=1e-15)
 
 
 def test_cnot_ladder_builds_bell_state():
-    plus_zero = state_of(INV_SQRT2, 0, INV_SQRT2, 0)
-    out = apply_cnot_ladder(plus_zero)
-    np.testing.assert_allclose(out.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
-
-
-def test_single_qubit_ladder_warns():
-    with pytest.warns(UserWarning, match="no-op"):
-        apply_cnot_ladder(StateVector.ground(1))
+    out = _ladder_inplace(states_of(INV_SQRT2, 0, INV_SQRT2, 0), 2)
+    np.testing.assert_allclose(out[0], [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
 
 
 def test_run_circuit_all_zero_inputs():
     config = CircuitConfig.default(n_q=3, L=2, m=3)
     params = VqcParams(np.zeros(config.param_shape))
-    out = run_circuit(config, params, np.zeros(3))
-    expected = np.zeros(8)
-    expected[0] = 1.0
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
+    out = run_circuit_batch(config, params, np.zeros((1, 3)))
+    np.testing.assert_allclose(out, ground(3), atol=1e-15)
 
 
 def test_run_circuit_one_qubit_full_rotation():
     config = CircuitConfig.default(n_q=1, L=1, m=1)
     params = VqcParams(np.zeros(config.param_shape))
-    out = run_circuit(config, params, np.array([1.0]))
-    np.testing.assert_allclose(np.abs(out.amplitudes), [0.0, 1.0], atol=1e-12)
+    out = run_circuit_batch(config, params, np.array([[1.0]]))
+    np.testing.assert_allclose(np.abs(out[0]), [0.0, 1.0], atol=1e-12)
 
 
 def test_run_circuit_preserves_norm():
@@ -93,15 +88,15 @@ def test_run_circuit_preserves_norm():
         m = int(rng.integers(1, 4))
         config = CircuitConfig.default(n_q=n_q, L=L, m=m)
         params = random_params(config, rng)
-        out = run_circuit(config, params, rng.uniform(-1, 1, m))
-        assert out.norm_error() <= 1e-12
+        out = run_circuit_batch(config, params, rng.uniform(-1, 1, (1, m)))
+        assert abs(float(np.sum(np.abs(out) ** 2)) - 1.0) <= 1e-12
 
 
 def test_run_circuit_dimension_mismatch():
     config = CircuitConfig.default(n_q=3, L=1, m=3)
     params = VqcParams(np.zeros(config.param_shape))
     with pytest.raises(ValueError, match="encoding_pattern"):
-        run_circuit(config, params, np.zeros(2))
+        run_circuit_batch(config, params, np.zeros((1, 2)))
 
 
 def test_encoding_pattern_validation():
@@ -112,37 +107,28 @@ def test_encoding_pattern_validation():
     assert cyclic_pattern(5, 3) == (0, 1, 2, 0, 1)
 
 
+def depolarized_z(states: np.ndarray, gamma: float, n_q: int) -> np.ndarray:
+    """<Z_j> of (1-gamma) |psi><psi| + gamma I/D, read off the density matrix's diagonal.
+
+    ``z_expectations`` reads only |amplitude|^2, so the square root of the
+    diagonal stands in for the mixed state.
+    """
+    diag = (1.0 - gamma) * np.abs(states) ** 2 + gamma / 2**n_q
+    return z_expectations(np.sqrt(diag), n_q)
+
+
 def test_features_trivial_cases():
-    ground = StateVector.ground(3)
-    np.testing.assert_allclose(features(ground, 0.0), [1, 1, 1], atol=1e-15)
-    rng = np.random.default_rng(5)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(amps)
-    np.testing.assert_allclose(features(state, 1.0), [0, 0, 0], atol=1e-15)
-    with pytest.raises(ValueError, match="gamma"):
-        features(state, 1.5)
+    np.testing.assert_allclose(z_expectations(ground(3), 3), [[1, 1, 1]], atol=1e-15)
+    state = random_states(np.random.default_rng(5), 1, 8)
+    np.testing.assert_allclose(depolarized_z(state, 1.0, 3), [[0, 0, 0]], atol=1e-15)
 
 
 def test_depolarizing_contraction_exact():
     rng = np.random.default_rng(7)
-    gammas = np.linspace(0.0, 1.0, 11)
-    for _ in range(200):
-        amps = rng.normal(size=32) + 1j * rng.normal(size=32)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(amps)
-        h0 = features(state, 0.0)
-        for g in gammas:
-            np.testing.assert_allclose(features(state, g), (1 - g) * h0, atol=1e-12)
-
-
-def test_features_sampled_reproducible():
-    state = apply_ry(StateVector.ground(2), 0, 0.7)
-    a = features_sampled(state, 0.1, shots=1000, rng=np.random.default_rng(9))
-    b = features_sampled(state, 0.1, shots=1000, rng=np.random.default_rng(9))
-    np.testing.assert_array_equal(a, b)
-    big = features_sampled(state, 0.0, shots=400_000, rng=np.random.default_rng(10))
-    np.testing.assert_allclose(big, features(state, 0.0), atol=5e-3)
+    states = random_states(rng, 200, 32)
+    h0 = z_expectations(states, 5)
+    for g in np.linspace(0.0, 1.0, 11):
+        np.testing.assert_allclose(depolarized_z(states, g, 5), (1 - g) * h0, atol=1e-12)
 
 
 def test_param_shift_constant_loss_zero():
@@ -165,8 +151,8 @@ def finite_difference(config, params, theta, loss, step=1e-5):
         up, dn = params.copy(), params.copy()
         up.phi[idx] += step
         dn.phi[idx] -= step
-        f_up = loss(features(run_circuit(config, up, theta), 0.0))
-        f_dn = loss(features(run_circuit(config, dn, theta), 0.0))
+        f_up = loss(z_expectations(run_circuit_batch(config, up, theta), config.n_q)[0])
+        f_dn = loss(z_expectations(run_circuit_batch(config, dn, theta), config.n_q)[0])
         grad[idx] = (f_up - f_dn) / (2 * step)
     return grad
 
@@ -185,11 +171,13 @@ def test_param_shift_matches_finite_difference():
 
 
 def test_feature_jacobian_matches_param_shift():
+    # d h / d phi from one vjp: the one-hot cotangents stacked on a leading axis
     rng = np.random.default_rng(17)
     config = CircuitConfig.default(n_q=3, L=2, m=3)
     params = random_params(config, rng)
     thetas = rng.uniform(-1, 1, (4, 3))
-    jac = feature_jacobian(config, params, thetas)
+    onehot = np.broadcast_to(np.eye(3)[:, None, :], (3, 4, 3))
+    jac = np.moveaxis(vjp(config, params, thetas, onehot), 0, 1)
     for j in range(3):  # each feature is itself a linear functional
         e = np.zeros(3)
         e[j] = 1.0
@@ -256,6 +244,12 @@ def test_config_from_dict_requires_gate():
         CircuitConfig.from_dict(d)
 
 
+def trace_distance(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Row-wise trace distance between pure states: sqrt(1 - |<psi|phi>|^2)."""
+    overlap = np.abs(np.einsum("ij,ij->i", psi.conj(), phi)) ** 2
+    return np.sqrt(np.maximum(0.0, 1.0 - overlap))
+
+
 def test_trace_distance_lipschitz_no_repeat():
     # encoding pattern without component reuse: the analytic constant is
     # exact, so any pair distance must respect it
@@ -263,13 +257,10 @@ def test_trace_distance_lipschitz_no_repeat():
     config = CircuitConfig.default(n_q=3, L=4, m=3)
     L_enc = encoding_lipschitz(config)
     params = random_params(config, rng)
-    for _ in range(1000):
-        a = rng.uniform(-1, 1, 3)
-        b = rng.uniform(-1, 1, 3)
-        psi_a = run_circuit(config, params, a).amplitudes
-        psi_b = run_circuit(config, params, b).amplitudes
-        d = trace_distance_pure(psi_a, psi_b)
-        assert d <= L_enc * np.linalg.norm(a - b) + 1e-12
+    pairs = rng.uniform(-1, 1, (1000, 2, 3))
+    a, b = pairs[:, 0], pairs[:, 1]
+    d = trace_distance(run_circuit_batch(config, params, a), run_circuit_batch(config, params, b))
+    assert np.all(d <= L_enc * np.linalg.norm(a - b, axis=1) + 1e-12)
 
 
 def test_trace_distance_lipschitz_cyclic_audit_scale():
@@ -282,10 +273,8 @@ def test_trace_distance_lipschitz_cyclic_audit_scale():
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     scales = rng.uniform(0.005, 0.05, size=(1000, 1))
     mates = np.clip(thetas + scales * u, -1, 1)
-    psi = run_circuit_batch(config, params, thetas)
-    psi2 = run_circuit_batch(config, params, mates)
-    overlap = np.abs(np.einsum("ij,ij->i", psi.conj(), psi2)) ** 2
-    d = np.sqrt(np.maximum(0.0, 1.0 - overlap))
+    d = trace_distance(run_circuit_batch(config, params, thetas),
+                       run_circuit_batch(config, params, mates))
     dist = np.linalg.norm(mates - thetas, axis=1)
     assert np.all(d <= L_enc * dist + 1e-12)
 
@@ -295,8 +284,3 @@ def test_z_expectation_ordering():
     z = z_expectations(np.array([[0, 0, 1, 0]], dtype=complex), 2)[0]
     np.testing.assert_allclose(z, [-1.0, 1.0], atol=1e-15)
 
-
-def test_statevector_validation():
-    with pytest.raises(ValueError, match="norm"):
-        StateVector(np.array([1.0, 1.0], dtype=complex)).validate()
-    StateVector.ground(2).validate()

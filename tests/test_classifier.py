@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,10 @@ from qpopf.classifier import (
     log_softmax,
     margin,
     margin_from_logits,
-    mlp_forward_noisy,
     sample_region,
     softmax_probs,
     train_mlp,
     train_vqc,
-    vqc_forward,
 )
 from qpopf.regions import locate_region, sample_labeled_dataset
 
@@ -104,18 +104,19 @@ def test_sample_region_seeded_sequence():
 def test_vqc_forward_full_noise_uniform():
     params = VqcParams.random_init(TOY_CONFIG, np.random.default_rng(7))
     head = LinearHead(W=np.random.default_rng(8).normal(size=(3, 2)), b=np.zeros(3))
-    h, s, p = vqc_forward(TOY_CONFIG, params, head, np.array([0.4]), gamma=1.0)
-    np.testing.assert_allclose(h, 0.0, atol=1e-15)
-    np.testing.assert_allclose(s, 0.0, atol=1e-15)
-    np.testing.assert_allclose(p, 1 / 3, atol=1e-15)
+    model = VqcModel(TOY_CONFIG, params, head)
+    theta = np.array([[0.4]])
+    np.testing.assert_allclose(model.logit_matrix(theta, gamma=1.0), 0.0, atol=1e-15)
+    np.testing.assert_allclose(model.probability_matrix(theta, gamma=1.0), 1 / 3, atol=1e-15)
 
 
 def test_vqc_forward_logit_contraction():
     params = VqcParams.random_init(TOY_CONFIG, np.random.default_rng(9))
     head = LinearHead(W=np.random.default_rng(10).normal(size=(3, 2)), b=np.zeros(3))
-    theta = np.array([-0.3])
-    _, s0, _ = vqc_forward(TOY_CONFIG, params, head, theta, gamma=0.0)
-    _, s3, _ = vqc_forward(TOY_CONFIG, params, head, theta, gamma=0.3)
+    model = VqcModel(TOY_CONFIG, params, head)
+    theta = np.array([[-0.3]])
+    s0 = model.logit_matrix(theta, gamma=0.0)
+    s3 = model.logit_matrix(theta, gamma=0.3)
     np.testing.assert_allclose(s3, 0.7 * s0, atol=1e-12)
 
 
@@ -185,6 +186,17 @@ def test_vqc_parameter_count_reported():
     assert model.num_params == config.L * config.n_q * config.angles_per_gate + 35
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"beta": 0.0}, "beta .* 0.0"), ({"beta": -1.0}, "beta .* -1.0"),
+    ({"beta": np.nan}, "beta .* nan"), ({"beta": np.inf}, "beta .* inf"),
+    ({"learning_rate": np.nan}, "learning_rate .* nan"),
+    ({"learning_rate": np.inf}, "learning_rate .* inf"),
+])
+def test_train_config_rejects_a_bad_beta_or_learning_rate(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        TrainConfig(**kwargs)
+
+
 def test_mlp_deterministic(toy_dataset):
     cfg = TrainConfig(epochs=4, seed=23)
     m1, _ = train_mlp(toy_dataset, cfg)
@@ -193,10 +205,16 @@ def test_mlp_deterministic(toy_dataset):
         np.testing.assert_array_equal(a, b)
 
 
+def noisy_forward(mlp, theta, sigma, rng):
+    """One noisy release at theta: logits plus N(0, sigma^2) draws, then softmax."""
+    noisy = dataclasses.replace(mlp, sigma=sigma)
+    return noisy.probabilities_from_base(noisy.base_scores(theta[None, :]), 0.0, mlp.beta, rng)[0]
+
+
 def test_mlp_forward_noisy_sigma_zero(toy_mlp):
     mlp, _ = toy_mlp
     theta = np.array([0.3])
-    p = mlp_forward_noisy(mlp, theta, sigma=0.0, rng=np.random.default_rng(1))
+    p = noisy_forward(mlp, theta, sigma=0.0, rng=np.random.default_rng(1))
     np.testing.assert_allclose(p, mlp.probability_matrix(theta[None, :])[0], atol=1e-15)
 
 
@@ -207,15 +225,15 @@ def test_mlp_forward_noisy_large_sigma_uniformizes(toy_mlp):
     mean = np.zeros(mlp.K)
     n = 4000
     for _ in range(n):
-        mean += mlp_forward_noisy(mlp, theta, sigma=1e3, rng=rng)
+        mean += noisy_forward(mlp, theta, sigma=1e3, rng=rng)
     np.testing.assert_allclose(mean / n, 0.5, atol=0.05)
 
 
 def test_mlp_forward_noisy_reproducible(toy_mlp):
     mlp, _ = toy_mlp
     theta = np.array([-0.2])
-    a = mlp_forward_noisy(mlp, theta, 0.5, np.random.default_rng(77))
-    b = mlp_forward_noisy(mlp, theta, 0.5, np.random.default_rng(77))
+    a = noisy_forward(mlp, theta, 0.5, np.random.default_rng(77))
+    b = noisy_forward(mlp, theta, 0.5, np.random.default_rng(77))
     np.testing.assert_array_equal(a, b)
 
 

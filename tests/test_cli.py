@@ -314,3 +314,44 @@ def test_bad_noise_or_temperature_is_a_usage_error(workdir, tmp_path, capsys, co
     assert exc.value.code == 2
     assert re.search(bad, capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["vqc", "mlp"])
+@pytest.mark.parametrize("flags,bad", [
+    (["--train-beta", "0"], "beta .* 0.0"),
+    (["--train-beta", "nan"], "beta .* nan"),
+    (["--lr", "nan"], "learning_rate .* nan"),
+])
+def test_bad_train_beta_or_lr_is_a_usage_error(workdir, tmp_path, capsys, model, flags, bad):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--case", TOY, "--atlas", workdir / "atlas.json", "--model", model,
+             "--samples", 50, "--epochs", 1, *flags, "--out-dir", out])
+    assert exc.value.code == 2
+    assert re.search(bad, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,bad", [
+    (["--split", "-0.5"], r"split must be in \[0, 1\), got -0.5"),
+    (["--split", "nan"], r"split must be in \[0, 1\), got nan"),
+    (["--split", "0.999", "--samples", "200"], "leaves no training sample"),
+])
+def test_split_without_training_samples_is_a_usage_error(tmp_path, capsys, flags, bad):
+    # the atlas does not exist: the split is checked before any input is loaded
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--case", TOY, "--atlas", tmp_path / "missing.json", *flags,
+             "--out-dir", out])
+    assert exc.value.code == 2
+    assert re.search(bad, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [[], ["--gamma-grid", "0,0.5"]])
+def test_non_finite_delta_theta_fails_before_any_draw(workdir, tmp_path, capsys, grid):
+    assert run(["audit", "--case", TOY, "--atlas", workdir / "atlas.json",
+                "--model", workdir / "vqc.json", "--delta-theta", "nan", *grid,
+                "--out-dir", tmp_path, "--out", "p.out"]) == 1
+    assert "delta_theta must be finite and > 0, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "p.out").exists()

@@ -9,9 +9,10 @@ from qpopf import privacy
 from qpopf.circuit import CircuitConfig, VqcParams
 from qpopf.classifier import (
     LinearHead,
+    MlpBaseline,
+    OracleClassifier,
     TrainConfig,
     VqcModel,
-    calibrate_sigma,
     load_model,
     margin_from_logits,
     softmax_probs,
@@ -20,17 +21,15 @@ from qpopf.classifier import (
 )
 from qpopf.privacy import (
     AdjacencySpec,
-    MlpAveragedMechanism,
-    OracleMechanism,
-    VqcMechanism,
     audit_mechanism,
     audit_vqc_grid,
+    calibrate_sigma,
     cost_tradeoff_formula,
     delta_j_all,
     draw_adjacent_pairs,
-    empirical_epsilon,
     encoding_lipschitz,
     encoding_lipschitz_empirical,
+    epsilon_bound,
     epsilon_percentile,
     mis_selection_bound,
     mis_selection_probability,
@@ -42,34 +41,33 @@ from qpopf.privacy import (
 from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
 
 
-class StubMechanism:
+class StubModel:
     model_id = "stub"
-    gamma = None
-    beta = None
 
     def __init__(self, table):
         self.table = table  # maps theta tuple -> probability vector
 
-    def probabilities(self, thetas):
+    def released_law(self, thetas, gamma, beta):
         return np.array([self.table[tuple(t)] for t in np.atleast_2d(thetas)], dtype=float)
 
 
+def empirical_epsilon(p, p2) -> float:
+    """The per-pair budget of one pair of laws."""
+    return float(privacy.pair_epsilons(np.array([p]), np.array([p2]))[0][0])
+
+
 def test_empirical_epsilon_identical_inputs():
-    mech = StubMechanism({(0.0,): [0.4, 0.6]})
-    assert empirical_epsilon(mech, [0.0], [0.0]) == 0.0
+    assert empirical_epsilon([0.4, 0.6], [0.4, 0.6]) == 0.0
 
 
 def test_empirical_epsilon_closed_form():
-    mech = StubMechanism({(0.0,): [0.9, 0.1], (1.0,): [0.8, 0.2]})
-    eps = empirical_epsilon(mech, [0.0], [1.0])
+    eps = empirical_epsilon([0.9, 0.1], [0.8, 0.2])
     assert eps == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_empirical_epsilon_zero_probability_sentinel():
-    mech = StubMechanism({(0.0,): [1.0, 0.0], (1.0,): [0.8, 0.2]})
-    assert empirical_epsilon(mech, [0.0], [1.0]) == np.inf
-    both = StubMechanism({(0.0,): [1.0, 0.0], (1.0,): [1.0, 0.0]})
-    assert empirical_epsilon(both, [0.0], [1.0]) == 0.0
+    assert empirical_epsilon([1.0, 0.0], [0.8, 0.2]) == np.inf
+    assert empirical_epsilon([1.0, 0.0], [1.0, 0.0]) == 0.0
 
 
 def test_epsilon_percentile_examples():
@@ -97,6 +95,13 @@ def test_adjacent_pairs_reject_delta_beyond_box():
         draw_adjacent_pairs(AdjacencySpec(delta_theta=4.0, pair_count=10), 3)
     with pytest.raises(ValueError, match="diameter"):
         draw_adjacent_pairs(AdjacencySpec(delta_theta=2.0), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_adjacency_rejects_a_bad_delta_at_construction(bad):
+    # a non-finite delta would otherwise exhaust the redraw budget of every pair
+    with pytest.raises(ValueError, match=f"delta_theta must be finite and > 0, got {bad}"):
+        AdjacencySpec(delta_theta=bad)
 
 
 def test_adjacent_pairs_bounded_redraws(monkeypatch):
@@ -184,9 +189,9 @@ def test_vqc_mechanism_bound_holds_on_grid(toy_model, toy_atlas):
 def test_audit_mechanism_matches_grid_row(toy_model):
     adjacency = AdjacencySpec(delta_theta=0.05, pair_count=64, seed=17)
     pairs = draw_adjacent_pairs(adjacency, 1)
-    mech = VqcMechanism(toy_model, gamma=0.2, beta=2.0)
     report = audit_mechanism(
-        mech, pairs, eps_reg=mech.epsilon_bound(0.05), delta_theta=0.05
+        toy_model, 0.2, 2.0, pairs, eps_reg=epsilon_bound(toy_model, 0.2, 2.0, 0.05),
+        delta_theta=0.05,
     )
     rows = audit_vqc_grid(toy_model, [0.2], [2.0], adjacency)
     assert report.eps95 == pytest.approx(rows[0]["eps95"], abs=1e-9)
@@ -200,8 +205,9 @@ def test_audit_mechanism_matches_grid_row(toy_model):
 def test_gamma_one_kills_epsilon(toy_model):
     adjacency = AdjacencySpec(delta_theta=0.05, pair_count=32, seed=19)
     pairs = draw_adjacent_pairs(adjacency, 1)
-    mech = VqcMechanism(toy_model, gamma=1.0, beta=3.0)
-    report = audit_mechanism(mech, pairs, eps_reg=mech.epsilon_bound(0.05))
+    report = audit_mechanism(
+        toy_model, 1.0, 3.0, pairs, eps_reg=epsilon_bound(toy_model, 1.0, 3.0, 0.05)
+    )
     assert report.eps95 == 0.0
     assert report.eps_reg == 0.0
 
@@ -229,16 +235,15 @@ def test_mlp_averaged_mechanism_deterministic(toy_atlas):
     from qpopf.classifier import train_mlp
 
     mlp, _ = train_mlp((thetas, labels), TrainConfig(epochs=10, seed=3))
-    mech = MlpAveragedMechanism(mlp, sigma=0.7, beta=1.0, n_draws=500, seed=5)
-    p1 = mech.probabilities(np.array([[0.2], [-0.4]]))
-    p2 = mech.probabilities(np.array([[0.2], [-0.4]]))
+    noisy = dataclasses.replace(mlp, sigma=0.7)
+    p1 = noisy.released_law(np.array([[0.2], [-0.4]]), None, 1.0, n_draws=500, seed=5)
+    p2 = noisy.released_law(np.array([[0.2], [-0.4]]), None, 1.0, n_draws=500, seed=5)
     np.testing.assert_array_equal(p1, p2)
     np.testing.assert_allclose(p1.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_oracle_mechanism_is_one_hot(toy_atlas):
-    mech = OracleMechanism(toy_atlas)
-    p = mech.probabilities(np.array([[0.5]]))
+    p = OracleClassifier(toy_atlas).released_law(np.array([[0.5]]), None, None)
     assert p.shape == (1, toy_atlas.K)
     assert sorted(p[0]) == [0.0, 1.0]
 
@@ -311,23 +316,23 @@ FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 classifier_mod = importlib.import_module("qpopf.classifier")
 
 
-def row_law(mech, theta):
-    """The law one mechanism released for one point before batching."""
+def row_law(model, theta, gamma, beta, n_draws=2000, seed=0):
+    """The law one model released for one point before batching."""
     theta = np.asarray(theta, float)
-    if isinstance(mech, VqcMechanism):
-        return mech.model.probability_matrix(theta[None, :], mech.gamma, mech.beta)[0]
-    if isinstance(mech, MlpAveragedMechanism):
-        s = mech.mlp.logits(theta[None, :])[0]
-        if mech.sigma == 0.0:
-            return softmax_probs(s, mech.beta)
-        rng = np.random.default_rng(mech.seed)
-        noise = mech.sigma * rng.standard_normal((mech.n_draws, s.shape[0]))
-        return softmax_probs(s + noise, mech.beta).mean(axis=0)
-    if isinstance(mech, OracleMechanism):
-        p = np.zeros(mech.atlas.K)
-        p[locate_region(mech.atlas, theta) - 1] = 1.0
+    if isinstance(model, VqcModel):
+        return model.probability_matrix(theta[None, :], gamma, beta)[0]
+    if isinstance(model, MlpBaseline):
+        s = model.logits(theta[None, :])[0]
+        if model.sigma == 0.0:
+            return softmax_probs(s, beta)
+        rng = np.random.default_rng(seed)
+        noise = model.sigma * rng.standard_normal((n_draws, s.shape[0]))
+        return softmax_probs(s + noise, beta).mean(axis=0)
+    if isinstance(model, OracleClassifier):
+        p = np.zeros(model.atlas.K)
+        p[locate_region(model.atlas, theta) - 1] = 1.0
         return p
-    return mech.probabilities(theta[None, :])[0]
+    return model.released_law(theta[None, :], gamma, beta)[0]
 
 
 def epsilon_with_class(p, p2):
@@ -345,26 +350,26 @@ def epsilon_with_class(p, p2):
     return float(ratios[j]), int(np.flatnonzero(keep)[j]) + 1
 
 
-def audit_per_pair(mech, pairs, eps_reg=None, delta_theta=None):
+def audit_per_pair(model, gamma, beta, pairs, eps_reg=None, delta_theta=None, **draws):
     """The audit as a loop over pairs, two one-point laws each."""
     thetas, mates = pairs
     eps = np.empty(len(thetas))
     classes = np.empty(len(thetas), dtype=int)
     for i, (t, t2) in enumerate(zip(thetas, mates)):
-        eps[i], classes[i] = epsilon_with_class(row_law(mech, t), row_law(mech, t2))
+        eps[i], classes[i] = epsilon_with_class(
+            row_law(model, t, gamma, beta, **draws), row_law(model, t2, gamma, beta, **draws))
     finite = np.isfinite(eps)
     saturated = int(np.sum(~finite))
     worst = int(np.flatnonzero(~finite)[0]) if saturated else int(np.argmax(eps))
     return privacy.PrivacyReport(
         eps_emp=eps, eps95=epsilon_percentile(eps), eps_reg=eps_reg, worst_pair=worst,
-        worst_class=int(classes[worst]), model_id=getattr(mech, "model_id", "unknown"),
-        gamma=getattr(mech, "gamma", None), beta=getattr(mech, "beta", None),
-        delta_theta=delta_theta, saturated_count=saturated,
+        worst_class=int(classes[worst]), model_id=getattr(model, "model_id", "unknown"),
+        gamma=gamma, beta=beta, delta_theta=delta_theta, saturated_count=saturated,
     ).to_dict()
 
 
-def row_loop(mech, thetas):
-    return np.array([row_law(mech, t) for t in thetas])
+def row_loop(model, thetas, gamma, beta, **draws):
+    return np.array([row_law(model, t, gamma, beta, **draws) for t in thetas])
 
 
 @pytest.fixture(scope="module")
@@ -397,26 +402,28 @@ def test_vqc_probabilities_match_the_row_loop(kind, toy_model, committed):
     for seed in (0, 7, 41):
         thetas = stacked_pairs(m, seed, count=100 if kind == "toy" else 40)
         for gamma, beta in NOISE_AND_TEMPERATURE:
-            mech = VqcMechanism(model, gamma=gamma, beta=beta)
-            np.testing.assert_array_equal(mech.probabilities(thetas), row_loop(mech, thetas))
+            np.testing.assert_array_equal(model.released_law(thetas, gamma, beta),
+                                          row_loop(model, thetas, gamma, beta))
 
 
 @pytest.mark.parametrize("sigma,n_draws", [(0.0, 2000), (0.5, 200), (0.5, 2000), (2.5, 2000)])
 @pytest.mark.parametrize("kind", ["toy", "committed"])
 def test_mlp_probabilities_match_the_row_loop(kind, sigma, n_draws, toy_mlp, committed):
-    mlp = toy_mlp if kind == "toy" else committed[2]
+    mlp = dataclasses.replace(toy_mlp if kind == "toy" else committed[2], sigma=sigma)
     thetas = stacked_pairs(mlp.W1.shape[1], 7)
-    mech = MlpAveragedMechanism(mlp, sigma=sigma, beta=1.0, n_draws=n_draws, seed=7926)
     if n_draws == 2000:  # the rows span several chunks of the averaged softmax
         assert len(thetas) > 2 * classifier_mod._AVERAGE_CHUNK // (n_draws * mlp.K)
-    np.testing.assert_array_equal(mech.probabilities(thetas), row_loop(mech, thetas))
+    draws = {"n_draws": n_draws, "seed": 7926}
+    np.testing.assert_array_equal(mlp.released_law(thetas, None, 1.0, **draws),
+                                  row_loop(mlp, thetas, None, 1.0, **draws))
 
 
 def test_oracle_probabilities_match_the_row_loop(committed, toy_atlas):
     for atlas in (toy_atlas, committed[0]):
-        mech = OracleMechanism(atlas)
+        oracle = OracleClassifier(atlas)
         thetas = stacked_pairs(atlas.theta_box.shape[0], 0)
-        np.testing.assert_array_equal(mech.probabilities(thetas), row_loop(mech, thetas))
+        np.testing.assert_array_equal(oracle.released_law(thetas, None, None),
+                                      row_loop(oracle, thetas, None, None))
 
 
 def test_oracle_mechanism_raises_on_an_uncovered_point(plp69):
@@ -426,29 +433,31 @@ def test_oracle_mechanism_raises_on_an_uncovered_point(plp69):
     thetas = stacked_pairs(3, 0, count=50)
     assert np.any(locate_batch(atlas, thetas) == 0)
     with pytest.raises(UncoveredThetaError):
-        OracleMechanism(atlas).probabilities(thetas)
+        OracleClassifier(atlas).released_law(thetas, None, None)
 
 
 @pytest.mark.parametrize("kind", ["vqc", "mlp", "mlp0", "oracle"])
 def test_audit_matches_the_per_pair_loop(kind, committed):
     atlas, vqc, mlp = committed
-    mech = {
-        "vqc": VqcMechanism(vqc, gamma=0.2, beta=4.0),
-        "mlp": MlpAveragedMechanism(mlp, sigma=0.5, beta=1.0, n_draws=2000, seed=7919),
-        "mlp0": MlpAveragedMechanism(mlp, sigma=0.0, beta=1.0),
-        "oracle": OracleMechanism(atlas),
+    model, gamma, beta, draws = {
+        "vqc": (vqc, 0.2, 4.0, {}),
+        "mlp": (dataclasses.replace(mlp, sigma=0.5), None, 1.0, {"n_draws": 2000, "seed": 7919}),
+        "mlp0": (dataclasses.replace(mlp, sigma=0.0), None, 1.0, {}),
+        "oracle": (OracleClassifier(atlas), None, None, {}),
     }[kind]
     for seed in (0, 41):
         pairs = draw_adjacent_pairs(AdjacencySpec(delta_theta=0.05, pair_count=100, seed=seed), 3)
-        eps_reg = mech.epsilon_bound(0.05) if kind == "vqc" else None
-        got = audit_mechanism(mech, pairs, eps_reg=eps_reg, delta_theta=0.05).to_dict()
-        assert got == audit_per_pair(mech, pairs, eps_reg=eps_reg, delta_theta=0.05)
+        eps_reg = epsilon_bound(vqc, gamma, beta, 0.05) if kind == "vqc" else None
+        got = audit_mechanism(model, gamma, beta, pairs, eps_reg=eps_reg, delta_theta=0.05,
+                              **draws).to_dict()
+        assert got == audit_per_pair(model, gamma, beta, pairs, eps_reg=eps_reg,
+                                     delta_theta=0.05, **draws)
     if kind == "oracle":
         assert got["saturated_count"] > 0
 
 
 def test_audit_matches_the_per_pair_loop_on_zero_probabilities():
-    mech = StubMechanism({
+    stub = StubModel({
         (0.0,): [0.5, 0.5, 0.0, 0.0], (1.0,): [0.5, 0.25, 0.25, 0.0],  # one-sided zero at 3
         (2.0,): [0.0, 0.0, 0.0, 0.0], (3.0,): [0.0, 0.0, 0.0, 0.0],    # every class both zero
         (4.0,): [0.0, 0.9, 0.1, 0.0], (5.0,): [0.0, 0.8, 0.2, 0.0],    # both-zero classes skipped
@@ -458,35 +467,35 @@ def test_audit_matches_the_per_pair_loop_on_zero_probabilities():
     })
     thetas = np.array([[0.0], [2.0], [4.0], [6.0], [8.0], [10.0]])
     pairs = (thetas, thetas + 1.0)
-    got = audit_mechanism(mech, pairs).to_dict()
-    assert got == audit_per_pair(mech, pairs)
+    got = audit_mechanism(stub, None, None, pairs).to_dict()
+    assert got == audit_per_pair(stub, None, None, pairs)
     eps = np.array(got["eps_emp"])
     assert eps[0] == np.inf and eps[1] == 0.0 and eps[4] == np.inf
     assert (got["worst_pair"], got["worst_class"], got["saturated_count"]) == (0, 3, 2)
-    classes = [privacy.pair_epsilons(mech.probabilities(t), mech.probabilities(t + 1.0))[1][0]
-               for t in thetas]
-    assert classes == [3, 1, 3, 1, 1, 2]
-    # empirical_epsilon is the one-pair case
-    for t, t2 in zip(*pairs):
-        assert empirical_epsilon(mech, t, t2) == epsilon_with_class(
-            row_law(mech, t), row_law(mech, t2))[0]
+    one_pair = [privacy.pair_epsilons(stub.released_law(t, None, None),
+                                      stub.released_law(t + 1.0, None, None)) for t in thetas]
+    assert [int(classes[0]) for _, classes in one_pair] == [3, 1, 3, 1, 1, 2]
+    for (eps1, classes), t in zip(one_pair, thetas):
+        assert (eps1[0], classes[0]) == epsilon_with_class(
+            row_law(stub, t, None, None), row_law(stub, t + 1.0, None, None))
 
 
-def test_audit_calls_each_mechanism_once(committed):
+def test_audit_calls_each_mechanism_once(committed, monkeypatch):
     atlas, vqc, mlp = committed
     pairs = draw_adjacent_pairs(AdjacencySpec(pair_count=30, seed=3), 3)
-    for mech in (VqcMechanism(vqc, gamma=0.0, beta=1.0),
-                 MlpAveragedMechanism(mlp, sigma=0.5, beta=1.0, n_draws=200),
-                 OracleMechanism(atlas)):
+    for model, gamma, beta, draws in ((vqc, 0.0, 1.0, {}),
+                                      (dataclasses.replace(mlp, sigma=0.5), None, 1.0,
+                                       {"n_draws": 200}),
+                                      (OracleClassifier(atlas), None, None, {})):
         calls = []
-        probabilities = mech.probabilities
+        released_law = model.released_law
 
-        def counted(thetas, probabilities=probabilities):
+        def counted(thetas, *args, released_law=released_law, **kwargs):
             calls.append(len(thetas))
-            return probabilities(thetas)
+            return released_law(thetas, *args, **kwargs)
 
-        mech.probabilities = counted
-        audit_mechanism(mech, pairs)
+        monkeypatch.setattr(model, "released_law", counted)
+        audit_mechanism(model, gamma, beta, pairs, **draws)
         assert calls == [60]
 
 
@@ -495,9 +504,8 @@ def calibrate_sigma_per_step(mlp, target_eps95, adjacency, beta, n_draws, rel_to
     pairs = draw_adjacent_pairs(adjacency, mlp.W1.shape[1])
 
     def eps95_at(sigma):
-        mech = MlpAveragedMechanism(mlp, sigma=sigma, beta=beta, n_draws=n_draws,
-                                    seed=adjacency.seed + 7919)
-        return audit_per_pair(mech, pairs)["eps95"]
+        return audit_per_pair(dataclasses.replace(mlp, sigma=sigma), None, beta, pairs,
+                              n_draws=n_draws, seed=adjacency.seed + 7919)["eps95"]
 
     if eps95_at(0.0) <= target_eps95:
         return 0.0
@@ -517,7 +525,7 @@ def calibrate_sigma_per_step(mlp, target_eps95, adjacency, beta, n_draws, rel_to
 
 def test_calibrate_sigma_matches_the_per_step_oracle(toy_mlp):
     adjacency = AdjacencySpec(delta_theta=0.05, pair_count=40, seed=5)
-    base = audit_per_pair(MlpAveragedMechanism(toy_mlp, sigma=0.0, beta=1.0),
+    base = audit_per_pair(dataclasses.replace(toy_mlp, sigma=0.0), None, 1.0,
                           draw_adjacent_pairs(adjacency, 1))["eps95"]
     sigmas = []
     for target in (2.0 * base, 0.5 * base, 0.2 * base):
