@@ -195,6 +195,14 @@ def _grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
+def _count(parser, cfg: dict, key: str) -> int:
+    """``cfg[key]`` as an int, a usage error unless it is at least 1."""
+    value = int(cfg[key])
+    if value < 1:
+        parser.error(f"--{key.replace('_', '-')} must be >= 1, got {value}")
+    return value
+
+
 def _check_noise_and_temperature(parser, gammas, betas) -> None:
     try:
         check_noise_and_temperature(gammas, betas)
@@ -207,13 +215,12 @@ def _check_noise_and_temperature(parser, gammas, betas) -> None:
 
 def cmd_regions(parser, args) -> int:
     cfg = _resolve(args, "regions")
+    budget = _count(parser, cfg, "budget")
+    coverage_samples = _count(parser, cfg, "coverage_samples")
     plp, _, _, prov = _load_pipeline(parser, args, cfg, atlas=False)
     t0 = time.perf_counter()
     atlas = enumerate_regions(
-        plp,
-        sampling_budget=int(cfg["budget"]),
-        seed=int(cfg["seed"]),
-        coverage_samples=int(cfg["coverage_samples"]),
+        plp, sampling_budget=budget, seed=int(cfg["seed"]), coverage_samples=coverage_samples
     )
     elapsed = time.perf_counter() - t0
     out = _out_dir(args) / (args.out or "atlas.json")
@@ -237,6 +244,8 @@ def cmd_train(parser, args) -> int:
     n_test = int(round(split * samples))
     if samples - n_test < 1:
         parser.error(f"split {split} of {samples} samples leaves no training sample")
+    if n_test < 1:
+        parser.error(f"split {split} of {samples} samples leaves no test sample")
     try:
         train_cfg = TrainConfig(
             epochs=int(cfg["epochs"]),
@@ -372,8 +381,9 @@ def cmd_eval(parser, args) -> int:
     cfg = _resolve(args, "eval")
     gamma, beta = float(cfg["gamma"]), float(cfg["beta"])
     _check_noise_and_temperature(parser, [gamma], [beta])
+    scenarios = _count(parser, cfg, "scenarios")
     plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
-    batch = ScenarioBatch.sample(plp.theta_box, int(cfg["scenarios"]), int(cfg["seed"]))
+    batch = ScenarioBatch.sample(plp.theta_box, scenarios, int(cfg["seed"]))
     t0 = time.perf_counter()
     report = evaluate(
         model,
@@ -403,8 +413,9 @@ def cmd_sweep(parser, args) -> int:
         parser.error("sweep requires --gamma-grid and --beta-grid")
     gammas, betas = _grid(args.gamma_grid), _grid(args.beta_grid)
     _check_noise_and_temperature(parser, gammas, betas)
+    scenarios = _count(parser, cfg, "scenarios")
     plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
-    batch = ScenarioBatch.sample(plp.theta_box, int(cfg["scenarios"]), int(cfg["seed"]))
+    batch = ScenarioBatch.sample(plp.theta_box, scenarios, int(cfg["seed"]))
     t0 = time.perf_counter()
     reports = sweep(model, atlas, plp, gammas, betas, batch)
     out = _out_dir(args) / (args.out or "heatmap.csv")

@@ -358,6 +358,14 @@ class ParametricLP:
         return column_compressed(self.W)
 
     @functools.cached_property
+    def basis_memo(self) -> dict[tuple[str, tuple[int, ...]], tuple[int, ...] | None]:
+        """Basis picks of ``qpopf.lp``, keyed by the scanned matrix ("W" or
+        "projection") and the active rows.  A pick depends only on those
+        rows and this LP's data, so solves that share an active set (every
+        sample of one critical region) scan it once."""
+        return {}
+
+    @functools.cached_property
     def projection_matrix(self) -> np.ndarray:
         """Rows [[W, 0], [I, -I], [-I, -I]] of the L1 projection LP over (x, u);
         read-only, since every projection shares it."""

@@ -12,7 +12,11 @@ picks an n-row basis (treating each opposing equality pair as one
 hyperplane), and the solution is re-solved from that basis so the
 returned vertex is accurate to linear-solve precision rather than solver
 tolerance.  ``perturbed_basis`` recovers a basis where the vertex is
-degenerate.  Results are deterministic for identical inputs.
+degenerate.  A basis pick depends only on the active rows, and the
+active set is constant over a critical region, so each LP keeps its
+picks (``ParametricLP.basis_memo``): every solve still runs HiGHS, but
+samples of one region scan their rows once.  Results are deterministic
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -167,7 +171,7 @@ def linprog(
 
 def _scan_active(A: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float) -> list[int]:
     resid = A @ x - b
-    return [int(i) for i in np.flatnonzero(np.abs(resid) <= tol)]
+    return np.flatnonzero(np.abs(resid) <= tol).tolist()
 
 
 def _effective_count(active: list[int], mirror: dict[int, int]) -> int:
@@ -234,6 +238,29 @@ def _fix_basis_signs(
     return [out[k] for k in order], y[order]
 
 
+def _memo_basis(plp: ParametricLP, matrix: str, active: list[int], pick) -> list[int] | None:
+    """``pick()``, the basis of the active rows of ``matrix``, computed once
+    per LP and active set (``ParametricLP.basis_memo``)."""
+    key = (matrix, tuple(active))
+    if key not in plp.basis_memo:
+        basis = pick()
+        plp.basis_memo[key] = None if basis is None else tuple(basis)
+    basis = plp.basis_memo[key]
+    return None if basis is None else list(basis)
+
+
+def _vertex_basis(
+    plp: ParametricLP, active: list[int], mirror: dict[int, int]
+) -> list[int] | None:
+    """Greedy basis of the active rows of W with its signs fixed, memoized."""
+
+    def pick():
+        basis = _greedy_basis(plp.W, active, plp.n, mirror)
+        return None if basis is None else _fix_basis_signs(plp, basis, mirror)[0]
+
+    return _memo_basis(plp, "W", active, pick)
+
+
 def solve_lp(
     plp: ParametricLP,
     theta: np.ndarray,
@@ -249,9 +276,8 @@ def solve_lp(
 
     mirror = plp.mirror_row()
     active = _scan_active(plp.W, b, x, tol_active)
-    basis = _greedy_basis(plp.W, active, plp.n, mirror)
+    basis = _vertex_basis(plp, active, mirror)
     if basis is not None:
-        basis, _ = _fix_basis_signs(plp, basis, mirror)
         x_polished = _polish(plp, b, basis)
         if x_polished is not None:
             raw_viol = float(np.max(plp.W @ x - b, initial=0.0))
@@ -298,10 +324,9 @@ def perturbed_basis(
             return None
         tol = max(scale / 3.0, 1e-10)
         active = _scan_active(plp.W, b, x, tol)
-        basis = _greedy_basis(plp.W, active, plp.n, mirror)
+        basis = _vertex_basis(plp, active, mirror)
         if basis is None:
             continue
-        basis, _ = _fix_basis_signs(plp, basis, mirror)
         if _effective_count(active, mirror) == plp.n:
             return basis
     return basis
@@ -369,7 +394,9 @@ def project_feasible(
     # Polish from the aux basis for a precise vertex.  The leading q rows
     # of A_aux are W, so W's opposing pairs carry over.
     active = _scan_active(A_aux, b_aux, z, TOL_ACTIVE)
-    basis = _greedy_basis(A_aux, active, 2 * n, plp.mirror_row())
+    basis = _memo_basis(
+        plp, "projection", active, lambda: _greedy_basis(A_aux, active, 2 * n, plp.mirror_row())
+    )
     if basis is not None:
         try:
             z_p = np.linalg.solve(A_aux[basis], b_aux[basis])

@@ -276,6 +276,8 @@ def enumerate_regions(
     """
     if sampling_budget < 1:
         raise ValueError("sampling_budget must be >= 1")
+    if coverage_samples < 1:
+        raise ValueError("coverage_samples must be >= 1")
     thetas = _sobol_samples(plp.theta_box, sampling_budget, seed)
 
     found: dict[tuple[int, ...], bool] = {}  # basis -> built via fallback

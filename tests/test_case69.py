@@ -1,6 +1,8 @@
 """Reconstructed 69-bus case: data sanity, LP oracle checks, region atlas."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import networkx as nx
@@ -177,6 +179,20 @@ def test_atlas_shape(atlas69, plp69):
     assert ids == list(range(1, atlas69.K + 1))
     keys = {r.active_set for r in atlas69.regions}
     assert len(keys) == atlas69.K
+
+
+def test_atlas_matches_the_committed_benchmark_atlas(atlas69):
+    committed = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "atlas.json").read_text()
+    )
+    assert committed["provenance"]["sampling_budget"] == 3000
+    assert committed["provenance"]["seed"] == 11
+
+    def canonical(atlas: dict) -> str:
+        keys = ("regions", "coverage", "theta_box", "plp_hash")
+        return json.dumps({k: atlas[k] for k in keys}, sort_keys=True)
+
+    assert canonical(atlas69.to_dict()) == canonical(committed)
 
 
 def test_region_maps_match_lp_inside(atlas69, plp69):

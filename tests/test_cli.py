@@ -336,6 +336,8 @@ def test_bad_train_beta_or_lr_is_a_usage_error(workdir, tmp_path, capsys, model,
     (["--split", "-0.5"], r"split must be in \[0, 1\), got -0.5"),
     (["--split", "nan"], r"split must be in \[0, 1\), got nan"),
     (["--split", "0.999", "--samples", "200"], "leaves no training sample"),
+    (["--split", "0"], "leaves no test sample"),
+    (["--split", "0.001", "--samples", "100"], "leaves no test sample"),
 ])
 def test_split_without_training_samples_is_a_usage_error(tmp_path, capsys, flags, bad):
     # the atlas does not exist: the split is checked before any input is loaded
@@ -345,6 +347,25 @@ def test_split_without_training_samples_is_a_usage_error(tmp_path, capsys, flags
              "--out-dir", out])
     assert exc.value.code == 2
     assert re.search(bad, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,bad", [
+    ("regions", ["--coverage-samples", "0"], "--coverage-samples must be >= 1, got 0"),
+    ("regions", ["--budget", "0"], "--budget must be >= 1, got 0"),
+    ("eval", ["--model", "oracle", "--scenarios", "0"], "--scenarios must be >= 1, got 0"),
+    ("sweep", ["--model", "oracle", "--gamma-grid", "0", "--beta-grid", "1", "--scenarios", "0"],
+     "--scenarios must be >= 1, got 0"),
+])
+def test_empty_count_is_a_usage_error(tmp_path, capsys, command, flags, bad):
+    # no input exists: the count is checked before any input is loaded
+    missing = tmp_path / "missing.json"
+    atlas = [] if command == "regions" else ["--atlas", missing]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--case", missing, *atlas, *flags, "--out-dir", out])
+    assert exc.value.code == 2
+    assert bad in capsys.readouterr().err
     assert not out.exists()
 
 

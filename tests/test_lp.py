@@ -11,6 +11,7 @@ import scipy.sparse
 from scipy.optimize._highspy import _core as highs_core
 
 from qpopf import lp as lp_mod
+from qpopf import regions as regions_mod
 from qpopf.data import case_path
 from qpopf.grid import ParametricLP, column_compressed, linearize, load_case
 from qpopf.lp import (
@@ -221,6 +222,54 @@ def test_basis_scan_matches_vstack_oracle(case, basis_calls):
     assert len(projections) >= 3
     for A, rows, n, picked in basis_calls:
         assert picked == greedy_basis_vstack(A, rows, n)
+
+
+def lp_answers(plp, thetas, k):
+    """Every field of solve_lp, perturbed_basis and project_feasible at thetas[k]."""
+    theta = thetas[k]
+    sol = solve_lp(plp, theta)
+    # a dispatch solved at another theta is usually infeasible here
+    projected = project_feasible(solve_lp(plp, thetas[k - 1]).x, plp, theta)
+    return (
+        (sol.x.tobytes(), sol.objective, sol.status, sol.active_set, sol.basis,
+         sol.max_violation),
+        perturbed_basis(plp, theta),
+        projected.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_basis_memo_matches_a_cold_lp(case):
+    grid_case = load_case(case_path(case))
+    warm = linearize(grid_case)
+    rng = np.random.default_rng(73)
+    thetas = rng.uniform(-1.0, 1.0, size=(100, warm.m))
+    filling = [lp_answers(warm, thetas, k) for k in range(len(thetas))]
+    memo = dict(warm.basis_memo)
+    for k in range(len(thetas)):
+        cold = linearize(grid_case)
+        assert not cold.basis_memo
+        assert filling[k] == lp_answers(warm, thetas, k) == lp_answers(cold, thetas, k)
+    # the second pass over the warm LP scanned nothing new
+    assert warm.basis_memo == memo
+    kinds = [matrix for matrix, _ in memo]
+    assert 0 < kinds.count("W") < len(thetas)
+    assert 0 < kinds.count("projection") < len(thetas)
+
+
+def test_enumeration_scans_each_active_set_once(case69, basis_calls, monkeypatch):
+    # solve_lp rebound in qpopf.regions, as the benchmark counts enumeration solves
+    solves = []
+    solve = regions_mod.solve_lp
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(regions_mod, "solve_lp", counted)
+    atlas = enumerate_regions(linearize(case69), 1000, seed=11)
+    assert len(solves) == 1000
+    assert len(basis_calls) == atlas.K == 7
 
 
 SCIPY_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}

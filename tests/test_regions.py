@@ -301,6 +301,19 @@ def test_sample_labeled_dataset_keeps_the_scalar_stream(one_region_atlas69, coun
         np.testing.assert_array_equal(labels, expected[1])
 
 
+@pytest.mark.parametrize("counts,bad", [
+    ({"sampling_budget": 0}, "sampling_budget must be >= 1"),
+    ({"sampling_budget": 16, "coverage_samples": 0}, "coverage_samples must be >= 1"),
+])
+def test_enumerate_rejects_an_empty_count_before_any_solve(toy_plp, monkeypatch, counts, bad):
+    def no_solve(plp, theta):
+        raise AssertionError("solved an LP")
+
+    monkeypatch.setattr(regions_mod, "solve_lp", no_solve)
+    with pytest.raises(ValueError, match=bad):
+        enumerate_regions(toy_plp, seed=7, **counts)
+
+
 def test_dropped_bases_are_counted(toy_plp, monkeypatch):
     clean = enumerate_regions(toy_plp, sampling_budget=16, seed=7)
     assert clean.dropped == {"singular": 0, "empty": 0, "unrecovered": 0}
