@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -191,8 +192,16 @@ def _atlas_hash(atlas: RegionAtlas) -> str:
     ).hexdigest()
 
 
-def _grid(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+def _grid(parser, flag: str, text: str) -> list[float]:
+    """The comma-separated numbers of ``--flag``; a usage error unless
+    there is at least one and every entry is a number."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        parser.error(f"--{flag} must be comma-separated numbers, got {text!r}")
+    if not values:
+        parser.error(f"--{flag} is empty: {text!r}")
+    return values
 
 
 def _count(parser, cfg: dict, key: str) -> int:
@@ -310,18 +319,23 @@ def cmd_train(parser, args) -> int:
 def cmd_audit(parser, args) -> int:
     cfg = _resolve(args, "audit")
     gamma, beta = float(cfg["gamma"]), float(cfg["beta"])
-    gammas = _grid(args.gamma_grid) if args.gamma_grid else [gamma]
-    betas = _grid(args.beta_grid) if args.beta_grid else [beta]
+    grid = args.gamma_grid is not None or args.beta_grid is not None
+    gammas = [gamma] if args.gamma_grid is None else _grid(parser, "gamma-grid", args.gamma_grid)
+    betas = [beta] if args.beta_grid is None else _grid(parser, "beta-grid", args.beta_grid)
     _check_noise_and_temperature(parser, gammas, betas)
+    pair_count = _count(parser, cfg, "pairs")
+    n_draws = _count(parser, cfg, "mlp_draws")
+    if args.mlp_sigma is not None and not (math.isfinite(args.mlp_sigma) and args.mlp_sigma >= 0):
+        parser.error(f"--mlp-sigma must be finite and >= 0, got {args.mlp_sigma}")
     plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
     adjacency = AdjacencySpec(
         delta_theta=float(cfg["delta_theta"]),
-        pair_count=int(cfg["pairs"]),
+        pair_count=pair_count,
         seed=int(cfg["seed"]),
     )
     t0 = time.perf_counter()
 
-    if args.gamma_grid or args.beta_grid:
+    if grid:
         if not isinstance(model, VqcModel):
             parser.error("grid audits need a vqc checkpoint (exact fast path)")
         rows = audit_vqc_grid(model, gammas, betas, adjacency, atlas=atlas)
@@ -357,8 +371,8 @@ def cmd_audit(parser, args) -> int:
     elif isinstance(model, MlpBaseline):
         gamma = None
         if args.mlp_sigma is not None:
-            model = replace(model, sigma=float(args.mlp_sigma))
-        draws = {"n_draws": int(cfg["mlp_draws"]), "seed": int(cfg["seed"]) + 7919}
+            model = replace(model, sigma=args.mlp_sigma)
+        draws = {"n_draws": n_draws, "seed": int(cfg["seed"]) + 7919}
     else:
         gamma = beta = None
     report = audit_mechanism(
@@ -411,7 +425,8 @@ def cmd_sweep(parser, args) -> int:
     cfg = _resolve(args, "sweep")
     if not args.gamma_grid or not args.beta_grid:
         parser.error("sweep requires --gamma-grid and --beta-grid")
-    gammas, betas = _grid(args.gamma_grid), _grid(args.beta_grid)
+    gammas = _grid(parser, "gamma-grid", args.gamma_grid)
+    betas = _grid(parser, "beta-grid", args.beta_grid)
     _check_noise_and_temperature(parser, gammas, betas)
     scenarios = _count(parser, cfg, "scenarios")
     plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)

@@ -100,12 +100,6 @@ class GridCase:
     def m(self) -> int:
         return len(self.renewables)
 
-    def theta_box_kw(self) -> np.ndarray:
-        """(m, 2) physical deviation bounds in kW, one row per unit."""
-        return np.array(
-            [[-r.deviation_kw, r.deviation_kw] for r in self.renewables], dtype=float
-        )
-
     def validate(self) -> None:
         bus_set = set(self.buses)
         if len(bus_set) != len(self.buses):
@@ -148,28 +142,16 @@ class GridCase:
                 f"non-radial topology: {len(self.lines)} lines for {n} buses "
                 f"(a tree needs {n - 1})"
             )
-        adj: dict[int, list[int]] = {b: [] for b in self.buses}
         seen_edges = set()
         for ln in self.lines:
             key = (min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus))
             if key in seen_edges:
                 raise CaseError(f"non-radial topology: duplicate line {key[0]}-{key[1]}")
             seen_edges.add(key)
-            adj[ln.from_bus].append(ln.to_bus)
-            adj[ln.to_bus].append(ln.from_bus)
-        # BFS from the root; |E| = n-1 and connected => tree
-        visited = {self.root}
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for b in frontier:
-                for nb in adj[b]:
-                    if nb not in visited:
-                        visited.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        if len(visited) != n:
-            missing = sorted(set(self.buses) - visited)
+        # |E| = n-1 and connected => tree
+        reached = {self.root, *self.tree_parents()}
+        if len(reached) != n:
+            missing = sorted(set(self.buses) - reached)
             raise CaseError(f"non-radial topology: buses {missing} unreachable from root")
 
     def tree_parents(self) -> dict[int, tuple[int, Line]]:
@@ -294,8 +276,9 @@ class ParametricLP:
     """Dense parametric LP:  min c.x  s.t.  W x <= S + T theta, theta in a box.
 
     Equalities of the source model appear as two opposing inequality rows;
-    ``eq_pairs`` lists those (row_le, row_ge) index pairs so downstream
-    code can treat each pair as a single hyperplane.
+    ``eq_pairs`` lists those (row_le, row_ge) index pairs, each row in at
+    most one pair.  ``qpopf.lp`` reads them to count a fully active pair as
+    one hyperplane and to swap a basis row for its partner.
     """
 
     c: np.ndarray                  # (n,)
@@ -379,14 +362,6 @@ class ParametricLP:
     def projection_csc(self) -> tuple[list[int], list[int], list[float]]:
         """``column_compressed(projection_matrix)``, built on the first projection."""
         return column_compressed(self.projection_matrix)
-
-    def mirror_row(self) -> dict[int, int]:
-        """Map each member of an equality pair to its opposing row."""
-        out: dict[int, int] = {}
-        for i, j in self.eq_pairs:
-            out[i] = j
-            out[j] = i
-        return out
 
 
 def column_compressed(A: np.ndarray) -> tuple[list[int], list[int], list[float]]:

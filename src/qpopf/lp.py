@@ -8,15 +8,21 @@ conversion.  The constraint matrix of a parametric LP, and that of its
 L1 projection LP, are converted once (``ParametricLP.W_csc``,
 ``ParametricLP.projection_csc``).  ``solve_lp`` post-processes the answer: a
 residual scan identifies the active rows, a deterministic rank selection
-picks an n-row basis (treating each opposing equality pair as one
-hyperplane), and the solution is re-solved from that basis so the
-returned vertex is accurate to linear-solve precision rather than solver
-tolerance.  ``perturbed_basis`` recovers a basis where the vertex is
-degenerate.  A basis pick depends only on the active rows, and the
-active set is constant over a critical region, so each LP keeps its
-picks (``ParametricLP.basis_memo``): every solve still runs HiGHS, but
-samples of one region scan their rows once.  Results are deterministic
-for identical inputs.
+picks the first n independent ones as a basis, and the solution is
+re-solved from that basis (``_polished``, which ``project_feasible``
+shares) so the returned vertex is accurate to linear-solve precision
+rather than solver tolerance.  An equality is written as two opposing
+rows (``ParametricLP.eq_pairs``) and counts as one hyperplane
+(``_hyperplanes``): the rank selection scans only the lower member of a
+fully active pair, since the higher is its negation, and the vertex is
+degenerate unless there are exactly n active hyperplanes.  The basis
+then takes whichever member of a pair has a nonnegative dual.
+``perturbed_basis`` recovers a basis where the vertex is degenerate.  A
+basis pick depends only on the active rows, and the active set is
+constant over a critical region, so each LP keeps its picks
+(``ParametricLP.basis_memo``): every solve still runs HiGHS, but samples
+of one region scan their rows once.  Results are deterministic for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -174,34 +180,19 @@ def _scan_active(A: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float) -> lis
     return np.flatnonzero(np.abs(resid) <= tol).tolist()
 
 
-def _effective_count(active: list[int], mirror: dict[int, int]) -> int:
-    """Active-hyperplane count: a fully-active opposing pair counts once."""
-    active_set = set(active)
-    count = 0
-    for i in active:
-        j = mirror.get(i)
-        if j is not None and j in active_set and j < i:
-            continue  # counted at the lower-indexed member
-        count += 1
-    return count
+def _hyperplanes(plp: ParametricLP, active: list[int]) -> list[int]:
+    """One active row per active hyperplane: ``active`` without the higher
+    member of each fully active opposing pair (the negation of the lower)."""
+    rows = set(active)
+    higher = {max(i, j) for i, j in plp.eq_pairs if i in rows and j in rows}
+    return [i for i in active if i not in higher]
 
 
-def _greedy_basis(
-    A: np.ndarray, rows: list[int], n: int, mirror: dict[int, int]
-) -> list[int] | None:
-    """First n linearly independent rows of ``rows`` (ascending order).
-
-    The higher member of an active opposing pair is exactly minus the
-    lower one, which the scan has already picked or rejected, so it is
-    skipped without a projection.
-    """
-    active = set(rows)
+def _greedy_basis(A: np.ndarray, rows: list[int], n: int) -> list[int] | None:
+    """First n linearly independent rows of ``rows`` (ascending order)."""
     picked: list[int] = []
     basis_vecs = np.empty((n, A.shape[1]))
     for i in rows:
-        j = mirror.get(i)
-        if j is not None and j < i and j in active:
-            continue
         v = A[i]
         k = len(picked)
         r = v - basis_vecs[:k].T @ (basis_vecs[:k] @ v) if k else v
@@ -215,58 +206,54 @@ def _greedy_basis(
     return None
 
 
-def _fix_basis_signs(
-    plp: ParametricLP, basis: list[int], mirror: dict[int, int]
-) -> tuple[list[int], np.ndarray | None]:
+def _fix_basis_signs(plp: ParametricLP, basis: list[int]) -> list[int]:
     """Swap equality-pair members so the basic dual is nonnegative.
 
-    Returns the (sorted) corrected basis and its dual values, or the
-    original basis with None if the basic system is singular.
+    Returns the sorted corrected basis, or the basis unchanged if the
+    basic system is singular.
     """
-    W_B = plp.W[basis]
     try:
-        y = np.linalg.solve(W_B.T, -plp.c)
+        y = np.linalg.solve(plp.W[basis].T, -plp.c)
     except np.linalg.LinAlgError:
-        return basis, None
-    out = list(basis)
-    for pos, i in enumerate(out):
-        j = mirror.get(i)
-        if j is not None and y[pos] < -1e-9:
-            out[pos] = j
-            y[pos] = -y[pos]
-    order = np.argsort(out)
-    return [out[k] for k in order], y[order]
+        return basis
+    partner = {i: j for pair in plp.eq_pairs for i, j in (pair, pair[::-1])}
+    return sorted(
+        partner[i] if i in partner and y[pos] < -1e-9 else i for pos, i in enumerate(basis)
+    )
 
 
-def _memo_basis(plp: ParametricLP, matrix: str, active: list[int], pick) -> list[int] | None:
-    """``pick()``, the basis of the active rows of ``matrix``, computed once
-    per LP and active set (``ParametricLP.basis_memo``)."""
+def _basis(plp: ParametricLP, matrix: str, active: list[int]) -> list[int] | None:
+    """Basis of the active rows of ``matrix``, picked once per LP and active
+    set (``ParametricLP.basis_memo``): the greedy pick of W with its signs
+    fixed ("W"), or the greedy pick of the projection matrix ("projection")."""
     key = (matrix, tuple(active))
     if key not in plp.basis_memo:
-        basis = pick()
+        # the leading rows of the projection matrix are W, so W's pairs carry over
+        rows = _hyperplanes(plp, active)
+        if matrix == "W":
+            basis = _greedy_basis(plp.W, rows, plp.n)
+            if basis is not None:
+                basis = _fix_basis_signs(plp, basis)
+        else:
+            basis = _greedy_basis(plp.projection_matrix, rows, 2 * plp.n)
         plp.basis_memo[key] = None if basis is None else tuple(basis)
     basis = plp.basis_memo[key]
     return None if basis is None else list(basis)
 
 
-def _vertex_basis(
-    plp: ParametricLP, active: list[int], mirror: dict[int, int]
-) -> list[int] | None:
-    """Greedy basis of the active rows of W with its signs fixed, memoized."""
+def _polished(A: np.ndarray, b: np.ndarray, x: np.ndarray, basis: list[int]) -> np.ndarray:
+    """``x`` re-solved from the basis rows of A x <= b if that point's worst
+    violation is at most max(1e-9, that of ``x``); otherwise ``x`` itself."""
+    try:
+        x_basis = np.linalg.solve(A[basis], b[basis])
+    except np.linalg.LinAlgError:
+        return x
+    before = float(np.max(A @ x - b, initial=0.0))
+    after = float(np.max(A @ x_basis - b, initial=0.0))
+    return x_basis if after <= max(1e-9, before) else x
 
-    def pick():
-        basis = _greedy_basis(plp.W, active, plp.n, mirror)
-        return None if basis is None else _fix_basis_signs(plp, basis, mirror)[0]
 
-    return _memo_basis(plp, "W", active, pick)
-
-
-def solve_lp(
-    plp: ParametricLP,
-    theta: np.ndarray,
-    tol_active: float = TOL_ACTIVE,
-    tol_feas: float = TOL_FEAS,
-) -> LPSolution:
+def solve_lp(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
     """Minimize c.x over {W x <= S + T theta} and extract the active set."""
     theta = np.asarray(theta, dtype=float)
     b = plp.rhs(theta)
@@ -274,75 +261,42 @@ def solve_lp(
     if x is None:
         return LPSolution(x=np.full(plp.n, np.nan), objective=float("nan"), status=status)
 
-    mirror = plp.mirror_row()
-    active = _scan_active(plp.W, b, x, tol_active)
-    basis = _vertex_basis(plp, active, mirror)
+    active = _scan_active(plp.W, b, x, TOL_ACTIVE)
+    basis = _basis(plp, "W", active)
     if basis is not None:
-        x_polished = _polish(plp, b, basis)
-        if x_polished is not None:
-            raw_viol = float(np.max(plp.W @ x - b, initial=0.0))
-            new_viol = float(np.max(plp.W @ x_polished - b, initial=0.0))
-            if new_viol <= max(1e-9, raw_viol):
-                x = x_polished
-        active = _scan_active(plp.W, b, x, tol_active)
+        x = _polished(plp.W, b, x, basis)
+        active = _scan_active(plp.W, b, x, TOL_ACTIVE)
 
-    eff = _effective_count(active, mirror)
-    status = "optimal" if eff == plp.n and basis is not None else "degenerate"
+    unique = basis is not None and len(_hyperplanes(plp, active)) == plp.n
     return LPSolution(
         x=x,
         objective=float(plp.c @ x),
-        status=status,
+        status="optimal" if unique else "degenerate",
         active_set=active,
         basis=basis,
         max_violation=float(np.max(plp.W @ x - b, initial=0.0)),
     )
 
 
-def _polish(plp: ParametricLP, b: np.ndarray, basis: list[int]) -> np.ndarray | None:
-    try:
-        return np.linalg.solve(plp.W[basis], b[basis])
-    except np.linalg.LinAlgError:
-        return None
-
-
-def perturbed_basis(
-    plp: ParametricLP, theta: np.ndarray, eps: float = 1e-9
-) -> list[int] | None:
+def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:
     """Basis recovery for degenerate solves.
 
-    A lexicographic right-hand-side perturbation (eps * row index) breaks
+    A lexicographic right-hand-side perturbation (1e-9 * row index) breaks
     ties so a unique vertex basis exists; the basis is returned for use
-    with the *unperturbed* data.  Escalates eps once if the perturbation
-    is too small to separate ties at solver precision.
+    with the *unperturbed* data.  Escalates the perturbation a hundredfold
+    once if it is too small to separate ties at solver precision.
     """
     theta = np.asarray(theta, dtype=float)
-    mirror = plp.mirror_row()
-    for scale in (eps, eps * 100.0):
+    for scale in (1e-9, 1e-9 * 100.0):
         b = plp.rhs(theta) + scale * np.arange(1, plp.q + 1)
-        status, x = linprog(plp.c, plp.W, b, csc=plp.W_csc)
+        _, x = linprog(plp.c, plp.W, b, csc=plp.W_csc)
         if x is None:
             return None
-        tol = max(scale / 3.0, 1e-10)
-        active = _scan_active(plp.W, b, x, tol)
-        basis = _vertex_basis(plp, active, mirror)
-        if basis is None:
-            continue
-        if _effective_count(active, mirror) == plp.n:
+        active = _scan_active(plp.W, b, x, max(scale / 3.0, 1e-10))
+        basis = _basis(plp, "W", active)
+        if basis is not None and len(_hyperplanes(plp, active)) == plp.n:
             return basis
     return basis
-
-
-def active_set(
-    solution: LPSolution,
-    plp: ParametricLP,
-    theta: np.ndarray,
-    tol_active: float = TOL_ACTIVE,
-) -> list[int]:
-    """Rows with |W_i x - S_i - T_i theta| <= tol_active, ascending."""
-    if not solution.is_optimal:
-        raise ValueError(f"active_set requires an optimal solution, got {solution.status}")
-    b = plp.rhs(np.asarray(theta, dtype=float))
-    return _scan_active(plp.W, b, solution.x, tol_active)
 
 
 def dual_certificate(plp: ParametricLP, solution: LPSolution, theta: np.ndarray) -> np.ndarray:
@@ -367,21 +321,16 @@ def solve_raw(
     )
 
 
-def project_feasible(
-    x_tilde: np.ndarray,
-    plp: ParametricLP,
-    theta: np.ndarray,
-    tol_feas: float = TOL_FEAS,
-) -> np.ndarray:
+def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) -> np.ndarray:
     """L1-closest feasible point to ``x_tilde`` at parameter ``theta``.
 
     Solved as an auxiliary LP over (x, u) with u >= |x - x_tilde|;
-    already-feasible inputs are returned unchanged.
+    inputs feasible within ``TOL_FEAS`` are returned unchanged.
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
     theta = np.asarray(theta, dtype=float)
     b = plp.rhs(theta)
-    if float(np.max(plp.W @ x_tilde - b, initial=0.0)) <= tol_feas:
+    if float(np.max(plp.W @ x_tilde - b, initial=0.0)) <= TOL_FEAS:
         return x_tilde.copy()
 
     n = plp.n
@@ -391,23 +340,11 @@ def project_feasible(
     status, z = linprog(c_aux, A_aux, b_aux, csc=plp.projection_csc)
     if status != "optimal":
         raise ProjectionError(f"projection LP is {status} at theta={theta}")
-    # Polish from the aux basis for a precise vertex.  The leading q rows
-    # of A_aux are W, so W's opposing pairs carry over.
-    active = _scan_active(A_aux, b_aux, z, TOL_ACTIVE)
-    basis = _memo_basis(
-        plp, "projection", active, lambda: _greedy_basis(A_aux, active, 2 * n, plp.mirror_row())
-    )
+    basis = _basis(plp, "projection", _scan_active(A_aux, b_aux, z, TOL_ACTIVE))
     if basis is not None:
-        try:
-            z_p = np.linalg.solve(A_aux[basis], b_aux[basis])
-            if float(np.max(A_aux @ z_p - b_aux, initial=0.0)) <= max(
-                1e-9, float(np.max(A_aux @ z - b_aux, initial=0.0))
-            ):
-                z = z_p
-        except np.linalg.LinAlgError:
-            pass
+        z = _polished(A_aux, b_aux, z, basis)
     x = z[:n]
     viol = float(np.max(plp.W @ x - b, initial=0.0))
-    if viol > tol_feas:
+    if viol > TOL_FEAS:
         raise LpNumericError(f"projection violates constraints by {viol:.3e}")
     return x

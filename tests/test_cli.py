@@ -356,6 +356,9 @@ def test_split_without_training_samples_is_a_usage_error(tmp_path, capsys, flags
     ("eval", ["--model", "oracle", "--scenarios", "0"], "--scenarios must be >= 1, got 0"),
     ("sweep", ["--model", "oracle", "--gamma-grid", "0", "--beta-grid", "1", "--scenarios", "0"],
      "--scenarios must be >= 1, got 0"),
+    ("audit", ["--model", "oracle", "--pairs", "0"], "--pairs must be >= 1, got 0"),
+    ("audit", ["--model", "oracle", "--mlp-sigma", "0.5", "--mlp-draws", "0"],
+     "--mlp-draws must be >= 1, got 0"),
 ])
 def test_empty_count_is_a_usage_error(tmp_path, capsys, command, flags, bad):
     # no input exists: the count is checked before any input is loaded
@@ -364,6 +367,29 @@ def test_empty_count_is_a_usage_error(tmp_path, capsys, command, flags, bad):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         run([command, "--case", missing, *atlas, *flags, "--out-dir", out])
+    assert exc.value.code == 2
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,bad", [
+    ("audit", ["--gamma-grid", ",", "--beta-grid", "1"], "--gamma-grid is empty: ','"),
+    ("audit", ["--gamma-grid", ""], "--gamma-grid is empty: ''"),
+    ("sweep", ["--gamma-grid", ",", "--beta-grid", "1"], "--gamma-grid is empty: ','"),
+    ("audit", ["--gamma-grid", "abc"], "--gamma-grid must be comma-separated numbers, got 'abc'"),
+    ("sweep", ["--gamma-grid", "0", "--beta-grid", "1,x"],
+     "--beta-grid must be comma-separated numbers, got '1,x'"),
+    ("audit", ["--mlp-sigma", "nan"], "--mlp-sigma must be finite and >= 0, got nan"),
+    ("audit", ["--mlp-sigma", "inf"], "--mlp-sigma must be finite and >= 0, got inf"),
+    ("audit", ["--mlp-sigma=-0.5"], "--mlp-sigma must be finite and >= 0, got -0.5"),
+])
+def test_bad_grid_or_mlp_sigma_is_a_usage_error(tmp_path, capsys, command, flags, bad):
+    # no input exists: the flag is checked before any input is loaded
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--case", missing, "--atlas", missing, "--model", "oracle", *flags,
+             "--out-dir", out])
     assert exc.value.code == 2
     assert bad in capsys.readouterr().err
     assert not out.exists()

@@ -15,7 +15,6 @@ from qpopf import regions as regions_mod
 from qpopf.data import case_path
 from qpopf.grid import ParametricLP, column_compressed, linearize, load_case
 from qpopf.lp import (
-    active_set,
     dual_certificate,
     perturbed_basis,
     project_feasible,
@@ -98,7 +97,6 @@ def test_active_set_matches_residual_scan():
         assert sol.status in ("optimal", "degenerate")
         resid = np.abs(A @ sol.x - b)
         expected = [int(i) for i in np.flatnonzero(resid <= 1e-7)]
-        assert active_set(sol, plp, np.zeros(1)) == expected
         assert sol.active_set == expected
 
 
@@ -197,8 +195,8 @@ def basis_calls(monkeypatch):
     calls = []
     scan = lp_mod._greedy_basis
 
-    def recording(A, rows, n, mirror):
-        out = scan(A, rows, n, mirror)
+    def recording(A, rows, n):
+        out = scan(A, rows, n)
         calls.append((A, list(rows), n, out))
         return out
 
@@ -222,6 +220,65 @@ def test_basis_scan_matches_vstack_oracle(case, basis_calls):
     assert len(projections) >= 3
     for A, rows, n, picked in basis_calls:
         assert picked == greedy_basis_vstack(A, rows, n)
+    # a scan of one row per hyperplane picks what a scan of every active row picks
+    for (matrix, active), basis in plp.basis_memo.items():
+        A, n = (plp.W, plp.n) if matrix == "W" else (plp.projection_matrix, 2 * plp.n)
+        picked = greedy_basis_vstack(A, list(active), n)
+        if matrix == "W" and picked is not None:
+            picked = lp_mod._fix_basis_signs(plp, picked)
+        assert basis == (None if picked is None else tuple(picked))
+
+
+def effective_count_mirror(active, mirror):
+    """The hyperplane count as it was kept with a mirror map: an active row
+    counts unless its opposing row is active with a lower index."""
+    active_set = set(active)
+    count = 0
+    for i in active:
+        j = mirror.get(i)
+        if j is not None and j in active_set and j < i:
+            continue
+        count += 1
+    return count
+
+
+def perturbed_basis_mirror(plp, theta, mirror):
+    """``perturbed_basis`` deciding uniqueness with ``effective_count_mirror``."""
+    for scale in (1e-9, 1e-9 * 100.0):
+        b = plp.rhs(theta) + scale * np.arange(1, plp.q + 1)
+        _, x = lp_mod.linprog(plp.c, plp.W, b, csc=plp.W_csc)
+        if x is None:
+            return None
+        active = lp_mod._scan_active(plp.W, b, x, max(scale / 3.0, 1e-10))
+        basis = lp_mod._basis(plp, "W", active)
+        if basis is not None and effective_count_mirror(active, mirror) == plp.n:
+            return basis
+    return basis
+
+
+@pytest.mark.parametrize("case,boundary", [("ieee69", None), ("toy2", 0.5)])
+def test_pair_count_matches_the_mirror_oracle(case, boundary):
+    plp = linearize(load_case(case_path(case)))
+    mirror = {}
+    for i, j in plp.eq_pairs:
+        mirror[i], mirror[j] = j, i
+    rng = np.random.default_rng(79)
+    thetas = rng.uniform(-1.0, 1.0, size=(30, plp.m))
+    if boundary is not None:
+        thetas[0] = boundary
+    statuses = []
+    for theta in thetas:
+        sol = solve_lp(plp, theta)
+        assert len(lp_mod._hyperplanes(plp, sol.active_set)) == (
+            effective_count_mirror(sol.active_set, mirror))
+        unique = sol.basis is not None and effective_count_mirror(sol.active_set, mirror) == plp.n
+        assert sol.status == ("optimal" if unique else "degenerate")
+        assert perturbed_basis(plp, theta) == perturbed_basis_mirror(plp, theta, mirror)
+        statuses.append(sol.status)
+    if boundary is not None:
+        # toy2's region boundary: six active rows, two pairs, four hyperplanes for n = 3
+        assert statuses[0] == "degenerate"
+        assert "optimal" in statuses[1:]
 
 
 def lp_answers(plp, thetas, k):
@@ -452,7 +509,7 @@ def project_feasible_assembled(x_tilde, plp, theta, tol_feas=lp_mod.TOL_FEAS):
     status, z = lp_mod.linprog(c_aux, A_aux, b_aux)
     assert status == "optimal"
     active = lp_mod._scan_active(A_aux, b_aux, z, lp_mod.TOL_ACTIVE)
-    basis = lp_mod._greedy_basis(A_aux, active, 2 * n, plp.mirror_row())
+    basis = lp_mod._greedy_basis(A_aux, active, 2 * n)
     if basis is not None:
         try:
             z_p = np.linalg.solve(A_aux[basis], b_aux[basis])
