@@ -16,6 +16,7 @@ Gradients over the trainable angles come from one adjoint pass
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ class CircuitConfig:
             raise ValueError("encoding_pattern length must equal n_q")
         if min(self.encoding_pattern) < 0:
             raise ValueError("encoding_pattern indices must be >= 0")
+        if not (math.isfinite(self.encoding_scale) and self.encoding_scale > 0):
+            raise ValueError(f"encoding_scale must be finite and > 0, got {self.encoding_scale}")
         if self.trainable_gate not in ("ry", "rot"):
             raise ValueError(f"unknown trainable_gate {self.trainable_gate!r}")
 
@@ -189,27 +192,17 @@ def _rot_batch(states: np.ndarray, qubit: int, a, b, c, n_q: int) -> np.ndarray:
     return out.reshape(*lead, 2**n_q)
 
 
-def _cnot_batch(
-    states: np.ndarray, control: int, target: int, n_q: int, inplace: bool = False
-) -> np.ndarray:
-    """Adjacent-or-not CNOT on states shaped (..., 2**n_q)."""
+def _cnot_batch(states: np.ndarray, control: int, n_q: int) -> np.ndarray:
+    """CNOT(control, control + 1) applied in place to states shaped (..., 2**n_q)."""
     lead = states.shape[:-1]
-    a, b = sorted((control, target))
-    shaped = states.reshape(*lead, 2**a, 2, 2 ** (b - a - 1), 2, 2 ** (n_q - b - 1))
-    if not inplace:
-        shaped = shaped.copy()
-    if control < target:
-        blk = shaped[..., 1, :, :, :]
-        shaped[..., 1, :, :, :] = blk[..., ::-1, :].copy()
-    else:
-        blk = shaped[..., :, :, 1, :]
-        shaped[..., :, :, 1, :] = blk[..., ::-1, :, :].copy()
+    shaped = states.reshape(*lead, 2**control, 2, 2, 2 ** (n_q - control - 2))
+    shaped[..., 1, :, :] = shaped[..., 1, ::-1, :].copy()
     return shaped.reshape(*lead, 2**n_q)
 
 
 def _ladder_inplace(states: np.ndarray, n_q: int) -> np.ndarray:
     for i in range(n_q - 1):
-        states = _cnot_batch(states, i, i + 1, n_q, inplace=True)
+        states = _cnot_batch(states, i, n_q)
     return states
 
 
@@ -341,7 +334,7 @@ def vjp(
     grad = np.empty((*dh.shape[:-1], *config.param_shape))
     for layer in reversed(range(config.L)):
         for i in reversed(range(n_q - 1)):
-            pair = _cnot_batch(pair, i, i + 1, n_q, inplace=True)
+            pair = _cnot_batch(pair, i, n_q)
         for qubit in reversed(range(n_q)):
             if config.trainable_gate == "rot":
                 a, b, c = params.phi[layer, qubit]

@@ -1,15 +1,18 @@
 """Region classifiers: the quantum-feature model and the MLP baseline.
 
-Both models share the head semantics: logits feed a softmax with inverse
-temperature beta, and the released region index is a categorical draw
-from the resulting distribution.  The quantum model's depolarizing noise
-enters as an exact (1-gamma) contraction of the bias-free logits; the
-MLP's privacy knob is Gaussian noise added to its logits.
+Every model implements one protocol, :class:`ReleaseModel`: logits feed
+a softmax with inverse temperature beta, and the released region index
+is a categorical draw from the resulting distribution.  The quantum
+model's depolarizing noise enters as an exact (1-gamma) contraction of
+the bias-free logits; the MLP's privacy knob is Gaussian noise added to
+its logits.
 
-Training is joint cross-entropy descent with Adam: the head gets
-analytic gradients, the circuit angles get adjoint statevector gradients
-seeded by the head's feature gradient (one backward pass per batch; the
-parameter-shift rule is kept as the test oracle).
+Both models train through one loop, :func:`_fit` (mini-batch
+cross-entropy descent with Adam, best-epoch restore); each supplies its
+initialization and batch gradient.  The circuit angles get adjoint
+statevector gradients seeded by the head's feature gradient (one
+backward pass per batch; the parameter-shift rule is kept as the test
+oracle).
 """
 
 from __future__ import annotations
@@ -147,6 +150,7 @@ class ReleaseModel:
     beta nor the rng (noise-free VQC scores, MLP logits, oracle one-hot
     rows); ``logits_from_base`` and ``probabilities_from_base`` apply one
     (gamma, beta, rng) setting to it, so a sweep computes the base once.
+    By default the base is the logits and the law is their softmax.
 
     ``released_law(thetas, gamma, beta)`` is the law (N, K) the privacy
     audit measures.  It takes row-exact base scores (``rowwise=True``, see
@@ -155,6 +159,18 @@ class ReleaseModel:
 
     def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
         return self.logits_from_base(self.base_scores(thetas), gamma)
+
+    def probability_matrix(
+        self, thetas: np.ndarray, gamma: float = 0.0, beta: float | None = None
+    ) -> np.ndarray:
+        """Noise-free softmax of :meth:`logit_matrix`; beta defaults to the model's."""
+        return softmax_probs(self.logit_matrix(thetas, gamma), self.beta if beta is None else beta)
+
+    def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
+        return base
+
+    def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
+        return softmax_probs(self.logits_from_base(base, gamma), beta)
 
     def released_law(self, thetas: np.ndarray, gamma, beta) -> np.ndarray:
         return self.probabilities_from_base(self.base_scores(thetas, rowwise=True), gamma, beta)
@@ -174,35 +190,26 @@ class VqcModel(ReleaseModel):
         return self.head.K
 
     @property
+    def beta(self) -> float:
+        return self.head.beta
+
+    @property
     def num_params(self) -> int:
         n = self.params.count + self.head.W.size
         if not self.head.bias_free:
             n += self.head.b.size
         return n
 
-    def features0(self, thetas: np.ndarray) -> np.ndarray:
-        """Noise-free feature matrix (N, n_q)."""
-        states = run_circuit_batch(self.config, self.params, thetas)
-        return z_expectations(states, self.config.n_q)
-
     def base_scores(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
         """W h0 without bias: the part of the logits that noise contracts.
 
         ``rowwise`` applies the head row by row (see :func:`dense`).
         """
-        return dense(self.features0(thetas), self.head.W, rowwise)
+        states = run_circuit_batch(self.config, self.params, thetas)
+        return dense(z_expectations(states, self.config.n_q), self.head.W, rowwise)
 
     def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
         return (1.0 - gamma) * base + self.head.b
-
-    def probability_matrix(
-        self, thetas: np.ndarray, gamma: float = 0.0, beta: float | None = None
-    ) -> np.ndarray:
-        beta = self.head.beta if beta is None else beta
-        return self.probabilities_from_base(self.base_scores(thetas), gamma, beta)
-
-    def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
-        return softmax_probs(self.logits_from_base(base, gamma), beta)
 
 
 @dataclass
@@ -220,7 +227,6 @@ class MlpBaseline(ReleaseModel):
     W_head: np.ndarray          # (K, H2)
     beta: float = 1.0
     sigma: float = 0.0
-    activation: str = "tanh"
     model_id: str = "mlp"
 
     @property
@@ -233,25 +239,12 @@ class MlpBaseline(ReleaseModel):
             self.W1.size + self.b1.size + self.W2.size + self.b2.size + self.W_head.size
         )
 
-    def logits(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
+    def base_scores(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
         """Noise-free logits (N, K); ``rowwise`` applies each layer row by row (see :func:`dense`)."""
         x = np.atleast_2d(np.asarray(thetas, dtype=float))
         h1 = np.tanh(dense(x, self.W1, rowwise) + self.b1)
         h2 = np.tanh(dense(h1, self.W2, rowwise) + self.b2)
         return dense(h2, self.W_head, rowwise)
-
-    def base_scores(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
-        return self.logits(thetas, rowwise)
-
-    def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
-        # gamma is a no-op for the classical model; kept for a shared API
-        return base
-
-    def probability_matrix(
-        self, thetas: np.ndarray, gamma: float = 0.0, beta: float | None = None
-    ) -> np.ndarray:
-        beta = self.beta if beta is None else beta
-        return softmax_probs(self.logits(thetas), beta)
 
     def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
         if self.sigma > 0.0:
@@ -292,9 +285,6 @@ class OracleClassifier(ReleaseModel):
         out = np.zeros((ids.size, self.K))
         out[np.arange(ids.size), ids - 1] = 1.0
         return out
-
-    def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
-        return base
 
     def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
         return base
@@ -366,24 +356,47 @@ def ce_head_gradients(
     return loss, dlogits.T @ h, dlogits.sum(axis=0), dlogits @ W, p
 
 
-def _epoch_record(epoch, batch_losses, model, dataset, eval_set) -> dict:
-    rec = {
-        "epoch": epoch + 1,
-        "loss": float(np.mean(batch_losses)),
-        "train_accuracy": argmax_accuracy(model, *dataset),
-    }
-    if eval_set is not None:
-        rec["test_accuracy"] = argmax_accuracy(model, *eval_set)
-    return rec
+def _fit(model, targets, step, dataset, K, train_cfg, rng, eval_set) -> list[dict]:
+    """Adam descent on ``targets`` (updated in place) from ``step(xb, yb) -> (loss, grads)``.
 
-
-def _better_epoch(rec: dict, best_rec: dict | None) -> bool:
-    """Best iterate: highest train accuracy, then lowest loss."""
-    if best_rec is None:
-        return True
-    key = (-rec["train_accuracy"], rec["loss"])
-    best = (-best_rec["train_accuracy"], best_rec["loss"])
-    return key < best
+    ``model`` reads the targets, so each epoch's record (mean batch loss,
+    argmax accuracies) measures the current iterate.  The targets end at
+    the best epoch: highest train accuracy, then lowest loss (lr 0.05
+    oscillates near convergence).  Batches come from ``rng`` after the
+    caller's initialization.
+    """
+    thetas, labels = dataset
+    thetas = np.asarray(thetas, dtype=float)
+    y = _check_labels(labels, K)
+    adam = _Adam([t.shape for t in targets], train_cfg)
+    history: list[dict] = []
+    best = None
+    for epoch in range(train_cfg.epochs):
+        batch_losses = []
+        for idx in _epoch_batches(thetas.shape[0], train_cfg.batch_size, rng):
+            loss, grads = step(thetas[idx], y[idx])
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"loss became {loss} at epoch {epoch} (lr="
+                    f"{train_cfg.learning_rate}, history so far {history})"
+                )
+            batch_losses.append(loss)
+            adam.step(targets, grads)
+        rec = {
+            "epoch": epoch + 1,
+            "loss": float(np.mean(batch_losses)),
+            "train_accuracy": argmax_accuracy(model, *dataset),
+        }
+        if eval_set is not None:
+            rec["test_accuracy"] = argmax_accuracy(model, *eval_set)
+        history.append(rec)
+        key = (-rec["train_accuracy"], rec["loss"])
+        if best is None or key < best[0]:
+            best = (key, [t.copy() for t in targets])
+    if best is not None:
+        for t, saved in zip(targets, best[1]):
+            t[...] = saved
+    return history
 
 
 def train_vqc(
@@ -391,124 +404,71 @@ def train_vqc(
     config: CircuitConfig,
     train_cfg: TrainConfig,
     K: int | None = None,
-    bias_free: bool = True,
     eval_set: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[VqcParams, LinearHead, list[dict]]:
-    """Joint circuit + head cross-entropy training at gamma = 0.
+    """Joint circuit + bias-free head cross-entropy training at gamma = 0.
 
     Returns the trained parameters, the head, and a per-epoch history
     (loss curve, plus accuracies when an eval set is given).
     Deterministic under the config seed.
     """
-    thetas, labels = dataset
-    thetas = np.asarray(thetas, dtype=float)
-    K = int(np.max(labels)) if K is None else K
-    y = _check_labels(labels, K)
-    n = thetas.shape[0]
-
+    K = int(np.max(dataset[1])) if K is None else K
     rng = np.random.default_rng(train_cfg.seed)
     params = VqcParams.random_init(config, rng)
     W = rng.uniform(-1.0, 1.0, size=(K, config.n_q)) / np.sqrt(config.n_q)
     b = np.zeros(K)
-    opt_targets = [params.phi, W] + ([] if bias_free else [b])
-    adam = _Adam([t.shape for t in opt_targets], train_cfg)
 
-    history: list[dict] = []
-    best_rec, best_state = None, None
-    for epoch in range(train_cfg.epochs):
-        batch_losses = []
-        for idx in _epoch_batches(n, train_cfg.batch_size, rng):
-            xb, yb = thetas[idx], y[idx]
-            states = run_circuit_batch(config, params, xb)
-            h = z_expectations(states, config.n_q)
-            loss, gW, gb, dh, _ = ce_head_gradients(h, W, b, yb, train_cfg.beta)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"loss became {loss} at epoch {epoch} (lr="
-                    f"{train_cfg.learning_rate}, history so far {history})"
-                )
-            batch_losses.append(loss)
-            gphi = vjp(config, params, xb, dh, states=states).sum(axis=0)
-            grads = [gphi, gW] + ([] if bias_free else [gb])
-            adam.step(opt_targets, grads)
-        model = VqcModel(config, params, LinearHead(W=W, b=b, beta=train_cfg.beta))
-        history.append(_epoch_record(epoch, batch_losses, model, dataset, eval_set))
-        if _better_epoch(history[-1], best_rec):
-            best_rec = history[-1]
-            best_state = (params.copy(), W.copy(), b.copy())
-    # lr 0.05 oscillates near convergence; keep the best iterate
-    if best_state is not None:
-        params, W, b = best_state
+    def step(xb, yb):
+        states = run_circuit_batch(config, params, xb)
+        h = z_expectations(states, config.n_q)
+        loss, gW, _, dh, _ = ce_head_gradients(h, W, b, yb, train_cfg.beta)
+        return loss, [vjp(config, params, xb, dh, states=states).sum(axis=0), gW]
+
+    model = VqcModel(config, params, LinearHead(W=W, b=b, beta=train_cfg.beta))
+    history = _fit(model, [params.phi, W], step, dataset, K, train_cfg, rng, eval_set)
     return params, LinearHead(W=W, b=b, beta=train_cfg.beta), history
 
 
-def _mlp_init(m: int, hidden: tuple[int, int], K: int, rng: np.random.Generator):
+MLP_HIDDEN = (7, 7)
+
+
+def _mlp_init(m: int, K: int, rng: np.random.Generator):
     def fan_in(rows, cols):
         bound = 1.0 / np.sqrt(cols)
         return rng.uniform(-bound, bound, size=(rows, cols))
 
-    h1, h2 = hidden
-    return (
+    h1, h2 = MLP_HIDDEN
+    return [
         fan_in(h1, m),
         rng.uniform(-1 / np.sqrt(m), 1 / np.sqrt(m), size=h1),
         fan_in(h2, h1),
         rng.uniform(-1 / np.sqrt(h1), 1 / np.sqrt(h1), size=h2),
         fan_in(K, h2),
-    )
+    ]
 
 
 def train_mlp(
     dataset: tuple[np.ndarray, np.ndarray],
     train_cfg: TrainConfig,
-    hidden: tuple[int, int] = (7, 7),
     K: int | None = None,
     eval_set: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[MlpBaseline, list[dict]]:
     """Backprop training of the tanh MLP with the shared beta-softmax head."""
-    thetas, labels = dataset
-    thetas = np.asarray(thetas, dtype=float)
-    K = int(np.max(labels)) if K is None else K
-    y = _check_labels(labels, K)
-    n, m = thetas.shape
-
+    K = int(np.max(dataset[1])) if K is None else K
     rng = np.random.default_rng(train_cfg.seed)
-    W1, b1, W2, b2, Wh = _mlp_init(m, hidden, K, rng)
-    targets = [W1, b1, W2, b2, Wh]
-    adam = _Adam([t.shape for t in targets], train_cfg)
+    targets = _mlp_init(np.shape(dataset[0])[1], K, rng)
+    W1, b1, W2, b2, Wh = targets
 
-    history: list[dict] = []
+    def step(xb, yb):
+        h1 = np.tanh(xb @ W1.T + b1)
+        h2 = np.tanh(h1 @ W2.T + b2)
+        loss, gWh, _, dh2, _ = ce_head_gradients(h2, Wh, np.zeros(K), yb, train_cfg.beta)
+        dz2 = dh2 * (1 - h2 * h2)
+        dz1 = (dz2 @ W2) * (1 - h1 * h1)
+        return loss, [dz1.T @ xb, dz1.sum(axis=0), dz2.T @ h1, dz2.sum(axis=0), gWh]
+
     mlp = MlpBaseline(W1=W1, b1=b1, W2=W2, b2=b2, W_head=Wh, beta=train_cfg.beta)
-    best_rec, best_state = None, None
-    for epoch in range(train_cfg.epochs):
-        batch_losses = []
-        for idx in _epoch_batches(n, train_cfg.batch_size, rng):
-            xb, yb = thetas[idx], y[idx]
-            h1 = np.tanh(xb @ W1.T + b1)
-            h2 = np.tanh(h1 @ W2.T + b2)
-            loss, gWh, _, dh2, _ = ce_head_gradients(
-                h2, Wh, np.zeros(K), yb, train_cfg.beta
-            )
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"loss became {loss} at epoch {epoch}"
-                )
-            batch_losses.append(loss)
-            dz2 = dh2 * (1 - h2 * h2)
-            gW2 = dz2.T @ h1
-            gb2 = dz2.sum(axis=0)
-            dh1 = dz2 @ W2
-            dz1 = dh1 * (1 - h1 * h1)
-            gW1 = dz1.T @ xb
-            gb1 = dz1.sum(axis=0)
-            adam.step(targets, [gW1, gb1, gW2, gb2, gWh])
-        history.append(_epoch_record(epoch, batch_losses, mlp, dataset, eval_set))
-        if _better_epoch(history[-1], best_rec):
-            best_rec = history[-1]
-            best_state = [t.copy() for t in targets]
-    # keep the best iterate
-    if best_state is not None:
-        W1, b1, W2, b2, Wh = best_state
-        mlp = MlpBaseline(W1=W1, b1=b1, W2=W2, b2=b2, W_head=Wh, beta=train_cfg.beta)
+    history = _fit(mlp, targets, step, dataset, K, train_cfg, rng, eval_set)
     return mlp, history
 
 
@@ -535,7 +495,7 @@ def save_model(model, path, seed: int | None = None, atlas_hash: str = "", extra
             "W_head": model.W_head.tolist(),
             "beta": model.beta,
             "sigma": model.sigma,
-            "activation": model.activation,
+            "activation": "tanh",
         }
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -560,6 +520,8 @@ def load_model(path):
             ),
         )
     elif d["kind"] == "mlp":
+        if d.get("activation", "tanh") != "tanh":
+            raise ValueError(f"MLP activation must be 'tanh', got {d['activation']!r}")
         model = MlpBaseline(
             W1=np.array(d["W1"], dtype=float),
             b1=np.array(d["b1"], dtype=float),
@@ -568,7 +530,6 @@ def load_model(path):
             W_head=np.array(d["W_head"], dtype=float),
             beta=float(d["beta"]),
             sigma=float(d["sigma"]),
-            activation=d.get("activation", "tanh"),
         )
     else:
         raise ValueError(f"unknown checkpoint kind {d.get('kind')!r}")

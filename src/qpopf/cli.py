@@ -327,12 +327,15 @@ def cmd_audit(parser, args) -> int:
     n_draws = _count(parser, cfg, "mlp_draws")
     if args.mlp_sigma is not None and not (math.isfinite(args.mlp_sigma) and args.mlp_sigma >= 0):
         parser.error(f"--mlp-sigma must be finite and >= 0, got {args.mlp_sigma}")
+    try:
+        adjacency = AdjacencySpec(
+            delta_theta=float(cfg["delta_theta"]),
+            pair_count=pair_count,
+            seed=int(cfg["seed"]),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
-    adjacency = AdjacencySpec(
-        delta_theta=float(cfg["delta_theta"]),
-        pair_count=pair_count,
-        seed=int(cfg["seed"]),
-    )
     t0 = time.perf_counter()
 
     if grid:

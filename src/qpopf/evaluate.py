@@ -305,7 +305,7 @@ def measure_runtimes(
     )
     if mlp is not None:
         def mlp_path(theta):
-            k = int(np.argmax(mlp.logits(theta[None, :])[0])) + 1
+            k = int(np.argmax(mlp.base_scores(theta[None, :])[0])) + 1
             atlas.region(k).solution(theta)
 
         mlp_us = med_us(mlp_path)

@@ -78,7 +78,7 @@ class Renewable:
 
 @dataclass
 class GridCase:
-    """Validated network data.  Immutable after construction."""
+    """Network data, validated once when built (CaseError).  Immutable after construction."""
 
     name: str
     buses: list[int]
@@ -100,7 +100,7 @@ class GridCase:
     def m(self) -> int:
         return len(self.renewables)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         bus_set = set(self.buses)
         if len(bus_set) != len(self.buses):
             raise CaseError("duplicate bus ids in bus list")
@@ -255,7 +255,7 @@ def case_from_dict(raw: dict, name: str = "case") -> GridCase:
         for e in raw["renewables"]
     ]
     vlim = raw.get("voltage_limits", {})
-    case = GridCase(
+    return GridCase(
         name=name,
         buses=[int(b) for b in raw["buses"]],
         lines=lines,
@@ -267,8 +267,6 @@ def case_from_dict(raw: dict, name: str = "case") -> GridCase:
         v_min_pu=float(vlim.get("v_min_pu", 0.90)),
         v_max_pu=float(vlim.get("v_max_pu", 1.10)),
     )
-    case.validate()
-    return case
 
 
 @dataclass
@@ -386,7 +384,6 @@ def linearize(case: GridCase) -> ParametricLP:
     flows (in MW).  theta is normalized: column r of T carries the MW
     effect of a unit normalized deviation at renewable r.
     """
-    case.validate()
     if case.m == 0:
         raise DegenerateThetaError("case has no renewable units; theta is empty")
     for r in case.renewables:

@@ -299,7 +299,7 @@ def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:
     return basis
 
 
-def dual_certificate(plp: ParametricLP, solution: LPSolution, theta: np.ndarray) -> np.ndarray:
+def dual_certificate(plp: ParametricLP, solution: LPSolution) -> np.ndarray:
     """Dual vector y >= 0 with W'y = -c supported on the basis rows.
 
     For a nondegenerate optimum, -rhs.y equals the primal objective.

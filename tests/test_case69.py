@@ -151,7 +151,7 @@ def test_dual_certificate_69(plp69):
         sol = solve_lp(plp69, theta)
         if sol.status != "optimal":
             continue
-        y = dual_certificate(plp69, sol, theta)
+        y = dual_certificate(plp69, sol)
         assert np.min(y) >= -1e-9
         np.testing.assert_allclose(plp69.W.T @ y, -plp69.c, atol=1e-7)
         assert -float(plp69.rhs(theta) @ y) == pytest.approx(sol.objective, abs=1e-6)

@@ -107,6 +107,17 @@ def test_encoding_pattern_validation():
     assert cyclic_pattern(5, 3) == (0, 1, 2, 0, 1)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+def test_config_rejects_a_bad_encoding_scale(scale):
+    # the encoding Lipschitz constant, and so eps_reg, is proved for a finite scale > 0
+    with pytest.raises(ValueError, match="encoding_scale must be finite and > 0"):
+        CircuitConfig.default(n_q=2, L=1, m=2, encoding_scale=scale)
+    d = CircuitConfig.default(n_q=2, L=1, m=2).to_dict()
+    d["encoding_scale"] = scale
+    with pytest.raises(ValueError, match="encoding_scale must be finite and > 0"):
+        CircuitConfig.from_dict(d)
+
+
 def depolarized_z(states: np.ndarray, gamma: float, n_q: int) -> np.ndarray:
     """<Z_j> of (1-gamma) |psi><psi| + gamma I/D, read off the density matrix's diagonal.
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from qpopf.classifier import (
     VqcModel,
     argmax_accuracy,
     ce_head_gradients,
+    load_model,
     log_softmax,
     margin,
     margin_from_logits,
     sample_region,
+    save_model,
     softmax_probs,
     train_mlp,
     train_vqc,
@@ -166,6 +169,36 @@ def test_train_mlp_toy_accuracy(toy_mlp, toy_dataset):
     mlp, history = toy_mlp
     assert argmax_accuracy(mlp, *toy_dataset) >= 0.99
     assert history[-1]["loss"] < history[0]["loss"]
+
+
+@pytest.mark.parametrize("kind", ["vqc", "mlp"])
+def test_training_returns_the_best_epoch(kind, toy_vqc, toy_mlp, toy_dataset):
+    # best epoch: highest train accuracy, then lowest loss; the first such epoch wins
+    model, history = toy_vqc if kind == "vqc" else toy_mlp
+    best = min(history, key=lambda rec: (-rec["train_accuracy"], rec["loss"]))
+    assert best["epoch"] < len(history)  # the restore is exercised
+    assert argmax_accuracy(model, *toy_dataset) == best["train_accuracy"]
+    # a run cut at the best epoch ends on the same weights
+    cut = TrainConfig(epochs=best["epoch"], seed=3)
+    if kind == "vqc":
+        params, head, _ = train_vqc(toy_dataset, TOY_CONFIG, cut)
+        pairs = [(params.phi, model.params.phi), (head.W, model.head.W)]
+    else:
+        mlp, _ = train_mlp(toy_dataset, cut)
+        pairs = [(getattr(mlp, f), getattr(model, f)) for f in ("W1", "b1", "W2", "b2", "W_head")]
+    for got, want in pairs:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_load_model_rejects_a_non_tanh_activation(toy_mlp, tmp_path):
+    path = tmp_path / "mlp.json"
+    save_model(toy_mlp[0], path)
+    d = json.loads(path.read_text())
+    assert d["activation"] == "tanh"
+    d["activation"] = "relu"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="activation must be 'tanh', got 'relu'"):
+        load_model(path)
 
 
 def test_mlp_parameter_count_paper_shape():

@@ -316,6 +316,14 @@ def test_bad_noise_or_temperature_is_a_usage_error(workdir, tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", ["-1", "nan"])
+def test_bad_encoding_scale_writes_no_checkpoint(workdir, tmp_path, capsys, scale):
+    assert run(["train", "--case", TOY, "--atlas", workdir / "atlas.json", "--samples", 50,
+                "--epochs", 1, f"--encoding-scale={scale}", "--out-dir", tmp_path]) == 1
+    assert "encoding_scale must be finite and > 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("model", ["vqc", "mlp"])
 @pytest.mark.parametrize("flags,bad", [
     (["--train-beta", "0"], "beta .* 0.0"),
@@ -396,9 +404,17 @@ def test_bad_grid_or_mlp_sigma_is_a_usage_error(tmp_path, capsys, command, flags
 
 
 @pytest.mark.parametrize("grid", [[], ["--gamma-grid", "0,0.5"]])
-def test_non_finite_delta_theta_fails_before_any_draw(workdir, tmp_path, capsys, grid):
-    assert run(["audit", "--case", TOY, "--atlas", workdir / "atlas.json",
-                "--model", workdir / "vqc.json", "--delta-theta", "nan", *grid,
-                "--out-dir", tmp_path, "--out", "p.out"]) == 1
-    assert "delta_theta must be finite and > 0, got nan" in capsys.readouterr().err
-    assert not (tmp_path / "p.out").exists()
+def test_non_finite_delta_theta_fails_before_any_draw(tmp_path, capsys, grid):
+    # no input exists: delta_theta is checked before any input is loaded
+    missing = tmp_path / "missing.json"
+    config = tmp_path / "audit.json"
+    config.write_text(json.dumps({"audit": {"delta_theta": 0.0}}))
+    out = tmp_path / "out"
+    for flags, bad in [(["--delta-theta", "nan"], "nan"), (["--delta-theta", "0"], "0.0"),
+                       (["--delta-theta=-1"], "-1.0"), (["--config", config], "0.0")]:
+        with pytest.raises(SystemExit) as exc:
+            run(["audit", "--case", missing, "--atlas", missing, "--model", missing, *flags,
+                 *grid, "--out-dir", out])
+        assert exc.value.code == 2
+        assert f"delta_theta must be finite and > 0, got {bad}" in capsys.readouterr().err
+    assert not out.exists()

@@ -202,7 +202,7 @@ def released_law(model, thetas, gamma, beta, rng):
     if isinstance(model, VqcModel):
         return model.probability_matrix(thetas, gamma, beta)
     if isinstance(model, MlpBaseline):
-        s = model.logits(thetas)
+        s = model.base_scores(thetas)
         if model.sigma > 0.0:
             s = s + model.sigma * rng.standard_normal(s.shape)
         return softmax_probs(s, beta)

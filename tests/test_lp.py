@@ -131,7 +131,7 @@ def test_dual_certificate_reproduces_objective():
         sol = solve_lp(plp, np.zeros(1))
         if sol.status != "optimal":
             continue
-        y = dual_certificate(plp, sol, np.zeros(1))
+        y = dual_certificate(plp, sol)
         assert np.min(y) >= -1e-9
         np.testing.assert_allclose(plp.W.T @ y, -plp.c, atol=1e-8)
         assert -float(plp.rhs(np.zeros(1)) @ y) == pytest.approx(sol.objective, abs=1e-6)

@@ -322,7 +322,7 @@ def row_law(model, theta, gamma, beta, n_draws=2000, seed=0):
     if isinstance(model, VqcModel):
         return model.probability_matrix(theta[None, :], gamma, beta)[0]
     if isinstance(model, MlpBaseline):
-        s = model.logits(theta[None, :])[0]
+        s = model.base_scores(theta[None, :])[0]
         if model.sigma == 0.0:
             return softmax_probs(s, beta)
         rng = np.random.default_rng(seed)
@@ -538,8 +538,7 @@ def test_calibrate_sigma_matches_the_per_step_oracle(toy_mlp):
 def tradeoff_two_forwards(model, atlas, theta, gamma, beta, delta_theta, dj_max):
     """The logit-dependent components, each logit vector from its own forward."""
     k_star = locate_region(atlas, theta)
-    s, s0 = ((1.0 - g) * (model.features0(theta[None, :]) @ model.head.W.T) + model.head.b
-             for g in (gamma, 0.0))
+    s, s0 = ((1.0 - g) * model.base_scores(theta[None, :]) + model.head.b for g in (gamma, 0.0))
     s, s0 = s[0], s0[0]
     K = s.shape[0]
     m_gamma, m0 = margin_from_logits(s, k_star), margin_from_logits(s0, k_star)
