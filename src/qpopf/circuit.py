@@ -1,9 +1,19 @@
 """Exact statevector simulation of the data-reuploading circuit.
 
 Qubit j corresponds to bit (n_q - 1 - j) of the basis index, i.e. qubit 0
-is the leftmost label in ket notation.  Gate kernels operate on arrays of
-shape (..., 2**n_q) so a whole batch of inputs moves through the circuit
-in one call.
+is the leftmost label in ket notation.  States are arrays (..., 2**n_q),
+so a whole batch of inputs moves through the circuit in one call.
+
+Each call tables its gates once, with vectorized numpy: the encoding
+rotations per sample and qubit, the trainable gates per layer and qubit.
+A single-qubit gate is then one broadcast multiply (its four products),
+one subtraction and one addition into preallocated buffers, and each
+layer's CNOT ladder is one gather by a fixed permutation (the Gray code).
+Every amplitude gets the products and sums a gate-by-gate kernel gives
+it, so the states are bitwise the same.  One exception: on a CPU with
+fused multiply-add, numpy rounds a one-element complex product of
+multi-dimensional arrays without it, and a gate-by-gate kernel makes such
+products only for a one-qubit "rot" circuit on one sample.
 
 Depolarizing noise never needs a density matrix here: the global channel
 rho -> (1-g) rho + g I/D leaves every Pauli-Z expectation contracted by
@@ -11,7 +21,8 @@ exactly (1-g) because Z is traceless, so noisy features come from the
 pure-state expectations analytically (infinite-shot limit).
 
 Gradients over the trainable angles come from one adjoint pass
-(:func:`vjp`); the parameter-shift rule is kept as the test oracle.
+(:func:`vjp`) over the same tables, the ladder gathered by the inverse
+permutation; the parameter-shift rule is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -82,10 +93,6 @@ class CircuitConfig:
         return 2**self.n_q
 
     @property
-    def angles_per_gate(self) -> int:
-        return 3 if self.trainable_gate == "rot" else 1
-
-    @property
     def param_shape(self) -> tuple[int, ...]:
         if self.trainable_gate == "rot":
             return (self.L, self.n_q, 3)
@@ -142,74 +149,124 @@ class VqcParams:
         return cls(rng.uniform(-np.pi, np.pi, size=config.param_shape))
 
 
-# -- batched kernels ---------------------------------------------------------
+# -- gate tables and the state walk --------------------------------------------
 
 
-def _ry_batch(states: np.ndarray, qubit: int, angles, n_q: int) -> np.ndarray:
-    """Apply Ry(angle) on one qubit of states shaped (..., 2**n_q).
+def _coefficients(m00, m01, m10, m11) -> np.ndarray:
+    """Gate matrices [[m00, -m01], [m10, m11]] as a table (2, 2, *gates).
 
-    ``angles`` broadcasts against the batch dimensions, so per-sample
-    encoding angles cost one vectorized pass.
+    Entry [0] is A = (m00, m10), the column that multiplies the amplitudes
+    where the qubit reads 0, and [1] is C = (m01, m11), the one for 1: the
+    new rows are A0 a0 - C0 a1 and A1 a0 + C1 a1.  A real table stays real;
+    the product casts it to complex exactly, as it did a kernel's cos and sin.
     """
-    lead = states.shape[:-1]
+    return np.array([[m00, m10], [m01, m11]])
+
+
+def _ry_table(angles) -> np.ndarray:
+    """Ry(angle) = [[c, -s], [s, c]], c, s = cos, sin(angle / 2), for every angle."""
     half = np.multiply(angles, 0.5)
-    c = np.asarray(np.cos(half))[..., None, None]
-    s = np.asarray(np.sin(half))[..., None, None]
-    shaped = states.reshape(*lead, 2**qubit, 2, 2 ** (n_q - qubit - 1))
-    a0 = shaped[..., 0, :]
-    a1 = shaped[..., 1, :]
-    out = np.empty_like(shaped)
-    out[..., 0, :] = c * a0 - s * a1
-    out[..., 1, :] = s * a0 + c * a1
-    return out.reshape(*lead, 2**n_q)
+    c, s = np.cos(half), np.sin(half)
+    return _coefficients(c, s, s, c)
 
 
-def _rz_batch(states: np.ndarray, qubit: int, angles, n_q: int) -> np.ndarray:
-    """Apply Rz(angle) = diag(exp(-ia/2), exp(+ia/2)) on one qubit."""
-    lead = states.shape[:-1]
-    half = np.multiply(angles, 0.5)
-    phase = np.asarray(np.exp(-1j * half))[..., None, None]
-    shaped = states.reshape(*lead, 2**qubit, 2, 2 ** (n_q - qubit - 1))
-    out = np.empty_like(shaped)
-    out[..., 0, :] = phase * shaped[..., 0, :]
-    out[..., 1, :] = np.conj(phase) * shaped[..., 1, :]
-    return out.reshape(*lead, 2**n_q)
+def _rot_table(phi: np.ndarray) -> np.ndarray:
+    """Fused Rz(c) Ry(b) Rz(a) for every angle triple (a, b, c) on the last axis of phi."""
+    a, b, c = phi[..., 0], phi[..., 1], phi[..., 2]
+    cos_b = np.cos(np.multiply(b, 0.5))
+    sin_b = np.sin(np.multiply(b, 0.5))
+    e_m = np.exp(-0.5j * (np.add(a, c)))   # phase on |0><0|
+    e_d = np.exp(0.5j * (np.subtract(a, c)))
+    return _coefficients(e_m * cos_b, e_d * sin_b, np.conj(e_d) * sin_b, np.conj(e_m) * cos_b)
 
 
-def _rot_batch(states: np.ndarray, qubit: int, a, b, c, n_q: int) -> np.ndarray:
-    """Fused general rotation Rz(c) Ry(b) Rz(a) in one pass."""
-    lead = states.shape[:-1]
-    cos_b = np.asarray(np.cos(np.multiply(b, 0.5)))[..., None, None]
-    sin_b = np.asarray(np.sin(np.multiply(b, 0.5)))[..., None, None]
-    e_m = np.asarray(np.exp(-0.5j * (np.add(a, c))))[..., None, None]   # phase on |0><0|
-    e_d = np.asarray(np.exp(0.5j * (np.subtract(a, c))))[..., None, None]
-    shaped = states.reshape(*lead, 2**qubit, 2, 2 ** (n_q - qubit - 1))
-    a0 = shaped[..., 0, :]
-    a1 = shaped[..., 1, :]
-    out = np.empty_like(shaped)
-    out[..., 0, :] = (e_m * cos_b) * a0 - (e_d * sin_b) * a1
-    out[..., 1, :] = (np.conj(e_d) * sin_b) * a0 + (np.conj(e_m) * cos_b) * a1
-    return out.reshape(*lead, 2**n_q)
+def _rz_table(angles) -> np.ndarray:
+    """Rz(angle) = diag(exp(-ia/2), exp(+ia/2)) for every angle, shaped (*angles, 2, 1)."""
+    phase = np.exp(-1j * np.multiply(angles, 0.5))
+    return np.stack([phase, np.conj(phase)], axis=-1)[..., None]
 
 
-def _cnot_batch(states: np.ndarray, control: int, n_q: int) -> np.ndarray:
-    """CNOT(control, control + 1) applied in place to states shaped (..., 2**n_q)."""
-    lead = states.shape[:-1]
-    shaped = states.reshape(*lead, 2**control, 2, 2, 2 ** (n_q - control - 2))
-    shaped[..., 1, :, :] = shaped[..., 1, ::-1, :].copy()
-    return shaped.reshape(*lead, 2**n_q)
+def _ladder_permutation(n_q: int) -> np.ndarray:
+    """The CNOT ladder CNOT(0, 1) ... CNOT(n_q - 2, n_q - 1) as a gather: new = old[..., perm].
+
+    The ladder XORs each qubit into the next, so basis state x goes to the
+    prefix XOR of its bits (qubit 0 is the top bit), whose inverse is the
+    Gray code: new[y] = old[y ^ (y >> 1)].
+    """
+    index = np.arange(2**n_q)
+    return index ^ (index >> 1)
 
 
-def _ladder_inplace(states: np.ndarray, n_q: int) -> np.ndarray:
-    for i in range(n_q - 1):
-        states = _cnot_batch(states, i, n_q)
-    return states
+class _Walk:
+    """States (*lead, 2**n_q) taken through gates in place.
+
+    A gate's four products go to a scratch laid out (A or C, row, *lead,
+    2**q, rest) in one broadcast multiply; each output row is then one
+    subtraction or addition of two contiguous scratch rows, written back
+    over the states.  The scratch and every view are made here, once.
+    """
+
+    def __init__(self, states: np.ndarray, n_q: int):
+        self.states = states
+        lead = states.shape[:-1]
+        scratch = np.empty((2, 2, states.size // 2), dtype=complex)
+        self.spare = scratch.reshape(-1)[: states.size].reshape(states.shape)
+        halves_first = (len(lead) + 1, *range(len(lead) + 1), len(lead) + 2)
+        self.lead = lead
+        self.views, self.halves, self.rows, self.products = [], [], [], []
+        for qubit in range(n_q):
+            split = (2**qubit, 2, 2 ** (n_q - qubit - 1))
+            view = states.reshape(*lead, *split)
+            self.views.append(view)
+            # (a0 or a1, 1, *lead, 2**qubit, rest): the amplitudes where the qubit reads 0, 1
+            self.halves.append(view.transpose(halves_first)[:, None])
+            self.rows.append((view[..., 0, :], view[..., 1, :]))
+            pq = scratch.reshape(2, 2, *lead, split[0], split[2])
+            self.products.append((pq, pq[0, 0], pq[1, 0], pq[0, 1], pq[1, 1]))
+
+    def broadcast(self, table: np.ndarray, per_sample: bool = False) -> np.ndarray:
+        """A gate table (2, 2, *gates) as (*gates, 2, 2, ...): each gate's entry
+        broadcasts against the products scratch.
+
+        A ``per_sample`` table has one gate per sample on its last axis,
+        (2, 2, *gates, N), and each sample's gate meets only that sample's
+        states.  The result is a view.
+        """
+        samples = self.lead[-1] if per_sample else 1
+        gates = table.shape[2 : table.ndim - 1] if per_sample else table.shape[2:]
+        order = (*range(2, 2 + len(gates)), 0, 1, *range(2 + len(gates), table.ndim))
+        ones = (1,) * (len(self.lead) - 1)
+        return table.transpose(order).reshape(*gates, 2, 2, *ones, samples, 1, 1)
+
+    def gate(self, coefficients: np.ndarray, qubit: int) -> None:
+        """One single-qubit gate given by a broadcast table entry (2, 2, ...)."""
+        products, a0_row0, a1_row0, a0_row1, a1_row1 = self.products[qubit]
+        np.multiply(coefficients, self.halves[qubit], out=products)
+        out0, out1 = self.rows[qubit]
+        # a subtraction, not -C0 in the table: (-C0) a1 can round an exact zero
+        # to the other sign, and a real (ry) circuit's imaginary parts are all zero
+        np.subtract(a0_row0, a1_row0, out=out0)
+        np.add(a0_row1, a1_row1, out=out1)
+
+    def phases(self, phases: np.ndarray, qubit: int) -> None:
+        """A diagonal gate, ``phases`` (2, 1) on the qubit's two halves."""
+        np.multiply(phases, self.views[qubit], out=self.views[qubit])
+
+    def gather(self, perm: np.ndarray) -> None:
+        """Permute the basis states: new[..., y] = old[..., perm[y]]."""
+        np.take(self.states, perm, axis=-1, out=self.spare)
+        np.copyto(self.states, self.spare)
 
 
 def run_circuit_batch(
     config: CircuitConfig, params: VqcParams, thetas: np.ndarray
 ) -> np.ndarray:
-    """Output states (N, 2**n_q) for a batch of normalized inputs (N, m)."""
+    """Output states (N, 2**n_q) for a batch of normalized inputs (N, m).
+
+    Each gate family's coefficients are tabled once per call (the
+    encoding per sample, the trainable gates per layer and qubit), and each
+    layer's CNOT ladder is one gather.
+    """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if max(config.encoding_pattern) >= thetas.shape[1]:
         raise ValueError(
@@ -220,22 +277,23 @@ def run_circuit_batch(
         raise ValueError(
             f"params shape {params.phi.shape} does not match {config.param_shape}"
         )
-    n = thetas.shape[0]
-    states = np.zeros((n, config.dim), dtype=complex)
+    states = np.zeros((thetas.shape[0], config.dim), dtype=complex)
     states[:, 0] = 1.0
-    enc = config.encoding_scale * thetas[:, list(config.encoding_pattern)]
+    walk = _Walk(states, config.n_q)
+    encoding = walk.broadcast(
+        _ry_table(config.encoding_scale * thetas.T[list(config.encoding_pattern)]), per_sample=True
+    )
+    trainable = walk.broadcast(
+        _rot_table(params.phi) if config.trainable_gate == "rot" else _ry_table(params.phi)
+    )
+    ladder = _ladder_permutation(config.n_q)
     for layer in range(config.L):
         for qubit in range(config.n_q):
-            states = _ry_batch(states, qubit, enc[:, qubit], config.n_q)
+            walk.gate(encoding[qubit], qubit)
         for qubit in range(config.n_q):
-            if config.trainable_gate == "rot":
-                a, b, c = params.phi[layer, qubit]
-                states = _rot_batch(states, qubit, a, b, c, config.n_q)
-            else:
-                states = _ry_batch(states, qubit, params.phi[layer, qubit], config.n_q)
-        if config.n_q > 1:
-            states = _ladder_inplace(states, config.n_q)
-    return states
+            walk.gate(trainable[layer, qubit], qubit)
+        walk.gather(ladder)
+    return walk.states
 
 
 def z_expectations(states: np.ndarray, n_q: int) -> np.ndarray:
@@ -249,36 +307,6 @@ def z_expectations(states: np.ndarray, n_q: int) -> np.ndarray:
         p1 = shaped[..., 1, :].sum(axis=(-1, -2))
         out[..., j] = p0 - p1
     return out
-
-
-def param_shift_grad(
-    config: CircuitConfig,
-    params: VqcParams,
-    theta: np.ndarray,
-    loss,
-    gamma: float = 0.0,
-) -> np.ndarray:
-    """Gradient of loss(features) over phi via +-pi/2 shifted evaluations.
-
-    Exact whenever the loss is a fixed linear functional of the features
-    (each feature is a single-frequency trigonometric function of any one
-    angle).  Two circuits per angle make it the test oracle for
-    :func:`vjp`, which training uses instead.
-    """
-    theta = np.asarray(theta, dtype=float)[None, :]
-
-    def loss_at(shifted: VqcParams) -> float:
-        z = z_expectations(run_circuit_batch(config, shifted, theta), config.n_q)[0]
-        return loss((1.0 - gamma) * z)
-
-    grad = np.zeros_like(params.phi)
-    for idx in np.ndindex(params.phi.shape):
-        shifted = params.copy()
-        shifted.phi[idx] += np.pi / 2.0
-        plus = loss_at(shifted)
-        shifted.phi[idx] -= np.pi
-        grad[idx] = 0.5 * (plus - loss_at(shifted))
-    return grad
 
 
 # -- adjoint gradient ----------------------------------------------------------
@@ -317,8 +345,9 @@ def vjp(
     ``dh`` is (..., N, n_q) and the result (..., N, *param_shape).  Adjoint
     method (Jones & Gacon, arXiv:2009.02823): one forward pass, then the
     state psi and the costate lam = O psi, O = sum_j dh_j Z_j, walk the
-    layers backwards together.  A gate exp(-i a G / 2) contributes
-    d/da <psi|O|psi> = Im <lam|G|psi>, read where the gate has acted.
+    layers backwards together through the inverse gates, tabled once per
+    call, and each ladder's inverse permutation.  A gate exp(-i a G / 2)
+    contributes d/da <psi|O|psi> = Im <lam|G|psi>, read where it has acted.
     ``states`` are the final states ``run_circuit_batch`` returns for
     ``thetas``, when the caller has them; otherwise the forward pass runs here.
     """
@@ -329,25 +358,33 @@ def vjp(
     if dh.shape[-2:] != (thetas.shape[0], n_q):
         raise ValueError(f"dh must be (..., {thetas.shape[0]}, {n_q}), got {dh.shape}")
     signs = _z_signs(n_q)
-    pair = np.stack(np.broadcast_arrays(psi, (dh @ signs) * psi))
-    enc = config.encoding_scale * thetas[:, list(config.encoding_pattern)]
+    walk = _Walk(np.stack(np.broadcast_arrays(psi, (dh @ signs) * psi)), n_q)
+    encoding = walk.broadcast(
+        _ry_table(-(config.encoding_scale * thetas.T[list(config.encoding_pattern)])),
+        per_sample=True,
+    )
+    rot = config.trainable_gate == "rot"
+    if rot:
+        trainable = walk.broadcast(_ry_table(-params.phi[..., 1]))
+        phases = _rz_table(-params.phi[..., ::2])   # Rz(-a), Rz(-c)
+    else:
+        trainable = walk.broadcast(_ry_table(-params.phi))
+    unladder = np.argsort(_ladder_permutation(n_q))
     grad = np.empty((*dh.shape[:-1], *config.param_shape))
     for layer in reversed(range(config.L)):
-        for i in reversed(range(n_q - 1)):
-            pair = _cnot_batch(pair, i, n_q)
+        walk.gather(unladder)
         for qubit in reversed(range(n_q)):
-            if config.trainable_gate == "rot":
-                a, b, c = params.phi[layer, qubit]
-                grad[..., layer, qubit, 2] = _im_z(pair, signs[qubit])
-                pair = _rz_batch(pair, qubit, -c, n_q)
-                grad[..., layer, qubit, 1] = _im_y(pair, qubit, n_q)
-                pair = _ry_batch(pair, qubit, -b, n_q)
-                grad[..., layer, qubit, 0] = _im_z(pair, signs[qubit])
-                pair = _rz_batch(pair, qubit, -a, n_q)
+            if rot:
+                grad[..., layer, qubit, 2] = _im_z(walk.states, signs[qubit])
+                walk.phases(phases[layer, qubit, 1], qubit)
+                grad[..., layer, qubit, 1] = _im_y(walk.states, qubit, n_q)
+                walk.gate(trainable[layer, qubit], qubit)
+                grad[..., layer, qubit, 0] = _im_z(walk.states, signs[qubit])
+                walk.phases(phases[layer, qubit, 0], qubit)
             else:
-                grad[..., layer, qubit] = _im_y(pair, qubit, n_q)
-                pair = _ry_batch(pair, qubit, -params.phi[layer, qubit], n_q)
+                grad[..., layer, qubit] = _im_y(walk.states, qubit, n_q)
+                walk.gate(trainable[layer, qubit], qubit)
         if layer:  # the first layer's encoding precedes every trainable gate
             for qubit in reversed(range(n_q)):
-                pair = _ry_batch(pair, qubit, -enc[:, qubit], n_q)
+                walk.gate(encoding[qubit], qubit)
     return (1.0 - gamma) * grad

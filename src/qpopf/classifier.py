@@ -289,6 +289,12 @@ class OracleClassifier(ReleaseModel):
     def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
         return base
 
+    def probability_matrix(
+        self, thetas: np.ndarray, gamma: float = 0.0, beta: float | None = None
+    ) -> np.ndarray:
+        """The one-hot law of :meth:`released_law`: the oracle has no temperature."""
+        return self.probabilities_from_base(self.base_scores(thetas), gamma, beta)
+
 
 @dataclass
 class TrainConfig:

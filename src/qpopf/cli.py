@@ -212,6 +212,24 @@ def _count(parser, cfg: dict, key: str) -> int:
     return value
 
 
+def _circuit_config(parser, cfg: dict, m: int) -> CircuitConfig:
+    """The VQC circuit of the train keys; a bad key is a usage error.
+
+    Only the encoding pattern depends on the LP's ``m``, and it is valid
+    for any m >= 1, so ``m=1`` checks the keys before any input is loaded.
+    """
+    try:
+        return CircuitConfig.default(
+            n_q=int(cfg["qubits"]),
+            L=int(cfg["layers"]),
+            m=m,
+            encoding_scale=float(cfg["encoding_scale"]),
+            trainable_gate=str(cfg["gate"]),
+        )
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
+
+
 def _check_noise_and_temperature(parser, gammas, betas) -> None:
     try:
         check_noise_and_temperature(gammas, betas)
@@ -265,29 +283,25 @@ def cmd_train(parser, args) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    if cfg["model"] == "vqc":
+        _circuit_config(parser, cfg, m=1)
+    elif cfg["model"] != "mlp":
+        parser.error(f"unknown model kind {cfg['model']!r}")
     plp, atlas, _, prov = _load_pipeline(parser, args, cfg)
     thetas, labels = sample_labeled_dataset(atlas, samples, seed=seed)
     train_set = (thetas[: samples - n_test], labels[: samples - n_test])
     test_set = (thetas[samples - n_test :], labels[samples - n_test :])
     t0 = time.perf_counter()
     if cfg["model"] == "vqc":
-        config = CircuitConfig.default(
-            n_q=int(cfg["qubits"]),
-            L=int(cfg["layers"]),
-            m=plp.m,
-            encoding_scale=float(cfg["encoding_scale"]),
-            trainable_gate=str(cfg["gate"]),
-        )
+        config = _circuit_config(parser, cfg, m=plp.m)
         params, head, history = train_vqc(
             train_set, config, train_cfg, K=atlas.K, eval_set=test_set
         )
         model = VqcModel(config, params, head)
-    elif cfg["model"] == "mlp":
+    else:
         model, history = train_mlp(
             train_set, train_cfg, K=atlas.K, eval_set=test_set
         )
-    else:
-        parser.error(f"unknown model kind {cfg['model']!r}")
     elapsed = time.perf_counter() - t0
 
     out = _out_dir(args) / (args.out or f"{cfg['model']}.json")

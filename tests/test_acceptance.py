@@ -11,7 +11,6 @@ import pytest
 from qpopf.circuit import (
     CircuitConfig,
     VqcParams,
-    param_shift_grad,
     run_circuit_batch,
     z_expectations,
 )
@@ -34,6 +33,7 @@ from qpopf.privacy import (
     margin_from_logits,
 )
 from qpopf.regions import enumerate_regions, locate_region
+from tests.circuit_oracle import param_shift_grad
 from tests.conftest import make_toy_plp
 
 GAMMAS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]

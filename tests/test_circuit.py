@@ -1,19 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qpopf import classifier as classifier_mod
 from qpopf.circuit import (
     CircuitConfig,
     VqcParams,
-    _ladder_inplace,
-    _ry_batch,
+    _ladder_permutation,
     cyclic_pattern,
-    param_shift_grad,
     run_circuit_batch,
     vjp,
     z_expectations,
 )
-from qpopf.classifier import TrainConfig, train_vqc
+from qpopf.classifier import TrainConfig, load_model, train_vqc
 from qpopf.privacy import encoding_lipschitz
+from tests import circuit_oracle as oracle
+from tests.circuit_oracle import ladder_inplace, param_shift_grad, ry_batch
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -39,31 +42,113 @@ def random_params(config, rng) -> VqcParams:
 
 
 def test_ry_pi_flips_ground():
-    out = _ry_batch(ground(1), 0, np.pi, 1)
+    out = ry_batch(ground(1), 0, np.pi, 1)
     np.testing.assert_allclose(out[0], [0.0, 1.0], atol=1e-15)
 
 
 def test_ry_zero_is_identity():
     amps = random_states(np.random.default_rng(1), 1, 4)
-    out = _ry_batch(amps.copy(), 1, 0.0, 2)
+    out = ry_batch(amps.copy(), 1, 0.0, 2)
     np.testing.assert_allclose(out, amps, atol=1e-15)
 
 
 def test_ry_half_pi_rotation():
-    out = _ry_batch(ground(1), 0, np.pi / 2, 1)
+    out = ry_batch(ground(1), 0, np.pi / 2, 1)
     np.testing.assert_allclose(out[0], [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
 
 def test_cnot_ladder_truth_table():
-    out = _ladder_inplace(states_of(0, 0, 1, 0), 2)  # |10> -> |11>
+    out = ladder_inplace(states_of(0, 0, 1, 0), 2)  # |10> -> |11>
     np.testing.assert_allclose(out[0], [0, 0, 0, 1], atol=1e-15)
-    out = _ladder_inplace(ground(3), 3)
+    out = ladder_inplace(ground(3), 3)
     np.testing.assert_allclose(out, ground(3), atol=1e-15)
 
 
 def test_cnot_ladder_builds_bell_state():
-    out = _ladder_inplace(states_of(INV_SQRT2, 0, INV_SQRT2, 0), 2)
+    out = ladder_inplace(states_of(INV_SQRT2, 0, INV_SQRT2, 0), 2)
     np.testing.assert_allclose(out[0], [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
+
+
+# -- the tabled kernels against the gate-by-gate oracle -------------------------
+
+ORACLE_CASES = [(n_q, n_q) for n_q in (1, 2, 3, 5)] + [(5, 3)]  # (n_q, m); (5, 3) is (0, 1, 2, 0, 1)
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+def wide_params(config, rng) -> VqcParams:
+    """Angles in [-2 pi, 2 pi]: trained angles leave [-pi, pi], where cos(a/2) < 0
+    gives the zero imaginary parts of an ry circuit both signs."""
+    return VqcParams(rng.uniform(-2 * np.pi, 2 * np.pi, config.param_shape))
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def oracle_case(n_q, m, gate, batch):
+    rng = np.random.default_rng(1000 * n_q + 10 * m + batch + (gate == "rot"))
+    config = CircuitConfig.default(n_q=n_q, L=2, m=m, trainable_gate=gate)
+    return config, wide_params(config, rng), rng.uniform(-1, 1, (batch, m)), rng
+
+
+def one_element_products(n_q, batch, gate):
+    """The one case whose oracle states differ in the last bit.
+
+    numpy rounds a complex product with one element (of arrays with more than
+    one dimension) without a fused multiply-add, and longer ones with it where
+    the CPU has it.  The oracle's rot products have one element at one qubit
+    and one sample; the tabled kernel's always have at least two.
+    """
+    return (n_q, batch, gate) == (1, 1, "rot")
+
+
+@pytest.mark.parametrize("batch", [1, 32, 3000])
+@pytest.mark.parametrize("gate", ["rot", "ry"])
+@pytest.mark.parametrize("n_q,m", ORACLE_CASES)
+def test_states_equal_the_gate_by_gate_oracle(n_q, m, gate, batch):
+    config, params, thetas, _ = oracle_case(n_q, m, gate, batch)
+    got = run_circuit_batch(config, params, thetas)
+    want = oracle.run_circuit(config, params, thetas)
+    if one_element_products(n_q, batch, gate):
+        np.testing.assert_allclose(got, want, rtol=0, atol=4e-16)
+    else:
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("batch", [1, 32, 3000])
+@pytest.mark.parametrize("gate", ["rot", "ry"])
+@pytest.mark.parametrize("n_q,m", ORACLE_CASES)
+def test_vjp_equals_the_gate_by_gate_oracle(n_q, m, gate, batch):
+    config, params, thetas, rng = oracle_case(n_q, m, gate, batch)
+    dh = rng.normal(size=(2, batch, n_q))  # a leading axis of cotangents
+    want = oracle.vjp(config, params, thetas, dh, gamma=0.3)
+    states = oracle.run_circuit(config, params, thetas)
+    assert_bitwise(vjp(config, params, thetas, dh, gamma=0.3, states=states), want)
+    if not one_element_products(n_q, batch, gate):
+        assert_bitwise(vjp(config, params, thetas, dh, gamma=0.3), want)
+
+
+@pytest.mark.parametrize("n_q", range(1, 7))
+def test_ladder_permutation_is_the_cnot_ladder(n_q):
+    basis = np.eye(2**n_q, dtype=complex)
+    perm = _ladder_permutation(n_q)
+    np.testing.assert_array_equal(basis[:, perm], ladder_inplace(basis.copy(), n_q))
+    np.testing.assert_array_equal(basis[:, perm][:, np.argsort(perm)], basis)
+
+
+def test_committed_vqc_releases_the_oracle_law(monkeypatch):
+    model, _ = load_model(FIXTURES / "vqc.json")
+    thetas = np.random.default_rng(83).uniform(-1, 1, (300, 3))
+
+    def laws():
+        rows = [model.probability_matrix(t[None, :], 0.2, 2.0) for t in thetas[:20]]
+        return [*rows, model.probability_matrix(thetas, 0.2, 2.0), model.released_law(thetas, 0.2, 2.0)]
+
+    got = laws()
+    monkeypatch.setattr(classifier_mod, "run_circuit_batch", oracle.run_circuit)
+    for g, w in zip(got, laws(), strict=True):
+        assert_bitwise(g, w)
 
 
 def test_run_circuit_all_zero_inputs():

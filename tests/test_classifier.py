@@ -7,6 +7,7 @@ import pytest
 from qpopf.circuit import CircuitConfig, VqcParams
 from qpopf.classifier import (
     LinearHead,
+    OracleClassifier,
     TrainConfig,
     TrainingDivergedError,
     VqcModel,
@@ -23,6 +24,7 @@ from qpopf.classifier import (
     train_vqc,
 )
 from qpopf.regions import locate_region, sample_labeled_dataset
+from tests.circuit_oracle import angles_per_gate
 
 TOY_CONFIG = CircuitConfig.default(n_q=2, L=2, m=1)
 
@@ -216,7 +218,7 @@ def test_vqc_parameter_count_reported():
         VqcParams(np.zeros(config.param_shape)),
         LinearHead(W=np.zeros((7, 5)), b=np.zeros(7)),
     )
-    assert model.num_params == config.L * config.n_q * config.angles_per_gate + 35
+    assert model.num_params == config.L * config.n_q * angles_per_gate(config) + 35
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -317,3 +319,13 @@ def test_argmax_gamma_invariant(toy_vqc):
         np.testing.assert_array_equal(
             np.argmax(model.logit_matrix(thetas, g), axis=1), base
         )
+
+
+@pytest.mark.parametrize("beta", [None, 0.5, 4.0])
+def test_oracle_probability_matrix_is_its_released_law(toy_atlas, beta):
+    # the one-hot law at any gamma and beta; the oracle has no beta of its own
+    oracle = OracleClassifier(toy_atlas)
+    thetas = np.linspace(-0.95, 0.95, 40)[:, None]
+    one_hot = np.eye(toy_atlas.K)[[locate_region(toy_atlas, t) - 1 for t in thetas]]
+    np.testing.assert_array_equal(oracle.released_law(thetas, 0.3, 2.0), one_hot)
+    np.testing.assert_array_equal(oracle.probability_matrix(thetas, 0.3, beta), one_hot)

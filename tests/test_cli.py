@@ -318,10 +318,37 @@ def test_bad_noise_or_temperature_is_a_usage_error(workdir, tmp_path, capsys, co
 
 @pytest.mark.parametrize("scale", ["-1", "nan"])
 def test_bad_encoding_scale_writes_no_checkpoint(workdir, tmp_path, capsys, scale):
-    assert run(["train", "--case", TOY, "--atlas", workdir / "atlas.json", "--samples", 50,
-                "--epochs", 1, f"--encoding-scale={scale}", "--out-dir", tmp_path]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--case", TOY, "--atlas", workdir / "atlas.json", "--samples", 50,
+             "--epochs", 1, f"--encoding-scale={scale}", "--out-dir", tmp_path])
+    assert exc.value.code == 2
     assert "encoding_scale must be finite and > 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags,config,bad", [
+    (["--encoding-scale=-1"], None, "encoding_scale must be finite and > 0, got -1.0"),
+    (["--encoding-scale", "nan"], None, "encoding_scale must be finite and > 0, got nan"),
+    (["--qubits", "0"], None, "n_q must be >= 1"),
+    (["--layers", "0"], None, "L must be >= 1"),
+    ([], {"encoding_scale": 0.0}, "encoding_scale must be finite and > 0, got 0.0"),
+    ([], {"qubits": -2}, "n_q must be >= 1"),
+    ([], {"gate": "cz"}, "unknown trainable_gate 'cz'"),
+    ([], {"layers": "six"}, "invalid literal for int()"),
+    ([], {"model": "svm"}, "unknown model kind 'svm'"),
+])
+def test_bad_circuit_key_is_a_usage_error(tmp_path, capsys, flags, config, bad):
+    # the atlas does not exist: the circuit keys are checked before any input is loaded
+    if config is not None:
+        (tmp_path / "train.json").write_text(json.dumps({"train": config}))
+        flags = [*flags, "--config", tmp_path / "train.json"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--case", TOY, "--atlas", tmp_path / "missing.json", *flags,
+             "--out-dir", out])
+    assert exc.value.code == 2
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", ["vqc", "mlp"])

@@ -1,7 +1,8 @@
 """Static checks of the package layout and of the README's library example.
 
 Every module of ``src/qpopf`` imports the package's other modules at its
-top and uses only their public names; the package exports exactly the
+top and uses only their public names; every private function or method is
+called from somewhere in the package; the package exports exactly the
 names the README's ``## Library`` block imports from it.
 """
 
@@ -71,6 +72,20 @@ def private_reads(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def unreferenced_private_functions(modules: dict[str, ast.Module]) -> list[str]:
+    """Private functions and methods that no line of the package names."""
+    defined, used = [], set()
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_private(node.name):
+                defined.append((node.name, f"{name}.{node.name}:{node.lineno}"))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return sorted(where for fn, where in defined if fn not in used)
+
+
 def test_no_function_imports_a_package_module():
     assert function_imports(parse_package()) == []
 
@@ -89,6 +104,16 @@ def test_the_checks_flag_planted_violations():
     }
     assert function_imports(planted) == ["b.f:5"]
     assert private_reads(planted) == ["b:2 imports _helper", "b:6 reads ._helper"]
+    assert unreferenced_private_functions(planted) == []
+    planted["c"] = ast.parse(
+        "class C:\n    def _used(self):\n        pass\n\n    def _unused(self):\n"
+        "        return self._used()\n\n\ndef _kernel():\n    pass\n"
+    )
+    assert unreferenced_private_functions(planted) == ["c._kernel:9", "c._unused:5"]
+
+
+def test_every_private_function_is_used_in_the_package():
+    assert unreferenced_private_functions(parse_package()) == []
 
 
 def library_block() -> ast.Module:
