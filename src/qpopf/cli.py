@@ -28,14 +28,13 @@ from qpopf.classifier import (
     OracleClassifier,
     TrainConfig,
     VqcModel,
-    argmax_accuracy,
     check_noise_and_temperature,
     load_model,
     save_model,
     train_mlp,
     train_vqc,
 )
-from qpopf.circuit import CircuitConfig
+from qpopf.circuit import CircuitConfig, cyclic_pattern
 from qpopf.evaluate import (
     ScenarioBatch,
     evaluate,
@@ -86,6 +85,9 @@ DEFAULTS = {
     "report": {},
 }
 
+# keys that count units of work: a value below 1 is a usage error
+COUNT_KEYS = ("budget", "coverage_samples", "pairs", "mlp_draws", "scenarios")
+
 TABLE_BIT_GRID = [(4, 2), (4, 3), (4, 4), (6, 2), (6, 3), (6, 4), (8, 3), (8, 4), (8, 5)]
 
 
@@ -120,21 +122,33 @@ def _write_csv(path: Path, provenance: dict, header: list[str], rows: list[list]
         writer.writerows(rows)
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """flag > config file > default."""
+def _resolve(parser, args: argparse.Namespace, command: str) -> dict:
+    """flag > config file > default, each value cast to the type of its default.
+
+    A value that does not cast, or a count key below 1, is a usage error,
+    so a ``--config`` value is checked like its flag, before any input is read.
+    """
     cfg_file = {}
     if args.config:
         cfg_file = json.loads(Path(args.config).read_text()).get(command, {})
     resolved = {}
     for key, default in DEFAULTS[command].items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in cfg_file:
-            resolved[key] = cfg_file[key]
-        else:
-            resolved[key] = default
+        value = getattr(args, key, None)
+        if value is None:
+            value = cfg_file.get(key, default)
+        value = _usage(parser, type(default), value)
+        if key in COUNT_KEYS and value < 1:
+            parser.error(f"--{key.replace('_', '-')} must be >= 1, got {value}")
+        resolved[key] = value
     return resolved
+
+
+def _usage(parser, build, *args, **kw):
+    """``build(*args, **kw)``; a ValueError or TypeError it raises is a usage error."""
+    try:
+        return build(*args, **kw)
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
 
 
 def _out_dir(args) -> Path:
@@ -204,50 +218,15 @@ def _grid(parser, flag: str, text: str) -> list[float]:
     return values
 
 
-def _count(parser, cfg: dict, key: str) -> int:
-    """``cfg[key]`` as an int, a usage error unless it is at least 1."""
-    value = int(cfg[key])
-    if value < 1:
-        parser.error(f"--{key.replace('_', '-')} must be >= 1, got {value}")
-    return value
-
-
-def _circuit_config(parser, cfg: dict, m: int) -> CircuitConfig:
-    """The VQC circuit of the train keys; a bad key is a usage error.
-
-    Only the encoding pattern depends on the LP's ``m``, and it is valid
-    for any m >= 1, so ``m=1`` checks the keys before any input is loaded.
-    """
-    try:
-        return CircuitConfig.default(
-            n_q=int(cfg["qubits"]),
-            L=int(cfg["layers"]),
-            m=m,
-            encoding_scale=float(cfg["encoding_scale"]),
-            trainable_gate=str(cfg["gate"]),
-        )
-    except (TypeError, ValueError) as exc:
-        parser.error(str(exc))
-
-
-def _check_noise_and_temperature(parser, gammas, betas) -> None:
-    try:
-        check_noise_and_temperature(gammas, betas)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_regions(parser, args) -> int:
-    cfg = _resolve(args, "regions")
-    budget = _count(parser, cfg, "budget")
-    coverage_samples = _count(parser, cfg, "coverage_samples")
+    cfg = _resolve(parser, args, "regions")
     plp, _, _, prov = _load_pipeline(parser, args, cfg, atlas=False)
     t0 = time.perf_counter()
     atlas = enumerate_regions(
-        plp, sampling_budget=budget, seed=int(cfg["seed"]), coverage_samples=coverage_samples
+        plp, cfg["budget"], seed=cfg["seed"], coverage_samples=cfg["coverage_samples"]
     )
     elapsed = time.perf_counter() - t0
     out = _out_dir(args) / (args.out or "atlas.json")
@@ -264,8 +243,8 @@ def cmd_regions(parser, args) -> int:
 
 
 def cmd_train(parser, args) -> int:
-    cfg = _resolve(args, "train")
-    seed, samples, split = int(cfg["seed"]), int(cfg["samples"]), float(cfg["split"])
+    cfg = _resolve(parser, args, "train")
+    seed, samples, split = cfg["seed"], cfg["samples"], cfg["split"]
     if not 0.0 <= split < 1.0:
         parser.error(f"split must be in [0, 1), got {split}")
     n_test = int(round(split * samples))
@@ -273,18 +252,13 @@ def cmd_train(parser, args) -> int:
         parser.error(f"split {split} of {samples} samples leaves no training sample")
     if n_test < 1:
         parser.error(f"split {split} of {samples} samples leaves no test sample")
-    try:
-        train_cfg = TrainConfig(
-            epochs=int(cfg["epochs"]),
-            batch_size=int(cfg["batch_size"]),
-            learning_rate=float(cfg["lr"]),
-            seed=seed,
-            beta=float(cfg["train_beta"]),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    train_cfg = _usage(parser, TrainConfig, epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                       learning_rate=cfg["lr"], seed=seed, beta=cfg["train_beta"])
     if cfg["model"] == "vqc":
-        _circuit_config(parser, cfg, m=1)
+        # only the encoding pattern depends on the LP's m, and m=1 is valid for any
+        # circuit, so the circuit keys are checked before any input is loaded
+        config = _usage(parser, CircuitConfig.default, cfg["qubits"], cfg["layers"], m=1,
+                        encoding_scale=cfg["encoding_scale"], trainable_gate=cfg["gate"])
     elif cfg["model"] != "mlp":
         parser.error(f"unknown model kind {cfg['model']!r}")
     plp, atlas, _, prov = _load_pipeline(parser, args, cfg)
@@ -293,7 +267,7 @@ def cmd_train(parser, args) -> int:
     test_set = (thetas[samples - n_test :], labels[samples - n_test :])
     t0 = time.perf_counter()
     if cfg["model"] == "vqc":
-        config = _circuit_config(parser, cfg, m=plp.m)
+        config = replace(config, encoding_pattern=cyclic_pattern(config.n_q, plp.m))
         params, head, history = train_vqc(
             train_set, config, train_cfg, K=atlas.K, eval_set=test_set
         )
@@ -331,24 +305,16 @@ def cmd_train(parser, args) -> int:
 
 
 def cmd_audit(parser, args) -> int:
-    cfg = _resolve(args, "audit")
-    gamma, beta = float(cfg["gamma"]), float(cfg["beta"])
+    cfg = _resolve(parser, args, "audit")
+    gamma, beta = cfg["gamma"], cfg["beta"]
     grid = args.gamma_grid is not None or args.beta_grid is not None
     gammas = [gamma] if args.gamma_grid is None else _grid(parser, "gamma-grid", args.gamma_grid)
     betas = [beta] if args.beta_grid is None else _grid(parser, "beta-grid", args.beta_grid)
-    _check_noise_and_temperature(parser, gammas, betas)
-    pair_count = _count(parser, cfg, "pairs")
-    n_draws = _count(parser, cfg, "mlp_draws")
+    _usage(parser, check_noise_and_temperature, gammas, betas)
     if args.mlp_sigma is not None and not (math.isfinite(args.mlp_sigma) and args.mlp_sigma >= 0):
         parser.error(f"--mlp-sigma must be finite and >= 0, got {args.mlp_sigma}")
-    try:
-        adjacency = AdjacencySpec(
-            delta_theta=float(cfg["delta_theta"]),
-            pair_count=pair_count,
-            seed=int(cfg["seed"]),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    adjacency = _usage(parser, AdjacencySpec, delta_theta=cfg["delta_theta"],
+                       pair_count=cfg["pairs"], seed=cfg["seed"])
     plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
     t0 = time.perf_counter()
 
@@ -389,7 +355,7 @@ def cmd_audit(parser, args) -> int:
         gamma = None
         if args.mlp_sigma is not None:
             model = replace(model, sigma=args.mlp_sigma)
-        draws = {"n_draws": n_draws, "seed": int(cfg["seed"]) + 7919}
+        draws = {"n_draws": cfg["mlp_draws"], "seed": adjacency.noise_seed}
     else:
         gamma = beta = None
     report = audit_mechanism(
@@ -409,12 +375,11 @@ def cmd_audit(parser, args) -> int:
 
 
 def cmd_eval(parser, args) -> int:
-    cfg = _resolve(args, "eval")
-    gamma, beta = float(cfg["gamma"]), float(cfg["beta"])
-    _check_noise_and_temperature(parser, [gamma], [beta])
-    scenarios = _count(parser, cfg, "scenarios")
+    cfg = _resolve(parser, args, "eval")
+    gamma, beta = cfg["gamma"], cfg["beta"]
+    _usage(parser, check_noise_and_temperature, [gamma], [beta])
     plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
-    batch = ScenarioBatch.sample(plp.theta_box, scenarios, int(cfg["seed"]))
+    batch = ScenarioBatch.sample(plp.theta_box, cfg["scenarios"], cfg["seed"])
     t0 = time.perf_counter()
     report = evaluate(
         model,
@@ -423,7 +388,7 @@ def cmd_eval(parser, args) -> int:
         batch,
         gamma=gamma,
         beta=beta,
-        rng=np.random.default_rng(int(cfg["seed"])),
+        rng=np.random.default_rng(cfg["seed"]),
     )
     out = _out_dir(args) / (args.out or "metrics.json")
     _write_json(out, prov, report.to_dict(), {"elapsed_s": time.perf_counter() - t0})
@@ -439,15 +404,14 @@ def cmd_eval(parser, args) -> int:
 
 
 def cmd_sweep(parser, args) -> int:
-    cfg = _resolve(args, "sweep")
+    cfg = _resolve(parser, args, "sweep")
     if not args.gamma_grid or not args.beta_grid:
         parser.error("sweep requires --gamma-grid and --beta-grid")
     gammas = _grid(parser, "gamma-grid", args.gamma_grid)
     betas = _grid(parser, "beta-grid", args.beta_grid)
-    _check_noise_and_temperature(parser, gammas, betas)
-    scenarios = _count(parser, cfg, "scenarios")
+    _usage(parser, check_noise_and_temperature, gammas, betas)
     plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
-    batch = ScenarioBatch.sample(plp.theta_box, scenarios, int(cfg["seed"]))
+    batch = ScenarioBatch.sample(plp.theta_box, cfg["scenarios"], cfg["seed"])
     t0 = time.perf_counter()
     reports = sweep(model, atlas, plp, gammas, betas, batch)
     out = _out_dir(args) / (args.out or "heatmap.csv")
@@ -476,20 +440,13 @@ def cmd_sweep(parser, args) -> int:
 
 
 def cmd_budget(parser, args) -> int:
-    cfg = _resolve(args, "budget")
+    cfg = _resolve(parser, args, "budget")
     prov = _provenance(cfg, {})
+    n_vars, n_cons = cfg["variables"], cfg["constraints"]
     rows = []
     for bits, slack in TABLE_BIT_GRID:
-        direct, ours = qubit_budget(
-            bits,
-            slack,
-            n_vars=int(cfg["variables"]),
-            n_cons=int(cfg["constraints"]),
-            n_q_ours=int(cfg["ours"]),
-        )
-        rows.append(
-            [bits, slack, bits * int(cfg["variables"]), slack * int(cfg["constraints"]), direct, ours]
-        )
+        direct, ours = qubit_budget(bits, slack, n_vars=n_vars, n_cons=n_cons, n_q_ours=cfg["ours"])
+        rows.append([bits, slack, bits * n_vars, slack * n_cons, direct, ours])
     out = _out_dir(args) / (args.out or "qubit_budget.csv")
     _write_csv(
         out,

@@ -21,10 +21,8 @@ import numpy as np
 
 from qpopf.classifier import check_noise_and_temperature, sample_region
 from qpopf.grid import ParametricLP
-from qpopf.lp import project_feasible, solve_lp
+from qpopf.lp import FEASIBILITY_THRESHOLD, feasible_dispatch, solve_lp
 from qpopf.regions import RegionAtlas, locate_covered, locate_region
-
-FEASIBILITY_THRESHOLD = 1e-4
 
 
 @dataclass
@@ -144,12 +142,10 @@ class _DispatchTable:
         entry = self._picks.get((i, k))
         if entry is None:
             theta = self.batch.thetas[i]
-            x = self.atlas.region(k).solution(theta)
-            violation = float(np.max(self.plp.W @ x - self.plp.rhs(theta), initial=0.0))
-            infeasible = violation > self.feas_tol
-            if infeasible:
-                self.projections += 1
-                x = project_feasible(x, self.plp, theta)
+            x, infeasible = feasible_dispatch(
+                self.atlas.region(k).solution(theta), self.plp, theta, self.feas_tol
+            )
+            self.projections += infeasible
             x_star, j_star = self.x_star[i], self.j_star[i]
             # relative gap; absolute when the optimal cost is essentially zero
             gap = (float(self.plp.c @ x) - j_star) / (abs(j_star) if abs(j_star) > 1e-9 else 1.0)

@@ -555,11 +555,3 @@ def normalize_theta(theta_physical: np.ndarray, box: np.ndarray) -> np.ndarray:
     if np.any(theta < lo - 1e-9) or np.any(theta > hi + 1e-9):
         raise ValueError(f"theta {theta} outside the deviation box")
     return 2.0 * (theta - lo) / (hi - lo) - 1.0
-
-
-def denormalize_theta(theta_normalized: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`normalize_theta`."""
-    theta = np.asarray(theta_normalized, dtype=float)
-    box = np.asarray(box, dtype=float)
-    lo, hi = box[:, 0], box[:, 1]
-    return lo + (theta + 1.0) * (hi - lo) / 2.0

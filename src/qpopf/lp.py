@@ -299,19 +299,6 @@ def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:
     return basis
 
 
-def dual_certificate(plp: ParametricLP, solution: LPSolution) -> np.ndarray:
-    """Dual vector y >= 0 with W'y = -c supported on the basis rows.
-
-    For a nondegenerate optimum, -rhs.y equals the primal objective.
-    """
-    if solution.basis is None:
-        raise ValueError("solution has no basis to build a certificate from")
-    y = np.zeros(plp.q)
-    y_b = np.linalg.solve(plp.W[solution.basis].T, -plp.c)
-    y[solution.basis] = y_b
-    return y
-
-
 def solve_raw(
     c: np.ndarray, A: np.ndarray, b: np.ndarray
 ) -> tuple[str, np.ndarray | None]:
@@ -319,6 +306,22 @@ def solve_raw(
     return linprog(
         np.asarray(c, dtype=float), np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     )
+
+
+FEASIBILITY_THRESHOLD = 1e-4
+
+
+def feasible_dispatch(
+    x: np.ndarray, plp: ParametricLP, theta: np.ndarray, feas_tol: float = FEASIBILITY_THRESHOLD
+) -> tuple[np.ndarray, bool]:
+    """A reconstructed dispatch as it is scored, and whether it was projected.
+
+    ``x`` is kept unless it violates a constraint at ``theta`` by more than
+    ``feas_tol``; then it is replaced by its L1 projection (:func:`project_feasible`).
+    """
+    if float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > feas_tol:
+        return project_feasible(x, plp, theta), True
+    return x, False
 
 
 def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) -> np.ndarray:

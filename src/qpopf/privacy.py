@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qpopf.circuit import CircuitConfig, run_circuit_batch
+from qpopf.circuit import CircuitConfig
 from qpopf.classifier import (
     MlpBaseline,
     VqcModel,
@@ -34,7 +34,7 @@ from qpopf.classifier import (
     softmax_probs,
 )
 from qpopf.grid import ParametricLP
-from qpopf.lp import project_feasible
+from qpopf.lp import FEASIBILITY_THRESHOLD, feasible_dispatch
 from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
 
 PROB_FLOOR = 1e-300
@@ -58,6 +58,11 @@ class AdjacencySpec:
             raise ValueError(f"delta_theta must be finite and > 0, got {self.delta_theta}")
         if self.pair_count < 1:
             raise ValueError("pair_count must be >= 1")
+
+    @property
+    def noise_seed(self) -> int:
+        """Seed of an MLP audit's common noise draws, offset from the pairs' seed."""
+        return self.seed + 7919
 
 
 _MAX_PAIR_TRIES = 100_000
@@ -228,7 +233,7 @@ def calibrate_sigma(
     def eps95_at(sigma: float) -> float:
         noisy = replace(mlp, sigma=sigma)
         return audit_mechanism(
-            noisy, None, beta, pairs, n_draws=n_draws, seed=adjacency.seed + 7919
+            noisy, None, beta, pairs, n_draws=n_draws, seed=adjacency.noise_seed
         ).eps95
 
     base = eps95_at(0.0)
@@ -324,30 +329,6 @@ def encoding_lipschitz(config: CircuitConfig) -> float:
     return config.L * (config.encoding_scale / 2.0) * float(np.sqrt(d_enc))
 
 
-def encoding_lipschitz_empirical(
-    config: CircuitConfig,
-    params,
-    n_pairs: int = 10_000,
-    delta: float = 0.05,
-    seed: int = 0,
-) -> float:
-    """Max observed trace-distance ratio over sampled pairs (not a proof)."""
-    m = max(config.encoding_pattern) + 1
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-1.0, 1.0, size=(n_pairs, m))
-    u = rng.standard_normal((n_pairs, m))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    dist = delta * rng.uniform(0.05, 1.0, size=(n_pairs, 1))
-    mates = np.clip(thetas + dist * u, -1.0, 1.0)
-    dists = np.linalg.norm(mates - thetas, axis=1)
-    keep = dists > 1e-12
-    psi = run_circuit_batch(config, params, thetas[keep])
-    psi2 = run_circuit_batch(config, params, mates[keep])
-    overlap = np.abs(np.einsum("ij,ij->i", psi.conj(), psi2)) ** 2
-    tr = np.sqrt(np.maximum(0.0, 1.0 - overlap))
-    return float(np.max(tr / dists[keep]))
-
-
 def epsilon_bound(model: VqcModel, gamma: float, beta: float, delta_theta: float) -> float:
     """eps_reg of a VQC's released law at (gamma, beta) for pairs delta_theta apart."""
     return theoretical_epsilon(
@@ -399,7 +380,7 @@ def delta_j_all(
     plp: ParametricLP,
     theta: np.ndarray,
     k_star: int | None = None,
-    feas_tol: float = 1e-4,
+    feas_tol: float = FEASIBILITY_THRESHOLD,
 ) -> np.ndarray:
     """Cost gap of dispatching each region's affine solution at theta.
 
@@ -412,14 +393,11 @@ def delta_j_all(
         k_star = locate_region(atlas, theta)
     x_star = atlas.region(k_star).solution(theta)
     j_star = float(plp.c @ x_star)
-    rhs = plp.rhs(theta)
     out = np.zeros(atlas.K)
     for r in atlas.regions:
         if r.id == k_star:
             continue
-        x = r.solution(theta)
-        if float(np.max(plp.W @ x - rhs, initial=0.0)) > feas_tol:
-            x = project_feasible(x, plp, theta)
+        x, _ = feasible_dispatch(r.solution(theta), plp, theta, feas_tol)
         out[r.id - 1] = float(plp.c @ x) - j_star
     return out
 

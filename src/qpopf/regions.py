@@ -60,10 +60,6 @@ class CriticalRegion:
     poly_b: np.ndarray             # (R,)
     degenerate: bool = False
 
-    def contains(self, theta: np.ndarray, tol: float = TOL_CONTAIN) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all(self.poly_A @ theta <= self.poly_b + tol))
-
     def solution(self, theta: np.ndarray) -> np.ndarray:
         return self.F @ np.asarray(theta, dtype=float) + self.f
 

@@ -49,7 +49,8 @@ def report(name: str, elapsed: float, budget: float | None = None) -> None:
 
 def test_comparative_ordering(atlas69, plp69, dataset69, vqc69, mlp69):
     """Both classifiers reach 90%; at matched eps95 targets the quantum
-    model dominates the sigma-calibrated MLP; noise-free eps95 is lower."""
+    model has a lower cost gap, infeasibility rate and prediction error
+    (MAE) than the sigma-calibrated MLP; noise-free eps95 is lower."""
     t0 = time.perf_counter()
     train, test = dataset69
 
@@ -91,6 +92,10 @@ def test_comparative_ordering(atlas69, plp69, dataset69, vqc69, mlp69):
             f"target {target:.2f}: infeasibility vqc "
             f"{rep_vqc.infeasibility_rate:.4f} !< mlp "
             f"{rep_mlp.infeasibility_rate:.4f} (sigma={sigma:.3f})"
+        )
+        assert rep_vqc.mae < rep_mlp.mae, (
+            f"target {target:.2f}: mae vqc {rep_vqc.mae:.3e} !< mlp {rep_mlp.mae:.3e} "
+            f"(sigma={sigma:.3f})"
         )
     report("comparative-ordering", time.perf_counter() - t0, 1800)
 

@@ -8,9 +8,10 @@ import numpy as np
 import networkx as nx
 import pytest
 
-from qpopf.lp import dual_certificate, project_feasible, solve_lp, solve_raw
+from qpopf.lp import project_feasible, solve_lp, solve_raw
 from qpopf.regions import locate_region
 from tests.conftest import region_interior_points
+from tests.lp_oracle import contains, dual_certificate
 
 
 def test_case_layout(case69):
@@ -230,7 +231,7 @@ def test_partition_69(atlas69):
             for r in atlas69.regions
             if np.all(r.poly_A @ theta <= r.poly_b - 1e-9)
         )
-        loose = sum(1 for r in atlas69.regions if r.contains(theta))
+        loose = sum(1 for r in atlas69.regions if contains(r, theta))
         assert strict <= 1
         assert loose >= 1
 
@@ -265,7 +266,7 @@ def test_continuity_across_facets_69(atlas69):
                 hi = mid
         facet_point = 0.5 * (lo + hi)
         ra, rb = atlas69.region(ka), atlas69.region(kb)
-        if not (ra.contains(facet_point, 1e-9) and rb.contains(facet_point, 1e-9)):
+        if not (contains(ra, facet_point, 1e-9) and contains(rb, facet_point, 1e-9)):
             continue  # bisection converged onto a third region's corner
         np.testing.assert_allclose(
             ra.solution(facet_point), rb.solution(facet_point), atol=1e-6

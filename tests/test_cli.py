@@ -183,6 +183,15 @@ def test_config_file_precedence(workdir, tmp_path):
                 "--out-dir", tmp_path, "--out", "a2.json"]) == 0
     a2 = read_json(tmp_path / "a2.json")
     assert a2["provenance"]["sampling_budget"] == 32
+    # a config value is cast to its flag's type: "gamma": 0 hashes as --gamma 0 does
+    cfg.write_text(json.dumps({"audit": {"gamma": 0}}))
+    audit = ["audit", "--case", TOY, "--atlas", workdir / "atlas.json", "--model", "oracle",
+             "--pairs", 5, "--out-dir", tmp_path]
+    assert run([*audit, "--config", cfg, "--out", "p1.json"]) == 0
+    assert run([*audit, "--gamma", 0, "--out", "p2.json"]) == 0
+    p1, p2 = read_json(tmp_path / "p1.json"), read_json(tmp_path / "p2.json")
+    assert p1["provenance"]["config_hash"] == p2["provenance"]["config_hash"]
+    assert strip_timing(p1) == strip_timing(p2)
 
 
 def test_all_commands_deterministic(workdir, tmp_path):
@@ -336,6 +345,7 @@ def test_bad_encoding_scale_writes_no_checkpoint(workdir, tmp_path, capsys, scal
     ([], {"gate": "cz"}, "unknown trainable_gate 'cz'"),
     ([], {"layers": "six"}, "invalid literal for int()"),
     ([], {"model": "svm"}, "unknown model kind 'svm'"),
+    ([], {"samples": "many"}, "invalid literal for int() with base 10: 'many'"),
 ])
 def test_bad_circuit_key_is_a_usage_error(tmp_path, capsys, flags, config, bad):
     # the atlas does not exist: the circuit keys are checked before any input is loaded
@@ -394,9 +404,17 @@ def test_split_without_training_samples_is_a_usage_error(tmp_path, capsys, flags
     ("audit", ["--model", "oracle", "--pairs", "0"], "--pairs must be >= 1, got 0"),
     ("audit", ["--model", "oracle", "--mlp-sigma", "0.5", "--mlp-draws", "0"],
      "--mlp-draws must be >= 1, got 0"),
+    ("regions", ["--config", {"budget": "abc"}], "invalid literal for int() with base 10: 'abc'"),
+    ("eval", ["--model", "oracle", "--config", {"scenarios": 0}], "--scenarios must be >= 1, got 0"),
 ])
 def test_empty_count_is_a_usage_error(tmp_path, capsys, command, flags, bad):
-    # no input exists: the count is checked before any input is loaded
+    # no input exists: the count is checked before any input is loaded; a dict among the
+    # flags is the command's section of a config file, passed by the file's path
+    config = tmp_path / "config.json"
+    for flag in flags:
+        if isinstance(flag, dict):
+            config.write_text(json.dumps({command: flag}))
+    flags = [config if isinstance(flag, dict) else flag for flag in flags]
     missing = tmp_path / "missing.json"
     atlas = [] if command == "regions" else ["--atlas", missing]
     out = tmp_path / "out"

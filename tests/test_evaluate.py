@@ -45,6 +45,7 @@ FULL_GAMMAS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
 FULL_BETAS = [0.5, 1.0, 2.0, 4.0, 1000.0]
 # the package namespace binds the name to the function
 evaluate_mod = importlib.import_module("qpopf.evaluate")
+lp_mod = importlib.import_module("qpopf.lp")
 classifier_mod = importlib.import_module("qpopf.classifier")
 
 
@@ -274,7 +275,7 @@ def test_uncovered_scenarios_raise_before_any_sampling(one_region_atlas69, plp69
     def no_projection(*args):
         raise AssertionError("projected before the coverage check")
 
-    monkeypatch.setattr(evaluate_mod, "project_feasible", no_projection)
+    monkeypatch.setattr(lp_mod, "project_feasible", no_projection)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(UncoveredThetaError, match=message):
@@ -401,7 +402,7 @@ def test_full_sweep_projects_each_infeasible_pick_once(committed69, plp69, monke
         calls.append((x.tobytes(), np.asarray(theta).tobytes()))
         return project_feasible(x, plp, theta)
 
-    monkeypatch.setattr(evaluate_mod, "project_feasible", counted)
+    monkeypatch.setattr(lp_mod, "project_feasible", counted)
     reports = sweep(vqc, atlas, plp69, FULL_GAMMAS, FULL_BETAS, batch)
 
     # the infeasible picks, drawn as the sweep draws them

@@ -8,12 +8,19 @@ from qpopf.grid import (
     CaseError,
     DegenerateThetaError,
     case_from_dict,
-    denormalize_theta,
     linearize,
     load_case,
     normalize_theta,
 )
 from tests.conftest import TOY_CASE_DICT
+
+
+def denormalize_theta(theta_normalized: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`qpopf.grid.normalize_theta`."""
+    theta = np.asarray(theta_normalized, dtype=float)
+    box = np.asarray(box, dtype=float)
+    lo, hi = box[:, 0], box[:, 1]
+    return lo + (theta + 1.0) * (hi - lo) / 2.0
 
 
 def test_load_toy_case(tmp_path, toy_case):

@@ -14,13 +14,9 @@ from qpopf import lp as lp_mod
 from qpopf import regions as regions_mod
 from qpopf.data import case_path
 from qpopf.grid import ParametricLP, column_compressed, linearize, load_case
-from qpopf.lp import (
-    dual_certificate,
-    perturbed_basis,
-    project_feasible,
-    solve_lp,
-)
+from qpopf.lp import perturbed_basis, project_feasible, solve_lp
 from qpopf.regions import chebyshev_center, enumerate_regions
+from tests.lp_oracle import dual_certificate
 
 
 def brute_force_lp(c, A, b):

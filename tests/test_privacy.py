@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpopf import privacy
-from qpopf.circuit import CircuitConfig, VqcParams
+from qpopf.circuit import CircuitConfig, VqcParams, run_circuit_batch
 from qpopf.classifier import (
     LinearHead,
     MlpBaseline,
@@ -28,7 +28,6 @@ from qpopf.privacy import (
     delta_j_all,
     draw_adjacent_pairs,
     encoding_lipschitz,
-    encoding_lipschitz_empirical,
     epsilon_bound,
     epsilon_percentile,
     mis_selection_bound,
@@ -116,6 +115,30 @@ def test_encoding_lipschitz_instantiations():
     assert encoding_lipschitz(one) == pytest.approx(np.pi / 2)
     five = CircuitConfig.default(n_q=5, L=6, m=3)
     assert encoding_lipschitz(five) == pytest.approx(6 * (np.pi / 2) * np.sqrt(5))
+
+
+def encoding_lipschitz_empirical(
+    config: CircuitConfig,
+    params,
+    n_pairs: int = 10_000,
+    delta: float = 0.05,
+    seed: int = 0,
+) -> float:
+    """Max observed trace-distance ratio over sampled pairs (not a proof)."""
+    m = max(config.encoding_pattern) + 1
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-1.0, 1.0, size=(n_pairs, m))
+    u = rng.standard_normal((n_pairs, m))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    dist = delta * rng.uniform(0.05, 1.0, size=(n_pairs, 1))
+    mates = np.clip(thetas + dist * u, -1.0, 1.0)
+    dists = np.linalg.norm(mates - thetas, axis=1)
+    keep = dists > 1e-12
+    psi = run_circuit_batch(config, params, thetas[keep])
+    psi2 = run_circuit_batch(config, params, mates[keep])
+    overlap = np.abs(np.einsum("ij,ij->i", psi.conj(), psi2)) ** 2
+    tr = np.sqrt(np.maximum(0.0, 1.0 - overlap))
+    return float(np.max(tr / dists[keep]))
 
 
 def test_encoding_lipschitz_empirical_below_analytic():

@@ -21,6 +21,7 @@ from qpopf.regions import (
     region_polyhedron,
     sample_labeled_dataset,
 )
+from tests.lp_oracle import contains
 
 
 def region_maps(atlas):
@@ -137,14 +138,14 @@ def test_partition_property(toy_atlas):
             for r in toy_atlas.regions
             if np.all(r.poly_A @ theta <= r.poly_b - 1e-9)
         )
-        loose = sum(1 for r in toy_atlas.regions if r.contains(theta))
+        loose = sum(1 for r in toy_atlas.regions if contains(r, theta))
         assert strict <= 1
         assert loose >= 1
 
 
 def test_continuity_across_facet(toy_atlas):
     theta = np.array([0.0])
-    containing = [r for r in toy_atlas.regions if r.contains(theta, tol=1e-9)]
+    containing = [r for r in toy_atlas.regions if contains(r, theta, tol=1e-9)]
     assert len(containing) == 2
     xs = [r.solution(theta) for r in containing]
     np.testing.assert_allclose(xs[0], xs[1], atol=1e-6)
@@ -156,7 +157,7 @@ def test_objective_equivalence(toy_plp, toy_atlas):
         center, _ = chebyshev_center(region.poly_A, region.poly_b)
         for _ in range(100):
             theta = center + rng.normal(scale=0.05, size=1)
-            if not region.contains(theta, tol=-1e-9):
+            if not contains(region, theta, tol=-1e-9):
                 continue
             sol = solve_lp(toy_plp, theta)
             gap = abs(toy_plp.c @ region.solution(theta) - sol.objective)
@@ -172,7 +173,7 @@ def test_uncovered_theta_error(toy_plp):
     atlas = enumerate_regions(toy_plp, sampling_budget=1, seed=3)
     region = atlas.regions[0]
     # probe a point outside the single region
-    probe = np.array([-0.5]) if region.contains(np.array([0.5])) else np.array([0.5])
+    probe = np.array([-0.5]) if contains(region, np.array([0.5])) else np.array([0.5])
     with pytest.raises(UncoveredThetaError):
         locate_region(atlas, probe)
 
@@ -227,7 +228,7 @@ def test_box_filter_keeps_the_pruned_rows(name, request, plp69, toy2_plp, toy_pl
 
 def scan_regions(atlas, theta, tol=regions_mod.TOL_CONTAIN):
     """Per-region containment scan: smallest containing id, 0 if none."""
-    return next((r.id for r in atlas.regions if r.contains(theta, tol)), 0)
+    return next((r.id for r in atlas.regions if contains(r, theta, tol)), 0)
 
 
 def facet_points(atlas, rng, per_row=4):
