@@ -126,11 +126,21 @@ def _resolve(parser, args: argparse.Namespace, command: str) -> dict:
     """flag > config file > default, each value cast to the type of its default.
 
     A value that does not cast, or a count key below 1, is a usage error,
-    so a ``--config`` value is checked like its flag, before any input is read.
+    so a ``--config`` value is checked like its flag, before any input is read;
+    so is a ``--config`` file that does not read as JSON, or whose top level
+    or ``command`` section is not an object.
     """
     cfg_file = {}
     if args.config:
-        cfg_file = json.loads(Path(args.config).read_text()).get(command, {})
+        try:
+            cfg_file = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read --config {args.config}: {exc}")
+        if not isinstance(cfg_file, dict):
+            parser.error(f"--config {args.config} must hold a JSON object")
+        cfg_file = cfg_file.get(command, {})
+        if not isinstance(cfg_file, dict):
+            parser.error(f"--config {args.config}: section {command!r} must be a JSON object")
     resolved = {}
     for key, default in DEFAULTS[command].items():
         value = getattr(args, key, None)

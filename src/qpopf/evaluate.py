@@ -273,7 +273,9 @@ def measure_runtimes(
 ) -> list[dict]:
     """Median per-instance wall-clock of each online path, in microseconds.
 
-    The LP-solver row is the measured baseline all speedups refer to.
+    The LP-solver row is the measured baseline all speedups refer to: one
+    ``solve_lp``, warm-started from the LP's midpoint vertex like every
+    parametric solve (the first call also pays that vertex's cold solve).
     """
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(

@@ -347,6 +347,14 @@ class ParametricLP:
         return {}
 
     @functools.cached_property
+    def start_memo(self) -> dict[str, list[int] | None]:
+        """The start vertex of ``qpopf.lp.solve_lp``, under "midpoint": the
+        basis rows of a cold solve at the centre of the theta box, or None
+        when that solve has none.  Filled on the first solve; every solve
+        starts there, so none depends on which ran before it."""
+        return {}
+
+    @functools.cached_property
     def projection_matrix(self) -> np.ndarray:
         """Rows [[W, 0], [I, -I], [-I, -I]] of the L1 projection LP over (x, u);
         read-only, since every projection shares it."""

@@ -2,27 +2,34 @@
 
 ``linprog`` drives the HiGHS dual simplex (Huangfu & Hall 2018) through
 the binding scipy bundles: the same model, options and checks as
-``scipy.optimize.linprog(method="highs")``, so the same answer bit for
-bit, without that function's per-call option validation and input
-conversion.  The constraint matrix of a parametric LP, and that of its
-L1 projection LP, are converted once (``ParametricLP.W_csc``,
-``ParametricLP.projection_csc``).  ``solve_lp`` post-processes the answer: a
-residual scan identifies the active rows, a deterministic rank selection
-picks the first n independent ones as a basis, and the solution is
-re-solved from that basis (``_polished``, which ``project_feasible``
-shares) so the returned vertex is accurate to linear-solve precision
-rather than solver tolerance.  An equality is written as two opposing
-rows (``ParametricLP.eq_pairs``) and counts as one hyperplane
-(``_hyperplanes``): the rank selection scans only the lower member of a
-fully active pair, since the higher is its negation, and the vertex is
-degenerate unless there are exactly n active hyperplanes.  The basis
-then takes whichever member of a pair has a nonnegative dual.
-``perturbed_basis`` recovers a basis where the vertex is degenerate.  A
-basis pick depends only on the active rows, and the active set is
-constant over a critical region, so each LP keeps its picks
-(``ParametricLP.basis_memo``): every solve still runs HiGHS, but samples
-of one region scan their rows once.  Results are deterministic for
-identical inputs.
+``scipy.optimize.linprog(method="highs")``, so a cold solve gives the
+same answer bit for bit, without that function's per-call option
+validation and input conversion.  The constraint matrix of a parametric
+LP, and that of its L1 projection LP, are converted once
+(``ParametricLP.W_csc``, ``ParametricLP.projection_csc``).  ``solve_lp``
+starts HiGHS from one fixed vertex per LP, the basis of a cold solve at
+the centre of the theta box (``ParametricLP.start_memo``), so a solve
+takes a few pivots and no presolve, and its answer depends on theta
+alone, not on earlier solves.  Degenerate-basis recovery and the
+projection and pruning LPs stay cold.  ``solve_lp`` then post-processes
+the answer: a residual scan identifies the active rows, a deterministic
+rank selection picks the first n independent ones as a basis, and the
+solution is re-solved from that basis (``_polished``, which
+``project_feasible`` shares) so the returned vertex is accurate to
+linear-solve precision rather than solver tolerance.  An equality is
+written as two opposing rows (``ParametricLP.eq_pairs``) and counts as
+one hyperplane (``_hyperplanes``): the rank selection scans only the
+lower member of a fully active pair, since the higher is its negation,
+and the vertex is degenerate unless there are exactly n active
+hyperplanes.  The basis then takes whichever member of a pair has a
+nonnegative dual.  ``perturbed_basis`` recovers a basis where the vertex
+is degenerate.  A basis pick depends only on the active rows, and the
+active set is constant over a critical region, so each LP keeps its
+picks (``ParametricLP.basis_memo``): every solve still runs HiGHS, but
+samples of one region scan their rows once.  The returned vertex is
+re-solved from that basis, so a warm and a cold solve give the same
+``LPSolution`` bit for bit.  Results are deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -129,19 +136,23 @@ def linprog(
     A: np.ndarray,
     b: np.ndarray,
     csc: tuple[list[int], list[int], list[float]] | None = None,
+    start: list[int] | None = None,
 ) -> tuple[str, np.ndarray | None]:
     """min c.x s.t. A x <= b over free x: (status, x), x None unless optimal.
 
-    ``csc`` is ``column_compressed(A)`` when the caller keeps it.  Any
-    status other than optimal, infeasible or unbounded, and an optimum
-    with a NaN or a slack below -``_SLACK_TOL``, raise ``LpNumericError``.
+    ``csc`` is ``column_compressed(A)`` when the caller keeps it.  ``start``
+    names the rows tight at a vertex to start the dual simplex from: every
+    column and every other row is basic, the ``start`` rows sit at their
+    bound, and HiGHS skips presolve.  Any status other than optimal,
+    infeasible or unbounded, and an optimum with a NaN or a slack below
+    -``_SLACK_TOL``, raise ``LpNumericError``.
     """
     n, q = c.size, b.size
     if A.shape != (q, n):
         raise ValueError(f"constraint matrix {A.shape} does not match c ({n}) and b ({q})")
     if not (np.isfinite(c).all() and np.isfinite(b).all()):
         raise ValueError("LP cost and right-hand side must be finite")
-    start, index, value = column_compressed(A) if csc is None else csc
+    col_start, index, value = column_compressed(A) if csc is None else csc
     lp = _highs.HighsLp()
     lp.num_col_, lp.num_row_ = n, q
     lp.col_cost_ = c.tolist()
@@ -152,13 +163,21 @@ def linprog(
     mat = lp.a_matrix_
     mat.format_ = _highs.MatrixFormat.kColwise
     mat.num_col_, mat.num_row_ = n, q
-    mat.start_, mat.index_, mat.value_ = start, index, value
+    mat.start_, mat.index_, mat.value_ = col_start, index, value
 
     highs = _highs._Highs()
     highs.passOptions(_OPTIONS)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         status, solved = _STATUS.kModelError, False
     else:
+        if start is not None:
+            basis = _highs.HighsBasis()
+            basis.col_status = [_highs.HighsBasisStatus.kBasic] * n
+            rows = [_highs.HighsBasisStatus.kBasic] * q
+            for i in start:
+                rows[i] = _highs.HighsBasisStatus.kUpper
+            basis.row_status = rows
+            highs.setBasis(basis)
         solved = highs.run() != _highs.HighsStatus.kError
         status = highs.getModelStatus()
     if status == _STATUS.kOptimal and solved:
@@ -253,11 +272,8 @@ def _polished(A: np.ndarray, b: np.ndarray, x: np.ndarray, basis: list[int]) -> 
     return x_basis if after <= max(1e-9, before) else x
 
 
-def solve_lp(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
-    """Minimize c.x over {W x <= S + T theta} and extract the active set."""
-    theta = np.asarray(theta, dtype=float)
-    b = plp.rhs(theta)
-    status, x = linprog(plp.c, plp.W, b, csc=plp.W_csc)
+def _solution(plp: ParametricLP, b: np.ndarray, status: str, x: np.ndarray | None) -> LPSolution:
+    """The ``LPSolution`` of a ``linprog`` answer to min c.x s.t. W x <= b."""
     if x is None:
         return LPSolution(x=np.full(plp.n, np.nan), objective=float("nan"), status=status)
 
@@ -276,6 +292,25 @@ def solve_lp(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
         basis=basis,
         max_violation=float(np.max(plp.W @ x - b, initial=0.0)),
     )
+
+
+def _start_rows(plp: ParametricLP) -> list[int] | None:
+    """``plp.start_memo["midpoint"]``, solved cold on first use."""
+    memo = plp.start_memo
+    if "midpoint" not in memo:
+        b = plp.rhs(plp.theta_box.mean(axis=1))
+        try:
+            memo["midpoint"] = _solution(plp, b, *linprog(plp.c, plp.W, b, csc=plp.W_csc)).basis
+        except LpNumericError:
+            memo["midpoint"] = None
+    return memo["midpoint"]
+
+
+def solve_lp(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
+    """Minimize c.x over {W x <= S + T theta} and extract the active set."""
+    b = plp.rhs(theta)
+    status, x = linprog(plp.c, plp.W, b, csc=plp.W_csc, start=_start_rows(plp))
+    return _solution(plp, b, status, x)
 
 
 def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:

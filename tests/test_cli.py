@@ -463,3 +463,32 @@ def test_non_finite_delta_theta_fails_before_any_draw(tmp_path, capsys, grid):
         assert exc.value.code == 2
         assert f"delta_theta must be finite and > 0, got {bad}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,content,bad", [
+    (["regions"], None, "cannot read --config"),
+    (["regions"], "directory", "cannot read --config"),
+    (["regions"], b'{"regions": {"budget": 5}', "cannot read --config"),
+    (["eval", "--model", "oracle"], b"\xff\xfe", "cannot read --config"),
+    (["regions"], b"[1, 2]", "must hold a JSON object"),
+    (["regions"], b'{"regions": 5}', "section 'regions' must be a JSON object"),
+    (["train", "--model", "mlp"], b'{"regions": {}, "train": [1]}',
+     "section 'train' must be a JSON object"),
+])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, command, content, bad):
+    # no input exists: the file is read and checked before any input is loaded; content
+    # None leaves the file missing, "directory" makes it a directory
+    config = tmp_path / "config.json"
+    if content == "directory":
+        config.mkdir()
+    elif content is not None:
+        config.write_bytes(content)
+    missing = tmp_path / "missing.json"
+    atlas = [] if command[0] == "regions" else ["--atlas", missing]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--case", missing, *atlas, "--config", config, "--out-dir", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert bad in err and str(config) in err
+    assert not out.exists()

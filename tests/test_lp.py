@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -16,7 +17,9 @@ from qpopf.data import case_path
 from qpopf.grid import ParametricLP, column_compressed, linearize, load_case
 from qpopf.lp import perturbed_basis, project_feasible, solve_lp
 from qpopf.regions import chebyshev_center, enumerate_regions
-from tests.lp_oracle import dual_certificate
+from tests.conftest import make_toy_plp
+from tests.lp_oracle import (SCIPY_STATUS, dual_certificate, scipy_linprog, solution_bytes,
+                             solve_lp_cold)
 
 
 def brute_force_lp(c, A, b):
@@ -310,7 +313,7 @@ def test_basis_memo_matches_a_cold_lp(case):
     assert 0 < kinds.count("projection") < len(thetas)
 
 
-def test_enumeration_scans_each_active_set_once(case69, basis_calls, monkeypatch):
+def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, monkeypatch):
     # solve_lp rebound in qpopf.regions, as the benchmark counts enumeration solves
     solves = []
     solve = regions_mod.solve_lp
@@ -320,45 +323,46 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, monkeypatch
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(regions_mod, "solve_lp", counted)
-    atlas = enumerate_regions(linearize(case69), 1000, seed=11)
-    assert len(solves) == 1000
-    assert len(basis_calls) == atlas.K == 7
-
-
-SCIPY_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-
-
-def scipy_linprog(c, A, b):
-    """The solve ``lp.linprog`` replaces, through scipy's public API."""
-    return scipy.optimize.linprog(
-        c, A_ub=A, b_ub=b, bounds=[(None, None)] * A.shape[1],
-        method="highs", options=lp_mod._HIGHS_OPTIONS,
-    )
+    for budget, regions in [(1, 1), (1000, 7)]:
+        for calls in (solves, basis_calls, lp_calls):
+            calls.clear()
+        plp = linearize(case69)
+        atlas = enumerate_regions(plp, budget, seed=11)
+        assert len(solves) == budget
+        assert len(basis_calls) == atlas.K == regions
+        # the midpoint's cold solve runs inside the first solve_lp, not as a sample of its own
+        starts = [start for _, A, *_, start in lp_calls if A is plp.W]
+        assert plp.start_memo["midpoint"] is not None
+        assert starts == [None] + [plp.start_memo["midpoint"]] * budget
 
 
 @pytest.fixture()
 def lp_calls(monkeypatch):
-    """Record (c, A, b, csc) of every LP the package solves."""
+    """Record (c, A, b, csc, start) of every LP the package solves."""
     calls = []
     solve = lp_mod.linprog
 
-    def recording(c, A, b, csc=None):
-        calls.append((c, A, b, csc))
-        return solve(c, A, b, csc=csc)
+    def recording(c, A, b, csc=None, start=None):
+        calls.append((c, A, b, csc, start))
+        return solve(c, A, b, csc=csc, start=start)
 
     monkeypatch.setattr(lp_mod, "linprog", recording)
     return calls
 
 
 def assert_matches_scipy(calls):
-    for c, A, b, csc in calls:
-        status, x = lp_mod.linprog(c, A, b, csc=csc)
+    """scipy's status; for a cold solve its vertex bit for bit, for a warm-started
+    one a vertex within 1e-9 relative (``solve_lp`` polishes it from its basis)."""
+    for c, A, b, csc, start in calls:
+        status, x = lp_mod.linprog(c, A, b, csc=csc, start=start)
         ref = scipy_linprog(c, A, b)
         assert status == SCIPY_STATUS[ref.status]
-        if status == "optimal":
+        if status != "optimal":
+            assert x is None
+        elif start is None:
             assert x.tobytes() == ref.x.tobytes()
         else:
-            assert x is None
+            assert np.all(np.abs(x - ref.x) <= 1e-9 * np.maximum(1.0, np.abs(x)))
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
@@ -373,9 +377,9 @@ def test_linprog_matches_scipy_oracle(case, lp_calls):
         run()
         return lp_calls[start:]
 
-    atlas = []
+    atlas, solutions = [], []
     families = {
-        "solve_lp": calls_of(lambda: [solve_lp(plp, t) for t in thetas]),
+        "solve_lp": calls_of(lambda: solutions.extend(solve_lp(plp, t) for t in thetas)),
         "perturbed_basis": calls_of(lambda: [perturbed_basis(plp, t) for t in thetas[:10]]),
         # a dispatch solved at another theta is usually infeasible here
         "projection": calls_of(lambda: [project_feasible(solve_lp(plp, t).x, plp, thetas[k - 1])
@@ -389,6 +393,11 @@ def test_linprog_matches_scipy_oracle(case, lp_calls):
     for name, calls in families.items():
         assert calls, name
         assert_matches_scipy(calls)
+    # one cold solve at the midpoint, then every solve_lp warm; the rest stays cold
+    assert [start is None for *_, start in families.pop("solve_lp")] == [True] + [False] * 30
+    assert all(start is None for calls in families.values() for *_, start in calls)
+    for theta, sol in zip(thetas, solutions):
+        assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
 
 
 def test_linprog_matches_scipy_on_infeasible_and_unbounded():
@@ -396,7 +405,7 @@ def test_linprog_matches_scipy_on_infeasible_and_unbounded():
     unbounded = (np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
     assert lp_mod.linprog(*infeasible) == ("infeasible", None)
     assert lp_mod.linprog(*unbounded) == ("unbounded", None)
-    assert_matches_scipy([(*infeasible, None), (*unbounded, None)])
+    assert_matches_scipy([(*infeasible, None, None), (*unbounded, None, None)])
 
 
 def test_linprog_passes_scipys_options(monkeypatch):
@@ -435,6 +444,11 @@ def test_linprog_raises_past_the_iteration_limit(monkeypatch, plp69):
     assert ref.status == 1
     with pytest.raises(lp_mod.LpNumericError, match="limit"):
         lp_mod.linprog(plp69.c, plp69.W, b, csc=plp69.W_csc)
+    # a midpoint solve that fails leaves no start, and solve_lp fails as a cold solve does
+    plp = dataclasses.replace(plp69)
+    with pytest.raises(lp_mod.LpNumericError, match="limit"):
+        solve_lp(plp, np.zeros(plp.m))
+    assert plp.start_memo == {"midpoint": None}
 
 
 @pytest.mark.parametrize("tamper,match", [
@@ -548,7 +562,107 @@ def test_projection_matches_per_call_assembly(case, rows, lp_calls):
     cached = [c for c in lp_calls[start:] if c[3] is not None]
     assembled = [c for c in lp_calls[start:] if c[3] is None]
     assert len(cached) == len(assembled) == rows
-    for (c, A, b, csc), (c0, A0, b0, _) in zip(cached, assembled):
+    for (c, A, b, csc, _), (c0, A0, b0, *_) in zip(cached, assembled):
         # HiGHS receives the same model either way
         assert csc == column_compressed(A0)
         assert (c.tobytes(), A.tobytes(), b.tobytes()) == (c0.tobytes(), A0.tobytes(), b0.tobytes())
+
+
+def cold_copy(plp):
+    """``plp`` with an empty memo and no start vertex: every solve_lp runs cold."""
+    cold = dataclasses.replace(plp)
+    cold.start_memo["midpoint"] = None
+    return cold
+
+
+def lp_of(case):
+    return make_toy_plp() if case == "toy" else linearize(load_case(case_path(case)))
+
+
+def property_thetas(plp, count, boundary, seed):
+    """Points over 1.3 times the theta box, a tenth of them far outside it
+    (often infeasible), and the box's midpoint and the ``boundary`` point."""
+    rng = np.random.default_rng(seed)
+    lo, hi = plp.theta_box.T
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    near = mid + half * rng.uniform(-1.3, 1.3, size=(count - count // 10, plp.m))
+    far = rng.uniform(-40.0, 40.0, size=(count // 10, plp.m))
+    return np.vstack([mid, np.full(plp.m, boundary), near, far])
+
+
+@pytest.mark.parametrize("case,boundary", [("ieee69", 0.0), ("toy2", 0.5), ("toy", 0.0)])
+def test_warm_and_cold_solutions_are_bitwise_equal(case, boundary):
+    warm = lp_of(case)
+    cold = cold_copy(warm)
+    thetas = property_thetas(warm, 2000, boundary, seed=83)
+    statuses = []
+    for theta in thetas:
+        sol = solve_lp(warm, theta)
+        assert solution_bytes(sol) == solution_bytes(solve_lp(cold, theta))
+        statuses.append(sol.status)
+    assert warm.start_memo["midpoint"] is not None
+    assert "infeasible" in statuses and statuses.count("optimal") > len(thetas) // 2
+    if case != "ieee69":
+        # toy2's region boundary and the toy LP's kink at 0 are degenerate
+        assert statuses[1] == "degenerate"
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_solve_order_does_not_change_the_bytes(case):
+    thetas = property_thetas(lp_of(case), 60, 0.5, seed=89)
+
+    def answers(order, project):
+        plp, out = lp_of(case), {}
+        for k in order:
+            if project:
+                # a dispatch of another theta, usually infeasible here; the first
+                # projection runs before the midpoint solve
+                project_feasible(np.zeros(plp.n), plp, thetas[k])
+            out[k] = solution_bytes(solve_lp(plp, thetas[k]))
+        return out
+
+    forwards = answers(range(len(thetas)), False)
+    assert answers(reversed(range(len(thetas))), False) == forwards
+    assert answers(range(len(thetas)), True) == forwards
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_a_wrong_start_gives_the_cold_answer(case):
+    plp = lp_of(case)
+    thetas = property_thetas(plp, 40, 0.5, seed=97)
+    midpoint = lp_mod._start_rows(plp)
+    cold_lp = cold_copy(plp)
+    solved = [(theta, solve_lp(cold_lp, theta)) for theta in thetas]
+    cold = [solution_bytes(sol) for _, sol in solved]
+    # rows slack at every optimum, so never tight at the vertex a solve ends on
+    slack = np.array([plp.rhs(theta) - plp.W @ sol.x for theta, sol in solved if sol.is_optimal])
+    loose = [int(i) for i in np.flatnonzero(slack.min(axis=0) > 1e-3)][:plp.n]
+    i, j = plp.eq_pairs[0]
+    dependent = [i, j, *[r for r in midpoint if r not in (i, j)][:plp.n - 2]]
+    assert len(loose) == len(dependent) == plp.n
+    assert np.linalg.matrix_rank(plp.W[dependent]) < plp.n
+    for start in (loose, dependent, midpoint[:-1]):
+        wrong = dataclasses.replace(plp)
+        wrong.start_memo["midpoint"] = start
+        assert [solution_bytes(solve_lp(wrong, theta)) for theta in thetas] == cold
+
+
+@pytest.mark.parametrize("plp,statuses", [
+    # |x| <= theta - 0.25 is empty at the box's midpoint 0
+    (ParametricLP(c=np.array([1.0]), W=np.array([[1.0], [-1.0]]), S=np.full(2, -0.25),
+                  T=np.ones((2, 1)), theta_box=np.array([[-1.0, 1.0]])),
+     ["infeasible"] * 5 + ["degenerate", "optimal", "optimal", "optimal"]),
+    # min x with only x <= 1 + theta
+    (ParametricLP(c=np.array([1.0]), W=np.array([[1.0]]), S=np.ones(1), T=np.ones((1, 1)),
+                  theta_box=np.array([[-1.0, 1.0]])),
+     ["unbounded"] * 9),
+])
+def test_no_midpoint_basis_means_cold_solves(plp, statuses, lp_calls):
+    thetas = np.linspace(-1.0, 1.0, 9)[:, None]
+    solutions = [solve_lp(plp, theta) for theta in thetas]
+    assert plp.start_memo == {"midpoint": None}
+    assert all(start is None for *_, start in lp_calls)
+    assert [sol.status for sol in solutions] == statuses
+    for theta, sol in zip(thetas, solutions):
+        assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
+
