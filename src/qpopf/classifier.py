@@ -76,17 +76,20 @@ def averaged_softmax(
     return out
 
 
-def dense(x: np.ndarray, W: np.ndarray, rowwise: bool = False) -> np.ndarray:
-    """x @ W.T; with ``rowwise`` each row is bitwise its one-row product ``x[i:i+1] @ W.T``.
+def dense(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x @ W.T with each row bitwise its one-row product ``x[i:i+1] @ W.T``.
 
-    A product of N > 1 rows goes through gemm, whose rounding differs
-    from the one-row product (gemv) by a few ulps.  The privacy audit
-    takes its log-ratios from a batch of pairs but must measure the law a
-    single query is released from, so it asks for row-exact base scores.
+    A product of N > 1 rows through gemm rounds differently from the
+    one-row product (gemv) by a few ulps, so a batch (eval, sweep,
+    training accuracy, the privacy audit) gets the scores each of its
+    points gets alone, as a dispatch query does.
     """
-    if rowwise:
-        return np.matmul(x[:, None, :], W.T)[:, 0]
-    return x @ W.T
+    return np.matmul(x[:, None, :], W.T)[:, 0]
+
+
+def inf1_norm(W) -> float:
+    """max_k ||w_k||_1 of a (K, n) weight matrix."""
+    return float(np.max(np.sum(np.abs(np.asarray(W, float)), axis=1)))
 
 
 def log_softmax(s: np.ndarray, beta: float) -> np.ndarray:
@@ -140,7 +143,7 @@ class LinearHead:
 
     def weight_inf1_norm(self) -> float:
         """max_k ||w_k||_1, the sensitivity norm of the head."""
-        return float(np.max(np.sum(np.abs(self.W), axis=1)))
+        return inf1_norm(self.W)
 
 
 class ReleaseModel:
@@ -153,8 +156,8 @@ class ReleaseModel:
     By default the base is the logits and the law is their softmax.
 
     ``released_law(thetas, gamma, beta)`` is the law (N, K) the privacy
-    audit measures.  It takes row-exact base scores (``rowwise=True``, see
-    :func:`dense`), so each row is bitwise the law of a one-point query.
+    audit measures.  Base scores are row-exact (see :func:`dense`), so
+    each row of every law is bitwise the law of a one-point query.
     """
 
     def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
@@ -173,7 +176,7 @@ class ReleaseModel:
         return softmax_probs(self.logits_from_base(base, gamma), beta)
 
     def released_law(self, thetas: np.ndarray, gamma, beta) -> np.ndarray:
-        return self.probabilities_from_base(self.base_scores(thetas, rowwise=True), gamma, beta)
+        return self.probabilities_from_base(self.base_scores(thetas), gamma, beta)
 
 
 @dataclass
@@ -200,13 +203,10 @@ class VqcModel(ReleaseModel):
             n += self.head.b.size
         return n
 
-    def base_scores(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
-        """W h0 without bias: the part of the logits that noise contracts.
-
-        ``rowwise`` applies the head row by row (see :func:`dense`).
-        """
+    def base_scores(self, thetas: np.ndarray) -> np.ndarray:
+        """W h0 without bias: the part of the logits that noise contracts (row-exact)."""
         states = run_circuit_batch(self.config, self.params, thetas)
-        return dense(z_expectations(states, self.config.n_q), self.head.W, rowwise)
+        return dense(z_expectations(states, self.config.n_q), self.head.W)
 
     def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
         return (1.0 - gamma) * base + self.head.b
@@ -239,12 +239,12 @@ class MlpBaseline(ReleaseModel):
             self.W1.size + self.b1.size + self.W2.size + self.b2.size + self.W_head.size
         )
 
-    def base_scores(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
-        """Noise-free logits (N, K); ``rowwise`` applies each layer row by row (see :func:`dense`)."""
+    def base_scores(self, thetas: np.ndarray) -> np.ndarray:
+        """Noise-free logits (N, K), each layer applied row-exactly (see :func:`dense`)."""
         x = np.atleast_2d(np.asarray(thetas, dtype=float))
-        h1 = np.tanh(dense(x, self.W1, rowwise) + self.b1)
-        h2 = np.tanh(dense(h1, self.W2, rowwise) + self.b2)
-        return dense(h2, self.W_head, rowwise)
+        h1 = np.tanh(dense(x, self.W1) + self.b1)
+        h2 = np.tanh(dense(h1, self.W2) + self.b2)
+        return dense(h2, self.W_head)
 
     def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
         if self.sigma > 0.0:
@@ -263,7 +263,7 @@ class MlpBaseline(ReleaseModel):
         point (common random numbers keep a calibration search smooth and
         deterministic).
         """
-        s = self.base_scores(thetas, rowwise=True)
+        s = self.base_scores(thetas)
         normals = np.random.default_rng(seed).standard_normal((n_draws, s.shape[1]))
         return averaged_softmax(s, self.sigma, normals, beta)
 
@@ -279,8 +279,8 @@ class OracleClassifier(ReleaseModel):
     def K(self) -> int:
         return self.atlas.K
 
-    def base_scores(self, thetas: np.ndarray, rowwise: bool = False) -> np.ndarray:
-        """One-hot rows of each point's region (exact either way); uncovered points raise."""
+    def base_scores(self, thetas: np.ndarray) -> np.ndarray:
+        """One-hot rows of each point's region; uncovered points raise."""
         ids = locate_covered(self.atlas, thetas)
         out = np.zeros((ids.size, self.K))
         out[np.arange(ids.size), ids - 1] = 1.0

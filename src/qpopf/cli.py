@@ -349,7 +349,7 @@ def cmd_audit(parser, args) -> int:
                 for r in rows
             ],
         )
-        ok = all(r["eps_max"] <= r["eps_reg"] + 1e-12 for r in rows)
+        ok = all(r["bound_satisfied"] for r in rows)
         print(
             f"audit grid: {len(rows)} points, bound_satisfied={ok} -> {out} "
             f"({time.perf_counter() - t0:.1f}s)"

@@ -8,13 +8,14 @@ privacy-cost tradeoff bounds the expected dispatch-cost increase by the
 worst per-region cost gap times a softmax-margin mis-selection bound.
 
 Every region model releases its index from one batched law,
-``released_law(thetas (N, m), gamma, beta) -> (N, K)``, so an audit is a
-single call on the stacked pairs followed by a vectorized per-pair
-epsilon and worst-class step.  That law is built from row-exact base
-scores (``base_scores(thetas, rowwise=True)``, which applies the dense
-layers row by row): the batched (gemm) product rounds differently from
-the one-query (gemv) product, and the audit has to measure the law a
-single query is released from, bit for bit.
+``released_law(thetas (N, m), gamma, beta) -> (N, K)``, built from
+row-exact base scores, so each row is bit for bit the law a single
+query is released from.  An audit is one call on the stacked pairs
+followed by one epsilon rule, :func:`pair_epsilons`: a class with
+probability exactly zero on one side only saturates its pair (eps =
+inf).  The single audit and every cell of the (gamma, beta) grid build
+their reports through that same rule, and eps95 is taken over the
+finite pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from qpopf.classifier import (
     MlpBaseline,
     VqcModel,
     check_noise_and_temperature,
-    log_softmax,
+    inf1_norm,
     margin_from_logits,
     softmax_probs,
 )
@@ -38,6 +39,10 @@ from qpopf.lp import FEASIBILITY_THRESHOLD, feasible_dispatch
 from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
 
 PROB_FLOOR = 1e-300
+EPS_QUANTILE = 0.95          # the percentile an audit reports as eps95
+ACCURACY_POINTS = 500        # labeled points behind a grid audit's accuracy columns
+SIGMA_REL_TOL = 0.05         # calibrate_sigma stops within this share of the target
+SIGMA_MAX_ITER = 40          # bisection steps before it returns the last midpoint
 
 
 @dataclass(frozen=True)
@@ -68,17 +73,13 @@ class AdjacencySpec:
 _MAX_PAIR_TRIES = 100_000
 
 
-def draw_adjacent_pairs(
-    spec: AdjacencySpec, m: int, box: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``pair_count`` pairs at distance delta_theta inside the box.
+def draw_adjacent_pairs(spec: AdjacencySpec, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_count`` pairs at distance delta_theta inside the box [-1, 1]^m.
 
     A pair whose mate leaves the box is redrawn, at most
     ``_MAX_PAIR_TRIES`` times per pair.
     """
-    if box is None:
-        box = np.tile(np.array([-1.0, 1.0]), (m, 1))
-    diameter = float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    diameter = float(np.linalg.norm(np.full(m, 2.0)))
     if spec.delta_theta >= diameter:
         raise ValueError(
             f"delta_theta {spec.delta_theta} must be below the box diameter {diameter:.4g}"
@@ -88,11 +89,11 @@ def draw_adjacent_pairs(
     mates = np.empty((spec.pair_count, m))
     for i in range(spec.pair_count):
         for _ in range(_MAX_PAIR_TRIES):
-            t = rng.uniform(box[:, 0], box[:, 1])
+            t = rng.uniform(-1.0, 1.0, m)
             u = rng.standard_normal(m)
             u /= np.linalg.norm(u)
             t2 = t + spec.delta_theta * u
-            if np.all(t2 >= box[:, 0]) and np.all(t2 <= box[:, 1]):
+            if np.all(np.abs(t2) <= 1.0):
                 thetas[i], mates[i] = t, t2
                 break
         else:
@@ -116,6 +117,13 @@ class PrivacyReport:
     delta_theta: float | None = None
     saturated_count: int = 0
 
+    @property
+    def bound_satisfied(self) -> bool | None:
+        """No saturated pair and every eps within eps_reg; None without a bound."""
+        if self.eps_reg is None:
+            return None
+        return bool(self.saturated_count == 0 and np.all(self.eps_emp <= self.eps_reg + 1e-12))
+
     def to_dict(self) -> dict:
         return {
             "eps_emp": [float(e) for e in self.eps_emp],
@@ -128,14 +136,7 @@ class PrivacyReport:
             "beta": self.beta,
             "delta_theta": self.delta_theta,
             "saturated_count": self.saturated_count,
-            "bound_satisfied": (
-                None
-                if self.eps_reg is None
-                else bool(
-                    self.saturated_count == 0
-                    and np.all(self.eps_emp <= self.eps_reg + 1e-12)
-                )
-            ),
+            "bound_satisfied": self.bound_satisfied,
         }
 
 
@@ -163,13 +164,13 @@ def pair_epsilons(p: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return eps, classes + 1
 
 
-def epsilon_percentile(samples, q: float = 0.95) -> float:
-    """Linear-interpolation quantile over the finite samples."""
+def epsilon_percentile(samples) -> float:
+    """Linear-interpolation ``EPS_QUANTILE`` quantile over the finite samples."""
     vals = np.asarray(list(samples), dtype=float)
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         return float("inf")
-    return float(np.percentile(finite, 100.0 * q, method="linear"))
+    return float(np.percentile(finite, 100.0 * EPS_QUANTILE, method="linear"))
 
 
 def audit_mechanism(
@@ -188,9 +189,14 @@ def audit_mechanism(
     The report records gamma and beta as given, None for a knob the model
     does not have.
     """
-    thetas, mates = pairs
-    n = len(thetas)
-    p = np.asarray(model.released_law(np.vstack([thetas, mates]), gamma, beta, **draws), float)
+    p = model.released_law(np.vstack(pairs), gamma, beta, **draws)
+    return _report(p, model, gamma, beta, eps_reg, delta_theta)
+
+
+def _report(p, model, gamma, beta, eps_reg, delta_theta) -> PrivacyReport:
+    """The report on a law ``p`` of the stacked pairs: thetas first, then their mates."""
+    n = len(p) // 2
+    p = np.asarray(p, float)
     eps, classes = pair_epsilons(p[:n], p[n:])
     finite = np.isfinite(eps)
     saturated = int(np.sum(~finite))
@@ -218,8 +224,6 @@ def calibrate_sigma(
     adjacency: AdjacencySpec,
     beta: float | None = None,
     n_draws: int = 2000,
-    rel_tol: float = 0.05,
-    max_iter: int = 40,
 ) -> float:
     """Bisect the Gaussian logit-noise scale until eps95 matches the target.
 
@@ -248,10 +252,10 @@ def calibrate_sigma(
     else:
         raise RuntimeError("could not bracket the target eps95")
 
-    for _ in range(max_iter):
+    for _ in range(SIGMA_MAX_ITER):
         mid = 0.5 * (lo + hi)
         val = eps95_at(mid)
-        if abs(val - target_eps95) <= rel_tol * target_eps95:
+        if abs(val - target_eps95) <= SIGMA_REL_TOL * target_eps95:
             return mid
         if val > target_eps95:
             lo = mid
@@ -266,41 +270,37 @@ def audit_vqc_grid(
     betas,
     adjacency: AdjacencySpec,
     atlas: RegionAtlas | None = None,
-    accuracy_points: int = 500,
 ) -> list[dict]:
-    """Fast exact sweep of (gamma, beta) over one shared set of pairs.
+    """Sweep of (gamma, beta) over one shared set of pairs.
 
     The circuit runs once per point; every grid cell reuses the noise-free
-    scores since the bias-free logits just contract by (1-gamma).
-    Accuracy columns need an atlas for ground-truth labels.
+    scores since the bias-free logits just contract by (1-gamma).  Each
+    cell's eps95, eps_max and bound_satisfied come from the report
+    :func:`audit_mechanism` builds on the same pairs.  Accuracy columns
+    need an atlas for ground-truth labels.
     """
     gammas, betas = list(gammas), list(betas)
     check_noise_and_temperature(gammas, betas)
     m = max(model.config.encoding_pattern) + 1
-    thetas, mates = draw_adjacent_pairs(adjacency, m)
-    scores = model.base_scores(np.vstack([thetas, mates]))
-    n_pairs = len(thetas)
+    scores = model.base_scores(np.vstack(draw_adjacent_pairs(adjacency, m)))
 
-    acc_thetas = labels = acc_scores = None
     if atlas is not None:
-        acc_thetas, labels = sample_labeled_dataset(
-            atlas, accuracy_points, adjacency.seed + 1
-        )
+        acc_thetas, labels = sample_labeled_dataset(atlas, ACCURACY_POINTS, adjacency.seed + 1)
         acc_scores = model.base_scores(acc_thetas)
 
     rows = []
     for gamma in gammas:
         for beta in betas:
-            logits = model.logits_from_base(scores, gamma)
-            logp = log_softmax(logits, beta)
-            diffs = np.abs(logp[:n_pairs] - logp[n_pairs:])
-            eps = diffs.max(axis=1)
+            eps_reg = epsilon_bound(model, gamma, beta, adjacency.delta_theta)
+            report = _report(model.probabilities_from_base(scores, gamma, beta), model,
+                             gamma, beta, eps_reg, adjacency.delta_theta)
             row = {
                 "gamma": float(gamma),
                 "beta": float(beta),
-                "eps95": epsilon_percentile(eps),
-                "eps_max": float(eps.max()),
-                "eps_reg": epsilon_bound(model, gamma, beta, adjacency.delta_theta),
+                "eps95": report.eps95,
+                "eps_max": float(np.max(report.eps_emp)),
+                "eps_reg": eps_reg,
+                "bound_satisfied": report.bound_satisfied,
             }
             if atlas is not None:
                 acc_logits = model.logits_from_base(acc_scores, gamma)
@@ -344,8 +344,7 @@ def theoretical_epsilon(
     W_cl: np.ndarray,
 ) -> float:
     """Worst-case budget 4 beta (1-gamma) L_enc dtheta max_k ||w_k||_1."""
-    norm = float(np.max(np.sum(np.abs(np.asarray(W_cl, float)), axis=1)))
-    return 4.0 * beta * (1.0 - gamma) * L_enc * delta_theta * norm
+    return 4.0 * beta * (1.0 - gamma) * L_enc * delta_theta * inf1_norm(W_cl)
 
 
 def required_beta(
@@ -358,8 +357,7 @@ def required_beta(
     """Invert the budget bound for the softmax temperature."""
     if gamma_assumed >= 1.0:
         raise ValueError("gamma_assumed = 1 leaves no signal; beta is unbounded")
-    norm = float(np.max(np.sum(np.abs(np.asarray(W_cl, float)), axis=1)))
-    return eps_target / (4.0 * (1.0 - gamma_assumed) * L_enc * delta_theta * norm)
+    return eps_target / theoretical_epsilon(1.0, gamma_assumed, L_enc, delta_theta, W_cl)
 
 
 def wasted_budget(eps_target: float, gamma_actual: float) -> float:
@@ -464,13 +462,11 @@ def tradeoff_bound(
         "probabilities": softmax_probs(s, beta),
     }
     if delta_theta is not None and hasattr(model, "head"):
-        L_enc = encoding_lipschitz(model.config)
-        w_norm = model.head.weight_inf1_norm()
-        eps_reg = theoretical_epsilon(beta, gamma, L_enc, delta_theta, model.head.W)
+        eps_reg = epsilon_bound(model, gamma, beta, delta_theta)
+        # the budget at beta = 1, gamma = 0 is bitwise 4 L_enc dtheta ||W||_inf,1
+        per_unit_beta = epsilon_bound(model, 0.0, 1.0, delta_theta)
         components["eps_reg"] = eps_reg
         components["remark2_bound"] = float(
-            dj_max
-            * (K - 1)
-            * np.exp(-m0 * eps_reg / (4.0 * L_enc * delta_theta * w_norm))
+            dj_max * (K - 1) * np.exp(-m0 * eps_reg / per_unit_beta)
         )
     return float(bound), components

@@ -304,6 +304,14 @@ def test_audit_reproduces_the_reference_artifacts(tmp_path, size):
         assert canonical(tmp_path / name) == (reference / name).read_bytes(), name
 
 
+def test_grid_audit_fails_the_bound_on_a_saturated_cell(tmp_path, capsys):
+    """At beta = 100 some pairs have a one-sided zero probability: eps = inf."""
+    assert run(["audit", "--case", case_path("ieee69"), "--atlas", FIXTURES / "atlas.json",
+                "--model", FIXTURES / "vqc.json", "--gamma-grid", 0, "--beta-grid", 100,
+                "--pairs", 100, "--seed", 0, "--out-dir", tmp_path]) == 0
+    assert "audit grid: 1 points, bound_satisfied=False -> " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command,flags,bad", [
     ("sweep", ["--gamma-grid", "1.5,nan", "--beta-grid", "1,-2"], "gamma .* 1.5"),
     ("sweep", ["--gamma-grid", "0,0.5", "--beta-grid", "1,-2"], "beta .* -2.0"),

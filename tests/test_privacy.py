@@ -207,22 +207,43 @@ def test_vqc_mechanism_bound_holds_on_grid(toy_model, toy_atlas):
     )
     for row in rows:
         assert row["eps_max"] <= row["eps_reg"] + 1e-12
+        assert row["bound_satisfied"] is True
 
 
-def test_audit_mechanism_matches_grid_row(toy_model):
-    adjacency = AdjacencySpec(delta_theta=0.05, pair_count=64, seed=17)
-    pairs = draw_adjacent_pairs(adjacency, 1)
-    report = audit_mechanism(
-        toy_model, 0.2, 2.0, pairs, eps_reg=epsilon_bound(toy_model, 0.2, 2.0, 0.05),
-        delta_theta=0.05,
-    )
-    rows = audit_vqc_grid(toy_model, [0.2], [2.0], adjacency)
-    assert report.eps95 == pytest.approx(rows[0]["eps95"], abs=1e-9)
-    assert report.eps_reg == pytest.approx(rows[0]["eps_reg"], abs=1e-12)
-    assert report.saturated_count == 0
-    d = report.to_dict()
-    assert d["bound_satisfied"] is True
-    assert 1 <= d["worst_class"] <= toy_model.K
+def test_audit_mechanism_matches_grid_row(toy_model, committed):
+    """Each grid cell reports bitwise the single audit's numbers on the same pairs."""
+    gammas, betas = [0.0, 0.2, 0.5], [1.0, 2.0, 100.0]
+    for model, adjacency in ((toy_model, AdjacencySpec(delta_theta=0.05, pair_count=64, seed=17)),
+                             (committed[1], AdjacencySpec(delta_theta=0.05, pair_count=100))):
+        pairs = draw_adjacent_pairs(adjacency, max(model.config.encoding_pattern) + 1)
+        rows = iter(audit_vqc_grid(model, gammas, betas, adjacency))
+        for gamma in gammas:
+            for beta in betas:
+                row = next(rows)
+                eps_reg = epsilon_bound(model, gamma, beta, 0.05)
+                report = audit_mechanism(model, gamma, beta, pairs, eps_reg=eps_reg,
+                                         delta_theta=0.05)
+                assert (row["gamma"], row["beta"], row["eps_reg"]) == (gamma, beta, eps_reg)
+                assert row["eps95"] == report.eps95
+                assert row["eps_max"] == np.max(report.eps_emp)
+                assert row["bound_satisfied"] is report.to_dict()["bound_satisfied"]
+                assert 1 <= report.worst_class <= model.K
+                if beta <= 2.0:
+                    assert report.saturated_count == 0 and row["bound_satisfied"] is True
+
+
+def test_grid_audit_saturates_like_the_single_audit(committed):
+    """A one-sided zero probability is eps = inf in the grid too, so the bound fails."""
+    vqc = committed[1]
+    adjacency = AdjacencySpec(delta_theta=0.05, pair_count=100, seed=0)
+    [row] = audit_vqc_grid(vqc, [0.0], [100.0], adjacency)
+    report = audit_mechanism(vqc, 0.0, 100.0, draw_adjacent_pairs(adjacency, 3),
+                             eps_reg=epsilon_bound(vqc, 0.0, 100.0, 0.05))
+    assert report.saturated_count == 21
+    assert report.to_dict()["bound_satisfied"] is False
+    assert row["eps_max"] == np.inf and row["bound_satisfied"] is False
+    assert row["eps95"] == report.eps95 == epsilon_percentile(report.eps_emp)
+    assert np.isfinite(row["eps95"]) and row["eps95"] < row["eps_reg"]
 
 
 def test_gamma_one_kills_epsilon(toy_model):
@@ -447,6 +468,16 @@ def test_oracle_probabilities_match_the_row_loop(committed, toy_atlas):
         thetas = stacked_pairs(atlas.theta_box.shape[0], 0)
         np.testing.assert_array_equal(oracle.released_law(thetas, None, None),
                                       row_loop(oracle, thetas, None, None))
+
+
+@pytest.mark.parametrize("n", [2, 32, 3000])
+def test_base_scores_are_row_exact(n, committed):
+    """Every batch of base scores is bitwise the stack of its one-row calls."""
+    atlas, vqc, mlp = committed
+    thetas = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 3))
+    for model in (vqc, mlp, OracleClassifier(atlas)):
+        rows = np.vstack([model.base_scores(t[None, :]) for t in thetas])
+        np.testing.assert_array_equal(model.base_scores(thetas), rows, err_msg=model.model_id)
 
 
 def test_oracle_mechanism_raises_on_an_uncovered_point(plp69):
