@@ -9,7 +9,10 @@ its logits.
 
 Both models train through one loop, :func:`_fit` (mini-batch
 cross-entropy descent with Adam, best-epoch restore); each supplies its
-initialization and batch gradient.  The circuit angles get adjoint
+initialization and batch gradient.  A model's trainable arrays are views
+of one contiguous buffer, so each step is one Adam update of that buffer
+(Adam is elementwise: the same bits as one update per array) and the
+best-epoch snapshot is one copy of it.  The circuit angles get adjoint
 statevector gradients seeded by the head's feature gradient (one
 backward pass per batch; the parameter-shift rule is kept as the test
 oracle).
@@ -94,8 +97,8 @@ def inf1_norm(W) -> float:
 
 def log_softmax(s: np.ndarray, beta: float) -> np.ndarray:
     z = beta * np.asarray(s, dtype=float)
-    z = z - np.max(z, axis=-1, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def check_noise_and_temperature(gammas, betas) -> None:
@@ -312,25 +315,40 @@ class TrainConfig:
             raise ValueError("epochs >= 0 and batch_size >= 1 required")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         check_noise_and_temperature([], [self.beta])
 
 
 class _Adam:
-    def __init__(self, shapes, cfg: TrainConfig):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+    """Adam (Kingma & Ba, ICLR 2015) on one flat parameter vector."""
+
+    def __init__(self, size: int, cfg: TrainConfig):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
         self.cfg = cfg
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``flat`` in place from its gradient ``grad`` (same layout)."""
         cfg = self.cfg
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = cfg.adam_beta1 * self.m[i] + (1 - cfg.adam_beta1) * g
-            self.v[i] = cfg.adam_beta2 * self.v[i] + (1 - cfg.adam_beta2) * g * g
-            m_hat = self.m[i] / (1 - cfg.adam_beta1**self.t)
-            v_hat = self.v[i] / (1 - cfg.adam_beta2**self.t)
-            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        self.m = cfg.adam_beta1 * self.m + (1 - cfg.adam_beta1) * grad
+        self.v = cfg.adam_beta2 * self.v + (1 - cfg.adam_beta2) * grad * grad
+        m_hat = self.m / (1 - cfg.adam_beta1**self.t)
+        v_hat = self.v / (1 - cfg.adam_beta2**self.t)
+        flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+def _flat_views(*arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One contiguous buffer holding ``arrays`` in order, and a view of it shaped like each."""
+    flat = np.concatenate(arrays, axis=None)
+    parts = np.split(flat, np.cumsum([a.size for a in arrays[:-1]]))
+    return flat, [part.reshape(a.shape) for part, a in zip(parts, arrays)]
 
 
 def _check_labels(labels: np.ndarray, K: int) -> np.ndarray:
@@ -356,27 +374,38 @@ def ce_head_gradients(
     """
     logits = h @ W.T + b
     logp = log_softmax(logits, beta)
-    loss = -float(np.mean(logp[np.arange(len(y)), y]))
+    rows = np.arange(len(y))
+    loss = -float(logp[rows, y].sum() / len(y))
     p = np.exp(logp)
-    dlogits = beta * (p - np.eye(W.shape[0])[y]) / len(y)
+    residual = p.copy()
+    residual[rows, y] -= 1.0  # p minus the one-hot labels
+    dlogits = beta * residual / len(y)
     return loss, dlogits.T @ h, dlogits.sum(axis=0), dlogits @ W, p
 
 
-def _fit(model, targets, step, dataset, K, train_cfg, rng, eval_set) -> list[dict]:
-    """Adam descent on ``targets`` (updated in place) from ``step(xb, yb) -> (loss, grads)``.
+def kept_epoch(history: list[dict]) -> dict | None:
+    """The record of the epoch whose weights training returns; None if no epoch ran.
 
-    ``model`` reads the targets, so each epoch's record (mean batch loss,
-    argmax accuracies) measures the current iterate.  The targets end at
-    the best epoch: highest train accuracy, then lowest loss (lr 0.05
-    oscillates near convergence).  Batches come from ``rng`` after the
-    caller's initialization.
+    That is the first epoch with the highest train accuracy, then the
+    lowest loss (lr 0.05 oscillates near convergence).
+    """
+    return min(history, key=lambda rec: (-rec["train_accuracy"], rec["loss"]), default=None)
+
+
+def _fit(model, flat, step, dataset, K, train_cfg, rng, eval_set) -> list[dict]:
+    """Adam descent on the buffer ``flat`` (updated in place) from ``step(xb, yb) -> (loss, grads)``.
+
+    ``model`` and ``step`` read views of ``flat`` (see :func:`_flat_views`),
+    and ``grads`` lists their gradients in buffer order, so each epoch's
+    record (mean batch loss, argmax accuracies) measures the current
+    iterate.  The buffer ends at the :func:`kept_epoch`.  Batches come
+    from ``rng`` after the caller's initialization.
     """
     thetas, labels = dataset
     thetas = np.asarray(thetas, dtype=float)
     y = _check_labels(labels, K)
-    adam = _Adam([t.shape for t in targets], train_cfg)
+    adam = _Adam(flat.size, train_cfg)
     history: list[dict] = []
-    best = None
     for epoch in range(train_cfg.epochs):
         batch_losses = []
         for idx in _epoch_batches(thetas.shape[0], train_cfg.batch_size, rng):
@@ -387,7 +416,7 @@ def _fit(model, targets, step, dataset, K, train_cfg, rng, eval_set) -> list[dic
                     f"{train_cfg.learning_rate}, history so far {history})"
                 )
             batch_losses.append(loss)
-            adam.step(targets, grads)
+            adam.step(flat, np.concatenate(grads, axis=None))
         rec = {
             "epoch": epoch + 1,
             "loss": float(np.mean(batch_losses)),
@@ -396,12 +425,10 @@ def _fit(model, targets, step, dataset, K, train_cfg, rng, eval_set) -> list[dic
         if eval_set is not None:
             rec["test_accuracy"] = argmax_accuracy(model, *eval_set)
         history.append(rec)
-        key = (-rec["train_accuracy"], rec["loss"])
-        if best is None or key < best[0]:
-            best = (key, [t.copy() for t in targets])
-    if best is not None:
-        for t, saved in zip(targets, best[1]):
-            t[...] = saved
+        if kept_epoch(history) is rec:  # the best epoch so far
+            kept = flat.copy()
+    if history:
+        flat[:] = kept
     return history
 
 
@@ -420,8 +447,10 @@ def train_vqc(
     """
     K = int(np.max(dataset[1])) if K is None else K
     rng = np.random.default_rng(train_cfg.seed)
-    params = VqcParams.random_init(config, rng)
+    phi = VqcParams.random_init(config, rng).phi
     W = rng.uniform(-1.0, 1.0, size=(K, config.n_q)) / np.sqrt(config.n_q)
+    flat, (phi, W) = _flat_views(phi, W)
+    params = VqcParams(phi)
     b = np.zeros(K)
 
     def step(xb, yb):
@@ -431,7 +460,7 @@ def train_vqc(
         return loss, [vjp(config, params, xb, dh, states=states).sum(axis=0), gW]
 
     model = VqcModel(config, params, LinearHead(W=W, b=b, beta=train_cfg.beta))
-    history = _fit(model, [params.phi, W], step, dataset, K, train_cfg, rng, eval_set)
+    history = _fit(model, flat, step, dataset, K, train_cfg, rng, eval_set)
     return params, LinearHead(W=W, b=b, beta=train_cfg.beta), history
 
 
@@ -462,19 +491,19 @@ def train_mlp(
     """Backprop training of the tanh MLP with the shared beta-softmax head."""
     K = int(np.max(dataset[1])) if K is None else K
     rng = np.random.default_rng(train_cfg.seed)
-    targets = _mlp_init(np.shape(dataset[0])[1], K, rng)
-    W1, b1, W2, b2, Wh = targets
+    flat, (W1, b1, W2, b2, Wh) = _flat_views(*_mlp_init(np.shape(dataset[0])[1], K, rng))
+    no_bias = np.zeros(K)
 
     def step(xb, yb):
         h1 = np.tanh(xb @ W1.T + b1)
         h2 = np.tanh(h1 @ W2.T + b2)
-        loss, gWh, _, dh2, _ = ce_head_gradients(h2, Wh, np.zeros(K), yb, train_cfg.beta)
+        loss, gWh, _, dh2, _ = ce_head_gradients(h2, Wh, no_bias, yb, train_cfg.beta)
         dz2 = dh2 * (1 - h2 * h2)
         dz1 = (dz2 @ W2) * (1 - h1 * h1)
         return loss, [dz1.T @ xb, dz1.sum(axis=0), dz2.T @ h1, dz2.sum(axis=0), gWh]
 
     mlp = MlpBaseline(W1=W1, b1=b1, W2=W2, b2=b2, W_head=Wh, beta=train_cfg.beta)
-    history = _fit(mlp, targets, step, dataset, K, train_cfg, rng, eval_set)
+    history = _fit(mlp, flat, step, dataset, K, train_cfg, rng, eval_set)
     return mlp, history
 
 

@@ -29,6 +29,7 @@ from qpopf.classifier import (
     TrainConfig,
     VqcModel,
     check_noise_and_temperature,
+    kept_epoch,
     load_model,
     save_model,
     train_mlp,
@@ -306,10 +307,11 @@ def cmd_train(parser, args) -> int:
             for h in history
         ],
     )
-    final_acc = history[-1]["test_accuracy"] if history else float("nan")
+    # the checkpoint holds the kept epoch's weights, not the last epoch's
+    kept = kept_epoch(history) or {"epoch": 0, "test_accuracy": float("nan")}
     print(
-        f"train[{cfg['model']}]: params={model.num_params} "
-        f"test_accuracy={final_acc:.4f} -> {out} ({elapsed:.1f}s)"
+        f"train[{cfg['model']}]: params={model.num_params} epoch={kept['epoch']}/{len(history)} "
+        f"test_accuracy={kept['test_accuracy']:.4f} -> {out} ({elapsed:.1f}s)"
     )
     return 0
 

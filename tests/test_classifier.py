@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qpopf.classifier import (
     VqcModel,
     argmax_accuracy,
     ce_head_gradients,
+    kept_epoch,
     load_model,
     log_softmax,
     margin,
@@ -23,7 +25,8 @@ from qpopf.classifier import (
     train_mlp,
     train_vqc,
 )
-from qpopf.regions import locate_region, sample_labeled_dataset
+from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
+from tests import train_oracle
 from tests.circuit_oracle import angles_per_gate
 
 TOY_CONFIG = CircuitConfig.default(n_q=2, L=2, m=1)
@@ -232,6 +235,22 @@ def test_train_config_rejects_a_bad_beta_or_learning_rate(kwargs, match):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"adam_beta1": 1.0}, "adam_beta1 .* 1.0"), ({"adam_beta1": -0.1}, "adam_beta1 .* -0.1"),
+    ({"adam_beta1": np.nan}, "adam_beta1 .* nan"), ({"adam_beta2": 1.5}, "adam_beta2 .* 1.5"),
+    ({"adam_beta2": 1.0}, "adam_beta2 .* 1.0"), ({"adam_beta2": np.inf}, "adam_beta2 .* inf"),
+    ({"adam_eps": 0.0}, "adam_eps .* 0.0"), ({"adam_eps": -1e-8}, "adam_eps .* -1e-08"),
+    ({"adam_eps": np.nan}, "adam_eps .* nan"), ({"adam_eps": np.inf}, "adam_eps .* inf"),
+])
+def test_train_config_rejects_bad_adam_constants(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        TrainConfig(**kwargs)
+
+
+def test_train_config_accepts_adam_constants_at_their_bounds():
+    TrainConfig(adam_beta1=0.0, adam_beta2=0.0, adam_eps=5e-324)
+
+
 def test_mlp_deterministic(toy_dataset):
     cfg = TrainConfig(epochs=4, seed=23)
     m1, _ = train_mlp(toy_dataset, cfg)
@@ -329,3 +348,70 @@ def test_oracle_probability_matrix_is_its_released_law(toy_atlas, beta):
     one_hot = np.eye(toy_atlas.K)[[locate_region(toy_atlas, t) - 1 for t in thetas]]
     np.testing.assert_array_equal(oracle.released_law(thetas, 0.3, 2.0), one_hot)
     np.testing.assert_array_equal(oracle.probability_matrix(thetas, 0.3, beta), one_hot)
+
+
+def test_head_gradients_equal_the_one_hot_form():
+    rng = np.random.default_rng(37)
+    for batch, K, n in [(1, 2, 1), (32, 7, 5)] + [(b, 3, 4) for b in (3, 7, 24, 25, 31)] * 4:
+        h, W, b = rng.normal(size=(batch, n)), rng.normal(size=(K, n)), rng.normal(size=K)
+        y = rng.integers(0, K, size=batch)
+        loss, dW, _, dh, _ = ce_head_gradients(h, W, b, y, 1.3)
+        want = train_oracle.one_hot_head_gradients(h, W, b, y, 1.3)
+        assert loss == want[0]
+        assert dW.tobytes() == want[1].tobytes() and dh.tobytes() == want[2].tobytes()
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+@pytest.fixture(scope="module")
+def split_datasets(toy_atlas):
+    """(train, test, atlas) on the toy LP and on a 510-point ieee69 subset.
+
+    Both training sets end on a ragged batch of 24, so a batch mean is not
+    a division by a power of two.
+    """
+    out = {}
+    for name, atlas, n in (("toy", toy_atlas, 190),
+                           ("ieee69", RegionAtlas.load(FIXTURES / "atlas.json"), 510)):
+        thetas, labels = sample_labeled_dataset(atlas, n, seed=21)
+        cut = n - n // 5
+        out[name] = ((thetas[:cut], labels[:cut]), (thetas[cut:], labels[cut:]), atlas)
+    return out
+
+
+# (dataset, model, epochs, seed, whether the best epoch is an earlier one)
+ORACLE_RUNS = [
+    ("toy", "rot", 0, 3, False), ("toy", "rot", 6, 5, True),
+    ("toy", "ry", 0, 3, False), ("toy", "ry", 10, 3, True),
+    ("toy", "mlp", 0, 3, False), ("toy", "mlp", 10, 7, True),
+    ("ieee69", "rot", 6, 3, False), ("ieee69", "ry", 6, 5, False),
+    ("ieee69", "mlp", 0, 3, False), ("ieee69", "mlp", 10, 3, True),
+]
+
+
+@pytest.mark.parametrize("data,model,epochs,seed,restores", ORACLE_RUNS)
+def test_training_matches_the_per_array_oracle(split_datasets, data, model, epochs, seed,
+                                               restores):
+    """Flat-buffer Adam trains the same bits as one Adam update per array."""
+    train, test, atlas = split_datasets[data]
+    cfg = TrainConfig(epochs=epochs, seed=seed)
+    if model == "mlp":
+        mlp, history = train_mlp(train, cfg, K=atlas.K, eval_set=test)
+        want_mlp, want_history = train_oracle.train_mlp(train, cfg, atlas.K, eval_set=test)
+        fields = ("W1", "b1", "W2", "b2", "W_head")
+        pairs = [(getattr(mlp, f), getattr(want_mlp, f)) for f in fields]
+    else:
+        n_q, L = (2, 2) if data == "toy" else (5, 6)
+        config = CircuitConfig.default(n_q=n_q, L=L, m=atlas.theta_box.shape[0],
+                                       trainable_gate=model)
+        params, head, history = train_vqc(train, config, cfg, K=atlas.K, eval_set=test)
+        want_params, want_head, want_history = train_oracle.train_vqc(
+            train, config, cfg, atlas.K, eval_set=test)
+        pairs = [(params.phi, want_params.phi), (head.W, want_head.W), (head.b, want_head.b)]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert history == want_history
+    assert len(history) == epochs
+    if epochs:
+        assert (kept_epoch(history)["epoch"] < epochs) == restores

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpopf.classifier import argmax_accuracy, load_model
 from qpopf.cli import main
 from qpopf.data import case_path
+from qpopf.regions import RegionAtlas, sample_labeled_dataset
 
 TOY = str(case_path("toy2"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,12 +83,30 @@ def test_train_writes_checkpoint_and_log(workdir):
     assert len(log) == 2 + 4  # header lines + epochs
 
 
-def test_train_zero_epochs(workdir, tmp_path):
+def test_train_zero_epochs(workdir, tmp_path, capsys):
     assert run(["train", "--case", TOY, "--atlas", workdir / "atlas.json",
                 "--model", "mlp", "--samples", 50, "--epochs", 0,
                 "--seed", 1, "--out-dir", tmp_path, "--out", "init.json"]) == 0
     ckpt = read_json(tmp_path / "init.json")
     assert ckpt["kind"] == "mlp"
+    assert " epoch=0/0 test_accuracy=nan -> " in capsys.readouterr().out
+
+
+def test_train_reports_the_kept_epoch(tmp_path, capsys):
+    """The summary line names the epoch whose weights the checkpoint holds, not the last."""
+    atlas = FIXTURES / "atlas.json"
+    assert run(["train", "--case", case_path("ieee69"), "--atlas", atlas, "--model", "mlp",
+                "--samples", 600, "--epochs", 7, "--seed", 3,
+                "--out-dir", tmp_path, "--out", "mlp.json"]) == 0
+    line = capsys.readouterr().out
+    rows = list(csv.DictReader((tmp_path / "mlp.log.csv").read_text().splitlines()[1:]))
+    kept = min(rows, key=lambda r: (-float(r["train_accuracy"]), float(r["loss"])))
+    assert int(kept["epoch"]) < 7
+    acc = float(kept["test_accuracy"])
+    assert f" epoch={kept['epoch']}/7 test_accuracy={acc:.4f} -> " in line
+    model, _ = load_model(tmp_path / "mlp.json")
+    thetas, labels = sample_labeled_dataset(RegionAtlas.load(atlas), 600, seed=3)
+    assert argmax_accuracy(model, thetas[-120:], labels[-120:]) == acc
 
 
 def test_train_determinism(workdir, tmp_path):
@@ -281,9 +301,7 @@ def canonical(path):
     """A CLI artifact's bytes as the benchmark references keep them: JSON without ``timing``."""
     if path.suffix != ".json":
         return path.read_bytes()
-    doc = read_json(path)
-    del doc["timing"]
-    return json.dumps(doc, sort_keys=True).encode()
+    return json.dumps(strip_timing(read_json(path)), sort_keys=True).encode()
 
 
 @pytest.mark.parametrize("size", ["mini", "full"])
@@ -302,6 +320,38 @@ def test_audit_reproduces_the_reference_artifacts(tmp_path, size):
     reference = FIXTURES / "reference" / "audit" / size
     for name in ("privacy.json", "audit_sweep.csv", "privacy_mlp.json"):
         assert canonical(tmp_path / name) == (reference / name).read_bytes(), name
+
+
+# the train sizes of perfbench/workloads.py, (samples, epochs), at the train workload's seed 3
+TRAIN_SIZES = {"mini": {"vqc": (40, 1), "mlp": (200, 2)},
+               "full": {"vqc": (1000, 1), "mlp": (3000, 30)}}
+
+
+def close(ref, got, rtol=1e-6, atol=1e-9):
+    """Equal JSON trees, floats within the benchmark's train tolerance."""
+    if isinstance(ref, dict):
+        return isinstance(got, dict) and ref.keys() == got.keys() and all(
+            close(ref[k], got[k]) for k in ref)
+    if isinstance(ref, list):
+        return isinstance(got, list) and len(ref) == len(got) and all(
+            close(a, b) for a, b in zip(ref, got))
+    if isinstance(ref, float):
+        return isinstance(got, float) and abs(got - ref) <= atol + rtol * abs(ref)
+    return ref == got
+
+
+@pytest.mark.parametrize("size", ["mini", "full"])
+def test_train_reproduces_the_reference_artifacts(tmp_path, size):
+    reference = FIXTURES / "reference" / "train" / size
+    for kind, (samples, epochs) in TRAIN_SIZES[size].items():
+        assert run(["train", "--case", case_path("ieee69"), "--atlas", FIXTURES / "atlas.json",
+                    "--seed", 3, "--out-dir", tmp_path, "--model", kind, "--samples", samples,
+                    "--epochs", epochs, "--out", f"{kind}.json"]) == 0
+        log = f"{kind}.log.csv"
+        assert (tmp_path / log).read_bytes() == (reference / log).read_bytes(), log
+    assert canonical(tmp_path / "mlp.json") == (reference / "mlp.json").read_bytes()
+    # the VQC reference predates adjoint gradients: its phi differs in the tenth digit
+    assert close(read_json(reference / "vqc.json"), json.loads(canonical(tmp_path / "vqc.json")))
 
 
 def test_grid_audit_fails_the_bound_on_a_saturated_cell(tmp_path, capsys):
