@@ -274,8 +274,9 @@ def measure_runtimes(
     """Median per-instance wall-clock of each online path, in microseconds.
 
     The LP-solver row is the measured baseline all speedups refer to: one
-    ``solve_lp``, warm-started from the LP's midpoint vertex like every
-    parametric solve (the first call also pays that vertex's cold solve).
+    ``solve_lp``, a re-solve of the LP's one HiGHS model from its midpoint
+    basis like every parametric solve (the first call also pays that
+    vertex's cold solve and loads the model).
     """
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(

@@ -339,6 +339,13 @@ class ParametricLP:
         return column_compressed(self.W)
 
     @functools.cached_property
+    def eq_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eq_pairs`` as two index arrays: the lower and the higher row of
+        each pair."""
+        pairs = np.array(self.eq_pairs, dtype=np.intp).reshape(-1, 2)
+        return pairs.min(axis=1), pairs.max(axis=1)
+
+    @functools.cached_property
     def basis_memo(self) -> dict[tuple[str, tuple[int, ...]], tuple[int, ...] | None]:
         """Basis picks of ``qpopf.lp``, keyed by the scanned matrix ("W" or
         "projection") and the active rows.  A pick depends only on those
@@ -347,11 +354,13 @@ class ParametricLP:
         return {}
 
     @functools.cached_property
-    def start_memo(self) -> dict[str, list[int] | None]:
-        """The start vertex of ``qpopf.lp.solve_lp``, under "midpoint": the
+    def start_memo(self) -> dict[str, object]:
+        """The warm start of ``qpopf.lp.solve_lp``.  Under "midpoint": the
         basis rows of a cold solve at the centre of the theta box, or None
-        when that solve has none.  Filled on the first solve; every solve
-        starts there, so none depends on which ran before it."""
+        when that solve has none.  Under "session", once a midpoint basis
+        exists: the one HiGHS model every later solve of this LP rewrites
+        and restarts from that basis.  Filled on the first solve; every
+        solve starts there, so none depends on which ran before it."""
         return {}
 
     @functools.cached_property

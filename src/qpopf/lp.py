@@ -7,27 +7,31 @@ same answer bit for bit, without that function's per-call option
 validation and input conversion.  The constraint matrix of a parametric
 LP, and that of its L1 projection LP, are converted once
 (``ParametricLP.W_csc``, ``ParametricLP.projection_csc``).  ``solve_lp``
-starts HiGHS from one fixed vertex per LP, the basis of a cold solve at
-the centre of the theta box (``ParametricLP.start_memo``), so a solve
-takes a few pivots and no presolve, and its answer depends on theta
-alone, not on earlier solves.  Degenerate-basis recovery and the
-projection and pruning LPs stay cold.  ``solve_lp`` then post-processes
-the answer: a residual scan identifies the active rows, a deterministic
-rank selection picks the first n independent ones as a basis, and the
-solution is re-solved from that basis (``_polished``, which
-``project_feasible`` shares) so the returned vertex is accurate to
-linear-solve precision rather than solver tolerance.  An equality is
-written as two opposing rows (``ParametricLP.eq_pairs``) and counts as
-one hyperplane (``_hyperplanes``): the rank selection scans only the
-lower member of a fully active pair, since the higher is its negation,
-and the vertex is degenerate unless there are exactly n active
-hyperplanes.  The basis then takes whichever member of a pair has a
-nonnegative dual.  ``perturbed_basis`` recovers a basis where the vertex
-is degenerate.  A basis pick depends only on the active rows, and the
-active set is constant over a critical region, so each LP keeps its
-picks (``ParametricLP.basis_memo``): every solve still runs HiGHS, but
-samples of one region scan their rows once.  The returned vertex is
-re-solved from that basis, so a warm and a cold solve give the same
+keeps one HiGHS model per LP (``_Session``, in ``ParametricLP.start_memo``),
+built after a cold solve at the centre of the theta box: each solve
+rewrites only the row bounds that theta changed and restarts the dual
+simplex from that midpoint solve's basis, which HiGHS factored once, so
+a solve takes a few pivots and no presolve, and its answer depends on
+theta alone, not on earlier solves.  Both paths check their input and
+judge HiGHS's answer by one rule (``_checked``, ``_answer``).
+Degenerate-basis recovery and the projection and pruning LPs stay cold.
+``solve_lp`` then post-processes the answer: a residual scan identifies
+the active rows, a deterministic rank selection picks the first n
+independent ones as a basis, and the solution is re-solved from that
+basis (``_polished``, which ``project_feasible`` shares) so the returned
+vertex is accurate to linear-solve precision rather than solver
+tolerance.  An equality is written as two opposing rows
+(``ParametricLP.eq_pairs``) and counts as one hyperplane
+(``_hyperplanes``): the rank selection scans only the lower member of a
+fully active pair, since the higher is its negation, and the vertex is
+degenerate unless there are exactly n active hyperplanes.  The basis
+then takes whichever member of a pair has a nonnegative dual.
+``perturbed_basis`` recovers a basis where the vertex is degenerate.  A
+basis pick depends only on the active rows, and the active set is
+constant over a critical region, so each LP keeps its picks
+(``ParametricLP.basis_memo``): every solve still runs HiGHS, but samples
+of one region scan their rows once.  The returned vertex is re-solved
+from that basis, so a warm and a cold solve give the same
 ``LPSolution`` bit for bit.  Results are deterministic for identical
 inputs.
 """
@@ -131,55 +135,23 @@ class LPSolution:
         }
 
 
-def linprog(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    csc: tuple[list[int], list[int], list[float]] | None = None,
-    start: list[int] | None = None,
-) -> tuple[str, np.ndarray | None]:
-    """min c.x s.t. A x <= b over free x: (status, x), x None unless optimal.
-
-    ``csc`` is ``column_compressed(A)`` when the caller keeps it.  ``start``
-    names the rows tight at a vertex to start the dual simplex from: every
-    column and every other row is basic, the ``start`` rows sit at their
-    bound, and HiGHS skips presolve.  Any status other than optimal,
-    infeasible or unbounded, and an optimum with a NaN or a slack below
-    -``_SLACK_TOL``, raise ``LpNumericError``.
-    """
+def _checked(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> None:
+    """``linprog``'s input rule: A is (q, n) for a cost of n and a right-hand
+    side of shape (q,), and the cost and right-hand side are finite."""
     n, q = c.size, b.size
-    if A.shape != (q, n):
-        raise ValueError(f"constraint matrix {A.shape} does not match c ({n}) and b ({q})")
+    if A.shape != (q, n) or b.shape != (q,):
+        raise ValueError(f"constraint matrix {A.shape} does not match c ({n}) and b {b.shape}")
     if not (np.isfinite(c).all() and np.isfinite(b).all()):
         raise ValueError("LP cost and right-hand side must be finite")
-    col_start, index, value = column_compressed(A) if csc is None else csc
-    lp = _highs.HighsLp()
-    lp.num_col_, lp.num_row_ = n, q
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_ = [-_highs.kHighsInf] * n
-    lp.col_upper_ = [_highs.kHighsInf] * n
-    lp.row_lower_ = [-_highs.kHighsInf] * q
-    lp.row_upper_ = b.tolist()
-    mat = lp.a_matrix_
-    mat.format_ = _highs.MatrixFormat.kColwise
-    mat.num_col_, mat.num_row_ = n, q
-    mat.start_, mat.index_, mat.value_ = col_start, index, value
 
-    highs = _highs._Highs()
-    highs.passOptions(_OPTIONS)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
-        status, solved = _STATUS.kModelError, False
-    else:
-        if start is not None:
-            basis = _highs.HighsBasis()
-            basis.col_status = [_highs.HighsBasisStatus.kBasic] * n
-            rows = [_highs.HighsBasisStatus.kBasic] * q
-            for i in start:
-                rows[i] = _highs.HighsBasisStatus.kUpper
-            basis.row_status = rows
-            highs.setBasis(basis)
-        solved = highs.run() != _highs.HighsStatus.kError
-        status = highs.getModelStatus()
+
+def _answer(highs: _highs._Highs, b: np.ndarray) -> tuple[str, np.ndarray | None]:
+    """Run ``highs`` on the model it holds, whose row upper bounds are ``b``,
+    and judge the answer as scipy does: (status, x), x None unless optimal.
+    Any status other than optimal, infeasible or unbounded, and an optimum
+    with a NaN or a slack below -``_SLACK_TOL``, raise ``LpNumericError``."""
+    solved = highs.run() != _highs.HighsStatus.kError
+    status = highs.getModelStatus()
     if status == _STATUS.kOptimal and solved:
         sol = highs.getSolution()
         x = np.array(sol.col_value)
@@ -194,6 +166,87 @@ def linprog(
     raise LpNumericError(f"LP solver failed: {highs.modelStatusToString(status)}")
 
 
+def _loaded(
+    c: np.ndarray, b: np.ndarray, csc: tuple[list[int], list[int], list[float]]
+) -> _highs._Highs | None:
+    """A HiGHS instance holding min c.x s.t. A x <= b over free x, with A
+    given as ``column_compressed(A)``; None if HiGHS refuses the model."""
+    n, q = c.size, b.size
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, q
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = [-_highs.kHighsInf] * n
+    lp.col_upper_ = [_highs.kHighsInf] * n
+    lp.row_lower_ = [-_highs.kHighsInf] * q
+    lp.row_upper_ = b.tolist()
+    mat = lp.a_matrix_
+    mat.format_ = _highs.MatrixFormat.kColwise
+    mat.num_col_, mat.num_row_ = n, q
+    mat.start_, mat.index_, mat.value_ = csc
+    highs = _highs._Highs()
+    highs.passOptions(_OPTIONS)
+    return None if highs.passModel(lp) == _highs.HighsStatus.kError else highs
+
+
+def linprog(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    csc: tuple[list[int], list[int], list[float]] | None = None,
+) -> tuple[str, np.ndarray | None]:
+    """min c.x s.t. A x <= b over free x, solved cold: (status, x), x None
+    unless optimal, judged by ``_answer``.
+
+    ``csc`` is ``column_compressed(A)`` when the caller keeps it.
+    """
+    _checked(c, A, b)
+    highs = _loaded(c, b, column_compressed(A) if csc is None else csc)
+    if highs is None:
+        return _NO_SOLUTION[_STATUS.kModelError], None
+    return _answer(highs, b)
+
+
+class _Session:
+    """One HiGHS model of a parametric LP, re-solved at each theta from one
+    start basis.
+
+    The model is loaded once with the right-hand side at the centre of the
+    theta box.  The start rows are set once as an alien basis, which HiGHS
+    factors and, if it is singular or incomplete, repairs; ``basis`` keeps
+    the result.  Each solve rewrites only the row bounds that differ from
+    the ones the model holds (``upper``), so the model always equals the
+    cold one at that theta, and restarts from ``basis``, so no answer
+    depends on the solves before it.
+    """
+
+    def __init__(self, plp: ParametricLP, start: list[int]):
+        self.c, self.W = plp.c, plp.W
+        self.upper = plp.rhs(plp.theta_box.mean(axis=1))
+        self.highs = _loaded(plp.c, self.upper, plp.W_csc)
+        basis = _highs.HighsBasis()
+        basis.col_status = [_highs.HighsBasisStatus.kBasic] * plp.n
+        rows = [_highs.HighsBasisStatus.kBasic] * plp.q
+        for i in start:
+            rows[i] = _highs.HighsBasisStatus.kUpper
+        basis.row_status = rows
+        self.highs.setBasis(basis)
+        self.basis = self.highs.getBasis()
+
+    def solve(self, b: np.ndarray) -> tuple[str, np.ndarray | None]:
+        """``linprog(plp.c, plp.W, b)``, started from ``basis``."""
+        _checked(self.c, self.W, b)
+        highs, upper = self.highs, self.upper
+        for i in np.flatnonzero(b != upper).tolist():
+            if highs.changeRowBounds(i, -_highs.kHighsInf, b[i]) == _highs.HighsStatus.kError:
+                # HiGHS keeps the old bound when it refuses one (an upper bound of
+                # -1e20 or less reads as -inf), as the cold solve's passModel
+                # refuses the whole model
+                return _NO_SOLUTION[_STATUS.kModelError], None
+            upper[i] = b[i]
+        highs.setBasis(self.basis)
+        return _answer(highs, b)
+
+
 def _scan_active(A: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float) -> list[int]:
     resid = A @ x - b
     return np.flatnonzero(np.abs(resid) <= tol).tolist()
@@ -202,9 +255,13 @@ def _scan_active(A: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float) -> lis
 def _hyperplanes(plp: ParametricLP, active: list[int]) -> list[int]:
     """One active row per active hyperplane: ``active`` without the higher
     member of each fully active opposing pair (the negation of the lower)."""
-    rows = set(active)
-    higher = {max(i, j) for i, j in plp.eq_pairs if i in rows and j in rows}
-    return [i for i in active if i not in higher]
+    active = np.asarray(active, dtype=np.intp)
+    lower, higher = plp.eq_rows
+    # long enough for the rows of W and of the projection matrix
+    rows = np.zeros(plp.q + 2 * plp.n, dtype=bool)
+    rows[active] = True
+    rows[higher[rows[lower] & rows[higher]]] = False
+    return active[rows[active]].tolist()
 
 
 def _greedy_basis(A: np.ndarray, rows: list[int], n: int) -> list[int] | None:
@@ -306,11 +363,25 @@ def _start_rows(plp: ParametricLP) -> list[int] | None:
     return memo["midpoint"]
 
 
+def _session(plp: ParametricLP) -> _Session | None:
+    """``plp.start_memo["session"]``, built from the midpoint basis on first
+    use; None while the LP has no midpoint basis."""
+    memo = plp.start_memo
+    if "session" not in memo:
+        start = _start_rows(plp)
+        if start is None:
+            return None
+        memo["session"] = _Session(plp, start)
+    return memo["session"]
+
+
 def solve_lp(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
     """Minimize c.x over {W x <= S + T theta} and extract the active set."""
     b = plp.rhs(theta)
-    status, x = linprog(plp.c, plp.W, b, csc=plp.W_csc, start=_start_rows(plp))
-    return _solution(plp, b, status, x)
+    session = _session(plp)
+    if session is None:
+        return _solution(plp, b, *linprog(plp.c, plp.W, b, csc=plp.W_csc))
+    return _solution(plp, b, *session.solve(b))
 
 
 def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:

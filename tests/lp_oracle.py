@@ -2,7 +2,8 @@
 
 ``scipy_linprog`` is the cold solve ``lp.linprog`` replaces, through
 scipy's public API, and ``solve_lp_cold`` is ``solve_lp`` with that solve
-in place of the warm-started one.  ``dual_certificate`` turns a solved
+in place of the warm-started one.  ``hyperplanes_by_set`` is the pair
+filter that ``lp._hyperplanes`` replaced with a boolean mask.  ``dual_certificate`` turns a solved
 basis into the dual vector whose objective must match the primal one;
 ``contains`` is the one-region point-in-polyhedron test that the
 package's batched point location replaced.
@@ -33,6 +34,13 @@ def solve_lp_cold(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
     ref = scipy_linprog(plp.c, plp.W, b)
     status = SCIPY_STATUS[ref.status]
     return lp_mod._solution(plp, b, status, ref.x if status == "optimal" else None)
+
+
+def hyperplanes_by_set(plp: ParametricLP, active: list[int]) -> list[int]:
+    """``lp._hyperplanes`` as a set comprehension over ``eq_pairs``."""
+    rows = set(active)
+    higher = {max(i, j) for i, j in plp.eq_pairs if i in rows and j in rows}
+    return [i for i in active if i not in higher]
 
 
 def solution_bytes(sol: LPSolution) -> tuple:

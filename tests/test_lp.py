@@ -18,8 +18,8 @@ from qpopf.grid import ParametricLP, column_compressed, linearize, load_case
 from qpopf.lp import perturbed_basis, project_feasible, solve_lp
 from qpopf.regions import chebyshev_center, enumerate_regions
 from tests.conftest import make_toy_plp
-from tests.lp_oracle import (SCIPY_STATUS, dual_certificate, scipy_linprog, solution_bytes,
-                             solve_lp_cold)
+from tests.lp_oracle import (SCIPY_STATUS, dual_certificate, hyperplanes_by_set, scipy_linprog,
+                             solution_bytes, solve_lp_cold)
 
 
 def brute_force_lp(c, A, b):
@@ -313,7 +313,8 @@ def test_basis_memo_matches_a_cold_lp(case):
     assert 0 < kinds.count("projection") < len(thetas)
 
 
-def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, monkeypatch):
+def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, session_calls,
+                                               monkeypatch):
     # solve_lp rebound in qpopf.regions, as the benchmark counts enumeration solves
     solves = []
     solve = regions_mod.solve_lp
@@ -324,58 +325,87 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, m
 
     monkeypatch.setattr(regions_mod, "solve_lp", counted)
     for budget, regions in [(1, 1), (1000, 7)]:
-        for calls in (solves, basis_calls, lp_calls):
+        for calls in (solves, basis_calls, lp_calls, session_calls):
             calls.clear()
         plp = linearize(case69)
         atlas = enumerate_regions(plp, budget, seed=11)
         assert len(solves) == budget
         assert len(basis_calls) == atlas.K == regions
-        # the midpoint's cold solve runs inside the first solve_lp, not as a sample of its own
-        starts = [start for _, A, *_, start in lp_calls if A is plp.W]
+        # the midpoint's cold solve runs inside the first solve_lp, not as a sample of its own;
+        # then every sample is one solve of the LP's one session
         assert plp.start_memo["midpoint"] is not None
-        assert starts == [None] + [plp.start_memo["midpoint"]] * budget
+        assert [A is plp.W for _, A, *_ in lp_calls].count(True) == 1
+        assert len(session_calls) == budget
+        assert {id(session) for session, *_ in session_calls} == {id(plp.start_memo["session"])}
 
 
 @pytest.fixture()
 def lp_calls(monkeypatch):
-    """Record (c, A, b, csc, start) of every LP the package solves."""
+    """Record (c, A, b, csc) of every cold LP the package solves."""
     calls = []
     solve = lp_mod.linprog
 
-    def recording(c, A, b, csc=None, start=None):
-        calls.append((c, A, b, csc, start))
-        return solve(c, A, b, csc=csc, start=start)
+    def recording(c, A, b, csc=None):
+        calls.append((c, A, b, csc))
+        return solve(c, A, b, csc=csc)
 
     monkeypatch.setattr(lp_mod, "linprog", recording)
     return calls
 
 
+@pytest.fixture()
+def session_calls(monkeypatch):
+    """Record (session, b, (status, x)) of every warm solve ``solve_lp`` runs."""
+    calls = []
+    solve = lp_mod._Session.solve
+
+    def recording(self, b):
+        out = solve(self, b)
+        calls.append((self, b.copy(), out))
+        return out
+
+    monkeypatch.setattr(lp_mod._Session, "solve", recording)
+    return calls
+
+
 def assert_matches_scipy(calls):
-    """scipy's status; for a cold solve its vertex bit for bit, for a warm-started
-    one a vertex within 1e-9 relative (``solve_lp`` polishes it from its basis)."""
-    for c, A, b, csc, start in calls:
-        status, x = lp_mod.linprog(c, A, b, csc=csc, start=start)
+    """scipy's status, and its vertex bit for bit."""
+    for c, A, b, csc in calls:
+        status, x = lp_mod.linprog(c, A, b, csc=csc)
         ref = scipy_linprog(c, A, b)
         assert status == SCIPY_STATUS[ref.status]
         if status != "optimal":
             assert x is None
-        elif start is None:
+        else:
             assert x.tobytes() == ref.x.tobytes()
+
+
+def assert_warm_matches_scipy(plp, calls):
+    """scipy's status, and for a warm-started solve a raw vertex within 1e-9
+    relative (``solve_lp`` polishes it from its basis)."""
+    for _, b, (status, x) in calls:
+        ref = scipy_linprog(plp.c, plp.W, b)
+        assert status == SCIPY_STATUS[ref.status]
+        if status != "optimal":
+            assert x is None
         else:
             assert np.all(np.abs(x - ref.x) <= 1e-9 * np.maximum(1.0, np.abs(x)))
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
-def test_linprog_matches_scipy_oracle(case, lp_calls):
+def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls):
     plp = linearize(load_case(case_path(case)))
     rng = np.random.default_rng(67)
     thetas = rng.uniform(-1.0, 1.0, size=(30, plp.m))
     thetas[0] = 0.0
 
+    warm = []  # session solves per family
+
     def calls_of(run):
-        start = len(lp_calls)
+        cold, before = len(lp_calls), len(session_calls)
         run()
-        return lp_calls[start:]
+        warm.append(len(session_calls) - before)
+        return lp_calls[cold:]
 
     atlas, solutions = [], []
     families = {
@@ -393,9 +423,12 @@ def test_linprog_matches_scipy_oracle(case, lp_calls):
     for name, calls in families.items():
         assert calls, name
         assert_matches_scipy(calls)
-    # one cold solve at the midpoint, then every solve_lp warm; the rest stays cold
-    assert [start is None for *_, start in families.pop("solve_lp")] == [True] + [False] * 30
-    assert all(start is None for calls in families.values() for *_, start in calls)
+    # one cold solve at the midpoint, then every solve_lp (the projection and pruning
+    # families call it too) warm from the LP's one session; the rest stays cold
+    assert [A is plp.W for _, A, *_ in families["solve_lp"]] == [True]
+    assert warm == [len(thetas), 0, 10, 16, 0]
+    assert all(session is plp.start_memo["session"] for session, *_ in session_calls)
+    assert_warm_matches_scipy(plp, session_calls)
     for theta, sol in zip(thetas, solutions):
         assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
 
@@ -405,11 +438,12 @@ def test_linprog_matches_scipy_on_infeasible_and_unbounded():
     unbounded = (np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
     assert lp_mod.linprog(*infeasible) == ("infeasible", None)
     assert lp_mod.linprog(*unbounded) == ("unbounded", None)
-    assert_matches_scipy([(*infeasible, None, None), (*unbounded, None, None)])
+    assert_matches_scipy([(*infeasible, None), (*unbounded, None)])
 
 
 def test_linprog_passes_scipys_options(monkeypatch):
-    """Every HiGHS option equals the one linprog(method="highs") sets."""
+    """Every HiGHS option equals the one linprog(method="highs") sets, in a
+    cold solve and in the session ``solve_lp`` warm-starts."""
     passed = []
 
     class Recording(highs_core._Highs):
@@ -421,11 +455,19 @@ def test_linprog_passes_scipys_options(monkeypatch):
     c, A, b = random_bounded_lp(np.random.default_rng(3))
     scipy_linprog(c, A, b)
     lp_mod.linprog(c, A, b)
-    theirs, ours = passed
-    names = [k for k in dir(ours) if not k.startswith("_")]
+    # the midpoint's cold solve, then the session, once for both solves
+    plp = make_toy_plp()
+    for theta in (0.5, -0.5):
+        solve_lp(plp, np.array([theta]))
+    theirs, *ours = passed
+    assert len(ours) == 3
+    session = plp.start_memo["session"].highs
+    assert isinstance(session, Recording)
+    names = [k for k in dir(theirs) if not k.startswith("_")]
     assert len(names) > 50
-    for name in names:
-        assert getattr(ours, name) == getattr(theirs, name), name
+    for options in [*ours, session.getOptions()]:
+        for name in names:
+            assert getattr(options, name) == getattr(theirs, name), name
 
 
 def test_linprog_raises_past_the_iteration_limit(monkeypatch, plp69):
@@ -456,18 +498,29 @@ def test_linprog_raises_past_the_iteration_limit(monkeypatch, plp69):
     (lambda x, row: (x * np.nan, row), "NaN"),
 ])
 def test_linprog_checks_an_optimal_answer(monkeypatch, tamper, match):
-    """An optimum scipy's result check would flag as status 4 raises."""
+    """An optimum scipy's result check would flag as status 4 raises, from a
+    cold solve and from a session solve."""
     class Tampered(highs_core._Highs):
+        active = False
+
         def getSolution(self):
             sol = super().getSolution()
+            if not Tampered.active:
+                return sol
             x, row = tamper(np.array(sol.col_value), np.array(sol.row_value))
             return types.SimpleNamespace(col_value=x.tolist(), row_value=row.tolist())
 
     c, A, b = random_bounded_lp(np.random.default_rng(7))
     assert lp_mod.linprog(c, A, b)[0] == "optimal"
     monkeypatch.setattr(highs_core, "_Highs", Tampered)
+    plp, theta = make_toy_plp(), np.array([0.5])
+    assert solve_lp(plp, theta).status == "optimal"
+    assert isinstance(plp.start_memo["session"].highs, Tampered)
+    monkeypatch.setattr(Tampered, "active", True)
     with pytest.raises(lp_mod.LpNumericError, match=match):
         lp_mod.linprog(c, A, b)
+    with pytest.raises(lp_mod.LpNumericError, match=match):
+        solve_lp(plp, theta)
 
 
 def test_linprog_rejects_non_finite_data():
@@ -562,7 +615,7 @@ def test_projection_matches_per_call_assembly(case, rows, lp_calls):
     cached = [c for c in lp_calls[start:] if c[3] is not None]
     assembled = [c for c in lp_calls[start:] if c[3] is None]
     assert len(cached) == len(assembled) == rows
-    for (c, A, b, csc, _), (c0, A0, b0, *_) in zip(cached, assembled):
+    for (c, A, b, csc), (c0, A0, b0, _) in zip(cached, assembled):
         # HiGHS receives the same model either way
         assert csc == column_compressed(A0)
         assert (c.tobytes(), A.tobytes(), b.tobytes()) == (c0.tobytes(), A0.tobytes(), b0.tobytes())
@@ -618,7 +671,9 @@ def test_solve_order_does_not_change_the_bytes(case):
                 # a dispatch of another theta, usually infeasible here; the first
                 # projection runs before the midpoint solve
                 project_feasible(np.zeros(plp.n), plp, thetas[k])
-            out[k] = solution_bytes(solve_lp(plp, thetas[k]))
+            # each solve starts from the same basis, so takes as many pivots in any order
+            out[k] = (solution_bytes(solve_lp(plp, thetas[k])),
+                      plp.start_memo["session"].highs.getInfo().simplex_iteration_count)
         return out
 
     forwards = answers(range(len(thetas)), False)
@@ -657,12 +712,127 @@ def test_a_wrong_start_gives_the_cold_answer(case):
                   theta_box=np.array([[-1.0, 1.0]])),
      ["unbounded"] * 9),
 ])
-def test_no_midpoint_basis_means_cold_solves(plp, statuses, lp_calls):
+def test_no_midpoint_basis_means_cold_solves(plp, statuses, lp_calls, session_calls):
     thetas = np.linspace(-1.0, 1.0, 9)[:, None]
     solutions = [solve_lp(plp, theta) for theta in thetas]
     assert plp.start_memo == {"midpoint": None}
-    assert all(start is None for *_, start in lp_calls)
+    # the midpoint's cold solve, then every solve_lp cold
+    assert len(lp_calls) == 1 + len(thetas) and not session_calls
     assert [sol.status for sol in solutions] == statuses
     for theta, sol in zip(thetas, solutions):
         assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
 
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_a_bad_theta_raises_on_both_paths(case):
+    """The session checks b as ``linprog`` does before it touches its model."""
+    warm = lp_of(case)
+    cold = cold_copy(warm)
+    thetas = property_thetas(warm, 10, 0.5, seed=101)
+    solve_lp(warm, thetas[0])
+    session = warm.start_memo["session"]
+    for bad in (np.zeros((warm.m, 1)), np.full(warm.m, np.nan), np.full(warm.m, np.inf),
+                np.full(warm.m, -np.inf)):
+        raised = []
+        for plp in (warm, cold):
+            with pytest.raises(ValueError) as info, np.errstate(invalid="ignore"):
+                solve_lp(plp, bad)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+        assert ("does not match" if bad.ndim == 2 else "finite") in raised[0]
+        assert warm.start_memo["session"] is session
+        for theta in thetas:
+            assert solution_bytes(solve_lp(warm, theta)) == (
+                solution_bytes(solve_lp_cold(warm, theta)))
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_a_failed_solve_leaves_the_next_one_cold(case, monkeypatch):
+    plp = lp_of(case)
+    cold = cold_copy(plp)
+    thetas = property_thetas(plp, 20, 0.5, seed=103)
+    session = lp_mod._session(plp)
+
+    def next_solves_are_cold():
+        for theta in thetas:
+            assert solution_bytes(solve_lp(plp, theta)) == (
+                solution_bytes(solve_lp_cold(plp, theta)))
+
+    # infeasible: a point far outside the box
+    infeasible = [t for t in thetas if solve_lp(cold, t).status == "infeasible"]
+    assert infeasible
+    assert solve_lp(plp, infeasible[0]).status == "infeasible"
+    next_solves_are_cold()
+    # a bound of 1e20 or more is infinite to HiGHS, so a huge theta leaves some row
+    # with an upper bound of -inf: passModel refuses that model, and the session keeps
+    # the row out of its model as well
+    huge = np.full(plp.m, 1e25)
+    assert solution_bytes(solve_lp(plp, huge)) == solution_bytes(solve_lp(cold, huge))
+    assert solve_lp(plp, huge).status == "infeasible"
+    next_solves_are_cold()
+    # unbounded: no theta makes an LP unbounded whose midpoint has an optimum (the
+    # recession cone does not depend on theta), so HiGHS's verdict is forged once
+    class Forged:
+        def __getattr__(self, name):
+            return getattr(highs, name)
+
+        def getModelStatus(self):
+            return lp_mod._STATUS.kUnbounded
+
+    highs = session.highs
+    monkeypatch.setattr(session, "highs", Forged())
+    assert solve_lp(plp, thetas[2]).status == "unbounded"
+    monkeypatch.undo()
+    next_solves_are_cold()
+    # out of pivots: solves that need one raise
+    session.highs.setOptionValue("simplex_iteration_limit", 0)
+    raised = 0
+    for theta in thetas:
+        try:
+            solve_lp(plp, theta)
+        except lp_mod.LpNumericError as exc:
+            assert "limit" in str(exc)
+            raised += 1
+    assert raised
+    session.highs.setOptionValue("simplex_iteration_limit", lp_mod._HIGHS_OPTIONS["maxiter"])
+    next_solves_are_cold()
+    assert plp.start_memo["session"] is session
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_the_session_model_is_the_cold_model(case):
+    """After every solve the session's model holds rhs(theta) bit for bit,
+    and the cost, matrix and other bounds of the cold model."""
+    plp = lp_of(case)
+    thetas = property_thetas(plp, 60, 0.5, seed=107)
+    mid = thetas[0]
+    # back to the midpoint, and to it in one coordinate only
+    some = thetas[2:12].copy()
+    some[:, 0] = mid[0]
+    thetas = np.vstack([thetas, mid, some])
+    for theta in thetas:
+        solve_lp(plp, theta)
+        model = plp.start_memo["session"].highs.getLp()
+        assert np.array(model.row_upper_).tobytes() == plp.rhs(theta).tobytes()
+    inf = highs_core.kHighsInf
+    assert model.row_lower_ == [-inf] * plp.q
+    assert (model.col_lower_, model.col_upper_) == ([-inf] * plp.n, [inf] * plp.n)
+    assert np.array(model.col_cost_).tobytes() == plp.c.tobytes()
+    mat = model.a_matrix_
+    assert mat.format_ == highs_core.MatrixFormat.kColwise
+    assert (list(mat.start_), list(mat.index_), list(mat.value_)) == tuple(map(list, plp.W_csc))
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_hyperplanes_match_the_set_oracle(case):
+    plp = lp_of(case)
+    thetas = property_thetas(plp, 300, 0.5, seed=109)
+    actives = [solve_lp(plp, theta).active_set for theta in thetas]
+    assert np.mean([len(active) for active in actives]) > plp.n
+    # every row of the projection matrix, in either order, and none
+    rows = list(range(plp.q + 2 * plp.n))
+    for active in [*actives, rows, rows[::-1], []]:
+        picked = lp_mod._hyperplanes(plp, active)
+        assert picked == hyperplanes_by_set(plp, active)
+        assert all(type(i) is int for i in picked)
