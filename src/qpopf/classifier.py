@@ -306,22 +306,19 @@ class TrainConfig:
     learning_rate: float = 0.05
     seed: int = 0
     beta: float = 1.0           # softmax temperature used during training
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs >= 0 and batch_size >= 1 required")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         check_noise_and_temperature([], [self.beta])
+
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class _Adam:
@@ -335,13 +332,12 @@ class _Adam:
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         """Update ``flat`` in place from its gradient ``grad`` (same layout)."""
-        cfg = self.cfg
         self.t += 1
-        self.m = cfg.adam_beta1 * self.m + (1 - cfg.adam_beta1) * grad
-        self.v = cfg.adam_beta2 * self.v + (1 - cfg.adam_beta2) * grad * grad
-        m_hat = self.m / (1 - cfg.adam_beta1**self.t)
-        v_hat = self.v / (1 - cfg.adam_beta2**self.t)
-        flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1 - ADAM_BETA2**self.t)
+        flat -= self.cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _flat_views(*arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

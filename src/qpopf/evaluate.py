@@ -21,7 +21,8 @@ import numpy as np
 
 from qpopf.classifier import check_noise_and_temperature, sample_region
 from qpopf.grid import ParametricLP
-from qpopf.lp import FEASIBILITY_THRESHOLD, feasible_dispatch, solve_lp
+# FEASIBILITY_THRESHOLD is re-exported: the benchmark reads the scoring threshold here
+from qpopf.lp import FEASIBILITY_THRESHOLD, feasible_dispatch, solve_lp  # noqa: F401
 from qpopf.regions import RegionAtlas, locate_covered, locate_region
 
 
@@ -82,13 +83,9 @@ class MetricsReport:
         }
 
 
-def _tracked_indices(plp: ParametricLP, track: list[str] | None) -> list[int]:
-    if track is not None:
-        index = {name: i for i, name in enumerate(plp.var_names)}
-        missing = [t for t in track if t not in index]
-        if missing:
-            raise ValueError(f"unknown tracked variables: {missing}")
-        return [index[t] for t in track]
+def _tracked_indices(plp: ParametricLP) -> list[int]:
+    """The generator and feeder-flow variables, or every variable of an LP
+    without such names."""
     if plp.var_names:
         picked = [
             i
@@ -116,14 +113,12 @@ class _DispatchTable:
         atlas: RegionAtlas,
         plp: ParametricLP,
         batch: ScenarioBatch,
-        track: list[str] | None = None,
-        feas_tol: float = FEASIBILITY_THRESHOLD,
     ):
         if atlas.plp_hash and atlas.plp_hash != plp.hash_hex():
             raise ValueError("atlas/plp hash mismatch: atlas was built for a different LP")
         batch.validate_in(plp.theta_box)
-        self.atlas, self.plp, self.batch, self.feas_tol = atlas, plp, batch, feas_tol
-        self.tracked = _tracked_indices(plp, track)
+        self.atlas, self.plp, self.batch = atlas, plp, batch
+        self.tracked = _tracked_indices(plp)
         self.names = (
             [plp.var_names[i] for i in self.tracked]
             if plp.var_names
@@ -142,9 +137,7 @@ class _DispatchTable:
         entry = self._picks.get((i, k))
         if entry is None:
             theta = self.batch.thetas[i]
-            x, infeasible = feasible_dispatch(
-                self.atlas.region(k).solution(theta), self.plp, theta, self.feas_tol
-            )
+            x, infeasible = feasible_dispatch(self.atlas.region(k).solution(theta), self.plp, theta)
             self.projections += infeasible
             x_star, j_star = self.x_star[i], self.j_star[i]
             # relative gap; absolute when the optimal cost is essentially zero
@@ -194,12 +187,10 @@ def evaluate(
     gamma: float,
     beta: float,
     rng: np.random.Generator,
-    track: list[str] | None = None,
-    feas_tol: float = FEASIBILITY_THRESHOLD,
 ) -> MetricsReport:
     """Sample-reconstruct-project evaluation of a mechanism on a batch."""
     check_noise_and_temperature([gamma], [beta])
-    table = _DispatchTable(atlas, plp, batch, track, feas_tol)
+    table = _DispatchTable(atlas, plp, batch)
     return table.replay(model, model.base_scores(batch.thetas), gamma, beta, rng)
 
 
@@ -210,7 +201,6 @@ def sweep(
     gamma_grid,
     beta_grid,
     batch: ScenarioBatch,
-    track: list[str] | None = None,
 ) -> list[MetricsReport]:
     """Full-factorial evaluation; every cell replays the same seed so
     high-beta rows expose the argmax gamma-invariance directly.  The cells
@@ -219,7 +209,7 @@ def sweep(
     circuit runs once per sweep."""
     gamma_grid, beta_grid = list(gamma_grid), list(beta_grid)
     check_noise_and_temperature(gamma_grid, beta_grid)
-    table = _DispatchTable(atlas, plp, batch, track)
+    table = _DispatchTable(atlas, plp, batch)
     base = model.base_scores(batch.thetas)
     return [
         table.replay(model, base, gamma, beta, np.random.default_rng(batch.seed))
@@ -252,14 +242,13 @@ def circuit_depth(n_q: int, L: int) -> int:
     return 1 + L * (1 + n_q)
 
 
-def runtime_model(
-    n_q: int,
-    L: int,
-    t_prep_meas_us: float = 1.0,
-    t_gate_ns: float = 10.0,
-) -> float:
+T_PREP_MEAS_US = 1.0  # state preparation plus measurement, per inference
+T_GATE_NS = 10.0  # one gate column of the circuit depth
+
+
+def runtime_model(n_q: int, L: int) -> float:
     """Per-inference circuit time in microseconds: prep+measure plus depth gates."""
-    total_ns = t_prep_meas_us * 1000.0 + t_gate_ns * circuit_depth(n_q, L)
+    total_ns = T_PREP_MEAS_US * 1000.0 + T_GATE_NS * circuit_depth(n_q, L)
     return total_ns / 1000.0
 
 
@@ -274,9 +263,9 @@ def measure_runtimes(
     """Median per-instance wall-clock of each online path, in microseconds.
 
     The LP-solver row is the measured baseline all speedups refer to: one
-    ``solve_lp``, a re-solve of the LP's one HiGHS model from its midpoint
-    basis like every parametric solve (the first call also pays that
-    vertex's cold solve and loads the model).
+    ``solve_lp``, a re-solve of the LP's one HiGHS model from the basis of
+    its first run like every parametric solve (the first call also loads
+    the model and runs it cold at the centre of the theta box).
     """
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(

@@ -355,12 +355,12 @@ class ParametricLP:
 
     @functools.cached_property
     def start_memo(self) -> dict[str, object]:
-        """The warm start of ``qpopf.lp.solve_lp``.  Under "midpoint": the
-        basis rows of a cold solve at the centre of the theta box, or None
-        when that solve has none.  Under "session", once a midpoint basis
-        exists: the one HiGHS model every later solve of this LP rewrites
-        and restarts from that basis.  Filled on the first solve; every
-        solve starts there, so none depends on which ran before it."""
+        """The warm start of ``qpopf.lp.solve_lp``, under its one key
+        "session": the one HiGHS model of this LP, first solved cold at the
+        centre of the theta box, which every later solve rewrites and
+        restarts from that run's optimal basis; None when that run has no
+        optimum.  Filled on the first solve; every solve starts there, so
+        none depends on which ran before it."""
         return {}
 
     @functools.cached_property

@@ -8,11 +8,11 @@ validation and input conversion.  The constraint matrix of a parametric
 LP, and that of its L1 projection LP, are converted once
 (``ParametricLP.W_csc``, ``ParametricLP.projection_csc``).  ``solve_lp``
 keeps one HiGHS model per LP (``_Session``, in ``ParametricLP.start_memo``),
-built after a cold solve at the centre of the theta box: each solve
-rewrites only the row bounds that theta changed and restarts the dual
-simplex from that midpoint solve's basis, which HiGHS factored once, so
-a solve takes a few pivots and no presolve, and its answer depends on
-theta alone, not on earlier solves.  Both paths check their input and
+whose first run is a cold solve at the centre of the theta box: each
+later solve rewrites only the row bounds that theta changed and restarts
+the dual simplex from the optimal basis of that first run, so a solve
+takes a few pivots and no presolve, and its answer depends on theta
+alone, not on earlier solves.  Both paths check their input and
 judge HiGHS's answer by one rule (``_checked``, ``_answer``).
 Degenerate-basis recovery and the projection and pruning LPs stay cold.
 ``solve_lp`` then post-processes the answer: a residual scan identifies
@@ -210,27 +210,21 @@ class _Session:
     """One HiGHS model of a parametric LP, re-solved at each theta from one
     start basis.
 
-    The model is loaded once with the right-hand side at the centre of the
-    theta box.  The start rows are set once as an alien basis, which HiGHS
-    factors and, if it is singular or incomplete, repairs; ``basis`` keeps
-    the result.  Each solve rewrites only the row bounds that differ from
-    the ones the model holds (``upper``), so the model always equals the
-    cold one at that theta, and restarts from ``basis``, so no answer
-    depends on the solves before it.
+    The model is loaded with the right-hand side at the centre of the theta
+    box and solved there once, cold.  ``basis`` keeps the optimal basis of
+    that run, or is None when HiGHS refuses the model or the centre has no
+    optimum.  Each solve rewrites only the row bounds that differ from the
+    ones the model holds (``upper``), so the model always equals the cold
+    one at that theta, and restarts from ``basis``, so no answer depends on
+    the solves before it.
     """
 
-    def __init__(self, plp: ParametricLP, start: list[int]):
+    def __init__(self, plp: ParametricLP):
         self.c, self.W = plp.c, plp.W
         self.upper = plp.rhs(plp.theta_box.mean(axis=1))
         self.highs = _loaded(plp.c, self.upper, plp.W_csc)
-        basis = _highs.HighsBasis()
-        basis.col_status = [_highs.HighsBasisStatus.kBasic] * plp.n
-        rows = [_highs.HighsBasisStatus.kBasic] * plp.q
-        for i in start:
-            rows[i] = _highs.HighsBasisStatus.kUpper
-        basis.row_status = rows
-        self.highs.setBasis(basis)
-        self.basis = self.highs.getBasis()
+        optimal = self.highs is not None and _answer(self.highs, self.upper)[0] == "optimal"
+        self.basis = self.highs.getBasis() if optimal else None
 
     def solve(self, b: np.ndarray) -> tuple[str, np.ndarray | None]:
         """``linprog(plp.c, plp.W, b)``, started from ``basis``."""
@@ -351,27 +345,16 @@ def _solution(plp: ParametricLP, b: np.ndarray, status: str, x: np.ndarray | Non
     )
 
 
-def _start_rows(plp: ParametricLP) -> list[int] | None:
-    """``plp.start_memo["midpoint"]``, solved cold on first use."""
-    memo = plp.start_memo
-    if "midpoint" not in memo:
-        b = plp.rhs(plp.theta_box.mean(axis=1))
-        try:
-            memo["midpoint"] = _solution(plp, b, *linprog(plp.c, plp.W, b, csc=plp.W_csc)).basis
-        except LpNumericError:
-            memo["midpoint"] = None
-    return memo["midpoint"]
-
-
 def _session(plp: ParametricLP) -> _Session | None:
-    """``plp.start_memo["session"]``, built from the midpoint basis on first
-    use; None while the LP has no midpoint basis."""
+    """``plp.start_memo["session"]``, built on first use; None when its
+    centre solve leaves no start basis or raises ``LpNumericError``."""
     memo = plp.start_memo
     if "session" not in memo:
-        start = _start_rows(plp)
-        if start is None:
-            return None
-        memo["session"] = _Session(plp, start)
+        try:
+            session = _Session(plp)
+            memo["session"] = None if session.basis is None else session
+        except LpNumericError:
+            memo["session"] = None
     return memo["session"]
 
 
@@ -418,14 +401,15 @@ FEASIBILITY_THRESHOLD = 1e-4
 
 
 def feasible_dispatch(
-    x: np.ndarray, plp: ParametricLP, theta: np.ndarray, feas_tol: float = FEASIBILITY_THRESHOLD
+    x: np.ndarray, plp: ParametricLP, theta: np.ndarray
 ) -> tuple[np.ndarray, bool]:
     """A reconstructed dispatch as it is scored, and whether it was projected.
 
     ``x`` is kept unless it violates a constraint at ``theta`` by more than
-    ``feas_tol``; then it is replaced by its L1 projection (:func:`project_feasible`).
+    ``FEASIBILITY_THRESHOLD``; then it is replaced by its L1 projection
+    (:func:`project_feasible`).
     """
-    if float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > feas_tol:
+    if float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > FEASIBILITY_THRESHOLD:
         return project_feasible(x, plp, theta), True
     return x, False
 

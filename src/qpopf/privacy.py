@@ -35,7 +35,7 @@ from qpopf.classifier import (
     softmax_probs,
 )
 from qpopf.grid import ParametricLP
-from qpopf.lp import FEASIBILITY_THRESHOLD, feasible_dispatch
+from qpopf.lp import feasible_dispatch
 from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
 
 PROB_FLOOR = 1e-300
@@ -269,24 +269,23 @@ def audit_vqc_grid(
     gammas,
     betas,
     adjacency: AdjacencySpec,
-    atlas: RegionAtlas | None = None,
+    atlas: RegionAtlas,
 ) -> list[dict]:
     """Sweep of (gamma, beta) over one shared set of pairs.
 
     The circuit runs once per point; every grid cell reuses the noise-free
     scores since the bias-free logits just contract by (1-gamma).  Each
     cell's eps95, eps_max and bound_satisfied come from the report
-    :func:`audit_mechanism` builds on the same pairs.  Accuracy columns
-    need an atlas for ground-truth labels.
+    :func:`audit_mechanism` builds on the same pairs, drawn in the atlas's
+    theta dimension as the single audit draws them.  The atlas also labels
+    the accuracy columns.
     """
     gammas, betas = list(gammas), list(betas)
     check_noise_and_temperature(gammas, betas)
-    m = max(model.config.encoding_pattern) + 1
+    m = atlas.theta_box.shape[0]
     scores = model.base_scores(np.vstack(draw_adjacent_pairs(adjacency, m)))
-
-    if atlas is not None:
-        acc_thetas, labels = sample_labeled_dataset(atlas, ACCURACY_POINTS, adjacency.seed + 1)
-        acc_scores = model.base_scores(acc_thetas)
+    acc_thetas, labels = sample_labeled_dataset(atlas, ACCURACY_POINTS, adjacency.seed + 1)
+    acc_scores = model.base_scores(acc_thetas)
 
     rows = []
     for gamma in gammas:
@@ -302,14 +301,11 @@ def audit_vqc_grid(
                 "eps_reg": eps_reg,
                 "bound_satisfied": report.bound_satisfied,
             }
-            if atlas is not None:
-                acc_logits = model.logits_from_base(acc_scores, gamma)
-                pred = np.argmax(acc_logits, axis=1) + 1
-                probs = softmax_probs(acc_logits, beta)
-                row["accuracy_det"] = float(np.mean(pred == labels))
-                row["accuracy_stoch"] = float(
-                    np.mean(probs[np.arange(len(labels)), labels - 1])
-                )
+            acc_logits = model.logits_from_base(acc_scores, gamma)
+            pred = np.argmax(acc_logits, axis=1) + 1
+            probs = softmax_probs(acc_logits, beta)
+            row["accuracy_det"] = float(np.mean(pred == labels))
+            row["accuracy_stoch"] = float(np.mean(probs[np.arange(len(labels)), labels - 1]))
             rows.append(row)
     return rows
 
@@ -378,11 +374,10 @@ def delta_j_all(
     plp: ParametricLP,
     theta: np.ndarray,
     k_star: int | None = None,
-    feas_tol: float = FEASIBILITY_THRESHOLD,
 ) -> np.ndarray:
     """Cost gap of dispatching each region's affine solution at theta.
 
-    Solutions violating any constraint beyond ``feas_tol`` are projected
+    Solutions violating any constraint beyond ``FEASIBILITY_THRESHOLD`` are projected
     onto the feasible set before costing, mirroring the evaluation
     protocol.  Entry k*-1 is zero by construction.
     """
@@ -395,7 +390,7 @@ def delta_j_all(
     for r in atlas.regions:
         if r.id == k_star:
             continue
-        x, _ = feasible_dispatch(r.solution(theta), plp, theta, feas_tol)
+        x, _ = feasible_dispatch(r.solution(theta), plp, theta)
         out[r.id - 1] = float(plp.c @ x) - j_star
     return out
 

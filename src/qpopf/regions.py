@@ -342,9 +342,7 @@ def enumerate_regions(
     return atlas
 
 
-def locate_batch(
-    atlas: RegionAtlas, thetas: np.ndarray, tol: float = TOL_CONTAIN
-) -> np.ndarray:
+def locate_batch(atlas: RegionAtlas, thetas: np.ndarray) -> np.ndarray:
     """Smallest id of a region containing each row of ``thetas``; 0 if none.
 
     Every region's halfspaces are stacked into one matrix, so the N points
@@ -355,7 +353,7 @@ def locate_batch(
         raise EnumerationError("atlas has no regions")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     A, b, starts, ids = atlas._halfspaces
-    inside = np.logical_and.reduceat(thetas @ A.T <= b + tol, starts, axis=1)
+    inside = np.logical_and.reduceat(thetas @ A.T <= b + TOL_CONTAIN, starts, axis=1)
     return np.where(inside.any(axis=1), ids[inside.argmax(axis=1)], 0)
 
 
@@ -377,10 +375,10 @@ def locate_covered(atlas: RegionAtlas, thetas: np.ndarray) -> np.ndarray:
     return ids
 
 
-def locate_region(atlas: RegionAtlas, theta: np.ndarray, tol: float = TOL_CONTAIN) -> int:
+def locate_region(atlas: RegionAtlas, theta: np.ndarray) -> int:
     """Smallest region id containing theta (the exact labeler / baseline)."""
     theta = np.asarray(theta, dtype=float)
-    k = int(locate_batch(atlas, theta, tol)[0])
+    k = int(locate_batch(atlas, theta)[0])
     if k == 0:
         raise UncoveredThetaError(f"theta {theta} not covered by the atlas")
     return k

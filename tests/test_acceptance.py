@@ -161,10 +161,10 @@ def test_mplp_oracle_equivalence(atlas69, plp69):
     report("mplp-oracle-equivalence", time.perf_counter() - t0, 60)
 
 
-def test_theorem1_soundness(vqc69):
+def test_theorem1_soundness(vqc69, atlas69):
     t0 = time.perf_counter()
     adjacency = AdjacencySpec(delta_theta=0.05, pair_count=1000, seed=23)
-    rows = audit_vqc_grid(vqc69, GAMMAS, BETAS, adjacency)
+    rows = audit_vqc_grid(vqc69, GAMMAS, BETAS, adjacency, atlas69)
     assert len(rows) == 48
     violations = [r for r in rows if r["eps_max"] > r["eps_reg"] + 1e-12]
     assert not violations, f"bound violated at {violations[:3]}"
@@ -240,7 +240,7 @@ def test_runtime_model_exact():
 def test_trend_reproduction(vqc69, atlas69, plp69):
     t0 = time.perf_counter()
     adjacency = AdjacencySpec(delta_theta=0.05, pair_count=500, seed=29)
-    rows = audit_vqc_grid(vqc69, GAMMAS, BETAS, adjacency)
+    rows = audit_vqc_grid(vqc69, GAMMAS, BETAS, adjacency, atlas69)
     grid = {(gi, bi): rows[gi * len(BETAS) + bi]["eps95"]
             for gi in range(len(GAMMAS)) for bi in range(len(BETAS))}
     for bi in range(len(BETAS)):

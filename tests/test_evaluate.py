@@ -213,7 +213,7 @@ def released_law(model, thetas, gamma, beta, rng):
 def evaluate_point_by_point(model, atlas, plp, batch, gamma, beta, rng, feas_tol=1e-4):
     """The scalar evaluation loop: each scenario located on its own, and
     every pick reconstructed, checked and projected anew."""
-    tracked = evaluate_mod._tracked_indices(plp, None)
+    tracked = evaluate_mod._tracked_indices(plp)
     names = [plp.var_names[i] for i in tracked] if plp.var_names else [f"x{i}" for i in tracked]
     probs = released_law(model, batch.thetas, gamma, beta, rng)
     abs_err, gap_sum, infeasible, correct = np.zeros(len(tracked)), 0.0, 0, 0

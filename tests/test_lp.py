@@ -331,10 +331,10 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, s
         atlas = enumerate_regions(plp, budget, seed=11)
         assert len(solves) == budget
         assert len(basis_calls) == atlas.K == regions
-        # the midpoint's cold solve runs inside the first solve_lp, not as a sample of its own;
-        # then every sample is one solve of the LP's one session
-        assert plp.start_memo["midpoint"] is not None
-        assert [A is plp.W for _, A, *_ in lp_calls].count(True) == 1
+        # the session's cold midpoint run happens inside the first solve_lp, not as a
+        # sample of its own; then every sample is one solve of the LP's one session
+        assert plp.start_memo["session"] is not None
+        assert not [A for _, A, *_ in lp_calls if A is plp.W]
         assert len(session_calls) == budget
         assert {id(session) for session, *_ in session_calls} == {id(plp.start_memo["session"])}
 
@@ -420,12 +420,12 @@ def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls):
         lambda: [chebyshev_center(r.poly_A, r.poly_b) for r in atlas[0].regions])
     families["projection"] = [c for c in families["projection"] if c[1].shape[1] == 2 * plp.n]
     families["pruning"] = [c for c in families["pruning"] if c[1].shape[1] == plp.m]
+    # every solve_lp (the projection and pruning families call it too) runs warm from
+    # the LP's one session, whose first run is the cold midpoint solve; the rest stays cold
+    assert families.pop("solve_lp") == []
     for name, calls in families.items():
         assert calls, name
         assert_matches_scipy(calls)
-    # one cold solve at the midpoint, then every solve_lp (the projection and pruning
-    # families call it too) warm from the LP's one session; the rest stays cold
-    assert [A is plp.W for _, A, *_ in families["solve_lp"]] == [True]
     assert warm == [len(thetas), 0, 10, 16, 0]
     assert all(session is plp.start_memo["session"] for session, *_ in session_calls)
     assert_warm_matches_scipy(plp, session_calls)
@@ -455,12 +455,12 @@ def test_linprog_passes_scipys_options(monkeypatch):
     c, A, b = random_bounded_lp(np.random.default_rng(3))
     scipy_linprog(c, A, b)
     lp_mod.linprog(c, A, b)
-    # the midpoint's cold solve, then the session, once for both solves
+    # the session, once for both solves
     plp = make_toy_plp()
     for theta in (0.5, -0.5):
         solve_lp(plp, np.array([theta]))
     theirs, *ours = passed
-    assert len(ours) == 3
+    assert len(ours) == 2
     session = plp.start_memo["session"].highs
     assert isinstance(session, Recording)
     names = [k for k in dir(theirs) if not k.startswith("_")]
@@ -486,11 +486,11 @@ def test_linprog_raises_past_the_iteration_limit(monkeypatch, plp69):
     assert ref.status == 1
     with pytest.raises(lp_mod.LpNumericError, match="limit"):
         lp_mod.linprog(plp69.c, plp69.W, b, csc=plp69.W_csc)
-    # a midpoint solve that fails leaves no start, and solve_lp fails as a cold solve does
+    # a midpoint run that fails leaves no session, and solve_lp fails as a cold solve does
     plp = dataclasses.replace(plp69)
     with pytest.raises(lp_mod.LpNumericError, match="limit"):
         solve_lp(plp, np.zeros(plp.m))
-    assert plp.start_memo == {"midpoint": None}
+    assert plp.start_memo == {"session": None}
 
 
 @pytest.mark.parametrize("tamper,match", [
@@ -622,9 +622,9 @@ def test_projection_matches_per_call_assembly(case, rows, lp_calls):
 
 
 def cold_copy(plp):
-    """``plp`` with an empty memo and no start vertex: every solve_lp runs cold."""
+    """``plp`` with an empty memo and no session: every solve_lp runs cold."""
     cold = dataclasses.replace(plp)
-    cold.start_memo["midpoint"] = None
+    cold.start_memo["session"] = None
     return cold
 
 
@@ -653,7 +653,7 @@ def test_warm_and_cold_solutions_are_bitwise_equal(case, boundary):
         sol = solve_lp(warm, theta)
         assert solution_bytes(sol) == solution_bytes(solve_lp(cold, theta))
         statuses.append(sol.status)
-    assert warm.start_memo["midpoint"] is not None
+    assert warm.start_memo["session"] is not None
     assert "infeasible" in statuses and statuses.count("optimal") > len(thetas) // 2
     if case != "ieee69":
         # toy2's region boundary and the toy LP's kink at 0 are degenerate
@@ -681,14 +681,27 @@ def test_solve_order_does_not_change_the_bytes(case):
     assert answers(range(len(thetas)), True) == forwards
 
 
+def rows_basis(plp, rows):
+    """A HiGHS basis with every column and row basic but ``rows``, which sit at
+    their upper bound: alien to HiGHS, which factors and repairs it."""
+    basis = highs_core.HighsBasis()
+    basis.col_status = [highs_core.HighsBasisStatus.kBasic] * plp.n
+    status = [highs_core.HighsBasisStatus.kBasic] * plp.q
+    for i in rows:
+        status[i] = highs_core.HighsBasisStatus.kUpper
+    basis.row_status = status
+    return basis
+
+
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
 def test_a_wrong_start_gives_the_cold_answer(case):
     plp = lp_of(case)
     thetas = property_thetas(plp, 40, 0.5, seed=97)
-    midpoint = lp_mod._start_rows(plp)
     cold_lp = cold_copy(plp)
     solved = [(theta, solve_lp(cold_lp, theta)) for theta in thetas]
     cold = [solution_bytes(sol) for _, sol in solved]
+    # thetas[0] is the centre of the box
+    midpoint = solved[0][1].basis
     # rows slack at every optimum, so never tight at the vertex a solve ends on
     slack = np.array([plp.rhs(theta) - plp.W @ sol.x for theta, sol in solved if sol.is_optimal])
     loose = [int(i) for i in np.flatnonzero(slack.min(axis=0) > 1e-3)][:plp.n]
@@ -698,7 +711,7 @@ def test_a_wrong_start_gives_the_cold_answer(case):
     assert np.linalg.matrix_rank(plp.W[dependent]) < plp.n
     for start in (loose, dependent, midpoint[:-1]):
         wrong = dataclasses.replace(plp)
-        wrong.start_memo["midpoint"] = start
+        lp_mod._session(wrong).basis = rows_basis(wrong, start)
         assert [solution_bytes(solve_lp(wrong, theta)) for theta in thetas] == cold
 
 
@@ -715,9 +728,9 @@ def test_a_wrong_start_gives_the_cold_answer(case):
 def test_no_midpoint_basis_means_cold_solves(plp, statuses, lp_calls, session_calls):
     thetas = np.linspace(-1.0, 1.0, 9)[:, None]
     solutions = [solve_lp(plp, theta) for theta in thetas]
-    assert plp.start_memo == {"midpoint": None}
-    # the midpoint's cold solve, then every solve_lp cold
-    assert len(lp_calls) == 1 + len(thetas) and not session_calls
+    assert plp.start_memo == {"session": None}
+    # every solve_lp cold, after the session's midpoint run found no optimum
+    assert len(lp_calls) == len(thetas) and not session_calls
     assert [sol.status for sol in solutions] == statuses
     for theta, sol in zip(thetas, solutions):
         assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
@@ -798,6 +811,23 @@ def test_a_failed_solve_leaves_the_next_one_cold(case, monkeypatch):
     session.highs.setOptionValue("simplex_iteration_limit", lp_mod._HIGHS_OPTIONS["maxiter"])
     next_solves_are_cold()
     assert plp.start_memo["session"] is session
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2", "toy"])
+def test_the_session_starts_from_the_cold_midpoint_solve(case):
+    """The session's first run is the cold solve at the centre of the theta box:
+    scipy's vertex bit for bit, and the valid basis HiGHS ends on is the start."""
+    plp = lp_of(case)
+    session = lp_mod._Session(plp)
+    ref = scipy_linprog(plp.c, plp.W, plp.rhs(plp.theta_box.mean(axis=1)))
+    assert np.array(session.highs.getSolution().col_value).tobytes() == ref.x.tobytes()
+    assert session.basis.valid and not session.basis.alien
+    # the LP keeps that session as its only start
+    solve_lp(plp, plp.theta_box[:, 0])
+    assert list(plp.start_memo) == ["session"]
+    kept = plp.start_memo["session"].basis
+    assert (kept.col_status, kept.row_status) == (session.basis.col_status,
+                                                  session.basis.row_status)
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])

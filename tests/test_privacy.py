@@ -203,20 +203,32 @@ def toy_model(toy_atlas):
 def test_vqc_mechanism_bound_holds_on_grid(toy_model, toy_atlas):
     adjacency = AdjacencySpec(delta_theta=0.05, pair_count=300, seed=13)
     rows = audit_vqc_grid(
-        toy_model, gammas=[0.0, 0.25, 0.5], betas=[0.5, 1.0, 5.0], adjacency=adjacency
+        toy_model, gammas=[0.0, 0.25, 0.5], betas=[0.5, 1.0, 5.0], adjacency=adjacency,
+        atlas=toy_atlas,
     )
     for row in rows:
         assert row["eps_max"] <= row["eps_reg"] + 1e-12
         assert row["bound_satisfied"] is True
 
 
-def test_audit_mechanism_matches_grid_row(toy_model, committed):
-    """Each grid cell reports bitwise the single audit's numbers on the same pairs."""
+def test_audit_mechanism_matches_grid_row(toy_model, toy_atlas, toy_plp, committed, plp69):
+    """Each grid cell reports bitwise the single audit's numbers on the same pairs,
+    drawn in the LP's theta dimension as ``qpopf audit`` draws them."""
     gammas, betas = [0.0, 0.2, 0.5], [1.0, 2.0, 100.0]
-    for model, adjacency in ((toy_model, AdjacencySpec(delta_theta=0.05, pair_count=64, seed=17)),
-                             (committed[1], AdjacencySpec(delta_theta=0.05, pair_count=100))):
-        pairs = draw_adjacent_pairs(adjacency, max(model.config.encoding_pattern) + 1)
-        rows = iter(audit_vqc_grid(model, gammas, betas, adjacency))
+    atlas, vqc, _ = committed
+    # two qubits encode theta components 0 and 1 only, of the three
+    config = CircuitConfig.default(n_q=2, L=2, m=plp69.m)
+    assert max(config.encoding_pattern) + 1 < plp69.m
+    rng = np.random.default_rng(5)
+    short = VqcModel(config, VqcParams.random_init(config, rng),
+                     LinearHead(W=rng.normal(size=(atlas.K, 2)), b=np.zeros(atlas.K)))
+    for model, plp, model_atlas, adjacency in (
+        (toy_model, toy_plp, toy_atlas, AdjacencySpec(delta_theta=0.05, pair_count=64, seed=17)),
+        (vqc, plp69, atlas, AdjacencySpec(delta_theta=0.05, pair_count=100)),
+        (short, plp69, atlas, AdjacencySpec(delta_theta=0.05, pair_count=100)),
+    ):
+        pairs = draw_adjacent_pairs(adjacency, plp.m)
+        rows = iter(audit_vqc_grid(model, gammas, betas, adjacency, model_atlas))
         for gamma in gammas:
             for beta in betas:
                 row = next(rows)
@@ -236,7 +248,7 @@ def test_grid_audit_saturates_like_the_single_audit(committed):
     """A one-sided zero probability is eps = inf in the grid too, so the bound fails."""
     vqc = committed[1]
     adjacency = AdjacencySpec(delta_theta=0.05, pair_count=100, seed=0)
-    [row] = audit_vqc_grid(vqc, [0.0], [100.0], adjacency)
+    [row] = audit_vqc_grid(vqc, [0.0], [100.0], adjacency, committed[0])
     report = audit_mechanism(vqc, 0.0, 100.0, draw_adjacent_pairs(adjacency, 3),
                              eps_reg=epsilon_bound(vqc, 0.0, 100.0, 0.05))
     assert report.saturated_count == 21
@@ -256,11 +268,11 @@ def test_gamma_one_kills_epsilon(toy_model):
     assert report.eps_reg == 0.0
 
 
-def test_eps95_monotone_in_gamma_and_beta(toy_model):
+def test_eps95_monotone_in_gamma_and_beta(toy_model, toy_atlas):
     adjacency = AdjacencySpec(delta_theta=0.05, pair_count=500, seed=23)
     gammas = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     betas = list(np.geomspace(0.1, 10.0, 8))
-    rows = audit_vqc_grid(toy_model, gammas, betas, adjacency)
+    rows = audit_vqc_grid(toy_model, gammas, betas, adjacency, toy_atlas)
     grid = {(round(r["gamma"], 3), round(r["beta"], 3)): r["eps95"] for r in rows}
     for bi, beta in enumerate(betas):
         for gi in range(len(gammas) - 1):
@@ -344,14 +356,15 @@ def test_expected_cost_gap_below_bound_toy(toy_model, toy_atlas, toy_plp):
     (1.5, 1.0, "gamma .* 1.5"), (np.nan, 1.0, "gamma .* nan"), (0.0, -2.0, "beta .* -2.0"),
     (0.0, 0.0, "beta .* 0.0"), (0.0, np.inf, "beta .* inf"),
 ])
-def test_bad_noise_or_temperature_is_rejected_by_the_grid_audit(gamma, beta, match, toy_model):
+def test_bad_noise_or_temperature_is_rejected_by_the_grid_audit(gamma, beta, match, toy_model,
+                                                                toy_atlas):
     def no_scores(*args):
         raise AssertionError("ran the circuit before the parameter check")
 
     model = dataclasses.replace(toy_model)
     model.base_scores = no_scores
     with pytest.raises(ValueError, match=match):
-        audit_vqc_grid(model, [0.2, gamma], [beta, 1.0], AdjacencySpec(pair_count=5))
+        audit_vqc_grid(model, [0.2, gamma], [beta, 1.0], AdjacencySpec(pair_count=5), toy_atlas)
 
 
 # -- the batched protocol against the per-row loop it replaced -----------------

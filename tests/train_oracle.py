@@ -13,6 +13,9 @@ import numpy as np
 
 from qpopf.circuit import VqcParams, run_circuit_batch, vjp, z_expectations
 from qpopf.classifier import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     MLP_HIDDEN,
     LinearHead,
     MlpBaseline,
@@ -33,11 +36,11 @@ class PerArrayAdam:
         cfg = self.cfg
         self.t += 1
         for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = cfg.adam_beta1 * self.m[i] + (1 - cfg.adam_beta1) * g
-            self.v[i] = cfg.adam_beta2 * self.v[i] + (1 - cfg.adam_beta2) * g * g
-            m_hat = self.m[i] / (1 - cfg.adam_beta1**self.t)
-            v_hat = self.v[i] / (1 - cfg.adam_beta2**self.t)
-            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[i] / (1 - ADAM_BETA2**self.t)
+            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def one_hot_head_gradients(h, W, b, y, beta):
