@@ -144,10 +144,6 @@ class LinearHead:
     def bias_free(self) -> bool:
         return bool(np.all(self.b == 0.0))
 
-    def weight_inf1_norm(self) -> float:
-        """max_k ||w_k||_1, the sensitivity norm of the head."""
-        return inf1_norm(self.W)
-
 
 class ReleaseModel:
     """What the three region models share: a released law built in two steps.

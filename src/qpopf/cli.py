@@ -38,6 +38,7 @@ from qpopf.classifier import (
 from qpopf.circuit import CircuitConfig, cyclic_pattern
 from qpopf.evaluate import (
     ScenarioBatch,
+    circuit_depth,
     evaluate,
     measure_runtimes,
     qubit_budget,
@@ -126,10 +127,12 @@ def _write_csv(path: Path, provenance: dict, header: list[str], rows: list[list]
 def _resolve(parser, args: argparse.Namespace, command: str) -> dict:
     """flag > config file > default, each value cast to the type of its default.
 
-    A value that does not cast, or a count key below 1, is a usage error,
-    so a ``--config`` value is checked like its flag, before any input is read;
-    so is a ``--config`` file that does not read as JSON, or whose top level
-    or ``command`` section is not an object.
+    A flag arrives as its string and a ``--config`` value is first written
+    as one (``str(value)``), so both go through the same cast: a JSON
+    ``5.7`` fails as ``--ours 5.7`` does, and a JSON boolean is no number.
+    A value that does not cast, or a count key below 1, is a usage error
+    before any input is read; so is a ``--config`` file that does not read
+    as JSON, or whose top level or ``command`` section is not an object.
     """
     cfg_file = {}
     if args.config:
@@ -144,14 +147,23 @@ def _resolve(parser, args: argparse.Namespace, command: str) -> dict:
             parser.error(f"--config {args.config}: section {command!r} must be a JSON object")
     resolved = {}
     for key, default in DEFAULTS[command].items():
-        value = getattr(args, key, None)
+        flag = _flag(key)
+        value = getattr(args, key)
         if value is None:
             value = cfg_file.get(key, default)
-        value = _usage(parser, type(default), value)
+        try:
+            value = type(default)(str(value))
+        except ValueError as exc:
+            parser.error(f"{flag}: {exc}")
         if key in COUNT_KEYS and value < 1:
-            parser.error(f"--{key.replace('_', '-')} must be >= 1, got {value}")
+            parser.error(f"{flag} must be >= 1, got {value}")
         resolved[key] = value
     return resolved
+
+
+def _flag(key: str) -> str:
+    """The command-line flag of a ``DEFAULTS`` key."""
+    return "--" + key.replace("_", "-")
 
 
 def _usage(parser, build, *args, **kw):
@@ -265,13 +277,13 @@ def cmd_train(parser, args) -> int:
         parser.error(f"split {split} of {samples} samples leaves no test sample")
     train_cfg = _usage(parser, TrainConfig, epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                        learning_rate=cfg["lr"], seed=seed, beta=cfg["train_beta"])
-    if cfg["model"] == "vqc":
-        # only the encoding pattern depends on the LP's m, and m=1 is valid for any
-        # circuit, so the circuit keys are checked before any input is loaded
-        config = _usage(parser, CircuitConfig.default, cfg["qubits"], cfg["layers"], m=1,
-                        encoding_scale=cfg["encoding_scale"], trainable_gate=cfg["gate"])
-    elif cfg["model"] != "mlp":
+    if cfg["model"] not in ("vqc", "mlp"):
         parser.error(f"unknown model kind {cfg['model']!r}")
+    # the checkpoint records the circuit keys for either kind, so both check them; only
+    # the encoding pattern depends on the LP's m, and m=1 is valid for any circuit, so
+    # the circuit keys are checked before any input is loaded
+    config = _usage(parser, CircuitConfig.default, cfg["qubits"], cfg["layers"], m=1,
+                    encoding_scale=cfg["encoding_scale"], trainable_gate=cfg["gate"])
     plp, atlas, _, prov = _load_pipeline(parser, args, cfg)
     thetas, labels = sample_labeled_dataset(atlas, samples, seed=seed)
     train_set = (thetas[: samples - n_test], labels[: samples - n_test])
@@ -453,6 +465,16 @@ def cmd_sweep(parser, args) -> int:
 
 def cmd_budget(parser, args) -> int:
     cfg = _resolve(parser, args, "budget")
+    if bool(args.case) != bool(args.atlas):
+        parser.error("measured runtimes need both --case and --atlas")
+    if args.model and not args.case:
+        parser.error("--model needs --case and --atlas")
+    if args.case:
+        plp, atlas, mlp, _ = _load_pipeline(parser, args, cfg, model=bool(args.model))
+        if args.model and not isinstance(mlp, MlpBaseline):
+            parser.error(f"--model must be an mlp checkpoint, got {args.model}")
+    # the modeled and the measured circuit are the one `train` builds by default
+    n_q, L = DEFAULTS["train"]["qubits"], DEFAULTS["train"]["layers"]
     prov = _provenance(cfg, {})
     n_vars, n_cons = cfg["variables"], cfg["constraints"]
     rows = []
@@ -469,13 +491,11 @@ def cmd_budget(parser, args) -> int:
     print("qubit budget (direct QUBO encoding vs region classification):")
     for r in rows:
         print(f"  b={r[0]} Y={r[1]}: variables={r[2]} slack={r[3]} total={r[4]} vs ours={r[5]}")
-    print(f"modeled circuit time: {runtime_model(5, 6):.2f} us (depth 37)")
+    print(f"modeled circuit time: {runtime_model(n_q, L):.2f} us (depth {circuit_depth(n_q, L)})")
 
-    if args.case and args.atlas:
-        plp, atlas, model, _ = _load_pipeline(parser, args, cfg, model=bool(args.model))
-        mlp = model if isinstance(model, MlpBaseline) else None
+    if args.case:
         timing_rows = measure_runtimes(
-            plp, atlas, mlp=mlp, vqc_config=CircuitConfig.default(5, 6, plp.m)
+            plp, atlas, mlp=mlp, vqc_config=CircuitConfig.default(n_q, L, plp.m)
         )
         tpath = _out_dir(args) / "speedup_timing.csv"
         _write_csv(
@@ -524,80 +544,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, case=True, atlas=False, model=False):
-        p.add_argument("--config", help="JSON config file (flag > file > default)")
+    def command(name, func, help, case=True, atlas=False, model=False):
+        """A subcommand with its output flags, its input files, and one flag per key
+        of ``DEFAULTS[name]`` that hands ``_resolve`` the string it was given."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--out-dir", help=f"output directory (or ${DEFAULT_OUT_DIR_ENV})")
         p.add_argument("--out", help="output file name")
-        p.add_argument("--seed", type=int)
+        if DEFAULTS[name]:
+            p.add_argument("--config", help="JSON config file (flag > file > default)")
+        for key, default in DEFAULTS[name].items():
+            p.add_argument(_flag(key), dest=key, help=f"default: {default}")
         if case:
             p.add_argument("--case", required=True, help="case JSON file")
         if atlas:
             p.add_argument("--atlas", required=True, help="region atlas JSON")
         if model:
             p.add_argument("--model", required=True, help="checkpoint path or 'oracle'")
+        return p
 
-    p = sub.add_parser("regions", help="enumerate critical regions")
-    common(p)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--coverage-samples", type=int, dest="coverage_samples")
-    p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser("train", help="train a region classifier")
-    common(p, atlas=True)
-    p.add_argument("--model", choices=["vqc", "mlp"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--split", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--train-beta", type=float, dest="train_beta")
-    p.add_argument("--qubits", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--encoding-scale", type=float, dest="encoding_scale")
-    p.add_argument("--gate", choices=["ry", "rot"])
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("audit", help="empirical + theoretical privacy audit")
-    common(p, atlas=True, model=True)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--delta-theta", type=float, dest="delta_theta")
-    p.add_argument("--pairs", type=int)
+    command("regions", cmd_regions, "enumerate critical regions")
+    command("train", cmd_train, "train a region classifier", atlas=True)
+    p = command("audit", cmd_audit, "empirical + theoretical privacy audit",
+                atlas=True, model=True)
     p.add_argument("--gamma-grid", dest="gamma_grid")
     p.add_argument("--beta-grid", dest="beta_grid")
     p.add_argument("--mlp-sigma", type=float, dest="mlp_sigma")
-    p.add_argument("--mlp-draws", type=int, dest="mlp_draws")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("eval", help="Monte-Carlo dispatch evaluation")
-    common(p, atlas=True, model=True)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--scenarios", type=int)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="factorial (gamma, beta) evaluation")
-    common(p, atlas=True, model=True)
+    command("eval", cmd_eval, "Monte-Carlo dispatch evaluation", atlas=True, model=True)
+    p = command("sweep", cmd_sweep, "factorial (gamma, beta) evaluation", atlas=True, model=True)
     p.add_argument("--gamma-grid", dest="gamma_grid")
     p.add_argument("--beta-grid", dest="beta_grid")
-    p.add_argument("--scenarios", type=int)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("budget", help="qubit budget and runtime comparison")
-    common(p, case=False)
+    p = command("budget", cmd_budget, "qubit budget and runtime comparison", case=False)
     p.add_argument("--case", help="optional case for measured runtimes")
     p.add_argument("--atlas", help="optional atlas for measured runtimes")
     p.add_argument("--model", help="optional mlp checkpoint for measured runtimes")
-    p.add_argument("--ours", type=int)
-    p.add_argument("--variables", type=int)
-    p.add_argument("--constraints", type=int)
-    p.set_defaults(func=cmd_budget)
-
-    p = sub.add_parser("report", help="concatenate prior outputs")
-    common(p, case=False)
+    p = command("report", cmd_report, "concatenate prior outputs", case=False)
     p.add_argument("--dir", help="directory holding artifacts")
-    p.set_defaults(func=cmd_report)
-
     return parser
 
 

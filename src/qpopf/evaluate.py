@@ -64,7 +64,6 @@ class MetricsReport:
     gamma: float
     beta: float
     model_id: str
-    extras: dict = field(default_factory=dict)
     # work done, not written out: "infeasible_picks" and "projection_lps"
     counters: dict = field(default_factory=dict)
 
@@ -79,7 +78,6 @@ class MetricsReport:
             "gamma": self.gamma,
             "beta": self.beta,
             "model_id": self.model_id,
-            **self.extras,
         }
 
 

@@ -124,16 +124,6 @@ class LPSolution:
     def degenerate(self) -> bool:
         return self.status == "degenerate"
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x.tolist() if self.x is not None else None,
-            "objective": self.objective,
-            "status": self.status,
-            "active_set": list(self.active_set),
-            "basis": list(self.basis) if self.basis is not None else None,
-            "max_violation": self.max_violation,
-        }
-
 
 def _checked(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> None:
     """``linprog``'s input rule: A is (q, n) for a cost of n and a right-hand

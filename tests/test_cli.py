@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qpopf.classifier import argmax_accuracy, load_model
-from qpopf.cli import main
+from qpopf.cli import DEFAULTS, build_parser, main
 from qpopf.data import case_path
 from qpopf.regions import RegionAtlas, sample_labeled_dataset
 
@@ -71,6 +71,50 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+# each command's flags besides one per DEFAULTS key: its input files and the flags
+# that no config key backs
+OTHER_FLAGS = {
+    "regions": {"--case"},
+    "train": {"--case", "--atlas"},
+    "audit": {"--case", "--atlas", "--model", "--gamma-grid", "--beta-grid", "--mlp-sigma"},
+    "eval": {"--case", "--atlas", "--model"},
+    "sweep": {"--case", "--atlas", "--model", "--gamma-grid", "--beta-grid"},
+    "budget": {"--case", "--atlas", "--model"},
+    "report": {"--dir"},
+}
+
+
+def test_each_setting_has_one_flag_and_no_cast():
+    """A command's flags are one per DEFAULTS key, --config when it has a key, its
+    output flags and OTHER_FLAGS; no setting flag casts or restricts its string."""
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    assert set(commands) == set(DEFAULTS) == set(OTHER_FLAGS)
+    for name, sub in commands.items():
+        settings = {"--" + key.replace("_", "-"): key for key in DEFAULTS[name]}
+        expected = {"-h", "--help", "--out", "--out-dir", *settings, *OTHER_FLAGS[name]}
+        if settings:
+            expected.add("--config")
+        actions = {s: a for a in sub._actions for s in a.option_strings}
+        assert set(actions) == expected, name
+        for flag, key in settings.items():
+            assert actions[flag].dest == key
+            assert actions[flag].type is None and actions[flag].choices is None, flag
+
+
+@pytest.mark.parametrize("argv", [
+    ["budget", "--seed", "1"],
+    ["report", "--seed", "1"],
+    ["report", "--config", "x.json"],
+])
+def test_a_flag_the_command_would_ignore_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out-dir", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_writes_checkpoint_and_log(workdir):
@@ -169,7 +213,7 @@ def test_sweep_grid_rows(workdir, tmp_path):
     assert len(lines) == 2 + 4
 
 
-def test_budget_matches_reference_totals(tmp_path):
+def test_budget_matches_reference_totals(tmp_path, capsys):
     assert run(["budget", "--out-dir", tmp_path, "--out", "b.csv"]) == 0
     with open(tmp_path / "b.csv") as fh:
         fh.readline()
@@ -177,6 +221,37 @@ def test_budget_matches_reference_totals(tmp_path):
     totals = sorted(int(r["direct_total"]) for r in rows)
     assert totals == sorted([596, 810, 1024, 680, 894, 1108, 978, 1192, 1406])
     assert all(int(r["ours"]) == 5 for r in rows)
+    assert "modeled circuit time: 1.37 us (depth 37)\n" in capsys.readouterr().out
+
+
+def test_budget_measures_runtimes_with_an_mlp(workdir, tmp_path, capsys):
+    assert run(["budget", "--case", TOY, "--atlas", workdir / "atlas.json",
+                "--model", workdir / "mlp.json", "--out-dir", tmp_path]) == 0
+    rows = list(csv.DictReader(csv_body(tmp_path / "speedup_timing.csv")))
+    assert [r["method"] for r in rows] == [
+        "lp_solver", "constraint_check_affine", "mlp_affine", "vqc_affine_modeled"]
+    assert float(rows[3]["runtime_us"]) == 1.37  # the modeled 5-qubit, 6-layer circuit
+    assert f"-> {tmp_path / 'speedup_timing.csv'}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,bad", [
+    (["--case", TOY], "measured runtimes need both --case and --atlas"),
+    (["--atlas", "atlas.json"], "measured runtimes need both --case and --atlas"),
+    (["--model", "mlp.json"], "--model needs --case and --atlas"),
+    (["--case", TOY, "--model", "mlp.json"], "measured runtimes need both --case and --atlas"),
+    (["--case", TOY, "--atlas", "atlas.json", "--model", "vqc.json"],
+     "--model must be an mlp checkpoint, got "),
+    (["--case", TOY, "--atlas", "atlas.json", "--model", "oracle"],
+     "--model must be an mlp checkpoint, got oracle"),
+])
+def test_budget_input_it_would_ignore_is_a_usage_error(workdir, tmp_path, capsys, flags, bad):
+    flags = [workdir / f if f.endswith(".json") and f != TOY else f for f in flags]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["budget", *flags, "--out-dir", out])
+    assert exc.value.code == 2
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_concatenates(workdir, tmp_path):
@@ -404,6 +479,15 @@ def test_bad_encoding_scale_writes_no_checkpoint(workdir, tmp_path, capsys, scal
     ([], {"layers": "six"}, "invalid literal for int()"),
     ([], {"model": "svm"}, "unknown model kind 'svm'"),
     ([], {"samples": "many"}, "invalid literal for int() with base 10: 'many'"),
+    (["--gate", "cz"], None, "unknown trainable_gate 'cz'"),
+    (["--model", "svm"], {"qubits": 0}, "unknown model kind 'svm'"),
+    (["--model", "mlp", "--qubits", "0"], {"gate": "cz"}, "n_q must be >= 1"),
+    (["--model", "mlp"], {"gate": "cz"}, "unknown trainable_gate 'cz'"),
+    (["--model", "mlp", "--layers", "0"], None, "L must be >= 1"),
+    (["--model", "mlp"], {"encoding_scale": 0.0}, "encoding_scale must be finite and > 0"),
+    (["--model", "mlp"], {"qubits": 4.0},
+     "--qubits: invalid literal for int() with base 10: '4.0'"),
+    ([], {"layers": True}, "--layers: invalid literal for int() with base 10: 'True'"),
 ])
 def test_bad_circuit_key_is_a_usage_error(tmp_path, capsys, flags, config, bad):
     # the atlas does not exist: the circuit keys are checked before any input is loaded
@@ -464,6 +548,17 @@ def test_split_without_training_samples_is_a_usage_error(tmp_path, capsys, flags
      "--mlp-draws must be >= 1, got 0"),
     ("regions", ["--config", {"budget": "abc"}], "invalid literal for int() with base 10: 'abc'"),
     ("eval", ["--model", "oracle", "--config", {"scenarios": 0}], "--scenarios must be >= 1, got 0"),
+    # a config value is cast as its flag's string is: no fraction and no boolean is a count
+    ("budget", ["--ours", "5.7"], "--ours: invalid literal for int() with base 10: '5.7'"),
+    ("budget", ["--config", {"ours": 5.7}],
+     "--ours: invalid literal for int() with base 10: '5.7'"),
+    ("budget", ["--config", {"variables": True}],
+     "--variables: invalid literal for int() with base 10: 'True'"),
+    ("eval", ["--model", "oracle", "--config", {"beta": False}],
+     "--beta: could not convert string to float: 'False'"),
+    # an integer string is a count, as on the command line; the next key then fails
+    ("regions", ["--config", {"budget": "4", "coverage_samples": 0}],
+     "--coverage-samples must be >= 1, got 0"),
 ])
 def test_empty_count_is_a_usage_error(tmp_path, capsys, command, flags, bad):
     # no input exists: the count is checked before any input is loaded; a dict among the

@@ -13,6 +13,7 @@ from qpopf.classifier import (
     OracleClassifier,
     TrainConfig,
     VqcModel,
+    inf1_norm,
     load_model,
     margin_from_logits,
     softmax_probs,
@@ -617,7 +618,7 @@ def tradeoff_two_forwards(model, atlas, theta, gamma, beta, delta_theta, dj_max)
         "mis_selection_bound": float((K - 1) * np.exp(-beta * m_gamma)),
         "remark1_bound": cost_tradeoff_formula(dj_max, K, beta * (1.0 - gamma), m0),
         "remark2_bound": float(dj_max * (K - 1) * np.exp(
-            -m0 * eps_reg / (4.0 * L_enc * delta_theta * model.head.weight_inf1_norm()))),
+            -m0 * eps_reg / (4.0 * L_enc * delta_theta * inf1_norm(model.head.W)))),
         "probabilities": softmax_probs(s, beta),
     }
 
