@@ -336,29 +336,26 @@ def vjp(
     params: VqcParams,
     thetas: np.ndarray,
     dh: np.ndarray,
-    gamma: float = 0.0,
-    states: np.ndarray | None = None,
+    states: np.ndarray,
 ) -> np.ndarray:
     """Per-sample gradient of sum_j dh[..., b, j] h[b, j] over phi.
 
-    ``h = (1 - gamma) <Z_j>`` are the features of the N inputs ``thetas``;
+    ``h = <Z_j>`` are the noise-free features of the N inputs ``thetas``,
+    whose final states ``run_circuit_batch`` returned as ``states``;
     ``dh`` is (..., N, n_q) and the result (..., N, *param_shape).  Adjoint
-    method (Jones & Gacon, arXiv:2009.02823): one forward pass, then the
-    state psi and the costate lam = O psi, O = sum_j dh_j Z_j, walk the
-    layers backwards together through the inverse gates, tabled once per
-    call, and each ladder's inverse permutation.  A gate exp(-i a G / 2)
-    contributes d/da <psi|O|psi> = Im <lam|G|psi>, read where it has acted.
-    ``states`` are the final states ``run_circuit_batch`` returns for
-    ``thetas``, when the caller has them; otherwise the forward pass runs here.
+    method (Jones & Gacon, arXiv:2009.02823): the state psi and the
+    costate lam = O psi, O = sum_j dh_j Z_j, walk the layers backwards
+    together through the inverse gates, tabled once per call, and each
+    ladder's inverse permutation.  A gate exp(-i a G / 2) contributes
+    d/da <psi|O|psi> = Im <lam|G|psi>, read where it has acted.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n_q = config.n_q
-    psi = run_circuit_batch(config, params, thetas) if states is None else states
     dh = np.asarray(dh, dtype=float)
     if dh.shape[-2:] != (thetas.shape[0], n_q):
         raise ValueError(f"dh must be (..., {thetas.shape[0]}, {n_q}), got {dh.shape}")
     signs = _z_signs(n_q)
-    walk = _Walk(np.stack(np.broadcast_arrays(psi, (dh @ signs) * psi)), n_q)
+    walk = _Walk(np.stack(np.broadcast_arrays(states, (dh @ signs) * states)), n_q)
     encoding = walk.broadcast(
         _ry_table(-(config.encoding_scale * thetas.T[list(config.encoding_pattern)])),
         per_sample=True,
@@ -387,4 +384,4 @@ def vjp(
         if layer:  # the first layer's encoding precedes every trainable gate
             for qubit in reversed(range(n_q)):
                 walk.gate(encoding[qubit], qubit)
-    return (1.0 - gamma) * grad
+    return grad

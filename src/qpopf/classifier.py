@@ -34,7 +34,7 @@ from qpopf.circuit import (
     vjp,
     z_expectations,
 )
-from qpopf.regions import RegionAtlas, locate_covered, locate_region
+from qpopf.regions import RegionAtlas, locate_covered
 
 
 class TrainingDivergedError(RuntimeError):
@@ -120,29 +120,20 @@ def sample_region(p: np.ndarray, rng: np.random.Generator) -> int:
 
 @dataclass
 class LinearHead:
-    """Classifier head: logits = W h (+ b), softmax sharpness beta."""
+    """Bias-free classifier head: logits = W h, softmax sharpness beta."""
 
     W: np.ndarray               # (K, n_q)
-    b: np.ndarray               # (K,), all-zero in bias-free mode
     beta: float = 1.0
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
+        check_noise_and_temperature([], [self.beta])
+        if not np.all(np.isfinite(self.W)):
             raise ValueError("head weights must be finite")
-        if self.W.shape[0] != self.b.shape[0]:
-            raise ValueError("W and b disagree on the class count")
 
     @property
     def K(self) -> int:
         return self.W.shape[0]
-
-    @property
-    def bias_free(self) -> bool:
-        return bool(np.all(self.b == 0.0))
 
 
 class ReleaseModel:
@@ -197,18 +188,15 @@ class VqcModel(ReleaseModel):
 
     @property
     def num_params(self) -> int:
-        n = self.params.count + self.head.W.size
-        if not self.head.bias_free:
-            n += self.head.b.size
-        return n
+        return self.params.count + self.head.W.size
 
     def base_scores(self, thetas: np.ndarray) -> np.ndarray:
-        """W h0 without bias: the part of the logits that noise contracts (row-exact)."""
+        """W h0: the logits that noise contracts (row-exact)."""
         states = run_circuit_batch(self.config, self.params, thetas)
         return dense(z_expectations(states, self.config.n_q), self.head.W)
 
     def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
-        return (1.0 - gamma) * base + self.head.b
+        return (1.0 - gamma) * base
 
 
 @dataclass
@@ -227,6 +215,11 @@ class MlpBaseline(ReleaseModel):
     beta: float = 1.0
     sigma: float = 0.0
     model_id: str = "mlp"
+
+    def __post_init__(self):
+        check_noise_and_temperature([], [self.beta])
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     @property
     def K(self) -> int:
@@ -357,22 +350,21 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def ce_head_gradients(
-    h: np.ndarray, W: np.ndarray, b: np.ndarray, y: np.ndarray, beta: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of softmax(beta (W h + b)) and its gradients.
+    h: np.ndarray, W: np.ndarray, y: np.ndarray, beta: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of softmax(beta W h) and its gradients.
 
-    Returns (loss, dW, db, dh, probs) for a batch of features h (B, n)
-    and 0-based labels y.
+    Returns (loss, dW, dh, probs) for a batch of features h (B, n) and
+    0-based labels y.
     """
-    logits = h @ W.T + b
-    logp = log_softmax(logits, beta)
+    logp = log_softmax(h @ W.T, beta)
     rows = np.arange(len(y))
     loss = -float(logp[rows, y].sum() / len(y))
     p = np.exp(logp)
     residual = p.copy()
     residual[rows, y] -= 1.0  # p minus the one-hot labels
     dlogits = beta * residual / len(y)
-    return loss, dlogits.T @ h, dlogits.sum(axis=0), dlogits @ W, p
+    return loss, dlogits.T @ h, dlogits @ W, p
 
 
 def kept_epoch(history: list[dict]) -> dict | None:
@@ -443,17 +435,16 @@ def train_vqc(
     W = rng.uniform(-1.0, 1.0, size=(K, config.n_q)) / np.sqrt(config.n_q)
     flat, (phi, W) = _flat_views(phi, W)
     params = VqcParams(phi)
-    b = np.zeros(K)
 
     def step(xb, yb):
         states = run_circuit_batch(config, params, xb)
         h = z_expectations(states, config.n_q)
-        loss, gW, _, dh, _ = ce_head_gradients(h, W, b, yb, train_cfg.beta)
-        return loss, [vjp(config, params, xb, dh, states=states).sum(axis=0), gW]
+        loss, gW, dh, _ = ce_head_gradients(h, W, yb, train_cfg.beta)
+        return loss, [vjp(config, params, xb, dh, states).sum(axis=0), gW]
 
-    model = VqcModel(config, params, LinearHead(W=W, b=b, beta=train_cfg.beta))
+    model = VqcModel(config, params, LinearHead(W=W, beta=train_cfg.beta))
     history = _fit(model, flat, step, dataset, K, train_cfg, rng, eval_set)
-    return params, LinearHead(W=W, b=b, beta=train_cfg.beta), history
+    return params, LinearHead(W=W, beta=train_cfg.beta), history
 
 
 MLP_HIDDEN = (7, 7)
@@ -484,12 +475,11 @@ def train_mlp(
     K = int(np.max(dataset[1])) if K is None else K
     rng = np.random.default_rng(train_cfg.seed)
     flat, (W1, b1, W2, b2, Wh) = _flat_views(*_mlp_init(np.shape(dataset[0])[1], K, rng))
-    no_bias = np.zeros(K)
 
     def step(xb, yb):
         h1 = np.tanh(xb @ W1.T + b1)
         h2 = np.tanh(h1 @ W2.T + b2)
-        loss, gWh, _, dh2, _ = ce_head_gradients(h2, Wh, no_bias, yb, train_cfg.beta)
+        loss, gWh, dh2, _ = ce_head_gradients(h2, Wh, yb, train_cfg.beta)
         dz2 = dh2 * (1 - h2 * h2)
         dz1 = (dz2 @ W2) * (1 - h1 * h1)
         return loss, [dz1.T @ xb, dz1.sum(axis=0), dz2.T @ h1, dz2.sum(axis=0), gWh]
@@ -508,7 +498,7 @@ def save_model(model, path, seed: int | None = None, atlas_hash: str = "", extra
             "phi": model.params.phi.tolist(),
             "head": {
                 "W": model.head.W.tolist(),
-                "b": model.head.b.tolist(),
+                "b": [0.0] * model.head.K,
                 "beta": model.head.beta,
             },
         }
@@ -534,17 +524,22 @@ def save_model(model, path, seed: int | None = None, atlas_hash: str = "", extra
 
 
 def load_model(path):
-    """Load a checkpoint written by :func:`save_model`."""
+    """Load a checkpoint written by :func:`save_model`.
+
+    A VQC head's ``b`` must be all zeros, and each beta finite and > 0;
+    an MLP's sigma must be finite and >= 0.
+    """
     d = json.loads(Path(path).read_text())
     if d["kind"] == "vqc":
+        W = np.array(d["head"]["W"], dtype=float)
+        if d["head"]["b"] != [0.0] * len(W):
+            raise ValueError(
+                f"head.b must be {len(W)} zeros: the privacy bound assumes a bias-free head"
+            )
         model = VqcModel(
             config=CircuitConfig.from_dict(d["config"]),
             params=VqcParams(np.array(d["phi"], dtype=float)),
-            head=LinearHead(
-                W=np.array(d["head"]["W"], dtype=float),
-                b=np.array(d["head"]["b"], dtype=float),
-                beta=float(d["head"]["beta"]),
-            ),
+            head=LinearHead(W=W, beta=float(d["head"]["beta"])),
         )
     elif d["kind"] == "mlp":
         if d.get("activation", "tanh") != "tanh":
@@ -563,8 +558,8 @@ def load_model(path):
     return model, d
 
 
-def argmax_accuracy(model, thetas: np.ndarray, labels: np.ndarray, gamma: float = 0.0) -> float:
-    logits = model.logit_matrix(np.asarray(thetas, dtype=float), gamma)
+def argmax_accuracy(model, thetas: np.ndarray, labels: np.ndarray) -> float:
+    logits = model.logit_matrix(np.asarray(thetas, dtype=float))
     pred = np.argmax(logits, axis=1) + 1
     return float(np.mean(pred == np.asarray(labels, dtype=int)))
 
@@ -574,11 +569,3 @@ def margin_from_logits(s: np.ndarray, k_star: int) -> float:
     s = np.asarray(s, dtype=float)
     rival = np.delete(s, k_star - 1)
     return float(s[k_star - 1] - np.max(rival))
-
-
-def margin(model, atlas: RegionAtlas, theta: np.ndarray, gamma: float = 0.0) -> float:
-    """Logit margin of the true region at theta (negative if misclassified)."""
-    theta = np.asarray(theta, dtype=float)
-    k_star = locate_region(atlas, theta)
-    s = model.logit_matrix(theta[None, :], gamma)[0]
-    return margin_from_logits(s, k_star)

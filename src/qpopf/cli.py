@@ -470,17 +470,18 @@ def cmd_budget(parser, args) -> int:
     if args.model and not args.case:
         parser.error("--model needs --case and --atlas")
     if args.case:
-        plp, atlas, mlp, _ = _load_pipeline(parser, args, cfg, model=bool(args.model))
+        plp, atlas, mlp, timing_prov = _load_pipeline(parser, args, cfg, model=bool(args.model))
         if args.model and not isinstance(mlp, MlpBaseline):
             parser.error(f"--model must be an mlp checkpoint, got {args.model}")
     # the modeled and the measured circuit are the one `train` builds by default
     n_q, L = DEFAULTS["train"]["qubits"], DEFAULTS["train"]["layers"]
     prov = _provenance(cfg, {})
     n_vars, n_cons = cfg["variables"], cfg["constraints"]
-    rows = []
-    for bits, slack in TABLE_BIT_GRID:
-        direct, ours = qubit_budget(bits, slack, n_vars=n_vars, n_cons=n_cons, n_q_ours=cfg["ours"])
-        rows.append([bits, slack, bits * n_vars, slack * n_cons, direct, ours])
+    rows = [
+        [bits, slack, bits * n_vars, slack * n_cons, qubit_budget(bits, slack, n_vars, n_cons),
+         cfg["ours"]]
+        for bits, slack in TABLE_BIT_GRID
+    ]
     out = _out_dir(args) / (args.out or "qubit_budget.csv")
     _write_csv(
         out,
@@ -497,10 +498,10 @@ def cmd_budget(parser, args) -> int:
         timing_rows = measure_runtimes(
             plp, atlas, mlp=mlp, vqc_config=CircuitConfig.default(n_q, L, plp.m)
         )
-        tpath = _out_dir(args) / "speedup_timing.csv"
+        tpath = out.with_name(f"{out.stem}_timing.csv")
         _write_csv(
             tpath,
-            prov,
+            timing_prov,
             ["method", "runtime_us", "speedup"],
             [[r["method"], f"{r['runtime_us']:.3f}", f"{r['speedup']:.1f}"] for r in timing_rows],
         )

@@ -216,23 +216,9 @@ def sweep(
     ]
 
 
-def expected_cost(atlas: RegionAtlas, plp: ParametricLP, batch: ScenarioBatch) -> float:
-    """Monte-Carlo estimate of the expected optimal cost over scenarios."""
-    total = 0.0
-    for j_star in _DispatchTable(atlas, plp, batch).j_star:
-        total += j_star
-    return total / batch.count
-
-
-def qubit_budget(
-    b: int,
-    Y: int,
-    n_vars: int = 42,
-    n_cons: int = 214,
-    n_q_ours: int = 5,
-) -> tuple[int, int]:
-    """Direct-QUBO qubit count (b bits/variable, Y bits/slack) vs ours."""
-    return b * n_vars + Y * n_cons, n_q_ours
+def qubit_budget(b: int, Y: int, n_vars: int, n_cons: int) -> int:
+    """Direct-QUBO qubit count: b bits per variable, Y bits per slack."""
+    return b * n_vars + Y * n_cons
 
 
 def circuit_depth(n_q: int, L: int) -> int:

@@ -562,13 +562,3 @@ def linearize(case: GridCase) -> ParametricLP:
     )
     plp.validate()
     return plp
-
-
-def normalize_theta(theta_physical: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """Affine rescale of physical deviations (kW) into [-1, 1] per component."""
-    theta = np.asarray(theta_physical, dtype=float)
-    box = np.asarray(box, dtype=float)
-    lo, hi = box[:, 0], box[:, 1]
-    if np.any(theta < lo - 1e-9) or np.any(theta > hi + 1e-9):
-        raise ValueError(f"theta {theta} outside the deviation box")
-    return 2.0 * (theta - lo) / (hi - lo) - 1.0

@@ -343,24 +343,6 @@ def theoretical_epsilon(
     return 4.0 * beta * (1.0 - gamma) * L_enc * delta_theta * inf1_norm(W_cl)
 
 
-def required_beta(
-    eps_target: float,
-    gamma_assumed: float,
-    L_enc: float,
-    delta_theta: float,
-    W_cl: np.ndarray,
-) -> float:
-    """Invert the budget bound for the softmax temperature."""
-    if gamma_assumed >= 1.0:
-        raise ValueError("gamma_assumed = 1 leaves no signal; beta is unbounded")
-    return eps_target / theoretical_epsilon(1.0, gamma_assumed, L_enc, delta_theta, W_cl)
-
-
-def wasted_budget(eps_target: float, gamma_actual: float) -> float:
-    """Unused budget of a noise-unaware user: eps_target * gamma_actual."""
-    return eps_target * gamma_actual
-
-
 # -- privacy-cost tradeoff ----------------------------------------------------
 
 
@@ -373,17 +355,16 @@ def delta_j_all(
     atlas: RegionAtlas,
     plp: ParametricLP,
     theta: np.ndarray,
-    k_star: int | None = None,
+    k_star: int,
 ) -> np.ndarray:
     """Cost gap of dispatching each region's affine solution at theta.
 
-    Solutions violating any constraint beyond ``FEASIBILITY_THRESHOLD`` are projected
+    ``k_star`` is the 1-based region that contains theta.  Solutions
+    violating any constraint beyond ``FEASIBILITY_THRESHOLD`` are projected
     onto the feasible set before costing, mirroring the evaluation
     protocol.  Entry k*-1 is zero by construction.
     """
     theta = np.asarray(theta, dtype=float)
-    if k_star is None:
-        k_star = locate_region(atlas, theta)
     x_star = atlas.region(k_star).solution(theta)
     j_star = float(plp.c @ x_star)
     out = np.zeros(atlas.K)
@@ -393,27 +374,6 @@ def delta_j_all(
         x, _ = feasible_dispatch(r.solution(theta), plp, theta)
         out[r.id - 1] = float(plp.c @ x) - j_star
     return out
-
-
-def mis_selection_probability(
-    model, atlas: RegionAtlas, theta: np.ndarray, gamma: float, beta: float
-) -> float:
-    """Exact P[sampled region != true region] under softmax sampling."""
-    theta = np.asarray(theta, dtype=float)
-    k_star = locate_region(atlas, theta)
-    p = softmax_probs(model.logit_matrix(theta[None, :], gamma)[0], beta)
-    return float(1.0 - p[k_star - 1])
-
-
-def mis_selection_bound(
-    model, atlas: RegionAtlas, theta: np.ndarray, gamma: float, beta: float
-) -> float:
-    """(K-1) exp(-beta m(theta)) with the margin at noise level gamma."""
-    theta = np.asarray(theta, dtype=float)
-    k_star = locate_region(atlas, theta)
-    s = model.logit_matrix(theta[None, :], gamma)[0]
-    K = s.shape[0]
-    return float((K - 1) * np.exp(-beta * margin_from_logits(s, k_star)))
 
 
 def tradeoff_bound(

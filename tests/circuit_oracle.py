@@ -115,8 +115,7 @@ def im_y(pair: np.ndarray, qubit: int, n_q: int) -> np.ndarray:
     return z.real.sum(axis=(-1, -2))
 
 
-def vjp(config: CircuitConfig, params: VqcParams, thetas: np.ndarray, dh: np.ndarray,
-        gamma: float = 0.0) -> np.ndarray:
+def vjp(config: CircuitConfig, params: VqcParams, thetas: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """The adjoint gradient of :func:`qpopf.circuit.vjp`, one kernel call per gate."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n_q = config.n_q
@@ -144,7 +143,7 @@ def vjp(config: CircuitConfig, params: VqcParams, thetas: np.ndarray, dh: np.nda
         if layer:
             for qubit in reversed(range(n_q)):
                 pair = ry_batch(pair, qubit, -enc[:, qubit], n_q)
-    return (1.0 - gamma) * grad
+    return grad
 
 
 def param_shift_grad(

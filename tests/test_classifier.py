@@ -17,7 +17,6 @@ from qpopf.classifier import (
     kept_epoch,
     load_model,
     log_softmax,
-    margin,
     margin_from_logits,
     sample_region,
     save_model,
@@ -25,6 +24,7 @@ from qpopf.classifier import (
     train_mlp,
     train_vqc,
 )
+from qpopf.privacy import tradeoff_bound
 from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
 from tests import train_oracle
 from tests.circuit_oracle import angles_per_gate
@@ -111,7 +111,7 @@ def test_sample_region_seeded_sequence():
 
 def test_vqc_forward_full_noise_uniform():
     params = VqcParams.random_init(TOY_CONFIG, np.random.default_rng(7))
-    head = LinearHead(W=np.random.default_rng(8).normal(size=(3, 2)), b=np.zeros(3))
+    head = LinearHead(W=np.random.default_rng(8).normal(size=(3, 2)))
     model = VqcModel(TOY_CONFIG, params, head)
     theta = np.array([[0.4]])
     np.testing.assert_allclose(model.logit_matrix(theta, gamma=1.0), 0.0, atol=1e-15)
@@ -120,7 +120,7 @@ def test_vqc_forward_full_noise_uniform():
 
 def test_vqc_forward_logit_contraction():
     params = VqcParams.random_init(TOY_CONFIG, np.random.default_rng(9))
-    head = LinearHead(W=np.random.default_rng(10).normal(size=(3, 2)), b=np.zeros(3))
+    head = LinearHead(W=np.random.default_rng(10).normal(size=(3, 2)))
     model = VqcModel(TOY_CONFIG, params, head)
     theta = np.array([[-0.3]])
     s0 = model.logit_matrix(theta, gamma=0.0)
@@ -152,7 +152,6 @@ def test_train_vqc_zero_epochs(toy_dataset):
     expected_W = rng.uniform(-1, 1, size=(2, 2)) / np.sqrt(2)
     np.testing.assert_array_equal(params.phi, expected_phi)
     np.testing.assert_array_equal(head.W, expected_W)
-    np.testing.assert_array_equal(head.b, np.zeros(2))
 
 
 def test_train_vqc_deterministic(toy_dataset):
@@ -206,6 +205,26 @@ def test_load_model_rejects_a_non_tanh_activation(toy_mlp, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("kind,key,value,match", [
+    ("vqc", "b", [0.0, 0.5], "bias-free head"), ("vqc", "b", [0.0], "bias-free head"),
+    ("vqc", "b", [np.nan, 0.0], "bias-free head"),
+    ("vqc", "beta", np.nan, "beta .* nan"), ("vqc", "beta", 0.0, "beta .* 0.0"),
+    ("vqc", "beta", -1.0, "beta .* -1.0"), ("vqc", "beta", np.inf, "beta .* inf"),
+    ("mlp", "beta", np.nan, "beta .* nan"), ("mlp", "beta", 0.0, "beta .* 0.0"),
+    ("mlp", "sigma", -0.5, "sigma .* -0.5"), ("mlp", "sigma", np.nan, "sigma .* nan"),
+    ("mlp", "sigma", np.inf, "sigma .* inf"),
+])
+def test_load_model_rejects_a_bad_checkpoint_value(kind, key, value, match, toy_vqc, toy_mlp,
+                                                   tmp_path):
+    path = tmp_path / "model.json"
+    save_model((toy_vqc if kind == "vqc" else toy_mlp)[0], path)
+    d = json.loads(path.read_text())
+    (d["head"] if kind == "vqc" else d)[key] = value
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=match):
+        load_model(path)
+
+
 def test_mlp_parameter_count_paper_shape():
     # 3 -> 7 -> 7 with a bias-free 7-class head: 28 + 56 + 49
     thetas = np.random.default_rng(1).uniform(-1, 1, (40, 3))
@@ -219,7 +238,7 @@ def test_vqc_parameter_count_reported():
     model = VqcModel(
         config,
         VqcParams(np.zeros(config.param_shape)),
-        LinearHead(W=np.zeros((7, 5)), b=np.zeros(7)),
+        LinearHead(W=np.zeros((7, 5))),
     )
     assert model.num_params == config.L * config.n_q * angles_per_gate(config) + 35
 
@@ -279,21 +298,20 @@ def test_head_gradient_matches_finite_difference():
     rng = np.random.default_rng(31)
     h = rng.normal(size=(6, 4))
     W = rng.normal(size=(3, 4))
-    b = rng.normal(size=3)
     y = rng.integers(0, 3, size=6)
     beta = 1.7
 
-    loss, dW, db, dh, _ = ce_head_gradients(h, W, b, y, beta)
+    loss, dW, dh, _ = ce_head_gradients(h, W, y, beta)
     step = 1e-6
-    for arr, grad in ((W, dW), (b, db), (h, dh)):
+    for arr, grad in ((W, dW), (h, dh)):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + step
-            up = ce_head_gradients(h, W, b, y, beta)[0]
+            up = ce_head_gradients(h, W, y, beta)[0]
             arr[idx] = orig - step
-            dn = ce_head_gradients(h, W, b, y, beta)[0]
+            dn = ce_head_gradients(h, W, y, beta)[0]
             arr[idx] = orig
             assert grad[idx] == pytest.approx((up - dn) / (2 * step), abs=1e-6)
 
@@ -303,14 +321,13 @@ def test_margin_examples():
     assert margin_from_logits(np.array([0.2, 1.5, 0.1]), 1) < 0
 
 
-def test_margin_scales_with_noise(toy_vqc, toy_atlas):
+def test_margin_scales_with_noise(toy_vqc, toy_atlas, toy_plp):
     model, _ = toy_vqc
     rng = np.random.default_rng(41)
     for _ in range(50):
         theta = rng.uniform(-1, 1, 1)
-        m0 = margin(model, toy_atlas, theta, gamma=0.0)
-        m4 = margin(model, toy_atlas, theta, gamma=0.4)
-        assert m4 == pytest.approx(0.6 * m0, abs=1e-12)
+        _, comp = tradeoff_bound(model, toy_atlas, toy_plp, theta, gamma=0.4, beta=1.0)
+        assert comp["margin"] == pytest.approx(0.6 * comp["margin0"], abs=1e-12)
 
 
 def test_argmax_gamma_invariant(toy_vqc):
@@ -337,10 +354,10 @@ def test_oracle_probability_matrix_is_its_released_law(toy_atlas, beta):
 def test_head_gradients_equal_the_one_hot_form():
     rng = np.random.default_rng(37)
     for batch, K, n in [(1, 2, 1), (32, 7, 5)] + [(b, 3, 4) for b in (3, 7, 24, 25, 31)] * 4:
-        h, W, b = rng.normal(size=(batch, n)), rng.normal(size=(K, n)), rng.normal(size=K)
+        h, W = rng.normal(size=(batch, n)), rng.normal(size=(K, n))
         y = rng.integers(0, K, size=batch)
-        loss, dW, _, dh, _ = ce_head_gradients(h, W, b, y, 1.3)
-        want = train_oracle.one_hot_head_gradients(h, W, b, y, 1.3)
+        loss, dW, dh, _ = ce_head_gradients(h, W, y, 1.3)
+        want = train_oracle.one_hot_head_gradients(h, W, y, 1.3)
         assert loss == want[0]
         assert dW.tobytes() == want[1].tobytes() and dh.tobytes() == want[2].tobytes()
 
@@ -392,7 +409,7 @@ def test_training_matches_the_per_array_oracle(split_datasets, data, model, epoc
         params, head, history = train_vqc(train, config, cfg, K=atlas.K, eval_set=test)
         want_params, want_head, want_history = train_oracle.train_vqc(
             train, config, cfg, atlas.K, eval_set=test)
-        pairs = [(params.phi, want_params.phi), (head.W, want_head.W), (head.b, want_head.b)]
+        pairs = [(params.phi, want_params.phi), (head.W, want_head.W)]
     for got, want in pairs:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert history == want_history

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -225,13 +226,20 @@ def test_budget_matches_reference_totals(tmp_path, capsys):
 
 
 def test_budget_measures_runtimes_with_an_mlp(workdir, tmp_path, capsys):
-    assert run(["budget", "--case", TOY, "--atlas", workdir / "atlas.json",
-                "--model", workdir / "mlp.json", "--out-dir", tmp_path]) == 0
-    rows = list(csv.DictReader(csv_body(tmp_path / "speedup_timing.csv")))
+    inputs = {"case": Path(TOY), "atlas": workdir / "atlas.json", "model": workdir / "mlp.json"}
+    assert run(["budget", "--case", TOY, "--atlas", inputs["atlas"], "--model", inputs["model"],
+                "--out-dir", tmp_path, "--out", "b.csv"]) == 0
+    rows = list(csv.DictReader(csv_body(tmp_path / "b_timing.csv")))
     assert [r["method"] for r in rows] == [
         "lp_solver", "constraint_check_affine", "mlp_affine", "vqc_affine_modeled"]
     assert float(rows[3]["runtime_us"]) == 1.37  # the modeled 5-qubit, 6-layer circuit
-    assert f"-> {tmp_path / 'speedup_timing.csv'}" in capsys.readouterr().out
+    assert f"-> {tmp_path / 'b_timing.csv'}" in capsys.readouterr().out
+    # the timing table hashes the inputs it measured; the qubit table reads none
+    table_provenance = (tmp_path / "b.csv").read_text().splitlines()[0]
+    assert re.fullmatch(r"# config_hash=[0-9a-f]{64} ", table_provenance)
+    hashes = " ".join(f"{k}={hashlib.sha256(p.read_bytes()).hexdigest()}"
+                      for k, p in inputs.items())
+    assert (tmp_path / "b_timing.csv").read_text().splitlines()[0] == f"{table_provenance}{hashes}"
 
 
 @pytest.mark.parametrize("flags,bad", [

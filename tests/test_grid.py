@@ -10,17 +10,8 @@ from qpopf.grid import (
     case_from_dict,
     linearize,
     load_case,
-    normalize_theta,
 )
 from tests.conftest import TOY_CASE_DICT
-
-
-def denormalize_theta(theta_normalized: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`qpopf.grid.normalize_theta`."""
-    theta = np.asarray(theta_normalized, dtype=float)
-    box = np.asarray(box, dtype=float)
-    lo, hi = box[:, 0], box[:, 1]
-    return lo + (theta + 1.0) * (hi - lo) / 2.0
 
 
 def test_load_toy_case(tmp_path, toy_case):
@@ -126,28 +117,6 @@ def test_missing_flow_limit_rejected():
     raw["lines"] = [{"from": 1, "to": 2, "r_pu": 0.01, "x_pu": 0.02, "limit_mw": None}]
     with pytest.raises(CaseError, match="no limit"):
         linearize(case_from_dict(raw))
-
-
-def test_normalize_examples():
-    box = np.array([[-10.0, 10.0]])
-    assert normalize_theta(np.array([10.0]), box)[0] == pytest.approx(1.0)
-    assert normalize_theta(np.array([0.0]), box)[0] == pytest.approx(0.0)
-    assert normalize_theta(np.array([-5.0]), box)[0] == pytest.approx(-0.5)
-
-
-def test_normalize_out_of_box():
-    box = np.array([[-10.0, 10.0]])
-    with pytest.raises(ValueError, match="outside"):
-        normalize_theta(np.array([10.1]), box)
-
-
-def test_normalize_round_trip():
-    rng = np.random.default_rng(11)
-    box = np.array([[-10.0, 10.0], [-4.0, 6.0], [-1.0, 1.0]])
-    for _ in range(1000):
-        theta = rng.uniform(box[:, 0], box[:, 1])
-        back = denormalize_theta(normalize_theta(theta, box), box)
-        np.testing.assert_allclose(back, theta, atol=1e-12)
 
 
 def test_theta_box_is_normalized(toy_case_plp):

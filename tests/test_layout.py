@@ -2,8 +2,10 @@
 
 Every module of ``src/qpopf`` imports the package's other modules at its
 top and uses only their public names; every private function or method is
-called from somewhere in the package; the package exports exactly the
-names the README's ``## Library`` block imports from it.
+called from somewhere in the package; every public function is named by
+the package, the benchmark or the README's library example, bar a listed
+few; the package exports exactly the names the README's ``## Library``
+block imports from it.
 """
 
 import ast
@@ -86,6 +88,54 @@ def unreferenced_private_functions(modules: dict[str, ast.Module]) -> list[str]:
     return sorted(where for fn, where in defined if fn not in used)
 
 
+def bound_names(fn) -> set[str]:
+    """Names a function or lambda binds: its arguments and every name it assigns."""
+    args = fn.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg,
+                             args.kwarg) if a}
+    return names | {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names a module imports, reads or takes as an attribute.
+
+    A read of a name that the enclosing function binds (an argument or a
+    local) refers to that binding, not to a module-level function.
+    """
+    found = set()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | bound_names(node)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return found
+
+
+def unnamed_public_functions(modules: dict[str, ast.Module], readers: list[ast.AST]) -> list[str]:
+    """Module-level public functions of ``modules`` that no reader names."""
+    used = set().union(*map(referenced_names, readers))
+    return sorted(f"{name}.{node.name}" for name, tree in modules.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name not in used)
+
+
+# public functions that only tests call, and why each stays in the package
+TEST_ONLY_FUNCTIONS = {
+    "privacy.calibrate_sigma": "ROADMAP item 9: the noise scale of the matched-privacy MLP",
+    "regions.chebyshev_center": "ROADMAP item 3: the interior point of certified coverage",
+}
+
+
 def test_no_function_imports_a_package_module():
     assert function_imports(parse_package()) == []
 
@@ -110,10 +160,21 @@ def test_the_checks_flag_planted_violations():
         "        return self._used()\n\n\ndef _kernel():\n    pass\n"
     )
     assert unreferenced_private_functions(planted) == ["c._kernel:9", "c._unused:5"]
+    public = {"d": ast.parse("def used():\n    pass\n\ndef shadowed():\n    pass\n\n"
+                             "def unused(shadowed):\n    return shadowed\n")}
+    reader = ast.parse("from qpopf.d import used\n\nf = lambda unused: unused\n")
+    readers = [*public.values(), reader]
+    assert unnamed_public_functions(public, readers) == ["d.shadowed", "d.unused"]
 
 
 def test_every_private_function_is_used_in_the_package():
     assert unreferenced_private_functions(parse_package()) == []
+
+
+def test_every_public_function_is_named_outside_the_tests():
+    sources = (*PACKAGE.rglob("*.py"), *ROOT.glob("perfbench/*.py"))
+    readers = [*(ast.parse(p.read_text()) for p in sources), library_block()]
+    assert unnamed_public_functions(parse_package(), readers) == sorted(TEST_ONLY_FUNCTIONS)
 
 
 def library_block() -> ast.Module:

@@ -31,12 +31,8 @@ from qpopf.privacy import (
     encoding_lipschitz,
     epsilon_bound,
     epsilon_percentile,
-    mis_selection_bound,
-    mis_selection_probability,
-    required_beta,
     theoretical_epsilon,
     tradeoff_bound,
-    wasted_budget,
 )
 from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
 
@@ -158,32 +154,21 @@ def test_theoretical_epsilon_arithmetic():
     assert theoretical_epsilon(1.0, 0.5, 1.0, 0.05, W) == pytest.approx(0.2)
     assert theoretical_epsilon(1.0, 1.0, 1.0, 0.05, W) == 0.0
     assert theoretical_epsilon(2.0, 0.5, 1.0, 0.05, W) == pytest.approx(0.4)
-
-
-def test_required_beta_inverse():
-    W = np.array([[1.0, -1.0], [0.5, 0.25]])
-    assert required_beta(0.2, 0.5, 1.0, 0.05, W) == pytest.approx(1.0)
-    # round trip
+    # linear in beta: the beta that meets a target budget is target / eps(beta = 1)
     for eps in (0.1, 1.0, 5.0):
         for gamma in (0.0, 0.3, 0.6):
-            beta = required_beta(eps, gamma, 2.0, 0.05, W)
+            beta = eps / theoretical_epsilon(1.0, gamma, 2.0, 0.05, W)
             assert theoretical_epsilon(beta, gamma, 2.0, 0.05, W) == pytest.approx(
                 eps, abs=1e-12
             )
-    # aware / unaware ratio
-    aware = required_beta(1.0, 0.4, 2.0, 0.05, W)
-    unaware = required_beta(1.0, 0.0, 2.0, 0.05, W)
+    # a noise-aware user may take a 1 / (1 - gamma) larger beta
+    aware = 1.0 / theoretical_epsilon(1.0, 0.4, 2.0, 0.05, W)
+    unaware = 1.0 / theoretical_epsilon(1.0, 0.0, 2.0, 0.05, W)
     assert aware / unaware == pytest.approx(1.0 / 0.6)
-    with pytest.raises(ValueError):
-        required_beta(1.0, 1.0, 2.0, 0.05, W)
-
-
-def test_wasted_budget():
-    assert wasted_budget(10.0, 0.2) == pytest.approx(2.0)
-    assert wasted_budget(10.0, 0.0) == 0.0
-    gammas = np.linspace(0, 1, 11)
-    vals = [wasted_budget(3.0, g) for g in gammas]
-    np.testing.assert_allclose(vals, 3.0 * gammas, atol=1e-15)
+    # a noise-unaware user's beta spends eps (1 - gamma) of a target eps: eps gamma is wasted
+    for gamma in np.linspace(0, 1, 11):
+        spent = theoretical_epsilon(3.0 * unaware, gamma, 2.0, 0.05, W)
+        assert 3.0 - spent == pytest.approx(3.0 * gamma, abs=1e-12)
 
 
 def test_cost_tradeoff_formula_arithmetic():
@@ -222,7 +207,7 @@ def test_audit_mechanism_matches_grid_row(toy_model, toy_atlas, toy_plp, committ
     assert max(config.encoding_pattern) + 1 < plp69.m
     rng = np.random.default_rng(5)
     short = VqcModel(config, VqcParams.random_init(config, rng),
-                     LinearHead(W=rng.normal(size=(atlas.K, 2)), b=np.zeros(atlas.K)))
+                     LinearHead(W=rng.normal(size=(atlas.K, 2))))
     for model, plp, model_atlas, adjacency in (
         (toy_model, toy_plp, toy_atlas, AdjacencySpec(delta_theta=0.05, pair_count=64, seed=17)),
         (vqc, plp69, atlas, AdjacencySpec(delta_theta=0.05, pair_count=100)),
@@ -305,15 +290,15 @@ def test_oracle_mechanism_is_one_hot(toy_atlas):
     assert sorted(p[0]) == [0.0, 1.0]
 
 
-def test_mis_selection_bounds(toy_model, toy_atlas):
+def test_mis_selection_bounds(toy_model, toy_atlas, toy_plp):
     rng = np.random.default_rng(31)
     for _ in range(200):
         theta = rng.uniform(-1, 1, 1)
         for gamma, beta in ((0.0, 1.0), (0.3, 2.0), (0.5, 0.5)):
-            p_err = mis_selection_probability(toy_model, toy_atlas, theta, gamma, beta)
-            bound = mis_selection_bound(toy_model, toy_atlas, theta, gamma, beta)
+            _, comp = tradeoff_bound(toy_model, toy_atlas, toy_plp, theta, gamma, beta)
+            p_err = 1.0 - comp["probabilities"][comp["k_star"] - 1]
             assert 0.0 <= p_err <= 1.0
-            assert p_err <= bound + 1e-12
+            assert p_err <= comp["mis_selection_bound"] + 1e-12
 
 
 def test_tradeoff_bound_components(toy_model, toy_atlas, toy_plp):
@@ -606,7 +591,7 @@ def test_calibrate_sigma_matches_the_per_step_oracle(toy_mlp):
 def tradeoff_two_forwards(model, atlas, theta, gamma, beta, delta_theta, dj_max):
     """The logit-dependent components, each logit vector from its own forward."""
     k_star = locate_region(atlas, theta)
-    s, s0 = ((1.0 - g) * model.base_scores(theta[None, :]) + model.head.b for g in (gamma, 0.0))
+    s, s0 = ((1.0 - g) * model.base_scores(theta[None, :]) for g in (gamma, 0.0))
     s, s0 = s[0], s0[0]
     K = s.shape[0]
     m_gamma, m0 = margin_from_logits(s, k_star), margin_from_logits(s0, k_star)

@@ -43,9 +43,9 @@ class PerArrayAdam:
             p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def one_hot_head_gradients(h, W, b, y, beta):
+def one_hot_head_gradients(h, W, y, beta):
     """(loss, dW, dh) of the mean cross-entropy, with the labels as a one-hot matrix."""
-    logp = log_softmax(h @ W.T + b, beta)
+    logp = log_softmax(h @ W.T, beta)
     loss = -float(np.mean(logp[np.arange(len(y)), y]))
     dlogits = beta * (np.exp(logp) - np.eye(W.shape[0])[y]) / len(y)
     return loss, dlogits.T @ h, dlogits @ W
@@ -86,17 +86,16 @@ def train_vqc(dataset, config, train_cfg, K, eval_set=None):
     rng = np.random.default_rng(train_cfg.seed)
     params = VqcParams.random_init(config, rng)
     W = rng.uniform(-1.0, 1.0, size=(K, config.n_q)) / np.sqrt(config.n_q)
-    b = np.zeros(K)
 
     def step(xb, yb):
         states = run_circuit_batch(config, params, xb)
         h = z_expectations(states, config.n_q)
-        loss, gW, dh = one_hot_head_gradients(h, W, b, yb, train_cfg.beta)
-        return loss, [vjp(config, params, xb, dh, states=states).sum(axis=0), gW]
+        loss, gW, dh = one_hot_head_gradients(h, W, yb, train_cfg.beta)
+        return loss, [vjp(config, params, xb, dh, states).sum(axis=0), gW]
 
-    model = VqcModel(config, params, LinearHead(W=W, b=b, beta=train_cfg.beta))
+    model = VqcModel(config, params, LinearHead(W=W, beta=train_cfg.beta))
     history = fit(model, [params.phi, W], step, dataset, train_cfg, rng, eval_set)
-    return params, LinearHead(W=W, b=b, beta=train_cfg.beta), history
+    return params, LinearHead(W=W, beta=train_cfg.beta), history
 
 
 def train_mlp(dataset, train_cfg, K, eval_set=None):
@@ -113,7 +112,7 @@ def train_mlp(dataset, train_cfg, K, eval_set=None):
     def step(xb, yb):
         a1 = np.tanh(xb @ W1.T + b1)
         a2 = np.tanh(a1 @ W2.T + b2)
-        loss, gWh, da2 = one_hot_head_gradients(a2, Wh, np.zeros(K), yb, train_cfg.beta)
+        loss, gWh, da2 = one_hot_head_gradients(a2, Wh, yb, train_cfg.beta)
         dz2 = da2 * (1 - a2 * a2)
         dz1 = (dz2 @ W2) * (1 - a1 * a1)
         return loss, [dz1.T @ xb, dz1.sum(axis=0), dz2.T @ a1, dz2.sum(axis=0), gWh]
