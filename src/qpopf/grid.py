@@ -355,12 +355,14 @@ class ParametricLP:
 
     @functools.cached_property
     def start_memo(self) -> dict[str, object]:
-        """The warm start of ``qpopf.lp.solve_lp``, under its one key
-        "session": the one HiGHS model of this LP, first solved cold at the
-        centre of the theta box, which every later solve rewrites and
-        restarts from that run's optimal basis; None when that run has no
-        optimum.  Filled on the first solve; every solve starts there, so
-        none depends on which ran before it."""
+        """The HiGHS models ``qpopf.lp`` keeps for this LP.  Under
+        "session", that of ``solve_lp``: first solved cold at the centre of
+        the theta box, then rewritten by every later solve and restarted
+        from that run's optimal basis; None when that run has no optimum.
+        Under "projection", that of ``project_feasible``'s auxiliary LP,
+        loaded by the first projection HiGHS accepts and rewritten and
+        solved cold by each.  Each is filled on first use, and no solve
+        depends on which ran before it."""
         return {}
 
     @functools.cached_property

@@ -12,20 +12,25 @@ whose first run is a cold solve at the centre of the theta box: each
 later solve rewrites only the row bounds that theta changed and restarts
 the dual simplex from the optimal basis of that first run, so a solve
 takes a few pivots and no presolve, and its answer depends on theta
-alone, not on earlier solves.  Both paths check their input and
-judge HiGHS's answer by one rule (``_checked``, ``_answer``).
-Degenerate-basis recovery and the projection and pruning LPs stay cold.
-``solve_lp`` then post-processes the answer: a residual scan identifies
-the active rows, a deterministic rank selection picks the first n
-independent ones as a basis, and the solution is re-solved from that
-basis (``_polished``, which ``project_feasible`` shares) so the returned
-vertex is accurate to linear-solve precision rather than solver
-tolerance.  An equality is written as two opposing rows
-(``ParametricLP.eq_pairs``) and counts as one hyperplane
-(``_hyperplanes``): the rank selection scans only the lower member of a
-fully active pair, since the higher is its negation, and the vertex is
-degenerate unless there are exactly n active hyperplanes.  The basis
-then takes whichever member of a pair has a nonnegative dual.
+alone, not on earlier solves.  ``project_feasible`` likewise keeps one
+HiGHS model of its auxiliary LP per LP (``_Model``, also in
+``ParametricLP.start_memo``): each projection rewrites the row bounds
+that changed and drops the last run's solver state, so presolve and the
+dual simplex run cold, as in a freshly loaded model.  Every path checks
+its input and judges HiGHS's answer by one rule (``_checked``,
+``_answer``).  Degenerate-basis recovery and the pruning LPs load a
+model per solve.  ``solve_lp`` then post-processes the answer: a
+residual scan identifies the active rows, a deterministic rank selection
+picks the first n independent ones as a basis, and the solution is
+re-solved from that basis (``_polished``, which ``project_feasible``
+shares) so the returned vertex is accurate to linear-solve precision
+rather than solver tolerance.  The projection's rank selection reads
+the block structure of its matrix (``_projection_basis``).  An equality
+is written as two opposing rows (``ParametricLP.eq_pairs``) and counts
+as one hyperplane (``_hyperplanes``): the rank selection scans only the
+lower member of a fully active pair, since the higher is its negation,
+and the vertex is degenerate unless there are exactly n active
+hyperplanes.  The basis then takes whichever member of a pair has a nonnegative dual.
 ``perturbed_basis`` recovers a basis where the vertex is degenerate.  A
 basis pick depends only on the active rows, and the active set is
 constant over a critical region, so each LP keeps its picks
@@ -196,29 +201,29 @@ def linprog(
     return _answer(highs, b)
 
 
-class _Session:
-    """One HiGHS model of a parametric LP, re-solved at each theta from one
-    start basis.
+class _Model:
+    """One HiGHS model of min c.x s.t. A x <= b over free x, kept across
+    solves that change only b.
 
-    The model is loaded with the right-hand side at the centre of the theta
-    box and solved there once, cold.  ``basis`` keeps the optimal basis of
-    that run, or is None when HiGHS refuses the model or the centre has no
-    optimum.  Each solve rewrites only the row bounds that differ from the
-    ones the model holds (``upper``), so the model always equals the cold
-    one at that theta, and restarts from ``basis``, so no answer depends on
-    the solves before it.
+    ``upper`` is the b the model holds.  Each solve rewrites only the row
+    bounds that differ from it, so the model always equals the one
+    ``linprog`` would load for that b.
     """
 
-    def __init__(self, plp: ParametricLP):
-        self.c, self.W = plp.c, plp.W
-        self.upper = plp.rhs(plp.theta_box.mean(axis=1))
-        self.highs = _loaded(plp.c, self.upper, plp.W_csc)
-        optimal = self.highs is not None and _answer(self.highs, self.upper)[0] == "optimal"
-        self.basis = self.highs.getBasis() if optimal else None
+    def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
+                 csc: tuple[list[int], list[int], list[float]]):
+        self.c, self.A, self.upper = c, A, b.copy()
+        self.highs = _loaded(c, b, csc)
 
     def solve(self, b: np.ndarray) -> tuple[str, np.ndarray | None]:
-        """``linprog(plp.c, plp.W, b)``, started from ``basis``."""
-        _checked(self.c, self.W, b)
+        """``linprog(c, A, b)``, cold: HiGHS drops the last run's solver state
+        (``clearSolver``), so presolve and the dual simplex start afresh and
+        the answer is the one a freshly loaded model gives."""
+        return self._run(b, None)
+
+    def _run(self, b: np.ndarray, start: _highs.HighsBasis | None) -> tuple[str, np.ndarray | None]:
+        """Solve at ``b`` from the basis ``start``, or cold when it is None."""
+        _checked(self.c, self.A, b)
         highs, upper = self.highs, self.upper
         for i in np.flatnonzero(b != upper).tolist():
             if highs.changeRowBounds(i, -_highs.kHighsInf, b[i]) == _highs.HighsStatus.kError:
@@ -227,12 +232,36 @@ class _Session:
                 # refuses the whole model
                 return _NO_SOLUTION[_STATUS.kModelError], None
             upper[i] = b[i]
-        highs.setBasis(self.basis)
+        if start is None:
+            highs.clearSolver()
+        else:
+            highs.setBasis(start)
         return _answer(highs, b)
 
 
-def _scan_active(A: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float) -> list[int]:
-    resid = A @ x - b
+class _Session(_Model):
+    """The HiGHS model of a parametric LP, re-solved at each theta from one
+    start basis.
+
+    The model is loaded with the right-hand side at the centre of the theta
+    box and solved there once, cold.  ``basis`` keeps the optimal basis of
+    that run, or is None when HiGHS refuses the model or the centre has no
+    optimum.  Each solve restarts from ``basis``, so no answer depends on
+    the solves before it.
+    """
+
+    def __init__(self, plp: ParametricLP):
+        super().__init__(plp.c, plp.W, plp.rhs(plp.theta_box.mean(axis=1)), plp.W_csc)
+        optimal = self.highs is not None and _answer(self.highs, self.upper)[0] == "optimal"
+        self.basis = self.highs.getBasis() if optimal else None
+
+    def solve(self, b: np.ndarray) -> tuple[str, np.ndarray | None]:
+        """``linprog(plp.c, plp.W, b)``, started from ``basis``."""
+        return self._run(b, self.basis)
+
+
+def _scan_active(resid: np.ndarray, tol: float) -> list[int]:
+    """Rows whose residual ``A @ x - b`` is within ``tol`` of zero."""
     return np.flatnonzero(np.abs(resid) <= tol).tolist()
 
 
@@ -248,22 +277,57 @@ def _hyperplanes(plp: ParametricLP, active: list[int]) -> list[int]:
     return active[rows[active]].tolist()
 
 
-def _greedy_basis(A: np.ndarray, rows: list[int], n: int) -> list[int] | None:
-    """First n linearly independent rows of ``rows`` (ascending order)."""
+def _independent(A: np.ndarray, rows: list[int], basis_vecs: np.ndarray, k: int) -> list[int]:
+    """Gram-Schmidt scan: each row of A among ``rows``, in order, that is
+    independent of the first k (orthonormal) rows of ``basis_vecs`` and of
+    the rows picked before it, until ``basis_vecs`` is full.  Each pick
+    appends its normalized residual to ``basis_vecs``."""
     picked: list[int] = []
-    basis_vecs = np.empty((n, A.shape[1]))
     for i in rows:
+        if k == len(basis_vecs):
+            break
         v = A[i]
-        k = len(picked)
         r = v - basis_vecs[:k].T @ (basis_vecs[:k] @ v) if k else v
         # sqrt(x @ x) is how np.linalg.norm computes a real 2-norm
         nrm = math.sqrt(r @ r)
         if nrm > 1e-9 * max(1.0, math.sqrt(v @ v)):
             picked.append(i)
             basis_vecs[k] = r / nrm
-            if len(picked) == n:
-                return picked
-    return None
+            k += 1
+    return picked
+
+
+def _greedy_basis(A: np.ndarray, rows: list[int], n: int) -> list[int] | None:
+    """First n linearly independent rows of ``rows`` (ascending order)."""
+    picked = _independent(A, rows, np.empty((n, A.shape[1])), 0)
+    return picked if len(picked) == n else None
+
+
+def _projection_basis(plp: ParametricLP, rows: list[int]) -> list[int] | None:
+    """``_greedy_basis(plp.projection_matrix, rows, 2 * plp.n)``, for
+    ascending ``rows``, from that matrix's blocks [[W, 0], [I, -I], [-I, -I]]
+    over (x, u).
+
+    The W rows have no u part, so the scan picks among them what W's own
+    n-space scan picks.  Row [e_i, -e_i] is the first with a u_i entry, so
+    every active one is picked, and so is each active [-e_i, -e_i] whose
+    partner is not.  With its partner picked, [-e_i, -e_i] is independent
+    exactly when e_i is independent of the W rows picked and of e_j for
+    every earlier coordinate j whose two rows were picked.  The picks are
+    in ascending row order, as the scan makes them.
+    """
+    n, q = plp.n, plp.q
+    rows = np.asarray(rows, dtype=np.intp)
+    basis_vecs = np.empty((n, n))
+    picked = _independent(plp.W, rows[rows < q].tolist(), basis_vecs, 0)
+    active = np.zeros(2 * n, dtype=bool)
+    active[rows[rows >= q] - q] = True
+    plus, minus = active[:n], active[n:]
+    both = np.flatnonzero(plus & minus).tolist()
+    minus = minus & ~plus
+    minus[_independent(np.eye(n), both, basis_vecs, len(picked))] = True
+    picked += (q + np.flatnonzero(plus)).tolist() + (q + n + np.flatnonzero(minus)).tolist()
+    return picked if len(picked) == 2 * n else None
 
 
 def _fix_basis_signs(plp: ParametricLP, basis: list[int]) -> list[int]:
@@ -285,7 +349,8 @@ def _fix_basis_signs(plp: ParametricLP, basis: list[int]) -> list[int]:
 def _basis(plp: ParametricLP, matrix: str, active: list[int]) -> list[int] | None:
     """Basis of the active rows of ``matrix``, picked once per LP and active
     set (``ParametricLP.basis_memo``): the greedy pick of W with its signs
-    fixed ("W"), or the greedy pick of the projection matrix ("projection")."""
+    fixed ("W"), or the greedy pick of the projection matrix
+    (``_projection_basis``, "projection")."""
     key = (matrix, tuple(active))
     if key not in plp.basis_memo:
         # the leading rows of the projection matrix are W, so W's pairs carry over
@@ -295,22 +360,26 @@ def _basis(plp: ParametricLP, matrix: str, active: list[int]) -> list[int] | Non
             if basis is not None:
                 basis = _fix_basis_signs(plp, basis)
         else:
-            basis = _greedy_basis(plp.projection_matrix, rows, 2 * plp.n)
+            basis = _projection_basis(plp, rows)
         plp.basis_memo[key] = None if basis is None else tuple(basis)
     basis = plp.basis_memo[key]
     return None if basis is None else list(basis)
 
 
-def _polished(A: np.ndarray, b: np.ndarray, x: np.ndarray, basis: list[int]) -> np.ndarray:
+def _polished(
+    A: np.ndarray, b: np.ndarray, x: np.ndarray, resid: np.ndarray, basis: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """``x`` re-solved from the basis rows of A x <= b if that point's worst
-    violation is at most max(1e-9, that of ``x``); otherwise ``x`` itself."""
+    violation is at most max(1e-9, that of ``x``); otherwise ``x`` itself.
+    Returned with its residual A x - b; ``resid`` is that of ``x``."""
     try:
         x_basis = np.linalg.solve(A[basis], b[basis])
     except np.linalg.LinAlgError:
-        return x
-    before = float(np.max(A @ x - b, initial=0.0))
-    after = float(np.max(A @ x_basis - b, initial=0.0))
-    return x_basis if after <= max(1e-9, before) else x
+        return x, resid
+    resid_basis = A @ x_basis - b
+    before = float(np.max(resid, initial=0.0))
+    after = float(np.max(resid_basis, initial=0.0))
+    return (x_basis, resid_basis) if after <= max(1e-9, before) else (x, resid)
 
 
 def _solution(plp: ParametricLP, b: np.ndarray, status: str, x: np.ndarray | None) -> LPSolution:
@@ -318,11 +387,12 @@ def _solution(plp: ParametricLP, b: np.ndarray, status: str, x: np.ndarray | Non
     if x is None:
         return LPSolution(x=np.full(plp.n, np.nan), objective=float("nan"), status=status)
 
-    active = _scan_active(plp.W, b, x, TOL_ACTIVE)
+    resid = plp.W @ x - b
+    active = _scan_active(resid, TOL_ACTIVE)
     basis = _basis(plp, "W", active)
     if basis is not None:
-        x = _polished(plp.W, b, x, basis)
-        active = _scan_active(plp.W, b, x, TOL_ACTIVE)
+        x, resid = _polished(plp.W, b, x, resid, basis)
+        active = _scan_active(resid, TOL_ACTIVE)
 
     unique = basis is not None and len(_hyperplanes(plp, active)) == plp.n
     return LPSolution(
@@ -331,7 +401,7 @@ def _solution(plp: ParametricLP, b: np.ndarray, status: str, x: np.ndarray | Non
         status="optimal" if unique else "degenerate",
         active_set=active,
         basis=basis,
-        max_violation=float(np.max(plp.W @ x - b, initial=0.0)),
+        max_violation=float(np.max(resid, initial=0.0)),
     )
 
 
@@ -371,7 +441,7 @@ def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:
         _, x = linprog(plp.c, plp.W, b, csc=plp.W_csc)
         if x is None:
             return None
-        active = _scan_active(plp.W, b, x, max(scale / 3.0, 1e-10))
+        active = _scan_active(plp.W @ x - b, max(scale / 3.0, 1e-10))
         basis = _basis(plp, "W", active)
         if basis is not None and len(_hyperplanes(plp, active)) == plp.n:
             return basis
@@ -404,6 +474,23 @@ def feasible_dispatch(
     return x, False
 
 
+def _projection(plp: ParametricLP, b: np.ndarray) -> tuple[str, np.ndarray | None]:
+    """``linprog`` of the L1 projection LP (``project_feasible``) at its
+    right-hand side ``b``, on the LP's one model of it,
+    ``plp.start_memo["projection"]``: loaded by the first projection whose
+    model HiGHS accepts, then rewritten and solved cold by each."""
+    memo = plp.start_memo
+    if "projection" not in memo:
+        n = plp.n
+        c = np.concatenate([np.zeros(n), np.ones(n)])
+        _checked(c, plp.projection_matrix, b)
+        model = _Model(c, plp.projection_matrix, b, plp.projection_csc)
+        if model.highs is None:
+            return _NO_SOLUTION[_STATUS.kModelError], None
+        memo["projection"] = model
+    return memo["projection"].solve(b)
+
+
 def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) -> np.ndarray:
     """L1-closest feasible point to ``x_tilde`` at parameter ``theta``.
 
@@ -416,17 +503,16 @@ def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) 
     if float(np.max(plp.W @ x_tilde - b, initial=0.0)) <= TOL_FEAS:
         return x_tilde.copy()
 
-    n = plp.n
     A_aux = plp.projection_matrix
     b_aux = np.concatenate([b, x_tilde, -x_tilde])
-    c_aux = np.concatenate([np.zeros(n), np.ones(n)])
-    status, z = linprog(c_aux, A_aux, b_aux, csc=plp.projection_csc)
+    status, z = _projection(plp, b_aux)
     if status != "optimal":
         raise ProjectionError(f"projection LP is {status} at theta={theta}")
-    basis = _basis(plp, "projection", _scan_active(A_aux, b_aux, z, TOL_ACTIVE))
+    resid = A_aux @ z - b_aux
+    basis = _basis(plp, "projection", _scan_active(resid, TOL_ACTIVE))
     if basis is not None:
-        z = _polished(A_aux, b_aux, z, basis)
-    x = z[:n]
+        z, _ = _polished(A_aux, b_aux, z, resid, basis)
+    x = z[:plp.n]
     viol = float(np.max(plp.W @ x - b, initial=0.0))
     if viol > TOL_FEAS:
         raise LpNumericError(f"projection violates constraints by {viol:.3e}")

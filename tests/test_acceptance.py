@@ -6,7 +6,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from qpopf.circuit import (
     CircuitConfig,
@@ -14,12 +13,7 @@ from qpopf.circuit import (
     run_circuit_batch,
     z_expectations,
 )
-from qpopf.classifier import (
-    TrainConfig,
-    argmax_accuracy,
-    train_mlp,
-    train_vqc,
-)
+from qpopf.classifier import argmax_accuracy, softmax_probs
 from qpopf.evaluate import ScenarioBatch, evaluate, qubit_budget, runtime_model, sweep
 from qpopf.lp import solve_lp
 from qpopf.privacy import (
@@ -187,8 +181,6 @@ def test_theorem2_soundness(vqc69, atlas69, plp69):
         deltas = delta_j_all(atlas69, plp69, theta, k_star)
         others = np.delete(deltas, k_star - 1)
         bound = cost_tradeoff_formula(float(np.max(others)), atlas69.K, beta, m)
-        from qpopf.classifier import softmax_probs
-
         probs = softmax_probs(s, beta)
         sampled = deltas[draws_rng.choice(atlas69.K, size=10_000, p=probs)]
         se = sampled.std(ddof=1) / np.sqrt(sampled.size)

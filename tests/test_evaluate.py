@@ -22,7 +22,6 @@ from qpopf.evaluate import (
     circuit_depth,
     evaluate,
     measure_runtimes,
-    qubit_budget,
     runtime_model,
     sweep,
 )
@@ -141,16 +140,6 @@ def test_cost_gap_nonnegative_for_feasible_reconstructions(toy_atlas, toy_plp):
             if np.max(toy_plp.W @ x - rhs) > 1e-4:
                 x = project_feasible(x, toy_plp, theta)
             assert float(toy_plp.c @ (x - x_star)) >= -1e-9
-
-
-def test_qubit_budget_table():
-    expected = {
-        (4, 2): 596, (4, 3): 810, (4, 4): 1024,
-        (6, 2): 680, (6, 3): 894, (6, 4): 1108,
-        (8, 3): 978, (8, 4): 1192, (8, 5): 1406,
-    }
-    for (bits, slack), total in expected.items():
-        assert qubit_budget(bits, slack, 42, 214) == total
 
 
 def test_runtime_model_values():

@@ -215,8 +215,7 @@ def test_basis_scan_matches_vstack_oracle(case, basis_calls):
         # a dispatch solved at another theta is usually infeasible here
         project_feasible(sol.x, plp, thetas[k - 1])
         perturbed_basis(plp, theta)
-    projections = [c for c in basis_calls if c[2] == 2 * plp.n]
-    assert len(projections) >= 3
+    assert [matrix for matrix, _ in plp.basis_memo].count("projection") >= 3
     for A, rows, n, picked in basis_calls:
         assert picked == greedy_basis_vstack(A, rows, n)
     # a scan of one row per hyperplane picks what a scan of every active row picks
@@ -248,7 +247,7 @@ def perturbed_basis_mirror(plp, theta, mirror):
         _, x = lp_mod.linprog(plp.c, plp.W, b, csc=plp.W_csc)
         if x is None:
             return None
-        active = lp_mod._scan_active(plp.W, b, x, max(scale / 3.0, 1e-10))
+        active = lp_mod._scan_active(plp.W @ x - b, max(scale / 3.0, 1e-10))
         basis = lp_mod._basis(plp, "W", active)
         if basis is not None and effective_count_mirror(active, mirror) == plp.n:
             return basis
@@ -368,16 +367,36 @@ def session_calls(monkeypatch):
     return calls
 
 
-def assert_matches_scipy(calls):
-    """scipy's status, and its vertex bit for bit."""
-    for c, A, b, csc in calls:
-        status, x = lp_mod.linprog(c, A, b, csc=csc)
+@pytest.fixture()
+def projection_calls(monkeypatch):
+    """Record (c, A, b, (status, x)) of every solve of the projection LP's kept model."""
+    calls = []
+    solve = lp_mod._Model.solve
+
+    def recording(self, b):
+        out = solve(self, b)
+        calls.append((self.c, self.A, b.copy(), out))
+        return out
+
+    monkeypatch.setattr(lp_mod._Model, "solve", recording)
+    return calls
+
+
+def assert_answers_match_scipy(answers):
+    """For each (c, A, b, (status, x)): scipy's status, and its vertex bit for bit."""
+    for c, A, b, (status, x) in answers:
         ref = scipy_linprog(c, A, b)
         assert status == SCIPY_STATUS[ref.status]
         if status != "optimal":
             assert x is None
         else:
             assert x.tobytes() == ref.x.tobytes()
+
+
+def assert_matches_scipy(calls):
+    """``linprog`` on each (c, A, b, csc) gives scipy's answer."""
+    assert_answers_match_scipy([(c, A, b, lp_mod.linprog(c, A, b, csc=csc))
+                                for c, A, b, csc in calls])
 
 
 def assert_warm_matches_scipy(plp, calls):
@@ -393,18 +412,20 @@ def assert_warm_matches_scipy(plp, calls):
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
-def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls):
+def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls, projection_calls):
     plp = linearize(load_case(case_path(case)))
     rng = np.random.default_rng(67)
     thetas = rng.uniform(-1.0, 1.0, size=(30, plp.m))
     thetas[0] = 0.0
 
     warm = []  # session solves per family
+    projections = []  # the projection model's answers
 
     def calls_of(run):
-        cold, before = len(lp_calls), len(session_calls)
+        cold, before, projected = len(lp_calls), len(session_calls), len(projection_calls)
         run()
         warm.append(len(session_calls) - before)
+        projections.extend(projection_calls[projected:])
         return lp_calls[cold:]
 
     atlas, solutions = [], []
@@ -418,14 +439,16 @@ def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls):
     }
     families["chebyshev_center"] = calls_of(
         lambda: [chebyshev_center(r.poly_A, r.poly_b) for r in atlas[0].regions])
-    families["projection"] = [c for c in families["projection"] if c[1].shape[1] == 2 * plp.n]
     families["pruning"] = [c for c in families["pruning"] if c[1].shape[1] == plp.m]
     # every solve_lp (the projection and pruning families call it too) runs warm from
-    # the LP's one session, whose first run is the cold midpoint solve; the rest stays cold
-    assert families.pop("solve_lp") == []
+    # the LP's one session, whose first run is the cold midpoint solve; each projection
+    # LP runs cold on the LP's one projection model; the rest stays cold
+    assert families.pop("solve_lp") == families.pop("projection") == []
     for name, calls in families.items():
         assert calls, name
         assert_matches_scipy(calls)
+    assert projections and all(c[1] is plp.projection_matrix for c in projections)
+    assert_answers_match_scipy(projections)
     assert warm == [len(thetas), 0, 10, 16, 0]
     assert all(session is plp.start_memo["session"] for session, *_ in session_calls)
     assert_warm_matches_scipy(plp, session_calls)
@@ -571,7 +594,7 @@ def project_feasible_assembled(x_tilde, plp, theta, tol_feas=lp_mod.TOL_FEAS):
     c_aux = np.concatenate([np.zeros(n), np.ones(n)])
     status, z = lp_mod.linprog(c_aux, A_aux, b_aux)
     assert status == "optimal"
-    active = lp_mod._scan_active(A_aux, b_aux, z, lp_mod.TOL_ACTIVE)
+    active = lp_mod._scan_active(A_aux @ z - b_aux, lp_mod.TOL_ACTIVE)
     basis = lp_mod._greedy_basis(A_aux, active, 2 * n)
     if basis is not None:
         try:
@@ -606,19 +629,95 @@ def test_projection_matches_per_call_assembly(case, rows, lp_calls):
     rng = np.random.default_rng(71)
     thetas = rng.uniform(-1.0, 1.0, size=(rows, plp.m))
     dispatches = [solve_lp(plp, t).x for t in thetas]
+    inf = highs_core.kHighsInf
     start = len(lp_calls)
     for k, x in enumerate(dispatches):
         # a dispatch solved at another theta is usually infeasible here
         theta = thetas[k - 1]
         assert project_feasible(x, plp, theta).tobytes() == (
             project_feasible_assembled(x, plp, theta).tobytes())
-    cached = [c for c in lp_calls[start:] if c[3] is not None]
-    assembled = [c for c in lp_calls[start:] if c[3] is None]
-    assert len(cached) == len(assembled) == rows
-    for (c, A, b, csc), (c0, A0, b0, _) in zip(cached, assembled):
-        # HiGHS receives the same model either way
-        assert csc == column_compressed(A0)
-        assert (c.tobytes(), A.tobytes(), b.tobytes()) == (c0.tobytes(), A0.tobytes(), b0.tobytes())
+        # the model HiGHS holds is the one assembled for this projection
+        model = plp.start_memo["projection"].highs.getLp()
+        (c0, A0, b0, _), = lp_calls[start + k:]
+        assert np.array(model.row_upper_).tobytes() == b0.tobytes()
+        assert np.array(model.col_cost_).tobytes() == c0.tobytes()
+        assert model.row_lower_ == [-inf] * A0.shape[0]
+        assert (model.col_lower_, model.col_upper_) == ([-inf] * A0.shape[1], [inf] * A0.shape[1])
+        mat = model.a_matrix_
+        assert mat.format_ == highs_core.MatrixFormat.kColwise
+        assert (list(mat.start_), list(mat.index_), list(mat.value_)) == column_compressed(A0)
+    assert len(lp_calls) - start == rows
+
+
+def projection_rows(plp, seed, count):
+    """The active rows, one per hyperplane, of the cold projection LPs of
+    ``count`` dispatches each solved at the theta before it."""
+    thetas = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, plp.m))
+    A = plp.projection_matrix
+    c = np.concatenate([np.zeros(plp.n), np.ones(plp.n)])
+    sets = []
+    for k, theta in enumerate(thetas):
+        x = solve_lp(plp, theta).x
+        b = np.concatenate([plp.rhs(thetas[k - 1]), x, -x])
+        status, z = lp_mod.linprog(c, A, b, csc=plp.projection_csc)
+        assert status == "optimal"
+        sets.append(lp_mod._hyperplanes(plp, lp_mod._scan_active(A @ z - b, lp_mod.TOL_ACTIVE)))
+    return sets
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_projection_basis_matches_the_greedy_scan(case):
+    plp = lp_of(case)
+    n, q = plp.n, plp.q
+    A = plp.projection_matrix
+    sets = [rows for seed in (73, 71, 67) for rows in projection_rows(plp, seed, 20)]
+    # a coordinate the projection leaves at x_tilde has both its rows active
+    assert any(set(rows) & {i + n for i in rows if q <= i < q + n} for rows in sets)
+    # every row, so W alone spans x and no [-I, -I] row with an active partner is
+    # picked; only the I blocks, so each such row is; the first row dropped; none
+    everything = list(range(q + 2 * n))
+    blocks = list(range(q, q + 2 * n))
+    cases = [*sets, *[rows[1:] for rows in sets], everything, blocks, []]
+    picks = [lp_mod._projection_basis(plp, rows) for rows in cases]
+    assert picks == [lp_mod._greedy_basis(A, rows, 2 * n) for rows in cases]
+    assert picks[-3] == [*lp_mod._greedy_basis(plp.W, everything[:q], n), *range(q, q + n)]
+    assert picks[-2] == blocks and picks[-1] is None
+    assert None in picks[:len(sets) * 2] and any(picks[:len(sets)])
+
+
+def projection_bytes(plp, x, theta):
+    """``project_feasible``'s bytes, or the message of its ``ProjectionError``."""
+    try:
+        return project_feasible(x, plp, theta).tobytes()
+    except lp_mod.ProjectionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_projection_order_does_not_change_the_bytes(case):
+    plp = lp_of(case)
+    thetas = np.random.default_rng(73).uniform(-1.0, 1.0, size=(16, plp.m))
+    # a dispatch solved at another theta is usually infeasible here
+    pairs = [(solve_lp(plp, theta).x, thetas[k - 1]) for k, theta in enumerate(thetas)]
+    far = np.full(plp.m, 1000.0)
+    assert solve_lp(plp, far).status == "infeasible"
+    # an empty feasible set, and a bound of -1e20 or less that HiGHS refuses
+    empty, refused = (pairs[1][0], far), (np.full(plp.n, 1e25), thetas[0])
+    fresh = [projection_bytes(lp_of(case), *pair) for pair in [*pairs, empty, refused]]
+    assert fresh[-2:] == [f"projection LP is infeasible at theta={theta}"
+                          for theta in (far, thetas[0])]
+    order = np.random.default_rng(5).permutation(len(fresh))
+    shuffled = lp_of(case)
+    out = {k: projection_bytes(shuffled, *[*pairs, empty, refused][k]) for k in order}
+    assert [out[k] for k in range(len(fresh))] == fresh
+    # the first projection refused before any model is kept, then each one after a failure
+    after = lp_of(case)
+    assert projection_bytes(after, *refused) == fresh[-1]
+    assert "projection" not in after.start_memo
+    for k, pair in enumerate(pairs):
+        assert projection_bytes(after, *(empty if k % 2 else refused)) == fresh[-1 - k % 2]
+        assert projection_bytes(after, *pair) == fresh[k]
+    assert after.start_memo["projection"] is not None
 
 
 def cold_copy(plp):

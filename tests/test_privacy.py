@@ -26,7 +26,6 @@ from qpopf.privacy import (
     audit_vqc_grid,
     calibrate_sigma,
     cost_tradeoff_formula,
-    delta_j_all,
     draw_adjacent_pairs,
     encoding_lipschitz,
     epsilon_bound,
