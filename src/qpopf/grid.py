@@ -350,7 +350,22 @@ class ParametricLP:
         """Basis picks of ``qpopf.lp``, keyed by the scanned matrix ("W" or
         "projection") and the active rows.  A pick depends only on those
         rows and this LP's data, so solves that share an active set (every
-        sample of one critical region) scan it once."""
+        sample of one critical region) scan it once.  The values are index
+        tuples only, so two memos compare with ``==``; the factors of the
+        W bases are kept apart, in ``factor_memo``."""
+        return {}
+
+    @functools.cached_property
+    def factor_memo(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray] | None]:
+        """LU factorizations of the W bases ``qpopf.lp`` polishes from,
+        keyed by the basis: LAPACK getrf's (lu, piv) of those rows of W,
+        or None when they are singular.  Every sample of one critical
+        region shares its basis, so ``solve_lp`` factors it once and
+        polishes each vertex with two triangular solves.  A basis of the
+        projection LP is factored per call and not kept: its factor is
+        2n x 2n, the projections of a dispatch loop meet many bases, and
+        kept they cost megabytes of memory for a few percent of the
+        projection time."""
         return {}
 
     @functools.cached_property
@@ -362,7 +377,8 @@ class ParametricLP:
         Under "projection", that of ``project_feasible``'s auxiliary LP,
         loaded by the first projection HiGHS accepts and rewritten and
         solved cold by each.  Each is filled on first use, and no solve
-        depends on which ran before it."""
+        depends on which ran before it.  Basis picks and their factors
+        are kept apart, in ``basis_memo`` and ``factor_memo``."""
         return {}
 
     @functools.cached_property

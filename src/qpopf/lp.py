@@ -22,10 +22,12 @@ its input and judges HiGHS's answer by one rule (``_checked``,
 model per solve.  ``solve_lp`` then post-processes the answer: a
 residual scan identifies the active rows, a deterministic rank selection
 picks the first n independent ones as a basis, and the solution is
-re-solved from that basis (``_polished``, which ``project_feasible``
-shares) so the returned vertex is accurate to linear-solve precision
-rather than solver tolerance.  The projection's rank selection reads
-the block structure of its matrix (``_projection_basis``).  An equality
+re-solved from the basis's one LU factorization (``_polished``, which
+``project_feasible`` shares) so the returned vertex is accurate to
+linear-solve precision rather than solver tolerance; a LAPACK getrf
+factor and a getrs solve from it give ``np.linalg.solve``'s answer bit
+for bit.  The projection's rank selection reads the block structure of
+its matrix (``_projection_basis``).  An equality
 is written as two opposing rows (``ParametricLP.eq_pairs``) and counts
 as one hyperplane (``_hyperplanes``): the rank selection scans only the
 lower member of a fully active pair, since the higher is its negation,
@@ -34,9 +36,11 @@ hyperplanes.  The basis then takes whichever member of a pair has a nonnegative 
 ``perturbed_basis`` recovers a basis where the vertex is degenerate.  A
 basis pick depends only on the active rows, and the active set is
 constant over a critical region, so each LP keeps its picks
-(``ParametricLP.basis_memo``): every solve still runs HiGHS, but samples
-of one region scan their rows once.  The returned vertex is re-solved
-from that basis, so a warm and a cold solve give the same
+(``ParametricLP.basis_memo``) and the factor of each W basis
+(``ParametricLP.factor_memo``): every solve still runs HiGHS, but
+samples of one region scan their rows and factor their basis once.  A
+projection's basis is factored per call.  The returned vertex is
+re-solved from that basis, so a warm and a cold solve give the same
 ``LPSolution`` bit for bit.  Results are deterministic for identical
 inputs.
 """
@@ -47,6 +51,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from qpopf.grid import ParametricLP, column_compressed
 
@@ -366,16 +371,36 @@ def _basis(plp: ParametricLP, matrix: str, active: list[int]) -> list[int] | Non
     return None if basis is None else list(basis)
 
 
+def _factored(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """LAPACK's LU factorization of the square ``A``, getrf's (lu, piv), or
+    None when getrf meets an exactly zero pivot.  ``np.linalg.solve`` is
+    getrf then getrs and raises ``LinAlgError`` in exactly that case, so a
+    getrs from this factor gives its answer bit for bit."""
+    lu, piv, info = dgetrf(A)
+    return None if info > 0 else (lu, piv)
+
+
+def _w_factor(plp: ParametricLP, basis: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_factored(plp.W[basis])``, factored once per LP and basis
+    (``ParametricLP.factor_memo``)."""
+    key = tuple(basis)
+    if key not in plp.factor_memo:
+        plp.factor_memo[key] = _factored(plp.W[basis])
+    return plp.factor_memo[key]
+
+
 def _polished(
-    A: np.ndarray, b: np.ndarray, x: np.ndarray, resid: np.ndarray, basis: list[int]
+    A: np.ndarray, b: np.ndarray, x: np.ndarray, resid: np.ndarray, basis: list[int],
+    factor: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``x`` re-solved from the basis rows of A x <= b if that point's worst
     violation is at most max(1e-9, that of ``x``); otherwise ``x`` itself.
-    Returned with its residual A x - b; ``resid`` is that of ``x``."""
-    try:
-        x_basis = np.linalg.solve(A[basis], b[basis])
-    except np.linalg.LinAlgError:
+    Returned with its residual A x - b; ``resid`` is that of ``x``.
+    ``factor`` is ``_factored(A[basis])``; when it is None (a singular
+    basis), ``x`` is returned."""
+    if factor is None:
         return x, resid
+    x_basis, _ = dgetrs(*factor, b[basis])
     resid_basis = A @ x_basis - b
     before = float(np.max(resid, initial=0.0))
     after = float(np.max(resid_basis, initial=0.0))
@@ -391,7 +416,7 @@ def _solution(plp: ParametricLP, b: np.ndarray, status: str, x: np.ndarray | Non
     active = _scan_active(resid, TOL_ACTIVE)
     basis = _basis(plp, "W", active)
     if basis is not None:
-        x, resid = _polished(plp.W, b, x, resid, basis)
+        x, resid = _polished(plp.W, b, x, resid, basis, _w_factor(plp, basis))
         active = _scan_active(resid, TOL_ACTIVE)
 
     unique = basis is not None and len(_hyperplanes(plp, active)) == plp.n
@@ -511,7 +536,7 @@ def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) 
     resid = A_aux @ z - b_aux
     basis = _basis(plp, "projection", _scan_active(resid, TOL_ACTIVE))
     if basis is not None:
-        z, _ = _polished(A_aux, b_aux, z, resid, basis)
+        z, _ = _polished(A_aux, b_aux, z, resid, basis, _factored(A_aux[basis]))
     x = z[:plp.n]
     viol = float(np.max(plp.W @ x - b, initial=0.0))
     if viol > TOL_FEAS:

@@ -312,8 +312,14 @@ def test_basis_memo_matches_a_cold_lp(case):
     assert 0 < kinds.count("projection") < len(thetas)
 
 
+def w_bases(plp):
+    """The distinct bases ``basis_memo`` holds for W, without None."""
+    return {basis for (matrix, _), basis in plp.basis_memo.items()
+            if matrix == "W" and basis is not None}
+
+
 def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, session_calls,
-                                               monkeypatch):
+                                               factor_calls, monkeypatch):
     # solve_lp rebound in qpopf.regions, as the benchmark counts enumeration solves
     solves = []
     solve = regions_mod.solve_lp
@@ -324,18 +330,164 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, s
 
     monkeypatch.setattr(regions_mod, "solve_lp", counted)
     for budget, regions in [(1, 1), (1000, 7)]:
-        for calls in (solves, basis_calls, lp_calls, session_calls):
+        for calls in (solves, basis_calls, lp_calls, session_calls, factor_calls):
             calls.clear()
         plp = linearize(case69)
         atlas = enumerate_regions(plp, budget, seed=11)
         assert len(solves) == budget
         assert len(basis_calls) == atlas.K == regions
+        # one LU factorization per distinct W basis, of those rows of W
+        bases = w_bases(plp)
+        assert len(bases) == regions
+        assert sorted(A.tobytes() for A in factor_calls) == sorted(
+            plp.W[list(basis)].tobytes() for basis in bases)
+        assert set(plp.factor_memo) == bases
         # the session's cold midpoint run happens inside the first solve_lp, not as a
         # sample of its own; then every sample is one solve of the LP's one session
         assert plp.start_memo["session"] is not None
         assert not [A for _, A, *_ in lp_calls if A is plp.W]
         assert len(session_calls) == budget
         assert {id(session) for session, *_ in session_calls} == {id(plp.start_memo["session"])}
+    # a projection factors its basis and keeps no factor
+    factored = len(factor_calls)
+    project_feasible(solve_lp(plp, np.full(plp.m, 0.5)).x, plp, np.full(plp.m, -0.5))
+    assert len(factor_calls) == factored + 1 and factor_calls[-1].shape == (2 * plp.n,) * 2
+    assert set(plp.factor_memo) == w_bases(plp)
+
+
+def test_each_w_basis_is_factored_once(basis_calls, factor_calls):
+    # toy2's region boundary is a third active set, and its basis is the lower region's
+    plp = lp_of("toy2")
+    enumerate_regions(plp, 64, seed=9)
+    boundary = solve_lp(plp, np.full(plp.m, 0.5))
+    assert boundary.status == "degenerate"
+    assert len(basis_calls) == 3 and tuple(boundary.basis) in w_bases(plp)
+    assert len(factor_calls) == len(plp.factor_memo) == len(w_bases(plp)) == 2
+    # projection bases are factored per call and never kept
+    thetas = np.random.default_rng(73).uniform(-1.0, 1.0, size=(16, plp.m))
+    for k, theta in enumerate(thetas):
+        project_feasible(solve_lp(plp, theta).x, plp, thetas[k - 1])
+    assert [matrix for matrix, _ in plp.basis_memo].count("projection") > 0
+    assert any(A.shape == (2 * plp.n, 2 * plp.n) for A in factor_calls)
+    assert len(plp.factor_memo) == len(w_bases(plp))
+    assert all(len(basis) == plp.n for basis in plp.factor_memo)
+
+
+@pytest.fixture()
+def factor_calls(monkeypatch):
+    """Record a copy of every matrix the lp module factors."""
+    calls = []
+    getrf = lp_mod.dgetrf
+
+    def recording(A, *args, **kwargs):
+        calls.append(np.array(A))
+        return getrf(A, *args, **kwargs)
+
+    monkeypatch.setattr(lp_mod, "dgetrf", recording)
+    return calls
+
+
+def polished_by_solve(A, b, x, resid, basis):
+    """The polish with its basis rows solved by ``np.linalg.solve``, which
+    raises ``LinAlgError`` on a singular basis: the oracle of ``_polished``."""
+    try:
+        x_basis = np.linalg.solve(A[basis], b[basis])
+    except np.linalg.LinAlgError:
+        return x, resid
+    resid_basis = A @ x_basis - b
+    before = float(np.max(resid, initial=0.0))
+    after = float(np.max(resid_basis, initial=0.0))
+    return (x_basis, resid_basis) if after <= max(1e-9, before) else (x, resid)
+
+
+@pytest.fixture()
+def polish_calls(monkeypatch):
+    """Record (A, b, x, resid, basis, factor, result) of every polish."""
+    calls = []
+    polish = lp_mod._polished
+
+    def recording(A, b, x, resid, basis, factor):
+        out = polish(A, b, x, resid, basis, factor)
+        calls.append((A, b, x, resid, list(basis), factor, out))
+        return out
+
+    monkeypatch.setattr(lp_mod, "_polished", recording)
+    return calls
+
+
+def assert_polishes_match_the_solve(calls):
+    """Each polish solves its basis system as ``np.linalg.solve`` does, bit
+    for bit, and returns what ``polished_by_solve`` returns."""
+    for A, b, x, resid, basis, factor, (x_out, resid_out) in calls:
+        system = np.linalg.solve(A[basis], b[basis])
+        assert lp_mod.dgetrs(*factor, b[basis])[0].tobytes() == system.tobytes()
+        x_ref, resid_ref = polished_by_solve(A, b, x, resid, basis)
+        assert (x_out.tobytes(), resid_out.tobytes()) == (x_ref.tobytes(), resid_ref.tobytes())
+
+
+@pytest.mark.parametrize("case,budget,seed", [("ieee69", 1000, 11), ("toy2", 64, 9)])
+def test_polish_matches_the_linalg_solve_oracle(case, budget, seed, polish_calls):
+    plp = lp_of(case)
+    enumerate_regions(plp, budget, seed=seed)
+    bases = w_bases(plp)
+    assert len(polish_calls) == budget and set(plp.factor_memo) == bases
+    # the first polish of each basis factors it, the later ones reuse the factor
+    first = {}
+    for A, _, _, _, basis, factor, _ in polish_calls:
+        assert A is plp.W
+        assert first.setdefault(tuple(basis), factor) is factor is plp.factor_memo[tuple(basis)]
+    assert_polishes_match_the_solve(polish_calls)
+    # 200 parameters per basis, each polishing the same start point from the kept factor
+    rng = np.random.default_rng(29)
+    x = solve_lp(plp, np.zeros(plp.m)).x
+    polish_calls.clear()
+    for basis in sorted(bases):
+        for theta in rng.uniform(-1.0, 1.0, size=(200, plp.m)):
+            b = plp.rhs(theta)
+            lp_mod._polished(plp.W, b, x, plp.W @ x - b, list(basis),
+                             lp_mod._w_factor(plp, list(basis)))
+    assert len(polish_calls) == 200 * len(bases) and set(plp.factor_memo) == bases
+    assert_polishes_match_the_solve(polish_calls)
+    # the projections' polishes, each from a factor of its own basis
+    polish_calls.clear()
+    thetas = np.random.default_rng(73).uniform(-1.0, 1.0, size=(16, plp.m))
+    for k, theta in enumerate(thetas):
+        project_feasible(solve_lp(plp, theta).x, plp, thetas[k - 1])
+    projections = [call for call in polish_calls if call[0] is plp.projection_matrix]
+    assert projections
+    assert_polishes_match_the_solve(polish_calls)
+
+
+def test_each_lp_polishes_from_its_own_factors(polish_calls):
+    # the same LP with every row scaled by 3: its bases are ieee69's, its W is not
+    plp = lp_of("ieee69")
+    scaled = dataclasses.replace(plp, W=3.0 * plp.W, S=3.0 * plp.S, T=3.0 * plp.T)
+    thetas = np.random.default_rng(31).uniform(-1.0, 1.0, size=(40, plp.m))
+    for theta in thetas:
+        solve_lp(plp, theta)
+        solve_lp(scaled, theta)
+    assert set(plp.factor_memo) & set(scaled.factor_memo)
+    assert all(call[0] is plp.W or call[0] is scaled.W for call in polish_calls)
+    assert_polishes_match_the_solve(polish_calls)
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2"])
+def test_a_singular_basis_leaves_the_point_unpolished(case):
+    plp = lp_of(case)
+    theta = np.zeros(plp.m)
+    sol = solve_lp(plp, theta)
+    b = plp.rhs(theta)
+    # the basis with its last row replaced by its first: exactly singular
+    planted = [*sol.basis[:-1], sol.basis[0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(plp.W[planted], b[planted])
+    factor = lp_mod._factored(plp.W[planted])
+    assert factor is None
+    x, resid = np.ones(plp.n), plp.W @ np.ones(plp.n) - b
+    out = lp_mod._polished(plp.W, b, x, resid, planted, factor)
+    assert out[0] is x and out[1] is resid
+    ref = polished_by_solve(plp.W, b, x, resid, planted)
+    assert ref[0] is x and ref[1] is resid
 
 
 @pytest.fixture()
