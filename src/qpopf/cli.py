@@ -130,9 +130,10 @@ def _resolve(parser, args: argparse.Namespace, command: str) -> dict:
     A flag arrives as its string and a ``--config`` value is first written
     as one (``str(value)``), so both go through the same cast: a JSON
     ``5.7`` fails as ``--ours 5.7`` does, and a JSON boolean is no number.
-    A value that does not cast, or a count key below 1, is a usage error
-    before any input is read; so is a ``--config`` file that does not read
-    as JSON, or whose top level or ``command`` section is not an object.
+    A value that does not cast, a count key below 1 or a negative seed is
+    a usage error before any input is read; so is a ``--config`` file that
+    does not read as JSON, or whose top level or ``command`` section is not
+    an object.
     """
     cfg_file = {}
     if args.config:
@@ -157,6 +158,8 @@ def _resolve(parser, args: argparse.Namespace, command: str) -> dict:
             parser.error(f"{flag}: {exc}")
         if key in COUNT_KEYS and value < 1:
             parser.error(f"{flag} must be >= 1, got {value}")
+        if key == "seed" and value < 0:
+            parser.error(f"{flag} must be >= 0, got {value}")
         resolved[key] = value
     return resolved
 

@@ -17,7 +17,6 @@ become linear rows over the active flows.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -277,6 +276,9 @@ class ParametricLP:
     ``eq_pairs`` lists those (row_le, row_ge) index pairs, each row in at
     most one pair.  ``qpopf.lp`` reads them to count a fully active pair as
     one hyperplane and to swap a basis row for its partner.
+    ``solver_state`` is what ``qpopf.lp`` keeps for this LP between solves;
+    only that module reads or sets it, and a ``dataclasses.replace`` copy
+    starts without it.
     """
 
     c: np.ndarray                  # (n,)
@@ -287,6 +289,7 @@ class ParametricLP:
     var_names: list[str] = field(default_factory=list)
     con_names: list[str] = field(default_factory=list)
     eq_pairs: list[tuple[int, int]] = field(default_factory=list)
+    solver_state: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -332,84 +335,6 @@ class ParametricLP:
             h.update(str(a.shape).encode())
             h.update(a.tobytes())
         return h.hexdigest()
-
-    @functools.cached_property
-    def W_csc(self) -> tuple[list[int], list[int], list[float]]:
-        """``column_compressed(W)``, built on the first LP solve."""
-        return column_compressed(self.W)
-
-    @functools.cached_property
-    def eq_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eq_pairs`` as two index arrays: the lower and the higher row of
-        each pair."""
-        pairs = np.array(self.eq_pairs, dtype=np.intp).reshape(-1, 2)
-        return pairs.min(axis=1), pairs.max(axis=1)
-
-    @functools.cached_property
-    def basis_memo(self) -> dict[tuple[str, tuple[int, ...]], tuple[int, ...] | None]:
-        """Basis picks of ``qpopf.lp``, keyed by the scanned matrix ("W" or
-        "projection") and the active rows.  A pick depends only on those
-        rows and this LP's data, so solves that share an active set (every
-        sample of one critical region) scan it once.  The values are index
-        tuples only, so two memos compare with ``==``; the factors of the
-        W bases are kept apart, in ``factor_memo``."""
-        return {}
-
-    @functools.cached_property
-    def factor_memo(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray] | None]:
-        """LU factorizations of the W bases ``qpopf.lp`` polishes from,
-        keyed by the basis: LAPACK getrf's (lu, piv) of those rows of W,
-        or None when they are singular.  Every sample of one critical
-        region shares its basis, so ``solve_lp`` factors it once and
-        polishes each vertex with two triangular solves.  A basis of the
-        projection LP is factored per call and not kept: its factor is
-        2n x 2n, the projections of a dispatch loop meet many bases, and
-        kept they cost megabytes of memory for a few percent of the
-        projection time."""
-        return {}
-
-    @functools.cached_property
-    def start_memo(self) -> dict[str, object]:
-        """The HiGHS models ``qpopf.lp`` keeps for this LP.  Under
-        "session", that of ``solve_lp``: first solved cold at the centre of
-        the theta box, then rewritten by every later solve and restarted
-        from that run's optimal basis; None when that run has no optimum.
-        Under "projection", that of ``project_feasible``'s auxiliary LP,
-        loaded by the first projection HiGHS accepts and rewritten and
-        solved cold by each.  Each is filled on first use, and no solve
-        depends on which ran before it.  Basis picks and their factors
-        are kept apart, in ``basis_memo`` and ``factor_memo``."""
-        return {}
-
-    @functools.cached_property
-    def projection_matrix(self) -> np.ndarray:
-        """Rows [[W, 0], [I, -I], [-I, -I]] of the L1 projection LP over (x, u);
-        read-only, since every projection shares it."""
-        n, q = self.n, self.q
-        eye = np.eye(n)
-        A = np.block([[self.W, np.zeros((q, n))], [eye, -eye], [-eye, -eye]])
-        A.setflags(write=False)
-        return A
-
-    @functools.cached_property
-    def projection_csc(self) -> tuple[list[int], list[int], list[float]]:
-        """``column_compressed(projection_matrix)``, built on the first projection."""
-        return column_compressed(self.projection_matrix)
-
-
-def column_compressed(A: np.ndarray) -> tuple[list[int], list[int], list[float]]:
-    """``A`` as column-compressed (start, index, value), laid out as
-    ``scipy.sparse.csc_array(A)``: zeros dropped, rows ascending within
-    each column.  Python lists, because HiGHS's binding copies a list
-    several times faster than a numpy array.
-    """
-    if not np.isfinite(A).all():
-        raise ValueError("constraint matrix must be finite")
-    At = A.T
-    cols, rows = np.nonzero(At)
-    start = np.zeros(A.shape[1] + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(At, axis=1), out=start[1:])
-    return start.tolist(), rows.tolist(), At[cols, rows].tolist()
 
 
 def linearize(case: GridCase) -> ParametricLP:

@@ -4,56 +4,43 @@
 the binding scipy bundles: the same model, options and checks as
 ``scipy.optimize.linprog(method="highs")``, so a cold solve gives the
 same answer bit for bit, without that function's per-call option
-validation and input conversion.  The constraint matrix of a parametric
-LP, and that of its L1 projection LP, are converted once
-(``ParametricLP.W_csc``, ``ParametricLP.projection_csc``).  ``solve_lp``
-keeps one HiGHS model per LP (``_Session``, in ``ParametricLP.start_memo``),
-whose first run is a cold solve at the centre of the theta box: each
-later solve rewrites only the row bounds that theta changed and restarts
-the dual simplex from the optimal basis of that first run, so a solve
-takes a few pivots and no presolve, and its answer depends on theta
-alone, not on earlier solves.  ``project_feasible`` likewise keeps one
-HiGHS model of its auxiliary LP per LP (``_Model``, also in
-``ParametricLP.start_memo``): each projection rewrites the row bounds
-that changed and drops the last run's solver state, so presolve and the
-dual simplex run cold, as in a freshly loaded model.  Every path checks
-its input and judges HiGHS's answer by one rule (``_checked``,
-``_answer``).  Degenerate-basis recovery and the pruning LPs load a
-model per solve.  ``solve_lp`` then post-processes the answer: a
-residual scan identifies the active rows, a deterministic rank selection
-picks the first n independent ones as a basis, and the solution is
-re-solved from the basis's one LU factorization (``_polished``, which
-``project_feasible`` shares) so the returned vertex is accurate to
-linear-solve precision rather than solver tolerance; a LAPACK getrf
-factor and a getrs solve from it give ``np.linalg.solve``'s answer bit
-for bit.  The projection's rank selection reads the block structure of
-its matrix (``_projection_basis``).  An equality
-is written as two opposing rows (``ParametricLP.eq_pairs``) and counts
-as one hyperplane (``_hyperplanes``): the rank selection scans only the
-lower member of a fully active pair, since the higher is its negation,
-and the vertex is degenerate unless there are exactly n active
-hyperplanes.  The basis then takes whichever member of a pair has a nonnegative dual.
-``perturbed_basis`` recovers a basis where the vertex is degenerate.  A
-basis pick depends only on the active rows, and the active set is
-constant over a critical region, so each LP keeps its picks
-(``ParametricLP.basis_memo``) and the factor of each W basis
-(``ParametricLP.factor_memo``): every solve still runs HiGHS, but
-samples of one region scan their rows and factor their basis once.  A
-projection's basis is factored per call.  The returned vertex is
-re-solved from that basis, so a warm and a cold solve give the same
-``LPSolution`` bit for bit.  Results are deterministic for identical
-inputs.
+validation and input conversion.  ``solve_lp`` re-solves one kept HiGHS
+model of the LP from the optimal basis of its cold solve at the centre
+of the theta box, and ``project_feasible`` re-solves one kept model of
+its auxiliary LP cold (``_Model``); ``_Kept`` says what each LP keeps.
+Every path checks its input and judges HiGHS's answer by one rule
+(``_checked``, ``_answer``).  Degenerate-basis recovery and the pruning
+LPs load a model per solve.  ``solve_lp`` then post-processes the
+answer: a residual scan identifies the active rows, a deterministic
+rank selection picks the first n independent ones as a basis, and the
+solution is re-solved from the basis's one LU factorization
+(``_polished``, which ``project_feasible`` shares) so the returned
+vertex is accurate to linear-solve precision rather than solver
+tolerance; a LAPACK getrf factor and a getrs solve from it give
+``np.linalg.solve``'s answer bit for bit.  The projection's rank
+selection reads the block structure of its matrix
+(``_projection_basis``).  An equality is written as two opposing rows
+(``ParametricLP.eq_pairs``) and counts as one hyperplane
+(``_hyperplanes``): the rank selection scans only the lower member of a
+fully active pair, since the higher is its negation, and the vertex is
+degenerate unless there are exactly n active hyperplanes.  The basis
+then takes whichever member of a pair has a nonnegative dual.
+``perturbed_basis`` recovers a basis where the vertex is degenerate.
+The returned vertex is re-solved from its basis, so a warm and a cold
+solve give the same ``LPSolution`` bit for bit.  Results are
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from qpopf.grid import ParametricLP, column_compressed
+from qpopf.grid import ParametricLP
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -166,6 +153,21 @@ def _answer(highs: _highs._Highs, b: np.ndarray) -> tuple[str, np.ndarray | None
     raise LpNumericError(f"LP solver failed: {highs.modelStatusToString(status)}")
 
 
+def column_compressed(A: np.ndarray) -> tuple[list[int], list[int], list[float]]:
+    """``A`` as column-compressed (start, index, value), laid out as
+    ``scipy.sparse.csc_array(A)``: zeros dropped, rows ascending within
+    each column.  Python lists, because HiGHS's binding copies a list
+    several times faster than a numpy array.
+    """
+    if not np.isfinite(A).all():
+        raise ValueError("constraint matrix must be finite")
+    At = A.T
+    cols, rows = np.nonzero(At)
+    start = np.zeros(A.shape[1] + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(At, axis=1), out=start[1:])
+    return start.tolist(), rows.tolist(), At[cols, rows].tolist()
+
+
 def _loaded(
     c: np.ndarray, b: np.ndarray, csc: tuple[list[int], list[int], list[float]]
 ) -> _highs._Highs | None:
@@ -212,22 +214,20 @@ class _Model:
 
     ``upper`` is the b the model holds.  Each solve rewrites only the row
     bounds that differ from it, so the model always equals the one
-    ``linprog`` would load for that b.
+    ``linprog`` would load for that b.  ``start`` is the basis each solve
+    restarts the dual simplex from; when it is None, HiGHS drops the last
+    run's solver state (``clearSolver``), so presolve and the dual simplex
+    start afresh and the answer is the one a freshly loaded model gives.
     """
 
     def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
                  csc: tuple[list[int], list[int], list[float]]):
         self.c, self.A, self.upper = c, A, b.copy()
         self.highs = _loaded(c, b, csc)
+        self.start: _highs.HighsBasis | None = None
 
     def solve(self, b: np.ndarray) -> tuple[str, np.ndarray | None]:
-        """``linprog(c, A, b)``, cold: HiGHS drops the last run's solver state
-        (``clearSolver``), so presolve and the dual simplex start afresh and
-        the answer is the one a freshly loaded model gives."""
-        return self._run(b, None)
-
-    def _run(self, b: np.ndarray, start: _highs.HighsBasis | None) -> tuple[str, np.ndarray | None]:
-        """Solve at ``b`` from the basis ``start``, or cold when it is None."""
+        """``linprog(c, A, b)``, from ``start`` or cold."""
         _checked(self.c, self.A, b)
         highs, upper = self.highs, self.upper
         for i in np.flatnonzero(b != upper).tolist():
@@ -237,32 +237,87 @@ class _Model:
                 # refuses the whole model
                 return _NO_SOLUTION[_STATUS.kModelError], None
             upper[i] = b[i]
-        if start is None:
+        if self.start is None:
             highs.clearSolver()
         else:
-            highs.setBasis(start)
+            highs.setBasis(self.start)
         return _answer(highs, b)
 
 
-class _Session(_Model):
-    """The HiGHS model of a parametric LP, re-solved at each theta from one
-    start basis.
+class _Kept:
+    """What this module keeps of one parametric LP between calls.
 
-    The model is loaded with the right-hand side at the centre of the theta
-    box and solved there once, cold.  ``basis`` keeps the optimal basis of
-    that run, or is None when HiGHS refuses the model or the centre has no
-    optimum.  Each solve restarts from ``basis``, so no answer depends on
-    the solves before it.
+    Each part is built on first use and goes with the LP:
+    - ``W_csc``: W as HiGHS loads it; ``projection_matrix``: the rows
+      [[W, 0], [I, -I], [-I, -I]] of the L1 projection LP over (x, u),
+      read-only, and ``projection_csc``, that matrix as HiGHS loads it;
+    - ``eq_rows``: the lower and the higher row of each equality pair;
+    - ``session``: ``solve_lp``'s model, started from its cold solve at
+      the centre of the theta box;
+    - ``projection``: ``project_feasible``'s model, kept once HiGHS
+      accepts a load, solved cold by each projection;
+    - ``bases``: basis picks keyed by the scanned matrix ("W" or
+      "projection") and the active rows.  A pick depends only on those
+      rows and the LP, so the samples of one critical region scan their
+      rows once.  The values are index tuples, so two compare with ``==``;
+    - ``factors``: getrf's (lu, piv) of each W basis ``solve_lp`` polishes
+      from, or None when it is singular, so the samples of one region
+      polish with two triangular solves.  A projection's basis is
+      factored per call and not kept: its factor is 2n x 2n, a dispatch
+      loop meets many, and kept they cost megabytes for a few percent of
+      the projection time.
+
+    No solve depends on which ran before it.  The LP's arrays are kept,
+    never the ``ParametricLP``, so an LP and its HiGHS models are freed
+    with its last reference, not by the cyclic garbage collector.
     """
 
     def __init__(self, plp: ParametricLP):
-        super().__init__(plp.c, plp.W, plp.rhs(plp.theta_box.mean(axis=1)), plp.W_csc)
-        optimal = self.highs is not None and _answer(self.highs, self.upper)[0] == "optimal"
-        self.basis = self.highs.getBasis() if optimal else None
+        self.c, self.W = plp.c, plp.W
+        self.centre = plp.rhs(plp.theta_box.mean(axis=1))
+        pairs = np.array(plp.eq_pairs, dtype=np.intp).reshape(-1, 2)
+        self.eq_rows = pairs.min(axis=1), pairs.max(axis=1)
+        self.bases: dict[tuple[str, tuple[int, ...]], tuple[int, ...] | None] = {}
+        self.factors: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray] | None] = {}
+        self.projection: _Model | None = None
 
-    def solve(self, b: np.ndarray) -> tuple[str, np.ndarray | None]:
-        """``linprog(plp.c, plp.W, b)``, started from ``basis``."""
-        return self._run(b, self.basis)
+    @cached_property
+    def W_csc(self) -> tuple[list[int], list[int], list[float]]:
+        return column_compressed(self.W)
+
+    @cached_property
+    def projection_matrix(self) -> np.ndarray:
+        q, n = self.W.shape
+        eye = np.eye(n)
+        A = np.block([[self.W, np.zeros((q, n))], [eye, -eye], [-eye, -eye]])
+        A.setflags(write=False)
+        return A
+
+    @cached_property
+    def projection_csc(self) -> tuple[list[int], list[int], list[float]]:
+        return column_compressed(self.projection_matrix)
+
+    @cached_property
+    def session(self) -> _Model | None:
+        """The model loaded at ``centre`` and solved there once, cold, with
+        that run's optimal basis as its ``start``; None when HiGHS refuses
+        the model, or that run has no optimum or raises ``LpNumericError``."""
+        model = _Model(self.c, self.W, self.centre, self.W_csc)
+        try:
+            optimal = model.highs is not None and _answer(model.highs, self.centre)[0] == "optimal"
+        except LpNumericError:
+            return None
+        if not optimal:
+            return None
+        model.start = model.highs.getBasis()
+        return model
+
+
+def _kept(plp: ParametricLP) -> _Kept:
+    """``plp.solver_state``, built on first use."""
+    if plp.solver_state is None:
+        plp.solver_state = _Kept(plp)
+    return plp.solver_state
 
 
 def _scan_active(resid: np.ndarray, tol: float) -> list[int]:
@@ -274,7 +329,7 @@ def _hyperplanes(plp: ParametricLP, active: list[int]) -> list[int]:
     """One active row per active hyperplane: ``active`` without the higher
     member of each fully active opposing pair (the negation of the lower)."""
     active = np.asarray(active, dtype=np.intp)
-    lower, higher = plp.eq_rows
+    lower, higher = _kept(plp).eq_rows
     # long enough for the rows of W and of the projection matrix
     rows = np.zeros(plp.q + 2 * plp.n, dtype=bool)
     rows[active] = True
@@ -309,7 +364,7 @@ def _greedy_basis(A: np.ndarray, rows: list[int], n: int) -> list[int] | None:
 
 
 def _projection_basis(plp: ParametricLP, rows: list[int]) -> list[int] | None:
-    """``_greedy_basis(plp.projection_matrix, rows, 2 * plp.n)``, for
+    """``_greedy_basis(_kept(plp).projection_matrix, rows, 2 * plp.n)``, for
     ascending ``rows``, from that matrix's blocks [[W, 0], [I, -I], [-I, -I]]
     over (x, u).
 
@@ -353,11 +408,11 @@ def _fix_basis_signs(plp: ParametricLP, basis: list[int]) -> list[int]:
 
 def _basis(plp: ParametricLP, matrix: str, active: list[int]) -> list[int] | None:
     """Basis of the active rows of ``matrix``, picked once per LP and active
-    set (``ParametricLP.basis_memo``): the greedy pick of W with its signs
-    fixed ("W"), or the greedy pick of the projection matrix
-    (``_projection_basis``, "projection")."""
-    key = (matrix, tuple(active))
-    if key not in plp.basis_memo:
+    set (``_Kept.bases``): the greedy pick of W with its signs fixed ("W"),
+    or the greedy pick of the projection matrix (``_projection_basis``,
+    "projection")."""
+    key, bases = (matrix, tuple(active)), _kept(plp).bases
+    if key not in bases:
         # the leading rows of the projection matrix are W, so W's pairs carry over
         rows = _hyperplanes(plp, active)
         if matrix == "W":
@@ -366,8 +421,8 @@ def _basis(plp: ParametricLP, matrix: str, active: list[int]) -> list[int] | Non
                 basis = _fix_basis_signs(plp, basis)
         else:
             basis = _projection_basis(plp, rows)
-        plp.basis_memo[key] = None if basis is None else tuple(basis)
-    basis = plp.basis_memo[key]
+        bases[key] = None if basis is None else tuple(basis)
+    basis = bases[key]
     return None if basis is None else list(basis)
 
 
@@ -382,11 +437,11 @@ def _factored(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _w_factor(plp: ParametricLP, basis: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
     """``_factored(plp.W[basis])``, factored once per LP and basis
-    (``ParametricLP.factor_memo``)."""
-    key = tuple(basis)
-    if key not in plp.factor_memo:
-        plp.factor_memo[key] = _factored(plp.W[basis])
-    return plp.factor_memo[key]
+    (``_Kept.factors``)."""
+    key, factors = tuple(basis), _kept(plp).factors
+    if key not in factors:
+        factors[key] = _factored(plp.W[basis])
+    return factors[key]
 
 
 def _polished(
@@ -430,26 +485,13 @@ def _solution(plp: ParametricLP, b: np.ndarray, status: str, x: np.ndarray | Non
     )
 
 
-def _session(plp: ParametricLP) -> _Session | None:
-    """``plp.start_memo["session"]``, built on first use; None when its
-    centre solve leaves no start basis or raises ``LpNumericError``."""
-    memo = plp.start_memo
-    if "session" not in memo:
-        try:
-            session = _Session(plp)
-            memo["session"] = None if session.basis is None else session
-        except LpNumericError:
-            memo["session"] = None
-    return memo["session"]
-
-
 def solve_lp(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
     """Minimize c.x over {W x <= S + T theta} and extract the active set."""
     b = plp.rhs(theta)
-    session = _session(plp)
-    if session is None:
-        return _solution(plp, b, *linprog(plp.c, plp.W, b, csc=plp.W_csc))
-    return _solution(plp, b, *session.solve(b))
+    kept = _kept(plp)
+    if kept.session is None:
+        return _solution(plp, b, *linprog(plp.c, plp.W, b, csc=kept.W_csc))
+    return _solution(plp, b, *kept.session.solve(b))
 
 
 def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:
@@ -463,7 +505,7 @@ def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:
     theta = np.asarray(theta, dtype=float)
     for scale in (1e-9, 1e-9 * 100.0):
         b = plp.rhs(theta) + scale * np.arange(1, plp.q + 1)
-        _, x = linprog(plp.c, plp.W, b, csc=plp.W_csc)
+        _, x = linprog(plp.c, plp.W, b, csc=_kept(plp).W_csc)
         if x is None:
             return None
         active = _scan_active(plp.W @ x - b, max(scale / 3.0, 1e-10))
@@ -499,21 +541,18 @@ def feasible_dispatch(
     return x, False
 
 
-def _projection(plp: ParametricLP, b: np.ndarray) -> tuple[str, np.ndarray | None]:
+def _projection(kept: _Kept, b: np.ndarray) -> tuple[str, np.ndarray | None]:
     """``linprog`` of the L1 projection LP (``project_feasible``) at its
-    right-hand side ``b``, on the LP's one model of it,
-    ``plp.start_memo["projection"]``: loaded by the first projection whose
-    model HiGHS accepts, then rewritten and solved cold by each."""
-    memo = plp.start_memo
-    if "projection" not in memo:
-        n = plp.n
+    right-hand side ``b``, on ``kept.projection``."""
+    if kept.projection is None:
+        A, n = kept.projection_matrix, kept.W.shape[1]
         c = np.concatenate([np.zeros(n), np.ones(n)])
-        _checked(c, plp.projection_matrix, b)
-        model = _Model(c, plp.projection_matrix, b, plp.projection_csc)
+        _checked(c, A, b)
+        model = _Model(c, A, b, kept.projection_csc)
         if model.highs is None:
             return _NO_SOLUTION[_STATUS.kModelError], None
-        memo["projection"] = model
-    return memo["projection"].solve(b)
+        kept.projection = model
+    return kept.projection.solve(b)
 
 
 def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) -> np.ndarray:
@@ -528,9 +567,10 @@ def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) 
     if float(np.max(plp.W @ x_tilde - b, initial=0.0)) <= TOL_FEAS:
         return x_tilde.copy()
 
-    A_aux = plp.projection_matrix
+    kept = _kept(plp)
+    A_aux = kept.projection_matrix
     b_aux = np.concatenate([b, x_tilde, -x_tilde])
-    status, z = _projection(plp, b_aux)
+    status, z = _projection(kept, b_aux)
     if status != "optimal":
         raise ProjectionError(f"projection LP is {status} at theta={theta}")
     resid = A_aux @ z - b_aux

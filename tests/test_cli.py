@@ -586,6 +586,20 @@ def test_empty_count_is_a_usage_error(tmp_path, capsys, command, flags, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["regions", "train", "audit", "eval", "sweep"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # no input exists: the seed is checked before any input is loaded
+    missing = tmp_path / "missing.json"
+    atlas = [] if command == "regions" else ["--atlas", missing]
+    model = ["--model", "oracle"] if command in ("audit", "eval", "sweep") else []
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--case", missing, *atlas, *model, "--seed", "-1", "--out-dir", out])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,flags,bad", [
     ("audit", ["--gamma-grid", ",", "--beta-grid", "1"], "--gamma-grid is empty: ','"),
     ("audit", ["--gamma-grid", ""], "--gamma-grid is empty: ''"),

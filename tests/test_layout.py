@@ -4,8 +4,9 @@ Every module of ``src/qpopf`` imports the package's other modules at its
 top and uses only their public names; every private function or method is
 called from somewhere in the package; every public function is named by
 the package, the benchmark or the README's library example, bar a listed
-few; the package exports exactly the names the README's ``## Library``
-block imports from it.
+few; only ``lp`` names the state it keeps on an LP (``solver_state``);
+the package exports exactly the names the README's ``## Library`` block
+imports from it.
 """
 
 import ast
@@ -72,6 +73,15 @@ def private_reads(modules: dict[str, ast.Module]) -> list[str]:
             elif isinstance(node, ast.Attribute) and node.attr in foreign:
                 found.append(f"{name}:{node.lineno} reads .{node.attr}")
     return found
+
+
+def solver_state_uses(modules: dict[str, ast.Module]) -> list[str]:
+    """Lines of modules other than ``lp`` that name an LP's ``solver_state``,
+    as an attribute or as the string ``getattr`` would take."""
+    return [f"{name}:{node.lineno}" for name, tree in modules.items() if name != "lp"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "solver_state")
+            or (isinstance(node, ast.Constant) and node.value == "solver_state")]
 
 
 def unreferenced_private_functions(modules: dict[str, ast.Module]) -> list[str]:
@@ -165,6 +175,17 @@ def test_the_checks_flag_planted_violations():
     reader = ast.parse("from qpopf.d import used\n\nf = lambda unused: unused\n")
     readers = [*public.values(), reader]
     assert unnamed_public_functions(public, readers) == ["d.shadowed", "d.unused"]
+    state = {
+        "grid": ast.parse("class P:\n    solver_state: object = None\n"),
+        "lp": ast.parse("def _kept(plp):\n    return plp.solver_state\n"),
+        "evaluate": ast.parse("def f(plp):\n    a = plp.solver_state\n"
+                              "    return getattr(plp, 'solver_state', a)\n"),
+    }
+    assert solver_state_uses(state) == ["evaluate:2", "evaluate:3"]
+
+
+def test_only_lp_names_the_lp_solver_state():
+    assert solver_state_uses(parse_package()) == []
 
 
 def test_every_private_function_is_used_in_the_package():

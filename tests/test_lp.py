@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import os
 import subprocess
 import sys
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from scipy.optimize._highspy import _core as highs_core
 from qpopf import lp as lp_mod
 from qpopf import regions as regions_mod
 from qpopf.data import case_path
-from qpopf.grid import ParametricLP, column_compressed, linearize, load_case
-from qpopf.lp import perturbed_basis, project_feasible, solve_lp
+from qpopf.grid import ParametricLP, linearize, load_case
+from qpopf.lp import column_compressed, perturbed_basis, project_feasible, solve_lp
 from qpopf.regions import chebyshev_center, enumerate_regions
 from tests.conftest import make_toy_plp
 from tests.lp_oracle import (SCIPY_STATUS, dual_certificate, hyperplanes_by_set, scipy_linprog,
@@ -215,12 +217,13 @@ def test_basis_scan_matches_vstack_oracle(case, basis_calls):
         # a dispatch solved at another theta is usually infeasible here
         project_feasible(sol.x, plp, thetas[k - 1])
         perturbed_basis(plp, theta)
-    assert [matrix for matrix, _ in plp.basis_memo].count("projection") >= 3
+    kept = lp_mod._kept(plp)
+    assert [matrix for matrix, _ in kept.bases].count("projection") >= 3
     for A, rows, n, picked in basis_calls:
         assert picked == greedy_basis_vstack(A, rows, n)
     # a scan of one row per hyperplane picks what a scan of every active row picks
-    for (matrix, active), basis in plp.basis_memo.items():
-        A, n = (plp.W, plp.n) if matrix == "W" else (plp.projection_matrix, 2 * plp.n)
+    for (matrix, active), basis in kept.bases.items():
+        A, n = (plp.W, plp.n) if matrix == "W" else (kept.projection_matrix, 2 * plp.n)
         picked = greedy_basis_vstack(A, list(active), n)
         if matrix == "W" and picked is not None:
             picked = lp_mod._fix_basis_signs(plp, picked)
@@ -244,7 +247,7 @@ def perturbed_basis_mirror(plp, theta, mirror):
     """``perturbed_basis`` deciding uniqueness with ``effective_count_mirror``."""
     for scale in (1e-9, 1e-9 * 100.0):
         b = plp.rhs(theta) + scale * np.arange(1, plp.q + 1)
-        _, x = lp_mod.linprog(plp.c, plp.W, b, csc=plp.W_csc)
+        _, x = lp_mod.linprog(plp.c, plp.W, b, csc=lp_mod._kept(plp).W_csc)
         if x is None:
             return None
         active = lp_mod._scan_active(plp.W @ x - b, max(scale / 3.0, 1e-10))
@@ -300,21 +303,21 @@ def test_basis_memo_matches_a_cold_lp(case):
     rng = np.random.default_rng(73)
     thetas = rng.uniform(-1.0, 1.0, size=(100, warm.m))
     filling = [lp_answers(warm, thetas, k) for k in range(len(thetas))]
-    memo = dict(warm.basis_memo)
+    memo = dict(lp_mod._kept(warm).bases)
     for k in range(len(thetas)):
         cold = linearize(grid_case)
-        assert not cold.basis_memo
+        assert not lp_mod._kept(cold).bases
         assert filling[k] == lp_answers(warm, thetas, k) == lp_answers(cold, thetas, k)
     # the second pass over the warm LP scanned nothing new
-    assert warm.basis_memo == memo
+    assert lp_mod._kept(warm).bases == memo
     kinds = [matrix for matrix, _ in memo]
     assert 0 < kinds.count("W") < len(thetas)
     assert 0 < kinds.count("projection") < len(thetas)
 
 
 def w_bases(plp):
-    """The distinct bases ``basis_memo`` holds for W, without None."""
-    return {basis for (matrix, _), basis in plp.basis_memo.items()
+    """The distinct bases the LP keeps for W, without None."""
+    return {basis for (matrix, _), basis in lp_mod._kept(plp).bases.items()
             if matrix == "W" and basis is not None}
 
 
@@ -341,18 +344,18 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, s
         assert len(bases) == regions
         assert sorted(A.tobytes() for A in factor_calls) == sorted(
             plp.W[list(basis)].tobytes() for basis in bases)
-        assert set(plp.factor_memo) == bases
+        assert set(lp_mod._kept(plp).factors) == bases
         # the session's cold midpoint run happens inside the first solve_lp, not as a
         # sample of its own; then every sample is one solve of the LP's one session
-        assert plp.start_memo["session"] is not None
+        assert lp_mod._kept(plp).session is not None
         assert not [A for _, A, *_ in lp_calls if A is plp.W]
         assert len(session_calls) == budget
-        assert {id(session) for session, *_ in session_calls} == {id(plp.start_memo["session"])}
+        assert {id(session) for session, *_ in session_calls} == {id(lp_mod._kept(plp).session)}
     # a projection factors its basis and keeps no factor
     factored = len(factor_calls)
     project_feasible(solve_lp(plp, np.full(plp.m, 0.5)).x, plp, np.full(plp.m, -0.5))
     assert len(factor_calls) == factored + 1 and factor_calls[-1].shape == (2 * plp.n,) * 2
-    assert set(plp.factor_memo) == w_bases(plp)
+    assert set(lp_mod._kept(plp).factors) == w_bases(plp)
 
 
 def test_each_w_basis_is_factored_once(basis_calls, factor_calls):
@@ -362,15 +365,16 @@ def test_each_w_basis_is_factored_once(basis_calls, factor_calls):
     boundary = solve_lp(plp, np.full(plp.m, 0.5))
     assert boundary.status == "degenerate"
     assert len(basis_calls) == 3 and tuple(boundary.basis) in w_bases(plp)
-    assert len(factor_calls) == len(plp.factor_memo) == len(w_bases(plp)) == 2
+    kept = lp_mod._kept(plp)
+    assert len(factor_calls) == len(kept.factors) == len(w_bases(plp)) == 2
     # projection bases are factored per call and never kept
     thetas = np.random.default_rng(73).uniform(-1.0, 1.0, size=(16, plp.m))
     for k, theta in enumerate(thetas):
         project_feasible(solve_lp(plp, theta).x, plp, thetas[k - 1])
-    assert [matrix for matrix, _ in plp.basis_memo].count("projection") > 0
+    assert [matrix for matrix, _ in kept.bases].count("projection") > 0
     assert any(A.shape == (2 * plp.n, 2 * plp.n) for A in factor_calls)
-    assert len(plp.factor_memo) == len(w_bases(plp))
-    assert all(len(basis) == plp.n for basis in plp.factor_memo)
+    assert len(kept.factors) == len(w_bases(plp))
+    assert all(len(basis) == plp.n for basis in kept.factors)
 
 
 @pytest.fixture()
@@ -429,13 +433,13 @@ def assert_polishes_match_the_solve(calls):
 def test_polish_matches_the_linalg_solve_oracle(case, budget, seed, polish_calls):
     plp = lp_of(case)
     enumerate_regions(plp, budget, seed=seed)
-    bases = w_bases(plp)
-    assert len(polish_calls) == budget and set(plp.factor_memo) == bases
+    bases, kept = w_bases(plp), lp_mod._kept(plp)
+    assert len(polish_calls) == budget and set(kept.factors) == bases
     # the first polish of each basis factors it, the later ones reuse the factor
     first = {}
     for A, _, _, _, basis, factor, _ in polish_calls:
         assert A is plp.W
-        assert first.setdefault(tuple(basis), factor) is factor is plp.factor_memo[tuple(basis)]
+        assert first.setdefault(tuple(basis), factor) is factor is kept.factors[tuple(basis)]
     assert_polishes_match_the_solve(polish_calls)
     # 200 parameters per basis, each polishing the same start point from the kept factor
     rng = np.random.default_rng(29)
@@ -446,14 +450,14 @@ def test_polish_matches_the_linalg_solve_oracle(case, budget, seed, polish_calls
             b = plp.rhs(theta)
             lp_mod._polished(plp.W, b, x, plp.W @ x - b, list(basis),
                              lp_mod._w_factor(plp, list(basis)))
-    assert len(polish_calls) == 200 * len(bases) and set(plp.factor_memo) == bases
+    assert len(polish_calls) == 200 * len(bases) and set(kept.factors) == bases
     assert_polishes_match_the_solve(polish_calls)
     # the projections' polishes, each from a factor of its own basis
     polish_calls.clear()
     thetas = np.random.default_rng(73).uniform(-1.0, 1.0, size=(16, plp.m))
     for k, theta in enumerate(thetas):
         project_feasible(solve_lp(plp, theta).x, plp, thetas[k - 1])
-    projections = [call for call in polish_calls if call[0] is plp.projection_matrix]
+    projections = [call for call in polish_calls if call[0] is kept.projection_matrix]
     assert projections
     assert_polishes_match_the_solve(polish_calls)
 
@@ -466,7 +470,7 @@ def test_each_lp_polishes_from_its_own_factors(polish_calls):
     for theta in thetas:
         solve_lp(plp, theta)
         solve_lp(scaled, theta)
-    assert set(plp.factor_memo) & set(scaled.factor_memo)
+    assert set(lp_mod._kept(plp).factors) & set(lp_mod._kept(scaled).factors)
     assert all(call[0] is plp.W or call[0] is scaled.W for call in polish_calls)
     assert_polishes_match_the_solve(polish_calls)
 
@@ -506,28 +510,32 @@ def lp_calls(monkeypatch):
 
 @pytest.fixture()
 def session_calls(monkeypatch):
-    """Record (session, b, (status, x)) of every warm solve ``solve_lp`` runs."""
-    calls = []
-    solve = lp_mod._Session.solve
-
-    def recording(self, b):
-        out = solve(self, b)
-        calls.append((self, b.copy(), out))
-        return out
-
-    monkeypatch.setattr(lp_mod._Session, "solve", recording)
-    return calls
-
-
-@pytest.fixture()
-def projection_calls(monkeypatch):
-    """Record (c, A, b, (status, x)) of every solve of the projection LP's kept model."""
+    """Record (session, b, (status, x)) of every warm solve ``solve_lp`` runs:
+    each solve of a kept model with a start basis."""
     calls = []
     solve = lp_mod._Model.solve
 
     def recording(self, b):
         out = solve(self, b)
-        calls.append((self.c, self.A, b.copy(), out))
+        if self.start is not None:
+            calls.append((self, b.copy(), out))
+        return out
+
+    monkeypatch.setattr(lp_mod._Model, "solve", recording)
+    return calls
+
+
+@pytest.fixture()
+def projection_calls(monkeypatch):
+    """Record (c, A, b, (status, x)) of every solve of the projection LP's kept
+    model: each solve of a kept model without a start basis."""
+    calls = []
+    solve = lp_mod._Model.solve
+
+    def recording(self, b):
+        out = solve(self, b)
+        if self.start is None:
+            calls.append((self.c, self.A, b.copy(), out))
         return out
 
     monkeypatch.setattr(lp_mod._Model, "solve", recording)
@@ -599,10 +607,11 @@ def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls, projection_
     for name, calls in families.items():
         assert calls, name
         assert_matches_scipy(calls)
-    assert projections and all(c[1] is plp.projection_matrix for c in projections)
+    kept = lp_mod._kept(plp)
+    assert projections and all(c[1] is kept.projection_matrix for c in projections)
     assert_answers_match_scipy(projections)
     assert warm == [len(thetas), 0, 10, 16, 0]
-    assert all(session is plp.start_memo["session"] for session, *_ in session_calls)
+    assert all(session is kept.session for session, *_ in session_calls)
     assert_warm_matches_scipy(plp, session_calls)
     for theta, sol in zip(thetas, solutions):
         assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
@@ -636,7 +645,7 @@ def test_linprog_passes_scipys_options(monkeypatch):
         solve_lp(plp, np.array([theta]))
     theirs, *ours = passed
     assert len(ours) == 2
-    session = plp.start_memo["session"].highs
+    session = lp_mod._kept(plp).session.highs
     assert isinstance(session, Recording)
     names = [k for k in dir(theirs) if not k.startswith("_")]
     assert len(names) > 50
@@ -660,12 +669,12 @@ def test_linprog_raises_past_the_iteration_limit(monkeypatch, plp69):
     )
     assert ref.status == 1
     with pytest.raises(lp_mod.LpNumericError, match="limit"):
-        lp_mod.linprog(plp69.c, plp69.W, b, csc=plp69.W_csc)
+        lp_mod.linprog(plp69.c, plp69.W, b, csc=lp_mod._kept(plp69).W_csc)
     # a midpoint run that fails leaves no session, and solve_lp fails as a cold solve does
     plp = dataclasses.replace(plp69)
     with pytest.raises(lp_mod.LpNumericError, match="limit"):
         solve_lp(plp, np.zeros(plp.m))
-    assert plp.start_memo == {"session": None}
+    assert (lp_mod._kept(plp).session, lp_mod._kept(plp).projection) == (None, None)
 
 
 @pytest.mark.parametrize("tamper,match", [
@@ -690,7 +699,7 @@ def test_linprog_checks_an_optimal_answer(monkeypatch, tamper, match):
     monkeypatch.setattr(highs_core, "_Highs", Tampered)
     plp, theta = make_toy_plp(), np.array([0.5])
     assert solve_lp(plp, theta).status == "optimal"
-    assert isinstance(plp.start_memo["session"].highs, Tampered)
+    assert isinstance(lp_mod._kept(plp).session.highs, Tampered)
     monkeypatch.setattr(Tampered, "active", True)
     with pytest.raises(lp_mod.LpNumericError, match=match):
         lp_mod.linprog(c, A, b)
@@ -711,8 +720,9 @@ def test_linprog_rejects_non_finite_data():
 def test_cached_csc_matches_scipy_sparse(case):
     plp = linearize(load_case(case_path(case)))
     ref = scipy.sparse.csc_array(plp.W)
-    start, index, value = plp.W_csc
-    assert plp.W_csc is plp.W_csc
+    kept = lp_mod._kept(plp)
+    start, index, value = kept.W_csc
+    assert kept.W_csc is kept.W_csc
     np.testing.assert_array_equal(start, ref.indptr)
     np.testing.assert_array_equal(index, ref.indices)
     assert np.array(value).tobytes() == ref.data.tobytes()
@@ -768,11 +778,12 @@ def test_cached_projection_matrix_matches_assembly(case):
     n, q = plp.n, plp.q
     eye = np.eye(n)
     A_aux = np.block([[plp.W, np.zeros((q, n))], [eye, -eye], [-eye, -eye]])
-    assert plp.projection_matrix is plp.projection_matrix
-    assert plp.projection_csc is plp.projection_csc
-    assert plp.projection_matrix.shape == A_aux.shape
-    assert plp.projection_matrix.tobytes() == A_aux.tobytes()
-    assert plp.projection_csc == column_compressed(A_aux)
+    kept = lp_mod._kept(plp)
+    assert kept.projection_matrix is kept.projection_matrix
+    assert kept.projection_csc is kept.projection_csc
+    assert kept.projection_matrix.shape == A_aux.shape
+    assert kept.projection_matrix.tobytes() == A_aux.tobytes()
+    assert kept.projection_csc == column_compressed(A_aux)
 
 
 @pytest.mark.parametrize("case,rows", [("ieee69", 40), ("toy2", 12)])
@@ -789,7 +800,7 @@ def test_projection_matches_per_call_assembly(case, rows, lp_calls):
         assert project_feasible(x, plp, theta).tobytes() == (
             project_feasible_assembled(x, plp, theta).tobytes())
         # the model HiGHS holds is the one assembled for this projection
-        model = plp.start_memo["projection"].highs.getLp()
+        model = lp_mod._kept(plp).projection.highs.getLp()
         (c0, A0, b0, _), = lp_calls[start + k:]
         assert np.array(model.row_upper_).tobytes() == b0.tobytes()
         assert np.array(model.col_cost_).tobytes() == c0.tobytes()
@@ -805,13 +816,13 @@ def projection_rows(plp, seed, count):
     """The active rows, one per hyperplane, of the cold projection LPs of
     ``count`` dispatches each solved at the theta before it."""
     thetas = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, plp.m))
-    A = plp.projection_matrix
+    A = lp_mod._kept(plp).projection_matrix
     c = np.concatenate([np.zeros(plp.n), np.ones(plp.n)])
     sets = []
     for k, theta in enumerate(thetas):
         x = solve_lp(plp, theta).x
         b = np.concatenate([plp.rhs(thetas[k - 1]), x, -x])
-        status, z = lp_mod.linprog(c, A, b, csc=plp.projection_csc)
+        status, z = lp_mod.linprog(c, A, b, csc=lp_mod._kept(plp).projection_csc)
         assert status == "optimal"
         sets.append(lp_mod._hyperplanes(plp, lp_mod._scan_active(A @ z - b, lp_mod.TOL_ACTIVE)))
     return sets
@@ -821,7 +832,7 @@ def projection_rows(plp, seed, count):
 def test_projection_basis_matches_the_greedy_scan(case):
     plp = lp_of(case)
     n, q = plp.n, plp.q
-    A = plp.projection_matrix
+    A = lp_mod._kept(plp).projection_matrix
     sets = [rows for seed in (73, 71, 67) for rows in projection_rows(plp, seed, 20)]
     # a coordinate the projection leaves at x_tilde has both its rows active
     assert any(set(rows) & {i + n for i in rows if q <= i < q + n} for rows in sets)
@@ -865,17 +876,17 @@ def test_projection_order_does_not_change_the_bytes(case):
     # the first projection refused before any model is kept, then each one after a failure
     after = lp_of(case)
     assert projection_bytes(after, *refused) == fresh[-1]
-    assert "projection" not in after.start_memo
+    assert lp_mod._kept(after).projection is None
     for k, pair in enumerate(pairs):
         assert projection_bytes(after, *(empty if k % 2 else refused)) == fresh[-1 - k % 2]
         assert projection_bytes(after, *pair) == fresh[k]
-    assert after.start_memo["projection"] is not None
+    assert lp_mod._kept(after).projection is not None
 
 
 def cold_copy(plp):
-    """``plp`` with an empty memo and no session: every solve_lp runs cold."""
+    """``plp`` with nothing kept and no session: every solve_lp runs cold."""
     cold = dataclasses.replace(plp)
-    cold.start_memo["session"] = None
+    lp_mod._kept(cold).session = None
     return cold
 
 
@@ -904,7 +915,7 @@ def test_warm_and_cold_solutions_are_bitwise_equal(case, boundary):
         sol = solve_lp(warm, theta)
         assert solution_bytes(sol) == solution_bytes(solve_lp(cold, theta))
         statuses.append(sol.status)
-    assert warm.start_memo["session"] is not None
+    assert lp_mod._kept(warm).session is not None
     assert "infeasible" in statuses and statuses.count("optimal") > len(thetas) // 2
     if case != "ieee69":
         # toy2's region boundary and the toy LP's kink at 0 are degenerate
@@ -924,7 +935,7 @@ def test_solve_order_does_not_change_the_bytes(case):
                 project_feasible(np.zeros(plp.n), plp, thetas[k])
             # each solve starts from the same basis, so takes as many pivots in any order
             out[k] = (solution_bytes(solve_lp(plp, thetas[k])),
-                      plp.start_memo["session"].highs.getInfo().simplex_iteration_count)
+                      lp_mod._kept(plp).session.highs.getInfo().simplex_iteration_count)
         return out
 
     forwards = answers(range(len(thetas)), False)
@@ -962,7 +973,7 @@ def test_a_wrong_start_gives_the_cold_answer(case):
     assert np.linalg.matrix_rank(plp.W[dependent]) < plp.n
     for start in (loose, dependent, midpoint[:-1]):
         wrong = dataclasses.replace(plp)
-        lp_mod._session(wrong).basis = rows_basis(wrong, start)
+        lp_mod._kept(wrong).session.start = rows_basis(wrong, start)
         assert [solution_bytes(solve_lp(wrong, theta)) for theta in thetas] == cold
 
 
@@ -979,7 +990,7 @@ def test_a_wrong_start_gives_the_cold_answer(case):
 def test_no_midpoint_basis_means_cold_solves(plp, statuses, lp_calls, session_calls):
     thetas = np.linspace(-1.0, 1.0, 9)[:, None]
     solutions = [solve_lp(plp, theta) for theta in thetas]
-    assert plp.start_memo == {"session": None}
+    assert (lp_mod._kept(plp).session, lp_mod._kept(plp).projection) == (None, None)
     # every solve_lp cold, after the session's midpoint run found no optimum
     assert len(lp_calls) == len(thetas) and not session_calls
     assert [sol.status for sol in solutions] == statuses
@@ -995,7 +1006,7 @@ def test_a_bad_theta_raises_on_both_paths(case):
     cold = cold_copy(warm)
     thetas = property_thetas(warm, 10, 0.5, seed=101)
     solve_lp(warm, thetas[0])
-    session = warm.start_memo["session"]
+    session = lp_mod._kept(warm).session
     for bad in (np.zeros((warm.m, 1)), np.full(warm.m, np.nan), np.full(warm.m, np.inf),
                 np.full(warm.m, -np.inf)):
         raised = []
@@ -1005,7 +1016,7 @@ def test_a_bad_theta_raises_on_both_paths(case):
             raised.append(str(info.value))
         assert raised[0] == raised[1]
         assert ("does not match" if bad.ndim == 2 else "finite") in raised[0]
-        assert warm.start_memo["session"] is session
+        assert lp_mod._kept(warm).session is session
         for theta in thetas:
             assert solution_bytes(solve_lp(warm, theta)) == (
                 solution_bytes(solve_lp_cold(warm, theta)))
@@ -1016,7 +1027,7 @@ def test_a_failed_solve_leaves_the_next_one_cold(case, monkeypatch):
     plp = lp_of(case)
     cold = cold_copy(plp)
     thetas = property_thetas(plp, 20, 0.5, seed=103)
-    session = lp_mod._session(plp)
+    session = lp_mod._kept(plp).session
 
     def next_solves_are_cold():
         for theta in thetas:
@@ -1061,7 +1072,7 @@ def test_a_failed_solve_leaves_the_next_one_cold(case, monkeypatch):
     assert raised
     session.highs.setOptionValue("simplex_iteration_limit", lp_mod._HIGHS_OPTIONS["maxiter"])
     next_solves_are_cold()
-    assert plp.start_memo["session"] is session
+    assert lp_mod._kept(plp).session is session
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2", "toy"])
@@ -1069,16 +1080,16 @@ def test_the_session_starts_from_the_cold_midpoint_solve(case):
     """The session's first run is the cold solve at the centre of the theta box:
     scipy's vertex bit for bit, and the valid basis HiGHS ends on is the start."""
     plp = lp_of(case)
-    session = lp_mod._Session(plp)
+    session = lp_mod._kept(dataclasses.replace(plp)).session
     ref = scipy_linprog(plp.c, plp.W, plp.rhs(plp.theta_box.mean(axis=1)))
     assert np.array(session.highs.getSolution().col_value).tobytes() == ref.x.tobytes()
-    assert session.basis.valid and not session.basis.alien
+    assert session.start.valid and not session.start.alien
     # the LP keeps that session as its only start
     solve_lp(plp, plp.theta_box[:, 0])
-    assert list(plp.start_memo) == ["session"]
-    kept = plp.start_memo["session"].basis
-    assert (kept.col_status, kept.row_status) == (session.basis.col_status,
-                                                  session.basis.row_status)
+    assert lp_mod._kept(plp).projection is None
+    kept = lp_mod._kept(plp).session.start
+    assert (kept.col_status, kept.row_status) == (session.start.col_status,
+                                                  session.start.row_status)
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
@@ -1094,7 +1105,7 @@ def test_the_session_model_is_the_cold_model(case):
     thetas = np.vstack([thetas, mid, some])
     for theta in thetas:
         solve_lp(plp, theta)
-        model = plp.start_memo["session"].highs.getLp()
+        model = lp_mod._kept(plp).session.highs.getLp()
         assert np.array(model.row_upper_).tobytes() == plp.rhs(theta).tobytes()
     inf = highs_core.kHighsInf
     assert model.row_lower_ == [-inf] * plp.q
@@ -1102,7 +1113,8 @@ def test_the_session_model_is_the_cold_model(case):
     assert np.array(model.col_cost_).tobytes() == plp.c.tobytes()
     mat = model.a_matrix_
     assert mat.format_ == highs_core.MatrixFormat.kColwise
-    assert (list(mat.start_), list(mat.index_), list(mat.value_)) == tuple(map(list, plp.W_csc))
+    assert (list(mat.start_), list(mat.index_), list(mat.value_)) == (
+        tuple(map(list, lp_mod._kept(plp).W_csc)))
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
@@ -1117,3 +1129,26 @@ def test_hyperplanes_match_the_set_oracle(case):
         picked = lp_mod._hyperplanes(plp, active)
         assert picked == hyperplanes_by_set(plp, active)
         assert all(type(i) is int for i in picked)
+
+
+def test_an_lp_is_freed_with_its_last_reference(case69):
+    """What the lp module keeps of an LP holds no reference back to it, so the
+    LP and its HiGHS models go without the cyclic garbage collector."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        plp = linearize(case69)
+        thetas = np.random.default_rng(113).uniform(-1.0, 1.0, size=(2, plp.m))
+        x = solve_lp(plp, thetas[0]).x
+        perturbed_basis(plp, thetas[0])
+        project_feasible(x, plp, thetas[1])
+        kept = lp_mod._kept(plp)
+        assert kept.session is not None and kept.projection is not None
+        assert dataclasses.replace(plp).solver_state is None
+        del kept
+        ref = weakref.ref(plp)
+        del plp
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
