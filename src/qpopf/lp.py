@@ -4,13 +4,14 @@
 the binding scipy bundles: the same model, options and checks as
 ``scipy.optimize.linprog(method="highs")``, so a cold solve gives the
 same answer bit for bit, without that function's per-call option
-validation and input conversion.  ``solve_lp`` re-solves one kept HiGHS
-model of the LP from the optimal basis of its cold solve at the centre
-of the theta box, and ``project_feasible`` re-solves one kept model of
-its auxiliary LP cold (``_Model``); ``_Kept`` says what each LP keeps.
+validation and input conversion.  ``simplex_solve`` re-solves one kept
+HiGHS model of the LP from the optimal basis of its cold solve at the
+centre of the theta box, and ``project_feasible`` re-solves one kept
+model of its auxiliary LP cold (``_Model``); ``_Kept`` says what each LP
+keeps.
 Every path checks its input and judges HiGHS's answer by one rule
 (``_checked``, ``_answer``).  Degenerate-basis recovery and the pruning
-LPs load a model per solve.  ``solve_lp`` then post-processes the
+LPs load a model per solve.  ``simplex_solve`` then post-processes the
 answer: a residual scan identifies the active rows, a deterministic
 rank selection picks the first n independent ones as a basis, and the
 solution is re-solved from the basis's one LU factorization
@@ -26,9 +27,23 @@ fully active pair, since the higher is its negation, and the vertex is
 degenerate unless there are exactly n active hyperplanes.  The basis
 then takes whichever member of a pair has a nonnegative dual.
 ``perturbed_basis`` recovers a basis where the vertex is degenerate.
-The returned vertex is re-solved from its basis, so a warm and a cold
-solve give the same ``LPSolution`` bit for bit.  Results are
-deterministic for identical inputs.
+The returned vertex is re-solved from its basis, so where the optimum
+is unique a warm and a cold solve give the same ``LPSolution`` bit for
+bit.  Results are deterministic for identical inputs.
+
+``solve_lp`` answers from a certified optimal basis before it runs
+HiGHS.  A basis whose duals are feasible stays optimal at every theta
+where its vertex is feasible, because the duals do not depend on theta
+(Gal & Nedoma, Management Science 1972; Borrelli, Bemporad & Morari,
+JOTA 2003).  So the LP keeps the basis of each "optimal" simplex answer
+whose basic inequality rows all have a dual of at least ``_CERT_DUAL``
+(``_keep_vertex``).  At a new theta each kept basis is re-solved from
+its factor; the point answers only if it is feasible, no residual lies
+near the active tolerance, and its active rows pick that basis again
+(``_certified``).  Strict primal and dual nondegeneracy make that
+optimum unique, so the answer is the one ``simplex_solve`` builds, bit
+for bit, and carries its own optimality proof.  A degenerate answer
+always comes from HiGHS.
 """
 
 from __future__ import annotations
@@ -54,6 +69,10 @@ except ImportError as exc:
 
 TOL_FEAS = 1e-8
 TOL_ACTIVE = 1e-7
+# The margins of a certified answer (``_keep_vertex``, ``_certified``)
+_CERT_FEAS = 1e-9
+_CERT_BAND = 1e-6
+_CERT_DUAL = 1e-6
 
 # In scipy's linprog naming; the tests solve with them through scipy as an oracle.
 _HIGHS_OPTIONS = {
@@ -260,16 +279,24 @@ class _Kept:
       "projection") and the active rows.  A pick depends only on those
       rows and the LP, so the samples of one critical region scan their
       rows once.  The values are index tuples, so two compare with ``==``;
-    - ``factors``: getrf's (lu, piv) of each W basis ``solve_lp`` polishes
-      from, or None when it is singular, so the samples of one region
-      polish with two triangular solves.  A projection's basis is
+    - ``factors``: getrf's (lu, piv) of each W basis ``simplex_solve``
+      polishes from, or None when it is singular, so the samples of one
+      region polish with two triangular solves.  A projection's basis is
       factored per call and not kept: its factor is 2n x 2n, a dispatch
       loop meets many, and kept they cost megabytes for a few percent of
-      the projection time.
+      the projection time;
+    - ``vertices``: the W bases of "optimal" simplex answers whose basic
+      inequality rows all have a dual of at least ``_CERT_DUAL``, in the
+      order found (``_keep_vertex``).  ``solve_lp`` tries them in that
+      order before it runs HiGHS (``_certified``).
 
-    No solve depends on which ran before it.  The LP's arrays are kept,
-    never the ``ParametricLP``, so an LP and its HiGHS models are freed
-    with its last reference, not by the cyclic garbage collector.
+    No solve depends on which ran before it.  That holds for the vertex
+    tries too: a vertex answers only with the ``LPSolution`` that
+    ``simplex_solve`` gives at that theta, which depends on theta alone,
+    so whichever vertex answers, and whichever were kept by then, the
+    bytes are the same.  The LP's arrays are kept, never the
+    ``ParametricLP``, so an LP and its HiGHS models are freed with its
+    last reference, not by the cyclic garbage collector.
     """
 
     def __init__(self, plp: ParametricLP):
@@ -279,6 +306,7 @@ class _Kept:
         self.eq_rows = pairs.min(axis=1), pairs.max(axis=1)
         self.bases: dict[tuple[str, tuple[int, ...]], tuple[int, ...] | None] = {}
         self.factors: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray] | None] = {}
+        self.vertices: list[tuple[int, ...]] = []
         self.projection: _Model | None = None
 
     @cached_property
@@ -485,13 +513,80 @@ def _solution(plp: ParametricLP, b: np.ndarray, status: str, x: np.ndarray | Non
     )
 
 
+def _keep_vertex(plp: ParametricLP, basis: list[int]) -> None:
+    """Keep ``basis``, that of an "optimal" simplex answer, as a vertex
+    (``_Kept.vertices``) when it is factored and every basic inequality
+    row's dual ``y = -W_B^-T c`` is at least ``_CERT_DUAL``: dual feasible
+    with a margin for every theta, since y does not depend on theta."""
+    kept, key = _kept(plp), tuple(basis)
+    factor = kept.factors[key]
+    if factor is None or key in kept.vertices:
+        return
+    y, _ = dgetrs(*factor, -plp.c, trans=1)
+    inequality = ~np.isin(basis, kept.eq_rows)
+    if np.all(y[inequality] >= _CERT_DUAL):
+        kept.vertices.append(key)
+
+
+def _certified(plp: ParametricLP, b: np.ndarray, basis: tuple[int, ...]) -> LPSolution | None:
+    """The answer ``simplex_solve`` gives at right-hand side ``b``, read off
+    the kept vertex ``basis`` when its point proves it optimal; else None.
+
+    The point is ``_polished``'s re-solve from the basis's kept factor.  It
+    answers when it is feasible within ``_CERT_FEAS`` (so the polish would
+    take it whatever HiGHS returned), no row's residual is in
+    (``_CERT_FEAS``, ``_CERT_BAND``] (so HiGHS's point, accurate to about
+    1e-10, scans the same active rows), those rows are exactly n
+    hyperplanes, and their basis pick is ``basis``.  With the basis's dual
+    margin that makes the optimum unique, and the answer is the simplex
+    path's ``LPSolution`` field for field.
+    """
+    rows = list(basis)
+    x, _ = dgetrs(*_kept(plp).factors[basis], b[rows])
+    resid = plp.W @ x - b
+    worst = float(np.max(resid, initial=0.0))
+    slack = np.abs(resid)
+    if worst > _CERT_FEAS or np.any((slack > _CERT_FEAS) & (slack <= _CERT_BAND)):
+        return None
+    active = _scan_active(resid, TOL_ACTIVE)
+    if len(_hyperplanes(plp, active)) != plp.n or _basis(plp, "W", active) != rows:
+        return None
+    return LPSolution(x=x, objective=float(plp.c @ x), status="optimal", active_set=active,
+                      basis=rows, max_violation=worst)
+
+
 def solve_lp(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
-    """Minimize c.x over {W x <= S + T theta} and extract the active set."""
+    """Minimize c.x over {W x <= S + T theta} and extract the active set.
+
+    Each kept vertex (``_Kept.vertices``) is tried first, in the order
+    kept; the first that proves its point optimal (``_certified``) answers
+    without a solve.  Otherwise, and for every degenerate, infeasible or
+    unbounded answer, ``simplex_solve`` runs.  Either way the answer is
+    ``simplex_solve``'s bit for bit.  A bad theta raises before any try.
+    """
+    b = plp.rhs(theta)
+    _checked(plp.c, plp.W, b)
+    for basis in _kept(plp).vertices:
+        sol = _certified(plp, b, basis)
+        if sol is not None:
+            return sol
+    return simplex_solve(plp, theta)
+
+
+def simplex_solve(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
+    """``solve_lp`` by one HiGHS run: a re-solve of the LP's session model
+    from its start basis, or a cold ``linprog`` when the LP has no
+    session.  The basis of an "optimal" answer is kept as a vertex when
+    its duals allow (``_keep_vertex``)."""
     b = plp.rhs(theta)
     kept = _kept(plp)
     if kept.session is None:
-        return _solution(plp, b, *linprog(plp.c, plp.W, b, csc=kept.W_csc))
-    return _solution(plp, b, *kept.session.solve(b))
+        sol = _solution(plp, b, *linprog(plp.c, plp.W, b, csc=kept.W_csc))
+    else:
+        sol = _solution(plp, b, *kept.session.solve(b))
+    if sol.status == "optimal":
+        _keep_vertex(plp, sol.basis)
+    return sol
 
 
 def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpopf import lp as lp_mod
 from qpopf.circuit import CircuitConfig
 from qpopf.classifier import (
     MlpBaseline,
@@ -149,6 +150,30 @@ def test_runtime_model_values():
     assert runtime_model(5, 0) == 1.01
     for L in (1, 2, 5):
         assert circuit_depth(5, 2 * L) - circuit_depth(5, L) == L * 6
+
+
+def test_the_lp_solver_row_times_simplex_solves(toy_plp, toy_atlas, monkeypatch):
+    """Every timed call of the baseline row runs one HiGHS session solve; none
+    is answered from a kept vertex, which ``solve_lp`` would do."""
+    session, certified = [], []
+    solve, certify = lp_mod._Model.solve, lp_mod._certified
+
+    def recording_solve(self, b):
+        if self.start is not None:
+            session.append(b.copy())
+        return solve(self, b)
+
+    def recording_certify(*args):
+        certified.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(lp_mod._Model, "solve", recording_solve)
+    monkeypatch.setattr(lp_mod, "_certified", recording_certify)
+    plp = dataclasses.replace(toy_plp)
+    measure_runtimes(plp, toy_atlas, repeats=7, seed=1)
+    assert len(session) == 7 and not certified
+    # the points it timed have kept a vertex, so solve_lp would answer some of them
+    assert lp_mod._kept(plp).vertices
 
 
 def test_measure_runtimes_rows(toy_plp, toy_atlas):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import os
@@ -322,7 +323,8 @@ def w_bases(plp):
 
 
 def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, session_calls,
-                                               factor_calls, monkeypatch):
+                                               factor_calls, simplex_calls, certified_calls,
+                                               monkeypatch):
     # solve_lp rebound in qpopf.regions, as the benchmark counts enumeration solves
     solves = []
     solve = regions_mod.solve_lp
@@ -332,12 +334,18 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, s
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(regions_mod, "solve_lp", counted)
-    for budget, regions in [(1, 1), (1000, 7)]:
-        for calls in (solves, basis_calls, lp_calls, session_calls, factor_calls):
+    for budget, regions, simplex in [(1, 1, 1), (1000, 7, 7)]:
+        for calls in (solves, basis_calls, lp_calls, session_calls, factor_calls, simplex_calls,
+                      certified_calls):
             calls.clear()
         plp = linearize(case69)
         atlas = enumerate_regions(plp, budget, seed=11)
         assert len(solves) == budget
+        # each sample is one simplex solve or one answer read off a kept vertex: one
+        # simplex solve per region, and every vertex kept is a region's basis
+        assert (len(simplex_calls), len(certified_calls)) == (simplex, budget - simplex)
+        assert set(lp_mod._kept(plp).vertices) == {r.active_set for r in atlas.regions}
+        assert all(sol.basis == list(basis) for *_, basis, sol in certified_calls)
         assert len(basis_calls) == atlas.K == regions
         # one LU factorization per distinct W basis, of those rows of W
         bases = w_bases(plp)
@@ -346,10 +354,10 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, s
             plp.W[list(basis)].tobytes() for basis in bases)
         assert set(lp_mod._kept(plp).factors) == bases
         # the session's cold midpoint run happens inside the first solve_lp, not as a
-        # sample of its own; then every sample is one solve of the LP's one session
+        # sample of its own; then every simplex solve is one solve of the LP's one session
         assert lp_mod._kept(plp).session is not None
         assert not [A for _, A, *_ in lp_calls if A is plp.W]
-        assert len(session_calls) == budget
+        assert len(session_calls) == simplex
         assert {id(session) for session, *_ in session_calls} == {id(lp_mod._kept(plp).session)}
     # a projection factors its basis and keeps no factor
     factored = len(factor_calls)
@@ -419,6 +427,19 @@ def polish_calls(monkeypatch):
     return calls
 
 
+def assert_certified_match_the_solve(plp, calls):
+    """Each answer read off a kept vertex is its basis system solved as
+    ``np.linalg.solve`` does, bit for bit, a point the polish takes from
+    any start (it violates no row by more than 1e-9), with its residual."""
+    for _, b, basis, sol in calls:
+        rows = list(basis)
+        x = np.linalg.solve(plp.W[rows], b[rows])
+        resid = plp.W @ x - b
+        assert sol.x.tobytes() == x.tobytes()
+        assert sol.max_violation == float(np.max(resid, initial=0.0)) <= 1e-9
+        assert sol.active_set == lp_mod._scan_active(resid, lp_mod.TOL_ACTIVE)
+
+
 def assert_polishes_match_the_solve(calls):
     """Each polish solves its basis system as ``np.linalg.solve`` does, bit
     for bit, and returns what ``polished_by_solve`` returns."""
@@ -430,11 +451,16 @@ def assert_polishes_match_the_solve(calls):
 
 
 @pytest.mark.parametrize("case,budget,seed", [("ieee69", 1000, 11), ("toy2", 64, 9)])
-def test_polish_matches_the_linalg_solve_oracle(case, budget, seed, polish_calls):
+def test_polish_matches_the_linalg_solve_oracle(case, budget, seed, polish_calls,
+                                                certified_calls):
     plp = lp_of(case)
     enumerate_regions(plp, budget, seed=seed)
     bases, kept = w_bases(plp), lp_mod._kept(plp)
-    assert len(polish_calls) == budget and set(kept.factors) == bases
+    # one simplex solve, so one polish, per basis; a kept vertex answers every other sample
+    assert len(polish_calls) == len(bases) and set(kept.factors) == bases
+    assert len(certified_calls) == budget - len(bases)
+    assert {basis for *_, basis, _ in certified_calls} == bases
+    assert_certified_match_the_solve(plp, certified_calls)
     # the first polish of each basis factors it, the later ones reuse the factor
     first = {}
     for A, _, _, _, basis, factor, _ in polish_calls:
@@ -526,6 +552,38 @@ def session_calls(monkeypatch):
 
 
 @pytest.fixture()
+def simplex_calls(monkeypatch):
+    """Record the theta of every ``simplex_solve``: each ``solve_lp`` that no
+    kept vertex answers, and each direct call."""
+    calls = []
+    solve = lp_mod.simplex_solve
+
+    def recording(plp, theta):
+        calls.append(np.array(theta))
+        return solve(plp, theta)
+
+    monkeypatch.setattr(lp_mod, "simplex_solve", recording)
+    return calls
+
+
+@pytest.fixture()
+def certified_calls(monkeypatch):
+    """Record (plp, b, basis, answer) of every answer ``solve_lp`` reads off a
+    kept vertex."""
+    calls = []
+    certify = lp_mod._certified
+
+    def recording(plp, b, basis):
+        sol = certify(plp, b, basis)
+        if sol is not None:
+            calls.append((plp, b.copy(), basis, sol))
+        return sol
+
+    monkeypatch.setattr(lp_mod, "_certified", recording)
+    return calls
+
+
+@pytest.fixture()
 def projection_calls(monkeypatch):
     """Record (c, A, b, (status, x)) of every solve of the projection LP's kept
     model: each solve of a kept model without a start basis."""
@@ -572,25 +630,29 @@ def assert_warm_matches_scipy(plp, calls):
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
-def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls, projection_calls):
+def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls, projection_calls,
+                                     certified_calls):
     plp = linearize(load_case(case_path(case)))
     rng = np.random.default_rng(67)
     thetas = rng.uniform(-1.0, 1.0, size=(30, plp.m))
     thetas[0] = 0.0
 
-    warm = []  # session solves per family
+    warm, certified = [], []  # session solves and answers off a kept vertex per family
     projections = []  # the projection model's answers
 
     def calls_of(run):
         cold, before, projected = len(lp_calls), len(session_calls), len(projection_calls)
+        read = len(certified_calls)
         run()
         warm.append(len(session_calls) - before)
+        certified.append(len(certified_calls) - read)
         projections.extend(projection_calls[projected:])
         return lp_calls[cold:]
 
     atlas, solutions = [], []
     families = {
-        "solve_lp": calls_of(lambda: solutions.extend(solve_lp(plp, t) for t in thetas)),
+        "simplex_solve": calls_of(
+            lambda: solutions.extend(lp_mod.simplex_solve(plp, t) for t in thetas)),
         "perturbed_basis": calls_of(lambda: [perturbed_basis(plp, t) for t in thetas[:10]]),
         # a dispatch solved at another theta is usually infeasible here
         "projection": calls_of(lambda: [project_feasible(solve_lp(plp, t).x, plp, thetas[k - 1])
@@ -600,21 +662,30 @@ def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls, projection_
     families["chebyshev_center"] = calls_of(
         lambda: [chebyshev_center(r.poly_A, r.poly_b) for r in atlas[0].regions])
     families["pruning"] = [c for c in families["pruning"] if c[1].shape[1] == plp.m]
-    # every solve_lp (the projection and pruning families call it too) runs warm from
-    # the LP's one session, whose first run is the cold midpoint solve; each projection
-    # LP runs cold on the LP's one projection model; the rest stays cold
-    assert families.pop("solve_lp") == families.pop("projection") == []
+    # every simplex_solve (the projection and pruning families reach it through
+    # solve_lp) runs warm from the LP's one session, whose first run is the cold
+    # midpoint solve; each projection LP runs cold on the LP's one projection model;
+    # the rest stays cold
+    assert families.pop("simplex_solve") == families.pop("projection") == []
     for name, calls in families.items():
         assert calls, name
         assert_matches_scipy(calls)
     kept = lp_mod._kept(plp)
     assert projections and all(c[1] is kept.projection_matrix for c in projections)
     assert_answers_match_scipy(projections)
-    assert warm == [len(thetas), 0, 10, 16, 0]
+    # the projection and pruning families' solve_lp calls are each a session solve or
+    # an answer off a vertex the 30 simplex solves kept
+    assert [w + c for w, c in zip(warm, certified)] == [len(thetas), 0, 10, 16, 0]
+    assert warm == {"ieee69": [30, 0, 0, 1, 0], "toy2": [30, 0, 0, 0, 0]}[case]
     assert all(session is kept.session for session, *_ in session_calls)
     assert_warm_matches_scipy(plp, session_calls)
     for theta, sol in zip(thetas, solutions):
         assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
+    # an answer off a kept vertex is solve_lp's post-processing of scipy's cold solve
+    for _, b, _, sol in certified_calls:
+        ref = scipy_linprog(plp.c, plp.W, b)
+        assert SCIPY_STATUS[ref.status] == "optimal"
+        assert solution_bytes(sol) == solution_bytes(lp_mod._solution(plp, b, "optimal", ref.x))
 
 
 def test_linprog_matches_scipy_on_infeasible_and_unbounded():
@@ -703,8 +774,9 @@ def test_linprog_checks_an_optimal_answer(monkeypatch, tamper, match):
     monkeypatch.setattr(Tampered, "active", True)
     with pytest.raises(lp_mod.LpNumericError, match=match):
         lp_mod.linprog(c, A, b)
+    # solve_lp would answer from the vertex the first solve kept, without HiGHS
     with pytest.raises(lp_mod.LpNumericError, match=match):
-        solve_lp(plp, theta)
+        lp_mod.simplex_solve(plp, theta)
 
 
 def test_linprog_rejects_non_finite_data():
@@ -905,21 +977,139 @@ def property_thetas(plp, count, boundary, seed):
     return np.vstack([mid, np.full(plp.m, boundary), near, far])
 
 
+@functools.lru_cache(maxsize=None)
+def cold_simplex_answers(case, boundary):
+    """``property_thetas(lp, 2000, boundary, seed=83)`` of ``lp_of(case)``, and
+    the ``solution_bytes`` of a cold simplex solve at each (no session, no
+    vertex tried), computed once for the tests that compare with them."""
+    cold = cold_copy(lp_of(case))
+    thetas = property_thetas(cold, 2000, boundary, seed=83)
+    answers = [solution_bytes(lp_mod.simplex_solve(cold, theta)) for theta in thetas]
+    assert lp_mod._kept(cold).session is None
+    return thetas, answers
+
+
 @pytest.mark.parametrize("case,boundary", [("ieee69", 0.0), ("toy2", 0.5), ("toy", 0.0)])
 def test_warm_and_cold_solutions_are_bitwise_equal(case, boundary):
     warm = lp_of(case)
-    cold = cold_copy(warm)
-    thetas = property_thetas(warm, 2000, boundary, seed=83)
+    thetas, cold = cold_simplex_answers(case, boundary)
     statuses = []
-    for theta in thetas:
-        sol = solve_lp(warm, theta)
-        assert solution_bytes(sol) == solution_bytes(solve_lp(cold, theta))
+    for theta, ref in zip(thetas, cold):
+        sol = lp_mod.simplex_solve(warm, theta)
+        assert solution_bytes(sol) == ref
         statuses.append(sol.status)
     assert lp_mod._kept(warm).session is not None
     assert "infeasible" in statuses and statuses.count("optimal") > len(thetas) // 2
     if case != "ieee69":
         # toy2's region boundary and the toy LP's kink at 0 are degenerate
         assert statuses[1] == "degenerate"
+
+
+@pytest.mark.parametrize("case,boundary", [("ieee69", 0.0), ("toy2", 0.5), ("toy", 0.0)])
+def test_certified_answers_are_the_cold_simplex_answers(case, boundary, certified_calls):
+    """``solve_lp``, answering from the vertices it has kept so far, gives the
+    cold simplex solve's bytes at each point, forwards and in reverse."""
+    thetas, cold = cold_simplex_answers(case, boundary)
+    for order in (range(len(thetas)), reversed(range(len(thetas)))):
+        plp, read = lp_of(case), len(certified_calls)
+        for k in order:
+            assert solution_bytes(solve_lp(plp, thetas[k])) == cold[k]
+        # most points inside the box are certified
+        assert len(certified_calls) - read > len(thetas) // 2
+
+
+@pytest.mark.parametrize("case,budget,seed", [
+    ("ieee69", 1000, 11), ("ieee69", 3000, 11), ("ieee69", 3000, 0), ("ieee69", 2000, 5),
+    ("ieee69", 500, 3), ("ieee69", 64, 9), ("ieee69", 1, 9),
+    ("toy2", 3000, 0), ("toy2", 2000, 5), ("toy2", 64, 9), ("toy2", 1, 9),
+])
+def test_enumeration_matches_the_simplex_loop(case, budget, seed, monkeypatch):
+    """An atlas enumerated through the certificate is, byte for byte, the one
+    a loop of simplex solves gives, degenerate flags included."""
+    atlas = enumerate_regions(lp_of(case), budget, seed=seed)
+    monkeypatch.setattr(regions_mod, "solve_lp", lp_mod.simplex_solve)
+    assert atlas.to_dict() == enumerate_regions(lp_of(case), budget, seed=seed).to_dict()
+
+
+def dual_degenerate_lp():
+    """min -x1 - x2 s.t. x1 + x2 <= 1 + theta, 0 <= x1, x2 <= 1: the cost is
+    parallel to the first row, so every optimum is a segment of it, and
+    each vertex basis has a basic row with dual 0."""
+    return ParametricLP(
+        c=np.array([-1.0, -1.0]),
+        W=np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+        S=np.array([1.0, 0.0, 0.0, 1.0, 1.0]),
+        T=np.array([[1.0], [0.0], [0.0], [0.0], [0.0]]),
+        theta_box=np.array([[-0.5, 0.5]]),
+    )
+
+
+def test_a_dual_degenerate_vertex_is_never_kept(certified_calls, simplex_calls):
+    plp = dual_degenerate_lp()
+    thetas = [np.array([t]) for t in (-0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.1, -0.4)]
+    # a session solve of another copy, from the same start basis: under dual
+    # degeneracy the cold solve may end on another vertex of the optimal segment
+    other = dataclasses.replace(plp)
+    answers = [solve_lp(plp, theta) for theta in thetas]
+    for theta, sol in zip(thetas, answers):
+        assert solution_bytes(sol) == solution_bytes(lp_mod.simplex_solve(other, theta))
+    # each answer is an optimal vertex, yet none is kept: a basic row's dual is 0
+    assert {sol.status for sol in answers} == {"optimal"}
+    for sol in answers:
+        y = dual_certificate(plp, sol)
+        assert y[sol.basis].min() < lp_mod._CERT_DUAL
+    assert lp_mod._kept(plp).vertices == [] and not certified_calls
+    assert len(simplex_calls) == 2 * len(thetas)
+
+
+def test_a_slack_in_the_band_is_never_certified(certified_calls, simplex_calls):
+    # the toy LP, min x s.t. x >= t, x >= 0, x <= 1: at t > 0 the vertex is x = t
+    # on row 0, and row 1's residual is -t
+    plp = make_toy_plp()
+    cold = cold_copy(plp)
+    assert solve_lp(plp, np.array([0.5])).basis == [0]
+    assert lp_mod._kept(plp).vertices == [(0,)]
+    for t, certified in [(2e-6, True), (1e-6, False), (5e-7, False), (2e-7, False),
+                         (1.5e-9, False), (0.25, True)]:
+        theta = np.array([t])
+        read, solved = len(certified_calls), len(simplex_calls)
+        sol = solve_lp(plp, theta)
+        assert solution_bytes(sol) == solution_bytes(lp_mod.simplex_solve(cold, theta))
+        assert (len(certified_calls) - read, len(simplex_calls) - solved) == (
+            (1, 1) if certified else (0, 2)), t
+
+
+def test_a_vertex_is_only_the_basis_its_point_scans(plp69):
+    """A kept vertex whose basis is not the pick of its own point's active rows
+    does not answer: here the vertex of a basis at the centre of the box with
+    one equality row swapped for its partner, the same point by another pick."""
+    plp = dataclasses.replace(plp69)
+    theta = np.zeros(plp.m)
+    ref = lp_mod.simplex_solve(cold_copy(plp), theta)
+    kept = lp_mod._kept(plp)
+    partner = {i: j for pair in plp.eq_pairs for i, j in (pair, pair[::-1])}
+    swapped = next(i for i in ref.basis if i in partner)
+    other = tuple(sorted(partner[i] if i == swapped else i for i in ref.basis))
+    # the swapped basis solves to the same point, with the same active rows
+    b = plp.rhs(theta)
+    x = np.linalg.solve(plp.W[list(other)], b[list(other)])
+    assert lp_mod._scan_active(plp.W @ x - b, lp_mod.TOL_ACTIVE) == ref.active_set
+    lp_mod._w_factor(plp, list(other))
+    kept.vertices.append(other)
+    assert solution_bytes(solve_lp(plp, theta)) == solution_bytes(ref)
+    assert kept.vertices == [other, tuple(ref.basis)]
+
+
+def test_a_degenerate_answer_keeps_no_vertex(certified_calls):
+    # toy2's region boundary and the toy LP's kink at 0 are degenerate
+    for case, boundary in [("toy2", 0.5), ("toy", 0.0)]:
+        plp = lp_of(case)
+        theta = np.full(plp.m, boundary)
+        sol = solve_lp(plp, theta)
+        assert sol.status == "degenerate" and sol.basis is not None
+        assert lp_mod._kept(plp).vertices == []
+        assert solution_bytes(solve_lp(plp, theta)) == solution_bytes(sol)
+    assert not certified_calls
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
@@ -933,9 +1123,11 @@ def test_solve_order_does_not_change_the_bytes(case):
                 # a dispatch of another theta, usually infeasible here; the first
                 # projection runs before the midpoint solve
                 project_feasible(np.zeros(plp.n), plp, thetas[k])
-            # each solve starts from the same basis, so takes as many pivots in any order
-            out[k] = (solution_bytes(solve_lp(plp, thetas[k])),
-                      lp_mod._kept(plp).session.highs.getInfo().simplex_iteration_count)
+            # solve_lp may answer from the vertices kept so far; each simplex solve
+            # starts from the same basis, so takes as many pivots in any order
+            sol = solution_bytes(solve_lp(plp, thetas[k]))
+            assert solution_bytes(lp_mod.simplex_solve(plp, thetas[k])) == sol
+            out[k] = (sol, lp_mod._kept(plp).session.highs.getInfo().simplex_iteration_count)
         return out
 
     forwards = answers(range(len(thetas)), False)
@@ -989,13 +1181,15 @@ def test_a_wrong_start_gives_the_cold_answer(case):
 ])
 def test_no_midpoint_basis_means_cold_solves(plp, statuses, lp_calls, session_calls):
     thetas = np.linspace(-1.0, 1.0, 9)[:, None]
-    solutions = [solve_lp(plp, theta) for theta in thetas]
+    solutions = [lp_mod.simplex_solve(plp, theta) for theta in thetas]
     assert (lp_mod._kept(plp).session, lp_mod._kept(plp).projection) == (None, None)
-    # every solve_lp cold, after the session's midpoint run found no optimum
+    # every simplex solve cold, after the session's midpoint run found no optimum
     assert len(lp_calls) == len(thetas) and not session_calls
     assert [sol.status for sol in solutions] == statuses
     for theta, sol in zip(thetas, solutions):
         assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
+        # solve_lp answers as the cold solve, from a kept vertex or by one
+        assert solution_bytes(solve_lp(plp, theta)) == solution_bytes(sol)
 
 
 
@@ -1030,21 +1224,24 @@ def test_a_failed_solve_leaves_the_next_one_cold(case, monkeypatch):
     session = lp_mod._kept(plp).session
 
     def next_solves_are_cold():
+        # each simplex solve, then solve_lp, which may answer from a kept vertex
         for theta in thetas:
-            assert solution_bytes(solve_lp(plp, theta)) == (
-                solution_bytes(solve_lp_cold(plp, theta)))
+            ref = solution_bytes(solve_lp_cold(plp, theta))
+            assert solution_bytes(lp_mod.simplex_solve(plp, theta)) == ref
+            assert solution_bytes(solve_lp(plp, theta)) == ref
 
     # infeasible: a point far outside the box
-    infeasible = [t for t in thetas if solve_lp(cold, t).status == "infeasible"]
+    infeasible = [t for t in thetas if lp_mod.simplex_solve(cold, t).status == "infeasible"]
     assert infeasible
-    assert solve_lp(plp, infeasible[0]).status == "infeasible"
+    assert lp_mod.simplex_solve(plp, infeasible[0]).status == "infeasible"
     next_solves_are_cold()
     # a bound of 1e20 or more is infinite to HiGHS, so a huge theta leaves some row
     # with an upper bound of -inf: passModel refuses that model, and the session keeps
     # the row out of its model as well
     huge = np.full(plp.m, 1e25)
-    assert solution_bytes(solve_lp(plp, huge)) == solution_bytes(solve_lp(cold, huge))
-    assert solve_lp(plp, huge).status == "infeasible"
+    assert solution_bytes(lp_mod.simplex_solve(plp, huge)) == solution_bytes(
+        lp_mod.simplex_solve(cold, huge))
+    assert lp_mod.simplex_solve(plp, huge).status == "infeasible"
     next_solves_are_cold()
     # unbounded: no theta makes an LP unbounded whose midpoint has an optimum (the
     # recession cone does not depend on theta), so HiGHS's verdict is forged once
@@ -1057,7 +1254,7 @@ def test_a_failed_solve_leaves_the_next_one_cold(case, monkeypatch):
 
     highs = session.highs
     monkeypatch.setattr(session, "highs", Forged())
-    assert solve_lp(plp, thetas[2]).status == "unbounded"
+    assert lp_mod.simplex_solve(plp, thetas[2]).status == "unbounded"
     monkeypatch.undo()
     next_solves_are_cold()
     # out of pivots: solves that need one raise
@@ -1065,7 +1262,7 @@ def test_a_failed_solve_leaves_the_next_one_cold(case, monkeypatch):
     raised = 0
     for theta in thetas:
         try:
-            solve_lp(plp, theta)
+            lp_mod.simplex_solve(plp, theta)
         except lp_mod.LpNumericError as exc:
             assert "limit" in str(exc)
             raised += 1
@@ -1104,7 +1301,7 @@ def test_the_session_model_is_the_cold_model(case):
     some[:, 0] = mid[0]
     thetas = np.vstack([thetas, mid, some])
     for theta in thetas:
-        solve_lp(plp, theta)
+        lp_mod.simplex_solve(plp, theta)
         model = lp_mod._kept(plp).session.highs.getLp()
         assert np.array(model.row_upper_).tobytes() == plp.rhs(theta).tobytes()
     inf = highs_core.kHighsInf
