@@ -247,10 +247,9 @@ def measure_runtimes(
     """Median per-instance wall-clock of each online path, in microseconds.
 
     The LP-solver row is the measured baseline all speedups refer to: one
-    ``simplex_solve``, a re-solve of the LP's one HiGHS model from the
-    basis of its first run (the first call also loads the model and runs
-    it cold at the centre of the theta box).  ``solve_lp`` is not timed:
-    it answers most points from a kept vertex without running the solver.
+    ``simplex_solve``, a cold solve (model load, presolve and dual
+    simplex).  ``solve_lp`` is not timed: it answers most points from a
+    kept vertex without running the solver.
     """
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(

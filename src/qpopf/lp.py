@@ -4,16 +4,14 @@
 the binding scipy bundles: the same model, options and checks as
 ``scipy.optimize.linprog(method="highs")``, so a cold solve gives the
 same answer bit for bit, without that function's per-call option
-validation and input conversion.  ``simplex_solve`` re-solves one kept
-HiGHS model of the LP from the optimal basis of its cold solve at the
-centre of the theta box, and ``project_feasible`` re-solves one kept
-model of its auxiliary LP cold (``_Model``); ``_Kept`` says what each LP
-keeps.
+validation and input conversion.  ``simplex_solve`` is one cold
+``linprog`` of the LP, and ``project_feasible`` re-solves one kept model
+of its auxiliary LP cold (``_Model``); ``_Kept`` says what each LP keeps.
 Every path checks its input and judges HiGHS's answer by one rule
-(``_checked``, ``_answer``).  Degenerate-basis recovery and the pruning
-LPs load a model per solve.  ``simplex_solve`` then post-processes the
-answer: a residual scan identifies the active rows, a deterministic
-rank selection picks the first n independent ones as a basis, and the
+(``_checked``, ``_answer``); every path but the projection loads a
+model per solve.  ``simplex_solve`` then post-processes the answer: a
+residual scan identifies the active rows, a deterministic rank
+selection picks the first n independent ones as a basis, and the
 solution is re-solved from the basis's one LU factorization
 (``_polished``, which ``project_feasible`` shares) so the returned
 vertex is accurate to linear-solve precision rather than solver
@@ -27,9 +25,7 @@ fully active pair, since the higher is its negation, and the vertex is
 degenerate unless there are exactly n active hyperplanes.  The basis
 then takes whichever member of a pair has a nonnegative dual.
 ``perturbed_basis`` recovers a basis where the vertex is degenerate.
-The returned vertex is re-solved from its basis, so where the optimum
-is unique a warm and a cold solve give the same ``LPSolution`` bit for
-bit.  Results are deterministic for identical inputs.
+Results are deterministic for identical inputs.
 
 ``solve_lp`` answers from a certified optimal basis before it runs
 HiGHS.  A basis whose duals are feasible stays optimal at every theta
@@ -173,7 +169,7 @@ def _answer(highs: _highs._Highs, b: np.ndarray) -> tuple[str, np.ndarray | None
 
 
 def column_compressed(A: np.ndarray) -> tuple[list[int], list[int], list[float]]:
-    """``A`` as column-compressed (start, index, value), laid out as
+    """``A`` as column-compressed (indptr, index, value), laid out as
     ``scipy.sparse.csc_array(A)``: zeros dropped, rows ascending within
     each column.  Python lists, because HiGHS's binding copies a list
     several times faster than a numpy array.
@@ -182,9 +178,9 @@ def column_compressed(A: np.ndarray) -> tuple[list[int], list[int], list[float]]
         raise ValueError("constraint matrix must be finite")
     At = A.T
     cols, rows = np.nonzero(At)
-    start = np.zeros(A.shape[1] + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(At, axis=1), out=start[1:])
-    return start.tolist(), rows.tolist(), At[cols, rows].tolist()
+    indptr = np.zeros(A.shape[1] + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(At, axis=1), out=indptr[1:])
+    return indptr.tolist(), rows.tolist(), At[cols, rows].tolist()
 
 
 def _loaded(
@@ -232,34 +228,30 @@ class _Model:
     solves that change only b.
 
     ``upper`` is the b the model holds.  Each solve rewrites only the row
-    bounds that differ from it, so the model always equals the one
-    ``linprog`` would load for that b.  ``start`` is the basis each solve
-    restarts the dual simplex from; when it is None, HiGHS drops the last
-    run's solver state (``clearSolver``), so presolve and the dual simplex
-    start afresh and the answer is the one a freshly loaded model gives.
+    bounds whose bits differ from it (so -0.0 replaces 0.0), so the model
+    always equals the one ``linprog`` would load for that b, and HiGHS
+    drops the last run's solver state (``clearSolver``), so presolve and
+    the dual simplex run afresh and the answer is the one a freshly
+    loaded model gives.
     """
 
     def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
                  csc: tuple[list[int], list[int], list[float]]):
         self.c, self.A, self.upper = c, A, b.copy()
         self.highs = _loaded(c, b, csc)
-        self.start: _highs.HighsBasis | None = None
 
     def solve(self, b: np.ndarray) -> tuple[str, np.ndarray | None]:
-        """``linprog(c, A, b)``, from ``start`` or cold."""
+        """``linprog(c, A, b)``, on the kept model."""
         _checked(self.c, self.A, b)
         highs, upper = self.highs, self.upper
-        for i in np.flatnonzero(b != upper).tolist():
+        for i in np.flatnonzero(b.view(np.int64) != upper.view(np.int64)).tolist():
             if highs.changeRowBounds(i, -_highs.kHighsInf, b[i]) == _highs.HighsStatus.kError:
                 # HiGHS keeps the old bound when it refuses one (an upper bound of
                 # -1e20 or less reads as -inf), as the cold solve's passModel
                 # refuses the whole model
                 return _NO_SOLUTION[_STATUS.kModelError], None
             upper[i] = b[i]
-        if self.start is None:
-            highs.clearSolver()
-        else:
-            highs.setBasis(self.start)
+        highs.clearSolver()
         return _answer(highs, b)
 
 
@@ -271,8 +263,6 @@ class _Kept:
       [[W, 0], [I, -I], [-I, -I]] of the L1 projection LP over (x, u),
       read-only, and ``projection_csc``, that matrix as HiGHS loads it;
     - ``eq_rows``: the lower and the higher row of each equality pair;
-    - ``session``: ``solve_lp``'s model, started from its cold solve at
-      the centre of the theta box;
     - ``projection``: ``project_feasible``'s model, kept once HiGHS
       accepts a load, solved cold by each projection;
     - ``bases``: basis picks keyed by the scanned matrix ("W" or
@@ -295,13 +285,12 @@ class _Kept:
     ``simplex_solve`` gives at that theta, which depends on theta alone,
     so whichever vertex answers, and whichever were kept by then, the
     bytes are the same.  The LP's arrays are kept, never the
-    ``ParametricLP``, so an LP and its HiGHS models are freed with its
-    last reference, not by the cyclic garbage collector.
+    ``ParametricLP``, so an LP and its projection model are freed with
+    its last reference, not by the cyclic garbage collector.
     """
 
     def __init__(self, plp: ParametricLP):
-        self.c, self.W = plp.c, plp.W
-        self.centre = plp.rhs(plp.theta_box.mean(axis=1))
+        self.W = plp.W
         pairs = np.array(plp.eq_pairs, dtype=np.intp).reshape(-1, 2)
         self.eq_rows = pairs.min(axis=1), pairs.max(axis=1)
         self.bases: dict[tuple[str, tuple[int, ...]], tuple[int, ...] | None] = {}
@@ -324,21 +313,6 @@ class _Kept:
     @cached_property
     def projection_csc(self) -> tuple[list[int], list[int], list[float]]:
         return column_compressed(self.projection_matrix)
-
-    @cached_property
-    def session(self) -> _Model | None:
-        """The model loaded at ``centre`` and solved there once, cold, with
-        that run's optimal basis as its ``start``; None when HiGHS refuses
-        the model, or that run has no optimum or raises ``LpNumericError``."""
-        model = _Model(self.c, self.W, self.centre, self.W_csc)
-        try:
-            optimal = model.highs is not None and _answer(model.highs, self.centre)[0] == "optimal"
-        except LpNumericError:
-            return None
-        if not optimal:
-            return None
-        model.start = model.highs.getBasis()
-        return model
 
 
 def _kept(plp: ParametricLP) -> _Kept:
@@ -574,16 +548,10 @@ def solve_lp(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
 
 
 def simplex_solve(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
-    """``solve_lp`` by one HiGHS run: a re-solve of the LP's session model
-    from its start basis, or a cold ``linprog`` when the LP has no
-    session.  The basis of an "optimal" answer is kept as a vertex when
-    its duals allow (``_keep_vertex``)."""
+    """``solve_lp`` by one cold ``linprog``.  The basis of an "optimal"
+    answer is kept as a vertex when its duals allow (``_keep_vertex``)."""
     b = plp.rhs(theta)
-    kept = _kept(plp)
-    if kept.session is None:
-        sol = _solution(plp, b, *linprog(plp.c, plp.W, b, csc=kept.W_csc))
-    else:
-        sol = _solution(plp, b, *kept.session.solve(b))
+    sol = _solution(plp, b, *linprog(plp.c, plp.W, b, csc=_kept(plp).W_csc))
     if sol.status == "optimal":
         _keep_vertex(plp, sol.basis)
     return sol

@@ -1,8 +1,8 @@
 """LP and region checks that only the tests use.
 
 ``scipy_linprog`` is the cold solve ``lp.linprog`` replaces, through
-scipy's public API, and ``solve_lp_cold`` is ``solve_lp`` with that solve
-in place of the warm-started one.  ``hyperplanes_by_set`` is the pair
+scipy's public API, and ``solve_lp_cold`` is ``solve_lp``'s answer built
+from that solve.  ``hyperplanes_by_set`` is the pair
 filter that ``lp._hyperplanes`` replaced with a boolean mask.  ``dual_certificate`` turns a solved
 basis into the dual vector whose objective must match the primal one;
 ``contains`` is the one-region point-in-polyhedron test that the

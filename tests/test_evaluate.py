@@ -153,25 +153,24 @@ def test_runtime_model_values():
 
 
 def test_the_lp_solver_row_times_simplex_solves(toy_plp, toy_atlas, monkeypatch):
-    """Every timed call of the baseline row runs one HiGHS session solve; none
-    is answered from a kept vertex, which ``solve_lp`` would do."""
-    session, certified = [], []
-    solve, certify = lp_mod._Model.solve, lp_mod._certified
+    """Every timed call of the baseline row runs one cold ``linprog``; no kept
+    vertex is tried, as ``solve_lp`` would do."""
+    cold, certified = [], []
+    solve, certify = lp_mod.linprog, lp_mod._certified
 
-    def recording_solve(self, b):
-        if self.start is not None:
-            session.append(b.copy())
-        return solve(self, b)
+    def recording_solve(c, A, b, csc=None):
+        cold.append(b.copy())
+        return solve(c, A, b, csc=csc)
 
     def recording_certify(*args):
         certified.append(args)
         return certify(*args)
 
-    monkeypatch.setattr(lp_mod._Model, "solve", recording_solve)
+    monkeypatch.setattr(lp_mod, "linprog", recording_solve)
     monkeypatch.setattr(lp_mod, "_certified", recording_certify)
     plp = dataclasses.replace(toy_plp)
     measure_runtimes(plp, toy_atlas, repeats=7, seed=1)
-    assert len(session) == 7 and not certified
+    assert len(cold) == 7 and not certified
     # the points it timed have kept a vertex, so solve_lp would answer some of them
     assert lp_mod._kept(plp).vertices
 

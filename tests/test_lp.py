@@ -322,7 +322,7 @@ def w_bases(plp):
             if matrix == "W" and basis is not None}
 
 
-def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, session_calls,
+def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, highs_runs,
                                                factor_calls, simplex_calls, certified_calls,
                                                monkeypatch):
     # solve_lp rebound in qpopf.regions, as the benchmark counts enumeration solves
@@ -334,8 +334,8 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, s
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(regions_mod, "solve_lp", counted)
-    for budget, regions, simplex in [(1, 1, 1), (1000, 7, 7)]:
-        for calls in (solves, basis_calls, lp_calls, session_calls, factor_calls, simplex_calls,
+    for budget, regions, simplex, runs in [(1, 1, 1, 11), (1000, 7, 7, 71)]:
+        for calls in (solves, basis_calls, lp_calls, highs_runs, factor_calls, simplex_calls,
                       certified_calls):
             calls.clear()
         plp = linearize(case69)
@@ -353,17 +353,25 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, s
         assert sorted(A.tobytes() for A in factor_calls) == sorted(
             plp.W[list(basis)].tobytes() for basis in bases)
         assert set(lp_mod._kept(plp).factors) == bases
-        # the session's cold midpoint run happens inside the first solve_lp, not as a
-        # sample of its own; then every simplex solve is one solve of the LP's one session
-        assert lp_mod._kept(plp).session is not None
-        assert not [A for _, A, *_ in lp_calls if A is plp.W]
-        assert len(session_calls) == simplex
-        assert {id(session) for session, *_ in session_calls} == {id(lp_mod._kept(plp).session)}
+        # every simplex solve is one cold solve of W, and HiGHS runs only for those
+        # and the pruning LPs
+        assert len([A for _, A, *_ in lp_calls if A is plp.W]) == simplex
+        assert len(highs_runs) == runs
     # a projection factors its basis and keeps no factor
     factored = len(factor_calls)
     project_feasible(solve_lp(plp, np.full(plp.m, 0.5)).x, plp, np.full(plp.m, -0.5))
     assert len(factor_calls) == factored + 1 and factor_calls[-1].shape == (2 * plp.n,) * 2
     assert set(lp_mod._kept(plp).factors) == w_bases(plp)
+
+
+@pytest.mark.parametrize("case", ["ieee69", "toy2", "toy"])
+def test_a_fresh_lp_runs_highs_once_for_its_first_solve(case, highs_runs):
+    """A fresh LP's first ``solve_lp`` is one cold HiGHS run at its theta."""
+    plp = lp_of(case)
+    theta = plp.theta_box[:, 0]
+    sol = solve_lp(plp, theta)
+    assert len(highs_runs) == 1 and highs_runs[0].tobytes() == plp.rhs(theta).tobytes()
+    assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
 
 
 def test_each_w_basis_is_factored_once(basis_calls, factor_calls):
@@ -535,19 +543,16 @@ def lp_calls(monkeypatch):
 
 
 @pytest.fixture()
-def session_calls(monkeypatch):
-    """Record (session, b, (status, x)) of every warm solve ``solve_lp`` runs:
-    each solve of a kept model with a start basis."""
+def highs_runs(monkeypatch):
+    """Record the b of every HiGHS run the package judges (``lp._answer``)."""
     calls = []
-    solve = lp_mod._Model.solve
+    answer = lp_mod._answer
 
-    def recording(self, b):
-        out = solve(self, b)
-        if self.start is not None:
-            calls.append((self, b.copy(), out))
-        return out
+    def recording(highs, b):
+        calls.append(b.copy())
+        return answer(highs, b)
 
-    monkeypatch.setattr(lp_mod._Model, "solve", recording)
+    monkeypatch.setattr(lp_mod, "_answer", recording)
     return calls
 
 
@@ -586,14 +591,13 @@ def certified_calls(monkeypatch):
 @pytest.fixture()
 def projection_calls(monkeypatch):
     """Record (c, A, b, (status, x)) of every solve of the projection LP's kept
-    model: each solve of a kept model without a start basis."""
+    model (``_Model.solve``)."""
     calls = []
     solve = lp_mod._Model.solve
 
     def recording(self, b):
         out = solve(self, b)
-        if self.start is None:
-            calls.append((self.c, self.A, b.copy(), out))
+        calls.append((self.c, self.A, b.copy(), out))
         return out
 
     monkeypatch.setattr(lp_mod._Model, "solve", recording)
@@ -617,34 +621,22 @@ def assert_matches_scipy(calls):
                                 for c, A, b, csc in calls])
 
 
-def assert_warm_matches_scipy(plp, calls):
-    """scipy's status, and for a warm-started solve a raw vertex within 1e-9
-    relative (``solve_lp`` polishes it from its basis)."""
-    for _, b, (status, x) in calls:
-        ref = scipy_linprog(plp.c, plp.W, b)
-        assert status == SCIPY_STATUS[ref.status]
-        if status != "optimal":
-            assert x is None
-        else:
-            assert np.all(np.abs(x - ref.x) <= 1e-9 * np.maximum(1.0, np.abs(x)))
-
-
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
-def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls, projection_calls,
+def test_linprog_matches_scipy_oracle(case, lp_calls, simplex_calls, projection_calls,
                                      certified_calls):
     plp = linearize(load_case(case_path(case)))
     rng = np.random.default_rng(67)
     thetas = rng.uniform(-1.0, 1.0, size=(30, plp.m))
     thetas[0] = 0.0
 
-    warm, certified = [], []  # session solves and answers off a kept vertex per family
+    simplex, certified = [], []  # simplex solves and answers off a kept vertex per family
     projections = []  # the projection model's answers
 
     def calls_of(run):
-        cold, before, projected = len(lp_calls), len(session_calls), len(projection_calls)
+        cold, before, projected = len(lp_calls), len(simplex_calls), len(projection_calls)
         read = len(certified_calls)
         run()
-        warm.append(len(session_calls) - before)
+        simplex.append(len(simplex_calls) - before)
         certified.append(len(certified_calls) - read)
         projections.extend(projection_calls[projected:])
         return lp_calls[cold:]
@@ -662,23 +654,21 @@ def test_linprog_matches_scipy_oracle(case, lp_calls, session_calls, projection_
     families["chebyshev_center"] = calls_of(
         lambda: [chebyshev_center(r.poly_A, r.poly_b) for r in atlas[0].regions])
     families["pruning"] = [c for c in families["pruning"] if c[1].shape[1] == plp.m]
-    # every simplex_solve (the projection and pruning families reach it through
-    # solve_lp) runs warm from the LP's one session, whose first run is the cold
-    # midpoint solve; each projection LP runs cold on the LP's one projection model;
-    # the rest stays cold
-    assert families.pop("simplex_solve") == families.pop("projection") == []
+    # each projection LP runs cold on the LP's one projection model, and each
+    # solve_lp of that family is answered off a kept vertex; every other LP,
+    # simplex solves included, is one cold linprog
+    assert families.pop("projection") == []
+    assert all(A is plp.W for _, A, *_ in families["simplex_solve"])
     for name, calls in families.items():
         assert calls, name
         assert_matches_scipy(calls)
     kept = lp_mod._kept(plp)
     assert projections and all(c[1] is kept.projection_matrix for c in projections)
     assert_answers_match_scipy(projections)
-    # the projection and pruning families' solve_lp calls are each a session solve or
-    # an answer off a vertex the 30 simplex solves kept
-    assert [w + c for w, c in zip(warm, certified)] == [len(thetas), 0, 10, 16, 0]
-    assert warm == {"ieee69": [30, 0, 0, 1, 0], "toy2": [30, 0, 0, 0, 0]}[case]
-    assert all(session is kept.session for session, *_ in session_calls)
-    assert_warm_matches_scipy(plp, session_calls)
+    # the projection and pruning families' solve_lp calls are each a simplex solve
+    # or an answer off a vertex the 30 simplex solves kept
+    assert [s + c for s, c in zip(simplex, certified)] == [len(thetas), 0, 10, 16, 0]
+    assert simplex == {"ieee69": [30, 0, 0, 1, 0], "toy2": [30, 0, 0, 0, 0]}[case]
     for theta, sol in zip(thetas, solutions):
         assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
     # an answer off a kept vertex is solve_lp's post-processing of scipy's cold solve
@@ -698,7 +688,7 @@ def test_linprog_matches_scipy_on_infeasible_and_unbounded():
 
 def test_linprog_passes_scipys_options(monkeypatch):
     """Every HiGHS option equals the one linprog(method="highs") sets, in a
-    cold solve and in the session ``solve_lp`` warm-starts."""
+    cold solve and in the projection's kept model."""
     passed = []
 
     class Recording(highs_core._Highs):
@@ -710,17 +700,17 @@ def test_linprog_passes_scipys_options(monkeypatch):
     c, A, b = random_bounded_lp(np.random.default_rng(3))
     scipy_linprog(c, A, b)
     lp_mod.linprog(c, A, b)
-    # the session, once for both solves
+    # the projection's model, once for both projections (x = 0 is infeasible at both)
     plp = make_toy_plp()
-    for theta in (0.5, -0.5):
-        solve_lp(plp, np.array([theta]))
+    for theta in (0.5, 0.25):
+        project_feasible(np.zeros(plp.n), plp, np.array([theta]))
     theirs, *ours = passed
     assert len(ours) == 2
-    session = lp_mod._kept(plp).session.highs
-    assert isinstance(session, Recording)
+    model = lp_mod._kept(plp).projection.highs
+    assert isinstance(model, Recording)
     names = [k for k in dir(theirs) if not k.startswith("_")]
     assert len(names) > 50
-    for options in [*ours, session.getOptions()]:
+    for options in [*ours, model.getOptions()]:
         for name in names:
             assert getattr(options, name) == getattr(theirs, name), name
 
@@ -741,11 +731,11 @@ def test_linprog_raises_past_the_iteration_limit(monkeypatch, plp69):
     assert ref.status == 1
     with pytest.raises(lp_mod.LpNumericError, match="limit"):
         lp_mod.linprog(plp69.c, plp69.W, b, csc=lp_mod._kept(plp69).W_csc)
-    # a midpoint run that fails leaves no session, and solve_lp fails as a cold solve does
+    # solve_lp fails as the cold solve does, and keeps no vertex
     plp = dataclasses.replace(plp69)
     with pytest.raises(lp_mod.LpNumericError, match="limit"):
         solve_lp(plp, np.zeros(plp.m))
-    assert (lp_mod._kept(plp).session, lp_mod._kept(plp).projection) == (None, None)
+    assert lp_mod._kept(plp).vertices == []
 
 
 @pytest.mark.parametrize("tamper,match", [
@@ -753,8 +743,8 @@ def test_linprog_raises_past_the_iteration_limit(monkeypatch, plp69):
     (lambda x, row: (x * np.nan, row), "NaN"),
 ])
 def test_linprog_checks_an_optimal_answer(monkeypatch, tamper, match):
-    """An optimum scipy's result check would flag as status 4 raises, from a
-    cold solve and from a session solve."""
+    """An optimum scipy's result check would flag as status 4 raises, from
+    ``linprog``, from a simplex solve and from the projection's kept model."""
     class Tampered(highs_core._Highs):
         active = False
 
@@ -770,13 +760,17 @@ def test_linprog_checks_an_optimal_answer(monkeypatch, tamper, match):
     monkeypatch.setattr(highs_core, "_Highs", Tampered)
     plp, theta = make_toy_plp(), np.array([0.5])
     assert solve_lp(plp, theta).status == "optimal"
-    assert isinstance(lp_mod._kept(plp).session.highs, Tampered)
+    # x = 0 is infeasible at theta 0.5; its projection is x = 0.5
+    assert project_feasible(np.zeros(plp.n), plp, theta).tolist() == [0.5]
+    assert isinstance(lp_mod._kept(plp).projection.highs, Tampered)
     monkeypatch.setattr(Tampered, "active", True)
     with pytest.raises(lp_mod.LpNumericError, match=match):
         lp_mod.linprog(c, A, b)
     # solve_lp would answer from the vertex the first solve kept, without HiGHS
     with pytest.raises(lp_mod.LpNumericError, match=match):
         lp_mod.simplex_solve(plp, theta)
+    with pytest.raises(lp_mod.LpNumericError, match=match):
+        project_feasible(np.zeros(plp.n), plp, theta)
 
 
 def test_linprog_rejects_non_finite_data():
@@ -955,13 +949,6 @@ def test_projection_order_does_not_change_the_bytes(case):
     assert lp_mod._kept(after).projection is not None
 
 
-def cold_copy(plp):
-    """``plp`` with nothing kept and no session: every solve_lp runs cold."""
-    cold = dataclasses.replace(plp)
-    lp_mod._kept(cold).session = None
-    return cold
-
-
 def lp_of(case):
     return make_toy_plp() if case == "toy" else linearize(load_case(case_path(case)))
 
@@ -980,29 +967,11 @@ def property_thetas(plp, count, boundary, seed):
 @functools.lru_cache(maxsize=None)
 def cold_simplex_answers(case, boundary):
     """``property_thetas(lp, 2000, boundary, seed=83)`` of ``lp_of(case)``, and
-    the ``solution_bytes`` of a cold simplex solve at each (no session, no
-    vertex tried), computed once for the tests that compare with them."""
-    cold = cold_copy(lp_of(case))
-    thetas = property_thetas(cold, 2000, boundary, seed=83)
-    answers = [solution_bytes(lp_mod.simplex_solve(cold, theta)) for theta in thetas]
-    assert lp_mod._kept(cold).session is None
-    return thetas, answers
-
-
-@pytest.mark.parametrize("case,boundary", [("ieee69", 0.0), ("toy2", 0.5), ("toy", 0.0)])
-def test_warm_and_cold_solutions_are_bitwise_equal(case, boundary):
-    warm = lp_of(case)
-    thetas, cold = cold_simplex_answers(case, boundary)
-    statuses = []
-    for theta, ref in zip(thetas, cold):
-        sol = lp_mod.simplex_solve(warm, theta)
-        assert solution_bytes(sol) == ref
-        statuses.append(sol.status)
-    assert lp_mod._kept(warm).session is not None
-    assert "infeasible" in statuses and statuses.count("optimal") > len(thetas) // 2
-    if case != "ieee69":
-        # toy2's region boundary and the toy LP's kink at 0 are degenerate
-        assert statuses[1] == "degenerate"
+    the ``solution_bytes`` of a simplex solve at each (no vertex tried),
+    computed once for the tests that compare with them."""
+    plp = lp_of(case)
+    thetas = property_thetas(plp, 2000, boundary, seed=83)
+    return thetas, [solution_bytes(lp_mod.simplex_solve(plp, theta)) for theta in thetas]
 
 
 @pytest.mark.parametrize("case,boundary", [("ieee69", 0.0), ("toy2", 0.5), ("toy", 0.0)])
@@ -1047,26 +1016,25 @@ def dual_degenerate_lp():
 def test_a_dual_degenerate_vertex_is_never_kept(certified_calls, simplex_calls):
     plp = dual_degenerate_lp()
     thetas = [np.array([t]) for t in (-0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.1, -0.4)]
-    # a session solve of another copy, from the same start basis: under dual
-    # degeneracy the cold solve may end on another vertex of the optimal segment
-    other = dataclasses.replace(plp)
+    # every answer is the cold solve's, whichever vertex of the optimal segment
+    # HiGHS ends on
     answers = [solve_lp(plp, theta) for theta in thetas]
     for theta, sol in zip(thetas, answers):
-        assert solution_bytes(sol) == solution_bytes(lp_mod.simplex_solve(other, theta))
+        assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
     # each answer is an optimal vertex, yet none is kept: a basic row's dual is 0
     assert {sol.status for sol in answers} == {"optimal"}
     for sol in answers:
         y = dual_certificate(plp, sol)
         assert y[sol.basis].min() < lp_mod._CERT_DUAL
     assert lp_mod._kept(plp).vertices == [] and not certified_calls
-    assert len(simplex_calls) == 2 * len(thetas)
+    assert len(simplex_calls) == len(thetas)
 
 
 def test_a_slack_in_the_band_is_never_certified(certified_calls, simplex_calls):
     # the toy LP, min x s.t. x >= t, x >= 0, x <= 1: at t > 0 the vertex is x = t
     # on row 0, and row 1's residual is -t
     plp = make_toy_plp()
-    cold = cold_copy(plp)
+    cold = dataclasses.replace(plp)
     assert solve_lp(plp, np.array([0.5])).basis == [0]
     assert lp_mod._kept(plp).vertices == [(0,)]
     for t, certified in [(2e-6, True), (1e-6, False), (5e-7, False), (2e-7, False),
@@ -1085,7 +1053,7 @@ def test_a_vertex_is_only_the_basis_its_point_scans(plp69):
     one equality row swapped for its partner, the same point by another pick."""
     plp = dataclasses.replace(plp69)
     theta = np.zeros(plp.m)
-    ref = lp_mod.simplex_solve(cold_copy(plp), theta)
+    ref = lp_mod.simplex_solve(dataclasses.replace(plp), theta)
     kept = lp_mod._kept(plp)
     partner = {i: j for pair in plp.eq_pairs for i, j in (pair, pair[::-1])}
     swapped = next(i for i in ref.basis if i in partner)
@@ -1120,53 +1088,17 @@ def test_solve_order_does_not_change_the_bytes(case):
         plp, out = lp_of(case), {}
         for k in order:
             if project:
-                # a dispatch of another theta, usually infeasible here; the first
-                # projection runs before the midpoint solve
+                # a dispatch of another theta, usually infeasible here
                 project_feasible(np.zeros(plp.n), plp, thetas[k])
-            # solve_lp may answer from the vertices kept so far; each simplex solve
-            # starts from the same basis, so takes as many pivots in any order
+            # solve_lp may answer from the vertices kept so far
             sol = solution_bytes(solve_lp(plp, thetas[k]))
             assert solution_bytes(lp_mod.simplex_solve(plp, thetas[k])) == sol
-            out[k] = (sol, lp_mod._kept(plp).session.highs.getInfo().simplex_iteration_count)
+            out[k] = sol
         return out
 
     forwards = answers(range(len(thetas)), False)
     assert answers(reversed(range(len(thetas))), False) == forwards
     assert answers(range(len(thetas)), True) == forwards
-
-
-def rows_basis(plp, rows):
-    """A HiGHS basis with every column and row basic but ``rows``, which sit at
-    their upper bound: alien to HiGHS, which factors and repairs it."""
-    basis = highs_core.HighsBasis()
-    basis.col_status = [highs_core.HighsBasisStatus.kBasic] * plp.n
-    status = [highs_core.HighsBasisStatus.kBasic] * plp.q
-    for i in rows:
-        status[i] = highs_core.HighsBasisStatus.kUpper
-    basis.row_status = status
-    return basis
-
-
-@pytest.mark.parametrize("case", ["ieee69", "toy2"])
-def test_a_wrong_start_gives_the_cold_answer(case):
-    plp = lp_of(case)
-    thetas = property_thetas(plp, 40, 0.5, seed=97)
-    cold_lp = cold_copy(plp)
-    solved = [(theta, solve_lp(cold_lp, theta)) for theta in thetas]
-    cold = [solution_bytes(sol) for _, sol in solved]
-    # thetas[0] is the centre of the box
-    midpoint = solved[0][1].basis
-    # rows slack at every optimum, so never tight at the vertex a solve ends on
-    slack = np.array([plp.rhs(theta) - plp.W @ sol.x for theta, sol in solved if sol.is_optimal])
-    loose = [int(i) for i in np.flatnonzero(slack.min(axis=0) > 1e-3)][:plp.n]
-    i, j = plp.eq_pairs[0]
-    dependent = [i, j, *[r for r in midpoint if r not in (i, j)][:plp.n - 2]]
-    assert len(loose) == len(dependent) == plp.n
-    assert np.linalg.matrix_rank(plp.W[dependent]) < plp.n
-    for start in (loose, dependent, midpoint[:-1]):
-        wrong = dataclasses.replace(plp)
-        lp_mod._kept(wrong).session.start = rows_basis(wrong, start)
-        assert [solution_bytes(solve_lp(wrong, theta)) for theta in thetas] == cold
 
 
 @pytest.mark.parametrize("plp,statuses", [
@@ -1179,12 +1111,12 @@ def test_a_wrong_start_gives_the_cold_answer(case):
                   theta_box=np.array([[-1.0, 1.0]])),
      ["unbounded"] * 9),
 ])
-def test_no_midpoint_basis_means_cold_solves(plp, statuses, lp_calls, session_calls):
+def test_no_midpoint_basis_means_cold_solves(plp, statuses, lp_calls):
+    """LPs with no optimum at the centre of the box: each simplex solve is one
+    cold ``linprog``, and every answer is the cold oracle's."""
     thetas = np.linspace(-1.0, 1.0, 9)[:, None]
     solutions = [lp_mod.simplex_solve(plp, theta) for theta in thetas]
-    assert (lp_mod._kept(plp).session, lp_mod._kept(plp).projection) == (None, None)
-    # every simplex solve cold, after the session's midpoint run found no optimum
-    assert len(lp_calls) == len(thetas) and not session_calls
+    assert len(lp_calls) == len(thetas)
     assert [sol.status for sol in solutions] == statuses
     for theta, sol in zip(thetas, solutions):
         assert solution_bytes(sol) == solution_bytes(solve_lp_cold(plp, theta))
@@ -1192,126 +1124,102 @@ def test_no_midpoint_basis_means_cold_solves(plp, statuses, lp_calls, session_ca
         assert solution_bytes(solve_lp(plp, theta)) == solution_bytes(sol)
 
 
-
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
 def test_a_bad_theta_raises_on_both_paths(case):
-    """The session checks b as ``linprog`` does before it touches its model."""
-    warm = lp_of(case)
-    cold = cold_copy(warm)
-    thetas = property_thetas(warm, 10, 0.5, seed=101)
-    solve_lp(warm, thetas[0])
-    session = lp_mod._kept(warm).session
-    for bad in (np.zeros((warm.m, 1)), np.full(warm.m, np.nan), np.full(warm.m, np.inf),
-                np.full(warm.m, -np.inf)):
+    """``solve_lp`` checks b as ``linprog`` does before it tries a kept vertex."""
+    plp = lp_of(case)
+    thetas = property_thetas(plp, 10, 0.5, seed=101)
+    solve_lp(plp, thetas[0])
+    assert lp_mod._kept(plp).vertices
+    for bad in (np.zeros((plp.m, 1)), np.full(plp.m, np.nan), np.full(plp.m, np.inf),
+                np.full(plp.m, -np.inf)):
         raised = []
-        for plp in (warm, cold):
+        for solve in (solve_lp, lp_mod.simplex_solve):
             with pytest.raises(ValueError) as info, np.errstate(invalid="ignore"):
-                solve_lp(plp, bad)
+                solve(plp, bad)
             raised.append(str(info.value))
         assert raised[0] == raised[1]
         assert ("does not match" if bad.ndim == 2 else "finite") in raised[0]
-        assert lp_mod._kept(warm).session is session
         for theta in thetas:
-            assert solution_bytes(solve_lp(warm, theta)) == (
-                solution_bytes(solve_lp_cold(warm, theta)))
+            assert solution_bytes(solve_lp(plp, theta)) == (
+                solution_bytes(solve_lp_cold(plp, theta)))
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
-def test_a_failed_solve_leaves_the_next_one_cold(case, monkeypatch):
+def test_a_failed_solve_leaves_the_next_one_cold(case):
+    """After an infeasible, a refused and an interrupted projection LP, the
+    projection's kept model answers as a fresh model does."""
     plp = lp_of(case)
-    cold = cold_copy(plp)
-    thetas = property_thetas(plp, 20, 0.5, seed=103)
-    session = lp_mod._kept(plp).session
+    thetas = np.random.default_rng(103).uniform(-1.0, 1.0, size=(12, plp.m))
+    # a dispatch solved at another theta is usually infeasible here
+    pairs = [(solve_lp(plp, theta).x, thetas[k - 1]) for k, theta in enumerate(thetas)]
+    fresh = [projection_bytes(lp_of(case), *pair) for pair in pairs]
 
     def next_solves_are_cold():
-        # each simplex solve, then solve_lp, which may answer from a kept vertex
-        for theta in thetas:
-            ref = solution_bytes(solve_lp_cold(plp, theta))
-            assert solution_bytes(lp_mod.simplex_solve(plp, theta)) == ref
-            assert solution_bytes(solve_lp(plp, theta)) == ref
+        assert [projection_bytes(plp, *pair) for pair in pairs] == fresh
 
-    # infeasible: a point far outside the box
-    infeasible = [t for t in thetas if lp_mod.simplex_solve(cold, t).status == "infeasible"]
-    assert infeasible
-    assert lp_mod.simplex_solve(plp, infeasible[0]).status == "infeasible"
     next_solves_are_cold()
-    # a bound of 1e20 or more is infinite to HiGHS, so a huge theta leaves some row
-    # with an upper bound of -inf: passModel refuses that model, and the session keeps
-    # the row out of its model as well
-    huge = np.full(plp.m, 1e25)
-    assert solution_bytes(lp_mod.simplex_solve(plp, huge)) == solution_bytes(
-        lp_mod.simplex_solve(cold, huge))
-    assert lp_mod.simplex_solve(plp, huge).status == "infeasible"
+    model = lp_mod._kept(plp).projection
+    # infeasible: the feasible set is empty far outside the box
+    far = np.full(plp.m, 1000.0)
+    assert projection_bytes(plp, pairs[1][0], far) == (
+        f"projection LP is infeasible at theta={far}")
     next_solves_are_cold()
-    # unbounded: no theta makes an LP unbounded whose midpoint has an optimum (the
-    # recession cone does not depend on theta), so HiGHS's verdict is forged once
-    class Forged:
-        def __getattr__(self, name):
-            return getattr(highs, name)
-
-        def getModelStatus(self):
-            return lp_mod._STATUS.kUnbounded
-
-    highs = session.highs
-    monkeypatch.setattr(session, "highs", Forged())
-    assert lp_mod.simplex_solve(plp, thetas[2]).status == "unbounded"
-    monkeypatch.undo()
+    # a bound of -1e20 or less is -inf to HiGHS: x_tilde = 1e25 gives such a row, so
+    # passModel refuses the cold model; the kept model refuses that bound and keeps
+    # the one it held (HiGHS holds a bound of 1e20 or more as inf)
+    refused = (np.full(plp.n, 1e25), thetas[0])
+    assert projection_bytes(plp, *refused) == projection_bytes(lp_of(case), *refused) == (
+        f"projection LP is infeasible at theta={thetas[0]}")
+    held = np.array(model.highs.getLp().row_upper_)
+    assert held.tobytes() == np.where(model.upper >= 1e20, np.inf, model.upper).tobytes()
+    assert model.upper[plp.q + plp.n] != -1e25 and np.isinf(held).sum() == plp.n
     next_solves_are_cold()
-    # out of pivots: solves that need one raise
-    session.highs.setOptionValue("simplex_iteration_limit", 0)
+    # out of pivots: projections that need one raise; presolve alone solves toy2's
+    model.highs.setOptionValue("simplex_iteration_limit", 0)
     raised = 0
-    for theta in thetas:
+    for pair in pairs:
         try:
-            lp_mod.simplex_solve(plp, theta)
+            project_feasible(pair[0], plp, pair[1])
         except lp_mod.LpNumericError as exc:
             assert "limit" in str(exc)
             raised += 1
-    assert raised
-    session.highs.setOptionValue("simplex_iteration_limit", lp_mod._HIGHS_OPTIONS["maxiter"])
+    assert bool(raised) == (case == "ieee69")
+    model.highs.setOptionValue("simplex_iteration_limit", lp_mod._HIGHS_OPTIONS["maxiter"])
     next_solves_are_cold()
-    assert lp_mod._kept(plp).session is session
-
-
-@pytest.mark.parametrize("case", ["ieee69", "toy2", "toy"])
-def test_the_session_starts_from_the_cold_midpoint_solve(case):
-    """The session's first run is the cold solve at the centre of the theta box:
-    scipy's vertex bit for bit, and the valid basis HiGHS ends on is the start."""
-    plp = lp_of(case)
-    session = lp_mod._kept(dataclasses.replace(plp)).session
-    ref = scipy_linprog(plp.c, plp.W, plp.rhs(plp.theta_box.mean(axis=1)))
-    assert np.array(session.highs.getSolution().col_value).tobytes() == ref.x.tobytes()
-    assert session.start.valid and not session.start.alien
-    # the LP keeps that session as its only start
-    solve_lp(plp, plp.theta_box[:, 0])
-    assert lp_mod._kept(plp).projection is None
-    kept = lp_mod._kept(plp).session.start
-    assert (kept.col_status, kept.row_status) == (session.start.col_status,
-                                                  session.start.row_status)
+    assert lp_mod._kept(plp).projection is model
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
-def test_the_session_model_is_the_cold_model(case):
-    """After every solve the session's model holds rhs(theta) bit for bit,
-    and the cost, matrix and other bounds of the cold model."""
+def test_the_projection_model_is_the_cold_model(case, projection_calls):
+    """After every projection LP the kept model holds its right-hand side bit
+    for bit, and the cost, matrix and other bounds of the cold model."""
     plp = lp_of(case)
     thetas = property_thetas(plp, 60, 0.5, seed=107)
-    mid = thetas[0]
-    # back to the midpoint, and to it in one coordinate only
+    # back to the first point, and to it in one coordinate only
     some = thetas[2:12].copy()
-    some[:, 0] = mid[0]
-    thetas = np.vstack([thetas, mid, some])
-    for theta in thetas:
-        lp_mod.simplex_solve(plp, theta)
-        model = lp_mod._kept(plp).session.highs.getLp()
-        assert np.array(model.row_upper_).tobytes() == plp.rhs(theta).tobytes()
-    inf = highs_core.kHighsInf
-    assert model.row_lower_ == [-inf] * plp.q
-    assert (model.col_lower_, model.col_upper_) == ([-inf] * plp.n, [inf] * plp.n)
-    assert np.array(model.col_cost_).tobytes() == plp.c.tobytes()
+    some[:, 0] = thetas[0][0]
+    thetas = np.vstack([thetas, thetas[0], some])
+    # two dispatches, each infeasible at most of those points
+    dispatches = [np.zeros(plp.n), solve_lp(plp, thetas[1]).x]
+    for k, theta in enumerate(thetas):
+        x = dispatches[k % 2]
+        before = len(projection_calls)
+        projection_bytes(plp, x, theta)
+        if len(projection_calls) > before:
+            b = projection_calls[-1][2]
+            assert b.tobytes() == np.concatenate([plp.rhs(theta), x, -x]).tobytes()
+            model = lp_mod._kept(plp).projection.highs.getLp()
+            assert np.array(model.row_upper_).tobytes() == b.tobytes()
+    assert len(projection_calls) > len(thetas) // 2
+    kept, inf = lp_mod._kept(plp), highs_core.kHighsInf
+    assert model.row_lower_ == [-inf] * (plp.q + 2 * plp.n)
+    assert (model.col_lower_, model.col_upper_) == ([-inf] * 2 * plp.n, [inf] * 2 * plp.n)
+    assert np.array(model.col_cost_).tobytes() == np.repeat([0.0, 1.0], plp.n).tobytes()
     mat = model.a_matrix_
     assert mat.format_ == highs_core.MatrixFormat.kColwise
     assert (list(mat.start_), list(mat.index_), list(mat.value_)) == (
-        tuple(map(list, lp_mod._kept(plp).W_csc)))
+        tuple(map(list, kept.projection_csc)))
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
@@ -1330,7 +1238,7 @@ def test_hyperplanes_match_the_set_oracle(case):
 
 def test_an_lp_is_freed_with_its_last_reference(case69):
     """What the lp module keeps of an LP holds no reference back to it, so the
-    LP and its HiGHS models go without the cyclic garbage collector."""
+    LP and its HiGHS model go without the cyclic garbage collector."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -1340,7 +1248,7 @@ def test_an_lp_is_freed_with_its_last_reference(case69):
         perturbed_basis(plp, thetas[0])
         project_feasible(x, plp, thetas[1])
         kept = lp_mod._kept(plp)
-        assert kept.session is not None and kept.projection is not None
+        assert kept.projection is not None
         assert dataclasses.replace(plp).solver_state is None
         del kept
         ref = weakref.ref(plp)
