@@ -2,10 +2,10 @@
 
 Every model implements one protocol, :class:`ReleaseModel`: logits feed
 a softmax with inverse temperature beta, and the released region index
-is a categorical draw from the resulting distribution.  The quantum
-model's depolarizing noise enters as an exact (1-gamma) contraction of
-the bias-free logits; the MLP's privacy knob is Gaussian noise added to
-its logits.
+is a categorical draw from the law ``probability_matrix`` gives.  The
+quantum model's depolarizing noise enters as an exact (1-gamma)
+contraction of the bias-free logits; the MLP's privacy knob is Gaussian
+noise added to its logits, which its law averages over.
 
 Both models train through one loop, :func:`_fit` (mini-batch
 cross-entropy descent with Adam, best-epoch restore); each supplies its
@@ -137,7 +137,7 @@ class LinearHead:
 
 
 class ReleaseModel:
-    """What the three region models share: a released law built in two steps.
+    """What the three region models share: one released law built in two steps.
 
     ``base_scores(thetas)`` is the part that depends on neither gamma,
     beta nor the rng (noise-free VQC scores, MLP logits, oracle one-hot
@@ -145,28 +145,20 @@ class ReleaseModel:
     (gamma, beta, rng) setting to it, so a sweep computes the base once.
     By default the base is the logits and the law is their softmax.
 
-    ``released_law(thetas, gamma, beta)`` is the law (N, K) the privacy
-    audit measures.  Base scores are row-exact (see :func:`dense`), so
-    each row of every law is bitwise the law of a one-point query.
+    ``probability_matrix(thetas, gamma, beta)`` is the law (N, K) the
+    model releases and the privacy audit measures.  Base scores are
+    row-exact (see :func:`dense`), so each row of every law is bitwise
+    the law of a one-point query.
     """
 
-    def logit_matrix(self, thetas: np.ndarray, gamma: float = 0.0) -> np.ndarray:
-        return self.logits_from_base(self.base_scores(thetas), gamma)
-
-    def probability_matrix(
-        self, thetas: np.ndarray, gamma: float = 0.0, beta: float | None = None
-    ) -> np.ndarray:
-        """Noise-free softmax of :meth:`logit_matrix`; beta defaults to the model's."""
-        return softmax_probs(self.logit_matrix(thetas, gamma), self.beta if beta is None else beta)
+    def probability_matrix(self, thetas: np.ndarray, gamma, beta) -> np.ndarray:
+        return self.probabilities_from_base(self.base_scores(thetas), gamma, beta)
 
     def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
         return base
 
     def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
         return softmax_probs(self.logits_from_base(base, gamma), beta)
-
-    def released_law(self, thetas: np.ndarray, gamma, beta) -> np.ndarray:
-        return self.probabilities_from_base(self.base_scores(thetas), gamma, beta)
 
 
 @dataclass
@@ -181,10 +173,6 @@ class VqcModel(ReleaseModel):
     @property
     def K(self) -> int:
         return self.head.K
-
-    @property
-    def beta(self) -> float:
-        return self.head.beta
 
     @property
     def num_params(self) -> int:
@@ -245,7 +233,7 @@ class MlpBaseline(ReleaseModel):
             base = base + self.sigma * rng.standard_normal(base.shape)
         return softmax_probs(base, beta)
 
-    def released_law(
+    def probability_matrix(
         self, thetas: np.ndarray, gamma, beta: float, n_draws: int = 2000, seed: int = 0
     ) -> np.ndarray:
         """Law of the index released under N(0, sigma^2) logit noise.
@@ -253,7 +241,7 @@ class MlpBaseline(ReleaseModel):
         The noise-convolved softmax has no closed form, so it is averaged
         over ``n_draws`` normals drawn from ``seed`` and shared by every
         point (common random numbers keep a calibration search smooth and
-        deterministic).
+        deterministic).  At sigma = 0 it is bitwise the plain softmax.
         """
         s = self.base_scores(thetas)
         normals = np.random.default_rng(seed).standard_normal((n_draws, s.shape[1]))
@@ -279,13 +267,8 @@ class OracleClassifier(ReleaseModel):
         return out
 
     def probabilities_from_base(self, base, gamma, beta, rng=None) -> np.ndarray:
+        """The one-hot base itself: the oracle has neither noise nor temperature."""
         return base
-
-    def probability_matrix(
-        self, thetas: np.ndarray, gamma: float = 0.0, beta: float | None = None
-    ) -> np.ndarray:
-        """The one-hot law of :meth:`released_law`: the oracle has no temperature."""
-        return self.probabilities_from_base(self.base_scores(thetas), gamma, beta)
 
 
 @dataclass
@@ -559,8 +542,7 @@ def load_model(path):
 
 
 def argmax_accuracy(model, thetas: np.ndarray, labels: np.ndarray) -> float:
-    logits = model.logit_matrix(np.asarray(thetas, dtype=float))
-    pred = np.argmax(logits, axis=1) + 1
+    pred = np.argmax(model.base_scores(np.asarray(thetas, dtype=float)), axis=1) + 1
     return float(np.mean(pred == np.asarray(labels, dtype=int)))
 
 

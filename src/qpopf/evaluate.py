@@ -236,24 +236,24 @@ def runtime_model(n_q: int, L: int) -> float:
     return total_ns / 1000.0
 
 
+_TIMING_REPEATS = 50
+_TIMING_SEED = 0
+
+
 def measure_runtimes(
-    plp: ParametricLP,
-    atlas: RegionAtlas,
-    mlp=None,
-    vqc_config=None,
-    repeats: int = 50,
-    seed: int = 0,
+    plp: ParametricLP, atlas: RegionAtlas, mlp=None, vqc_config=None
 ) -> list[dict]:
     """Median per-instance wall-clock of each online path, in microseconds.
 
-    The LP-solver row is the measured baseline all speedups refer to: one
-    ``simplex_solve``, a cold solve (model load, presolve and dual
-    simplex).  ``solve_lp`` is not timed: it answers most points from a
-    kept vertex without running the solver.
+    Each path is timed at the same ``_TIMING_REPEATS`` uniform thetas,
+    drawn from ``_TIMING_SEED``.  The LP-solver row is the measured
+    baseline all speedups refer to: one ``simplex_solve``, a cold solve
+    (model load, presolve and dual simplex).  ``solve_lp`` is not timed:
+    it answers most points from a kept vertex without running the solver.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_TIMING_SEED)
     thetas = rng.uniform(
-        plp.theta_box[:, 0], plp.theta_box[:, 1], size=(repeats, plp.m)
+        plp.theta_box[:, 0], plp.theta_box[:, 1], size=(_TIMING_REPEATS, plp.m)
     )
 
     def med_us(fn) -> float:

@@ -183,10 +183,42 @@ def load_case(path: str | Path) -> GridCase:
         raise
     except (OSError, json.JSONDecodeError) as exc:
         raise CaseError(f"cannot parse case file {path}: {exc}") from exc
-    return case_from_dict(raw, name=raw.get("name", path.stem))
+    return case_from_dict(raw, name=path.stem)
+
+
+def _entries(raw: dict, key: str):
+    """(name, entry) of each entry of the list under ``key``, named like ``lines[2]``."""
+    if not isinstance(raw[key], list):
+        raise CaseError(f"{key!r} must be a list, got {type(raw[key]).__name__}")
+    return [(f"{key}[{i}]", e) for i, e in enumerate(raw[key])]
+
+
+def _field(entry, key: str, ctx: str, optional: bool = False):
+    if not isinstance(entry, dict):
+        raise CaseError(f"{ctx} must be an object, got {type(entry).__name__}")
+    if not optional and key not in entry:
+        raise CaseError(f"{ctx}: missing field {key!r}")
+    return entry.get(key)
+
+
+def _bus_id(value, ctx: str) -> int:
+    """A bus id as JSON gives it: an integer (a float, string or bool is refused)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CaseError(f"{ctx}: bus id must be an integer, got {value!r}")
+    return value
+
+
+def _num(entry: dict, key: str, ctx: str, optional: bool = False):
+    val = _field(entry, key, ctx, optional)
+    if val is not None and not isinstance(val, (int, float)):
+        raise CaseError(f"{ctx}: field {key!r} is not a number")
+    return None if val is None else float(val)
 
 
 def case_from_dict(raw: dict, name: str = "case") -> GridCase:
+    """Validate a parsed case file; ``name`` is its name if it gives none."""
+    if not isinstance(raw, dict):
+        raise CaseError(f"a case file must hold a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CaseError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
@@ -195,68 +227,55 @@ def case_from_dict(raw: dict, name: str = "case") -> GridCase:
         if key not in raw:
             raise CaseError(f"case file missing required key {key!r}")
 
-    def _num(entry: dict, key: str, ctx: str, optional: bool = False):
-        if key not in entry:
-            if optional:
-                return None
-            raise CaseError(f"{ctx}: missing field {key!r}")
-        val = entry[key]
-        if val is None:
-            return None
-        if not isinstance(val, (int, float)):
-            raise CaseError(f"{ctx}: field {key!r} is not a number")
-        return float(val)
-
     lines = [
         Line(
-            from_bus=int(e["from"]),
-            to_bus=int(e["to"]),
-            r_pu=_num(e, "r_pu", f"line {e.get('from')}-{e.get('to')}"),
-            x_pu=_num(e, "x_pu", f"line {e.get('from')}-{e.get('to')}"),
-            limit_mw=_num(e, "limit_mw", f"line {e.get('from')}-{e.get('to')}", optional=True),
+            from_bus=_bus_id(_field(e, "from", c), c),
+            to_bus=_bus_id(_field(e, "to", c), c),
+            r_pu=_num(e, "r_pu", c),
+            x_pu=_num(e, "x_pu", c),
+            limit_mw=_num(e, "limit_mw", c, optional=True),
         )
-        for e in raw["lines"]
+        for c, e in _entries(raw, "lines")
     ]
     gens = [
         Generator(
-            bus=int(e["bus"]),
-            cost=_num(e, "cost", f"generator at bus {e.get('bus')}"),
-            p_min_mw=_num(e, "p_min_mw", f"generator at bus {e.get('bus')}"),
-            p_max_mw=_num(e, "p_max_mw", f"generator at bus {e.get('bus')}"),
+            bus=_bus_id(_field(e, "bus", c), c),
+            cost=_num(e, "cost", c),
+            p_min_mw=_num(e, "p_min_mw", c),
+            p_max_mw=_num(e, "p_max_mw", c),
         )
-        for e in raw["generators"]
+        for c, e in _entries(raw, "generators")
     ]
     fixed, elastic = [], []
-    for e in raw["demands"]:
-        ctx = f"demand at bus {e.get('bus')}"
-        if e.get("elastic", False):
+    for c, e in _entries(raw, "demands"):
+        if _field(e, "elastic", c, optional=True):
             elastic.append(
                 ElasticDemand(
-                    bus=int(e["bus"]),
-                    p_min_mw=_num(e, "p_min_mw", ctx),
-                    p_max_mw=_num(e, "p_max_mw", ctx),
+                    bus=_bus_id(_field(e, "bus", c), c),
+                    p_min_mw=_num(e, "p_min_mw", c),
+                    p_max_mw=_num(e, "p_max_mw", c),
                 )
             )
         else:
             fixed.append(
                 FixedDemand(
-                    bus=int(e["bus"]),
-                    p_mw=_num(e, "p_mw", ctx),
-                    q_mvar=_num(e, "q_mvar", ctx),
+                    bus=_bus_id(_field(e, "bus", c), c),
+                    p_mw=_num(e, "p_mw", c),
+                    q_mvar=_num(e, "q_mvar", c),
                 )
             )
     renewables = [
         Renewable(
-            bus=int(e["bus"]),
-            forecast_mw=_num(e, "forecast_mw", f"renewable at bus {e.get('bus')}"),
-            deviation_kw=_num(e, "deviation_kw", f"renewable at bus {e.get('bus')}"),
+            bus=_bus_id(_field(e, "bus", c), c),
+            forecast_mw=_num(e, "forecast_mw", c),
+            deviation_kw=_num(e, "deviation_kw", c),
         )
-        for e in raw["renewables"]
+        for c, e in _entries(raw, "renewables")
     ]
     vlim = raw.get("voltage_limits", {})
     return GridCase(
-        name=name,
-        buses=[int(b) for b in raw["buses"]],
+        name=raw.get("name", name),
+        buses=[_bus_id(b, c) for c, b in _entries(raw, "buses")],
         lines=lines,
         generators=gens,
         fixed_demands=fixed,

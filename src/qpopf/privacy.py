@@ -8,13 +8,13 @@ privacy-cost tradeoff bounds the expected dispatch-cost increase by the
 worst per-region cost gap times a softmax-margin mis-selection bound.
 
 Every region model releases its index from one batched law,
-``released_law(thetas (N, m), gamma, beta) -> (N, K)``, built from
-row-exact base scores, so each row is bit for bit the law a single
-query is released from.  An audit is one call on the stacked pairs
-followed by one epsilon rule, :func:`pair_epsilons`: a class with
-probability exactly zero on one side only saturates its pair (eps =
-inf).  The single audit and every cell of the (gamma, beta) grid build
-their reports through that same rule, and eps95 is taken over the
+``probability_matrix(thetas (N, m), gamma, beta) -> (N, K)`` (noise-averaged
+for an MLP with sigma > 0), built from row-exact base scores, so each row is
+bit for bit the law a single query is released from.  An audit is one call
+on the stacked pairs followed by one epsilon rule, :func:`pair_epsilons`: a
+class with probability exactly zero on one side only saturates its pair
+(eps = inf).  The single audit and every cell of the (gamma, beta) grid
+build their reports through that same rule, and eps95 is taken over the
 finite pairs.
 """
 
@@ -184,12 +184,12 @@ def audit_mechanism(
 ) -> PrivacyReport:
     """Empirical budget of a model's released law over adjacent pairs.
 
-    One ``model.released_law`` call covers both sides of every pair;
+    One ``model.probability_matrix`` call covers both sides of every pair;
     ``draws`` (the MLP's ``n_draws`` and noise ``seed``) go to that call.
     The report records gamma and beta as given, None for a knob the model
     does not have.
     """
-    p = model.released_law(np.vstack(pairs), gamma, beta, **draws)
+    p = model.probability_matrix(np.vstack(pairs), gamma, beta, **draws)
     return _report(p, model, gamma, beta, eps_reg, delta_theta)
 
 
@@ -293,20 +293,18 @@ def audit_vqc_grid(
             eps_reg = epsilon_bound(model, gamma, beta, adjacency.delta_theta)
             report = _report(model.probabilities_from_base(scores, gamma, beta), model,
                              gamma, beta, eps_reg, adjacency.delta_theta)
-            row = {
+            pred = np.argmax(model.logits_from_base(acc_scores, gamma), axis=1) + 1
+            probs = model.probabilities_from_base(acc_scores, gamma, beta)
+            rows.append({
                 "gamma": float(gamma),
                 "beta": float(beta),
                 "eps95": report.eps95,
                 "eps_max": float(np.max(report.eps_emp)),
                 "eps_reg": eps_reg,
                 "bound_satisfied": report.bound_satisfied,
-            }
-            acc_logits = model.logits_from_base(acc_scores, gamma)
-            pred = np.argmax(acc_logits, axis=1) + 1
-            probs = softmax_probs(acc_logits, beta)
-            row["accuracy_det"] = float(np.mean(pred == labels))
-            row["accuracy_stoch"] = float(np.mean(probs[np.arange(len(labels)), labels - 1]))
-            rows.append(row)
+                "accuracy_det": float(np.mean(pred == labels)),
+                "accuracy_stoch": float(np.mean(probs[np.arange(len(labels)), labels - 1])),
+            })
     return rows
 
 

@@ -139,9 +139,6 @@ class RegionAtlas:
             plp_hash=d.get("plp_hash", ""),
         )
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
-
     @classmethod
     def load(cls, path: str | Path) -> "RegionAtlas":
         return cls.from_dict(json.loads(Path(path).read_text()))
@@ -389,14 +386,17 @@ def reconstruct_solution(atlas: RegionAtlas, k: int, theta: np.ndarray) -> np.nd
     return atlas.region(k).solution(theta)
 
 
+_MAX_LABEL_TRIES = 100
+
+
 def sample_labeled_dataset(
-    atlas: RegionAtlas, count: int, seed: int, max_tries: int = 100
+    atlas: RegionAtlas, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform thetas with locate_region labels; uncovered draws are retried.
 
     Sample i is the i-th covered draw of the generator; a run of
-    ``max_tries`` uncovered draws raises.  Draws are made and located in
-    blocks, which consumes the generator exactly as one draw at a time.
+    ``_MAX_LABEL_TRIES`` uncovered draws raises.  Draws are made and located
+    in blocks, which consumes the generator exactly as one draw at a time.
     """
     rng = np.random.default_rng(seed)
     lo, hi = atlas.theta_box[:, 0], atlas.theta_box[:, 1]
@@ -409,10 +409,9 @@ def sample_labeled_dataset(
         hits = np.flatnonzero(ids)[: count - done]
         gaps = np.diff(hits, prepend=-1 - misses) - 1
         misses = len(draws) - 1 - hits[-1] if hits.size else misses + len(draws)
-        if np.any(gaps >= max_tries) or (done + hits.size < count and misses >= max_tries):
-            raise UncoveredThetaError(
-                f"could not draw a covered theta in {max_tries} tries"
-            )
+        tries = _MAX_LABEL_TRIES
+        if np.any(gaps >= tries) or (done + hits.size < count and misses >= tries):
+            raise UncoveredThetaError(f"could not draw a covered theta in {tries} tries")
         thetas[done : done + hits.size] = draws[hits]
         labels[done : done + hits.size] = ids[hits]
         done += hits.size

@@ -174,7 +174,7 @@ def test_theorem2_soundness(vqc69, atlas69, plp69):
     while checked < 100:
         theta = rng.uniform(-1, 1, 3)
         k_star = locate_region(atlas69, theta)
-        s = vqc69.logit_matrix(theta[None, :], gamma)[0]
+        s = vqc69.logits_from_base(vqc69.base_scores(theta[None, :]), gamma)[0]
         m = margin_from_logits(s, k_star)
         if m <= 0:
             continue
@@ -196,9 +196,10 @@ def test_remark1_margin_scaling(vqc69, atlas69):
     rng = np.random.default_rng(37)
     thetas = rng.uniform(-1, 1, (1000, 3))
     labels = np.array([locate_region(atlas69, t) for t in thetas])
-    s0 = vqc69.logit_matrix(thetas, 0.0)
+    base = vqc69.base_scores(thetas)
+    s0 = vqc69.logits_from_base(base, 0.0)
     for gamma in (0.25, 0.6):
-        s_g = vqc69.logit_matrix(thetas, gamma)
+        s_g = vqc69.logits_from_base(base, gamma)
         for i in range(1000):
             m0 = margin_from_logits(s0[i], labels[i])
             mg = margin_from_logits(s_g[i], labels[i])

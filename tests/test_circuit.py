@@ -140,7 +140,8 @@ def test_committed_vqc_releases_the_oracle_law(monkeypatch):
 
     def laws():
         rows = [model.probability_matrix(t[None, :], 0.2, 2.0) for t in thetas[:20]]
-        return [*rows, model.probability_matrix(thetas, 0.2, 2.0), model.released_law(thetas, 0.2, 2.0)]
+        return [*rows, model.probability_matrix(thetas, 0.2, 2.0),
+                model.probabilities_from_base(model.base_scores(thetas), 0.2, 2.0)]
 
     got = laws()
     monkeypatch.setattr(classifier_mod, "run_circuit_batch", oracle.run_circuit)

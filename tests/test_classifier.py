@@ -13,6 +13,7 @@ from qpopf.classifier import (
     TrainingDivergedError,
     VqcModel,
     argmax_accuracy,
+    averaged_softmax,
     ce_head_gradients,
     kept_epoch,
     load_model,
@@ -114,8 +115,9 @@ def test_vqc_forward_full_noise_uniform():
     head = LinearHead(W=np.random.default_rng(8).normal(size=(3, 2)))
     model = VqcModel(TOY_CONFIG, params, head)
     theta = np.array([[0.4]])
-    np.testing.assert_allclose(model.logit_matrix(theta, gamma=1.0), 0.0, atol=1e-15)
-    np.testing.assert_allclose(model.probability_matrix(theta, gamma=1.0), 1 / 3, atol=1e-15)
+    logits = model.logits_from_base(model.base_scores(theta), 1.0)
+    np.testing.assert_allclose(logits, 0.0, atol=1e-15)
+    np.testing.assert_allclose(model.probability_matrix(theta, 1.0, head.beta), 1 / 3, atol=1e-15)
 
 
 def test_vqc_forward_logit_contraction():
@@ -123,8 +125,8 @@ def test_vqc_forward_logit_contraction():
     head = LinearHead(W=np.random.default_rng(10).normal(size=(3, 2)))
     model = VqcModel(TOY_CONFIG, params, head)
     theta = np.array([[-0.3]])
-    s0 = model.logit_matrix(theta, gamma=0.0)
-    s3 = model.logit_matrix(theta, gamma=0.3)
+    s0 = model.logits_from_base(model.base_scores(theta), 0.0)
+    s3 = model.logits_from_base(model.base_scores(theta), 0.3)
     np.testing.assert_allclose(s3, 0.7 * s0, atol=1e-12)
 
 
@@ -272,7 +274,26 @@ def test_mlp_forward_noisy_sigma_zero(toy_mlp):
     mlp, _ = toy_mlp
     theta = np.array([0.3])
     p = noisy_forward(mlp, theta, sigma=0.0, rng=np.random.default_rng(1))
-    np.testing.assert_allclose(p, mlp.probability_matrix(theta[None, :])[0], atol=1e-15)
+    np.testing.assert_allclose(p, mlp.probability_matrix(theta[None, :], 0.0, mlp.beta)[0],
+                               atol=1e-15)
+
+
+def test_mlp_probability_matrix_is_its_noise_averaged_law(toy_mlp):
+    """The one law of an MLP: the softmax averaged over the common normals
+    drawn from ``seed``, and at sigma = 0 bitwise the plain softmax."""
+    mlp, _ = toy_mlp
+    thetas = np.linspace(-0.9, 0.9, 25)[:, None]
+    base = mlp.base_scores(thetas)
+    noisy = dataclasses.replace(mlp, sigma=0.5)
+    normals = np.random.default_rng(0).standard_normal((2000, mlp.K))
+    np.testing.assert_array_equal(noisy.probability_matrix(thetas, None, 2.0),
+                                  averaged_softmax(base, 0.5, normals, 2.0))
+    normals = np.random.default_rng(5).standard_normal((300, mlp.K))
+    np.testing.assert_array_equal(noisy.probability_matrix(thetas, None, 2.0, n_draws=300, seed=5),
+                                  averaged_softmax(base, 0.5, normals, 2.0))
+    exact = dataclasses.replace(mlp, sigma=0.0)
+    np.testing.assert_array_equal(exact.probability_matrix(thetas, 0.0, 2.0),
+                                  softmax_probs(base, 2.0))
 
 
 def test_mlp_forward_noisy_large_sigma_uniformizes(toy_mlp):
@@ -334,10 +355,11 @@ def test_argmax_gamma_invariant(toy_vqc):
     model, _ = toy_vqc
     rng = np.random.default_rng(43)
     thetas = rng.uniform(-1, 1, (200, 1))
-    base = np.argmax(model.logit_matrix(thetas, 0.0), axis=1)
+    scores = model.base_scores(thetas)
+    base = np.argmax(model.logits_from_base(scores, 0.0), axis=1)
     for g in (0.1, 0.3, 0.5, 0.9):
         np.testing.assert_array_equal(
-            np.argmax(model.logit_matrix(thetas, g), axis=1), base
+            np.argmax(model.logits_from_base(scores, g), axis=1), base
         )
 
 
@@ -347,7 +369,7 @@ def test_oracle_probability_matrix_is_its_released_law(toy_atlas, beta):
     oracle = OracleClassifier(toy_atlas)
     thetas = np.linspace(-0.95, 0.95, 40)[:, None]
     one_hot = np.eye(toy_atlas.K)[[locate_region(toy_atlas, t) - 1 for t in thetas]]
-    np.testing.assert_array_equal(oracle.released_law(thetas, 0.3, 2.0), one_hot)
+    np.testing.assert_array_equal(oracle.probability_matrix(thetas, 0.3, 2.0), one_hot)
     np.testing.assert_array_equal(oracle.probability_matrix(thetas, 0.3, beta), one_hot)
 
 

@@ -168,15 +168,19 @@ def test_the_lp_solver_row_times_simplex_solves(toy_plp, toy_atlas, monkeypatch)
 
     monkeypatch.setattr(lp_mod, "linprog", recording_solve)
     monkeypatch.setattr(lp_mod, "_certified", recording_certify)
+    monkeypatch.setattr(evaluate_mod, "_TIMING_REPEATS", 7)
+    monkeypatch.setattr(evaluate_mod, "_TIMING_SEED", 1)
     plp = dataclasses.replace(toy_plp)
-    measure_runtimes(plp, toy_atlas, repeats=7, seed=1)
+    measure_runtimes(plp, toy_atlas)
     assert len(cold) == 7 and not certified
     # the points it timed have kept a vertex, so solve_lp would answer some of them
     assert lp_mod._kept(plp).vertices
 
 
-def test_measure_runtimes_rows(toy_plp, toy_atlas):
-    rows = measure_runtimes(toy_plp, toy_atlas, repeats=5, seed=1)
+def test_measure_runtimes_rows(toy_plp, toy_atlas, monkeypatch):
+    monkeypatch.setattr(evaluate_mod, "_TIMING_REPEATS", 5)
+    monkeypatch.setattr(evaluate_mod, "_TIMING_SEED", 1)
+    rows = measure_runtimes(toy_plp, toy_atlas)
     methods = [r["method"] for r in rows]
     assert methods[0] == "lp_solver"
     assert "constraint_check_affine" in methods
@@ -186,7 +190,7 @@ def test_measure_runtimes_rows(toy_plp, toy_atlas):
         assert r["speedup"] == pytest.approx(lp_row["runtime_us"] / r["runtime_us"])
 
 
-def released_law(model, thetas, gamma, beta, rng):
+def evaluation_law(model, thetas, gamma, beta, rng):
     """Each model's released law computed from its inputs in one go, as a
     single evaluation did before base scores were shared across cells."""
     if isinstance(model, VqcModel):
@@ -204,7 +208,7 @@ def evaluate_point_by_point(model, atlas, plp, batch, gamma, beta, rng, feas_tol
     every pick reconstructed, checked and projected anew."""
     tracked = evaluate_mod._tracked_indices(plp)
     names = [plp.var_names[i] for i in tracked] if plp.var_names else [f"x{i}" for i in tracked]
-    probs = released_law(model, batch.thetas, gamma, beta, rng)
+    probs = evaluation_law(model, batch.thetas, gamma, beta, rng)
     abs_err, gap_sum, infeasible, correct = np.zeros(len(tracked)), 0.0, 0, 0
     for theta, p in zip(batch.thetas, probs):
         k_star = locate_region(atlas, theta)
@@ -336,7 +340,7 @@ def test_full_sweep_law_is_bitwise_the_per_cell_law(committed69, plp69):
                 rng, rng2 = np.random.default_rng(3), np.random.default_rng(3)
                 np.testing.assert_array_equal(
                     model.probabilities_from_base(base, gamma, beta, rng),
-                    released_law(model, batch.thetas, gamma, beta, rng2), err_msg=kind)
+                    evaluation_law(model, batch.thetas, gamma, beta, rng2), err_msg=kind)
                 assert rng.bit_generator.state == rng2.bit_generator.state
 
 
@@ -397,7 +401,7 @@ def test_full_sweep_projects_each_infeasible_pick_once(committed69, plp69, monke
     for gamma in FULL_GAMMAS:
         for beta in FULL_BETAS:
             rng = np.random.default_rng(batch.seed)
-            probs = released_law(vqc, batch.thetas, gamma, beta, rng)
+            probs = evaluation_law(vqc, batch.thetas, gamma, beta, rng)
             for i, (theta, p) in enumerate(zip(batch.thetas, probs)):
                 k = sample_region(p, rng)
                 x = atlas.region(k).solution(theta)

@@ -131,3 +131,54 @@ def test_plp_hash_stable(toy_case):
     raw["generators"][0]["cost"] = 51.0
     h3 = linearize(case_from_dict(raw)).hash_hex()
     assert h3 != h1
+
+
+def with_line_missing_from(raw):
+    del raw["lines"][0]["from"]
+
+
+def with_generator_bus(value):
+    def edit(raw):
+        raw["generators"][0]["bus"] = value
+    return edit
+
+
+def with_section(key, value):
+    def edit(raw):
+        raw[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(with_generator_bus(1.5),
+                 r"generators\[0\]: bus id must be an integer, got 1.5", id="float-bus"),
+    pytest.param(with_generator_bus(True),
+                 r"generators\[0\]: bus id must be an integer, got True", id="bool-bus"),
+    pytest.param(with_generator_bus("1"),
+                 r"generators\[0\]: bus id must be an integer, got '1'", id="string-bus"),
+    pytest.param(with_line_missing_from, r"lines\[0\]: missing field 'from'", id="no-from"),
+    pytest.param(with_section("buses", [1, 2.0]),
+                 r"buses\[1\]: bus id must be an integer, got 2.0", id="float-in-buses"),
+    pytest.param(with_section("lines", {}), "'lines' must be a list, got dict", id="lines-object"),
+    pytest.param(with_section("renewables", None), "'renewables' must be a list, got NoneType",
+                 id="renewables-null"),
+    pytest.param(with_section("demands", [3]), r"demands\[0\] must be an object, got int",
+                 id="demand-number"),
+])
+def test_malformed_ids_and_sections_are_case_errors(tmp_path, edit, message):
+    raw = copy.deepcopy(TOY_CASE_DICT)
+    edit(raw)
+    with pytest.raises(CaseError, match=message):
+        case_from_dict(raw)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(CaseError, match=message):
+        load_case(path)
+
+
+@pytest.mark.parametrize("top", [[], 3, "case", None])
+def test_a_case_file_that_is_not_an_object_is_a_case_error(tmp_path, top):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(top))
+    with pytest.raises(CaseError, match="must hold a JSON object"):
+        load_case(path)

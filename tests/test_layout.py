@@ -2,11 +2,11 @@
 
 Every module of ``src/qpopf`` imports the package's other modules at its
 top and uses only their public names; every private function or method is
-called from somewhere in the package; every public function is named by
-the package, the benchmark or the README's library example, bar a listed
-few; only ``lp`` names the state it keeps on an LP (``solver_state``);
-the package exports exactly the names the README's ``## Library`` block
-imports from it.
+called from somewhere in the package; every public function, and every
+public method of a package class, is named by the package, the benchmark
+or the README's library example, bar a listed few; only ``lp`` names the
+state it keeps on an LP (``solver_state``); the package exports exactly
+the names the README's ``## Library`` block imports from it.
 """
 
 import ast
@@ -131,15 +131,26 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return found
 
 
+def public_functions(tree: ast.Module):
+    """(qualified name, name) of each module-level public function and each
+    public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn.name) for fn in node.body
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
 def unnamed_public_functions(modules: dict[str, ast.Module], readers: list[ast.AST]) -> list[str]:
-    """Module-level public functions of ``modules`` that no reader names."""
+    """Public functions and methods of ``modules`` that no reader names."""
     used = set().union(*map(referenced_names, readers))
-    return sorted(f"{name}.{node.name}" for name, tree in modules.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and not node.name.startswith("_") and node.name not in used)
+    return sorted(f"{name}.{qualified}" for name, tree in modules.items()
+                  for qualified, fn in public_functions(tree)
+                  if not fn.startswith("_") and fn not in used)
 
 
-# public functions that only tests call, and why each stays in the package
+# public functions and methods that only tests call, and why each stays in the package
 TEST_ONLY_FUNCTIONS = {
     "privacy.calibrate_sigma": "ROADMAP item 9: the noise scale of the matched-privacy MLP",
     "regions.chebyshev_center": "ROADMAP item 3: the interior point of certified coverage",
@@ -171,10 +182,14 @@ def test_the_checks_flag_planted_violations():
     )
     assert unreferenced_private_functions(planted) == ["c._kernel:9", "c._unused:5"]
     public = {"d": ast.parse("def used():\n    pass\n\ndef shadowed():\n    pass\n\n"
-                             "def unused(shadowed):\n    return shadowed\n")}
-    reader = ast.parse("from qpopf.d import used\n\nf = lambda unused: unused\n")
+                             "def unused(shadowed):\n    return shadowed\n\n"
+                             "class C:\n    def called(self):\n        pass\n\n"
+                             "    def idle(self):\n        pass\n\n"
+                             "    def __len__(self):\n        return 0\n")}
+    reader = ast.parse("from qpopf.d import used\n\nf = lambda unused: unused\n"
+                       "g = lambda c: c.called()\n")
     readers = [*public.values(), reader]
-    assert unnamed_public_functions(public, readers) == ["d.shadowed", "d.unused"]
+    assert unnamed_public_functions(public, readers) == ["d.C.idle", "d.shadowed", "d.unused"]
     state = {
         "grid": ast.parse("class P:\n    solver_state: object = None\n"),
         "lp": ast.parse("def _kept(plp):\n    return plp.solver_state\n"),

@@ -42,7 +42,7 @@ class StubModel:
     def __init__(self, table):
         self.table = table  # maps theta tuple -> probability vector
 
-    def released_law(self, thetas, gamma, beta):
+    def probability_matrix(self, thetas, gamma, beta):
         return np.array([self.table[tuple(t)] for t in np.atleast_2d(thetas)], dtype=float)
 
 
@@ -277,14 +277,14 @@ def test_mlp_averaged_mechanism_deterministic(toy_atlas):
 
     mlp, _ = train_mlp((thetas, labels), TrainConfig(epochs=10, seed=3))
     noisy = dataclasses.replace(mlp, sigma=0.7)
-    p1 = noisy.released_law(np.array([[0.2], [-0.4]]), None, 1.0, n_draws=500, seed=5)
-    p2 = noisy.released_law(np.array([[0.2], [-0.4]]), None, 1.0, n_draws=500, seed=5)
+    p1 = noisy.probability_matrix(np.array([[0.2], [-0.4]]), None, 1.0, n_draws=500, seed=5)
+    p2 = noisy.probability_matrix(np.array([[0.2], [-0.4]]), None, 1.0, n_draws=500, seed=5)
     np.testing.assert_array_equal(p1, p2)
     np.testing.assert_allclose(p1.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_oracle_mechanism_is_one_hot(toy_atlas):
-    p = OracleClassifier(toy_atlas).released_law(np.array([[0.5]]), None, None)
+    p = OracleClassifier(toy_atlas).probability_matrix(np.array([[0.5]]), None, None)
     assert p.shape == (1, toy_atlas.K)
     assert sorted(p[0]) == [0.0, 1.0]
 
@@ -374,7 +374,7 @@ def row_law(model, theta, gamma, beta, n_draws=2000, seed=0):
         p = np.zeros(model.atlas.K)
         p[locate_region(model.atlas, theta) - 1] = 1.0
         return p
-    return model.released_law(theta[None, :], gamma, beta)[0]
+    return model.probability_matrix(theta[None, :], gamma, beta)[0]
 
 
 def epsilon_with_class(p, p2):
@@ -444,7 +444,7 @@ def test_vqc_probabilities_match_the_row_loop(kind, toy_model, committed):
     for seed in (0, 7, 41):
         thetas = stacked_pairs(m, seed, count=100 if kind == "toy" else 40)
         for gamma, beta in NOISE_AND_TEMPERATURE:
-            np.testing.assert_array_equal(model.released_law(thetas, gamma, beta),
+            np.testing.assert_array_equal(model.probability_matrix(thetas, gamma, beta),
                                           row_loop(model, thetas, gamma, beta))
 
 
@@ -456,7 +456,7 @@ def test_mlp_probabilities_match_the_row_loop(kind, sigma, n_draws, toy_mlp, com
     if n_draws == 2000:  # the rows span several chunks of the averaged softmax
         assert len(thetas) > 2 * classifier_mod._AVERAGE_CHUNK // (n_draws * mlp.K)
     draws = {"n_draws": n_draws, "seed": 7926}
-    np.testing.assert_array_equal(mlp.released_law(thetas, None, 1.0, **draws),
+    np.testing.assert_array_equal(mlp.probability_matrix(thetas, None, 1.0, **draws),
                                   row_loop(mlp, thetas, None, 1.0, **draws))
 
 
@@ -464,7 +464,7 @@ def test_oracle_probabilities_match_the_row_loop(committed, toy_atlas):
     for atlas in (toy_atlas, committed[0]):
         oracle = OracleClassifier(atlas)
         thetas = stacked_pairs(atlas.theta_box.shape[0], 0)
-        np.testing.assert_array_equal(oracle.released_law(thetas, None, None),
+        np.testing.assert_array_equal(oracle.probability_matrix(thetas, None, None),
                                       row_loop(oracle, thetas, None, None))
 
 
@@ -485,7 +485,7 @@ def test_oracle_mechanism_raises_on_an_uncovered_point(plp69):
     thetas = stacked_pairs(3, 0, count=50)
     assert np.any(locate_batch(atlas, thetas) == 0)
     with pytest.raises(UncoveredThetaError):
-        OracleClassifier(atlas).released_law(thetas, None, None)
+        OracleClassifier(atlas).probability_matrix(thetas, None, None)
 
 
 @pytest.mark.parametrize("kind", ["vqc", "mlp", "mlp0", "oracle"])
@@ -524,8 +524,8 @@ def test_audit_matches_the_per_pair_loop_on_zero_probabilities():
     eps = np.array(got["eps_emp"])
     assert eps[0] == np.inf and eps[1] == 0.0 and eps[4] == np.inf
     assert (got["worst_pair"], got["worst_class"], got["saturated_count"]) == (0, 3, 2)
-    one_pair = [privacy.pair_epsilons(stub.released_law(t, None, None),
-                                      stub.released_law(t + 1.0, None, None)) for t in thetas]
+    one_pair = [privacy.pair_epsilons(stub.probability_matrix(t, None, None),
+                                      stub.probability_matrix(t + 1.0, None, None)) for t in thetas]
     assert [int(classes[0]) for _, classes in one_pair] == [3, 1, 3, 1, 1, 2]
     for (eps1, classes), t in zip(one_pair, thetas):
         assert (eps1[0], classes[0]) == epsilon_with_class(
@@ -540,13 +540,13 @@ def test_audit_calls_each_mechanism_once(committed, monkeypatch):
                                        {"n_draws": 200}),
                                       (OracleClassifier(atlas), None, None, {})):
         calls = []
-        released_law = model.released_law
+        probability_matrix = model.probability_matrix
 
-        def counted(thetas, *args, released_law=released_law, **kwargs):
+        def counted(thetas, *args, probability_matrix=probability_matrix, **kwargs):
             calls.append(len(thetas))
-            return released_law(thetas, *args, **kwargs)
+            return probability_matrix(thetas, *args, **kwargs)
 
-        monkeypatch.setattr(model, "released_law", counted)
+        monkeypatch.setattr(model, "probability_matrix", counted)
         audit_mechanism(model, gamma, beta, pairs, **draws)
         assert calls == [60]
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -180,7 +182,7 @@ def test_uncovered_theta_error(toy_plp):
 
 def test_atlas_roundtrip(tmp_path, toy_atlas):
     path = tmp_path / "atlas.json"
-    toy_atlas.save(path)
+    path.write_text(json.dumps(toy_atlas.to_dict(), sort_keys=True))
     loaded = RegionAtlas.load(path)
     assert loaded.to_dict() == toy_atlas.to_dict()
 
@@ -288,16 +290,18 @@ def one_region_atlas69(plp69):
 
 @pytest.mark.parametrize("max_tries", [1, 2, 3, 5, 100])
 @pytest.mark.parametrize("count", [0, 1, 7, 300])
-def test_sample_labeled_dataset_keeps_the_scalar_stream(one_region_atlas69, count, max_tries):
+def test_sample_labeled_dataset_keeps_the_scalar_stream(one_region_atlas69, count, max_tries,
+                                                        monkeypatch):
     atlas = one_region_atlas69
+    monkeypatch.setattr(regions_mod, "_MAX_LABEL_TRIES", max_tries)
     for seed in range(4):
         try:
             expected = sample_one_at_a_time(atlas, count, seed, max_tries)
         except UncoveredThetaError:
             with pytest.raises(UncoveredThetaError, match=f"{max_tries} tries"):
-                sample_labeled_dataset(atlas, count, seed, max_tries)
+                sample_labeled_dataset(atlas, count, seed)
             continue
-        thetas, labels = sample_labeled_dataset(atlas, count, seed, max_tries)
+        thetas, labels = sample_labeled_dataset(atlas, count, seed)
         assert thetas.tobytes() == expected[0].tobytes()
         np.testing.assert_array_equal(labels, expected[1])
 
@@ -365,7 +369,8 @@ def test_oracle_classifier_matches_point_loop(name, request):
         expected = np.zeros((covered.sum(), atlas.K))
         for i, t in enumerate(thetas[covered]):
             expected[i, locate_region(atlas, t) - 1] = 1.0
-        np.testing.assert_array_equal(oracle.logit_matrix(thetas[covered]), expected)
+        np.testing.assert_array_equal(
+            oracle.logits_from_base(oracle.base_scores(thetas[covered]), 0.0), expected)
         np.testing.assert_array_equal(
             oracle.probabilities_from_base(oracle.base_scores(thetas[covered]), 0.3, 2.0),
             expected)
@@ -373,4 +378,4 @@ def test_oracle_classifier_matches_point_loop(name, request):
             first = int(np.argmin(covered))
             with pytest.raises(UncoveredThetaError,
                                match=f"{(~covered).sum()} of {len(thetas)} points .* point {first},"):
-                oracle.logit_matrix(thetas)
+                oracle.logits_from_base(oracle.base_scores(thetas), 0.0)
