@@ -15,7 +15,7 @@ other name is imported from its module (``qpopf.regions``,
 from qpopf.grid import load_case, linearize
 from qpopf.regions import enumerate_regions, locate_region
 from qpopf.circuit import CircuitConfig
-from qpopf.classifier import TrainConfig, VqcModel, train_vqc
+from qpopf.classifier import TrainConfig, train_vqc
 from qpopf.privacy import AdjacencySpec, theoretical_epsilon
 
 __version__ = "0.1.0"

@@ -2,7 +2,10 @@
 
 Qubit j corresponds to bit (n_q - 1 - j) of the basis index, i.e. qubit 0
 is the leftmost label in ket notation.  States are arrays (..., 2**n_q),
-so a whole batch of inputs moves through the circuit in one call.
+so a whole batch of inputs moves through the circuit in one call.  The
+trainable angles are one array ``phi`` in radians, shaped
+``CircuitConfig.param_shape``; the model that owns them is
+``qpopf.classifier.VqcModel``.
 
 Each call tables its gates once, with vectorized numpy: the encoding
 rotations per sample and qubit, the trainable gates per layer and qubit.
@@ -120,35 +123,6 @@ class CircuitConfig:
         )
 
 
-@dataclass
-class VqcParams:
-    """Trainable rotation angles in radians.
-
-    Shape (L, n_q) for single-angle Y rotations or (L, n_q, 3) for
-    general rotations.
-    """
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
-        if self.phi.ndim not in (2, 3) or (self.phi.ndim == 3 and self.phi.shape[2] != 3):
-            raise ValueError("phi must be (L, n_q) or (L, n_q, 3)")
-        if not np.all(np.isfinite(self.phi)):
-            raise ValueError("phi must be finite")
-
-    @property
-    def count(self) -> int:
-        return self.phi.size
-
-    def copy(self) -> "VqcParams":
-        return VqcParams(self.phi.copy())
-
-    @classmethod
-    def random_init(cls, config: CircuitConfig, rng: np.random.Generator) -> "VqcParams":
-        return cls(rng.uniform(-np.pi, np.pi, size=config.param_shape))
-
-
 # -- gate tables and the state walk --------------------------------------------
 
 
@@ -258,14 +232,13 @@ class _Walk:
         np.copyto(self.states, self.spare)
 
 
-def run_circuit_batch(
-    config: CircuitConfig, params: VqcParams, thetas: np.ndarray
-) -> np.ndarray:
+def run_circuit_batch(config: CircuitConfig, phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Output states (N, 2**n_q) for a batch of normalized inputs (N, m).
 
-    Each gate family's coefficients are tabled once per call (the
-    encoding per sample, the trainable gates per layer and qubit), and each
-    layer's CNOT ladder is one gather.
+    ``phi`` holds the trainable angles in radians, shaped
+    ``config.param_shape``.  Each gate family's coefficients are tabled
+    once per call (the encoding per sample, the trainable gates per layer
+    and qubit), and each layer's CNOT ladder is one gather.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if max(config.encoding_pattern) >= thetas.shape[1]:
@@ -273,10 +246,8 @@ def run_circuit_batch(
             f"encoding_pattern {config.encoding_pattern} needs theta of length "
             f"> {max(config.encoding_pattern)}, got {thetas.shape[1]}"
         )
-    if params.phi.shape != config.param_shape:
-        raise ValueError(
-            f"params shape {params.phi.shape} does not match {config.param_shape}"
-        )
+    if np.shape(phi) != config.param_shape:
+        raise ValueError(f"phi shape {np.shape(phi)} does not match {config.param_shape}")
     states = np.zeros((thetas.shape[0], config.dim), dtype=complex)
     states[:, 0] = 1.0
     walk = _Walk(states, config.n_q)
@@ -284,7 +255,7 @@ def run_circuit_batch(
         _ry_table(config.encoding_scale * thetas.T[list(config.encoding_pattern)]), per_sample=True
     )
     trainable = walk.broadcast(
-        _rot_table(params.phi) if config.trainable_gate == "rot" else _ry_table(params.phi)
+        _rot_table(phi) if config.trainable_gate == "rot" else _ry_table(phi)
     )
     ladder = _ladder_permutation(config.n_q)
     for layer in range(config.L):
@@ -333,7 +304,7 @@ def _im_y(pair: np.ndarray, qubit: int, n_q: int) -> np.ndarray:
 
 def vjp(
     config: CircuitConfig,
-    params: VqcParams,
+    phi: np.ndarray,
     thetas: np.ndarray,
     dh: np.ndarray,
     states: np.ndarray,
@@ -362,10 +333,10 @@ def vjp(
     )
     rot = config.trainable_gate == "rot"
     if rot:
-        trainable = walk.broadcast(_ry_table(-params.phi[..., 1]))
-        phases = _rz_table(-params.phi[..., ::2])   # Rz(-a), Rz(-c)
+        trainable = walk.broadcast(_ry_table(-phi[..., 1]))
+        phases = _rz_table(-phi[..., ::2])   # Rz(-a), Rz(-c)
     else:
-        trainable = walk.broadcast(_ry_table(-params.phi))
+        trainable = walk.broadcast(_ry_table(-phi))
     unladder = np.argsort(_ladder_permutation(n_q))
     grad = np.empty((*dh.shape[:-1], *config.param_shape))
     for layer in reversed(range(config.L)):

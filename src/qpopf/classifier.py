@@ -5,11 +5,15 @@ a softmax with inverse temperature beta, and the released region index
 is a categorical draw from the law ``probability_matrix`` gives.  The
 quantum model's depolarizing noise enters as an exact (1-gamma)
 contraction of the bias-free logits; the MLP's privacy knob is Gaussian
-noise added to its logits, which its law averages over.
+noise added to its logits, which its law averages over.  Each model is
+one dataclass that checks its arrays' shapes and finiteness when built:
+:class:`VqcModel` holds the circuit config, its angles ``phi`` and the
+head ``W``; :class:`MlpBaseline` its layer weights and biases.
 
 Both models train through one loop, :func:`_fit` (mini-batch
 cross-entropy descent with Adam, best-epoch restore); each supplies its
-initialization and batch gradient.  A model's trainable arrays are views
+initialization and batch gradient, and both trainers return
+``(model, history)``.  A model's trainable arrays are views
 of one contiguous buffer, so each step is one Adam update of that buffer
 (Adam is elementwise: the same bits as one update per array) and the
 best-epoch snapshot is one copy of it.  The circuit angles get adjoint
@@ -27,13 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qpopf.circuit import (
-    CircuitConfig,
-    VqcParams,
-    run_circuit_batch,
-    vjp,
-    z_expectations,
-)
+from qpopf.circuit import CircuitConfig, run_circuit_batch, vjp, z_expectations
 from qpopf.regions import RegionAtlas, locate_covered
 
 
@@ -118,22 +116,24 @@ def sample_region(p: np.ndarray, rng: np.random.Generator) -> int:
     return min(k, len(cum) - 1) + 1
 
 
-@dataclass
-class LinearHead:
-    """Bias-free classifier head: logits = W h, softmax sharpness beta."""
+def _check_arrays(model, shapes: dict) -> None:
+    """Make each field ``name`` of ``model`` a float array, finite and shaped ``shapes[name]``.
 
-    W: np.ndarray               # (K, n_q)
-    beta: float = 1.0
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
-        check_noise_and_temperature([], [self.beta])
-        if not np.all(np.isfinite(self.W)):
-            raise ValueError("head weights must be finite")
-
-    @property
-    def K(self) -> int:
-        return self.W.shape[0]
+    A size is an int, or an axis name whose size the first array that has
+    it fixes, checked in order.  A float64 array is kept, not copied:
+    training updates the arrays as views of one buffer.
+    """
+    sizes: dict[str, int] = {}
+    for name, dims in shapes.items():
+        a = np.asarray(getattr(model, name), dtype=float)
+        setattr(model, name, a)
+        want = tuple(d if isinstance(d, int) else sizes.setdefault(d, n)
+                     for d, n in zip(dims, a.shape))
+        if a.ndim != len(dims) or a.shape != want:
+            shape = ", ".join(str(sizes.get(d, d)) for d in dims)
+            raise ValueError(f"{type(model).__name__} {name} must be ({shape}), got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{type(model).__name__} {name} must be finite")
 
 
 class ReleaseModel:
@@ -163,25 +163,36 @@ class ReleaseModel:
 
 @dataclass
 class VqcModel(ReleaseModel):
-    """Bundle of circuit config, trained angles, and head."""
+    """The data re-uploading classifier (Perez-Salinas et al., Quantum 2020).
+
+    Circuit angles ``phi`` (shaped ``config.param_shape``, radians) give
+    Pauli-Z features h; a bias-free linear head gives the logits W h, and
+    ``beta`` is the softmax sharpness.  Arrays are checked, not copied:
+    training updates ``phi`` and ``W`` as views of one buffer.
+    """
 
     config: CircuitConfig
-    params: VqcParams
-    head: LinearHead
+    phi: np.ndarray
+    W: np.ndarray               # (K, n_q)
+    beta: float = 1.0
     model_id: str = "vqc"
+
+    def __post_init__(self):
+        _check_arrays(self, {"phi": self.config.param_shape, "W": ("K", self.config.n_q)})
+        check_noise_and_temperature([], [self.beta])
 
     @property
     def K(self) -> int:
-        return self.head.K
+        return self.W.shape[0]
 
     @property
     def num_params(self) -> int:
-        return self.params.count + self.head.W.size
+        return self.phi.size + self.W.size
 
     def base_scores(self, thetas: np.ndarray) -> np.ndarray:
         """W h0: the logits that noise contracts (row-exact)."""
-        states = run_circuit_batch(self.config, self.params, thetas)
-        return dense(z_expectations(states, self.config.n_q), self.head.W)
+        states = run_circuit_batch(self.config, self.phi, thetas)
+        return dense(z_expectations(states, self.config.n_q), self.W)
 
     def logits_from_base(self, base: np.ndarray, gamma: float) -> np.ndarray:
         return (1.0 - gamma) * base
@@ -208,6 +219,9 @@ class MlpBaseline(ReleaseModel):
         check_noise_and_temperature([], [self.beta])
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        # the biases fix the hidden widths, and each weight matrix must chain them
+        _check_arrays(self, {"b1": ("H1",), "b2": ("H2",), "W1": ("H1", "m"),
+                             "W2": ("H2", "H1"), "W_head": ("K", "H2")})
 
     @property
     def K(self) -> int:
@@ -405,29 +419,28 @@ def train_vqc(
     train_cfg: TrainConfig,
     K: int | None = None,
     eval_set: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[VqcParams, LinearHead, list[dict]]:
+) -> tuple[VqcModel, list[dict]]:
     """Joint circuit + bias-free head cross-entropy training at gamma = 0.
 
-    Returns the trained parameters, the head, and a per-epoch history
-    (loss curve, plus accuracies when an eval set is given).
-    Deterministic under the config seed.
+    Returns the trained model and a per-epoch history (loss curve, plus
+    accuracies when an eval set is given).  Deterministic under the
+    config seed: the angles are drawn uniform on [-pi, pi), then the head.
     """
     K = int(np.max(dataset[1])) if K is None else K
     rng = np.random.default_rng(train_cfg.seed)
-    phi = VqcParams.random_init(config, rng).phi
+    phi = rng.uniform(-np.pi, np.pi, size=config.param_shape)
     W = rng.uniform(-1.0, 1.0, size=(K, config.n_q)) / np.sqrt(config.n_q)
     flat, (phi, W) = _flat_views(phi, W)
-    params = VqcParams(phi)
 
     def step(xb, yb):
-        states = run_circuit_batch(config, params, xb)
+        states = run_circuit_batch(config, phi, xb)
         h = z_expectations(states, config.n_q)
         loss, gW, dh, _ = ce_head_gradients(h, W, yb, train_cfg.beta)
-        return loss, [vjp(config, params, xb, dh, states).sum(axis=0), gW]
+        return loss, [vjp(config, phi, xb, dh, states).sum(axis=0), gW]
 
-    model = VqcModel(config, params, LinearHead(W=W, beta=train_cfg.beta))
+    model = VqcModel(config, phi, W, beta=train_cfg.beta)
     history = _fit(model, flat, step, dataset, K, train_cfg, rng, eval_set)
-    return params, LinearHead(W=W, beta=train_cfg.beta), history
+    return model, history
 
 
 MLP_HIDDEN = (7, 7)
@@ -478,12 +491,8 @@ def save_model(model, path, seed: int | None = None, atlas_hash: str = "", extra
         payload = {
             "kind": "vqc",
             "config": model.config.to_dict(),
-            "phi": model.params.phi.tolist(),
-            "head": {
-                "W": model.head.W.tolist(),
-                "b": [0.0] * model.head.K,
-                "beta": model.head.beta,
-            },
+            "phi": model.phi.tolist(),
+            "head": {"W": model.W.tolist(), "b": [0.0] * model.K, "beta": model.beta},
         }
     elif isinstance(model, MlpBaseline):
         payload = {
@@ -510,7 +519,8 @@ def load_model(path):
     """Load a checkpoint written by :func:`save_model`.
 
     A VQC head's ``b`` must be all zeros, and each beta finite and > 0;
-    an MLP's sigma must be finite and >= 0.
+    an MLP's sigma must be finite and >= 0.  Every array must be finite
+    and shaped as its model requires (see :func:`_check_arrays`).
     """
     d = json.loads(Path(path).read_text())
     if d["kind"] == "vqc":
@@ -520,19 +530,13 @@ def load_model(path):
                 f"head.b must be {len(W)} zeros: the privacy bound assumes a bias-free head"
             )
         model = VqcModel(
-            config=CircuitConfig.from_dict(d["config"]),
-            params=VqcParams(np.array(d["phi"], dtype=float)),
-            head=LinearHead(W=W, beta=float(d["head"]["beta"])),
+            CircuitConfig.from_dict(d["config"]), d["phi"], W, beta=float(d["head"]["beta"])
         )
     elif d["kind"] == "mlp":
         if d.get("activation", "tanh") != "tanh":
             raise ValueError(f"MLP activation must be 'tanh', got {d['activation']!r}")
         model = MlpBaseline(
-            W1=np.array(d["W1"], dtype=float),
-            b1=np.array(d["b1"], dtype=float),
-            W2=np.array(d["W2"], dtype=float),
-            b2=np.array(d["b2"], dtype=float),
-            W_head=np.array(d["W_head"], dtype=float),
+            d["W1"], d["b1"], d["W2"], d["b2"], d["W_head"],
             beta=float(d["beta"]),
             sigma=float(d["sigma"]),
         )

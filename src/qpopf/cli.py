@@ -294,10 +294,7 @@ def cmd_train(parser, args) -> int:
     t0 = time.perf_counter()
     if cfg["model"] == "vqc":
         config = replace(config, encoding_pattern=cyclic_pattern(config.n_q, plp.m))
-        params, head, history = train_vqc(
-            train_set, config, train_cfg, K=atlas.K, eval_set=test_set
-        )
-        model = VqcModel(config, params, head)
+        model, history = train_vqc(train_set, config, train_cfg, K=atlas.K, eval_set=test_set)
     else:
         model, history = train_mlp(
             train_set, train_cfg, K=atlas.K, eval_set=test_set

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -209,10 +210,15 @@ def _bus_id(value, ctx: str) -> int:
 
 
 def _num(entry: dict, key: str, ctx: str, optional: bool = False):
+    """A finite JSON number as a float; a bool, string, NaN or infinity is refused."""
     val = _field(entry, key, ctx, optional)
-    if val is not None and not isinstance(val, (int, float)):
-        raise CaseError(f"{ctx}: field {key!r} is not a number")
-    return None if val is None else float(val)
+    if val is None:
+        return None
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise CaseError(f"{ctx}: field {key!r} is not a number, got {val!r}")
+    if not abs(val) <= sys.float_info.max:  # NaN, an infinity, or an integer no float holds
+        raise CaseError(f"{ctx}: field {key!r} must be finite, got {val!r}")
+    return float(val)
 
 
 def case_from_dict(raw: dict, name: str = "case") -> GridCase:
@@ -248,7 +254,10 @@ def case_from_dict(raw: dict, name: str = "case") -> GridCase:
     ]
     fixed, elastic = [], []
     for c, e in _entries(raw, "demands"):
-        if _field(e, "elastic", c, optional=True):
+        flag = _field(e, "elastic", c, optional=True)
+        if "elastic" in e and not isinstance(flag, bool):
+            raise CaseError(f"{c}: field 'elastic' must be true or false, got {flag!r}")
+        if flag:
             elastic.append(
                 ElasticDemand(
                     bus=_bus_id(_field(e, "bus", c), c),
@@ -273,6 +282,7 @@ def case_from_dict(raw: dict, name: str = "case") -> GridCase:
         for c, e in _entries(raw, "renewables")
     ]
     vlim = raw.get("voltage_limits", {})
+    limits = {k: _num(vlim, k, "voltage_limits", optional=True) for k in ("v_min_pu", "v_max_pu")}
     return GridCase(
         name=raw.get("name", name),
         buses=[_bus_id(b, c) for c, b in _entries(raw, "buses")],
@@ -281,9 +291,8 @@ def case_from_dict(raw: dict, name: str = "case") -> GridCase:
         fixed_demands=fixed,
         elastic_demands=elastic,
         renewables=renewables,
-        base_mva=float(raw["base_mva"]),
-        v_min_pu=float(vlim.get("v_min_pu", 0.90)),
-        v_max_pu=float(vlim.get("v_max_pu", 1.10)),
+        base_mva=_num(raw, "base_mva", "case file"),
+        **{k: v for k, v in limits.items() if v is not None},
     )
 
 
@@ -425,12 +434,10 @@ def linearize(case: GridCase) -> ParametricLP:
     # q flow on the line feeding bus b (oriented parent -> b): q_down[b],
     # sign-adjusted if the case lists the line as b -> parent.
     q_flow_mvar = np.zeros(n_l)
-    flow_into = {}  # bus -> (line idx, +1 if flow variable is oriented toward bus)
     for b, (p, ln) in parents.items():
         li = line_index[id(ln)]
         orient = 1.0 if ln.to_bus == b else -1.0
         q_flow_mvar[li] = orient * q_down[b]
-        flow_into[b] = (li, orient)
 
     rows_W: list[np.ndarray] = []
     rows_S: list[float] = []

@@ -325,9 +325,7 @@ def encoding_lipschitz(config: CircuitConfig) -> float:
 
 def epsilon_bound(model: VqcModel, gamma: float, beta: float, delta_theta: float) -> float:
     """eps_reg of a VQC's released law at (gamma, beta) for pairs delta_theta apart."""
-    return theoretical_epsilon(
-        beta, gamma, encoding_lipschitz(model.config), delta_theta, model.head.W
-    )
+    return theoretical_epsilon(beta, gamma, encoding_lipschitz(model.config), delta_theta, model.W)
 
 
 def theoretical_epsilon(
@@ -414,7 +412,7 @@ def tradeoff_bound(
         "remark1_bound": cost_tradeoff_formula(dj_max, K, beta * (1.0 - gamma), m0),
         "probabilities": softmax_probs(s, beta),
     }
-    if delta_theta is not None and hasattr(model, "head"):
+    if delta_theta is not None and isinstance(model, VqcModel):
         eps_reg = epsilon_bound(model, gamma, beta, delta_theta)
         # the budget at beta = 1, gamma = 0 is bitwise 4 L_enc dtheta ||W||_inf,1
         per_unit_beta = epsilon_bound(model, 0.0, 1.0, delta_theta)

@@ -71,8 +71,9 @@ class RegionAtlas:
     coverage: float
     provenance: dict = field(default_factory=dict)
     plp_hash: str = ""
-    # Bases enumeration discarded, not saved: "singular" active-set matrix,
-    # "empty" region, and samples whose degenerate basis was "unrecovered".
+    # Work enumeration discarded, not saved: bases with a "singular" active-set
+    # matrix or an "empty" region, samples whose degenerate basis was
+    # "unrecovered", and samples where the LP is "infeasible" or "unbounded".
     dropped: dict = field(default_factory=dict)
 
     @property
@@ -274,10 +275,11 @@ def enumerate_regions(
     thetas = _sobol_samples(plp.theta_box, sampling_budget, seed)
 
     found: dict[tuple[int, ...], bool] = {}  # basis -> built via fallback
-    dropped = {"singular": 0, "empty": 0, "unrecovered": 0}
+    dropped = {"singular": 0, "empty": 0, "unrecovered": 0, "infeasible": 0, "unbounded": 0}
     for theta in thetas:
         sol = solve_lp(plp, theta)
         if not sol.is_optimal:
+            dropped[sol.status] += 1
             continue
         if sol.status == "optimal":
             key = tuple(sol.basis)
@@ -315,7 +317,10 @@ def enumerate_regions(
             )
         )
     if not regions:
-        raise EnumerationError("no critical regions found (LP infeasible everywhere?)")
+        counts = " ".join(f"{k}={v}" for k, v in dropped.items())
+        raise EnumerationError(
+            f"no critical regions found in {sampling_budget} samples, dropped: {counts}"
+        )
     for i, r in enumerate(regions):
         r.id = i + 1
 

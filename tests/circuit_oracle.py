@@ -10,7 +10,7 @@ package's states and gradients must equal theirs bit for bit.
 
 import numpy as np
 
-from qpopf.circuit import CircuitConfig, VqcParams, run_circuit_batch, z_expectations
+from qpopf.circuit import CircuitConfig, run_circuit_batch, z_expectations
 
 
 def angles_per_gate(config: CircuitConfig) -> int:
@@ -78,7 +78,7 @@ def ladder_inplace(states: np.ndarray, n_q: int) -> np.ndarray:
     return states
 
 
-def run_circuit(config: CircuitConfig, params: VqcParams, thetas: np.ndarray) -> np.ndarray:
+def run_circuit(config: CircuitConfig, phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Output states (N, 2**n_q), one kernel call per gate."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
@@ -90,10 +90,10 @@ def run_circuit(config: CircuitConfig, params: VqcParams, thetas: np.ndarray) ->
             states = ry_batch(states, qubit, enc[:, qubit], config.n_q)
         for qubit in range(config.n_q):
             if config.trainable_gate == "rot":
-                a, b, c = params.phi[layer, qubit]
+                a, b, c = phi[layer, qubit]
                 states = rot_batch(states, qubit, a, b, c, config.n_q)
             else:
-                states = ry_batch(states, qubit, params.phi[layer, qubit], config.n_q)
+                states = ry_batch(states, qubit, phi[layer, qubit], config.n_q)
         if config.n_q > 1:
             states = ladder_inplace(states, config.n_q)
     return states
@@ -115,11 +115,11 @@ def im_y(pair: np.ndarray, qubit: int, n_q: int) -> np.ndarray:
     return z.real.sum(axis=(-1, -2))
 
 
-def vjp(config: CircuitConfig, params: VqcParams, thetas: np.ndarray, dh: np.ndarray) -> np.ndarray:
+def vjp(config: CircuitConfig, phi: np.ndarray, thetas: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """The adjoint gradient of :func:`qpopf.circuit.vjp`, one kernel call per gate."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n_q = config.n_q
-    psi = run_circuit(config, params, thetas)
+    psi = run_circuit(config, phi, thetas)
     dh = np.asarray(dh, dtype=float)
     signs = z_signs(n_q)
     pair = np.stack(np.broadcast_arrays(psi, (dh @ signs) * psi))
@@ -130,7 +130,7 @@ def vjp(config: CircuitConfig, params: VqcParams, thetas: np.ndarray, dh: np.nda
             pair = cnot_batch(pair, i, n_q)
         for qubit in reversed(range(n_q)):
             if config.trainable_gate == "rot":
-                a, b, c = params.phi[layer, qubit]
+                a, b, c = phi[layer, qubit]
                 grad[..., layer, qubit, 2] = im_z(pair, signs[qubit])
                 pair = rz_batch(pair, qubit, -c, n_q)
                 grad[..., layer, qubit, 1] = im_y(pair, qubit, n_q)
@@ -139,7 +139,7 @@ def vjp(config: CircuitConfig, params: VqcParams, thetas: np.ndarray, dh: np.nda
                 pair = rz_batch(pair, qubit, -a, n_q)
             else:
                 grad[..., layer, qubit] = im_y(pair, qubit, n_q)
-                pair = ry_batch(pair, qubit, -params.phi[layer, qubit], n_q)
+                pair = ry_batch(pair, qubit, -phi[layer, qubit], n_q)
         if layer:
             for qubit in reversed(range(n_q)):
                 pair = ry_batch(pair, qubit, -enc[:, qubit], n_q)
@@ -148,7 +148,7 @@ def vjp(config: CircuitConfig, params: VqcParams, thetas: np.ndarray, dh: np.nda
 
 def param_shift_grad(
     config: CircuitConfig,
-    params: VqcParams,
+    phi: np.ndarray,
     theta: np.ndarray,
     loss,
     gamma: float = 0.0,
@@ -162,15 +162,15 @@ def param_shift_grad(
     """
     theta = np.asarray(theta, dtype=float)[None, :]
 
-    def loss_at(shifted: VqcParams) -> float:
+    def loss_at(shifted: np.ndarray) -> float:
         z = z_expectations(run_circuit_batch(config, shifted, theta), config.n_q)[0]
         return loss((1.0 - gamma) * z)
 
-    grad = np.zeros_like(params.phi)
-    for idx in np.ndindex(params.phi.shape):
-        shifted = params.copy()
-        shifted.phi[idx] += np.pi / 2.0
+    grad = np.zeros_like(phi)
+    for idx in np.ndindex(phi.shape):
+        shifted = phi.copy()
+        shifted[idx] += np.pi / 2.0
         plus = loss_at(shifted)
-        shifted.phi[idx] -= np.pi
+        shifted[idx] -= np.pi
         grad[idx] = 0.5 * (plus - loss_at(shifted))
     return grad

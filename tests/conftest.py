@@ -127,7 +127,7 @@ def vqc69(request, atlas69, dataset69):
     from pathlib import Path
 
     from qpopf.circuit import CircuitConfig
-    from qpopf.classifier import TrainConfig, VqcModel, load_model, save_model, train_vqc
+    from qpopf.classifier import TrainConfig, load_model, save_model, train_vqc
 
     train, test = dataset69
     key = _code_cache_key("vqc69", str(VQC_SEED), str(VQC_SCALE), atlas69.plp_hash)
@@ -138,10 +138,7 @@ def vqc69(request, atlas69, dataset69):
         model, _ = load_model(ckpt)
         return model
     config = CircuitConfig.default(n_q=5, L=6, m=3, encoding_scale=VQC_SCALE)
-    params, head, _ = train_vqc(
-        train, config, TrainConfig(epochs=30, seed=VQC_SEED), K=atlas69.K
-    )
-    model = VqcModel(config, params, head)
+    model, _ = train_vqc(train, config, TrainConfig(epochs=30, seed=VQC_SEED), K=atlas69.K)
     save_model(model, ckpt)
     return model
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from qpopf.circuit import (
     CircuitConfig,
-    VqcParams,
     run_circuit_batch,
     z_expectations,
 )
@@ -118,16 +117,16 @@ def test_parameter_shift_correctness():
     config = CircuitConfig.default(n_q=3, L=2, m=3)
     step = 1e-5
     for _ in range(20):
-        params = VqcParams.random_init(config, rng)
+        phi = rng.uniform(-np.pi, np.pi, size=config.param_shape)
         theta = rng.uniform(-1, 1, 3)
         w = rng.normal(size=3)
         loss = lambda h, w=w: float(w @ h)
-        grad = param_shift_grad(config, params, theta, loss)
-        fd = np.zeros_like(params.phi)
-        for idx in np.ndindex(params.phi.shape):
-            up, dn = params.copy(), params.copy()
-            up.phi[idx] += step
-            dn.phi[idx] -= step
+        grad = param_shift_grad(config, phi, theta, loss)
+        fd = np.zeros_like(phi)
+        for idx in np.ndindex(phi.shape):
+            up, dn = phi.copy(), phi.copy()
+            up[idx] += step
+            dn[idx] -= step
             fd[idx] = (
                 loss(z_expectations(run_circuit_batch(config, up, theta), 3)[0])
                 - loss(z_expectations(run_circuit_batch(config, dn, theta), 3)[0])

@@ -6,7 +6,6 @@ import pytest
 from qpopf import classifier as classifier_mod
 from qpopf.circuit import (
     CircuitConfig,
-    VqcParams,
     _ladder_permutation,
     cyclic_pattern,
     run_circuit_batch,
@@ -37,8 +36,8 @@ def random_states(rng, count: int, dim: int) -> np.ndarray:
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
-def random_params(config, rng) -> VqcParams:
-    return VqcParams.random_init(config, rng)
+def random_params(config, rng) -> np.ndarray:
+    return rng.uniform(-np.pi, np.pi, size=config.param_shape)
 
 
 def test_ry_pi_flips_ground():
@@ -75,10 +74,10 @@ ORACLE_CASES = [(n_q, n_q) for n_q in (1, 2, 3, 5)] + [(5, 3)]  # (n_q, m); (5, 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
-def wide_params(config, rng) -> VqcParams:
+def wide_params(config, rng) -> np.ndarray:
     """Angles in [-2 pi, 2 pi]: trained angles leave [-pi, pi], where cos(a/2) < 0
     gives the zero imaginary parts of an ry circuit both signs."""
-    return VqcParams(rng.uniform(-2 * np.pi, 2 * np.pi, config.param_shape))
+    return rng.uniform(-2 * np.pi, 2 * np.pi, config.param_shape)
 
 
 def assert_bitwise(got, want):
@@ -107,9 +106,9 @@ def one_element_products(n_q, batch, gate):
 @pytest.mark.parametrize("gate", ["rot", "ry"])
 @pytest.mark.parametrize("n_q,m", ORACLE_CASES)
 def test_states_equal_the_gate_by_gate_oracle(n_q, m, gate, batch):
-    config, params, thetas, _ = oracle_case(n_q, m, gate, batch)
-    got = run_circuit_batch(config, params, thetas)
-    want = oracle.run_circuit(config, params, thetas)
+    config, phi, thetas, _ = oracle_case(n_q, m, gate, batch)
+    got = run_circuit_batch(config, phi, thetas)
+    want = oracle.run_circuit(config, phi, thetas)
     if one_element_products(n_q, batch, gate):
         np.testing.assert_allclose(got, want, rtol=0, atol=4e-16)
     else:
@@ -120,10 +119,10 @@ def test_states_equal_the_gate_by_gate_oracle(n_q, m, gate, batch):
 @pytest.mark.parametrize("gate", ["rot", "ry"])
 @pytest.mark.parametrize("n_q,m", ORACLE_CASES)
 def test_vjp_equals_the_gate_by_gate_oracle(n_q, m, gate, batch):
-    config, params, thetas, rng = oracle_case(n_q, m, gate, batch)
+    config, phi, thetas, rng = oracle_case(n_q, m, gate, batch)
     dh = rng.normal(size=(2, batch, n_q))  # a leading axis of cotangents
-    states = oracle.run_circuit(config, params, thetas)
-    assert_bitwise(vjp(config, params, thetas, dh, states), oracle.vjp(config, params, thetas, dh))
+    states = oracle.run_circuit(config, phi, thetas)
+    assert_bitwise(vjp(config, phi, thetas, dh, states), oracle.vjp(config, phi, thetas, dh))
 
 
 @pytest.mark.parametrize("n_q", range(1, 7))
@@ -151,15 +150,15 @@ def test_committed_vqc_releases_the_oracle_law(monkeypatch):
 
 def test_run_circuit_all_zero_inputs():
     config = CircuitConfig.default(n_q=3, L=2, m=3)
-    params = VqcParams(np.zeros(config.param_shape))
-    out = run_circuit_batch(config, params, np.zeros((1, 3)))
+    phi = np.zeros(config.param_shape)
+    out = run_circuit_batch(config, phi, np.zeros((1, 3)))
     np.testing.assert_allclose(out, ground(3), atol=1e-15)
 
 
 def test_run_circuit_one_qubit_full_rotation():
     config = CircuitConfig.default(n_q=1, L=1, m=1)
-    params = VqcParams(np.zeros(config.param_shape))
-    out = run_circuit_batch(config, params, np.array([[1.0]]))
+    phi = np.zeros(config.param_shape)
+    out = run_circuit_batch(config, phi, np.array([[1.0]]))
     np.testing.assert_allclose(np.abs(out[0]), [0.0, 1.0], atol=1e-12)
 
 
@@ -170,16 +169,16 @@ def test_run_circuit_preserves_norm():
         L = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         config = CircuitConfig.default(n_q=n_q, L=L, m=m)
-        params = random_params(config, rng)
-        out = run_circuit_batch(config, params, rng.uniform(-1, 1, (1, m)))
+        phi = random_params(config, rng)
+        out = run_circuit_batch(config, phi, rng.uniform(-1, 1, (1, m)))
         assert abs(float(np.sum(np.abs(out) ** 2)) - 1.0) <= 1e-12
 
 
 def test_run_circuit_dimension_mismatch():
     config = CircuitConfig.default(n_q=3, L=1, m=3)
-    params = VqcParams(np.zeros(config.param_shape))
+    phi = np.zeros(config.param_shape)
     with pytest.raises(ValueError, match="encoding_pattern"):
-        run_circuit_batch(config, params, np.zeros((1, 2)))
+        run_circuit_batch(config, phi, np.zeros((1, 2)))
 
 
 def test_encoding_pattern_validation():
@@ -227,24 +226,24 @@ def test_depolarizing_contraction_exact():
 
 def test_param_shift_constant_loss_zero():
     config = CircuitConfig.default(n_q=2, L=2, m=2)
-    params = VqcParams.random_init(config, np.random.default_rng(11))
-    grad = param_shift_grad(config, params, np.array([0.3, -0.2]), lambda h: 3.0)
+    phi = np.random.default_rng(11).uniform(-np.pi, np.pi, size=config.param_shape)
+    grad = param_shift_grad(config, phi, np.array([0.3, -0.2]), lambda h: 3.0)
     np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
 
 def test_param_shift_cosine_stationary():
     config = CircuitConfig.default(n_q=1, L=1, m=1)
-    params = VqcParams(np.zeros(config.param_shape))
-    grad = param_shift_grad(config, params, np.zeros(1), lambda h: h[0])
+    phi = np.zeros(config.param_shape)
+    grad = param_shift_grad(config, phi, np.zeros(1), lambda h: h[0])
     np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
 
-def finite_difference(config, params, theta, loss, step=1e-5):
-    grad = np.zeros_like(params.phi)
-    for idx in np.ndindex(params.phi.shape):
-        up, dn = params.copy(), params.copy()
-        up.phi[idx] += step
-        dn.phi[idx] -= step
+def finite_difference(config, phi, theta, loss, step=1e-5):
+    grad = np.zeros_like(phi)
+    for idx in np.ndindex(phi.shape):
+        up, dn = phi.copy(), phi.copy()
+        up[idx] += step
+        dn[idx] -= step
         f_up = loss(z_expectations(run_circuit_batch(config, up, theta), config.n_q)[0])
         f_dn = loss(z_expectations(run_circuit_batch(config, dn, theta), config.n_q)[0])
         grad[idx] = (f_up - f_dn) / (2 * step)
@@ -255,12 +254,12 @@ def test_param_shift_matches_finite_difference():
     rng = np.random.default_rng(13)
     config = CircuitConfig.default(n_q=3, L=2, m=3)
     for _ in range(20):
-        params = random_params(config, rng)
+        phi = random_params(config, rng)
         theta = rng.uniform(-1, 1, 3)
         w = rng.normal(size=3)
         loss = lambda h, w=w: float(w @ h)
-        grad = param_shift_grad(config, params, theta, loss)
-        fd = finite_difference(config, params, theta, loss)
+        grad = param_shift_grad(config, phi, theta, loss)
+        fd = finite_difference(config, phi, theta, loss)
         np.testing.assert_allclose(grad, fd, atol=1e-6)
 
 
@@ -268,17 +267,17 @@ def test_feature_jacobian_matches_param_shift():
     # d h / d phi from one vjp: the one-hot cotangents stacked on a leading axis
     rng = np.random.default_rng(17)
     config = CircuitConfig.default(n_q=3, L=2, m=3)
-    params = random_params(config, rng)
+    phi = random_params(config, rng)
     thetas = rng.uniform(-1, 1, (4, 3))
     onehot = np.broadcast_to(np.eye(3)[:, None, :], (3, 4, 3))
-    states = run_circuit_batch(config, params, thetas)
-    jac = np.moveaxis(vjp(config, params, thetas, onehot, states), 0, 1)
+    states = run_circuit_batch(config, phi, thetas)
+    jac = np.moveaxis(vjp(config, phi, thetas, onehot, states), 0, 1)
     for j in range(3):  # each feature is itself a linear functional
         e = np.zeros(3)
         e[j] = 1.0
         for b in range(4):
             grad = param_shift_grad(
-                config, params, thetas[b], lambda h, e=e: float(e @ h)
+                config, phi, thetas[b], lambda h, e=e: float(e @ h)
             )
             np.testing.assert_allclose(jac[b, j], grad, atol=1e-12)
 
@@ -292,26 +291,26 @@ ADJOINT_CASES = [(n_q, n_q) for n_q in range(1, 6)] + [(5, 3)]  # (n_q, m); (5, 
 def test_vjp_matches_param_shift(n_q, m, gate, gamma):
     rng = np.random.default_rng(100 * n_q + m)
     config = CircuitConfig.default(n_q=n_q, L=2, m=m, trainable_gate=gate)
-    params = random_params(config, rng)
+    phi = random_params(config, rng)
     thetas = rng.uniform(-1, 1, (3, m))
     dh = rng.normal(size=(3, n_q))
-    states = run_circuit_batch(config, params, thetas)
+    states = run_circuit_batch(config, phi, thetas)
     # noise contracts the features, and so their gradient, by (1 - gamma)
-    grad = (1.0 - gamma) * vjp(config, params, thetas, dh, states)
+    grad = (1.0 - gamma) * vjp(config, phi, thetas, dh, states)
     assert grad.shape == (3, *config.param_shape)
     for b in range(3):
         oracle = param_shift_grad(
-            config, params, thetas[b], lambda h, w=dh[b]: float(w @ h), gamma
+            config, phi, thetas[b], lambda h, w=dh[b]: float(w @ h), gamma
         )
         np.testing.assert_allclose(grad[b], oracle, rtol=0, atol=1e-10)
 
 
 def test_vjp_rejects_mismatched_cotangent():
     config = CircuitConfig.default(n_q=2, L=1, m=2)
-    params = VqcParams(np.zeros(config.param_shape))
+    phi = np.zeros(config.param_shape)
     thetas = np.zeros((4, 2))
     with pytest.raises(ValueError, match="dh"):
-        vjp(config, params, thetas, np.zeros((4, 3)), run_circuit_batch(config, params, thetas))
+        vjp(config, phi, thetas, np.zeros((4, 3)), run_circuit_batch(config, phi, thetas))
 
 
 # Loss per epoch of the toy run below under the parameter-shift gradient.
@@ -327,7 +326,7 @@ def test_train_vqc_reproduces_shift_rule_history(gate):
     thetas = rng.uniform(-1, 1, (40, 2))
     labels = 1 + (thetas[:, 0] + 0.5 * thetas[:, 1] > 0) + (thetas[:, 1] > 0.5)
     config = CircuitConfig.default(n_q=2, L=2, m=2, trainable_gate=gate)
-    _, _, history = train_vqc(
+    _, history = train_vqc(
         (thetas, labels), config, TrainConfig(epochs=4, batch_size=8, seed=5), K=3
     )
     losses = [rec["loss"] for rec in history]
@@ -354,10 +353,10 @@ def test_trace_distance_lipschitz_no_repeat():
     rng = np.random.default_rng(19)
     config = CircuitConfig.default(n_q=3, L=4, m=3)
     L_enc = encoding_lipschitz(config)
-    params = random_params(config, rng)
+    phi = random_params(config, rng)
     pairs = rng.uniform(-1, 1, (1000, 2, 3))
     a, b = pairs[:, 0], pairs[:, 1]
-    d = trace_distance(run_circuit_batch(config, params, a), run_circuit_batch(config, params, b))
+    d = trace_distance(run_circuit_batch(config, phi, a), run_circuit_batch(config, phi, b))
     assert np.all(d <= L_enc * np.linalg.norm(a - b, axis=1) + 1e-12)
 
 
@@ -365,14 +364,14 @@ def test_trace_distance_lipschitz_cyclic_audit_scale():
     rng = np.random.default_rng(23)
     config = CircuitConfig.default(n_q=5, L=6, m=3)
     L_enc = encoding_lipschitz(config)
-    params = random_params(config, rng)
+    phi = random_params(config, rng)
     thetas = rng.uniform(-1, 1, (1000, 3))
     u = rng.standard_normal((1000, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     scales = rng.uniform(0.005, 0.05, size=(1000, 1))
     mates = np.clip(thetas + scales * u, -1, 1)
-    d = trace_distance(run_circuit_batch(config, params, thetas),
-                       run_circuit_batch(config, params, mates))
+    d = trace_distance(run_circuit_batch(config, phi, thetas),
+                       run_circuit_batch(config, phi, mates))
     dist = np.linalg.norm(mates - thetas, axis=1)
     assert np.all(d <= L_enc * dist + 1e-12)
 

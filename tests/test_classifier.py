@@ -5,9 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpopf.circuit import CircuitConfig, VqcParams
+from qpopf.circuit import CircuitConfig
 from qpopf.classifier import (
-    LinearHead,
     OracleClassifier,
     TrainConfig,
     TrainingDivergedError,
@@ -40,10 +39,7 @@ def toy_dataset(toy_atlas):
 
 @pytest.fixture(scope="module")
 def toy_vqc(toy_dataset):
-    params, head, losses = train_vqc(
-        toy_dataset, TOY_CONFIG, TrainConfig(epochs=30, seed=3)
-    )
-    return VqcModel(TOY_CONFIG, params, head), losses
+    return train_vqc(toy_dataset, TOY_CONFIG, TrainConfig(epochs=30, seed=3))
 
 
 @pytest.fixture(scope="module")
@@ -111,19 +107,17 @@ def test_sample_region_seeded_sequence():
 
 
 def test_vqc_forward_full_noise_uniform():
-    params = VqcParams.random_init(TOY_CONFIG, np.random.default_rng(7))
-    head = LinearHead(W=np.random.default_rng(8).normal(size=(3, 2)))
-    model = VqcModel(TOY_CONFIG, params, head)
+    phi = np.random.default_rng(7).uniform(-np.pi, np.pi, size=TOY_CONFIG.param_shape)
+    model = VqcModel(TOY_CONFIG, phi, W=np.random.default_rng(8).normal(size=(3, 2)))
     theta = np.array([[0.4]])
     logits = model.logits_from_base(model.base_scores(theta), 1.0)
     np.testing.assert_allclose(logits, 0.0, atol=1e-15)
-    np.testing.assert_allclose(model.probability_matrix(theta, 1.0, head.beta), 1 / 3, atol=1e-15)
+    np.testing.assert_allclose(model.probability_matrix(theta, 1.0, model.beta), 1 / 3, atol=1e-15)
 
 
 def test_vqc_forward_logit_contraction():
-    params = VqcParams.random_init(TOY_CONFIG, np.random.default_rng(9))
-    head = LinearHead(W=np.random.default_rng(10).normal(size=(3, 2)))
-    model = VqcModel(TOY_CONFIG, params, head)
+    phi = np.random.default_rng(9).uniform(-np.pi, np.pi, size=TOY_CONFIG.param_shape)
+    model = VqcModel(TOY_CONFIG, phi, W=np.random.default_rng(10).normal(size=(3, 2)))
     theta = np.array([[-0.3]])
     s0 = model.logits_from_base(model.base_scores(theta), 0.0)
     s3 = model.logits_from_base(model.base_scores(theta), 0.3)
@@ -147,21 +141,21 @@ def test_train_vqc_toy_accuracy(toy_vqc, toy_dataset):
 
 def test_train_vqc_zero_epochs(toy_dataset):
     cfg = TrainConfig(epochs=0, seed=17)
-    params, head, history = train_vqc(toy_dataset, TOY_CONFIG, cfg)
+    model, history = train_vqc(toy_dataset, TOY_CONFIG, cfg)
     assert history == []
     rng = np.random.default_rng(17)
     expected_phi = rng.uniform(-np.pi, np.pi, size=TOY_CONFIG.param_shape)
     expected_W = rng.uniform(-1, 1, size=(2, 2)) / np.sqrt(2)
-    np.testing.assert_array_equal(params.phi, expected_phi)
-    np.testing.assert_array_equal(head.W, expected_W)
+    np.testing.assert_array_equal(model.phi, expected_phi)
+    np.testing.assert_array_equal(model.W, expected_W)
 
 
 def test_train_vqc_deterministic(toy_dataset):
     cfg = TrainConfig(epochs=3, seed=5)
-    p1, h1, l1 = train_vqc(toy_dataset, TOY_CONFIG, cfg)
-    p2, h2, l2 = train_vqc(toy_dataset, TOY_CONFIG, cfg)
-    np.testing.assert_array_equal(p1.phi, p2.phi)
-    np.testing.assert_array_equal(h1.W, h2.W)
+    m1, l1 = train_vqc(toy_dataset, TOY_CONFIG, cfg)
+    m2, l2 = train_vqc(toy_dataset, TOY_CONFIG, cfg)
+    np.testing.assert_array_equal(m1.phi, m2.phi)
+    np.testing.assert_array_equal(m1.W, m2.W)
     assert l1 == l2
 
 
@@ -187,8 +181,8 @@ def test_training_returns_the_best_epoch(kind, toy_vqc, toy_mlp, toy_dataset):
     # a run cut at the best epoch ends on the same weights
     cut = TrainConfig(epochs=best["epoch"], seed=3)
     if kind == "vqc":
-        params, head, _ = train_vqc(toy_dataset, TOY_CONFIG, cut)
-        pairs = [(params.phi, model.params.phi), (head.W, model.head.W)]
+        vqc, _ = train_vqc(toy_dataset, TOY_CONFIG, cut)
+        pairs = [(vqc.phi, model.phi), (vqc.W, model.W)]
     else:
         mlp, _ = train_mlp(toy_dataset, cut)
         pairs = [(getattr(mlp, f), getattr(model, f)) for f in ("W1", "b1", "W2", "b2", "W_head")]
@@ -215,13 +209,23 @@ def test_load_model_rejects_a_non_tanh_activation(toy_mlp, tmp_path):
     ("mlp", "beta", np.nan, "beta .* nan"), ("mlp", "beta", 0.0, "beta .* 0.0"),
     ("mlp", "sigma", -0.5, "sigma .* -0.5"), ("mlp", "sigma", np.nan, "sigma .* nan"),
     ("mlp", "sigma", np.inf, "sigma .* inf"),
+    # edits of a saved array: a layer of angles, a column of W or a row of W2 cut, a NaN weight
+    pytest.param("vqc", "phi", lambda phi: phi[1:],
+                 r"VqcModel phi must be \(2, 2, 3\), got \(1, 2, 3\)", id="vqc-phi-short"),
+    pytest.param("vqc", "W", lambda W: [row[1:] for row in W],
+                 r"VqcModel W must be \(2, 2\), got \(2, 1\)", id="vqc-W-one-column-short"),
+    pytest.param("mlp", "W2", lambda W2: [[np.nan] + W2[0][1:]] + W2[1:],
+                 "MlpBaseline W2 must be finite", id="mlp-W2-nan"),
+    pytest.param("mlp", "W2", lambda W2: W2[1:],
+                 r"MlpBaseline W2 must be \(7, 7\), got \(6, 7\)", id="mlp-W2-missing-row"),
 ])
 def test_load_model_rejects_a_bad_checkpoint_value(kind, key, value, match, toy_vqc, toy_mlp,
                                                    tmp_path):
     path = tmp_path / "model.json"
     save_model((toy_vqc if kind == "vqc" else toy_mlp)[0], path)
     d = json.loads(path.read_text())
-    (d["head"] if kind == "vqc" else d)[key] = value
+    section = d["head"] if kind == "vqc" and key in d["head"] else d
+    section[key] = value(section[key]) if callable(value) else value
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError, match=match):
         load_model(path)
@@ -239,8 +243,8 @@ def test_vqc_parameter_count_reported():
     config = CircuitConfig.default(n_q=5, L=6, m=3)
     model = VqcModel(
         config,
-        VqcParams(np.zeros(config.param_shape)),
-        LinearHead(W=np.zeros((7, 5))),
+        np.zeros(config.param_shape),
+        W=np.zeros((7, 5)),
     )
     assert model.num_params == config.L * config.n_q * angles_per_gate(config) + 35
 
@@ -428,10 +432,10 @@ def test_training_matches_the_per_array_oracle(split_datasets, data, model, epoc
         n_q, L = (2, 2) if data == "toy" else (5, 6)
         config = CircuitConfig.default(n_q=n_q, L=L, m=atlas.theta_box.shape[0],
                                        trainable_gate=model)
-        params, head, history = train_vqc(train, config, cfg, K=atlas.K, eval_set=test)
-        want_params, want_head, want_history = train_oracle.train_vqc(
+        vqc, history = train_vqc(train, config, cfg, K=atlas.K, eval_set=test)
+        want_vqc, want_history = train_oracle.train_vqc(
             train, config, cfg, atlas.K, eval_set=test)
-        pairs = [(params.phi, want_params.phi), (head.W, want_head.W)]
+        pairs = [(vqc.phi, want_vqc.phi), (vqc.W, want_vqc.W)]
     for got, want in pairs:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert history == want_history

@@ -58,7 +58,8 @@ def test_regions_produces_two_region_atlas(workdir):
 def test_regions_reports_dropped_bases(tmp_path, capsys):
     assert run(["regions", "--case", TOY, "--budget", 16, "--seed", 5,
                 "--out-dir", tmp_path]) == 0
-    assert "dropped: singular=0 empty=0 unrecovered=0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "dropped: singular=0 empty=0 unrecovered=0 infeasible=0 unbounded=0" in out
     assert "dropped" not in read_json(tmp_path / "atlas.json")
 
 

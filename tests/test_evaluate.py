@@ -52,8 +52,8 @@ classifier_mod = importlib.import_module("qpopf.classifier")
 def toy_model(toy_atlas):
     thetas, labels = sample_labeled_dataset(toy_atlas, 200, seed=21)
     config = CircuitConfig.default(n_q=2, L=2, m=1)
-    params, head, _ = train_vqc((thetas, labels), config, TrainConfig(epochs=30, seed=3))
-    return VqcModel(config, params, head)
+    model, _ = train_vqc((thetas, labels), config, TrainConfig(epochs=30, seed=3))
+    return model
 
 
 def test_batch_sampling_in_box():

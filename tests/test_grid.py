@@ -149,6 +149,12 @@ def with_section(key, value):
     return edit
 
 
+def with_field(section, key, value):
+    def edit(raw):
+        raw[section][0][key] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     pytest.param(with_generator_bus(1.5),
                  r"generators\[0\]: bus id must be an integer, got 1.5", id="float-bus"),
@@ -164,6 +170,34 @@ def with_section(key, value):
                  id="renewables-null"),
     pytest.param(with_section("demands", [3]), r"demands\[0\] must be an object, got int",
                  id="demand-number"),
+    pytest.param(with_section("voltage_limits", 5), "voltage_limits must be an object, got int",
+                 id="voltage-limits-number"),
+    pytest.param(with_section("voltage_limits", {"v_min_pu": "x"}),
+                 "voltage_limits: field 'v_min_pu' is not a number, got 'x'", id="v-min-string"),
+    pytest.param(with_section("voltage_limits", {"v_max_pu": np.inf}),
+                 "voltage_limits: field 'v_max_pu' must be finite, got inf", id="v-max-inf"),
+    pytest.param(with_section("base_mva", "abc"),
+                 "case file: field 'base_mva' is not a number, got 'abc'", id="base-mva-string"),
+    pytest.param(with_section("base_mva", True),
+                 "case file: field 'base_mva' is not a number, got True", id="base-mva-bool"),
+    pytest.param(with_section("base_mva", np.nan),
+                 "case file: field 'base_mva' must be finite, got nan", id="base-mva-nan"),
+    pytest.param(with_field("generators", "cost", True),
+                 r"generators\[0\]: field 'cost' is not a number, got True", id="cost-bool"),
+    pytest.param(with_field("generators", "cost", np.nan),
+                 r"generators\[0\]: field 'cost' must be finite, got nan", id="cost-nan"),
+    pytest.param(with_field("lines", "r_pu", np.inf),
+                 r"lines\[0\]: field 'r_pu' must be finite, got inf", id="r-pu-inf"),
+    pytest.param(with_field("lines", "limit_mw", np.nan),
+                 r"lines\[0\]: field 'limit_mw' must be finite, got nan", id="limit-nan"),
+    pytest.param(with_field("renewables", "deviation_kw", np.nan),
+                 r"renewables\[0\]: field 'deviation_kw' must be finite, got nan",
+                 id="deviation-nan"),
+    pytest.param(with_field("demands", "elastic", 1),
+                 r"demands\[0\]: field 'elastic' must be true or false, got 1",
+                 id="elastic-number"),
+    pytest.param(with_field("generators", "p_max_mw", 10**400),
+                 r"generators\[0\]: field 'p_max_mw' must be finite", id="huge-integer"),
 ])
 def test_malformed_ids_and_sections_are_case_errors(tmp_path, edit, message):
     raw = copy.deepcopy(TOY_CASE_DICT)

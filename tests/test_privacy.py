@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from qpopf import privacy
-from qpopf.circuit import CircuitConfig, VqcParams, run_circuit_batch
+from qpopf.circuit import CircuitConfig, run_circuit_batch
 from qpopf.classifier import (
-    LinearHead,
     MlpBaseline,
     OracleClassifier,
     TrainConfig,
@@ -115,7 +114,7 @@ def test_encoding_lipschitz_instantiations():
 
 def encoding_lipschitz_empirical(
     config: CircuitConfig,
-    params,
+    phi,
     n_pairs: int = 10_000,
     delta: float = 0.05,
     seed: int = 0,
@@ -130,8 +129,8 @@ def encoding_lipschitz_empirical(
     mates = np.clip(thetas + dist * u, -1.0, 1.0)
     dists = np.linalg.norm(mates - thetas, axis=1)
     keep = dists > 1e-12
-    psi = run_circuit_batch(config, params, thetas[keep])
-    psi2 = run_circuit_batch(config, params, mates[keep])
+    psi = run_circuit_batch(config, phi, thetas[keep])
+    psi2 = run_circuit_batch(config, phi, mates[keep])
     overlap = np.abs(np.einsum("ij,ij->i", psi.conj(), psi2)) ** 2
     tr = np.sqrt(np.maximum(0.0, 1.0 - overlap))
     return float(np.max(tr / dists[keep]))
@@ -143,8 +142,8 @@ def test_encoding_lipschitz_empirical_below_analytic():
         CircuitConfig.default(n_q=3, L=4, m=3),
         CircuitConfig.default(n_q=5, L=6, m=3),
     ):
-        params = VqcParams.random_init(config, rng)
-        est = encoding_lipschitz_empirical(config, params, n_pairs=10_000, seed=9)
+        phi = rng.uniform(-np.pi, np.pi, size=config.param_shape)
+        est = encoding_lipschitz_empirical(config, phi, n_pairs=10_000, seed=9)
         assert est <= encoding_lipschitz(config)
 
 
@@ -181,8 +180,8 @@ def test_cost_tradeoff_formula_arithmetic():
 def toy_model(toy_atlas):
     thetas, labels = sample_labeled_dataset(toy_atlas, 200, seed=21)
     config = CircuitConfig.default(n_q=2, L=2, m=1)
-    params, head, _ = train_vqc((thetas, labels), config, TrainConfig(epochs=30, seed=3))
-    return VqcModel(config, params, head)
+    model, _ = train_vqc((thetas, labels), config, TrainConfig(epochs=30, seed=3))
+    return model
 
 
 def test_vqc_mechanism_bound_holds_on_grid(toy_model, toy_atlas):
@@ -205,8 +204,8 @@ def test_audit_mechanism_matches_grid_row(toy_model, toy_atlas, toy_plp, committ
     config = CircuitConfig.default(n_q=2, L=2, m=plp69.m)
     assert max(config.encoding_pattern) + 1 < plp69.m
     rng = np.random.default_rng(5)
-    short = VqcModel(config, VqcParams.random_init(config, rng),
-                     LinearHead(W=rng.normal(size=(atlas.K, 2))))
+    short = VqcModel(config, rng.uniform(-np.pi, np.pi, size=config.param_shape),
+                     W=rng.normal(size=(atlas.K, 2)))
     for model, plp, model_atlas, adjacency in (
         (toy_model, toy_plp, toy_atlas, AdjacencySpec(delta_theta=0.05, pair_count=64, seed=17)),
         (vqc, plp69, atlas, AdjacencySpec(delta_theta=0.05, pair_count=100)),
@@ -595,14 +594,14 @@ def tradeoff_two_forwards(model, atlas, theta, gamma, beta, delta_theta, dj_max)
     K = s.shape[0]
     m_gamma, m0 = margin_from_logits(s, k_star), margin_from_logits(s0, k_star)
     L_enc = encoding_lipschitz(model.config)
-    eps_reg = theoretical_epsilon(beta, gamma, L_enc, delta_theta, model.head.W)
+    eps_reg = theoretical_epsilon(beta, gamma, L_enc, delta_theta, model.W)
     return cost_tradeoff_formula(dj_max, K, beta, m_gamma), {
         "margin": m_gamma,
         "margin0": m0,
         "mis_selection_bound": float((K - 1) * np.exp(-beta * m_gamma)),
         "remark1_bound": cost_tradeoff_formula(dj_max, K, beta * (1.0 - gamma), m0),
         "remark2_bound": float(dj_max * (K - 1) * np.exp(
-            -m0 * eps_reg / (4.0 * L_enc * delta_theta * inf1_norm(model.head.W)))),
+            -m0 * eps_reg / (4.0 * L_enc * delta_theta * inf1_norm(model.W)))),
         "probabilities": softmax_probs(s, beta),
     }
 

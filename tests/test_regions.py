@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from qpopf.grid import linearize, load_case
 from qpopf.lp import solve_lp, solve_raw
 from qpopf.regions import (
     EmptyRegionError,
+    EnumerationError,
     RegionAtlas,
     SingularActiveSetError,
     UncoveredThetaError,
@@ -321,7 +323,8 @@ def test_enumerate_rejects_an_empty_count_before_any_solve(toy_plp, monkeypatch,
 
 def test_dropped_bases_are_counted(toy_plp, monkeypatch):
     clean = enumerate_regions(toy_plp, sampling_budget=16, seed=7)
-    assert clean.dropped == {"singular": 0, "empty": 0, "unrecovered": 0}
+    assert clean.dropped == {"singular": 0, "empty": 0, "unrecovered": 0, "infeasible": 0,
+                             "unbounded": 0}
     assert "dropped" not in clean.to_dict()
     first, second = (r.active_set for r in clean.regions)
 
@@ -336,7 +339,8 @@ def test_dropped_bases_are_counted(toy_plp, monkeypatch):
                         fail_for(first, SingularActiveSetError, compute_affine_map))
     atlas = enumerate_regions(toy_plp, sampling_budget=16, seed=7)
     assert atlas.K == 1
-    assert atlas.dropped == {"singular": 1, "empty": 0, "unrecovered": 0}
+    assert atlas.dropped == {"singular": 1, "empty": 0, "unrecovered": 0, "infeasible": 0,
+                             "unbounded": 0}
     monkeypatch.undo()
 
     # the first five solves report degeneracy that perturbation cannot resolve
@@ -354,7 +358,28 @@ def test_dropped_bases_are_counted(toy_plp, monkeypatch):
     monkeypatch.setattr(regions_mod, "region_polyhedron",
                         fail_for(second, EmptyRegionError, region_polyhedron))
     atlas = enumerate_regions(toy_plp, sampling_budget=16, seed=7)
-    assert atlas.dropped == {"singular": 0, "empty": 1, "unrecovered": 5}
+    assert atlas.dropped == {"singular": 0, "empty": 1, "unrecovered": 5, "infeasible": 0,
+                             "unbounded": 0}
+
+
+def test_infeasible_and_unbounded_samples_are_counted(toy_plp):
+    # cut the bound to x <= 0.5: every sample with t > 0.5 has no feasible x
+    cut = dataclasses.replace(toy_plp, S=np.array([0.0, 0.0, 0.5]))
+    atlas = enumerate_regions(cut, sampling_budget=64, seed=7)
+    assert atlas.dropped == {"singular": 0, "empty": 0, "unrecovered": 0, "infeasible": 16,
+                             "unbounded": 0}
+    assert atlas.coverage == 1503 / 2048  # 0.734 of the uniform probes
+    # an LP infeasible or unbounded everywhere finds no region, and the error says why
+    nowhere = dataclasses.replace(toy_plp, S=np.array([0.0, 0.0, -2.0]))
+    with pytest.raises(EnumerationError, match="in 16 samples, dropped: singular=0 empty=0 "
+                       "unrecovered=0 infeasible=16 unbounded=0"):
+        enumerate_regions(nowhere, sampling_budget=16, seed=7)
+    # min -x over x >= t, x >= 0
+    unbounded = dataclasses.replace(toy_plp, c=np.array([-1.0]), W=toy_plp.W[:2],
+                                    S=toy_plp.S[:2], T=toy_plp.T[:2],
+                                    con_names=toy_plp.con_names[:2])
+    with pytest.raises(EnumerationError, match="infeasible=0 unbounded=16"):
+        enumerate_regions(unbounded, sampling_budget=16, seed=7)
 
 
 @pytest.mark.parametrize("name", ["atlas69", "toy2_atlas", "toy_atlas", "one_region_atlas69"])

@@ -11,13 +11,12 @@ histories must equal these bit for bit.
 
 import numpy as np
 
-from qpopf.circuit import VqcParams, run_circuit_batch, vjp, z_expectations
+from qpopf.circuit import run_circuit_batch, vjp, z_expectations
 from qpopf.classifier import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     MLP_HIDDEN,
-    LinearHead,
     MlpBaseline,
     VqcModel,
     argmax_accuracy,
@@ -84,18 +83,18 @@ def fit(model, targets, step, dataset, train_cfg, rng, eval_set):
 
 def train_vqc(dataset, config, train_cfg, K, eval_set=None):
     rng = np.random.default_rng(train_cfg.seed)
-    params = VqcParams.random_init(config, rng)
+    phi = rng.uniform(-np.pi, np.pi, size=config.param_shape)
     W = rng.uniform(-1.0, 1.0, size=(K, config.n_q)) / np.sqrt(config.n_q)
 
     def step(xb, yb):
-        states = run_circuit_batch(config, params, xb)
+        states = run_circuit_batch(config, phi, xb)
         h = z_expectations(states, config.n_q)
         loss, gW, dh = one_hot_head_gradients(h, W, yb, train_cfg.beta)
-        return loss, [vjp(config, params, xb, dh, states).sum(axis=0), gW]
+        return loss, [vjp(config, phi, xb, dh, states).sum(axis=0), gW]
 
-    model = VqcModel(config, params, LinearHead(W=W, beta=train_cfg.beta))
-    history = fit(model, [params.phi, W], step, dataset, train_cfg, rng, eval_set)
-    return params, LinearHead(W=W, beta=train_cfg.beta), history
+    model = VqcModel(config, phi, W, beta=train_cfg.beta)
+    history = fit(model, [phi, W], step, dataset, train_cfg, rng, eval_set)
+    return model, history
 
 
 def train_mlp(dataset, train_cfg, K, eval_set=None):
