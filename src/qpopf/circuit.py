@@ -112,15 +112,43 @@ class CircuitConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CircuitConfig":
-        if "trainable_gate" not in d:
-            raise ValueError("circuit config has no 'trainable_gate' (\"rot\" or \"ry\")")
+        """Read a config written by :meth:`to_dict`.
+
+        Every field is required and of its JSON type: ``n_q``, ``L`` and each
+        ``encoding_pattern`` entry an integer (a float, bool or string is
+        refused), ``encoding_scale`` a number and ``trainable_gate`` a string.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"circuit config must be an object, got {type(d).__name__}")
+        for key in ("n_q", "L", "encoding_pattern", "encoding_scale", "trainable_gate"):
+            if key not in d:
+                raise ValueError(f"circuit config has no {key!r}")
+        pattern = d["encoding_pattern"]
+        if not isinstance(pattern, list):
+            raise ValueError(f"config.encoding_pattern must be a list, got {pattern!r}")
         return cls(
-            n_q=int(d["n_q"]),
-            L=int(d["L"]),
-            encoding_pattern=tuple(int(i) for i in d["encoding_pattern"]),
-            encoding_scale=float(d["encoding_scale"]),
-            trainable_gate=str(d["trainable_gate"]),
+            n_q=saved_value(d["n_q"], int, "config.n_q"),
+            L=saved_value(d["L"], int, "config.L"),
+            encoding_pattern=tuple(
+                saved_value(i, int, f"config.encoding_pattern[{k}]") for k, i in enumerate(pattern)
+            ),
+            encoding_scale=float(saved_value(d["encoding_scale"], float, "config.encoding_scale")),
+            trainable_gate=saved_value(d["trainable_gate"], str, "config.trainable_gate"),
         )
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def saved_value(value, kind: type, name: str):
+    """``value`` if a JSON file holds it as ``kind``: int, float (any number) or str.
+
+    A bool is none of these, and a float is not an int; the ValueError
+    names the field ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 # -- gate tables and the state walk --------------------------------------------

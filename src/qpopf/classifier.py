@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qpopf.circuit import CircuitConfig, run_circuit_batch, vjp, z_expectations
-from qpopf.regions import RegionAtlas, locate_covered
+from qpopf.circuit import CircuitConfig, run_circuit_batch, saved_value, vjp, z_expectations
+from qpopf.regions import RegionAtlas, locate_covered, saved_field
 
 
 class TrainingDivergedError(RuntimeError):
@@ -518,31 +518,39 @@ def save_model(model, path, seed: int | None = None, atlas_hash: str = "", extra
 def load_model(path):
     """Load a checkpoint written by :func:`save_model`.
 
-    A VQC head's ``b`` must be all zeros, and each beta finite and > 0;
-    an MLP's sigma must be finite and >= 0.  Every array must be finite
-    and shaped as its model requires (see :func:`_check_arrays`).
+    Every field is required.  A VQC head's ``b`` must be all zeros, and
+    each beta a finite number > 0; an MLP's sigma must be a finite number
+    >= 0.  Every array must be finite and shaped as its model requires (see
+    :func:`_check_arrays`).  Each failure is a ValueError naming the file
+    and the field.
     """
-    d = json.loads(Path(path).read_text())
-    if d["kind"] == "vqc":
-        W = np.array(d["head"]["W"], dtype=float)
-        if d["head"]["b"] != [0.0] * len(W):
+    try:
+        d = json.loads(Path(path).read_text())
+        return _model_from_checkpoint(d), d
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _model_from_checkpoint(d):
+    kind = saved_field(d, "kind", "checkpoint")
+    if kind == "vqc":
+        head = saved_field(d, "head", "checkpoint")
+        W = np.array(saved_field(head, "W", "head"), dtype=float)
+        if saved_field(head, "b", "head") != [0.0] * len(W):
             raise ValueError(
                 f"head.b must be {len(W)} zeros: the privacy bound assumes a bias-free head"
             )
-        model = VqcModel(
-            CircuitConfig.from_dict(d["config"]), d["phi"], W, beta=float(d["head"]["beta"])
-        )
-    elif d["kind"] == "mlp":
+        config = CircuitConfig.from_dict(saved_field(d, "config", "checkpoint"))
+        beta = saved_value(saved_field(head, "beta", "head"), float, "head.beta")
+        return VqcModel(config, saved_field(d, "phi", "checkpoint"), W, beta=float(beta))
+    if kind == "mlp":
         if d.get("activation", "tanh") != "tanh":
             raise ValueError(f"MLP activation must be 'tanh', got {d['activation']!r}")
-        model = MlpBaseline(
-            d["W1"], d["b1"], d["W2"], d["b2"], d["W_head"],
-            beta=float(d["beta"]),
-            sigma=float(d["sigma"]),
-        )
-    else:
-        raise ValueError(f"unknown checkpoint kind {d.get('kind')!r}")
-    return model, d
+        arrays = [saved_field(d, key, "checkpoint") for key in ("W1", "b1", "W2", "b2", "W_head")]
+        beta, sigma = (saved_value(saved_field(d, key, "checkpoint"), float, key)
+                       for key in ("beta", "sigma"))
+        return MlpBaseline(*arrays, beta=float(beta), sigma=float(sigma))
+    raise ValueError(f"unknown checkpoint kind {kind!r}")
 
 
 def argmax_accuracy(model, thetas: np.ndarray, labels: np.ndarray) -> float:

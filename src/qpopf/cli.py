@@ -522,7 +522,7 @@ def cmd_report(parser, args) -> int:
             payload = json.loads(path.read_text())
         except json.JSONDecodeError:
             continue
-        body = payload.get("result", payload)
+        body = payload.get("result", payload) if isinstance(payload, dict) else payload
         sections.append(f"## {path.name}\n\n```json\n{json.dumps(body, sort_keys=True, indent=1)}\n```\n")
     for path in sorted(directory.glob("*.csv")):
         lines = path.read_text().splitlines()

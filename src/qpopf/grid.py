@@ -154,24 +154,24 @@ class GridCase:
             missing = sorted(set(self.buses) - reached)
             raise CaseError(f"non-radial topology: buses {missing} unreachable from root")
 
-    def tree_parents(self) -> dict[int, tuple[int, Line]]:
-        """Map bus -> (parent bus, connecting line), rooted at ``self.root``."""
-        adj: dict[int, list[tuple[int, Line]]] = {b: [] for b in self.buses}
-        for ln in self.lines:
-            adj[ln.from_bus].append((ln.to_bus, ln))
-            adj[ln.to_bus].append((ln.from_bus, ln))
-        parents: dict[int, tuple[int, Line]] = {}
-        visited = {self.root}
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for b in frontier:
-                for nb, ln in adj[b]:
-                    if nb not in visited:
-                        visited.add(nb)
-                        parents[nb] = (b, ln)
-                        nxt.append(nb)
-            frontier = nxt
+    def tree_parents(self) -> dict[int, tuple[int, int, float]]:
+        """Map bus -> (parent bus, index of the connecting line, orient).
+
+        Buses come in breadth-first order from ``self.root``.  ``orient`` is
+        +1.0 when the case lists the line parent -> bus and -1.0 when it
+        lists it bus -> parent.
+        """
+        adj: dict[int, list[tuple[int, int, float]]] = {b: [] for b in self.buses}
+        for i, ln in enumerate(self.lines):
+            adj[ln.from_bus].append((ln.to_bus, i, 1.0))
+            adj[ln.to_bus].append((ln.from_bus, i, -1.0))
+        parents: dict[int, tuple[int, int, float]] = {}
+        queue = [self.root]
+        for b in queue:
+            for nb, i, orient in adj[b]:
+                if nb != self.root and nb not in parents:
+                    parents[nb] = (b, i, orient)
+                    queue.append(nb)
         return parents
 
 
@@ -370,7 +370,10 @@ def linearize(case: GridCase) -> ParametricLP:
 
     Decision vector: generator outputs, elastic demands, branch active
     flows (in MW).  theta is normalized: column r of T carries the MW
-    effect of a unit normalized deviation at renewable r.
+    effect of a unit normalized deviation at renewable r.  The rows are
+    five blocks of opposing pairs (w, -w), each pair two adjacent rows:
+    per-bus balance (the ``eq_pairs``), branch flow limits, generator
+    boxes, elastic-demand boxes and per-bus voltage limits.
     """
     if case.m == 0:
         raise DegenerateThetaError("case has no renewable units; theta is empty")
@@ -390,144 +393,93 @@ def linearize(case: GridCase) -> ParametricLP:
             )
 
     n_g, n_d, n_l = len(case.generators), len(case.elastic_demands), len(case.lines)
-    n = n_g + n_d + n_l
+    n, m, f0 = n_g + n_d + n_l, case.m, n_g + n_d  # f0: first flow column
     var_names = (
         [f"Pg_{g.bus}_{i}" for i, g in enumerate(case.generators)]
         + [f"Pd_{d.bus}_{i}" for i, d in enumerate(case.elastic_demands)]
         + [f"Pf_{ln.from_bus}_{ln.to_bus}" for ln in case.lines]
     )
-    gen_col = {i: i for i in range(n_g)}
-    dem_col = {i: n_g + i for i in range(n_d)}
-    flow_col = {i: n_g + n_d + i for i in range(n_l)}
-
     c = np.zeros(n)
-    for i, g in enumerate(case.generators):
-        c[gen_col[i]] = g.cost
+    c[:n_g] = [g.cost for g in case.generators]
 
-    fixed_p = {b: 0.0 for b in case.buses}
-    fixed_q = {b: 0.0 for b in case.buses}
-    for d in case.fixed_demands:
-        fixed_p[d.bus] += d.p_mw
-        fixed_q[d.bus] += d.q_mvar
-    forecast = {b: 0.0 for b in case.buses}
-    for r in case.renewables:
-        forecast[r.bus] += r.forecast_mw
-
-    parents = case.tree_parents()
-    line_index = {id(ln): i for i, ln in enumerate(case.lines)}
-
-    # Reactive flow on each line is fixed by the downstream Q demands.
-    # Accumulate by walking children sums bottom-up.
-    children: dict[int, list[int]] = {b: [] for b in case.buses}
-    for b, (p, _ln) in parents.items():
-        children[p].append(b)
-    order: list[int] = []
-    stack = [case.root]
-    while stack:
-        b = stack.pop()
-        order.append(b)
-        stack.extend(children[b])
-    q_down = {b: fixed_q[b] for b in case.buses}
-    for b in reversed(order):
-        for ch in children[b]:
-            q_down[b] += q_down[ch]
-    # q flow on the line feeding bus b (oriented parent -> b): q_down[b],
-    # sign-adjusted if the case lists the line as b -> parent.
-    q_flow_mvar = np.zeros(n_l)
-    for b, (p, ln) in parents.items():
-        li = line_index[id(ln)]
-        orient = 1.0 if ln.to_bus == b else -1.0
-        q_flow_mvar[li] = orient * q_down[b]
-
-    rows_W: list[np.ndarray] = []
-    rows_S: list[float] = []
-    rows_T: list[np.ndarray] = []
+    blocks: list[list[np.ndarray]] = []
     con_names: list[str] = []
-    eq_pairs: list[tuple[int, int]] = []
-    m = case.m
 
-    def add_row(w: np.ndarray, s: float, t: np.ndarray, name: str) -> int:
-        rows_W.append(w)
-        rows_S.append(s)
-        rows_T.append(t)
-        con_names.append(name)
-        return len(rows_W) - 1
+    def add_pairs(names, keys, w, s, s_second, t=None):
+        """Append rows (w[k], s[k], t[k]) and (-w[k], s_second[k], -t[k]) for each k.
+
+        They are named ``{names[0]}_{keys[k]}`` and ``{names[1]}_{keys[k]}``;
+        T is +0.0 on both rows when ``t`` is None.
+        """
+        zeros = np.zeros((len(w), m))
+        pairs = ((w, -w), (s, s_second), (zeros, zeros) if t is None else (t, -t))
+        blocks.append([np.stack(p, axis=1).reshape(2 * len(w), *p[0].shape[1:]) for p in pairs])
+        con_names.extend(f"{name}_{key}" for key in keys for name in names)
 
     # Power balance per bus (equality -> opposing pair):
     #   sum(gen) - sum(elastic) + sum(flows in) - sum(flows out)
     #     = fixed_p - forecast - dev(theta)
-    dev_mw = np.array([r.deviation_kw / KW_PER_MW for r in case.renewables])
-    for b in case.buses:
-        w = np.zeros(n)
-        for i, g in enumerate(case.generators):
-            if g.bus == b:
-                w[gen_col[i]] += 1.0
-        for i, d in enumerate(case.elastic_demands):
-            if d.bus == b:
-                w[dem_col[i]] -= 1.0
-        for i, ln in enumerate(case.lines):
-            if ln.to_bus == b:
-                w[flow_col[i]] += 1.0
-            if ln.from_bus == b:
-                w[flow_col[i]] -= 1.0
-        s = fixed_p[b] - forecast[b]
-        t = np.zeros(m)
-        for r_idx, r in enumerate(case.renewables):
-            if r.bus == b:
-                t[r_idx] -= dev_mw[r_idx]
-        i_le = add_row(w, s, t, f"bal_le_{b}")
-        i_ge = add_row(-w, -s, -t, f"bal_ge_{b}")
-        eq_pairs.append((i_le, i_ge))
-
-    # Branch flow limits.
-    for i, ln in enumerate(case.lines):
-        w = np.zeros(n)
-        w[flow_col[i]] = 1.0
-        add_row(w, ln.limit_mw, np.zeros(m), f"flow_hi_{ln.from_bus}_{ln.to_bus}")
-        add_row(-w, ln.limit_mw, np.zeros(m), f"flow_lo_{ln.from_bus}_{ln.to_bus}")
-
-    # Generator and elastic-demand boxes.
+    pos = {b: k for k, b in enumerate(case.buses)}
+    balance, balance_t = np.zeros((len(pos), n)), np.zeros((len(pos), m))
+    fixed_p, fixed_q, forecast = np.zeros(len(pos)), np.zeros(len(pos)), np.zeros(len(pos))
     for i, g in enumerate(case.generators):
-        w = np.zeros(n)
-        w[gen_col[i]] = 1.0
-        add_row(w, g.p_max_mw, np.zeros(m), f"gmax_{g.bus}_{i}")
-        add_row(-w, -g.p_min_mw, np.zeros(m), f"gmin_{g.bus}_{i}")
+        balance[pos[g.bus], i] += 1.0
     for i, d in enumerate(case.elastic_demands):
-        w = np.zeros(n)
-        w[dem_col[i]] = 1.0
-        add_row(w, d.p_max_mw, np.zeros(m), f"dmax_{d.bus}_{i}")
-        add_row(-w, -d.p_min_mw, np.zeros(m), f"dmin_{d.bus}_{i}")
+        balance[pos[d.bus], n_g + i] -= 1.0
+    for i, ln in enumerate(case.lines):
+        balance[pos[ln.to_bus], f0 + i] += 1.0
+        balance[pos[ln.from_bus], f0 + i] -= 1.0
+    for d in case.fixed_demands:
+        fixed_p[pos[d.bus]] += d.p_mw
+        fixed_q[pos[d.bus]] += d.q_mvar
+    for i, r in enumerate(case.renewables):
+        forecast[pos[r.bus]] += r.forecast_mw
+        balance_t[pos[r.bus], i] -= r.deviation_kw / KW_PER_MW
+    s = fixed_p - forecast
+    add_pairs(("bal_le", "bal_ge"), case.buses, balance, s, -s, t=balance_t)
+    eq_pairs = [(2 * k, 2 * k + 1) for k in range(len(pos))]
 
-    # LinDistFlow voltage drop: v_b = 1 - sum over the root path of
-    # 2 (r P + x Q) in per unit; Q contributions are constants.
-    v_lo = case.v_min_pu**2
-    v_hi = case.v_max_pu**2
-    for b in case.buses:
-        if b == case.root:
-            continue
-        w = np.zeros(n)
-        q_const_pu = 0.0
+    # Branch flow limits, then generator and elastic-demand boxes.
+    eye = np.eye(n)
+    limits = np.array([ln.limit_mw for ln in case.lines])
+    add_pairs(("flow_hi", "flow_lo"), [f"{ln.from_bus}_{ln.to_bus}" for ln in case.lines],
+              eye[f0:], limits, limits)
+    add_pairs(("gmax", "gmin"), [f"{g.bus}_{i}" for i, g in enumerate(case.generators)],
+              eye[:n_g], np.array([g.p_max_mw for g in case.generators]),
+              -np.array([g.p_min_mw for g in case.generators]))
+    add_pairs(("dmax", "dmin"), [f"{d.bus}_{i}" for i, d in enumerate(case.elastic_demands)],
+              eye[n_g:f0], np.array([d.p_max_mw for d in case.elastic_demands]),
+              -np.array([d.p_min_mw for d in case.elastic_demands]))
+
+    # Reactive flow into each bus from its parent is fixed by the Q demands
+    # downstream of it: each bus adds its children's sums, in child order.
+    feeder = case.tree_parents()
+    children: dict[int, list[int]] = {b: [] for b in case.buses}
+    for b, (p, _li, _orient) in feeder.items():
+        children[p].append(b)
+    q_down = dict(zip(case.buses, fixed_q))
+    for b in reversed([case.root, *feeder]):
+        for ch in children[b]:
+            q_down[b] += q_down[ch]
+
+    # LinDistFlow voltage drop: v_b = 1 - w.x - q_const in per unit, with w.x
+    # and q_const the root path's sums of 2 r P and 2 x Q (Q is constant);
+    # enforce v_min^2 <= v_b <= v_max^2.
+    fed = [b for b in case.buses if b != case.root]
+    volt, q_const = np.zeros((len(fed), n)), np.zeros(len(fed))
+    for k, b in enumerate(fed):
         node = b
         while node != case.root:
-            p, ln = parents[node]
-            li = line_index[id(ln)]
-            orient = 1.0 if ln.to_bus == node else -1.0
-            w[flow_col[li]] += 2.0 * ln.r_pu * orient / case.base_mva
-            q_const_pu += 2.0 * ln.x_pu * (q_flow_mvar[li] * orient) / case.base_mva
+            p, li, orient = feeder[node]
+            ln = case.lines[li]
+            volt[k, f0 + li] += 2.0 * ln.r_pu * orient / case.base_mva
+            q_const[k] += 2.0 * ln.x_pu * q_down[node] / case.base_mva
             node = p
-        # v_b = 1 - w.x - q_const_pu ; enforce v_lo <= v_b <= v_hi
-        add_row(w, 1.0 - v_lo - q_const_pu, np.zeros(m), f"vlo_{b}")
-        add_row(-w, v_hi - 1.0 + q_const_pu, np.zeros(m), f"vhi_{b}")
+    add_pairs(("vlo", "vhi"), fed, volt, 1.0 - case.v_min_pu**2 - q_const,
+              case.v_max_pu**2 - 1.0 + q_const)
 
-    plp = ParametricLP(
-        c=c,
-        W=np.vstack(rows_W),
-        S=np.array(rows_S),
-        T=np.vstack(rows_T),
-        theta_box=np.tile(np.array([-1.0, 1.0]), (m, 1)),
-        var_names=var_names,
-        con_names=con_names,
-        eq_pairs=eq_pairs,
-    )
+    W, S, T = (np.concatenate(part) for part in zip(*blocks))
+    plp = ParametricLP(c=c, W=W, S=S, T=T, theta_box=np.tile(np.array([-1.0, 1.0]), (m, 1)),
+                       var_names=var_names, con_names=con_names, eq_pairs=eq_pairs)
     plp.validate()
     return plp

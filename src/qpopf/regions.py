@@ -120,29 +120,67 @@ class RegionAtlas:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionAtlas":
-        regions = [
-            CriticalRegion(
-                id=int(e["id"]),
-                active_set=tuple(int(i) for i in e["active_set"]),
-                F=np.array(e["F"], dtype=float),
-                f=np.array(e["f"], dtype=float),
-                poly_A=np.array(e["poly_A"], dtype=float),
-                poly_b=np.array(e["poly_b"], dtype=float),
-                degenerate=bool(e["degenerate"]),
-            )
-            for e in d["regions"]
-        ]
+        """Read an atlas written by :meth:`to_dict`.
+
+        Every key is required and every array finite and shaped as
+        ``theta_box`` (m, 2) and, per region, ``F`` (len(active_set), m),
+        ``f`` (len(active_set),), ``poly_A`` (R, m) and ``poly_b`` (R,).  A
+        failure is a ValueError naming the region id and the field.
+        """
+        theta_box = _saved_array(d, "theta_box", ("m", 2), "atlas")
+        m = len(theta_box)
+        regions = []
+        for i, e in enumerate(saved_field(d, "regions", "atlas")):
+            rid = int(saved_field(e, "id", f"atlas regions[{i}]"))
+            where = f"atlas region {rid}"
+            active_set = tuple(int(j) for j in saved_field(e, "active_set", where))
+            poly_A = _saved_array(e, "poly_A", ("R", m), where)
+            regions.append(CriticalRegion(
+                id=rid,
+                active_set=active_set,
+                F=_saved_array(e, "F", (len(active_set), m), where),
+                f=_saved_array(e, "f", (len(active_set),), where),
+                poly_A=poly_A,
+                poly_b=_saved_array(e, "poly_b", (len(poly_A),), where),
+                degenerate=bool(saved_field(e, "degenerate", where)),
+            ))
         return cls(
             regions=regions,
-            theta_box=np.array(d["theta_box"], dtype=float),
-            coverage=float(d["coverage"]),
-            provenance=dict(d.get("provenance", {})),
-            plp_hash=d.get("plp_hash", ""),
+            theta_box=theta_box,
+            coverage=float(saved_field(d, "coverage", "atlas")),
+            provenance=dict(saved_field(d, "provenance", "atlas")),
+            plp_hash=saved_field(d, "plp_hash", "atlas"),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "RegionAtlas":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def saved_field(entry, key: str, where: str):
+    """``entry[key]`` of a saved JSON object, or a ValueError naming ``where`` and the field."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object, got {type(entry).__name__}")
+    if key not in entry:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return entry[key]
+
+
+def _saved_array(entry, key: str, shape: tuple, where: str) -> np.ndarray:
+    """``entry[key]`` as a finite float array of ``shape``, whose named axes take any size."""
+    value = saved_field(entry, key, where)
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {key} is not a numeric array ({exc})") from exc
+    if a.ndim != len(shape) or any(isinstance(w, int) and w != n for w, n in zip(shape, a.shape)):
+        raise ValueError(f"{where}: {key} must be ({', '.join(map(str, shape))}), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{where}: {key} must be finite")
+    return a
 
 
 def compute_affine_map(plp: ParametricLP, active_set) -> tuple[np.ndarray, np.ndarray]:

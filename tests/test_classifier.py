@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,8 @@ def test_load_model_rejects_a_non_tanh_activation(toy_mlp, tmp_path):
         load_model(path)
 
 
+MISSING = object()  # a field the edit deletes
+
 @pytest.mark.parametrize("kind,key,value,match", [
     ("vqc", "b", [0.0, 0.5], "bias-free head"), ("vqc", "b", [0.0], "bias-free head"),
     ("vqc", "b", [np.nan, 0.0], "bias-free head"),
@@ -218,6 +221,29 @@ def test_load_model_rejects_a_non_tanh_activation(toy_mlp, tmp_path):
                  "MlpBaseline W2 must be finite", id="mlp-W2-nan"),
     pytest.param("mlp", "W2", lambda W2: W2[1:],
                  r"MlpBaseline W2 must be \(7, 7\), got \(6, 7\)", id="mlp-W2-missing-row"),
+    # a missing field, and a number given as a bool or a string
+    pytest.param("vqc", "kind", MISSING, "checkpoint: missing field 'kind'", id="vqc-no-kind"),
+    pytest.param("vqc", "head", MISSING, "checkpoint: missing field 'head'", id="vqc-no-head"),
+    pytest.param("vqc", "config", MISSING, "checkpoint: missing field 'config'",
+                 id="vqc-no-config"),
+    pytest.param("vqc", "phi", MISSING, "checkpoint: missing field 'phi'", id="vqc-no-phi"),
+    pytest.param("vqc", "beta", MISSING, "head: missing field 'beta'", id="vqc-no-beta"),
+    pytest.param("mlp", "sigma", MISSING, "checkpoint: missing field 'sigma'", id="mlp-no-sigma"),
+    pytest.param("mlp", "W_head", MISSING, "checkpoint: missing field 'W_head'",
+                 id="mlp-no-W-head"),
+    pytest.param("vqc", "beta", True, "head.beta must be a number, got True", id="vqc-beta-bool"),
+    pytest.param("vqc", "beta", "2", "head.beta must be a number, got '2'", id="vqc-beta-string"),
+    pytest.param("mlp", "beta", True, "beta must be a number, got True", id="mlp-beta-bool"),
+    pytest.param("mlp", "sigma", "0.5", "sigma must be a number, got '0.5'",
+                 id="mlp-sigma-string"),
+    pytest.param("vqc", "config", lambda c: {**c, "n_q": c["n_q"] + 0.7},
+                 "config.n_q must be an integer, got 2.7", id="vqc-n-q-float"),
+    pytest.param("vqc", "config", lambda c: {**c, "n_q": str(c["n_q"])},
+                 "config.n_q must be an integer, got '2'", id="vqc-n-q-string"),
+    pytest.param("vqc", "config",
+                 lambda c: {**c, "encoding_pattern": [1.9] + c["encoding_pattern"][1:]},
+                 r"config.encoding_pattern\[0\] must be an integer, got 1.9",
+                 id="vqc-pattern-float"),
 ])
 def test_load_model_rejects_a_bad_checkpoint_value(kind, key, value, match, toy_vqc, toy_mlp,
                                                    tmp_path):
@@ -225,9 +251,21 @@ def test_load_model_rejects_a_bad_checkpoint_value(kind, key, value, match, toy_
     save_model((toy_vqc if kind == "vqc" else toy_mlp)[0], path)
     d = json.loads(path.read_text())
     section = d["head"] if kind == "vqc" and key in d["head"] else d
-    section[key] = value(section[key]) if callable(value) else value
+    if value is MISSING:
+        del section[key]
+    else:
+        section[key] = value(section[key]) if callable(value) else value
     path.write_text(json.dumps(d))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("top", [[1, 2], 3, "vqc", None])
+def test_load_model_rejects_a_file_that_is_not_an_object(top, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(top))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: checkpoint must be an object"):
         load_model(path)
 
 

@@ -274,6 +274,16 @@ def test_report_concatenates(workdir, tmp_path):
     assert "b.csv" in summary
 
 
+
+def test_report_writes_a_json_file_that_is_not_an_object_as_it_is(tmp_path, capsys):
+    (tmp_path / "a.json").write_text(json.dumps([1, 2]))
+    (tmp_path / "b.json").write_text(json.dumps({"result": {"x": 1}, "seed": 0}))
+    assert run(["report", "--dir", tmp_path]) == 0
+    summary = (tmp_path / "summary.md").read_text()
+    assert "## a.json\n\n```json\n[\n 1,\n 2\n]\n```" in summary
+    assert "## b.json\n\n```json\n{\n \"x\": 1\n}\n```" in summary
+    assert "report: 2 artifacts" in capsys.readouterr().out
+
 def test_config_file_precedence(workdir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"regions": {"budget": 64, "seed": 8}}))

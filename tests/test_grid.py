@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from qpopf.data import case_path
 from qpopf.grid import (
     CaseError,
     DegenerateThetaError,
@@ -216,3 +218,66 @@ def test_a_case_file_that_is_not_an_object_is_a_case_error(tmp_path, top):
     path.write_text(json.dumps(top))
     with pytest.raises(CaseError, match="must hold a JSON object"):
         load_case(path)
+
+
+SINGLE_BUS_CASE = {
+    "schema_version": 1, "name": "single", "base_mva": 1.0, "buses": [1], "lines": [],
+    "generators": [{"bus": 1, "cost": 30.0, "p_min_mw": 0.0, "p_max_mw": 2.0}],
+    "demands": [{"bus": 1, "p_mw": 0.4, "q_mvar": 0.1}],
+    "renewables": [{"bus": 1, "forecast_mw": 0.1, "deviation_kw": 20.0}],
+}
+# Lines listed child -> parent, one with r_pu = 0 and one with x_pu = 0,
+# no generator, and two renewables at one bus.
+STAR_CASE = {
+    "schema_version": 1, "name": "star", "base_mva": 10.0, "buses": [1, 2, 3, 4],
+    "lines": [
+        {"from": 2, "to": 1, "r_pu": 0.0, "x_pu": 0.02, "limit_mw": 3.0},
+        {"from": 3, "to": 1, "r_pu": 0.01, "x_pu": 0.0, "limit_mw": 3.0},
+        {"from": 4, "to": 1, "r_pu": 0.02, "x_pu": 0.03, "limit_mw": 3.0},
+    ],
+    "generators": [],
+    "demands": [
+        {"bus": 2, "p_mw": 0.3, "q_mvar": 0.1},
+        {"bus": 3, "p_mw": 0.2, "q_mvar": 0.05},
+        {"bus": 4, "elastic": True, "p_min_mw": 0.0, "p_max_mw": 0.4},
+    ],
+    "renewables": [
+        {"bus": 3, "forecast_mw": 0.1, "deviation_kw": 10.0},
+        {"bus": 3, "forecast_mw": 0.05, "deviation_kw": 5.0},
+    ],
+}
+
+# Bus 2 has two children, so its reactive load sums in child order:
+# (0.1 + 0.2) + 0.15 and (0.1 + 0.15) + 0.2 differ in the last bit.
+TREE_CASE = {
+    "schema_version": 1, "name": "tree", "base_mva": 1.0, "buses": [1, 2, 3, 4, 5],
+    "lines": [
+        {"from": 1, "to": 2, "r_pu": 0.01, "x_pu": 0.05, "limit_mw": 2.0},
+        {"from": 2, "to": 3, "r_pu": 0.02, "x_pu": 0.01, "limit_mw": 2.0},
+        {"from": 4, "to": 2, "r_pu": 0.03, "x_pu": 0.04, "limit_mw": 2.0},
+        {"from": 4, "to": 5, "r_pu": 0.01, "x_pu": 0.01, "limit_mw": 2.0},
+    ],
+    "generators": [{"bus": 1, "cost": 20.0, "p_min_mw": 0.0, "p_max_mw": 3.0}],
+    "demands": [
+        {"bus": 2, "p_mw": 0.2, "q_mvar": 0.1},
+        {"bus": 3, "p_mw": 0.3, "q_mvar": 0.2},
+        {"bus": 4, "p_mw": 0.1, "q_mvar": 0.15},
+        {"bus": 3, "elastic": True, "p_min_mw": 0.0, "p_max_mw": 0.2},
+    ],
+    "renewables": [{"bus": 5, "forecast_mw": 0.1, "deviation_kw": 15.0}],
+}
+
+
+@pytest.mark.parametrize("case,digest", [
+    ("toy2", "c529d024b48fa226595388d2fcee98db71a36c28ee4ef48668a96299417d92a3"),
+    ("ieee69", "94ab910cae33968a74f5658ec9fc83ad3d7fc7aa751b456b5909b4222007980a"),
+    (SINGLE_BUS_CASE, "89283c97542706ecf6f9f45accb390c4210c24029abed6cb23167c475505f543"),
+    (STAR_CASE, "9c5085b2f1ab3caf488f3ce3b75f00f8900a40813e2f0b3aaa47ab73f3e6ed54"),
+    (TREE_CASE, "9079a2f51f1b0bf55b559ac9f1059465db5ca3e0d81c261c6ec5d2366aa68a82"),
+], ids=["toy2", "ieee69", "single-bus", "star", "tree"])
+def test_linearize_is_pinned(case, digest):
+    """The LP's bytes (``hash_hex``) and its row and column tables are pinned."""
+    case = load_case(case_path(case)) if isinstance(case, str) else case_from_dict(case)
+    plp = linearize(case)
+    tables = [plp.hash_hex(), plp.var_names, plp.con_names, plp.eq_pairs]
+    assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == digest

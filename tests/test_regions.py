@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,53 @@ def test_atlas_roundtrip(tmp_path, toy_atlas):
     path.write_text(json.dumps(toy_atlas.to_dict(), sort_keys=True))
     loaded = RegionAtlas.load(path)
     assert loaded.to_dict() == toy_atlas.to_dict()
+
+
+def set_in_region(key, edit):
+    def apply(d):
+        d["regions"][0][key] = edit(d["regions"][0][key])
+    return apply
+
+
+def without(key, region=False):
+    def apply(d):
+        del (d["regions"][0] if region else d)[key]
+    return apply
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(set_in_region("F", lambda F: [[np.nan] + row[1:] for row in F]),
+                 "atlas region 1: F must be finite", id="F-nan"),
+    pytest.param(set_in_region("poly_b", lambda b: [np.inf] + b[1:]),
+                 "atlas region 1: poly_b must be finite", id="poly-b-inf"),
+    pytest.param(set_in_region("poly_A", lambda A: [row + [0.0] for row in A]),
+                 r"atlas region 1: poly_A must be \(R, 1\), got \(\d+, 2\)", id="poly-A-2-columns"),
+    pytest.param(set_in_region("poly_b", lambda b: b[1:]),
+                 r"atlas region 1: poly_b must be \(\d+\), got", id="poly-b-short"),
+    pytest.param(set_in_region("F", lambda F: F[1:]),
+                 r"atlas region 1: F must be \(1, 1\), got \(0,\)", id="F-short"),
+    pytest.param(set_in_region("f", lambda f: f + [0.0]),
+                 r"atlas region 1: f must be \(1\), got \(2,\)", id="f-long"),
+    pytest.param(set_in_region("poly_A", lambda A: [A[0], A[1][:0]] + A[2:]),
+                 "atlas region 1: poly_A is not a numeric array", id="poly-A-ragged"),
+    pytest.param(without("theta_box"), "atlas: missing field 'theta_box'", id="no-theta-box"),
+    pytest.param(without("plp_hash"), "atlas: missing field 'plp_hash'", id="no-plp-hash"),
+    pytest.param(without("poly_b", region=True), "atlas region 1: missing field 'poly_b'",
+                 id="no-poly-b"),
+    pytest.param(without("id", region=True), r"atlas regions\[0\]: missing field 'id'",
+                 id="no-region-id"),
+    pytest.param(lambda d: d.update(theta_box=[[-1.0, 1.0, 0.0]]),
+                 r"atlas: theta_box must be \(m, 2\), got \(1, 3\)", id="theta-box-3-columns"),
+])
+def test_atlas_load_rejects_a_malformed_atlas(tmp_path, toy_atlas, edit, message):
+    d = json.loads(json.dumps(toy_atlas.to_dict()))
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        RegionAtlas.from_dict(d)
+    path = tmp_path / "atlas.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
+        RegionAtlas.load(path)
 
 
 def prune_every_row(A, b):
