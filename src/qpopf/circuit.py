@@ -1,9 +1,9 @@
 """Exact statevector simulation of the data-reuploading circuit.
 
 Qubit j corresponds to bit (n_q - 1 - j) of the basis index, i.e. qubit 0
-is the leftmost label in ket notation.  States are arrays (..., 2**n_q),
-so a whole batch of inputs moves through the circuit in one call.  The
-trainable angles are one array ``phi`` in radians, shaped
+is the leftmost label in ket notation.  States come and go as arrays
+(..., 2**n_q), so a whole batch of inputs moves through the circuit in
+one call.  The trainable angles are one array ``phi`` in radians, shaped
 ``CircuitConfig.param_shape``; the model that owns them is
 ``qpopf.classifier.VqcModel``.
 
@@ -12,10 +12,15 @@ rotations per sample and qubit, the trainable gates per layer and qubit.
 A single-qubit gate is then one broadcast multiply (its four products),
 one subtraction and one addition into preallocated buffers, and each
 layer's CNOT ladder is one gather by a fixed permutation (the Gray code).
-Every amplitude gets the products and sums a gate-by-gate kernel gives
-it, so the states are bitwise the same.  One exception: on a CPU with
-fused multiply-add, numpy rounds a one-element complex product of
-multi-dimensional arrays without it, and a gate-by-gate kernel makes such
+Inside a call the states are laid out (2**n_q, N), the N samples on the
+last, contiguous axis, so each of these runs its inner loop over the
+batch.  The layout changes no bits: every amplitude still gets
+``coefficient * amplitude``, coefficient first, then the same
+subtraction or addition, and numpy's complex multiply rounds alike
+whatever the operands' strides.  So the states are bitwise those of a
+gate-by-gate kernel.  One exception: a numpy build that rounds a
+one-element complex product of multi-dimensional arrays without the
+CPU's fused multiply-add, where a gate-by-gate kernel makes such
 products only for a one-qubit "rot" circuit on one sample.
 
 Depolarizing noise never needs a density matrix here: the global channel
@@ -24,8 +29,9 @@ exactly (1-g) because Z is traceless, so noisy features come from the
 pure-state expectations analytically (infinite-shot limit).
 
 Gradients over the trainable angles come from one adjoint pass
-(:func:`vjp`) over the same tables, the ladder gathered by the inverse
-permutation; the parameter-shift rule is its oracle in the tests.
+(:func:`vjp`) over the same tables and layout, the ladder gathered by
+the inverse permutation; the parameter-shift rule is its oracle in the
+tests.
 """
 
 from __future__ import annotations
@@ -123,9 +129,7 @@ class CircuitConfig:
         for key in ("n_q", "L", "encoding_pattern", "encoding_scale", "trainable_gate"):
             if key not in d:
                 raise ValueError(f"circuit config has no {key!r}")
-        pattern = d["encoding_pattern"]
-        if not isinstance(pattern, list):
-            raise ValueError(f"config.encoding_pattern must be a list, got {pattern!r}")
+        pattern = saved_value(d["encoding_pattern"], list, "config.encoding_pattern")
         return cls(
             n_q=saved_value(d["n_q"], int, "config.n_q"),
             L=saved_value(d["L"], int, "config.L"),
@@ -137,16 +141,19 @@ class CircuitConfig:
         )
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+               list: "a list", dict: "an object"}
 
 
 def saved_value(value, kind: type, name: str):
-    """``value`` if a JSON file holds it as ``kind``: int, float (any number) or str.
+    """``value`` if a JSON file holds it as ``kind``: int, float (any number),
+    str, bool, list or dict (an object).
 
-    A bool is none of these, and a float is not an int; the ValueError
-    names the field ``name``.
+    A bool is only a bool, and a float is not an int; the ValueError names
+    the field ``name``.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
         raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
@@ -183,9 +190,9 @@ def _rot_table(phi: np.ndarray) -> np.ndarray:
 
 
 def _rz_table(angles) -> np.ndarray:
-    """Rz(angle) = diag(exp(-ia/2), exp(+ia/2)) for every angle, shaped (*angles, 2, 1)."""
+    """Rz(angle) = diag(exp(-ia/2), exp(+ia/2)) for every angle, shaped (*angles, 2, 1, 1)."""
     phase = np.exp(-1j * np.multiply(angles, 0.5))
-    return np.stack([phase, np.conj(phase)], axis=-1)[..., None]
+    return np.stack([phase, np.conj(phase)], axis=-1)[..., None, None]
 
 
 def _ladder_permutation(n_q: int) -> np.ndarray:
@@ -200,30 +207,37 @@ def _ladder_permutation(n_q: int) -> np.ndarray:
 
 
 class _Walk:
-    """States (*lead, 2**n_q) taken through gates in place.
+    """States (*outer, 2**n_q, N) taken through gates in place, samples last.
 
-    A gate's four products go to a scratch laid out (A or C, row, *lead,
-    2**q, rest) in one broadcast multiply; each output row is then one
-    subtraction or addition of two contiguous scratch rows, written back
-    over the states.  The scratch and every view are made here, once.
+    The N samples sit on the last, contiguous axis, so every gate's
+    multiply, subtraction and addition runs its inner loop over the batch,
+    not over a qubit's few trailing amplitudes.  The forward pass has no
+    outer axes; ``vjp`` walks its state and costate as outer axes (2,
+    *cotangent lead).  A gate's four products go to a scratch laid out (A
+    or C, row, *outer, 2**q, rest, N) in one broadcast multiply; each
+    output row is then one subtraction or addition of two scratch rows,
+    written back over the states.  Each amplitude gets the products and
+    sums it got in the (N, 2**n_q) layout, in the same order (coefficient
+    first), so the layout changes no bits.  The scratch and every view are
+    made here, once.
     """
 
     def __init__(self, states: np.ndarray, n_q: int):
         self.states = states
-        lead = states.shape[:-1]
+        outer, samples = states.shape[:-2], states.shape[-1]
         scratch = np.empty((2, 2, states.size // 2), dtype=complex)
         self.spare = scratch.reshape(-1)[: states.size].reshape(states.shape)
-        halves_first = (len(lead) + 1, *range(len(lead) + 1), len(lead) + 2)
-        self.lead = lead
+        halves_first = (len(outer) + 1, *range(len(outer) + 1), len(outer) + 2, len(outer) + 3)
+        self.outer, self.samples = outer, samples
         self.views, self.halves, self.rows, self.products = [], [], [], []
         for qubit in range(n_q):
             split = (2**qubit, 2, 2 ** (n_q - qubit - 1))
-            view = states.reshape(*lead, *split)
+            view = states.reshape(*outer, *split, samples)
             self.views.append(view)
-            # (a0 or a1, 1, *lead, 2**qubit, rest): the amplitudes where the qubit reads 0, 1
+            # (a0 or a1, 1, *outer, 2**qubit, rest, N): the amplitudes where the qubit reads 0, 1
             self.halves.append(view.transpose(halves_first)[:, None])
-            self.rows.append((view[..., 0, :], view[..., 1, :]))
-            pq = scratch.reshape(2, 2, *lead, split[0], split[2])
+            self.rows.append((view[..., 0, :, :], view[..., 1, :, :]))
+            pq = scratch.reshape(2, 2, *outer, split[0], split[2], samples)
             self.products.append((pq, pq[0, 0], pq[1, 0], pq[0, 1], pq[1, 1]))
 
     def broadcast(self, table: np.ndarray, per_sample: bool = False) -> np.ndarray:
@@ -232,13 +246,13 @@ class _Walk:
 
         A ``per_sample`` table has one gate per sample on its last axis,
         (2, 2, *gates, N), and each sample's gate meets only that sample's
-        states.  The result is a view.
+        states, on their last axis.  The result is a view.
         """
-        samples = self.lead[-1] if per_sample else 1
+        samples = self.samples if per_sample else 1
         gates = table.shape[2 : table.ndim - 1] if per_sample else table.shape[2:]
         order = (*range(2, 2 + len(gates)), 0, 1, *range(2 + len(gates), table.ndim))
-        ones = (1,) * (len(self.lead) - 1)
-        return table.transpose(order).reshape(*gates, 2, 2, *ones, samples, 1, 1)
+        ones = (1,) * len(self.outer)
+        return table.transpose(order).reshape(*gates, 2, 2, *ones, 1, 1, samples)
 
     def gate(self, coefficients: np.ndarray, qubit: int) -> None:
         """One single-qubit gate given by a broadcast table entry (2, 2, ...)."""
@@ -251,12 +265,12 @@ class _Walk:
         np.add(a0_row1, a1_row1, out=out1)
 
     def phases(self, phases: np.ndarray, qubit: int) -> None:
-        """A diagonal gate, ``phases`` (2, 1) on the qubit's two halves."""
+        """A diagonal gate, ``phases`` (2, 1, 1) on the qubit's two halves."""
         np.multiply(phases, self.views[qubit], out=self.views[qubit])
 
     def gather(self, perm: np.ndarray) -> None:
-        """Permute the basis states: new[..., y] = old[..., perm[y]]."""
-        np.take(self.states, perm, axis=-1, out=self.spare)
+        """Permute the basis states: new[..., y, :] = old[..., perm[y], :]."""
+        np.take(self.states, perm, axis=-2, out=self.spare)
         np.copyto(self.states, self.spare)
 
 
@@ -266,7 +280,8 @@ def run_circuit_batch(config: CircuitConfig, phi: np.ndarray, thetas: np.ndarray
     ``phi`` holds the trainable angles in radians, shaped
     ``config.param_shape``.  Each gate family's coefficients are tabled
     once per call (the encoding per sample, the trainable gates per layer
-    and qubit), and each layer's CNOT ladder is one gather.
+    and qubit), and each layer's CNOT ladder is one gather.  The walk
+    holds the states (2**n_q, N); they are returned as a C-ordered copy.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if max(config.encoding_pattern) >= thetas.shape[1]:
@@ -276,8 +291,8 @@ def run_circuit_batch(config: CircuitConfig, phi: np.ndarray, thetas: np.ndarray
         )
     if np.shape(phi) != config.param_shape:
         raise ValueError(f"phi shape {np.shape(phi)} does not match {config.param_shape}")
-    states = np.zeros((thetas.shape[0], config.dim), dtype=complex)
-    states[:, 0] = 1.0
+    states = np.zeros((config.dim, thetas.shape[0]), dtype=complex)
+    states[0] = 1.0
     walk = _Walk(states, config.n_q)
     encoding = walk.broadcast(
         _ry_table(config.encoding_scale * thetas.T[list(config.encoding_pattern)]), per_sample=True
@@ -292,7 +307,7 @@ def run_circuit_batch(config: CircuitConfig, phi: np.ndarray, thetas: np.ndarray
         for qubit in range(config.n_q):
             walk.gate(trainable[layer, qubit], qubit)
         walk.gather(ladder)
-    return walk.states
+    return walk.states.T.copy()
 
 
 def z_expectations(states: np.ndarray, n_q: int) -> np.ndarray:
@@ -317,17 +332,24 @@ def _z_signs(n_q: int) -> np.ndarray:
     return 1.0 - 2.0 * (bits & 1)
 
 
-def _im_z(pair: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Im <lam|Z_q|psi> for pair = (psi, lam) stacked on axis 0."""
-    return np.imag(np.conj(pair[1]) * pair[0]) @ signs
+def _im_z(pair: np.ndarray, signs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Im <lam|Z_q|psi> for pair = (psi, lam) seen as (2, ..., N, 2**n_q), through
+    the buffer ``out`` (..., N, 2**n_q)."""
+    psi, lam = pair
+    return np.imag(np.multiply(np.conj(lam, out=out), psi, out=out)) @ signs
 
 
-def _im_y(pair: np.ndarray, qubit: int, n_q: int) -> np.ndarray:
-    """Im <lam|Y_q|psi> = Re sum(conj(lam_1) psi_0 - conj(lam_0) psi_1)."""
-    shaped = pair.reshape(*pair.shape[:-1], 2**qubit, 2, 2 ** (n_q - qubit - 1))
-    psi, lam = shaped[0], shaped[1]
-    z = np.conj(lam[..., 1, :]) * psi[..., 0, :] - np.conj(lam[..., 0, :]) * psi[..., 1, :]
-    return z.real.sum(axis=(-1, -2))
+def _im_y(pair: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Im <lam|Y_q|psi> = Re sum(conj(lam_1) psi_0 - conj(lam_0) psi_1).
+
+    ``pair`` is (psi, lam) split at qubit q and seen as (2, ..., N, 2**q,
+    2, rest), and ``out`` two buffers (2, ..., N, 2**q, rest).
+    """
+    psi, lam = pair
+    z, other = out
+    np.multiply(np.conj(lam[..., 1, :], out=z), psi[..., 0, :], out=z)
+    np.multiply(np.conj(lam[..., 0, :], out=other), psi[..., 1, :], out=other)
+    return np.subtract(z, other, out=z).real.sum(axis=(-1, -2))
 
 
 def vjp(
@@ -354,7 +376,19 @@ def vjp(
     if dh.shape[-2:] != (thetas.shape[0], n_q):
         raise ValueError(f"dh must be (..., {thetas.shape[0]}, {n_q}), got {dh.shape}")
     signs = _z_signs(n_q)
-    walk = _Walk(np.stack(np.broadcast_arrays(states, (dh @ signs) * states)), n_q)
+    lead, samples = dh.shape[:-2], thetas.shape[0]
+    pair = np.empty((2, *lead, config.dim, samples), dtype=complex)
+    pair[0] = states.T
+    np.multiply(np.swapaxes(dh @ signs, -1, -2), states.T, out=pair[1])
+    walk = _Walk(pair, n_q)
+    # the reads see the pair with the samples before the basis states and write
+    # their products C-ordered so, (*lead, N, 2**n_q) for a Z read and two
+    # (*lead, N, 2**q, rest) for a Y read at qubit q: the `@ signs` and the
+    # `.sum` after them then add in the order a (N, 2**n_q) state gives
+    z_pair = np.swapaxes(pair, -1, -2)
+    y_pairs = [np.moveaxis(view, -1, -4) for view in walk.views]
+    z_read = np.empty((*lead, samples, config.dim), dtype=complex)
+    y_reads = [z_read.reshape(2, *lead, samples, 2**q, 2 ** (n_q - q - 1)) for q in range(n_q)]
     encoding = walk.broadcast(
         _ry_table(-(config.encoding_scale * thetas.T[list(config.encoding_pattern)])),
         per_sample=True,
@@ -371,14 +405,14 @@ def vjp(
         walk.gather(unladder)
         for qubit in reversed(range(n_q)):
             if rot:
-                grad[..., layer, qubit, 2] = _im_z(walk.states, signs[qubit])
+                grad[..., layer, qubit, 2] = _im_z(z_pair, signs[qubit], z_read)
                 walk.phases(phases[layer, qubit, 1], qubit)
-                grad[..., layer, qubit, 1] = _im_y(walk.states, qubit, n_q)
+                grad[..., layer, qubit, 1] = _im_y(y_pairs[qubit], y_reads[qubit])
                 walk.gate(trainable[layer, qubit], qubit)
-                grad[..., layer, qubit, 0] = _im_z(walk.states, signs[qubit])
+                grad[..., layer, qubit, 0] = _im_z(z_pair, signs[qubit], z_read)
                 walk.phases(phases[layer, qubit, 0], qubit)
             else:
-                grad[..., layer, qubit] = _im_y(walk.states, qubit, n_q)
+                grad[..., layer, qubit] = _im_y(y_pairs[qubit], y_reads[qubit])
                 walk.gate(trainable[layer, qubit], qubit)
         if layer:  # the first layer's encoding precedes every trainable gate
             for qubit in reversed(range(n_q)):

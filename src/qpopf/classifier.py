@@ -60,17 +60,25 @@ def averaged_softmax(
     softmax(beta (s_i + noise)), bitwise
     ``softmax_probs(s[i] + sigma * normals, beta).mean(axis=0)``; sigma = 0
     is the plain softmax.  The (rows, draws, K) buffer is filled in chunks
-    of about 1 MiB and normalized in place.
+    of about 1 MiB and normalized in place.  Its max over the K classes is
+    a running ``np.maximum`` of the K columns into one buffer, not
+    ``np.max`` over an inner axis of K entries: the max is exact either
+    way, and NaN propagates alike.
     """
     if sigma == 0.0:
         return softmax_probs(s, beta)
     noise = sigma * normals
     out = np.empty(s.shape)
     step = max(1, _AVERAGE_CHUNK // noise.size)
+    peak = np.empty((step, *noise.shape[:-1], 1))
     for start in range(0, s.shape[0], step):
         z = s[start : start + step, None, :] + noise
         z *= beta
-        z -= np.max(z, axis=-1, keepdims=True)
+        top = peak[: len(z)]
+        np.maximum(z[..., :1], z[..., -1:], out=top)   # one column twice when K = 1
+        for k in range(1, z.shape[-1] - 1):
+            np.maximum(top, z[..., k : k + 1], out=top)
+        z -= top
         np.exp(z, out=z)
         z /= np.sum(z, axis=-1, keepdims=True)
         out[start : start + step] = z.mean(axis=1)
@@ -125,7 +133,12 @@ def _check_arrays(model, shapes: dict) -> None:
     """
     sizes: dict[str, int] = {}
     for name, dims in shapes.items():
-        a = np.asarray(getattr(model, name), dtype=float)
+        try:
+            a = np.asarray(getattr(model, name), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{type(model).__name__} {name} is not a numeric array ({exc})"
+            ) from exc
         setattr(model, name, a)
         want = tuple(d if isinstance(d, int) else sizes.setdefault(d, n)
                      for d, n in zip(dims, a.shape))
@@ -535,14 +548,15 @@ def _model_from_checkpoint(d):
     kind = saved_field(d, "kind", "checkpoint")
     if kind == "vqc":
         head = saved_field(d, "head", "checkpoint")
-        W = np.array(saved_field(head, "W", "head"), dtype=float)
-        if saved_field(head, "b", "head") != [0.0] * len(W):
-            raise ValueError(
-                f"head.b must be {len(W)} zeros: the privacy bound assumes a bias-free head"
-            )
         config = CircuitConfig.from_dict(saved_field(d, "config", "checkpoint"))
         beta = saved_value(saved_field(head, "beta", "head"), float, "head.beta")
-        return VqcModel(config, saved_field(d, "phi", "checkpoint"), W, beta=float(beta))
+        model = VqcModel(config, saved_field(d, "phi", "checkpoint"),
+                         saved_field(head, "W", "head"), beta=float(beta))
+        if saved_field(head, "b", "head") != [0.0] * model.K:
+            raise ValueError(
+                f"head.b must be {model.K} zeros: the privacy bound assumes a bias-free head"
+            )
+        return model
     if kind == "mlp":
         if d.get("activation", "tanh") != "tanh":
             raise ValueError(f"MLP activation must be 'tanh', got {d['activation']!r}")

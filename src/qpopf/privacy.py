@@ -289,11 +289,11 @@ def audit_vqc_grid(
 
     rows = []
     for gamma in gammas:
+        pred = np.argmax(model.logits_from_base(acc_scores, gamma), axis=1) + 1
         for beta in betas:
             eps_reg = epsilon_bound(model, gamma, beta, adjacency.delta_theta)
             report = _report(model.probabilities_from_base(scores, gamma, beta), model,
                              gamma, beta, eps_reg, adjacency.delta_theta)
-            pred = np.argmax(model.logits_from_base(acc_scores, gamma), axis=1) + 1
             probs = model.probabilities_from_base(acc_scores, gamma, beta)
             rows.append({
                 "gamma": float(gamma),

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import qmc
 
+from qpopf.circuit import saved_value
 from qpopf.grid import ParametricLP
 from qpopf.lp import perturbed_basis, solve_lp, solve_raw
 
@@ -122,18 +123,22 @@ class RegionAtlas:
     def from_dict(cls, d: dict) -> "RegionAtlas":
         """Read an atlas written by :meth:`to_dict`.
 
-        Every key is required and every array finite and shaped as
-        ``theta_box`` (m, 2) and, per region, ``F`` (len(active_set), m),
-        ``f`` (len(active_set),), ``poly_A`` (R, m) and ``poly_b`` (R,).  A
-        failure is a ValueError naming the region id and the field.
+        Every key is required and of its JSON type: each region's ``id`` and
+        ``active_set`` entries integers, ``degenerate`` a boolean,
+        ``coverage`` a number, ``plp_hash`` a string and ``provenance`` an
+        object.  Every array is finite and shaped as ``theta_box`` (m, 2)
+        and, per region, ``F`` (len(active_set), m), ``f``
+        (len(active_set),), ``poly_A`` (R, m) and ``poly_b`` (R,).  A
+        failure is a ValueError naming the region and the field.
         """
         theta_box = _saved_array(d, "theta_box", ("m", 2), "atlas")
         m = len(theta_box)
         regions = []
         for i, e in enumerate(saved_field(d, "regions", "atlas")):
-            rid = int(saved_field(e, "id", f"atlas regions[{i}]"))
+            rid = saved_field(e, "id", f"atlas regions[{i}]", int)
             where = f"atlas region {rid}"
-            active_set = tuple(int(j) for j in saved_field(e, "active_set", where))
+            active_set = tuple(saved_value(j, int, f"{where}: active_set[{k}]")
+                               for k, j in enumerate(saved_field(e, "active_set", where, list)))
             poly_A = _saved_array(e, "poly_A", ("R", m), where)
             regions.append(CriticalRegion(
                 id=rid,
@@ -142,14 +147,14 @@ class RegionAtlas:
                 f=_saved_array(e, "f", (len(active_set),), where),
                 poly_A=poly_A,
                 poly_b=_saved_array(e, "poly_b", (len(poly_A),), where),
-                degenerate=bool(saved_field(e, "degenerate", where)),
+                degenerate=saved_field(e, "degenerate", where, bool),
             ))
         return cls(
             regions=regions,
             theta_box=theta_box,
-            coverage=float(saved_field(d, "coverage", "atlas")),
-            provenance=dict(saved_field(d, "provenance", "atlas")),
-            plp_hash=saved_field(d, "plp_hash", "atlas"),
+            coverage=float(saved_field(d, "coverage", "atlas", float)),
+            provenance=dict(saved_field(d, "provenance", "atlas", dict)),
+            plp_hash=saved_field(d, "plp_hash", "atlas", str),
         )
 
     @classmethod
@@ -160,13 +165,17 @@ class RegionAtlas:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def saved_field(entry, key: str, where: str):
-    """``entry[key]`` of a saved JSON object, or a ValueError naming ``where`` and the field."""
+def saved_field(entry, key: str, where: str, kind: type | None = None):
+    """``entry[key]`` of a saved JSON object, or a ValueError naming ``where`` and the field.
+
+    Given a ``kind``, the value must also be of that JSON type (see
+    :func:`qpopf.circuit.saved_value`).
+    """
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be an object, got {type(entry).__name__}")
     if key not in entry:
         raise ValueError(f"{where}: missing field {key!r}")
-    return entry[key]
+    return entry[key] if kind is None else saved_value(entry[key], kind, f"{where}: {key}")
 
 
 def _saved_array(entry, key: str, shape: tuple, where: str) -> np.ndarray:

@@ -92,12 +92,14 @@ def oracle_case(n_q, m, gate, batch):
 
 
 def one_element_products(n_q, batch, gate):
-    """The one case whose oracle states differ in the last bit.
+    """The one case whose oracle states can differ in the last bit.
 
-    numpy rounds a complex product with one element (of arrays with more than
-    one dimension) without a fused multiply-add, and longer ones with it where
-    the CPU has it.  The oracle's rot products have one element at one qubit
-    and one sample; the tabled kernel's always have at least two.
+    Some numpy builds round a complex product with one element (of arrays
+    with more than one dimension) without a fused multiply-add, and longer
+    ones with it where the CPU has it; numpy 2.4 on an AVX-512 CPU rounds
+    both alike.  The oracle's rot products have one element at one qubit
+    and one sample.  The tabled kernel's never do: its scratch is (A or C,
+    row, 2**q, rest, N), at least four products however short the batch.
     """
     return (n_q, batch, gate) == (1, 1, "rot")
 
@@ -123,6 +125,19 @@ def test_vjp_equals_the_gate_by_gate_oracle(n_q, m, gate, batch):
     dh = rng.normal(size=(2, batch, n_q))  # a leading axis of cotangents
     states = oracle.run_circuit(config, phi, thetas)
     assert_bitwise(vjp(config, phi, thetas, dh, states), oracle.vjp(config, phi, thetas, dh))
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("gate", ["rot", "ry"])
+@pytest.mark.parametrize("n_q,m", [(1, 1), (5, 3)])
+def test_vjp_walks_two_leading_cotangent_axes(n_q, m, gate, batch):
+    # the walk's outer axes are (state or costate, 3, 2), not just the pair
+    config, phi, thetas, rng = oracle_case(n_q, m, gate, batch)
+    dh = rng.normal(size=(3, 2, batch, n_q))
+    states = oracle.run_circuit(config, phi, thetas)
+    grad = vjp(config, phi, thetas, dh, states)
+    assert grad.shape == (3, 2, batch, *config.param_shape)
+    assert_bitwise(grad, oracle.vjp(config, phi, thetas, dh))
 
 
 @pytest.mark.parametrize("n_q", range(1, 7))

@@ -221,6 +221,13 @@ MISSING = object()  # a field the edit deletes
                  "MlpBaseline W2 must be finite", id="mlp-W2-nan"),
     pytest.param("mlp", "W2", lambda W2: W2[1:],
                  r"MlpBaseline W2 must be \(7, 7\), got \(6, 7\)", id="mlp-W2-missing-row"),
+    # a ragged array: one row of angles, of W or of W1 cut short
+    pytest.param("vqc", "phi", lambda phi: [[phi[0][0][:2], *phi[0][1:]], *phi[1:]],
+                 "VqcModel phi is not a numeric array", id="vqc-phi-ragged"),
+    pytest.param("vqc", "W", lambda W: [W[0][:1], *W[1:]],
+                 "VqcModel W is not a numeric array", id="vqc-W-ragged"),
+    pytest.param("mlp", "W1", lambda W1: [*W1[:-1], []],
+                 "MlpBaseline W1 is not a numeric array", id="mlp-W1-ragged"),
     # a missing field, and a number given as a bool or a string
     pytest.param("vqc", "kind", MISSING, "checkpoint: missing field 'kind'", id="vqc-no-kind"),
     pytest.param("vqc", "head", MISSING, "checkpoint: missing field 'head'", id="vqc-no-head"),
@@ -318,6 +325,20 @@ def test_mlp_forward_noisy_sigma_zero(toy_mlp):
     p = noisy_forward(mlp, theta, sigma=0.0, rng=np.random.default_rng(1))
     np.testing.assert_allclose(p, mlp.probability_matrix(theta[None, :], 0.0, mlp.beta)[0],
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 9])
+def test_averaged_softmax_rows_are_their_one_point_means(K):
+    rng = np.random.default_rng(40 + K)
+    s = rng.normal(scale=3.0, size=(40, K))
+    s[3, K // 2] = np.nan     # a NaN logit
+    s[5] = 0.0                # a tie across every class
+    normals = rng.standard_normal((500, K))
+    got = averaged_softmax(s, 0.5, normals, 1.7)
+    for i in range(len(s)):
+        want = softmax_probs(s[i] + 0.5 * normals, 1.7).mean(axis=0)
+        assert got[i].tobytes() == want.tobytes()
+    assert np.all(np.isnan(got[3])) and not np.any(np.isnan(np.delete(got, 3, axis=0)))
 
 
 def test_mlp_probability_matrix_is_its_noise_averaged_law(toy_mlp):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +191,11 @@ def test_atlas_roundtrip(tmp_path, toy_atlas):
     assert loaded.to_dict() == toy_atlas.to_dict()
 
 
+def test_committed_atlas_loads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "atlas.json"
+    assert RegionAtlas.load(path).to_dict() == json.loads(path.read_text())
+
+
 def set_in_region(key, edit):
     def apply(d):
         d["regions"][0][key] = edit(d["regions"][0][key])
@@ -225,6 +231,32 @@ def without(key, region=False):
                  id="no-region-id"),
     pytest.param(lambda d: d.update(theta_box=[[-1.0, 1.0, 0.0]]),
                  r"atlas: theta_box must be \(m, 2\), got \(1, 3\)", id="theta-box-3-columns"),
+    # a field of the wrong JSON type
+    pytest.param(set_in_region("id", lambda i: i + 0.7),
+                 r"atlas regions\[0\]: id must be an integer, got 1.7", id="id-float"),
+    pytest.param(set_in_region("id", lambda i: True),
+                 r"atlas regions\[0\]: id must be an integer, got True", id="id-bool"),
+    pytest.param(set_in_region("active_set", lambda a: [a[0] + 0.5] + a[1:]),
+                 r"atlas region 1: active_set\[0\] must be an integer, got 0.5",
+                 id="active-set-float"),
+    pytest.param(set_in_region("active_set", lambda a: [str(a[0])] + a[1:]),
+                 r"atlas region 1: active_set\[0\] must be an integer, got '0'",
+                 id="active-set-string"),
+    pytest.param(set_in_region("active_set", lambda a: "0"),
+                 "atlas region 1: active_set must be a list, got '0'", id="active-set-not-a-list"),
+    pytest.param(set_in_region("degenerate", lambda _: "no"),
+                 "atlas region 1: degenerate must be a boolean, got 'no'", id="degenerate-string"),
+    pytest.param(set_in_region("degenerate", lambda _: 0),
+                 "atlas region 1: degenerate must be a boolean, got 0", id="degenerate-int"),
+    pytest.param(lambda d: d.update(coverage="1.0"),
+                 "atlas: coverage must be a number, got '1.0'", id="coverage-string"),
+    pytest.param(lambda d: d.update(coverage=True),
+                 "atlas: coverage must be a number, got True", id="coverage-bool"),
+    pytest.param(lambda d: d.update(plp_hash=7),
+                 "atlas: plp_hash must be a string, got 7", id="plp-hash-int"),
+    pytest.param(lambda d: d.update(provenance=[["seed", 7]]),
+                 r"atlas: provenance must be an object, got \[\['seed', 7\]\]",
+                 id="provenance-list"),
 ])
 def test_atlas_load_rejects_a_malformed_atlas(tmp_path, toy_atlas, edit, message):
     d = json.loads(json.dumps(toy_atlas.to_dict()))
