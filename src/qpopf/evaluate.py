@@ -7,9 +7,12 @@ exact solution from point location.  A batch is prepared once: it is
 located before any draw, so a scenario outside the atlas raises
 ``UncoveredThetaError`` up front, and the scored dispatch of each
 (scenario, region) pair is kept, so a sweep over (gamma, beta) projects
-each pair at most once.  Also holds the qubit-budget and
-circuit-runtime formulas plus wall-clock measurements of the classical
-paths.
+each pair at most once.  Each evaluation draws every pick first, then
+fills the dispatches of the new pairs in one batch, whose projection
+LPs run on every available CPU, then scores the picks in scenario
+order; the reports do not depend on how many CPUs there are.  Also
+holds the qubit-budget and circuit-runtime formulas plus wall-clock
+measurements of the classical paths.
 """
 
 from __future__ import annotations
@@ -101,9 +104,14 @@ class _DispatchTable:
     Building it is independent of gamma, beta and the rng: it checks the
     LP and the box, locates the batch (an uncovered scenario raises here,
     before any draw) and keeps each scenario's exact solution and exact
-    cost.  The scored dispatch of a (scenario, region) pair is filled the
-    first time a cell picks it, so the reconstruction, the feasibility
-    check and the projection LP run at most once per pair.
+    cost.  A cell then runs in three steps.  ``draw`` runs the model's law
+    and one ``sample_region`` per scenario, in scenario order on one rng
+    stream.  ``fill`` scores the (scenario, region) pairs that no cell
+    picked before, all of them with one ``feasible_dispatch`` batch, so
+    the reconstruction, the feasibility check and the projection LP run
+    at most once per pair and the projections share the CPUs.  ``score``
+    then sums the cell's picks in scenario order, so its float sums do
+    not depend on how the batch was filled.
     """
 
     def __init__(
@@ -127,37 +135,49 @@ class _DispatchTable:
             atlas.region(k).solution(theta) for theta, k in zip(batch.thetas, self.k_stars)
         ]
         self.j_star = [float(plp.c @ x) for x in self.x_star]
-        self.projections = 0
         self._picks: dict[tuple[int, int], tuple[np.ndarray, float, bool]] = {}
 
-    def pick(self, i: int, k: int) -> tuple[np.ndarray, float, bool]:
-        """(|x - x*| on the tracked variables, cost gap, infeasible) of region k at scenario i."""
-        entry = self._picks.get((i, k))
-        if entry is None:
-            theta = self.batch.thetas[i]
-            x, infeasible = feasible_dispatch(self.atlas.region(k).solution(theta), self.plp, theta)
-            self.projections += infeasible
+    def draw(
+        self, model, base: np.ndarray, gamma: float, beta: float, rng: np.random.Generator
+    ) -> list[int]:
+        """One (gamma, beta) cell's picks: the model's law from its base
+        scores, then one region per scenario."""
+        probs = model.probabilities_from_base(base, gamma, beta, rng)
+        return [sample_region(p, rng) for p in probs]
+
+    def fill(self, cells: list[list[int]]) -> list[int]:
+        """Score every pair the cells pick that is not in the table yet, in
+        one ``feasible_dispatch`` batch.  Returns, per cell, how many pairs
+        it picked first that were projected."""
+        first: dict[tuple[int, int], int] = {}
+        for cell, picks in enumerate(cells):
+            for i, k in enumerate(picks):
+                if (i, k) not in self._picks:
+                    first.setdefault((i, k), cell)
+        thetas = self.batch.thetas[[i for i, _ in first]]
+        xs = [self.atlas.region(k).solution(theta) for (_, k), theta in zip(first, thetas)]
+        dispatches, projected = feasible_dispatch(xs, self.plp, thetas)
+        projections = [0] * len(cells)
+        for ((i, k), cell), x, infeasible in zip(first.items(), dispatches, projected.tolist()):
+            projections[cell] += infeasible
             x_star, j_star = self.x_star[i], self.j_star[i]
             # relative gap; absolute when the optimal cost is essentially zero
             gap = (float(self.plp.c @ x) - j_star) / (abs(j_star) if abs(j_star) > 1e-9 else 1.0)
-            entry = (np.abs(x[self.tracked] - x_star[self.tracked]), gap, infeasible)
-            self._picks[(i, k)] = entry
-        return entry
+            self._picks[(i, k)] = (np.abs(x[self.tracked] - x_star[self.tracked]), gap, infeasible)
+        return projections
 
-    def replay(
-        self, model, base: np.ndarray, gamma: float, beta: float, rng: np.random.Generator
+    def score(
+        self, model, picks: list[int], gamma: float, beta: float, projections: int
     ) -> MetricsReport:
-        """One (gamma, beta) cell: the model's law from its base scores, then one draw per scenario."""
-        probs = model.probabilities_from_base(base, gamma, beta, rng)
-        solved = self.projections
+        """The report of one cell whose ``picks`` are filled; ``projections``
+        is the count of projection LPs its pairs ran."""
         abs_err = np.zeros(len(self.tracked))
         gap_sum = 0.0
         infeasible = 0
         correct = 0
-        for i, k_star in enumerate(self.k_stars):
-            k_pick = sample_region(probs[i], rng)
+        for i, (k_pick, k_star) in enumerate(zip(picks, self.k_stars)):
             correct += k_pick == k_star
-            err, gap, projected = self.pick(i, k_pick)
+            err, gap, projected = self._picks[(i, k_pick)]
             infeasible += projected
             abs_err += err
             gap_sum += gap
@@ -173,7 +193,7 @@ class _DispatchTable:
             gamma=float(gamma),
             beta=float(beta),
             model_id=getattr(model, "model_id", "unknown"),
-            counters={"infeasible_picks": infeasible, "projection_lps": self.projections - solved},
+            counters={"infeasible_picks": infeasible, "projection_lps": projections},
         )
 
 
@@ -189,7 +209,9 @@ def evaluate(
     """Sample-reconstruct-project evaluation of a mechanism on a batch."""
     check_noise_and_temperature([gamma], [beta])
     table = _DispatchTable(atlas, plp, batch)
-    return table.replay(model, model.base_scores(batch.thetas), gamma, beta, rng)
+    picks = table.draw(model, model.base_scores(batch.thetas), gamma, beta, rng)
+    (projections,) = table.fill([picks])
+    return table.score(model, picks, gamma, beta, projections)
 
 
 def sweep(
@@ -204,16 +226,18 @@ def sweep(
     high-beta rows expose the argmax gamma-invariance directly.  The cells
     share one dispatch table, so each (scenario, region) pair is
     projected at most once per sweep, and the model's base scores, so the
-    circuit runs once per sweep."""
+    circuit runs once per sweep.  Every cell is drawn first, the table is
+    filled in one batch, then the cells are scored in order."""
     gamma_grid, beta_grid = list(gamma_grid), list(beta_grid)
     check_noise_and_temperature(gamma_grid, beta_grid)
     table = _DispatchTable(atlas, plp, batch)
     base = model.base_scores(batch.thetas)
-    return [
-        table.replay(model, base, gamma, beta, np.random.default_rng(batch.seed))
-        for gamma in gamma_grid
-        for beta in beta_grid
-    ]
+    cells = [(gamma, beta) for gamma in gamma_grid for beta in beta_grid]
+    picks = [table.draw(model, base, gamma, beta, np.random.default_rng(batch.seed))
+             for gamma, beta in cells]
+    projections = table.fill(picks)
+    return [table.score(model, p, gamma, beta, lps)
+            for (gamma, beta), p, lps in zip(cells, picks, projections)]
 
 
 def qubit_budget(b: int, Y: int, n_vars: int, n_cons: int) -> int:

@@ -5,8 +5,14 @@ the binding scipy bundles: the same model, options and checks as
 ``scipy.optimize.linprog(method="highs")``, so a cold solve gives the
 same answer bit for bit, without that function's per-call option
 validation and input conversion.  ``simplex_solve`` is one cold
-``linprog`` of the LP, and ``project_feasible`` re-solves one kept model
+``linprog`` of the LP, and ``project_feasible`` re-solves a kept model
 of its auxiliary LP cold (``_Model``); ``_Kept`` says what each LP keeps.
+``feasible_dispatch`` scores a batch of reconstructed dispatches and
+runs their projections on the caller and one worker thread per further
+CPU the process may use.  HiGHS runs without the interpreter lock, and
+the LP keeps one projection model per projection running at once.  A
+cold solve's answer is fixed by the model and the options alone, so
+the bytes do not depend on which thread or which kept model ran it.
 Every path checks its input and judges HiGHS's answer by one rule
 (``_checked``, ``_answer``); every path but the projection loads a
 model per solve.  ``simplex_solve`` then post-processes the answer: a
@@ -45,6 +51,9 @@ always comes from HiGHS.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,6 +97,10 @@ _OPTIONS.ipm_iteration_limit = _HIGHS_OPTIONS["maxiter"]
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
 _OPTIONS.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
+# The binding sets up its numpy support on the first list it converts, and
+# runs Python code while it does; a HiGHS call made from that code (by a
+# signal handler) would wait for the set-up forever.  So it runs here.
+_highs.HighsLp().col_cost_ = [0.0]
 
 _STATUS = _highs.HighsModelStatus
 # scipy reports a model HiGHS refuses to load as infeasible
@@ -263,12 +276,19 @@ class _Kept:
       [[W, 0], [I, -I], [-I, -I]] of the L1 projection LP over (x, u),
       read-only, and ``projection_csc``, that matrix as HiGHS loads it;
     - ``eq_rows``: the lower and the higher row of each equality pair;
-    - ``projection``: ``project_feasible``'s model, kept once HiGHS
-      accepts a load, solved cold by each projection;
+    - ``projection``: the idle models of ``project_feasible``'s LP.  A
+      projection takes one, or loads one if none is idle, and gives it
+      back; a model HiGHS refuses to load is not kept.  So each model
+      serves one thread at a time, and the LP keeps as many as
+      projections ever ran at once: one per thread of
+      ``feasible_dispatch``.  Each solve is cold (``_Model``), so which
+      model answers does not change the bytes;
     - ``bases``: basis picks keyed by the scanned matrix ("W" or
       "projection") and the active rows.  A pick depends only on those
       rows and the LP, so the samples of one critical region scan their
-      rows once.  The values are index tuples, so two compare with ``==``;
+      rows once.  The values are index tuples, so two compare with ``==``.
+      Two projection threads may pick the same key at once; both store
+      the same tuple;
     - ``factors``: getrf's (lu, piv) of each W basis ``simplex_solve``
       polishes from, or None when it is singular, so the samples of one
       region polish with two triangular solves.  A projection's basis is
@@ -285,7 +305,7 @@ class _Kept:
     ``simplex_solve`` gives at that theta, which depends on theta alone,
     so whichever vertex answers, and whichever were kept by then, the
     bytes are the same.  The LP's arrays are kept, never the
-    ``ParametricLP``, so an LP and its projection model are freed with
+    ``ParametricLP``, so an LP and its projection models are freed with
     its last reference, not by the cyclic garbage collector.
     """
 
@@ -296,7 +316,7 @@ class _Kept:
         self.bases: dict[tuple[str, tuple[int, ...]], tuple[int, ...] | None] = {}
         self.factors: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray] | None] = {}
         self.vertices: list[tuple[int, ...]] = []
-        self.projection: _Model | None = None
+        self.projection: list[_Model] = []
 
     @cached_property
     def W_csc(self) -> tuple[list[int], list[int], list[float]]:
@@ -591,31 +611,97 @@ FEASIBILITY_THRESHOLD = 1e-4
 
 
 def feasible_dispatch(
-    x: np.ndarray, plp: ParametricLP, theta: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """A reconstructed dispatch as it is scored, and whether it was projected.
+    xs: np.ndarray, plp: ParametricLP, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reconstructed dispatches as they are scored, and which were projected.
 
-    ``x`` is kept unless it violates a constraint at ``theta`` by more than
-    ``FEASIBILITY_THRESHOLD``; then it is replaced by its L1 projection
-    (:func:`project_feasible`).
+    Row j of ``xs`` (N, n) is kept unless it violates a constraint at row
+    j of ``thetas`` (N, m) by more than ``FEASIBILITY_THRESHOLD``; then it
+    is replaced by its L1 projection (:func:`project_feasible`).  Returns
+    the (N, n) dispatches and an (N,) boolean mask, in input order.  The
+    projections run on the caller and on up to one worker thread per
+    further CPU (``_workers``), never more workers than projections
+    beyond the first; the bytes are those of a serial loop, and so is the
+    exception: the first failure in input order raises.
     """
-    if float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > FEASIBILITY_THRESHOLD:
-        return project_feasible(x, plp, theta), True
-    return x, False
+    xs = np.array(xs, dtype=float).reshape(-1, plp.n)
+    thetas = np.asarray(thetas, dtype=float)
+    projected = np.array([
+        float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > FEASIBILITY_THRESHOLD
+        for x, theta in zip(xs, thetas)
+    ], dtype=bool)
+    pending = np.flatnonzero(projected).tolist()
+    out: list[np.ndarray | Exception | None] = [None] * len(pending)
+    order, lock, stop = iter(range(len(pending))), threading.Lock(), threading.Event()
+
+    def drain() -> None:
+        while not stop.is_set():
+            with lock:
+                j = next(order, None)
+            if j is None:
+                return
+            i = pending[j]
+            try:
+                out[j] = project_feasible(xs[i], plp, thetas[i])
+            except Exception as exc:  # raised below, in input order
+                out[j] = exc
+                # every projection before this one is taken by now
+                stop.set()
+
+    workers = min(_workers(), len(pending) - 1)
+    if workers > 0:
+        # built before the threads start, so no two of them build one at once
+        _kept(plp).projection_csc  # reads projection_matrix
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(drain) for _ in range(workers)]
+            try:
+                drain()
+            finally:
+                stop.set()
+        for future in futures:
+            future.result()
+    else:
+        drain()
+    for i, x in zip(pending, out):
+        if isinstance(x, Exception):
+            # its traceback holds drain's frame, which holds out, and this
+            # frame, which holds x: drop both, so no cycle keeps the LP alive
+            out.clear()
+            try:
+                raise x
+            finally:
+                del x
+        xs[i] = x
+    return xs, projected
+
+
+def _workers() -> int:
+    """Worker threads a projection batch may add to its caller: one per
+    further CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has an affinity mask
+        cpus = os.cpu_count() or 1
+    return cpus - 1
 
 
 def _projection(kept: _Kept, b: np.ndarray) -> tuple[str, np.ndarray | None]:
     """``linprog`` of the L1 projection LP (``project_feasible``) at its
-    right-hand side ``b``, on ``kept.projection``."""
-    if kept.projection is None:
+    right-hand side ``b``, on an idle model of ``kept.projection``, or on
+    one loaded for it.  The model is given back after the solve."""
+    try:
+        model = kept.projection.pop()  # one step, so no two threads take the same model
+    except IndexError:
         A, n = kept.projection_matrix, kept.W.shape[1]
         c = np.concatenate([np.zeros(n), np.ones(n)])
         _checked(c, A, b)
         model = _Model(c, A, b, kept.projection_csc)
         if model.highs is None:
             return _NO_SOLUTION[_STATUS.kModelError], None
-        kept.projection = model
-    return kept.projection.solve(b)
+    try:
+        return model.solve(b)
+    finally:
+        kept.projection.append(model)
 
 
 def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) -> np.ndarray:

@@ -358,16 +358,18 @@ def delta_j_all(
     ``k_star`` is the 1-based region that contains theta.  Solutions
     violating any constraint beyond ``FEASIBILITY_THRESHOLD`` are projected
     onto the feasible set before costing, mirroring the evaluation
-    protocol.  Entry k*-1 is zero by construction.
+    protocol; the other K-1 regions' dispatches go through one
+    ``feasible_dispatch`` batch, so their projections share the CPUs.
+    Entry k*-1 is zero by construction.
     """
     theta = np.asarray(theta, dtype=float)
     x_star = atlas.region(k_star).solution(theta)
     j_star = float(plp.c @ x_star)
+    others = [r for r in atlas.regions if r.id != k_star]
+    xs, _ = feasible_dispatch([r.solution(theta) for r in others], plp,
+                              np.tile(theta, (len(others), 1)))
     out = np.zeros(atlas.K)
-    for r in atlas.regions:
-        if r.id == k_star:
-            continue
-        x, _ = feasible_dispatch(r.solution(theta), plp, theta)
+    for r, x in zip(others, xs):
         out[r.id - 1] = float(plp.c @ x) - j_star
     return out
 

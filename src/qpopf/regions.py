@@ -128,14 +128,25 @@ class RegionAtlas:
         ``coverage`` a number, ``plp_hash`` a string and ``provenance`` an
         object.  Every array is finite and shaped as ``theta_box`` (m, 2)
         and, per region, ``F`` (len(active_set), m), ``f``
-        (len(active_set),), ``poly_A`` (R, m) and ``poly_b`` (R,).  A
-        failure is a ValueError naming the region and the field.
+        (len(active_set),), ``poly_A`` (R, m) and ``poly_b`` (R,).  Each
+        ``theta_box`` row's lower bound is below its upper bound, the
+        region ids are 1..K in order, as ``enumerate_regions`` numbers them
+        (``region`` and the privacy audit index by them), and ``coverage``
+        is a fraction in [0, 1].  A failure is a ValueError naming the
+        region and the field.
         """
         theta_box = _saved_array(d, "theta_box", ("m", 2), "atlas")
         m = len(theta_box)
+        empty = np.flatnonzero(theta_box[:, 0] >= theta_box[:, 1])
+        if empty.size:
+            raise ValueError(f"atlas: theta_box row {empty[0]} must have its lower bound below "
+                             f"its upper bound, got {theta_box[empty[0]].tolist()}")
         regions = []
         for i, e in enumerate(saved_field(d, "regions", "atlas")):
             rid = saved_field(e, "id", f"atlas regions[{i}]", int)
+            if rid != i + 1:
+                raise ValueError(f"atlas regions[{i}]: id must be {i + 1} "
+                                 f"(ids are 1..K in order), got {rid}")
             where = f"atlas region {rid}"
             active_set = tuple(saved_value(j, int, f"{where}: active_set[{k}]")
                                for k, j in enumerate(saved_field(e, "active_set", where, list)))
@@ -149,10 +160,13 @@ class RegionAtlas:
                 poly_b=_saved_array(e, "poly_b", (len(poly_A),), where),
                 degenerate=saved_field(e, "degenerate", where, bool),
             ))
+        coverage = float(saved_field(d, "coverage", "atlas", float))
+        if not 0.0 <= coverage <= 1.0:
+            raise ValueError(f"atlas: coverage must be a fraction in [0, 1], got {coverage}")
         return cls(
             regions=regions,
             theta_box=theta_box,
-            coverage=float(saved_field(d, "coverage", "atlas", float)),
+            coverage=coverage,
             provenance=dict(saved_field(d, "provenance", "atlas", dict)),
             plp_hash=saved_field(d, "plp_hash", "atlas", str),
         )

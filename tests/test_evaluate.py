@@ -384,34 +384,51 @@ def test_evaluate_matches_the_scalar_loop_ieee69(committed69, plp69):
 
 
 def test_full_sweep_projects_each_infeasible_pick_once(committed69, plp69, monkeypatch):
+    """On the caller alone and beside one or two projection workers, the
+    sweep's reports are equal, each is the cell's own ``evaluate`` (run on
+    the caller alone), and each cell counts the pairs it projected first."""
     atlas, models = committed69
     vqc = models["vqc"]
     batch = ScenarioBatch.sample(plp69.theta_box, 40, seed=0)
-    calls = []
+    monkeypatch.setattr(lp_mod, "_workers", lambda: 0)
+    cells = [evaluate(vqc, atlas, plp69, batch, gamma, beta, np.random.default_rng(batch.seed))
+             for gamma in FULL_GAMMAS for beta in FULL_BETAS]
+
+    # the infeasible picks, drawn as the sweep draws them, and the pairs each cell projects first
+    counters, distinct = [], set()
+    for gamma in FULL_GAMMAS:
+        for beta in FULL_BETAS:
+            rng = np.random.default_rng(batch.seed)
+            probs = evaluation_law(vqc, batch.thetas, gamma, beta, rng)
+            counters.append({"infeasible_picks": 0, "projection_lps": 0})
+            for i, (theta, p) in enumerate(zip(batch.thetas, probs)):
+                k = sample_region(p, rng)
+                x = atlas.region(k).solution(theta)
+                if np.max(plp69.W @ x - plp69.rhs(theta)) > evaluate_mod.FEASIBILITY_THRESHOLD:
+                    counters[-1]["infeasible_picks"] += 1
+                    counters[-1]["projection_lps"] += (i, k) not in distinct
+                    distinct.add((i, k))
+    infeasible_picks = sum(c["infeasible_picks"] for c in counters)
+    assert (infeasible_picks, len(distinct)) == (99, 29)
+    for report, cell in zip(cells, counters):
+        assert report.counters == {"infeasible_picks": cell["infeasible_picks"],
+                                   "projection_lps": cell["infeasible_picks"]}
 
     def counted(x, plp, theta):
         calls.append((x.tobytes(), np.asarray(theta).tobytes()))
         return project_feasible(x, plp, theta)
 
     monkeypatch.setattr(lp_mod, "project_feasible", counted)
-    reports = sweep(vqc, atlas, plp69, FULL_GAMMAS, FULL_BETAS, batch)
-
-    # the infeasible picks, drawn as the sweep draws them
-    infeasible_picks, distinct = 0, set()
-    for gamma in FULL_GAMMAS:
-        for beta in FULL_BETAS:
-            rng = np.random.default_rng(batch.seed)
-            probs = evaluation_law(vqc, batch.thetas, gamma, beta, rng)
-            for i, (theta, p) in enumerate(zip(batch.thetas, probs)):
-                k = sample_region(p, rng)
-                x = atlas.region(k).solution(theta)
-                if np.max(plp69.W @ x - plp69.rhs(theta)) > evaluate_mod.FEASIBILITY_THRESHOLD:
-                    infeasible_picks += 1
-                    distinct.add((i, k))
-    assert (infeasible_picks, len(distinct)) == (99, 29)
-    assert len(calls) == len(set(calls)) == len(distinct)
-    assert sum(r.counters["infeasible_picks"] for r in reports) == infeasible_picks
-    assert sum(r.counters["projection_lps"] for r in reports) == len(distinct)
+    sweeps = []
+    for workers in (0, 1, 2):
+        monkeypatch.setattr(lp_mod, "_workers", lambda: workers)
+        calls = []
+        reports = sweep(vqc, atlas, plp69, FULL_GAMMAS, FULL_BETAS, batch)
+        assert len(calls) == len(set(calls)) == len(distinct)
+        assert [r.counters for r in reports] == counters
+        assert [dataclasses.replace(r, counters=c.counters) for r, c in zip(reports, cells)] == cells
+        sweeps.append(reports)
+    assert sweeps[0] == sweeps[1] == sweeps[2]
 
 
 BAD_NOISE = [(1.5, 1.0, "gamma .* 1.5"), (-0.1, 1.0, "gamma .* -0.1"), (np.nan, 1.0, "gamma .* nan"),

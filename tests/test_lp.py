@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 import types
 import weakref
 
@@ -706,7 +707,7 @@ def test_linprog_passes_scipys_options(monkeypatch):
         project_feasible(np.zeros(plp.n), plp, np.array([theta]))
     theirs, *ours = passed
     assert len(ours) == 2
-    model = lp_mod._kept(plp).projection.highs
+    model = kept_model(plp).highs
     assert isinstance(model, Recording)
     names = [k for k in dir(theirs) if not k.startswith("_")]
     assert len(names) > 50
@@ -762,7 +763,7 @@ def test_linprog_checks_an_optimal_answer(monkeypatch, tamper, match):
     assert solve_lp(plp, theta).status == "optimal"
     # x = 0 is infeasible at theta 0.5; its projection is x = 0.5
     assert project_feasible(np.zeros(plp.n), plp, theta).tolist() == [0.5]
-    assert isinstance(lp_mod._kept(plp).projection.highs, Tampered)
+    assert isinstance(kept_model(plp).highs, Tampered)
     monkeypatch.setattr(Tampered, "active", True)
     with pytest.raises(lp_mod.LpNumericError, match=match):
         lp_mod.linprog(c, A, b)
@@ -808,6 +809,31 @@ def test_import_names_the_missing_binding():
     assert last.startswith("ImportError")
     assert "scipy.optimize._highspy._core" in last
     assert f"installed scipy is {scipy.__version__}" in last
+
+
+def test_no_python_code_runs_inside_a_list_conversion():
+    """The binding sets up its numpy support on the first list it converts and
+    runs Python code then; a HiGHS call from that code, as from a signal
+    handler, never returns.  Importing ``qpopf.lp`` does that set-up."""
+    script = (
+        "import sys\n"
+        "import qpopf.lp\n"
+        "from scipy.optimize._highspy import _core\n"
+        "ran = []\n"
+        "def reenter(frame, event, arg):\n"
+        "    if event == 'call' and not ran:\n"
+        "        ran.append(frame.f_code.co_name)\n"
+        "        _core.HighsLp().col_cost_ = [1.0]\n"
+        "model = _core.HighsLp()\n"
+        "sys.setprofile(reenter)\n"
+        "model.col_cost_ = [1.0, 2.0]\n"
+        "sys.setprofile(None)\n"
+        "print(ran)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
 def project_feasible_assembled(x_tilde, plp, theta, tol_feas=lp_mod.TOL_FEAS):
@@ -866,7 +892,7 @@ def test_projection_matches_per_call_assembly(case, rows, lp_calls):
         assert project_feasible(x, plp, theta).tobytes() == (
             project_feasible_assembled(x, plp, theta).tobytes())
         # the model HiGHS holds is the one assembled for this projection
-        model = lp_mod._kept(plp).projection.highs.getLp()
+        model = kept_model(plp).highs.getLp()
         (c0, A0, b0, _), = lp_calls[start + k:]
         assert np.array(model.row_upper_).tobytes() == b0.tobytes()
         assert np.array(model.col_cost_).tobytes() == c0.tobytes()
@@ -914,6 +940,12 @@ def test_projection_basis_matches_the_greedy_scan(case):
     assert None in picks[:len(sets) * 2] and any(picks[:len(sets)])
 
 
+def kept_model(plp):
+    """The one projection model an LP keeps after projections run one at a time."""
+    (model,) = lp_mod._kept(plp).projection
+    return model
+
+
 def projection_bytes(plp, x, theta):
     """``project_feasible``'s bytes, or the message of its ``ProjectionError``."""
     try:
@@ -942,11 +974,11 @@ def test_projection_order_does_not_change_the_bytes(case):
     # the first projection refused before any model is kept, then each one after a failure
     after = lp_of(case)
     assert projection_bytes(after, *refused) == fresh[-1]
-    assert lp_mod._kept(after).projection is None
+    assert lp_mod._kept(after).projection == []
     for k, pair in enumerate(pairs):
         assert projection_bytes(after, *(empty if k % 2 else refused)) == fresh[-1 - k % 2]
         assert projection_bytes(after, *pair) == fresh[k]
-    assert lp_mod._kept(after).projection is not None
+    kept_model(after)  # one model, kept since the first projection that loaded
 
 
 def lp_of(case):
@@ -1159,7 +1191,7 @@ def test_a_failed_solve_leaves_the_next_one_cold(case):
         assert [projection_bytes(plp, *pair) for pair in pairs] == fresh
 
     next_solves_are_cold()
-    model = lp_mod._kept(plp).projection
+    model = kept_model(plp)
     # infeasible: the feasible set is empty far outside the box
     far = np.full(plp.m, 1000.0)
     assert projection_bytes(plp, pairs[1][0], far) == (
@@ -1187,7 +1219,7 @@ def test_a_failed_solve_leaves_the_next_one_cold(case):
     assert bool(raised) == (case == "ieee69")
     model.highs.setOptionValue("simplex_iteration_limit", lp_mod._HIGHS_OPTIONS["maxiter"])
     next_solves_are_cold()
-    assert lp_mod._kept(plp).projection is model
+    assert lp_mod._kept(plp).projection == [model]
 
 
 @pytest.mark.parametrize("case", ["ieee69", "toy2"])
@@ -1209,7 +1241,7 @@ def test_the_projection_model_is_the_cold_model(case, projection_calls):
         if len(projection_calls) > before:
             b = projection_calls[-1][2]
             assert b.tobytes() == np.concatenate([plp.rhs(theta), x, -x]).tobytes()
-            model = lp_mod._kept(plp).projection.highs.getLp()
+            model = kept_model(plp).highs.getLp()
             assert np.array(model.row_upper_).tobytes() == b.tobytes()
     assert len(projection_calls) > len(thetas) // 2
     kept, inf = lp_mod._kept(plp), highs_core.kHighsInf
@@ -1236,9 +1268,134 @@ def test_hyperplanes_match_the_set_oracle(case):
         assert all(type(i) is int for i in picked)
 
 
-def test_an_lp_is_freed_with_its_last_reference(case69):
+def dispatch_pairs(plp, count, seed):
+    """``count`` (x, theta) pairs whose x violates a row at theta by more than
+    ``FEASIBILITY_THRESHOLD``, each x solved at a seeded theta and scored at
+    the one before it, and after every fourth a pair x feasible at theta."""
+    thetas = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4 * count, plp.m))
+    xs, at, infeasible = [], [], 0
+    for k, theta in enumerate(thetas):
+        x = solve_lp(plp, theta).x
+        if np.max(plp.W @ x - plp.rhs(thetas[k - 1])) > lp_mod.FEASIBILITY_THRESHOLD:
+            xs.append(x)
+            at.append(thetas[k - 1])
+            infeasible += 1
+            if infeasible % 4 == 0:
+                xs.append(x)
+                at.append(theta)
+            if infeasible == count:
+                return np.array(xs), np.array(at)
+    raise AssertionError(f"{infeasible} infeasible pairs of {count}")
+
+
+def serial_dispatch(plp, xs, thetas):
+    """``feasible_dispatch`` as a loop of single projections: each row's
+    bytes, or the message of the first ``ProjectionError``, and the mask."""
+    out, mask = [], []
+    for x, theta in zip(xs, thetas):
+        mask.append(bool(np.max(plp.W @ x - plp.rhs(theta)) > lp_mod.FEASIBILITY_THRESHOLD))
+        out.append(projection_bytes(plp, x, theta) if mask[-1] else x.tobytes())
+        if not isinstance(out[-1], bytes):
+            return out[-1], mask
+    return out, mask
+
+
+def with_workers(monkeypatch, workers):
+    monkeypatch.setattr(lp_mod, "_workers", lambda: workers)
+
+
+@pytest.mark.parametrize("case,count", [("ieee69", 60), ("toy2", 20)])
+def test_a_batch_is_the_serial_loop(case, count, monkeypatch):
+    """On the caller alone and beside one or two workers, a batch gives each
+    pair's serial bytes, raises the serial loop's first error, and leaves
+    every kept model answering as a fresh one."""
+    plp = lp_of(case)
+    xs, thetas = dispatch_pairs(plp, count, seed=127)
+    fresh, mask = serial_dispatch(lp_of(case), xs, thetas)
+    assert sum(mask) == count and len(mask) > count
+    # an empty feasible set at the second pair, and a bound HiGHS refuses later on
+    far = np.full(plp.m, 1000.0)
+    failing = (np.vstack([xs[:1], xs[1:2], xs[2:], np.full((1, plp.n), 1e25)]),
+               np.vstack([thetas[:1], far[None], thetas[2:], thetas[:1]]))
+    error, _ = serial_dispatch(lp_of(case), *failing)
+    assert error == f"projection LP is infeasible at theta={far}"
+    for workers in (0, 1, 2):
+        with_workers(monkeypatch, workers)
+        out, projected = lp_mod.feasible_dispatch(xs, plp, thetas)
+        assert projected.tolist() == mask
+        assert out.shape == xs.shape and [row.tobytes() for row in out] == fresh
+        with pytest.raises(lp_mod.ProjectionError) as info:
+            lp_mod.feasible_dispatch(failing[0], plp, failing[1])
+        assert str(info.value) == error
+    models = lp_mod._kept(plp).projection
+    assert 1 <= len(models) <= 3 and len(set(map(id, models))) == len(models)
+    for model in list(models):
+        models[:] = [model]
+        assert serial_dispatch(plp, xs, thetas) == (fresh, mask)
+
+
+def test_a_batch_with_one_cpu_starts_no_thread(monkeypatch):
+    plp = lp_of("toy2")
+    xs, thetas = dispatch_pairs(plp, 8, seed=131)
+    threads = []
+
+    def counted(*args):
+        threads.append((threading.current_thread(), threading.active_count()))
+        return project_feasible(*args)
+
+    monkeypatch.setattr(lp_mod, "project_feasible", counted)
+    before = threading.active_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert lp_mod._workers() == 0
+    lp_mod.feasible_dispatch(xs, plp, thetas)
+    # and on more CPUs, a batch with one projection
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert lp_mod._workers() == 2
+    lp_mod.feasible_dispatch(xs[:1], plp, thetas[:1])
+    assert len(threads) == 9
+    assert set(threads) == {(threading.main_thread(), before)}
+    assert threading.active_count() == before
+
+
+def test_a_batch_keeps_one_model_per_thread(monkeypatch):
+    """The caller and w workers keep at most w + 1 models, each in one thread
+    at a time, under a short switch interval with more threads than CPUs."""
+    plp = lp_of("toy2")
+    xs, thetas = dispatch_pairs(plp, 40, seed=137)
+    fresh, mask = serial_dispatch(lp_of("toy2"), xs, thetas)
+    busy, shared, threads = set(), [], set()
+    solve = lp_mod._Model.solve
+
+    def exclusive(model, b):
+        threads.add(threading.get_ident())
+        shared.append(id(model) in busy)
+        busy.add(id(model))
+        try:
+            return solve(model, b)
+        finally:
+            busy.discard(id(model))
+
+    monkeypatch.setattr(lp_mod._Model, "solve", exclusive)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 3):
+            with_workers(monkeypatch, workers)
+            for _ in range(3):
+                out, _ = lp_mod.feasible_dispatch(xs, plp, thetas)
+                assert [row.tobytes() for row in out] == fresh
+            models = lp_mod._kept(plp).projection
+            assert len(set(map(id, models))) == len(models) <= workers + 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(shared) == 6 * 40 and not any(shared) and len(threads) > 1
+
+
+def test_an_lp_is_freed_with_its_last_reference(case69, monkeypatch):
     """What the lp module keeps of an LP holds no reference back to it, so the
-    LP and its HiGHS model go without the cyclic garbage collector."""
+    LP and its HiGHS models go without the cyclic garbage collector, also
+    after a batch on two threads and a batch that raised."""
+    with_workers(monkeypatch, 1)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -1248,12 +1405,21 @@ def test_an_lp_is_freed_with_its_last_reference(case69):
         perturbed_basis(plp, thetas[0])
         project_feasible(x, plp, thetas[1])
         kept = lp_mod._kept(plp)
-        assert kept.projection is not None
+        assert len(kept.projection) == 1
         assert dataclasses.replace(plp).solver_state is None
+        xs, at = dispatch_pairs(plp, 12, seed=139)
+        lp_mod.feasible_dispatch(xs, plp, at)
+        try:
+            lp_mod.feasible_dispatch(xs[:3], plp, np.vstack([at[:1], np.full((2, plp.m), 1e3)]))
+        except lp_mod.ProjectionError:
+            pass
+        else:
+            raise AssertionError("no ProjectionError")
+        assert 1 <= len(kept.projection) <= 2
+        refs = [weakref.ref(obj) for obj in (plp, *kept.projection)]
         del kept
-        ref = weakref.ref(plp)
         del plp
-        assert ref() is None
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if enabled:
             gc.enable()

@@ -257,6 +257,25 @@ def without(key, region=False):
     pytest.param(lambda d: d.update(provenance=[["seed", 7]]),
                  r"atlas: provenance must be an object, got \[\['seed', 7\]\]",
                  id="provenance-list"),
+    # consistent types, inconsistent values
+    pytest.param(lambda d: d["regions"][1].update(id=1),
+                 r"atlas regions\[1\]: id must be 2 \(ids are 1..K in order\), got 1",
+                 id="id-repeated"),
+    pytest.param(lambda d: d["regions"].reverse(),
+                 r"atlas regions\[0\]: id must be 1 \(ids are 1..K in order\), got 2",
+                 id="ids-reversed"),
+    pytest.param(set_in_region("id", lambda i: 0),
+                 r"atlas regions\[0\]: id must be 1 \(ids are 1..K in order\), got 0",
+                 id="id-zero"),
+    *[pytest.param(lambda d, c=c: d.update(coverage=c),
+                   rf"atlas: coverage must be a fraction in \[0, 1\], got {c}",
+                   id=f"coverage-{c}") for c in (np.nan, -3.0, 7.5)],
+    pytest.param(lambda d: d.update(theta_box=[[1.0, -1.0] for _ in d["theta_box"]]),
+                 r"atlas: theta_box row 0 must have its lower bound below its upper bound, "
+                 r"got \[1.0, -1.0\]", id="theta-box-reversed"),
+    pytest.param(lambda d: d.update(theta_box=[[0.5, 0.5] for _ in d["theta_box"]]),
+                 r"atlas: theta_box row 0 must have its lower bound below its upper bound, "
+                 r"got \[0.5, 0.5\]", id="theta-box-empty"),
 ])
 def test_atlas_load_rejects_a_malformed_atlas(tmp_path, toy_atlas, edit, message):
     d = json.loads(json.dumps(toy_atlas.to_dict()))
