@@ -9,8 +9,9 @@ located before any draw, so a scenario outside the atlas raises
 (scenario, region) pair is kept, so a sweep over (gamma, beta) projects
 each pair at most once.  Each evaluation draws every pick first, then
 fills the dispatches of the new pairs in one batch, whose projection
-LPs run on every available CPU, then scores the picks in scenario
-order; the reports do not depend on how many CPUs there are.  Also
+LPs run on a second CPU where there is one and BLAS runs one thread
+(``lp._workers``), then scores the picks in scenario order; the
+reports do not depend on how many threads ran the projections.  Also
 holds the qubit-budget and circuit-runtime formulas plus wall-clock
 measurements of the classical paths.
 """
@@ -109,7 +110,7 @@ class _DispatchTable:
     stream.  ``fill`` scores the (scenario, region) pairs that no cell
     picked before, all of them with one ``feasible_dispatch`` batch, so
     the reconstruction, the feasibility check and the projection LP run
-    at most once per pair and the projections share the CPUs.  ``score``
+    at most once per pair and the projections may share two CPUs.  ``score``
     then sums the cell's picks in scenario order, so its float sums do
     not depend on how the batch was filled.
     """

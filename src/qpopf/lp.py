@@ -8,11 +8,12 @@ validation and input conversion.  ``simplex_solve`` is one cold
 ``linprog`` of the LP, and ``project_feasible`` re-solves a kept model
 of its auxiliary LP cold (``_Model``); ``_Kept`` says what each LP keeps.
 ``feasible_dispatch`` scores a batch of reconstructed dispatches and
-runs their projections on the caller and one worker thread per further
-CPU the process may use.  HiGHS runs without the interpreter lock, and
-the LP keeps one projection model per projection running at once.  A
-cold solve's answer is fixed by the model and the options alone, so
-the bytes do not depend on which thread or which kept model ran it.
+runs their projections on the caller and, where the process may use a
+further CPU and BLAS runs on one thread, on one worker thread
+(``_workers``).  HiGHS runs without the interpreter lock, and the LP
+keeps one projection model per projection running at once.  A cold
+solve's answer is fixed by the model and the options alone, so the
+bytes do not depend on which thread or which kept model ran it.
 Every path checks its input and judges HiGHS's answer by one rule
 (``_checked``, ``_answer``); every path but the projection loads a
 model per solve.  ``simplex_solve`` then post-processes the answer: a
@@ -619,10 +620,10 @@ def feasible_dispatch(
     j of ``thetas`` (N, m) by more than ``FEASIBILITY_THRESHOLD``; then it
     is replaced by its L1 projection (:func:`project_feasible`).  Returns
     the (N, n) dispatches and an (N,) boolean mask, in input order.  The
-    projections run on the caller and on up to one worker thread per
-    further CPU (``_workers``), never more workers than projections
-    beyond the first; the bytes are those of a serial loop, and so is the
-    exception: the first failure in input order raises.
+    projections run on the caller and on ``_workers()`` worker threads,
+    never more workers than projections beyond the first; the bytes are
+    those of a serial loop, and so is the exception: the first failure
+    in input order raises.
     """
     xs = np.array(xs, dtype=float).reshape(-1, plp.n)
     thetas = np.asarray(thetas, dtype=float)
@@ -675,14 +676,42 @@ def feasible_dispatch(
     return xs, projected
 
 
+# Worker threads beside the caller, as measured: on 2 CPUs, with BLAS on
+# one thread, one worker took a 500-scenario sweep from 1.3 to 0.9 s.
+# Each thread that runs a projection keeps a HiGHS model (about 2.5 MB)
+# and a malloc arena, and HiGHS is 1.7 of a projection's 2.6 ms, so more
+# workers were not tried.
+_MAX_WORKERS = 1
+# What OpenBLAS reads for its thread count: the first set to a positive number.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _workers() -> int:
-    """Worker threads a projection batch may add to its caller: one per
-    further CPU this process may run on."""
+    """Worker threads a projection batch may add to its caller: one if this
+    process may run on a further CPU and BLAS runs on one thread, else none.
+
+    BLAS threads (OpenBLAS starts one per CPU by default) compete with a
+    worker for the same CPUs: on 2 CPUs, unpinned, that 500-scenario sweep
+    took 2.0 s on two threads against 1.25 s on one.  The BLAS thread count
+    is read as OpenBLAS reads it, from the environment (``_blas_threads``).
+    """
+    if _blas_threads() != 1:
+        return 0
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has an affinity mask
         cpus = os.cpu_count() or 1
-    return cpus - 1
+    return min(cpus - 1, _MAX_WORKERS)
+
+
+def _blas_threads() -> int | None:
+    """OpenBLAS's thread count as set in the environment, or None where no
+    variable sets it (then OpenBLAS starts one thread per CPU)."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
 
 
 def _projection(kept: _Kept, b: np.ndarray) -> tuple[str, np.ndarray | None]:

@@ -359,7 +359,7 @@ def delta_j_all(
     violating any constraint beyond ``FEASIBILITY_THRESHOLD`` are projected
     onto the feasible set before costing, mirroring the evaluation
     protocol; the other K-1 regions' dispatches go through one
-    ``feasible_dispatch`` batch, so their projections share the CPUs.
+    ``feasible_dispatch`` batch, so their projections may share two CPUs.
     Entry k*-1 is zero by construction.
     """
     theta = np.asarray(theta, dtype=float)

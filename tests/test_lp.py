@@ -1344,17 +1344,43 @@ def test_a_batch_with_one_cpu_starts_no_thread(monkeypatch):
         return project_feasible(*args)
 
     monkeypatch.setattr(lp_mod, "project_feasible", counted)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     before = threading.active_count()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert lp_mod._workers() == 0
     lp_mod.feasible_dispatch(xs, plp, thetas)
     # and on more CPUs, a batch with one projection
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert lp_mod._workers() == 2
+    assert lp_mod._workers() == 1
     lp_mod.feasible_dispatch(xs[:1], plp, thetas[:1])
     assert len(threads) == 9
     assert set(threads) == {(threading.main_thread(), before)}
     assert threading.active_count() == before
+
+
+BLAS_ENVIRONMENTS = [
+    ({}, 0),  # OpenBLAS starts one thread per CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "1"}, 1),
+    ({"GOTO_NUM_THREADS": " 1 "}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),  # the first set one counts
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),  # 0 sets nothing
+    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "4"}, 0),
+]
+
+
+@pytest.mark.parametrize("env,workers", BLAS_ENVIRONMENTS)
+def test_a_worker_starts_only_beside_one_blas_thread(env, workers, monkeypatch):
+    """A worker needs a further CPU and BLAS on one thread, as OpenBLAS reads
+    its thread count; however many CPUs there are, one worker is the most."""
+    for var in lp_mod._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    for cpus, expected in ((1, 0), (2, workers), (64, workers)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert lp_mod._workers() == expected
 
 
 def test_a_batch_keeps_one_model_per_thread(monkeypatch):
