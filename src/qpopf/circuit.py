@@ -5,7 +5,8 @@ is the leftmost label in ket notation.  States come and go as arrays
 (..., 2**n_q), so a whole batch of inputs moves through the circuit in
 one call.  The trainable angles are one array ``phi`` in radians, shaped
 ``CircuitConfig.param_shape``; the model that owns them is
-``qpopf.classifier.VqcModel``.
+``qpopf.classifier.VqcModel``.  A saved config is read by the saved-JSON
+rules of ``qpopf.grid``, as every checkpoint field is.
 
 Each call tables its gates once, with vectorized numpy: the encoding
 rotations per sample and qubit, the trainable gates per layer and qubit.
@@ -40,6 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from qpopf.grid import saved_field, saved_value
 
 DEFAULT_ENCODING_SCALE = np.pi
 
@@ -124,38 +127,16 @@ class CircuitConfig:
         ``encoding_pattern`` entry an integer (a float, bool or string is
         refused), ``encoding_scale`` a number and ``trainable_gate`` a string.
         """
-        if not isinstance(d, dict):
-            raise ValueError(f"circuit config must be an object, got {type(d).__name__}")
-        for key in ("n_q", "L", "encoding_pattern", "encoding_scale", "trainable_gate"):
-            if key not in d:
-                raise ValueError(f"circuit config has no {key!r}")
-        pattern = saved_value(d["encoding_pattern"], list, "config.encoding_pattern")
+        pattern = saved_field(d, "encoding_pattern", "config", list)
         return cls(
-            n_q=saved_value(d["n_q"], int, "config.n_q"),
-            L=saved_value(d["L"], int, "config.L"),
+            n_q=saved_field(d, "n_q", "config", int),
+            L=saved_field(d, "L", "config", int),
             encoding_pattern=tuple(
-                saved_value(i, int, f"config.encoding_pattern[{k}]") for k, i in enumerate(pattern)
+                saved_value(i, int, f"config: encoding_pattern[{k}]") for k, i in enumerate(pattern)
             ),
-            encoding_scale=float(saved_value(d["encoding_scale"], float, "config.encoding_scale")),
-            trainable_gate=saved_value(d["trainable_gate"], str, "config.trainable_gate"),
+            encoding_scale=saved_field(d, "encoding_scale", "config", float),
+            trainable_gate=saved_field(d, "trainable_gate", "config", str),
         )
-
-
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
-               list: "a list", dict: "an object"}
-
-
-def saved_value(value, kind: type, name: str):
-    """``value`` if a JSON file holds it as ``kind``: int, float (any number),
-    str, bool, list or dict (an object).
-
-    A bool is only a bool, and a float is not an int; the ValueError names
-    the field ``name``.
-    """
-    if (isinstance(value, bool) != (kind is bool)
-            or not isinstance(value, (int, float) if kind is float else kind)):
-        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return value
 
 
 # -- gate tables and the state walk --------------------------------------------

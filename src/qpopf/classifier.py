@@ -6,7 +6,8 @@ is a categorical draw from the law ``probability_matrix`` gives.  The
 quantum model's depolarizing noise enters as an exact (1-gamma)
 contraction of the bias-free logits; the MLP's privacy knob is Gaussian
 noise added to its logits, which its law averages over.  Each model is
-one dataclass that checks its arrays' shapes and finiteness when built:
+one dataclass that checks its arrays' shapes and finiteness when built
+(by :func:`qpopf.grid.saved_arrays`, as a checkpoint's are read):
 :class:`VqcModel` holds the circuit config, its angles ``phi`` and the
 head ``W``; :class:`MlpBaseline` its layer weights and biases.
 
@@ -31,8 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from qpopf.circuit import CircuitConfig, run_circuit_batch, saved_value, vjp, z_expectations
-from qpopf.regions import RegionAtlas, locate_covered, saved_field
+from qpopf.circuit import CircuitConfig, run_circuit_batch, vjp, z_expectations
+from qpopf.grid import load_saved, saved_arrays, saved_field
+from qpopf.regions import RegionAtlas, locate_covered
 
 
 class TrainingDivergedError(RuntimeError):
@@ -124,31 +126,6 @@ def sample_region(p: np.ndarray, rng: np.random.Generator) -> int:
     return min(k, len(cum) - 1) + 1
 
 
-def _check_arrays(model, shapes: dict) -> None:
-    """Make each field ``name`` of ``model`` a float array, finite and shaped ``shapes[name]``.
-
-    A size is an int, or an axis name whose size the first array that has
-    it fixes, checked in order.  A float64 array is kept, not copied:
-    training updates the arrays as views of one buffer.
-    """
-    sizes: dict[str, int] = {}
-    for name, dims in shapes.items():
-        try:
-            a = np.asarray(getattr(model, name), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"{type(model).__name__} {name} is not a numeric array ({exc})"
-            ) from exc
-        setattr(model, name, a)
-        want = tuple(d if isinstance(d, int) else sizes.setdefault(d, n)
-                     for d, n in zip(dims, a.shape))
-        if a.ndim != len(dims) or a.shape != want:
-            shape = ", ".join(str(sizes.get(d, d)) for d in dims)
-            raise ValueError(f"{type(model).__name__} {name} must be ({shape}), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"{type(model).__name__} {name} must be finite")
-
-
 class ReleaseModel:
     """What the three region models share: one released law built in two steps.
 
@@ -191,7 +168,8 @@ class VqcModel(ReleaseModel):
     model_id: str = "vqc"
 
     def __post_init__(self):
-        _check_arrays(self, {"phi": self.config.param_shape, "W": ("K", self.config.n_q)})
+        self.phi, self.W = saved_arrays(
+            vars(self), {"phi": self.config.param_shape, "W": ("K", self.config.n_q)}, "VqcModel")
         check_noise_and_temperature([], [self.beta])
 
     @property
@@ -233,8 +211,9 @@ class MlpBaseline(ReleaseModel):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         # the biases fix the hidden widths, and each weight matrix must chain them
-        _check_arrays(self, {"b1": ("H1",), "b2": ("H2",), "W1": ("H1", "m"),
-                             "W2": ("H2", "H1"), "W_head": ("K", "H2")})
+        self.b1, self.b2, self.W1, self.W2, self.W_head = saved_arrays(
+            vars(self), {"b1": ("H1",), "b2": ("H2",), "W1": ("H1", "m"), "W2": ("H2", "H1"),
+                         "W_head": ("K", "H2")}, "MlpBaseline")
 
     @property
     def K(self) -> int:
@@ -529,42 +508,38 @@ def save_model(model, path, seed: int | None = None, atlas_hash: str = "", extra
 
 
 def load_model(path):
-    """Load a checkpoint written by :func:`save_model`.
+    """Load a checkpoint written by :func:`save_model`: ``(model, the parsed JSON)``.
 
-    Every field is required.  A VQC head's ``b`` must be all zeros, and
-    each beta a finite number > 0; an MLP's sigma must be a finite number
-    >= 0.  Every array must be finite and shaped as its model requires (see
-    :func:`_check_arrays`).  Each failure is a ValueError naming the file
-    and the field.
+    Every field is required and of its JSON type (see
+    :func:`qpopf.grid.saved_field`).  A VQC head's ``b`` must be all zeros,
+    and each beta a finite number > 0; an MLP's sigma must be a finite
+    number >= 0 and its activation ``"tanh"``.  Every array must be finite
+    and shaped as its model requires (see :func:`qpopf.grid.saved_arrays`).
+    Each failure is a ValueError naming the file and the field.
     """
-    try:
-        d = json.loads(Path(path).read_text())
-        return _model_from_checkpoint(d), d
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return load_saved(path, lambda d: (_model_from_checkpoint(d), d))
 
 
 def _model_from_checkpoint(d):
-    kind = saved_field(d, "kind", "checkpoint")
+    kind = saved_field(d, "kind", "checkpoint", str)
     if kind == "vqc":
-        head = saved_field(d, "head", "checkpoint")
-        config = CircuitConfig.from_dict(saved_field(d, "config", "checkpoint"))
-        beta = saved_value(saved_field(head, "beta", "head"), float, "head.beta")
-        model = VqcModel(config, saved_field(d, "phi", "checkpoint"),
-                         saved_field(head, "W", "head"), beta=float(beta))
+        head = saved_field(d, "head", "checkpoint", dict)
+        config = CircuitConfig.from_dict(saved_field(d, "config", "checkpoint", dict))
+        model = VqcModel(config, saved_field(d, "phi", "checkpoint"), saved_field(head, "W", "head"),
+                         beta=saved_field(head, "beta", "head", float))
         if saved_field(head, "b", "head") != [0.0] * model.K:
             raise ValueError(
-                f"head.b must be {model.K} zeros: the privacy bound assumes a bias-free head"
+                f"head: b must be {model.K} zeros: the privacy bound assumes a bias-free head"
             )
         return model
     if kind == "mlp":
-        if d.get("activation", "tanh") != "tanh":
-            raise ValueError(f"MLP activation must be 'tanh', got {d['activation']!r}")
+        activation = saved_field(d, "activation", "checkpoint", str)
+        if activation != "tanh":
+            raise ValueError(f"checkpoint: activation must be 'tanh', got {activation!r}")
         arrays = [saved_field(d, key, "checkpoint") for key in ("W1", "b1", "W2", "b2", "W_head")]
-        beta, sigma = (saved_value(saved_field(d, key, "checkpoint"), float, key)
-                       for key in ("beta", "sigma"))
-        return MlpBaseline(*arrays, beta=float(beta), sigma=float(sigma))
-    raise ValueError(f"unknown checkpoint kind {kind!r}")
+        return MlpBaseline(*arrays, beta=saved_field(d, "beta", "checkpoint", float),
+                           sigma=saved_field(d, "sigma", "checkpoint", float))
+    raise ValueError(f"checkpoint: unknown kind {kind!r}")
 
 
 def argmax_accuracy(model, thetas: np.ndarray, labels: np.ndarray) -> float:

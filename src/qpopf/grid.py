@@ -13,10 +13,19 @@ flows are decision variables tied to injections by per-bus balance
 equalities (written as opposing inequality pairs), while reactive flows
 are constants implied by the fixed Q demands and voltage-drop limits
 become linear rows over the active flows.
+
+Every saved JSON file of the package (a case file here, an atlas in
+``qpopf.regions``, a checkpoint in ``qpopf.classifier``) is read by the
+rules at the end of this module: :func:`saved_field` for a field of an
+object, :func:`saved_value` for its JSON kind, :func:`saved_arrays` for
+finite float arrays whose named axes agree, and :func:`load_saved` for
+the file, whose path leads each fault's message.  This module imports no
+other package module, so every reader can use them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -176,124 +185,164 @@ class GridCase:
 
 
 def load_case(path: str | Path) -> GridCase:
-    """Load and validate a case file (versioned JSON schema)."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CaseError(f"cannot parse case file {path}: {exc}") from exc
-    return case_from_dict(raw, name=path.stem)
-
-
-def _entries(raw: dict, key: str):
-    """(name, entry) of each entry of the list under ``key``, named like ``lines[2]``."""
-    if not isinstance(raw[key], list):
-        raise CaseError(f"{key!r} must be a list, got {type(raw[key]).__name__}")
-    return [(f"{key}[{i}]", e) for i, e in enumerate(raw[key])]
-
-
-def _field(entry, key: str, ctx: str, optional: bool = False):
-    if not isinstance(entry, dict):
-        raise CaseError(f"{ctx} must be an object, got {type(entry).__name__}")
-    if not optional and key not in entry:
-        raise CaseError(f"{ctx}: missing field {key!r}")
-    return entry.get(key)
-
-
-def _bus_id(value, ctx: str) -> int:
-    """A bus id as JSON gives it: an integer (a float, string or bool is refused)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CaseError(f"{ctx}: bus id must be an integer, got {value!r}")
-    return value
-
-
-def _num(entry: dict, key: str, ctx: str, optional: bool = False):
-    """A finite JSON number as a float; a bool, string, NaN or infinity is refused."""
-    val = _field(entry, key, ctx, optional)
-    if val is None:
-        return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise CaseError(f"{ctx}: field {key!r} is not a number, got {val!r}")
-    if not abs(val) <= sys.float_info.max:  # NaN, an infinity, or an integer no float holds
-        raise CaseError(f"{ctx}: field {key!r} must be finite, got {val!r}")
-    return float(val)
+    """Load and validate a case file (versioned JSON schema); a CaseError names the path."""
+    return load_saved(path, lambda raw: case_from_dict(raw, name=Path(path).stem), CaseError)
 
 
 def case_from_dict(raw: dict, name: str = "case") -> GridCase:
-    """Validate a parsed case file; ``name`` is its name if it gives none."""
-    if not isinstance(raw, dict):
-        raise CaseError(f"a case file must hold a JSON object, got {type(raw).__name__}")
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise CaseError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    required = ["buses", "lines", "generators", "demands", "renewables", "base_mva"]
-    for key in required:
-        if key not in raw:
-            raise CaseError(f"case file missing required key {key!r}")
+    """Validate a parsed case file; ``name`` is its name if it gives none.
 
-    lines = [
-        Line(
-            from_bus=_bus_id(_field(e, "from", c), c),
-            to_bus=_bus_id(_field(e, "to", c), c),
-            r_pu=_num(e, "r_pu", c),
-            x_pu=_num(e, "x_pu", c),
-            limit_mw=_num(e, "limit_mw", c, optional=True),
-        )
-        for c, e in _entries(raw, "lines")
-    ]
-    gens = [
-        Generator(
-            bus=_bus_id(_field(e, "bus", c), c),
-            cost=_num(e, "cost", c),
-            p_min_mw=_num(e, "p_min_mw", c),
-            p_max_mw=_num(e, "p_max_mw", c),
-        )
-        for c, e in _entries(raw, "generators")
-    ]
-    fixed, elastic = [], []
-    for c, e in _entries(raw, "demands"):
-        flag = _field(e, "elastic", c, optional=True)
-        if "elastic" in e and not isinstance(flag, bool):
-            raise CaseError(f"{c}: field 'elastic' must be true or false, got {flag!r}")
-        if flag:
-            elastic.append(
-                ElasticDemand(
-                    bus=_bus_id(_field(e, "bus", c), c),
-                    p_min_mw=_num(e, "p_min_mw", c),
-                    p_max_mw=_num(e, "p_max_mw", c),
-                )
+    Each field is read by :func:`saved_field`: the version and bus ids
+    integers, ``elastic`` a boolean, ``name`` a string, the rest finite
+    numbers.  Every fault is a CaseError.
+    """
+    def listed(key):
+        """(name, entry) of each entry of the list under ``key``, named like ``lines[2]``."""
+        return [(f"{key}[{i}]", e) for i, e in enumerate(saved_field(raw, key, "case file", list))]
+
+    number = functools.partial(saved_field, kind=float, finite=True)
+    try:
+        version = saved_field(raw, "schema_version", "case file", int)
+        if version != SCHEMA_VERSION:
+            raise CaseError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+        lines = [
+            Line(
+                from_bus=saved_field(e, "from", c, int),
+                to_bus=saved_field(e, "to", c, int),
+                r_pu=number(e, "r_pu", c),
+                x_pu=number(e, "x_pu", c),
+                limit_mw=number(e, "limit_mw", c, optional=True),
             )
-        else:
-            fixed.append(
-                FixedDemand(
-                    bus=_bus_id(_field(e, "bus", c), c),
-                    p_mw=_num(e, "p_mw", c),
-                    q_mvar=_num(e, "q_mvar", c),
-                )
+            for c, e in listed("lines")
+        ]
+        gens = [
+            Generator(
+                bus=saved_field(e, "bus", c, int),
+                cost=number(e, "cost", c),
+                p_min_mw=number(e, "p_min_mw", c),
+                p_max_mw=number(e, "p_max_mw", c),
             )
-    renewables = [
-        Renewable(
-            bus=_bus_id(_field(e, "bus", c), c),
-            forecast_mw=_num(e, "forecast_mw", c),
-            deviation_kw=_num(e, "deviation_kw", c),
+            for c, e in listed("generators")
+        ]
+        fixed, elastic = [], []
+        for c, e in listed("demands"):
+            if saved_field(e, "elastic", c, bool, optional=True):
+                elastic.append(ElasticDemand(bus=saved_field(e, "bus", c, int),
+                                             p_min_mw=number(e, "p_min_mw", c),
+                                             p_max_mw=number(e, "p_max_mw", c)))
+            else:
+                fixed.append(FixedDemand(bus=saved_field(e, "bus", c, int),
+                                         p_mw=number(e, "p_mw", c),
+                                         q_mvar=number(e, "q_mvar", c)))
+        renewables = [
+            Renewable(
+                bus=saved_field(e, "bus", c, int),
+                forecast_mw=number(e, "forecast_mw", c),
+                deviation_kw=number(e, "deviation_kw", c),
+            )
+            for c, e in listed("renewables")
+        ]
+        vlim = saved_field(raw, "voltage_limits", "case file", dict, optional=True) or {}
+        limits = {k: number(vlim, k, "voltage_limits", optional=True)
+                  for k in ("v_min_pu", "v_max_pu")}
+        given = saved_field(raw, "name", "case file", str, optional=True)
+        fields = dict(
+            name=name if given is None else given,
+            buses=[saved_value(b, int, c) for c, b in listed("buses")],
+            lines=lines,
+            generators=gens,
+            fixed_demands=fixed,
+            elastic_demands=elastic,
+            renewables=renewables,
+            base_mva=number(raw, "base_mva", "case file"),
+            **{k: v for k, v in limits.items() if v is not None},
         )
-        for c, e in _entries(raw, "renewables")
-    ]
-    vlim = raw.get("voltage_limits", {})
-    limits = {k: _num(vlim, k, "voltage_limits", optional=True) for k in ("v_min_pu", "v_max_pu")}
-    return GridCase(
-        name=raw.get("name", name),
-        buses=[_bus_id(b, c) for c, b in _entries(raw, "buses")],
-        lines=lines,
-        generators=gens,
-        fixed_demands=fixed,
-        elastic_demands=elastic,
-        renewables=renewables,
-        base_mva=_num(raw, "base_mva", "case file"),
-        **{k: v for k, v in limits.items() if v is not None},
-    )
+    except ValueError as exc:
+        raise CaseError(str(exc)) from exc
+    return GridCase(**fields)
+
+
+# -- saved JSON: case files, atlases and checkpoints ------------------------------
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+          list: "a list", dict: "an object"}
+
+
+def _found(value) -> str:
+    """How a fault names the value it found: a list or an object by its type, a scalar by value."""
+    return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+
+
+def saved_value(value, kind: type, name: str, finite: bool = False):
+    """``value`` if a JSON file holds it as ``kind``: int, float (any number,
+    returned as a float), str, bool, list or dict (an object).
+
+    A bool is only a bool, and a float is not an int.  A number no float
+    holds is refused, and with ``finite`` so are NaN and the infinities.
+    The ValueError names the field ``name``.
+    """
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {_found(value)}")
+    if kind is not float:
+        return value
+    if not abs(value) <= sys.float_info.max and (finite or isinstance(value, int)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def saved_field(entry, key: str, where: str, kind: type | None = None,
+                optional: bool = False, finite: bool = False):
+    """``entry[key]`` of the saved JSON object ``where``, given a ``kind`` checked
+    by :func:`saved_value`; None for an ``optional`` field that is absent or null.
+
+    The ValueError names ``where`` and the field.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object, got {_found(entry)}")
+    if optional and entry.get(key) is None:
+        return None
+    if key not in entry:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return entry[key] if kind is None else saved_value(entry[key], kind, f"{where}: {key}", finite)
+
+
+def saved_arrays(entry, shapes: dict, where: str) -> list[np.ndarray]:
+    """The fields of ``entry`` that ``shapes`` names, each a finite float array of its shape.
+
+    A size is an int or an axis name; the first array with a named axis
+    fixes its size for the arrays after it, in ``shapes`` order.  A
+    float64 array is kept, not copied (training updates a model's arrays
+    as views of one buffer).  The ValueError names ``where`` and the field.
+    """
+    sizes: dict[str, int] = {}
+    arrays = []
+    for key, dims in shapes.items():
+        value = saved_field(entry, key, where)
+        try:
+            a = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}: {key} is not a numeric array ({exc})") from exc
+        want = tuple(sizes.get(d, d) for d in dims)
+        if a.ndim != len(dims) or any(isinstance(w, int) and w != n for w, n in zip(want, a.shape)):
+            raise ValueError(f"{where}: {key} must be ({', '.join(map(str, want))}), got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{where}: {key} must be finite")
+        sizes.update((d, n) for d, n in zip(dims, a.shape) if isinstance(d, str))
+        arrays.append(a)
+    return arrays
+
+
+def load_saved(path: str | Path, read, error: type[ValueError] = ValueError):
+    """``read`` of the JSON the file at ``path`` holds; a missing file raises FileNotFoundError.
+
+    A ValueError, a JSON syntax error too, is raised again as ``error``
+    with the path first: ``{path}: {message}``.
+    """
+    try:
+        return read(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 @dataclass

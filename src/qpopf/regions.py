@@ -16,7 +16,6 @@ and ``locate_covered`` does the same for points that must all be covered.
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,15 +23,15 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import qmc
 
-from qpopf.circuit import saved_value
-from qpopf.grid import ParametricLP
+from qpopf.grid import ParametricLP, load_saved, saved_arrays, saved_field, saved_value
 from qpopf.lp import perturbed_basis, solve_lp, solve_raw
 
 TOL_CONTAIN = 1e-9
 
 
 class SingularActiveSetError(RuntimeError):
-    """Active-set matrix is singular; caller should fall back to perturbation."""
+    """Active-set matrix is singular; ``enumerate_regions`` drops the basis and
+    counts it in ``dropped["singular"]``."""
 
 
 class EmptyRegionError(RuntimeError):
@@ -135,14 +134,14 @@ class RegionAtlas:
         is a fraction in [0, 1].  A failure is a ValueError naming the
         region and the field.
         """
-        theta_box = _saved_array(d, "theta_box", ("m", 2), "atlas")
+        (theta_box,) = saved_arrays(d, {"theta_box": ("m", 2)}, "atlas")
         m = len(theta_box)
         empty = np.flatnonzero(theta_box[:, 0] >= theta_box[:, 1])
         if empty.size:
             raise ValueError(f"atlas: theta_box row {empty[0]} must have its lower bound below "
                              f"its upper bound, got {theta_box[empty[0]].tolist()}")
         regions = []
-        for i, e in enumerate(saved_field(d, "regions", "atlas")):
+        for i, e in enumerate(saved_field(d, "regions", "atlas", list)):
             rid = saved_field(e, "id", f"atlas regions[{i}]", int)
             if rid != i + 1:
                 raise ValueError(f"atlas regions[{i}]: id must be {i + 1} "
@@ -150,17 +149,13 @@ class RegionAtlas:
             where = f"atlas region {rid}"
             active_set = tuple(saved_value(j, int, f"{where}: active_set[{k}]")
                                for k, j in enumerate(saved_field(e, "active_set", where, list)))
-            poly_A = _saved_array(e, "poly_A", ("R", m), where)
-            regions.append(CriticalRegion(
-                id=rid,
-                active_set=active_set,
-                F=_saved_array(e, "F", (len(active_set), m), where),
-                f=_saved_array(e, "f", (len(active_set),), where),
-                poly_A=poly_A,
-                poly_b=_saved_array(e, "poly_b", (len(poly_A),), where),
-                degenerate=saved_field(e, "degenerate", where, bool),
-            ))
-        coverage = float(saved_field(d, "coverage", "atlas", float))
+            n = len(active_set)
+            F, f, poly_A, poly_b = saved_arrays(
+                e, {"F": (n, m), "f": (n,), "poly_A": ("R", m), "poly_b": ("R",)}, where)
+            regions.append(CriticalRegion(id=rid, active_set=active_set, F=F, f=f, poly_A=poly_A,
+                                          poly_b=poly_b,
+                                          degenerate=saved_field(e, "degenerate", where, bool)))
+        coverage = saved_field(d, "coverage", "atlas", float)
         if not 0.0 <= coverage <= 1.0:
             raise ValueError(f"atlas: coverage must be a fraction in [0, 1], got {coverage}")
         return cls(
@@ -173,37 +168,8 @@ class RegionAtlas:
 
     @classmethod
     def load(cls, path: str | Path) -> "RegionAtlas":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-
-def saved_field(entry, key: str, where: str, kind: type | None = None):
-    """``entry[key]`` of a saved JSON object, or a ValueError naming ``where`` and the field.
-
-    Given a ``kind``, the value must also be of that JSON type (see
-    :func:`qpopf.circuit.saved_value`).
-    """
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where} must be an object, got {type(entry).__name__}")
-    if key not in entry:
-        raise ValueError(f"{where}: missing field {key!r}")
-    return entry[key] if kind is None else saved_value(entry[key], kind, f"{where}: {key}")
-
-
-def _saved_array(entry, key: str, shape: tuple, where: str) -> np.ndarray:
-    """``entry[key]`` as a finite float array of ``shape``, whose named axes take any size."""
-    value = saved_field(entry, key, where)
-    try:
-        a = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {key} is not a numeric array ({exc})") from exc
-    if a.ndim != len(shape) or any(isinstance(w, int) and w != n for w, n in zip(shape, a.shape)):
-        raise ValueError(f"{where}: {key} must be ({', '.join(map(str, shape))}), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{where}: {key} must be finite")
-    return a
+        """Read an atlas file (see :meth:`from_dict`); a ValueError names the path."""
+        return load_saved(path, cls.from_dict)
 
 
 def compute_affine_map(plp: ParametricLP, active_set) -> tuple[np.ndarray, np.ndarray]:

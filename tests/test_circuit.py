@@ -357,19 +357,19 @@ def test_config_from_dict_requires_gate():
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("n_q", 2.7, "config.n_q must be an integer, got 2.7"),
-    ("n_q", "2", "config.n_q must be an integer, got '2'"),
-    ("n_q", 2.0, "config.n_q must be an integer, got 2.0"),
-    ("L", True, "config.L must be an integer, got True"),
-    ("encoding_pattern", [0, 1.9], r"config.encoding_pattern\[1\] must be an integer, got 1.9"),
-    ("encoding_pattern", [False, 1], r"config.encoding_pattern\[0\] must be an integer, got False"),
-    ("encoding_pattern", "01", "config.encoding_pattern must be a list, got '01'"),
-    ("encoding_scale", "1.0", "config.encoding_scale must be a number, got '1.0'"),
-    ("encoding_scale", True, "config.encoding_scale must be a number, got True"),
-    ("trainable_gate", 1, "config.trainable_gate must be a string, got 1"),
-    ("trainable_gate", None, "config.trainable_gate must be a string, got None"),
-    ("n_q", KeyError, "circuit config has no 'n_q'"),
-    ("encoding_scale", KeyError, "circuit config has no 'encoding_scale'"),
+    ("n_q", 2.7, "config: n_q must be an integer, got 2.7"),
+    ("n_q", "2", "config: n_q must be an integer, got '2'"),
+    ("n_q", 2.0, "config: n_q must be an integer, got 2.0"),
+    ("L", True, "config: L must be an integer, got True"),
+    ("encoding_pattern", [0, 1.9], r"config: encoding_pattern\[1\] must be an integer, got 1.9"),
+    ("encoding_pattern", [False, 1], r"config: encoding_pattern\[0\] must be an integer, got False"),
+    ("encoding_pattern", "01", "config: encoding_pattern must be a list, got '01'"),
+    ("encoding_scale", "1.0", "config: encoding_scale must be a number, got '1.0'"),
+    ("encoding_scale", True, "config: encoding_scale must be a number, got True"),
+    ("trainable_gate", 1, "config: trainable_gate must be a string, got 1"),
+    ("trainable_gate", None, "config: trainable_gate must be a string, got None"),
+    ("n_q", KeyError, "config: missing field 'n_q'"),
+    ("encoding_scale", KeyError, "config: missing field 'encoding_scale'"),
 ])
 def test_config_from_dict_refuses_a_field_of_the_wrong_json_type(key, value, message):
     d = CircuitConfig.default(n_q=2, L=1, m=2).to_dict()
@@ -383,7 +383,7 @@ def test_config_from_dict_refuses_a_field_of_the_wrong_json_type(key, value, mes
 
 def test_config_from_dict_refuses_a_non_object():
     d = CircuitConfig.default(n_q=2, L=1, m=2).to_dict()
-    with pytest.raises(ValueError, match="circuit config must be an object, got list"):
+    with pytest.raises(ValueError, match="config must be an object, got list"):
         CircuitConfig.from_dict([d])
 
 

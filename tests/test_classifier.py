@@ -214,20 +214,20 @@ MISSING = object()  # a field the edit deletes
     ("mlp", "sigma", np.inf, "sigma .* inf"),
     # edits of a saved array: a layer of angles, a column of W or a row of W2 cut, a NaN weight
     pytest.param("vqc", "phi", lambda phi: phi[1:],
-                 r"VqcModel phi must be \(2, 2, 3\), got \(1, 2, 3\)", id="vqc-phi-short"),
+                 r"VqcModel: phi must be \(2, 2, 3\), got \(1, 2, 3\)", id="vqc-phi-short"),
     pytest.param("vqc", "W", lambda W: [row[1:] for row in W],
-                 r"VqcModel W must be \(2, 2\), got \(2, 1\)", id="vqc-W-one-column-short"),
+                 r"VqcModel: W must be \(K, 2\), got \(2, 1\)", id="vqc-W-one-column-short"),
     pytest.param("mlp", "W2", lambda W2: [[np.nan] + W2[0][1:]] + W2[1:],
-                 "MlpBaseline W2 must be finite", id="mlp-W2-nan"),
+                 "MlpBaseline: W2 must be finite", id="mlp-W2-nan"),
     pytest.param("mlp", "W2", lambda W2: W2[1:],
-                 r"MlpBaseline W2 must be \(7, 7\), got \(6, 7\)", id="mlp-W2-missing-row"),
+                 r"MlpBaseline: W2 must be \(7, 7\), got \(6, 7\)", id="mlp-W2-missing-row"),
     # a ragged array: one row of angles, of W or of W1 cut short
     pytest.param("vqc", "phi", lambda phi: [[phi[0][0][:2], *phi[0][1:]], *phi[1:]],
-                 "VqcModel phi is not a numeric array", id="vqc-phi-ragged"),
+                 "VqcModel: phi is not a numeric array", id="vqc-phi-ragged"),
     pytest.param("vqc", "W", lambda W: [W[0][:1], *W[1:]],
-                 "VqcModel W is not a numeric array", id="vqc-W-ragged"),
+                 "VqcModel: W is not a numeric array", id="vqc-W-ragged"),
     pytest.param("mlp", "W1", lambda W1: [*W1[:-1], []],
-                 "MlpBaseline W1 is not a numeric array", id="mlp-W1-ragged"),
+                 "MlpBaseline: W1 is not a numeric array", id="mlp-W1-ragged"),
     # a missing field, and a number given as a bool or a string
     pytest.param("vqc", "kind", MISSING, "checkpoint: missing field 'kind'", id="vqc-no-kind"),
     pytest.param("vqc", "head", MISSING, "checkpoint: missing field 'head'", id="vqc-no-head"),
@@ -238,18 +238,22 @@ MISSING = object()  # a field the edit deletes
     pytest.param("mlp", "sigma", MISSING, "checkpoint: missing field 'sigma'", id="mlp-no-sigma"),
     pytest.param("mlp", "W_head", MISSING, "checkpoint: missing field 'W_head'",
                  id="mlp-no-W-head"),
-    pytest.param("vqc", "beta", True, "head.beta must be a number, got True", id="vqc-beta-bool"),
-    pytest.param("vqc", "beta", "2", "head.beta must be a number, got '2'", id="vqc-beta-string"),
+    pytest.param("mlp", "activation", MISSING, "checkpoint: missing field 'activation'",
+                 id="mlp-no-activation"),
+    pytest.param("mlp", "activation", 5, "checkpoint: activation must be a string, got 5",
+                 id="mlp-activation-int"),
+    pytest.param("vqc", "beta", True, "head: beta must be a number, got True", id="vqc-beta-bool"),
+    pytest.param("vqc", "beta", "2", "head: beta must be a number, got '2'", id="vqc-beta-string"),
     pytest.param("mlp", "beta", True, "beta must be a number, got True", id="mlp-beta-bool"),
     pytest.param("mlp", "sigma", "0.5", "sigma must be a number, got '0.5'",
                  id="mlp-sigma-string"),
     pytest.param("vqc", "config", lambda c: {**c, "n_q": c["n_q"] + 0.7},
-                 "config.n_q must be an integer, got 2.7", id="vqc-n-q-float"),
+                 "config: n_q must be an integer, got 2.7", id="vqc-n-q-float"),
     pytest.param("vqc", "config", lambda c: {**c, "n_q": str(c["n_q"])},
-                 "config.n_q must be an integer, got '2'", id="vqc-n-q-string"),
+                 "config: n_q must be an integer, got '2'", id="vqc-n-q-string"),
     pytest.param("vqc", "config",
                  lambda c: {**c, "encoding_pattern": [1.9] + c["encoding_pattern"][1:]},
-                 r"config.encoding_pattern\[0\] must be an integer, got 1.9",
+                 r"config: encoding_pattern\[0\] must be an integer, got 1.9",
                  id="vqc-pattern-float"),
 ])
 def test_load_model_rejects_a_bad_checkpoint_value(kind, key, value, match, toy_vqc, toy_mlp,

@@ -243,6 +243,26 @@ def test_budget_measures_runtimes_with_an_mlp(workdir, tmp_path, capsys):
     assert (tmp_path / "b_timing.csv").read_text().splitlines()[0] == f"{table_provenance}{hashes}"
 
 
+@pytest.mark.parametrize("bad_input,edit,bad", [
+    ("case", lambda d: d["generators"][0].update(cost="x"),
+     "generators[0]: cost must be a number, got 'x'"),
+    ("atlas", lambda d: d.update(coverage=True), "atlas: coverage must be a number, got True"),
+], ids=["case", "atlas"])
+def test_a_bad_input_file_is_named_first_in_its_error(workdir, tmp_path, capsys, bad_input, edit,
+                                                       bad):
+    inputs = {"case": Path(TOY), "atlas": workdir / "atlas.json"}
+    d = json.loads(inputs[bad_input].read_text())
+    edit(d)
+    inputs[bad_input] = tmp_path / f"bad_{bad_input}.json"
+    inputs[bad_input].write_text(json.dumps(d))
+    out = tmp_path / "out"
+    command = (["regions", "--case", inputs["case"]] if bad_input == "case" else
+               ["eval", "--case", inputs["case"], "--atlas", inputs["atlas"], "--model", "oracle"])
+    assert run([*command, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {inputs[bad_input]}: {bad}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,bad", [
     (["--case", TOY], "measured runtimes need both --case and --atlas"),
     (["--atlas", "atlas.json"], "measured runtimes need both --case and --atlas"),

@@ -1,10 +1,13 @@
 import copy
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qpopf.classifier import load_model
 from qpopf.data import case_path
 from qpopf.grid import (
     CaseError,
@@ -13,7 +16,10 @@ from qpopf.grid import (
     linearize,
     load_case,
 )
+from qpopf.regions import RegionAtlas
 from tests.conftest import TOY_CASE_DICT
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def test_load_toy_case(tmp_path, toy_case):
@@ -158,48 +164,56 @@ def with_field(section, key, value):
 
 
 @pytest.mark.parametrize("edit,message", [
+    # True == 1 and 1.0 == 1 in Python; the version is a JSON integer
+    pytest.param(with_section("schema_version", True),
+                 "case file: schema_version must be an integer, got True", id="version-bool"),
+    pytest.param(with_section("schema_version", 1.0),
+                 "case file: schema_version must be an integer, got 1.0", id="version-float"),
+    pytest.param(with_section("name", 5), "case file: name must be a string, got 5",
+                 id="name-int"),
     pytest.param(with_generator_bus(1.5),
-                 r"generators\[0\]: bus id must be an integer, got 1.5", id="float-bus"),
+                 r"generators\[0\]: bus must be an integer, got 1.5", id="float-bus"),
     pytest.param(with_generator_bus(True),
-                 r"generators\[0\]: bus id must be an integer, got True", id="bool-bus"),
+                 r"generators\[0\]: bus must be an integer, got True", id="bool-bus"),
     pytest.param(with_generator_bus("1"),
-                 r"generators\[0\]: bus id must be an integer, got '1'", id="string-bus"),
+                 r"generators\[0\]: bus must be an integer, got '1'", id="string-bus"),
     pytest.param(with_line_missing_from, r"lines\[0\]: missing field 'from'", id="no-from"),
     pytest.param(with_section("buses", [1, 2.0]),
-                 r"buses\[1\]: bus id must be an integer, got 2.0", id="float-in-buses"),
-    pytest.param(with_section("lines", {}), "'lines' must be a list, got dict", id="lines-object"),
-    pytest.param(with_section("renewables", None), "'renewables' must be a list, got NoneType",
+                 r"buses\[1\] must be an integer, got 2.0", id="float-in-buses"),
+    pytest.param(with_section("lines", {}), "case file: lines must be a list, got dict",
+                 id="lines-object"),
+    pytest.param(with_section("renewables", None), "case file: renewables must be a list, got None",
                  id="renewables-null"),
-    pytest.param(with_section("demands", [3]), r"demands\[0\] must be an object, got int",
+    pytest.param(with_section("demands", [3]), r"demands\[0\] must be an object, got 3",
                  id="demand-number"),
-    pytest.param(with_section("voltage_limits", 5), "voltage_limits must be an object, got int",
-                 id="voltage-limits-number"),
+    pytest.param(with_section("voltage_limits", 5),
+                 "case file: voltage_limits must be an object, got 5", id="voltage-limits-number"),
     pytest.param(with_section("voltage_limits", {"v_min_pu": "x"}),
-                 "voltage_limits: field 'v_min_pu' is not a number, got 'x'", id="v-min-string"),
+                 "voltage_limits: v_min_pu must be a number, got 'x'", id="v-min-string"),
     pytest.param(with_section("voltage_limits", {"v_max_pu": np.inf}),
-                 "voltage_limits: field 'v_max_pu' must be finite, got inf", id="v-max-inf"),
+                 "voltage_limits: v_max_pu must be finite, got inf", id="v-max-inf"),
     pytest.param(with_section("base_mva", "abc"),
-                 "case file: field 'base_mva' is not a number, got 'abc'", id="base-mva-string"),
+                 "case file: base_mva must be a number, got 'abc'", id="base-mva-string"),
     pytest.param(with_section("base_mva", True),
-                 "case file: field 'base_mva' is not a number, got True", id="base-mva-bool"),
+                 "case file: base_mva must be a number, got True", id="base-mva-bool"),
     pytest.param(with_section("base_mva", np.nan),
-                 "case file: field 'base_mva' must be finite, got nan", id="base-mva-nan"),
+                 "case file: base_mva must be finite, got nan", id="base-mva-nan"),
     pytest.param(with_field("generators", "cost", True),
-                 r"generators\[0\]: field 'cost' is not a number, got True", id="cost-bool"),
+                 r"generators\[0\]: cost must be a number, got True", id="cost-bool"),
     pytest.param(with_field("generators", "cost", np.nan),
-                 r"generators\[0\]: field 'cost' must be finite, got nan", id="cost-nan"),
+                 r"generators\[0\]: cost must be finite, got nan", id="cost-nan"),
     pytest.param(with_field("lines", "r_pu", np.inf),
-                 r"lines\[0\]: field 'r_pu' must be finite, got inf", id="r-pu-inf"),
+                 r"lines\[0\]: r_pu must be finite, got inf", id="r-pu-inf"),
     pytest.param(with_field("lines", "limit_mw", np.nan),
-                 r"lines\[0\]: field 'limit_mw' must be finite, got nan", id="limit-nan"),
+                 r"lines\[0\]: limit_mw must be finite, got nan", id="limit-nan"),
     pytest.param(with_field("renewables", "deviation_kw", np.nan),
-                 r"renewables\[0\]: field 'deviation_kw' must be finite, got nan",
+                 r"renewables\[0\]: deviation_kw must be finite, got nan",
                  id="deviation-nan"),
     pytest.param(with_field("demands", "elastic", 1),
-                 r"demands\[0\]: field 'elastic' must be true or false, got 1",
+                 r"demands\[0\]: elastic must be a boolean, got 1",
                  id="elastic-number"),
     pytest.param(with_field("generators", "p_max_mw", 10**400),
-                 r"generators\[0\]: field 'p_max_mw' must be finite", id="huge-integer"),
+                 r"generators\[0\]: p_max_mw must be finite", id="huge-integer"),
 ])
 def test_malformed_ids_and_sections_are_case_errors(tmp_path, edit, message):
     raw = copy.deepcopy(TOY_CASE_DICT)
@@ -208,7 +222,7 @@ def test_malformed_ids_and_sections_are_case_errors(tmp_path, edit, message):
         case_from_dict(raw)
     path = tmp_path / "case.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(CaseError, match=message):
+    with pytest.raises(CaseError, match=f"{re.escape(str(path))}: {message}"):
         load_case(path)
 
 
@@ -216,7 +230,7 @@ def test_malformed_ids_and_sections_are_case_errors(tmp_path, edit, message):
 def test_a_case_file_that_is_not_an_object_is_a_case_error(tmp_path, top):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(top))
-    with pytest.raises(CaseError, match="must hold a JSON object"):
+    with pytest.raises(CaseError, match=f"{re.escape(str(path))}: case file must be an object"):
         load_case(path)
 
 
@@ -281,3 +295,59 @@ def test_linearize_is_pinned(case, digest):
     plp = linearize(case)
     tables = [plp.hash_hex(), plp.var_names, plp.con_names, plp.eq_pairs]
     assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == digest
+
+
+MISSING = object()  # a field the fault deletes
+# each fault: the value it writes, and the words after "{section}: {field}"
+FAULTS = {
+    "missing": (MISSING, None),
+    "bool-for-integer": (True, "must be an integer, got True"),
+    "string-for-number": ("x", "must be a number, got 'x'"),
+    "list-for-object": ([], "must be an object, got list"),
+}
+# each saved file: its reader, a valid file, and per fault the field it
+# edits (its path of keys) and the section the message names
+SAVED_FILES = {
+    "case": (load_case, case_path("toy2"), {
+        "missing": (("generators", 0, "cost"), "generators[0]"),
+        "bool-for-integer": (("generators", 0, "bus"), "generators[0]"),
+        "string-for-number": (("generators", 0, "cost"), "generators[0]"),
+        "list-for-object": (("voltage_limits",), "case file"),
+    }),
+    "atlas": (RegionAtlas.load, FIXTURES / "atlas.json", {
+        "missing": (("regions", 0, "degenerate"), "atlas region 1"),
+        "bool-for-integer": (("regions", 0, "id"), "atlas regions[0]"),
+        "string-for-number": (("coverage",), "atlas"),
+        "list-for-object": (("provenance",), "atlas"),
+    }),
+    "checkpoint": (load_model, FIXTURES / "vqc.json", {
+        "missing": (("head", "beta"), "head"),
+        "bool-for-integer": (("config", "n_q"), "config"),
+        "string-for-number": (("head", "beta"), "head"),
+        "list-for-object": (("head",), "checkpoint"),
+    }),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("saved", SAVED_FILES)
+def test_every_saved_file_words_a_fault_alike(tmp_path, saved, fault):
+    read, source, fields = SAVED_FILES[saved]
+    keys, section = fields[fault]
+    value, words = FAULTS[fault]
+    d = json.loads(Path(source).read_text())
+    entry = d
+    for key in keys[:-1]:
+        entry = entry[key]
+    if value is MISSING:
+        del entry[keys[-1]]
+    else:
+        entry[keys[-1]] = value
+    path = tmp_path / f"{saved}.json"
+    path.write_text(json.dumps(d))
+    field = keys[-1]
+    with pytest.raises(ValueError) as err:
+        read(path)
+    detail = f"missing field {field!r}" if words is None else f"{field} {words}"
+    assert str(err.value) == f"{path}: {section}: {detail}"
+    assert isinstance(err.value, CaseError) == (saved == "case")
