@@ -340,6 +340,8 @@ def cmd_audit(parser, args) -> int:
     adjacency = _usage(parser, AdjacencySpec, delta_theta=cfg["delta_theta"],
                        pair_count=cfg["pairs"], seed=cfg["seed"])
     plp, atlas, model, prov = _load_pipeline(parser, args, cfg, model=True)
+    if args.mlp_sigma is not None and not isinstance(model, MlpBaseline):
+        parser.error("--mlp-sigma needs an mlp checkpoint")
     t0 = time.perf_counter()
 
     if grid:

@@ -8,12 +8,12 @@ validation and input conversion.  ``simplex_solve`` is one cold
 ``linprog`` of the LP, and ``project_feasible`` re-solves a kept model
 of its auxiliary LP cold (``_Model``); ``_Kept`` says what each LP keeps.
 ``feasible_dispatch`` scores a batch of reconstructed dispatches and
-runs their projections on the caller and, where the process may use a
-further CPU and BLAS runs on one thread, on one worker thread
-(``_workers``).  HiGHS runs without the interpreter lock, and the LP
-keeps one projection model per projection running at once.  A cold
-solve's answer is fixed by the model and the options alone, so the
-bytes do not depend on which thread or which kept model ran it.
+runs their projections on two pool threads where a second CPU is free
+and BLAS runs one thread (``_workers``), else on the caller.  HiGHS
+runs without the interpreter lock, and the LP keeps one projection
+model per projection running at once.  A cold solve's answer is fixed
+by the model and the options alone, so the bytes do not depend on
+which thread or which kept model ran it.
 Every path checks its input and judges HiGHS's answer by one rule
 (``_checked``, ``_answer``); every path but the projection loads a
 model per solve.  ``simplex_solve`` then post-processes the answer: a
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -281,7 +280,7 @@ class _Kept:
       projection takes one, or loads one if none is idle, and gives it
       back; a model HiGHS refuses to load is not kept.  So each model
       serves one thread at a time, and the LP keeps as many as
-      projections ever ran at once: one per thread of
+      projections ever ran at once: one per pool thread of
       ``feasible_dispatch``.  Each solve is cold (``_Model``), so which
       model answers does not change the bytes;
     - ``bases``: basis picks keyed by the scanned matrix ("W" or
@@ -620,10 +619,11 @@ def feasible_dispatch(
     j of ``thetas`` (N, m) by more than ``FEASIBILITY_THRESHOLD``; then it
     is replaced by its L1 projection (:func:`project_feasible`).  Returns
     the (N, n) dispatches and an (N,) boolean mask, in input order.  The
-    projections run on the caller and on ``_workers()`` worker threads,
-    never more workers than projections beyond the first; the bytes are
-    those of a serial loop, and so is the exception: the first failure
-    in input order raises.
+    projections run on a pool of ``_workers() + 1`` threads, never more
+    than there are projections, or on the caller where that is one; the
+    bytes are those of a serial loop, and so is the exception: the first
+    failure in input order raises, and those not yet started by then are
+    cancelled.
     """
     xs = np.array(xs, dtype=float).reshape(-1, plp.n)
     thetas = np.asarray(thetas, dtype=float)
@@ -632,66 +632,40 @@ def feasible_dispatch(
         for x, theta in zip(xs, thetas)
     ], dtype=bool)
     pending = np.flatnonzero(projected).tolist()
-    out: list[np.ndarray | Exception | None] = [None] * len(pending)
-    order, lock, stop = iter(range(len(pending))), threading.Lock(), threading.Event()
 
-    def drain() -> None:
-        while not stop.is_set():
-            with lock:
-                j = next(order, None)
-            if j is None:
-                return
-            i = pending[j]
-            try:
-                out[j] = project_feasible(xs[i], plp, thetas[i])
-            except Exception as exc:  # raised below, in input order
-                out[j] = exc
-                # every projection before this one is taken by now
-                stop.set()
+    def project(i: int) -> np.ndarray:
+        return project_feasible(xs[i], plp, thetas[i])
 
-    workers = min(_workers(), len(pending) - 1)
-    if workers > 0:
+    threads = min(_workers() + 1, len(pending))
+    if threads > 1:
         # built before the threads start, so no two of them build one at once
         _kept(plp).projection_csc  # reads projection_matrix
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(drain) for _ in range(workers)]
-            try:
-                drain()
-            finally:
-                stop.set()
-        for future in futures:
-            future.result()
+        with ThreadPoolExecutor(threads) as pool:
+            xs[pending] = list(pool.map(project, pending))
     else:
-        drain()
-    for i, x in zip(pending, out):
-        if isinstance(x, Exception):
-            # its traceback holds drain's frame, which holds out, and this
-            # frame, which holds x: drop both, so no cycle keeps the LP alive
-            out.clear()
-            try:
-                raise x
-            finally:
-                del x
-        xs[i] = x
+        for i in pending:
+            xs[i] = project(i)
     return xs, projected
 
 
-# Worker threads beside the caller, as measured: on 2 CPUs, with BLAS on
-# one thread, one worker took a 500-scenario sweep from 1.3 to 0.9 s.
-# Each thread that runs a projection keeps a HiGHS model (about 2.5 MB)
-# and a malloc arena, and HiGHS is 1.7 of a projection's 2.6 ms, so more
-# workers were not tried.
+# Pool threads beyond the first, as measured: on 2 CPUs, with BLAS on one
+# thread, a second thread took a 500-scenario sweep from 1.9 to 1.15 s
+# (medians of 10 on a busy shared host).
+# Each pool thread keeps a HiGHS model (about 2.5 MB) and a malloc arena,
+# and HiGHS is 1.7 of a projection's 2.6 ms, so more threads were not
+# tried.
 _MAX_WORKERS = 1
 # What OpenBLAS reads for its thread count: the first set to a positive number.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _workers() -> int:
-    """Worker threads a projection batch may add to its caller: one if this
-    process may run on a further CPU and BLAS runs on one thread, else none.
+    """Pool threads a projection batch may run beyond the first: one if
+    this process may run on a second CPU and BLAS runs one thread, else
+    none.
 
-    BLAS threads (OpenBLAS starts one per CPU by default) compete with a
-    worker for the same CPUs: on 2 CPUs, unpinned, that 500-scenario sweep
+    BLAS threads (OpenBLAS starts one per CPU by default) compete with the
+    pool for the same CPUs: on 2 CPUs, unpinned, that 500-scenario sweep
     took 2.0 s on two threads against 1.25 s on one.  The BLAS thread count
     is read as OpenBLAS reads it, from the environment (``_blas_threads``).
     """

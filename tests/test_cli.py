@@ -497,6 +497,21 @@ def test_bad_noise_or_temperature_is_a_usage_error(workdir, tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["vqc.json", "oracle"])
+@pytest.mark.parametrize("flags", [[], ["--gamma-grid", "0", "--beta-grid", "1"]])
+def test_mlp_sigma_without_an_mlp_is_a_usage_error(workdir, tmp_path, capsys, model, flags):
+    """``--mlp-sigma`` only sets an MLP's noise; with any other model it
+    would be ignored, in a single audit and in a grid alike."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["audit", "--case", TOY, "--atlas", workdir / "atlas.json",
+             "--model", workdir / model if model.endswith(".json") else model,
+             "--mlp-sigma", 0.5, "--pairs", 5, *flags, "--out-dir", out])
+    assert exc.value.code == 2
+    assert "--mlp-sigma needs an mlp checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", ["-1", "nan"])
 def test_bad_encoding_scale_writes_no_checkpoint(workdir, tmp_path, capsys, scale):
     with pytest.raises(SystemExit) as exc:

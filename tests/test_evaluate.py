@@ -384,8 +384,8 @@ def test_evaluate_matches_the_scalar_loop_ieee69(committed69, plp69):
 
 
 def test_full_sweep_projects_each_infeasible_pick_once(committed69, plp69, monkeypatch):
-    """On the caller alone and beside one or two projection workers, the
-    sweep's reports are equal, each is the cell's own ``evaluate`` (run on
+    """On the caller alone and on a projection pool of two or three threads,
+    the sweep's reports are equal, each is the cell's own ``evaluate`` (run on
     the caller alone), and each cell counts the pairs it projected first."""
     atlas, models = committed69
     vqc = models["vqc"]

@@ -1306,9 +1306,9 @@ def with_workers(monkeypatch, workers):
 
 @pytest.mark.parametrize("case,count", [("ieee69", 60), ("toy2", 20)])
 def test_a_batch_is_the_serial_loop(case, count, monkeypatch):
-    """On the caller alone and beside one or two workers, a batch gives each
-    pair's serial bytes, raises the serial loop's first error, and leaves
-    every kept model answering as a fresh one."""
+    """On the caller alone and on a pool of two or three threads, a batch
+    gives each pair's serial bytes, raises the serial loop's first error,
+    and leaves every kept model answering as a fresh one."""
     plp = lp_of(case)
     xs, thetas = dispatch_pairs(plp, count, seed=127)
     fresh, mask = serial_dispatch(lp_of(case), xs, thetas)
@@ -1372,8 +1372,9 @@ BLAS_ENVIRONMENTS = [
 
 @pytest.mark.parametrize("env,workers", BLAS_ENVIRONMENTS)
 def test_a_worker_starts_only_beside_one_blas_thread(env, workers, monkeypatch):
-    """A worker needs a further CPU and BLAS on one thread, as OpenBLAS reads
-    its thread count; however many CPUs there are, one worker is the most."""
+    """A second pool thread needs a further CPU and BLAS on one thread, as
+    OpenBLAS reads its thread count; however many CPUs there are, two pool
+    threads are the most."""
     for var in lp_mod._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
@@ -1384,7 +1385,7 @@ def test_a_worker_starts_only_beside_one_blas_thread(env, workers, monkeypatch):
 
 
 def test_a_batch_keeps_one_model_per_thread(monkeypatch):
-    """The caller and w workers keep at most w + 1 models, each in one thread
+    """A pool of w + 1 threads keeps at most w + 1 models, each in one thread
     at a time, under a short switch interval with more threads than CPUs."""
     plp = lp_of("toy2")
     xs, thetas = dispatch_pairs(plp, 40, seed=137)
@@ -1415,6 +1416,30 @@ def test_a_batch_keeps_one_model_per_thread(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(shared) == 6 * 40 and not any(shared) and len(threads) > 1
+
+
+def test_a_failed_batch_stops_early_and_leaves_no_thread(monkeypatch):
+    """A batch whose first projection fails raises before most of the
+    other 39 start, and ends its pool threads as a good batch does."""
+    plp = lp_of("ieee69")
+    xs, thetas = dispatch_pairs(plp, 40, seed=149)
+    thetas[0] = 1000.0  # an empty feasible set
+    calls = []
+
+    def counted(*args):
+        calls.append(threading.get_ident())
+        return project_feasible(*args)
+
+    monkeypatch.setattr(lp_mod, "project_feasible", counted)
+    with_workers(monkeypatch, 1)
+    _, projected = lp_mod.feasible_dispatch(xs[1:], plp, thetas[1:])
+    assert len(calls) == sum(projected) == 39 and len(set(calls)) == 2
+    threads = threading.active_count()
+    calls.clear()
+    with pytest.raises(lp_mod.ProjectionError, match="infeasible"):
+        lp_mod.feasible_dispatch(xs, plp, thetas)
+    assert 1 <= len(calls) < 10
+    assert threading.active_count() == threads
 
 
 def test_an_lp_is_freed_with_its_last_reference(case69, monkeypatch):
