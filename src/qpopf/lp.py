@@ -4,20 +4,18 @@
 the binding scipy bundles: the same model, options and checks as
 ``scipy.optimize.linprog(method="highs")``, so a cold solve gives the
 same answer bit for bit, without that function's per-call option
-validation and input conversion.  ``simplex_solve`` is one cold
-``linprog`` of the LP, and ``project_feasible`` re-solves a kept model
-of its auxiliary LP cold (``_Model``); ``_Kept`` says what each LP keeps.
-``feasible_dispatch`` scores a batch of reconstructed dispatches and
-runs their projections on two pool threads where a second CPU is free
-and BLAS runs one thread (``_workers``), else on the caller.  HiGHS
-runs without the interpreter lock, and the LP keeps one projection
-model per projection running at once.  A cold solve's answer is fixed
-by the model and the options alone, so the bytes do not depend on
-which thread or which kept model ran it.
+validation and input conversion.  ``simplex_solve``, ``perturbed_basis``,
+``project_feasible`` and ``solve_raw`` each load their LP into a fresh
+model and solve it cold by ``linprog``; ``_Kept`` says what each LP
+keeps.  ``feasible_dispatch`` scores a batch of reconstructed dispatches
+and runs their projections on two pool threads where a second CPU is
+free and BLAS runs one thread (``_workers``), else on the caller.  HiGHS
+runs without the interpreter lock, and the threads share no HiGHS
+object.  A cold solve's answer is fixed by the model and the options
+alone, so the bytes do not depend on which thread ran it.
 Every path checks its input and judges HiGHS's answer by one rule
-(``_checked``, ``_answer``); every path but the projection loads a
-model per solve.  ``simplex_solve`` then post-processes the answer: a
-residual scan identifies the active rows, a deterministic rank
+(``_checked``, ``_answer``).  ``simplex_solve`` then post-processes the
+answer: a residual scan identifies the active rows, a deterministic rank
 selection picks the first n independent ones as a basis, and the
 solution is re-solved from the basis's one LU factorization
 (``_polished``, which ``project_feasible`` shares) so the returned
@@ -236,53 +234,15 @@ def linprog(
     return _answer(highs, b)
 
 
-class _Model:
-    """One HiGHS model of min c.x s.t. A x <= b over free x, kept across
-    solves that change only b.
-
-    ``upper`` is the b the model holds.  Each solve rewrites only the row
-    bounds whose bits differ from it (so -0.0 replaces 0.0), so the model
-    always equals the one ``linprog`` would load for that b, and HiGHS
-    drops the last run's solver state (``clearSolver``), so presolve and
-    the dual simplex run afresh and the answer is the one a freshly
-    loaded model gives.
-    """
-
-    def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                 csc: tuple[list[int], list[int], list[float]]):
-        self.c, self.A, self.upper = c, A, b.copy()
-        self.highs = _loaded(c, b, csc)
-
-    def solve(self, b: np.ndarray) -> tuple[str, np.ndarray | None]:
-        """``linprog(c, A, b)``, on the kept model."""
-        _checked(self.c, self.A, b)
-        highs, upper = self.highs, self.upper
-        for i in np.flatnonzero(b.view(np.int64) != upper.view(np.int64)).tolist():
-            if highs.changeRowBounds(i, -_highs.kHighsInf, b[i]) == _highs.HighsStatus.kError:
-                # HiGHS keeps the old bound when it refuses one (an upper bound of
-                # -1e20 or less reads as -inf), as the cold solve's passModel
-                # refuses the whole model
-                return _NO_SOLUTION[_STATUS.kModelError], None
-            upper[i] = b[i]
-        highs.clearSolver()
-        return _answer(highs, b)
-
-
 class _Kept:
     """What this module keeps of one parametric LP between calls.
 
     Each part is built on first use and goes with the LP:
     - ``W_csc``: W as HiGHS loads it; ``projection_matrix``: the rows
       [[W, 0], [I, -I], [-I, -I]] of the L1 projection LP over (x, u),
-      read-only, and ``projection_csc``, that matrix as HiGHS loads it;
+      read-only, and ``projection_csc``, that matrix as HiGHS loads it.
+      The pool threads of ``feasible_dispatch`` share both;
     - ``eq_rows``: the lower and the higher row of each equality pair;
-    - ``projection``: the idle models of ``project_feasible``'s LP.  A
-      projection takes one, or loads one if none is idle, and gives it
-      back; a model HiGHS refuses to load is not kept.  So each model
-      serves one thread at a time, and the LP keeps as many as
-      projections ever ran at once: one per pool thread of
-      ``feasible_dispatch``.  Each solve is cold (``_Model``), so which
-      model answers does not change the bytes;
     - ``bases``: basis picks keyed by the scanned matrix ("W" or
       "projection") and the active rows.  A pick depends only on those
       rows and the LP, so the samples of one critical region scan their
@@ -305,8 +265,8 @@ class _Kept:
     ``simplex_solve`` gives at that theta, which depends on theta alone,
     so whichever vertex answers, and whichever were kept by then, the
     bytes are the same.  The LP's arrays are kept, never the
-    ``ParametricLP``, so an LP and its projection models are freed with
-    its last reference, not by the cyclic garbage collector.
+    ``ParametricLP``, so an LP and what it keeps are freed with its last
+    reference, not by the cyclic garbage collector.
     """
 
     def __init__(self, plp: ParametricLP):
@@ -316,7 +276,6 @@ class _Kept:
         self.bases: dict[tuple[str, tuple[int, ...]], tuple[int, ...] | None] = {}
         self.factors: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray] | None] = {}
         self.vertices: list[tuple[int, ...]] = []
-        self.projection: list[_Model] = []
 
     @cached_property
     def W_csc(self) -> tuple[list[int], list[int], list[float]]:
@@ -618,15 +577,18 @@ def feasible_dispatch(
     Row j of ``xs`` (N, n) is kept unless it violates a constraint at row
     j of ``thetas`` (N, m) by more than ``FEASIBILITY_THRESHOLD``; then it
     is replaced by its L1 projection (:func:`project_feasible`).  Returns
-    the (N, n) dispatches and an (N,) boolean mask, in input order.  The
+    the (N, n) dispatches and an (N,) boolean mask, in input order; N
+    dispatches with another number of thetas raise ``ValueError``.  The
     projections run on a pool of ``_workers() + 1`` threads, never more
-    than there are projections, or on the caller where that is one; the
-    bytes are those of a serial loop, and so is the exception: the first
-    failure in input order raises, and those not yet started by then are
-    cancelled.
+    than there are projections, or on the caller where that is one.  Each
+    is a cold solve, so the bytes are those of a serial loop, and so is
+    the exception: the first failure in input order raises, and those not
+    yet started by then are cancelled.
     """
     xs = np.array(xs, dtype=float).reshape(-1, plp.n)
     thetas = np.asarray(thetas, dtype=float)
+    if len(xs) != len(thetas):
+        raise ValueError(f"{len(xs)} dispatches but {len(thetas)} thetas")
     projected = np.array([
         float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > FEASIBILITY_THRESHOLD
         for x, theta in zip(xs, thetas)
@@ -649,11 +611,10 @@ def feasible_dispatch(
 
 
 # Pool threads beyond the first, as measured: on 2 CPUs, with BLAS on one
-# thread, a second thread took a 500-scenario sweep from 1.9 to 1.15 s
-# (medians of 10 on a busy shared host).
-# Each pool thread keeps a HiGHS model (about 2.5 MB) and a malloc arena,
-# and HiGHS is 1.7 of a projection's 2.6 ms, so more threads were not
-# tried.
+# thread, a second thread took a 500-scenario sweep from 1.14 to 0.69 s
+# (medians of 10 on a shared host).
+# Each pool thread takes a malloc arena, and HiGHS is most of a
+# projection's 2.6 ms, so more threads were not tried.
 _MAX_WORKERS = 1
 # What OpenBLAS reads for its thread count: the first set to a positive number.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -688,30 +649,11 @@ def _blas_threads() -> int | None:
     return None
 
 
-def _projection(kept: _Kept, b: np.ndarray) -> tuple[str, np.ndarray | None]:
-    """``linprog`` of the L1 projection LP (``project_feasible``) at its
-    right-hand side ``b``, on an idle model of ``kept.projection``, or on
-    one loaded for it.  The model is given back after the solve."""
-    try:
-        model = kept.projection.pop()  # one step, so no two threads take the same model
-    except IndexError:
-        A, n = kept.projection_matrix, kept.W.shape[1]
-        c = np.concatenate([np.zeros(n), np.ones(n)])
-        _checked(c, A, b)
-        model = _Model(c, A, b, kept.projection_csc)
-        if model.highs is None:
-            return _NO_SOLUTION[_STATUS.kModelError], None
-    try:
-        return model.solve(b)
-    finally:
-        kept.projection.append(model)
-
-
 def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) -> np.ndarray:
     """L1-closest feasible point to ``x_tilde`` at parameter ``theta``.
 
-    Solved as an auxiliary LP over (x, u) with u >= |x - x_tilde|;
-    inputs feasible within ``TOL_FEAS`` are returned unchanged.
+    Solved as an auxiliary LP over (x, u) with u >= |x - x_tilde|, by one
+    cold ``linprog``; inputs feasible within ``TOL_FEAS`` are returned unchanged.
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -722,7 +664,8 @@ def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) 
     kept = _kept(plp)
     A_aux = kept.projection_matrix
     b_aux = np.concatenate([b, x_tilde, -x_tilde])
-    status, z = _projection(kept, b_aux)
+    c_aux = np.concatenate([np.zeros(plp.n), np.ones(plp.n)])
+    status, z = linprog(c_aux, A_aux, b_aux, csc=kept.projection_csc)
     if status != "optimal":
         raise ProjectionError(f"projection LP is {status} at theta={theta}")
     resid = A_aux @ z - b_aux
