@@ -405,6 +405,16 @@ def _fit(model, flat, step, dataset, K, train_cfg, rng, eval_set) -> list[dict]:
     return history
 
 
+def require_encoded(config: CircuitConfig, m: int) -> None:
+    """Raise ``ValueError`` naming the first of the m components of theta
+    that ``config.encoding_pattern`` encodes on no qubit."""
+    unencoded = sorted(set(range(m)) - set(config.encoding_pattern))
+    if unencoded:
+        raise ValueError(f"encoding_pattern {list(config.encoding_pattern)} leaves theta "
+                         f"component {unencoded[0]} of {m} unencoded, so the circuit never "
+                         f"reads it; use at least {m} qubits")
+
+
 def train_vqc(
     dataset: tuple[np.ndarray, np.ndarray],
     config: CircuitConfig,
@@ -417,7 +427,10 @@ def train_vqc(
     Returns the trained model and a per-epoch history (loss curve, plus
     accuracies when an eval set is given).  Deterministic under the
     config seed: the angles are drawn uniform on [-pi, pi), then the head.
+    A ``config.encoding_pattern`` that encodes no qubit with some component
+    of theta raises ``ValueError`` naming the first such component.
     """
+    require_encoded(config, np.shape(dataset[0])[1])
     K = int(np.max(dataset[1])) if K is None else K
     rng = np.random.default_rng(train_cfg.seed)
     phi = rng.uniform(-np.pi, np.pi, size=config.param_shape)

@@ -31,6 +31,7 @@ from qpopf.classifier import (
     check_noise_and_temperature,
     kept_epoch,
     load_model,
+    require_encoded,
     save_model,
     train_mlp,
     train_vqc,
@@ -288,12 +289,14 @@ def cmd_train(parser, args) -> int:
     config = _usage(parser, CircuitConfig.default, cfg["qubits"], cfg["layers"], m=1,
                     encoding_scale=cfg["encoding_scale"], trainable_gate=cfg["gate"])
     plp, atlas, _, prov = _load_pipeline(parser, args, cfg)
+    if cfg["model"] == "vqc":
+        config = replace(config, encoding_pattern=cyclic_pattern(config.n_q, plp.m))
+        _usage(parser, require_encoded, config, plp.m)
     thetas, labels = sample_labeled_dataset(atlas, samples, seed=seed)
     train_set = (thetas[: samples - n_test], labels[: samples - n_test])
     test_set = (thetas[samples - n_test :], labels[samples - n_test :])
     t0 = time.perf_counter()
     if cfg["model"] == "vqc":
-        config = replace(config, encoding_pattern=cyclic_pattern(config.n_q, plp.m))
         model, history = train_vqc(train_set, config, train_cfg, K=atlas.K, eval_set=test_set)
     else:
         model, history = train_mlp(

@@ -44,13 +44,20 @@ near the active tolerance, and its active rows pick that basis again
 (``_certified``).  Strict primal and dual nondegeneracy make that
 optimum unique, so the answer is the one ``simplex_solve`` builds, bit
 for bit, and carries its own optimality proof.  A degenerate answer
-always comes from HiGHS.
+always comes from HiGHS.  A kept vertex's residual is affine in theta,
+``R_v theta + r_v`` (``_Kept.screen``), so one stacked product gives
+every vertex's worst residual at a sample, and only a vertex whose worst
+is within ``_SCREEN_MARGIN`` of ``_CERT_FEAS`` is tried: the others
+would fail the exact check.  A try's last test, whether its active rows
+are exactly n hyperplanes that pick its basis, is decided once per
+basis and active set (``_Kept.verdicts``).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -76,6 +83,9 @@ TOL_ACTIVE = 1e-7
 _CERT_FEAS = 1e-9
 _CERT_BAND = 1e-6
 _CERT_DUAL = 1e-6
+# A vertex whose affine worst residual exceeds _CERT_FEAS by more than this is
+# not tried; the affine and the exact residual differ by rounding alone
+_SCREEN_MARGIN = 1e-7
 
 # In scipy's linprog naming; the tests solve with them through scipy as an oracle.
 _HIGHS_OPTIONS = {
@@ -257,8 +267,19 @@ class _Kept:
       the projection time;
     - ``vertices``: the W bases of "optimal" simplex answers whose basic
       inequality rows all have a dual of at least ``_CERT_DUAL``, in the
-      order found (``_keep_vertex``).  ``solve_lp`` tries them in that
-      order before it runs HiGHS (``_certified``).
+      order found (``_keep_vertex``).  ``solve_lp`` tries those the
+      screen passes in that order before it runs HiGHS (``_certified``);
+    - ``screen``: the vertices it was built for, and each one's residual
+      ``W x_v(theta) - b(theta) = R_v theta + r_v`` stacked, with
+      ``R_v = W F_v - T`` and ``r_v = W f_v - S`` solved from the
+      vertex's factor (``_screened``).  It is rebuilt whenever
+      ``vertices`` has changed, however a vertex was added;
+    - ``verdicts``: whether a try's active rows are exactly n hyperplanes
+      whose basis pick is the vertex's basis, keyed by the basis and the
+      active rows (``_certified``);
+    - ``work``: counts of simplex solves, certificate tries, certified
+      answers and ``perturbed_basis`` calls, and of whatever else a caller
+      adds through ``work_counts``.
 
     No solve depends on which ran before it.  That holds for the vertex
     tries too: a vertex answers only with the ``LPSolution`` that
@@ -276,6 +297,10 @@ class _Kept:
         self.bases: dict[tuple[str, tuple[int, ...]], tuple[int, ...] | None] = {}
         self.factors: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray] | None] = {}
         self.vertices: list[tuple[int, ...]] = []
+        self.screen: tuple[list[tuple[int, ...]], np.ndarray | None, np.ndarray | None] = (
+            [], None, None)
+        self.verdicts: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+        self.work: Counter[str] = Counter()
 
     @cached_property
     def W_csc(self) -> tuple[list[int], list[int], list[float]]:
@@ -299,6 +324,14 @@ def _kept(plp: ParametricLP) -> _Kept:
     if plp.solver_state is None:
         plp.solver_state = _Kept(plp)
     return plp.solver_state
+
+
+def work_counts(plp: ParametricLP) -> Counter[str]:
+    """The work done on ``plp`` so far, by name, live: ``simplex_solves``,
+    ``tries`` (kept vertices ``solve_lp`` tried), ``certified`` (answers
+    read off a kept vertex) and ``perturbed_basis``.  Callers add their own LP work
+    on ``plp`` under names of their own; a name never counted reads 0."""
+    return _kept(plp).work
 
 
 def _scan_active(resid: np.ndarray, tol: float) -> list[int]:
@@ -494,35 +527,66 @@ def _certified(plp: ParametricLP, b: np.ndarray, basis: tuple[int, ...]) -> LPSo
     margin that makes the optimum unique, and the answer is the simplex
     path's ``LPSolution`` field for field.
     """
-    rows = list(basis)
-    x, _ = dgetrs(*_kept(plp).factors[basis], b[rows])
+    kept, rows = _kept(plp), list(basis)
+    x, _ = dgetrs(*kept.factors[basis], b[rows])
     resid = plp.W @ x - b
     worst = float(np.max(resid, initial=0.0))
     slack = np.abs(resid)
     if worst > _CERT_FEAS or np.any((slack > _CERT_FEAS) & (slack <= _CERT_BAND)):
         return None
     active = _scan_active(resid, TOL_ACTIVE)
-    if len(_hyperplanes(plp, active)) != plp.n or _basis(plp, "W", active) != rows:
+    key = (basis, tuple(active))
+    if key not in kept.verdicts:
+        kept.verdicts[key] = (len(_hyperplanes(plp, active)) == plp.n
+                              and _basis(plp, "W", active) == rows)
+    if not kept.verdicts[key]:
         return None
     return LPSolution(x=x, objective=float(plp.c @ x), status="optimal", active_set=active,
                       basis=rows, max_violation=worst)
 
 
+def _screened(plp: ParametricLP, theta: np.ndarray) -> np.ndarray:
+    """Each kept vertex's worst residual ``max(R_v theta + r_v)`` at
+    ``theta``, in the order kept, from one product with the stacked maps
+    (``_Kept.screen``); there is at least one kept vertex."""
+    kept = _kept(plp)
+    if kept.screen[0] != kept.vertices:
+        maps = []
+        for basis in kept.vertices:
+            rows = list(basis)
+            # x_v(theta) = f_v + F_v theta, both solved from the kept factor at once
+            fF, _ = dgetrs(*kept.factors[basis], np.column_stack([plp.S[rows], plp.T[rows]]))
+            maps.append((plp.W @ fF[:, 1:] - plp.T, plp.W @ fF[:, 0] - plp.S))
+        R, r = zip(*maps)
+        kept.screen = (list(kept.vertices), np.concatenate(R), np.concatenate(r))
+    vertices, R, r = kept.screen
+    return (R @ theta + r).reshape(len(vertices), plp.q).max(axis=1)
+
+
 def solve_lp(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
     """Minimize c.x over {W x <= S + T theta} and extract the active set.
 
-    Each kept vertex (``_Kept.vertices``) is tried first, in the order
-    kept; the first that proves its point optimal (``_certified``) answers
-    without a solve.  Otherwise, and for every degenerate, infeasible or
-    unbounded answer, ``simplex_solve`` runs.  Either way the answer is
-    ``simplex_solve``'s bit for bit.  A bad theta raises before any try.
+    The kept vertices (``_Kept.vertices``) are tried first, in the order
+    kept, each whose affine worst residual (``_screened``) is at most
+    ``_CERT_FEAS + _SCREEN_MARGIN``; the first that proves its point
+    optimal (``_certified``) answers without a solve.  Otherwise, and for
+    every degenerate, infeasible or unbounded answer, ``simplex_solve``
+    runs.  Either way the answer is ``simplex_solve``'s bit for bit.  A
+    bad theta raises before any try.
     """
     b = plp.rhs(theta)
     _checked(plp.c, plp.W, b)
-    for basis in _kept(plp).vertices:
-        sol = _certified(plp, b, basis)
-        if sol is not None:
-            return sol
+    kept = _kept(plp)
+    if kept.vertices:
+        screened = _screened(plp, np.asarray(theta, dtype=float))
+        for basis, worst in zip(kept.vertices, screened.tolist()):
+            if worst > _CERT_FEAS + _SCREEN_MARGIN:
+                continue
+            kept.work["tries"] += 1
+            sol = _certified(plp, b, basis)
+            if sol is not None:
+                kept.work["certified"] += 1
+                return sol
     return simplex_solve(plp, theta)
 
 
@@ -530,6 +594,7 @@ def simplex_solve(plp: ParametricLP, theta: np.ndarray) -> LPSolution:
     """``solve_lp`` by one cold ``linprog``.  The basis of an "optimal"
     answer is kept as a vertex when its duals allow (``_keep_vertex``)."""
     b = plp.rhs(theta)
+    _kept(plp).work["simplex_solves"] += 1
     sol = _solution(plp, b, *linprog(plp.c, plp.W, b, csc=_kept(plp).W_csc))
     if sol.status == "optimal":
         _keep_vertex(plp, sol.basis)
@@ -545,6 +610,7 @@ def perturbed_basis(plp: ParametricLP, theta: np.ndarray) -> list[int] | None:
     once if it is too small to separate ties at solver precision.
     """
     theta = np.asarray(theta, dtype=float)
+    _kept(plp).work["perturbed_basis"] += 1
     for scale in (1e-9, 1e-9 * 100.0):
         b = plp.rhs(theta) + scale * np.arange(1, plp.q + 1)
         _, x = linprog(plp.c, plp.W, b, csc=_kept(plp).W_csc)
@@ -589,14 +655,18 @@ def feasible_dispatch(
     thetas = np.asarray(thetas, dtype=float)
     if len(xs) != len(thetas):
         raise ValueError(f"{len(xs)} dispatches but {len(thetas)} thetas")
-    projected = np.array([
-        float(np.max(plp.W @ x - plp.rhs(theta), initial=0.0)) > FEASIBILITY_THRESHOLD
-        for x, theta in zip(xs, thetas)
-    ], dtype=bool)
-    pending = np.flatnonzero(projected).tolist()
+    rhs = {}  # the right-hand side of each row to project, kept for its projection
+    for i, (x, theta) in enumerate(zip(xs, thetas)):
+        b = plp.rhs(theta)
+        if float(np.max(plp.W @ x - b, initial=0.0)) > FEASIBILITY_THRESHOLD:
+            rhs[i] = b
+    pending = list(rhs)
+    projected = np.zeros(len(xs), dtype=bool)
+    projected[pending] = True
 
+    # a violation above FEASIBILITY_THRESHOLD is above TOL_FEAS: each row projects
     def project(i: int) -> np.ndarray:
-        return project_feasible(xs[i], plp, thetas[i])
+        return _l1_projection(xs[i], plp, thetas[i], rhs[i])
 
     threads = min(_workers() + 1, len(pending))
     if threads > 1:
@@ -660,7 +730,13 @@ def project_feasible(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray) 
     b = plp.rhs(theta)
     if float(np.max(plp.W @ x_tilde - b, initial=0.0)) <= TOL_FEAS:
         return x_tilde.copy()
+    return _l1_projection(x_tilde, plp, theta, b)
 
+
+def _l1_projection(x_tilde: np.ndarray, plp: ParametricLP, theta: np.ndarray,
+                   b: np.ndarray) -> np.ndarray:
+    """``project_feasible``'s LP for an ``x_tilde`` that violates a row of
+    W x <= b by more than ``TOL_FEAS``, where b is ``plp.rhs(theta)``."""
     kept = _kept(plp)
     A_aux = kept.projection_matrix
     b_aux = np.concatenate([b, x_tilde, -x_tilde])

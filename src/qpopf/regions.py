@@ -6,7 +6,9 @@ samples theta with a low-discrepancy sequence, solves each LP, and
 collects distinct bases; each basis yields an affine map plus a region
 polyhedron (the inactive constraints rewritten over theta, intersected
 with the box, with redundant rows pruned: rows that hold over the whole
-box are dropped outright, the rest by one LP each).  The atlas answers
+box are dropped outright, and of the rest the polyhedron keeps its
+facets, read off the vertices of one Qhull halfspace intersection).  The
+atlas records the work it took (``RegionAtlas.work``).  The atlas answers
 point-location queries, which is both the exact ground-truth labeler and
 the classical constraint-check baseline; ``locate_batch`` labels many
 points with one product against the stacked halfspaces of every region,
@@ -17,16 +19,26 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import HalfspaceIntersection, QhullError
 from scipy.stats import qmc
 
 from qpopf.grid import ParametricLP, load_saved, saved_arrays, saved_field, saved_value
-from qpopf.lp import perturbed_basis, solve_lp, solve_raw
+from qpopf.lp import perturbed_basis, solve_lp, solve_raw, work_counts
 
 TOL_CONTAIN = 1e-9
+# A region polyhedron's rows: a row is a facet when it is tight within
+# _FACET_TOL at m affinely independent vertices, and Qhull finds the
+# vertices only from a Chebyshev ball wider than _QHULL_MIN_RADIUS
+_FACET_TOL = 1e-9
+_QHULL_MIN_RADIUS = 1e-6
+# The work counts of an atlas (RegionAtlas.work), in order
+_WORK = ("simplex_solves", "certified", "tries", "perturbed_basis", "chebyshev_lps",
+         "pruning_lps")
 
 
 class SingularActiveSetError(RuntimeError):
@@ -75,6 +87,10 @@ class RegionAtlas:
     # matrix or an "empty" region, samples whose degenerate basis was
     # "unrecovered", and samples where the LP is "infeasible" or "unbounded".
     dropped: dict = field(default_factory=dict)
+    # Work enumeration did, not saved: "simplex_solves", answers read off a
+    # kept vertex ("certified") and the "tries" at one, "perturbed_basis"
+    # calls, and the polyhedra's "chebyshev_lps" and fallback "pruning_lps".
+    work: dict = field(default_factory=dict)
 
     @property
     def K(self) -> int:
@@ -203,7 +219,15 @@ def region_polyhedron(
     """H-representation of the region in theta space.
 
     Inactive rows W_N (F theta + f) <= S_N + T_N theta become
-    (W_N F - T_N) theta <= S_N - W_N f, intersected with the theta box.
+    (W_N F - T_N) theta <= S_N - W_N f, intersected with the theta box,
+    each scaled to a unit row.  With ``remove_redundant`` the rows that
+    hold over the whole box go, and of the rest the facets stay, in row
+    order (``_irredundant_rows``): each row tight at m affinely
+    independent vertices of the Qhull intersection built at the
+    ``chebyshev_center``, and of rows on one facet the last.  Those are
+    the rows a pruning LP per row keeps, and that LP loop still runs
+    where Qhull cannot: at m = 1, and where the Chebyshev radius is at or
+    below ``_QHULL_MIN_RADIUS``.
     """
     active = set(int(i) for i in active_set)
     inactive = [i for i in range(plp.q) if i not in active]
@@ -235,13 +259,58 @@ def region_polyhedron(
         lo, hi = plp.theta_box[:, 0], plp.theta_box[:, 1]
         implied = np.maximum(A * lo, A * hi).sum(axis=1) <= b
         implied[-2 * m :] = False
-        A, b = _remove_redundant_rows(A[~implied], b[~implied])
+        A, b = A[~implied], b[~implied]
+        keep = _irredundant_rows(A, b, work_counts(plp))
+        A, b = A[keep], b[keep]
     if A.shape[0] == 0:
         raise EmptyRegionError("no rows left after pruning")
     return A, b
 
 
-def _remove_redundant_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _irredundant_rows(A: np.ndarray, b: np.ndarray, work: Counter) -> list[int]:
+    """The rows of {A x <= b} (unit rows, bounded) that define a facet, in
+    row order; where rows define the same facet, the last of them.
+
+    One Qhull intersection of the halfspaces (Barber, Dobkin & Huhdanpaa,
+    ACM TOMS 1996) at the Chebyshev center gives the vertices, and a row
+    is a facet when it is tight within ``_FACET_TOL`` at m affinely
+    independent vertices.  Two inputs keep the LP test of every row
+    (``_pruned_rows``): m = 1, and a Chebyshev radius at or below
+    ``_QHULL_MIN_RADIUS`` (an empty or flat polyhedron, or one too thin
+    for Qhull's interior point), as does a Qhull failure.  Both ways keep
+    the same rows.  Adds its LPs to ``work``: ``chebyshev_lps`` and
+    ``pruning_lps``.
+    """
+    m = A.shape[1]
+    if m > 1:
+        work["chebyshev_lps"] += 1
+        center, radius = chebyshev_center(A, b)
+        if radius > _QHULL_MIN_RADIUS:
+            try:
+                vertices = HalfspaceIntersection(np.column_stack([A, -b]), center).intersections
+            except QhullError:
+                pass
+            else:
+                return _facet_rows(A, b, vertices)
+    return _pruned_rows(A, b, work)
+
+
+def _facet_rows(A: np.ndarray, b: np.ndarray, vertices: np.ndarray) -> list[int]:
+    """The rows of ``_irredundant_rows`` read off the polyhedron's vertices."""
+    m = A.shape[1]
+    tight = np.abs(A @ vertices.T - b[:, None]) <= _FACET_TOL
+    keep, facets = [], set()
+    for i in reversed(range(len(b))):
+        on = vertices[tight[i]]
+        if len(on) < m or tight[i].tobytes() in facets:
+            continue
+        if np.linalg.matrix_rank(on[1:] - on[0], tol=_FACET_TOL) == m - 1:
+            facets.add(tight[i].tobytes())
+            keep.append(i)
+    return keep[::-1]
+
+
+def _pruned_rows(A: np.ndarray, b: np.ndarray, work: Counter) -> list[int]:
     """Per-row LP max test, deterministic order; also detects emptiness."""
     keep = list(range(A.shape[0]))
     i = 0
@@ -250,6 +319,7 @@ def _remove_redundant_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
         others = [r for r in keep if r != row]
         if not others:
             break
+        work["pruning_lps"] += 1
         status, x = solve_raw(-A[row], A[others], b[others])
         if status == "infeasible":
             raise EmptyRegionError("region polyhedron is empty")
@@ -257,7 +327,7 @@ def _remove_redundant_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
             keep.pop(i)
             continue
         i += 1
-    return A[keep], b[keep]
+    return keep
 
 
 def chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -300,6 +370,7 @@ def enumerate_regions(
     if coverage_samples < 1:
         raise ValueError("coverage_samples must be >= 1")
     thetas = _sobol_samples(plp.theta_box, sampling_budget, seed)
+    before = work_counts(plp).copy()
 
     found: dict[tuple[int, ...], bool] = {}  # basis -> built via fallback
     dropped = {"singular": 0, "empty": 0, "unrecovered": 0, "infeasible": 0, "unbounded": 0}
@@ -362,6 +433,7 @@ def enumerate_regions(
         },
         plp_hash=plp.hash_hex(),
         dropped=dropped,
+        work={k: work_counts(plp)[k] - before[k] for k in _WORK},
     )
     rng = np.random.default_rng([seed, 0xC0FFEE])
     probes = rng.uniform(

@@ -49,6 +49,19 @@ def toy_mlp(toy_dataset):
     return mlp, losses
 
 
+@pytest.mark.parametrize("pattern,missing", [((0, 1), 2), ((0, 0, 2), 1), ((2, 2, 2, 2), 0)])
+def test_train_vqc_refuses_a_pattern_that_leaves_theta_unencoded(pattern, missing):
+    rng = np.random.default_rng(5)
+    thetas = rng.uniform(-1.0, 1.0, size=(8, 3))
+    labels = 1 + (thetas[:, 0] > 0)
+    config = CircuitConfig(n_q=len(pattern), L=1, encoding_pattern=pattern)
+    with pytest.raises(ValueError, match=rf"leaves theta component {missing} of 3 unencoded"):
+        train_vqc((thetas, labels), config, TrainConfig(epochs=1, seed=3), K=2)
+    # every component encoded, on as many qubits or more
+    config = CircuitConfig(n_q=len(pattern) + 3, L=1, encoding_pattern=(*pattern, 0, 1, 2))
+    train_vqc((thetas, labels), config, TrainConfig(epochs=1, seed=3), K=2)
+
+
 def test_softmax_uniform_on_equal_logits():
     p = softmax_probs(np.full(7, 2.5), beta=3.0)
     np.testing.assert_allclose(p, np.full(7, 1 / 7), atol=1e-15)

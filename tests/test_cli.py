@@ -557,6 +557,17 @@ def test_bad_circuit_key_is_a_usage_error(tmp_path, capsys, flags, config, bad):
     assert not out.exists()
 
 
+def test_too_few_qubits_for_theta_is_a_usage_error(tmp_path, capsys):
+    # ieee69 has m = 3 renewables: two qubits would never encode theta component 2
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--case", case_path("ieee69"), "--atlas", FIXTURES / "atlas.json",
+             "--model", "vqc", "--qubits", 2, "--samples", 50, "--epochs", 1, "--out-dir", out])
+    assert exc.value.code == 2
+    assert "leaves theta component 2 of 3 unencoded" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["vqc", "mlp"])
 @pytest.mark.parametrize("flags,bad", [
     (["--train-beta", "0"], "beta .* 0.0"),

@@ -268,7 +268,7 @@ def test_uncovered_scenarios_raise_before_any_sampling(one_region_atlas69, plp69
     def no_projection(*args):
         raise AssertionError("projected before the coverage check")
 
-    monkeypatch.setattr(lp_mod, "project_feasible", no_projection)
+    monkeypatch.setattr(lp_mod, "_l1_projection", no_projection)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(UncoveredThetaError, match=message):
@@ -414,11 +414,13 @@ def test_full_sweep_projects_each_infeasible_pick_once(committed69, plp69, monke
         assert report.counters == {"infeasible_picks": cell["infeasible_picks"],
                                    "projection_lps": cell["infeasible_picks"]}
 
-    def counted(x, plp, theta):
-        calls.append((x.tobytes(), np.asarray(theta).tobytes()))
-        return project_feasible(x, plp, theta)
+    project = lp_mod._l1_projection
 
-    monkeypatch.setattr(lp_mod, "project_feasible", counted)
+    def counted(x, plp, theta, b):
+        calls.append((x.tobytes(), np.asarray(theta).tobytes()))
+        return project(x, plp, theta, b)
+
+    monkeypatch.setattr(lp_mod, "_l1_projection", counted)
     sweeps = []
     for workers in (0, 1, 2):
         monkeypatch.setattr(lp_mod, "_workers", lambda: workers)

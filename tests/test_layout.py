@@ -153,7 +153,6 @@ def unnamed_public_functions(modules: dict[str, ast.Module], readers: list[ast.A
 # public functions and methods that only tests call, and why each stays in the package
 TEST_ONLY_FUNCTIONS = {
     "privacy.calibrate_sigma": "ROADMAP item 9: the noise scale of the matched-privacy MLP",
-    "regions.chebyshev_center": "ROADMAP item 13: the interior point of exact coverage",
 }
 
 

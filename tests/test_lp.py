@@ -14,6 +14,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 from scipy.optimize._highspy import _core as highs_core
+from scipy.stats import qmc
 
 from qpopf import lp as lp_mod
 from qpopf import regions as regions_mod
@@ -22,6 +23,7 @@ from qpopf.grid import ParametricLP, linearize, load_case
 from qpopf.lp import column_compressed, perturbed_basis, project_feasible, solve_lp
 from qpopf.regions import chebyshev_center, enumerate_regions
 from tests.conftest import make_toy_plp
+from tests.test_regions import facet_points
 from tests.lp_oracle import (SCIPY_STATUS, dual_certificate, hyperplanes_by_set, scipy_linprog,
                              solution_bytes, solve_lp_cold)
 
@@ -335,7 +337,7 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, h
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(regions_mod, "solve_lp", counted)
-    for budget, regions, simplex, runs in [(1, 1, 1, 11), (1000, 7, 7, 71)]:
+    for budget, regions, simplex, runs in [(1, 1, 1, 2), (1000, 7, 7, 14)]:
         for calls in (solves, basis_calls, lp_calls, highs_runs, factor_calls, simplex_calls,
                       certified_calls):
             calls.clear()
@@ -355,9 +357,12 @@ def test_enumeration_scans_each_active_set_once(case69, basis_calls, lp_calls, h
             plp.W[list(basis)].tobytes() for basis in bases)
         assert set(lp_mod._kept(plp).factors) == bases
         # every simplex solve is one cold solve of W, and HiGHS runs only for those
-        # and the pruning LPs
+        # and one Chebyshev LP per region
         assert len([A for _, A, *_ in lp_calls if A is plp.W]) == simplex
-        assert len(highs_runs) == runs
+        assert len(highs_runs) == runs == simplex + regions
+        assert atlas.work == {"simplex_solves": simplex, "certified": budget - simplex,
+                              "tries": budget - simplex, "perturbed_basis": 0,
+                              "chebyshev_lps": regions, "pruning_lps": 0}
     # a projection factors its basis and keeps no factor
     factored = len(factor_calls)
     project_feasible(solve_lp(plp, np.full(plp.m, 0.5)).x, plp, np.full(plp.m, -0.5))
@@ -630,11 +635,15 @@ def test_linprog_matches_scipy_oracle(case, lp_calls, simplex_calls, certified_c
         # a dispatch solved at another theta is usually infeasible here
         "projection": calls_of(lambda: [project_feasible(solve_lp(plp, t).x, plp, thetas[k - 1])
                                         for k, t in enumerate(thetas[:10])]),
-        "pruning": calls_of(lambda: atlas.append(enumerate_regions(plp, 16, seed=5))),
+        # a region polyhedron's LPs: one Chebyshev LP each on ieee69 (m = 3), and
+        # the pruning LPs on toy2 (m = 1)
+        "polyhedron": calls_of(lambda: atlas.append(enumerate_regions(plp, 16, seed=5))),
     }
     families["chebyshev_center"] = calls_of(
         lambda: [chebyshev_center(r.poly_A, r.poly_b) for r in atlas[0].regions])
-    families["pruning"] = [c for c in families["pruning"] if c[1].shape[1] == plp.m]
+    families["polyhedron"] = [c for c in families["polyhedron"] if c[1] is not plp.W]
+    assert {c[1].shape[1] for c in families["polyhedron"]} == {
+        "ieee69": {plp.m + 1}, "toy2": {plp.m}}[case]
     # each solve_lp of the projection family is answered off a kept vertex, so its
     # cold LPs are the projections, on the matrix the LP keeps; every LP, simplex
     # solves and projections included, is one cold linprog
@@ -645,7 +654,7 @@ def test_linprog_matches_scipy_oracle(case, lp_calls, simplex_calls, certified_c
     for name, calls in families.items():
         assert calls, name
         assert_matches_scipy(calls)
-    # the projection and pruning families' solve_lp calls are each a simplex solve
+    # the projection and polyhedron families' solve_lp calls are each a simplex solve
     # or an answer off a vertex the 30 simplex solves kept
     assert [s + c for s, c in zip(simplex, certified)] == [len(thetas), 0, 10, 16, 0]
     assert simplex == {"ieee69": [30, 0, 0, 1, 0], "toy2": [30, 0, 0, 0, 0]}[case]
@@ -1068,6 +1077,76 @@ def test_a_vertex_is_only_the_basis_its_point_scans(plp69):
     assert kept.vertices == [other, tuple(ref.basis)]
 
 
+@pytest.mark.parametrize("case,budget,seed", [("ieee69", 1000, 11), ("toy2", 64, 9)])
+def test_a_vertex_the_screen_skips_is_never_certified(case, budget, seed):
+    """Each kept vertex's screened worst residual is its exact worst residual
+    up to rounding, and a vertex the screen skips would not have answered:
+    at Sobol points of the box, on and just off every region facet, and at
+    the box's corners."""
+    plp = lp_of(case)
+    atlas = enumerate_regions(plp, budget, seed=seed)
+    kept = lp_mod._kept(plp)
+    assert sorted(kept.vertices) == sorted(r.active_set for r in atlas.regions)
+    box = plp.theta_box
+    sobol = box[:, 0] + qmc.Sobol(plp.m, seed=97).random(1024) * (box[:, 1] - box[:, 0])
+    corners = np.array(list(itertools.product(*box)))
+    thetas = np.vstack([sobol, facet_points(atlas, np.random.default_rng(97)), corners])
+    threshold = lp_mod._CERT_FEAS + lp_mod._SCREEN_MARGIN
+    skipped = tried = 0
+    for theta in thetas:
+        b = plp.rhs(theta)
+        screened = lp_mod._screened(plp, theta)
+        assert screened.shape == (len(kept.vertices),)
+        for basis, worst in zip(kept.vertices, screened):
+            x = np.linalg.solve(plp.W[list(basis)], b[list(basis)])
+            assert abs(worst - np.max(plp.W @ x - b)) <= 1e-12
+            if worst > threshold:
+                skipped += 1
+                assert lp_mod._certified(plp, b, basis) is None
+            else:
+                tried += 1
+    # the screen skips tries, and every Sobol point has a vertex it tries
+    assert skipped > 0 and tried >= len(sobol)
+    # the screen follows the vertex list, however it changes
+    kept.vertices.reverse()
+    for theta in thetas[:50]:
+        b = plp.rhs(theta)
+        exact = [np.max(plp.W @ np.linalg.solve(plp.W[list(v)], b[list(v)]) - b)
+                 for v in kept.vertices]
+        np.testing.assert_allclose(lp_mod._screened(plp, theta), exact, rtol=0, atol=1e-12)
+    # each verdict kept is the one its basis and active rows give
+    assert kept.verdicts
+    for (basis, active), verdict in kept.verdicts.items():
+        assert verdict == (len(lp_mod._hyperplanes(plp, list(active))) == plp.n
+                           and lp_mod._basis(plp, "W", list(active)) == list(basis))
+
+
+def test_a_projected_row_evaluates_its_rhs_once(monkeypatch):
+    """``feasible_dispatch`` computes each row's right-hand side once and
+    projects from it: the bytes of ``project_feasible`` on each row."""
+    plp = lp_of("ieee69")
+    xs, thetas = dispatch_pairs(plp, 12, seed=131)
+    rhs, calls = ParametricLP.rhs, []
+
+    def counted(self, theta):
+        calls.append(np.asarray(theta).tobytes())
+        return rhs(self, theta)
+
+    expected = None
+    for workers in (0, 1):
+        with_workers(monkeypatch, workers)
+        monkeypatch.setattr(ParametricLP, "rhs", counted)
+        calls.clear()
+        out, projected = lp_mod.feasible_dispatch(xs, plp, thetas)
+        assert sorted(calls) == sorted(theta.tobytes() for theta in thetas)
+        assert 0 < projected.sum() < len(xs)
+        monkeypatch.setattr(ParametricLP, "rhs", rhs)
+        if expected is None:
+            expected = [project_feasible(x, plp, theta).tobytes() if p else x.tobytes()
+                        for x, theta, p in zip(xs, thetas, projected)]
+        assert [row.tobytes() for row in out] == expected
+
+
 def test_a_degenerate_answer_keeps_no_vertex(certified_calls):
     # toy2's region boundary and the toy LP's kink at 0 are degenerate
     for case, boundary in [("toy2", 0.5), ("toy", 0.0)]:
@@ -1277,12 +1356,13 @@ def test_a_batch_with_one_cpu_starts_no_thread(monkeypatch):
     plp = lp_of("toy2")
     xs, thetas = dispatch_pairs(plp, 8, seed=131)
     threads = []
+    project = lp_mod._l1_projection
 
     def counted(*args):
         threads.append((threading.current_thread(), threading.active_count()))
-        return project_feasible(*args)
+        return project(*args)
 
-    monkeypatch.setattr(lp_mod, "project_feasible", counted)
+    monkeypatch.setattr(lp_mod, "_l1_projection", counted)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     before = threading.active_count()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -1330,12 +1410,13 @@ def test_a_failed_batch_stops_early_and_leaves_no_thread(monkeypatch):
     xs, thetas = dispatch_pairs(plp, 40, seed=149)
     thetas[0] = 1000.0  # an empty feasible set
     calls = []
+    project = lp_mod._l1_projection
 
     def counted(*args):
         calls.append(threading.get_ident())
-        return project_feasible(*args)
+        return project(*args)
 
-    monkeypatch.setattr(lp_mod, "project_feasible", counted)
+    monkeypatch.setattr(lp_mod, "_l1_projection", counted)
     with_workers(monkeypatch, 1)
     _, projected = lp_mod.feasible_dispatch(xs[1:], plp, thetas[1:])
     assert len(calls) == sum(projected) == 39 and len(set(calls)) == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from qpopf.regions import (
     region_polyhedron,
     sample_labeled_dataset,
 )
+from tests.conftest import make_toy_plp
 from tests.lp_oracle import contains
 
 
@@ -503,3 +505,113 @@ def test_oracle_classifier_matches_point_loop(name, request):
             with pytest.raises(UncoveredThetaError,
                                match=f"{(~covered).sum()} of {len(thetas)} points .* point {first},"):
                 oracle.logits_from_base(oracle.base_scores(thetas), 0.0)
+
+
+def test_atlas_reports_its_work(plp69, monkeypatch):
+    """``RegionAtlas.work`` counts what enumeration did; it is not saved."""
+    atlas = enumerate_regions(linearize(load_case(case_path("ieee69"))), 1000, seed=11)
+    assert atlas.work == {"simplex_solves": 7, "certified": 993, "tries": 993,
+                          "perturbed_basis": 0, "chebyshev_lps": 7, "pruning_lps": 0}
+    assert "work" not in atlas.to_dict()
+    # m = 1: each polyhedron is pruned by LPs, and no Chebyshev LP runs
+    toy2 = enumerate_regions(linearize(load_case(case_path("toy2"))), 64, seed=9)
+    assert toy2.work == {"simplex_solves": 2, "certified": 62, "tries": 62,
+                         "perturbed_basis": 0, "chebyshev_lps": 0, "pruning_lps": 6}
+    # five samples reported degenerate: each recovers its basis by perturbation
+    solves = []
+
+    def degenerate_solve(plp, theta):
+        sol = solve_lp(plp, theta)
+        solves.append(theta)
+        if len(solves) <= 5:
+            sol.status = "degenerate"
+        return sol
+
+    monkeypatch.setattr(regions_mod, "solve_lp", degenerate_solve)
+    toy = enumerate_regions(make_toy_plp(), 16, seed=7)
+    assert toy.work["perturbed_basis"] == 5
+    assert toy.work["simplex_solves"] + toy.work["certified"] == 16
+
+
+ATLAS_PAIRS = [("ieee69", 1000, 11), ("ieee69", 3000, 11), ("ieee69", 3000, 0),
+               ("ieee69", 2000, 5), ("ieee69", 500, 3), ("ieee69", 300, 3), ("ieee69", 64, 9),
+               ("ieee69", 1, 9), ("ieee69", 1, 11), ("toy2", 3000, 0), ("toy2", 2000, 5),
+               ("toy2", 64, 9), ("toy2", 1, 9)]
+
+
+@pytest.mark.parametrize("case,budget,seed", ATLAS_PAIRS)
+def test_region_rows_are_the_pruned_rows(case, budget, seed):
+    """Every region polyhedron keeps exactly the rows, in order, that one
+    pruning LP per row keeps; on ieee69 with one Chebyshev LP per region."""
+    plp = linearize(load_case(case_path(case)))
+    atlas = enumerate_regions(plp, budget, seed=seed)
+    for region in atlas.regions:
+        A, b = region_polyhedron(plp, region.active_set, region.F, region.f,
+                                 remove_redundant=False)
+        A, b = prune_every_row(A, b)
+        assert (A.tobytes(), b.tobytes()) == (region.poly_A.tobytes(), region.poly_b.tobytes())
+    if plp.m > 1:
+        assert (atlas.work["chebyshev_lps"], atlas.work["pruning_lps"]) == (atlas.K, 0)
+
+
+def unit_polytope(rows, rhs):
+    """{x : rows x <= rhs} intersected with the box [-1, 1]^m, as unit rows."""
+    rows = np.asarray(rows, dtype=float)
+    m = rows.shape[1]
+    A = np.vstack([rows, np.eye(m), -np.eye(m)])
+    b = np.concatenate([rhs, np.ones(2 * m)])
+    scale = np.linalg.norm(A, axis=1)
+    return A / scale[:, None], b / scale
+
+
+def kept_rows(A, b):
+    """``_irredundant_rows`` of {A x <= b} and the work it counted."""
+    work = Counter()
+    return regions_mod._irredundant_rows(A, b, work), work
+
+
+@pytest.mark.parametrize("rows,rhs,dropped", [
+    # a facet given twice keeps its later row (3 and 6 are box rows it cuts off)
+    ([[1, 1], [1, -2], [1, 1]], [0.5, 1.0, 0.5], [0, 3, 6]),
+    # a box facet given again before the box keeps the box row
+    ([[1, 0], [1, 1]], [1.0, 1.0], [0]),
+    # a row tight at the single vertex (1, 1) only
+    ([[1, 1], [1, -3]], [2.0, 1.0], [0, 5]),
+    ([[1, 1, 1], [1, -1, 0], [1, 1, 1]], [3.0, 0.5, 3.0], [0, 2]),
+    # a row tight along an edge of the cube only, and a duplicated facet
+    ([[1, 1, 0], [0, 1, -1], [1, 0, 2], [0, 1, -1]], [2.0, 0.25, 1.5, 0.25], [0, 1]),
+])
+def test_qhull_rows_are_the_pruned_rows(rows, rhs, dropped):
+    A, b = unit_polytope(rows, rhs)
+    keep, work = kept_rows(A, b)
+    assert work == {"chebyshev_lps": 1}
+    assert sorted(set(range(len(b))) - set(keep)) == dropped
+    A_pruned, b_pruned = prune_every_row(A, b)
+    assert (A[keep].tobytes(), b[keep].tobytes()) == (A_pruned.tobytes(), b_pruned.tobytes())
+
+
+def test_qhull_falls_back_to_pruning_lps(monkeypatch):
+    """A polyhedron thinner than ``_QHULL_MIN_RADIUS``, one Qhull refuses,
+    and one with m = 1 keep the pruning LP of every row; an empty one
+    raises as pruning finds it."""
+    # a slab 1e-7 wide against the box face x = -1
+    A, b = unit_polytope([[1, 0], [1, 1]], [-1.0 + 1e-7, 0.5])
+    keep, work = kept_rows(A, b)
+    assert work["chebyshev_lps"] == 1 and work["pruning_lps"] > 0
+    assert A[keep].tobytes() == prune_every_row(A, b)[0].tobytes()
+
+    def refused(*args, **kwargs):
+        raise regions_mod.QhullError("refused")
+
+    A, b = unit_polytope([[1, 1], [1, -2], [1, 1]], [0.5, 1.0, 0.5])
+    with monkeypatch.context() as patch:
+        patch.setattr(regions_mod, "HalfspaceIntersection", refused)
+        keep, work = kept_rows(A, b)
+    assert work["chebyshev_lps"] == 1 and work["pruning_lps"] > 0
+    assert A[keep].tobytes() == prune_every_row(A, b)[0].tobytes()
+    A, b = unit_polytope([[1]], [0.25])
+    keep, work = kept_rows(A, b)
+    assert work == {"pruning_lps": 3} and keep == [0, 2]
+    A, b = unit_polytope([[1, 0]], [-2.0])
+    with pytest.raises(EmptyRegionError, match="empty"):
+        kept_rows(A, b)
