@@ -561,7 +561,8 @@ def argmax_accuracy(model, thetas: np.ndarray, labels: np.ndarray) -> float:
 
 
 def margin_from_logits(s: np.ndarray, k_star: int) -> float:
-    """s_{k*} - max over competitors; 1-based k_star."""
+    """s_{k*} - max over competitors; 1-based k_star.  +inf with no
+    competitor (one region)."""
     s = np.asarray(s, dtype=float)
     rival = np.delete(s, k_star - 1)
-    return float(s[k_star - 1] - np.max(rival))
+    return float(s[k_star - 1] - np.max(rival, initial=-np.inf))

@@ -3,14 +3,13 @@
 For each scenario the mechanism samples a region, the affine map
 reconstructs the dispatch, violations beyond 1e-4 trigger an L1
 projection onto the feasible set, and errors accumulate against the
-exact solution from point location.  A batch is prepared once: it is
-located before any draw, so a scenario outside the atlas raises
-``UncoveredThetaError`` up front, and the scored dispatch of each
-(scenario, region) pair is kept, so a sweep over (gamma, beta) projects
-each pair at most once.  Each evaluation draws every pick first, then
-fills the dispatches of the new pairs in one batch, whose projection
-LPs run on two pool threads where a second CPU is free and BLAS runs
-one thread (``lp._workers``), then scores the picks in scenario order;
+exact solution from point location.  ``evaluate`` is a sweep of one
+(gamma, beta) cell, and both run one function, ``_scored_cells``: it
+locates the batch before any draw, so a scenario outside the atlas
+raises ``UncoveredThetaError`` up front, draws every cell, scores each
+picked (scenario, region) pair once in one ``lp.feasible_dispatch``
+batch, whose projection LPs run on two pool threads where a second CPU
+is free and BLAS runs one thread, then sums the cells in scenario order;
 the reports do not depend on how many threads ran the projections.  Also
 holds the qubit-budget and circuit-runtime formulas plus wall-clock
 measurements of the classical paths.
@@ -37,6 +36,9 @@ class ScenarioBatch:
 
     def __post_init__(self):
         self.thetas = np.atleast_2d(np.asarray(self.thetas, dtype=float))
+        if self.thetas.size == 0:
+            raise ValueError(f"a scenario batch needs at least one scenario, got shape "
+                             f"{self.thetas.shape}")
 
     @property
     def count(self) -> int:
@@ -99,103 +101,72 @@ def _tracked_indices(plp: ParametricLP) -> list[int]:
     return list(range(plp.n))
 
 
-class _DispatchTable:
-    """One scenario batch, prepared for any number of (gamma, beta) cells.
+def _scored_cells(model, atlas: RegionAtlas, plp: ParametricLP, batch: ScenarioBatch,
+                  cells: list[tuple[float, float]], rngs: list) -> list[MetricsReport]:
+    """The report of each (gamma, beta) cell on ``batch``, drawn on its rng.
 
-    Building it is independent of gamma, beta and the rng: it checks the
-    LP and the box, locates the batch (an uncovered scenario raises here,
-    before any draw) and keeps each scenario's exact solution and exact
-    cost.  A cell then runs in three steps.  ``draw`` runs the model's law
-    and one ``sample_region`` per scenario, in scenario order on one rng
-    stream.  ``fill`` scores the (scenario, region) pairs that no cell
-    picked before, all of them with one ``feasible_dispatch`` batch, so
-    the reconstruction, the feasibility check and the projection LP run
-    at most once per pair and the projections may run on two pool
-    threads.  ``score`` then sums the cell's picks in scenario order, so
-    its float sums do not depend on how the batch was filled.
+    The LP and the box are checked and the batch located first, so an
+    uncovered scenario raises before any draw.  The model's base scores
+    are computed once; each cell then runs the model's law and one
+    ``sample_region`` per scenario, in scenario order on its own rng.
+    Every (scenario, region) pair that a cell picks is scored once, in one
+    ``feasible_dispatch`` batch, so the reconstruction, the feasibility
+    check and the projection LP run at most once per pair, and a
+    projection counts against the first cell that picked its pair.  Each
+    cell's picks are then summed in scenario order, so its float sums do
+    not depend on how the batch was scored.
     """
+    if atlas.plp_hash and atlas.plp_hash != plp.hash_hex():
+        raise ValueError("atlas/plp hash mismatch: atlas was built for a different LP")
+    batch.validate_in(plp.theta_box)
+    k_stars = locate_covered(atlas, batch.thetas).tolist()
+    base = model.base_scores(batch.thetas)
+    picks = [[sample_region(p, rng) for p in model.probabilities_from_base(base, gamma, beta, rng)]
+             for (gamma, beta), rng in zip(cells, rngs)]
 
-    def __init__(
-        self,
-        atlas: RegionAtlas,
-        plp: ParametricLP,
-        batch: ScenarioBatch,
-    ):
-        if atlas.plp_hash and atlas.plp_hash != plp.hash_hex():
-            raise ValueError("atlas/plp hash mismatch: atlas was built for a different LP")
-        batch.validate_in(plp.theta_box)
-        self.atlas, self.plp, self.batch = atlas, plp, batch
-        self.tracked = _tracked_indices(plp)
-        self.names = (
-            [plp.var_names[i] for i in self.tracked]
-            if plp.var_names
-            else [f"x{i}" for i in self.tracked]
-        )
-        self.k_stars = locate_covered(atlas, batch.thetas).tolist()
-        self.x_star = [
-            atlas.region(k).solution(theta) for theta, k in zip(batch.thetas, self.k_stars)
-        ]
-        self.j_star = [float(plp.c @ x) for x in self.x_star]
-        self._picks: dict[tuple[int, int], tuple[np.ndarray, float, bool]] = {}
+    first: dict[tuple[int, int], int] = {}  # each picked pair, and the first cell to pick it
+    for cell, cell_picks in enumerate(picks):
+        for pair in enumerate(cell_picks):
+            first.setdefault(pair, cell)
+    thetas = batch.thetas[[i for i, _ in first]]
+    xs = [atlas.region(k).solution(theta) for (_, k), theta in zip(first, thetas)]
+    dispatches, projected = feasible_dispatch(xs, plp, thetas)
+    tracked = _tracked_indices(plp)
+    x_star = [atlas.region(k).solution(theta) for theta, k in zip(batch.thetas, k_stars)]
+    j_star = [float(plp.c @ x) for x in x_star]
+    scored = {}  # pair -> (absolute error of the tracked variables, cost gap, projected)
+    projections = [0] * len(cells)
+    for ((i, k), cell), x, infeasible in zip(first.items(), dispatches, projected.tolist()):
+        projections[cell] += infeasible
+        # relative gap; absolute when the optimal cost is essentially zero
+        gap = (float(plp.c @ x) - j_star[i]) / (abs(j_star[i]) if abs(j_star[i]) > 1e-9 else 1.0)
+        scored[(i, k)] = (np.abs(x[tracked] - x_star[i][tracked]), gap, infeasible)
 
-    def draw(
-        self, model, base: np.ndarray, gamma: float, beta: float, rng: np.random.Generator
-    ) -> list[int]:
-        """One (gamma, beta) cell's picks: the model's law from its base
-        scores, then one region per scenario."""
-        probs = model.probabilities_from_base(base, gamma, beta, rng)
-        return [sample_region(p, rng) for p in probs]
-
-    def fill(self, cells: list[list[int]]) -> list[int]:
-        """Score every pair the cells pick that is not in the table yet, in
-        one ``feasible_dispatch`` batch.  Returns, per cell, how many pairs
-        it picked first that were projected."""
-        first: dict[tuple[int, int], int] = {}
-        for cell, picks in enumerate(cells):
-            for i, k in enumerate(picks):
-                if (i, k) not in self._picks:
-                    first.setdefault((i, k), cell)
-        thetas = self.batch.thetas[[i for i, _ in first]]
-        xs = [self.atlas.region(k).solution(theta) for (_, k), theta in zip(first, thetas)]
-        dispatches, projected = feasible_dispatch(xs, self.plp, thetas)
-        projections = [0] * len(cells)
-        for ((i, k), cell), x, infeasible in zip(first.items(), dispatches, projected.tolist()):
-            projections[cell] += infeasible
-            x_star, j_star = self.x_star[i], self.j_star[i]
-            # relative gap; absolute when the optimal cost is essentially zero
-            gap = (float(self.plp.c @ x) - j_star) / (abs(j_star) if abs(j_star) > 1e-9 else 1.0)
-            self._picks[(i, k)] = (np.abs(x[self.tracked] - x_star[self.tracked]), gap, infeasible)
-        return projections
-
-    def score(
-        self, model, picks: list[int], gamma: float, beta: float, projections: int
-    ) -> MetricsReport:
-        """The report of one cell whose ``picks`` are filled; ``projections``
-        is the count of projection LPs its pairs ran."""
-        abs_err = np.zeros(len(self.tracked))
+    names = [plp.var_names[i] for i in tracked] if plp.var_names else [f"x{i}" for i in tracked]
+    n = batch.count
+    reports = []
+    for (gamma, beta), cell_picks, lps in zip(cells, picks, projections):
+        abs_err = np.zeros(len(tracked))
         gap_sum = 0.0
         infeasible = 0
-        correct = 0
-        for i, (k_pick, k_star) in enumerate(zip(picks, self.k_stars)):
-            correct += k_pick == k_star
-            err, gap, projected = self._picks[(i, k_pick)]
-            infeasible += projected
+        for i, k in enumerate(cell_picks):
+            err, gap, was_projected = scored[(i, k)]
+            infeasible += was_projected
             abs_err += err
             gap_sum += gap
-        n = self.batch.count
-        per_var = {name: float(e / n) for name, e in zip(self.names, abs_err)}
-        return MetricsReport(
-            per_variable_mae=per_var,
+        reports.append(MetricsReport(
+            per_variable_mae={name: float(e / n) for name, e in zip(names, abs_err)},
             mae=float(np.mean(abs_err / n)),
             cost_gap=gap_sum / n,
             infeasibility_rate=infeasible / n,
-            stochastic_accuracy=correct / n,
+            stochastic_accuracy=sum(k == k_star for k, k_star in zip(cell_picks, k_stars)) / n,
             sample_count=n,
             gamma=float(gamma),
             beta=float(beta),
             model_id=getattr(model, "model_id", "unknown"),
-            counters={"infeasible_picks": infeasible, "projection_lps": projections},
-        )
+            counters={"infeasible_picks": infeasible, "projection_lps": lps},
+        ))
+    return reports
 
 
 def evaluate(
@@ -209,10 +180,7 @@ def evaluate(
 ) -> MetricsReport:
     """Sample-reconstruct-project evaluation of a mechanism on a batch."""
     check_noise_and_temperature([gamma], [beta])
-    table = _DispatchTable(atlas, plp, batch)
-    picks = table.draw(model, model.base_scores(batch.thetas), gamma, beta, rng)
-    (projections,) = table.fill([picks])
-    return table.score(model, picks, gamma, beta, projections)
+    return _scored_cells(model, atlas, plp, batch, [(gamma, beta)], [rng])[0]
 
 
 def sweep(
@@ -225,20 +193,14 @@ def sweep(
 ) -> list[MetricsReport]:
     """Full-factorial evaluation; every cell replays the same seed so
     high-beta rows expose the argmax gamma-invariance directly.  The cells
-    share one dispatch table, so each (scenario, region) pair is
-    projected at most once per sweep, and the model's base scores, so the
-    circuit runs once per sweep.  Every cell is drawn first, the table is
-    filled in one batch, then the cells are scored in order."""
+    share the model's base scores, so the circuit runs once per sweep, and
+    one scoring batch, so each (scenario, region) pair is projected at
+    most once per sweep."""
     gamma_grid, beta_grid = list(gamma_grid), list(beta_grid)
     check_noise_and_temperature(gamma_grid, beta_grid)
-    table = _DispatchTable(atlas, plp, batch)
-    base = model.base_scores(batch.thetas)
     cells = [(gamma, beta) for gamma in gamma_grid for beta in beta_grid]
-    picks = [table.draw(model, base, gamma, beta, np.random.default_rng(batch.seed))
-             for gamma, beta in cells]
-    projections = table.fill(picks)
-    return [table.score(model, p, gamma, beta, lps)
-            for (gamma, beta), p, lps in zip(cells, picks, projections)]
+    rngs = [np.random.default_rng(batch.seed) for _ in cells]
+    return _scored_cells(model, atlas, plp, batch, cells, rngs)
 
 
 def qubit_budget(b: int, Y: int, n_vars: int, n_cons: int) -> int:

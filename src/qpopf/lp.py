@@ -643,15 +643,20 @@ def feasible_dispatch(
     Row j of ``xs`` (N, n) is kept unless it violates a constraint at row
     j of ``thetas`` (N, m) by more than ``FEASIBILITY_THRESHOLD``; then it
     is replaced by its L1 projection (:func:`project_feasible`).  Returns
-    the (N, n) dispatches and an (N,) boolean mask, in input order; N
-    dispatches with another number of thetas raise ``ValueError``.  The
-    projections run on a pool of ``_workers() + 1`` threads, never more
-    than there are projections, or on the caller where that is one.  Each
-    is a cold solve, so the bytes are those of a serial loop, and so is
-    the exception: the first failure in input order raises, and those not
-    yet started by then are cancelled.
+    the (N, n) dispatches and an (N,) boolean mask, in input order;
+    dispatches of another shape, or N of them with another number of
+    thetas, raise ``ValueError``.  The projections run on a pool of
+    ``_workers() + 1`` threads, never more than there are projections, or
+    on the caller where that is one.  Each is a cold solve, so the bytes
+    are those of a serial loop, and so is the exception: the first
+    failure in input order raises, and those not yet started by then are
+    cancelled.
     """
-    xs = np.array(xs, dtype=float).reshape(-1, plp.n)
+    xs = np.array(xs, dtype=float)
+    if xs.shape == (0,):  # an empty list
+        xs = xs.reshape(0, plp.n)
+    if xs.ndim != 2 or xs.shape[1] != plp.n:
+        raise ValueError(f"dispatches of shape {xs.shape}, expected (N, {plp.n})")
     thetas = np.asarray(thetas, dtype=float)
     if len(xs) != len(thetas):
         raise ValueError(f"{len(xs)} dispatches but {len(thetas)} thetas")

@@ -343,7 +343,10 @@ def theoretical_epsilon(
 
 
 def cost_tradeoff_formula(dj_max: float, K: int, beta: float, margin: float) -> float:
-    """Worst-case cost gap times the margin mis-selection bound."""
+    """Worst-case cost gap times the margin mis-selection bound; 0 with one
+    region, which has no rival to mis-select (its margin is +inf)."""
+    if K == 1:
+        return 0.0
     return float(dj_max * (K - 1) * np.exp(-beta * margin))
 
 

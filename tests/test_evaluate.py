@@ -64,6 +64,11 @@ def test_batch_sampling_in_box():
         ScenarioBatch(thetas=np.array([[2.0]]), seed=0).validate_in(BOX1)
 
 
+def test_an_empty_batch_is_refused_when_built():
+    with pytest.raises(ValueError, match=r"at least one scenario, got shape \(0, 1\)"):
+        ScenarioBatch.sample(BOX1, 0, seed=3)
+
+
 def test_oracle_evaluation_is_exact(toy_atlas, toy_plp):
     batch = ScenarioBatch.sample(BOX1, 300, seed=5)
     report = evaluate(

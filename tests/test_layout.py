@@ -6,10 +6,12 @@ called from somewhere in the package; every public function, and every
 public method of a package class, is named by the package, the benchmark
 or the README's library example, bar a listed few; only ``lp`` names the
 state it keeps on an LP (``solver_state``); the package exports exactly
-the names the README's ``## Library`` block imports from it.
+the names the README's ``## Library`` block imports from it.  Also tests
+``tools/src_lines.py``, the line counter of the package source.
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -233,3 +235,19 @@ def test_the_readme_library_imports_run():
 def test_the_package_exports_exactly_the_readme_names():
     exported = imported_names(ast.parse((PACKAGE / "__init__.py").read_text()))
     assert exported == imported_names(library_block(), "qpopf")
+
+
+def test_the_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    planted = ('"""Module\ndocstring."""\n\n# a comment\nimport os  # trailing\n\n\n'
+               'class C:\n    """Doc."""\n\n    def f(self):\n        """Two\n        lines."""\n'
+               '        return (1,\n\n                2)\n\n\nTEXT = """kept\nstring"""\n')
+    # import, class, def, the two lines of the return, the two of TEXT
+    assert src_lines.code_lines(planted) == 7
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(planted)
+    (tmp_path / "b.py").write_text("x = 1\n\n")
+    src_lines.main([str(tmp_path)])
+    assert capsys.readouterr().out.split("\n")[-2].split() == ["22", "8", "total"]

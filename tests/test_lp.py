@@ -1352,6 +1352,19 @@ def test_a_batch_needs_one_theta_per_dispatch():
             lp_mod.feasible_dispatch(xs[:dispatches], plp, thetas[:scored])
 
 
+def test_a_batch_refuses_dispatches_of_another_width():
+    """Dispatches not shaped (N, n) raise, naming the shape, and are not
+    regrouped into rows of width n; an empty list is an empty batch."""
+    plp = lp_of("ieee69")
+    xs, thetas = dispatch_pairs(plp, 2, seed=131)
+    for dispatches in (xs[:2, : plp.n // 2], xs[0], xs[:1, :, None]):
+        with pytest.raises(ValueError) as info:
+            lp_mod.feasible_dispatch(dispatches, plp, thetas[:1])
+        assert str(info.value) == f"dispatches of shape {dispatches.shape}, expected (N, 80)"
+    out, projected = lp_mod.feasible_dispatch([], plp, thetas[:0])
+    assert out.shape == (0, plp.n) and projected.shape == (0,)
+
+
 def test_a_batch_with_one_cpu_starts_no_thread(monkeypatch):
     plp = lp_of("toy2")
     xs, thetas = dispatch_pairs(plp, 8, seed=131)

@@ -32,7 +32,13 @@ from qpopf.privacy import (
     theoretical_epsilon,
     tradeoff_bound,
 )
-from qpopf.regions import RegionAtlas, locate_region, sample_labeled_dataset
+from qpopf.regions import (
+    RegionAtlas,
+    enumerate_regions,
+    locate_batch,
+    locate_region,
+    sample_labeled_dataset,
+)
 
 
 class StubModel:
@@ -319,6 +325,20 @@ def test_tradeoff_bound_vanishes_at_large_beta(toy_model, toy_atlas, toy_plp):
     bound, comp = tradeoff_bound(toy_model, toy_atlas, toy_plp, theta, 0.0, 1e6)
     assert comp["margin"] > 0
     assert bound == pytest.approx(0.0, abs=1e-12)
+
+
+def test_tradeoff_bound_is_zero_on_a_one_region_atlas(toy_plp):
+    """With one region there is no rival to mis-select: the margin is +inf
+    and every bound is 0."""
+    atlas = enumerate_regions(toy_plp, sampling_budget=1, seed=0)
+    assert atlas.K == 1
+    thetas = np.linspace(-1.0, 1.0, 21)[:, None]
+    theta = thetas[locate_batch(atlas, thetas) == 1][0]
+    for gamma, beta in ((0.0, 1.0), (0.3, 4.0), (1.0, 1.0)):
+        bound, comp = tradeoff_bound(OracleClassifier(atlas), atlas, toy_plp, theta, gamma, beta)
+        assert bound == 0.0
+        assert comp["margin"] == comp["margin0"] == np.inf
+        assert comp["mis_selection_bound"] == comp["remark1_bound"] == 0.0
 
 
 def test_expected_cost_gap_below_bound_toy(toy_model, toy_atlas, toy_plp):
